@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import FiniteRing, RingHom, decompose_abelian, find_unit, validate_ring
+from .rings import FiniteRing, RingHom, _first_bad, decompose_abelian, find_unit, validate_ring
 
 ENUM_GUARD = 16
 # Materialising the bimultiplication ring is capped at the largest order
@@ -46,7 +46,7 @@ class Bimult:
 def _is_additive(add: np.ndarray, f: np.ndarray):
     ok = f[add] == add[f[:, None], f[None, :]]
     if not ok.all():
-        return tuple(int(x) for x in np.argwhere(~ok)[0])
+        return _first_bad(ok)
     return None
 
 
@@ -62,13 +62,13 @@ def validate_bimult(b: FiniteRing, left, right) -> Bimult:
     mul = b.mul
     ok = left[mul] == mul[left[:, None], np.arange(b.order)[None, :]]
     if not ok.all():
-        raise BimultError("left-product", tuple(int(x) for x in np.argwhere(~ok)[0]))
+        raise BimultError("left-product", _first_bad(ok))
     ok = right[mul] == mul[np.arange(b.order)[:, None], right[None, :]]
     if not ok.all():
-        raise BimultError("right-product", tuple(int(x) for x in np.argwhere(~ok)[0]))
+        raise BimultError("right-product", _first_bad(ok))
     ok = mul[np.arange(b.order)[:, None], left[None, :]] == mul[right[:, None], np.arange(b.order)[None, :]]
     if not ok.all():
-        raise BimultError("mixed-product", tuple(int(x) for x in np.argwhere(~ok)[0]))
+        raise BimultError("mixed-product", _first_bad(ok))
     return Bimult(tuple(int(x) for x in left), tuple(int(x) for x in right))
 
 

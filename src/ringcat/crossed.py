@@ -25,6 +25,7 @@ from .rings import (
     HomError,
     IdealQuotient,
     RingHom,
+    _first_bad,
     decompose_abelian,
     ideal_cokernel,
     identity_hom,
@@ -38,10 +39,6 @@ class ESystemError(ValueError):
         self.axiom = axiom
         self.witness = witness
         super().__init__(f"{axiom} fails at {witness}")
-
-
-def _bad(ok: np.ndarray):
-    return tuple(int(x) for x in np.argwhere(~ok)[0])
 
 
 @dataclass(eq=False)
@@ -85,50 +82,50 @@ def validate_esystem(b, d_ring, d_map, theta_left, theta_right, name="es") -> ES
     # Each theta(x) is a bimultiplication of B.
     ok = tl[:, b.add] == b.add[tl[:, :, None], tl[:, None, :]]
     if not ok.all():
-        raise ESystemError("action-left-additive", _bad(ok))
+        raise ESystemError("action-left-additive", _first_bad(ok))
     ok = tr[:, b.add] == b.add[tr[:, :, None], tr[:, None, :]]
     if not ok.all():
-        raise ESystemError("action-right-additive", _bad(ok))
+        raise ESystemError("action-right-additive", _first_bad(ok))
     ok = tl[:, b.mul] == b.mul[tl[:, :, None], ar[None, None, :]]
     if not ok.all():
-        raise ESystemError("action-left-product", _bad(ok))
+        raise ESystemError("action-left-product", _first_bad(ok))
     ok = tr[:, b.mul] == b.mul[ar[None, :, None], tr[:, None, :]]
     if not ok.all():
-        raise ESystemError("action-right-product", _bad(ok))
+        raise ESystemError("action-right-product", _first_bad(ok))
     ok = b.mul[ar[None, :, None], tl[:, None, :]] == b.mul[tr[:, :, None], ar[None, None, :]]
     if not ok.all():
-        raise ESystemError("action-mixed-product", _bad(ok))
+        raise ESystemError("action-mixed-product", _first_bad(ok))
 
     # theta is a ring map into the bimultiplication ring.
     ok = tl[d_ring.add] == b.add[tl[:, None, :], tl[None, :, :]]
     if not ok.all():
-        raise ESystemError("action-left-additive-in-source", _bad(ok))
+        raise ESystemError("action-left-additive-in-source", _first_bad(ok))
     ok = tr[d_ring.add] == b.add[tr[:, None, :], tr[None, :, :]]
     if not ok.all():
-        raise ESystemError("action-right-additive-in-source", _bad(ok))
+        raise ESystemError("action-right-additive-in-source", _first_bad(ok))
     xs = np.arange(nd)
     ok = tl[d_ring.mul] == tl[xs[:, None, None], tl[xs[None, :, None], ar[None, None, :]]]
     if not ok.all():
-        raise ESystemError("action-left-multiplicative", _bad(ok))
+        raise ESystemError("action-left-multiplicative", _first_bad(ok))
     ok = tr[d_ring.mul] == tr[xs[None, :, None], tr[xs[:, None, None], ar[None, None, :]]]
     if not ok.all():
-        raise ESystemError("action-right-multiplicative", _bad(ok))
+        raise ESystemError("action-right-multiplicative", _first_bad(ok))
 
     # Acting through d is inner multiplication.
     ok = tl[d.map] == b.mul
     if not ok.all():
-        raise ESystemError("inner-action-left", _bad(ok))
+        raise ESystemError("inner-action-left", _first_bad(ok))
     ok = tr[d.map] == b.mul.T
     if not ok.all():
-        raise ESystemError("inner-action-right", _bad(ok))
+        raise ESystemError("inner-action-right", _first_bad(ok))
 
     # d intertwines the action with multiplication in D.
     ok = d.map[tl] == d_ring.mul[xs[:, None], d.map[None, :]]
     if not ok.all():
-        raise ESystemError("equivariance-left", _bad(ok))
+        raise ESystemError("equivariance-left", _first_bad(ok))
     ok = d.map[tr] == d_ring.mul[d.map[None, :], xs[:, None]]
     if not ok.all():
-        raise ESystemError("equivariance-right", _bad(ok))
+        raise ESystemError("equivariance-right", _first_bad(ok))
     return ESystem(name, b, d_ring, d, tl, tr)
 
 
@@ -147,7 +144,7 @@ def regularity_witness(es: ESystem):
         xs[None, :, None], tl[xs[:, None, None], ar[None, None, :]]
     ]
     if not ok.all():
-        x, y, a = _bad(ok)
+        x, y, a = _first_bad(ok)
         return ("permutability", (x, y, a))
     return None
 
@@ -184,27 +181,27 @@ def validate_crossed_bimodule(b, d_ring, d_map, left, right, name="xb") -> Cross
     # Unital D-bimodule structure on (B, +).
     ok = lf[d_ring.add] == b.add[lf[:, None, :], lf[None, :, :]]
     if not ok.all():
-        raise ESystemError("bimodule-left-additive-in-ring", _bad(ok))
+        raise ESystemError("bimodule-left-additive-in-ring", _first_bad(ok))
     ok = lf[:, b.add] == b.add[lf[:, :, None], lf[:, None, :]]
     if not ok.all():
-        raise ESystemError("bimodule-left-additive", _bad(ok))
+        raise ESystemError("bimodule-left-additive", _first_bad(ok))
     ok = rt[d_ring.add] == b.add[rt[:, None, :], rt[None, :, :]]
     if not ok.all():
-        raise ESystemError("bimodule-right-additive-in-ring", _bad(ok))
+        raise ESystemError("bimodule-right-additive-in-ring", _first_bad(ok))
     ok = rt[:, b.add] == b.add[rt[:, :, None], rt[:, None, :]]
     if not ok.all():
-        raise ESystemError("bimodule-right-additive", _bad(ok))
+        raise ESystemError("bimodule-right-additive", _first_bad(ok))
     ok = lf[d_ring.mul] == lf[xs[:, None, None], lf[xs[None, :, None], ar[None, None, :]]]
     if not ok.all():
-        raise ESystemError("bimodule-left-associative", _bad(ok))
+        raise ESystemError("bimodule-left-associative", _first_bad(ok))
     ok = rt[d_ring.mul] == rt[xs[None, :, None], rt[xs[:, None, None], ar[None, None, :]]]
     if not ok.all():
-        raise ESystemError("bimodule-right-associative", _bad(ok))
+        raise ESystemError("bimodule-right-associative", _first_bad(ok))
     ok = rt[xs[None, :, None], lf[xs[:, None, None], ar[None, None, :]]] == lf[
         xs[:, None, None], rt[xs[None, :, None], ar[None, None, :]]
     ]
     if not ok.all():
-        raise ESystemError("bimodule-mixed-associative", _bad(ok))
+        raise ESystemError("bimodule-mixed-associative", _first_bad(ok))
     one = d_ring.unit
     if not (lf[one] == ar).all():
         raise ESystemError("bimodule-left-unital", (int(np.nonzero(lf[one] != ar)[0][0]),))
@@ -214,18 +211,18 @@ def validate_crossed_bimodule(b, d_ring, d_map, left, right, name="xb") -> Cross
     # d is equivariant.
     ok = d.map[lf] == d_ring.mul[xs[:, None], d.map[None, :]]
     if not ok.all():
-        raise ESystemError("equivariance-left", _bad(ok))
+        raise ESystemError("equivariance-left", _first_bad(ok))
     ok = d.map[rt] == d_ring.mul[d.map[None, :], xs[:, None]]
     if not ok.all():
-        raise ESystemError("equivariance-right", _bad(ok))
+        raise ESystemError("equivariance-right", _first_bad(ok))
 
     # Peiffer law: acting through d(c) is multiplying by c.
     ok = lf[d.map] == b.mul
     if not ok.all():
-        raise ESystemError("peiffer-left", _bad(ok))
+        raise ESystemError("peiffer-left", _first_bad(ok))
     ok = rt[d.map] == b.mul.T
     if not ok.all():
-        raise ESystemError("peiffer-right", _bad(ok))
+        raise ESystemError("peiffer-right", _first_bad(ok))
     return CrossedBimodule(name, b, d_ring, d, lf, rt)
 
 
@@ -269,10 +266,10 @@ def validate_morphism(src: ESystem, tgt: ESystem, f1_map, f0_map) -> ESystemMorp
         raise ESystemError("morphism-square", (int(np.nonzero(~ok)[0][0]),))
     ok = f1.map[src.theta_left] == tgt.theta_left[f0.map[:, None], f1.map[None, :]]
     if not ok.all():
-        raise ESystemError("morphism-action-left", _bad(ok))
+        raise ESystemError("morphism-action-left", _first_bad(ok))
     ok = f1.map[src.theta_right] == tgt.theta_right[f0.map[:, None], f1.map[None, :]]
     if not ok.all():
-        raise ESystemError("morphism-action-right", _bad(ok))
+        raise ESystemError("morphism-action-right", _first_bad(ok))
     return ESystemMorphism(src, tgt, f1, f0)
 
 
@@ -311,10 +308,10 @@ def validate_xb_morphism(src: CrossedBimodule, tgt: CrossedBimodule, f1_map, f0_
         raise ESystemError("morphism-square", (int(np.nonzero(~ok)[0][0]),))
     ok = f1.map[src.left] == tgt.left[f0.map[:, None], f1.map[None, :]]
     if not ok.all():
-        raise ESystemError("morphism-action-left", _bad(ok))
+        raise ESystemError("morphism-action-left", _first_bad(ok))
     ok = f1.map[src.right] == tgt.right[f0.map[:, None], f1.map[None, :]]
     if not ok.all():
-        raise ESystemError("morphism-action-right", _bad(ok))
+        raise ESystemError("morphism-action-right", _first_bad(ok))
     return XBMorphism(src, tgt, f1, f0)
 
 

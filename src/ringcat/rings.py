@@ -38,7 +38,8 @@ def _table(t, n: int, what: str) -> np.ndarray:
 
 
 def _first_bad(ok: np.ndarray) -> tuple:
-    return tuple(int(x) for x in np.argwhere(~ok)[0])
+    """Index of the first False cell of `ok` in C order; `ok` must have one."""
+    return tuple(int(x) for x in np.unravel_index(np.argmin(ok), ok.shape))
 
 
 @dataclass(eq=False)

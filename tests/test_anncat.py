@@ -1,9 +1,16 @@
 """The 2-ring view, its axiom checker, and functors with constraint
 constants."""
 
+import copy
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringcat import anncat
 from ringcat.anncat import (
     anncat_axiom_check,
     anncat_to_esystem,
@@ -13,12 +20,14 @@ from ringcat.anncat import (
     morphism_from_functor,
     validate_ann_functor,
 )
+from ringcat.corpus import corpus
 from ringcat.crossed import (
     ESystem,
     ideal_esystem,
     identity_esystem,
     multiplier_esystem,
     validate_esystem,
+    is_regular,
     validate_morphism,
 )
 from ringcat.rings import validate_ring, zero_mult, zero_mult_klein, zmod
@@ -178,3 +187,126 @@ def test_homotopy_requires_same_form():
     assert homotopy_between(f, g) is None
     h = functor_from_morphism(validate_morphism(src, tgt, mod2, mod2))
     assert homotopy_between(f, h) == 0
+
+
+# ---------------------------------------------------------------------------
+# Factored law checking: chunks proved from lower-arity identities are not
+# scanned, and the report must equal the full scan's.
+
+CHUNKED = LAWS[-4:]
+
+
+@functools.cache
+def small_sources():
+    """Corpus systems with |D| <= 8 and the multiplier system of
+    zero_mult(4), small enough to scan every chunk."""
+    small = [es for es in corpus() if es.d_ring.order <= 8]
+    return small + [multiplier_esystem(zero_mult(4))]
+
+
+def full_scan(es, stop_at_first=False):
+    with mock.patch.object(anncat, "_proved_chunks", lambda es: {}):
+        return anncat_axiom_check(es, stop_at_first=stop_at_first)
+
+
+def with_entry(es, table, cell, value):
+    """A shallow copy of es with one entry of a table such as "theta_left",
+    "b.mul" or "d.map" replaced, bypassing validation."""
+    es = holder = copy.copy(es)
+    *owner, attr = table.split(".")
+    if owner:
+        holder = copy.copy(getattr(es, owner[0]))
+        setattr(es, owner[0], holder)
+    t = getattr(holder, attr).copy()
+    t[cell] = value
+    setattr(holder, attr, t)
+    return es
+
+
+@st.composite
+def mutated_systems(draw):
+    es = small_sources()[draw(st.integers(0, len(small_sources()) - 1))]
+    nb, nd = es.b.order, es.d_ring.order
+    shapes = {
+        "theta_left": ((nd, nb), nb),
+        "theta_right": ((nd, nb), nb),
+        "b.add": ((nb, nb), nb),
+        "b.mul": ((nb, nb), nb),
+        "d_ring.add": ((nd, nd), nd),
+        "d_ring.mul": ((nd, nd), nd),
+        "d.map": ((nb,), nd),
+    }
+    for _ in range(draw(st.integers(1, 2))):
+        table = draw(st.sampled_from(sorted(shapes)))
+        shape, n = shapes[table]
+        cell = tuple(draw(st.integers(0, k - 1)) for k in shape)
+        es = with_entry(es, table, cell, draw(st.integers(0, n - 1)))
+    return es
+
+
+@settings(max_examples=300, deadline=None)
+@given(es=mutated_systems(), stop_at_first=st.booleans())
+def test_factored_check_matches_full_scan(es, stop_at_first):
+    fast = anncat_axiom_check(es, stop_at_first=stop_at_first)
+    full = full_scan(es, stop_at_first)
+    assert fast.results == full.results
+    assert fast.complete == full.complete
+
+
+def test_identities_prove_every_chunk_of_regular_systems():
+    for es in small_sources():
+        if is_regular(es):
+            assert anncat._proved_chunks(es) == dict.fromkeys(CHUNKED, es.d_ring.order)
+
+
+def test_permutability_leaves_klein_multiplier_unproved_from_16():
+    # theta(16) is the first action not permuting with every other one
+    es = multiplier_esystem(zero_mult_klein())
+    assert anncat._proved_chunks(es) == {
+        "tensor-interchange": 256,
+        "tensor-associative": 16,
+        "tensor-distributive-left": 256,
+        "tensor-distributive-right": 256,
+    }
+
+
+def rows(report):
+    return [(r.law, r.ok, r.witness, r.checked) for r in report.results]
+
+
+def test_klein_multiplier_full_report():
+    report = anncat_axiom_check(multiplier_esystem(zero_mult_klein()))
+    assert report.complete
+    assert rows(report) == [
+        ("add-commutative", True, None, 65552),
+        ("add-associative", True, None, 16777280),
+        ("add-inverse", True, None, 260),
+        ("compose-identity", True, None, 8),
+        ("compose-associative", True, None, 64),
+        ("add-interchange", True, None, 256),
+        ("tensor-unit", True, None, 2560),
+        ("tensor-cod", True, None, 1048576),
+        ("tensor-interchange", True, None, 16777216),
+        ("tensor-associative", False, (16, 0, 1, 0, 0, 8), 71303168),
+        ("tensor-distributive-left", True, None, 1073741824),
+        ("tensor-distributive-right", True, None, 1073741824),
+    ]
+
+
+def test_zero_mult_8_multiplier_full_report():
+    report = anncat_axiom_check(multiplier_esystem(zero_mult(8)))
+    assert report.ok and report.complete
+    assert rows(report) == [
+        ("add-commutative", True, None, 4160),
+        ("add-associative", True, None, 262656),
+        ("add-inverse", True, None, 72),
+        ("compose-identity", True, None, 16),
+        ("compose-associative", True, None, 512),
+        ("add-interchange", True, None, 4096),
+        ("tensor-unit", True, None, 1152),
+        ("tensor-cod", True, None, 262144),
+        ("tensor-interchange", True, None, 16777216),
+        ("tensor-associative", True, None, 134217728),
+        ("tensor-distributive-left", True, None, 134217728),
+        ("tensor-distributive-right", True, None, 134217728),
+    ]

@@ -198,6 +198,13 @@ def test_cli_anncat_and_reduce(corpus_dir, capsys):
     assert "k xi: 0 0 0 0 0 0 0 0" in out
 
 
+def test_cli_anncat_check_klein_multiplier(corpus_dir, capsys):
+    assert main(["anncat", "check", str(corpus_dir / "mult_klein0.esys")]) == 1
+    out = capsys.readouterr().out
+    assert "tensor-associative: FAIL at (16, 0, 1, 0, 0, 8)" in out
+    assert "status: fail" in out
+
+
 def test_cli_bimult_enumerate(corpus_dir, capsys):
     assert main(["bimult", "enumerate", str(corpus_dir / "flat_z2_B.ring")]) == 0
     out = capsys.readouterr().out
