@@ -9,12 +9,11 @@ itself a ring under pointwise addition and twisted composition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import FiniteRing, RingHom, _first_bad, decompose_abelian, find_unit, validate_ring
+from .rings import FiniteRing, RingHom, _additive_maps, _first_bad, find_unit, validate_ring
 
 ENUM_GUARD = 16
 # Materialising the bimultiplication ring is capped at the largest order
@@ -74,36 +73,13 @@ def validate_bimult(b: FiniteRing, left, right) -> Bimult:
 
 def additive_endomaps(b: FiniteRing) -> list[tuple[int, ...]]:
     """All additive endomaps of (b, +), lexicographically sorted as tuples."""
-    factors, gens, coords = decompose_abelian(b.add)
-    pools = []
-    for m in factors:
-        pool = [y for y in b.elements() if _times(b.add, y, m) == 0]
-        pools.append(pool)
-    maps = []
-    if len(pools) * b.order > 0 and np.prod([len(p) for p in pools]) > 10**6:
-        raise BimultError("endomap-blowup", (b.order,))
-    for images in itertools.product(*pools):
-        f = np.zeros(b.order, dtype=np.int16)
-        for x, cs in coords.items():
-            y = 0
-            for c, g in zip(cs, images, strict=True):
-                y = int(b.add[y, _times(b.add, g, c)])
-            f[x] = y
-        maps.append(tuple(int(v) for v in f))
-    return sorted(set(maps))
-
-
-def _times(add: np.ndarray, x: int, k: int) -> int:
-    y = 0
-    for _ in range(k):
-        y = int(add[y, x])
-    return y
+    return [tuple(f) for f in _additive_maps(b.add, b.add).tolist()]
 
 
 def enumerate_bimultiplications(b: FiniteRing) -> list[Bimult]:
     """Every bimultiplication of b, sorted by (left, right) image tuples."""
     assert b.order <= ENUM_GUARD, f"enumeration is guarded to order {ENUM_GUARD}"
-    endos = [np.array(f, dtype=np.int16) for f in additive_endomaps(b)]
+    endos = _additive_maps(b.add, b.add)
     mul = b.mul
     ar = np.arange(b.order)
     lefts = [f for f in endos if (f[mul] == mul[f[:, None], ar[None, :]]).all()]

@@ -10,6 +10,9 @@ The two differentials exist twice over: once as table evaluations (cheap,
 used by property checks) and once as integer matrices over the invariant
 factor coordinates of the module (used for kernels, images, quotients and
 certificates).  The matrices are assembled once per module and cached.
+The degree-3 table formula is `_defect3`, which also computes the
+obstruction cochain in `transport.reduce_esystem` and the cocycle
+conditions in `extensions.validate_factor_system`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .ablin import (
     span_subgroup,
 )
 from .crossed import Bimodule, validate_bimodule
-from .rings import FiniteRing, RingHom
+from .rings import FiniteRing, RingHom, _sum
 
 # Refuse to materialise linear systems beyond this many coordinates.
 COORD_GUARD = 10**4
@@ -216,49 +219,33 @@ def d1(c: Cochain1) -> Cochain2:
     return Cochain2(m, f, g)
 
 
+def _defect3(add, neg, left, right, radd, rmul, f, g):
+    """The five degree-3 tables (xi, eta, alpha_x, lambda_l, rho_r) of a
+    defect pair (f, g).
+
+    Values live in an abelian group given by `add` and `neg`; ring element
+    u acts through rows `left[u]` and `right[u]`, and `radd`, `rmul` are the
+    ring's tables.
+    """
+    us = np.arange(radd.shape[0])
+    u, v, w = us[:, None, None], us[None, :, None], us[None, None, :]
+    uv, vw = radd[u, v], radd[v, w]
+    uv_m, vw_m, uw_m = rmul[u, v], rmul[v, w], rmul[u, w]
+    xi = _sum(add, f[u, vw], f[v, w], neg[f[u, v]], neg[f[uv, w]])
+    eta = add[f, neg[f.T]]
+    alpha_x = _sum(add, left[u, g[v, w]], neg[g[uv_m, w]], g[u, vw_m], neg[right[w, g[u, v]]])
+    lambda_l = _sum(
+        add, g[u, vw], neg[g[u, v]], neg[g[u, w]], left[u, f[v, w]], neg[f[uv_m, uw_m]]
+    )
+    rho_r = _sum(
+        add, g[uv, w], neg[g[u, w]], neg[g[v, w]], right[w, f[u, v]], neg[f[uw_m, vw_m]]
+    )
+    return xi, eta, alpha_x, lambda_l, rho_r
+
+
 def d2(c: Cochain2) -> Cochain3:
     m, r = c.module, c.module.ring
-    n = r.order
-    f, g = c.f, c.g
-    us = np.arange(n)
-    u = us[:, None, None]
-    v = us[None, :, None]
-    w = us[None, None, :]
-    uv = r.add[u, v]
-    vw = r.add[v, w]
-    uv_m = r.mul[u, v]
-    vw_m = r.mul[v, w]
-
-    def msum(*terms):
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = m.add[acc, t]
-        return acc
-
-    neg = m.neg
-    xi = msum(f[u, vw], f[v, w], neg[f[u, v]], neg[f[uv, w]])
-    eta = m.add[f, neg[f.T]]
-    alpha_x = msum(
-        m.left[u, g[v, w]],
-        neg[g[uv_m, w]],
-        g[u, vw_m],
-        neg[m.right[w, g[u, v]]],
-    )
-    lambda_l = msum(
-        g[u, vw],
-        neg[g[u, v]],
-        neg[g[u, w]],
-        m.left[u, f[v, w]],
-        neg[f[uv_m, r.mul[u, w]]],
-    )
-    rho_r = msum(
-        g[uv, w],
-        neg[g[u, w]],
-        neg[g[v, w]],
-        m.right[w, f[u, v]],
-        neg[f[r.mul[u, w], vw_m]],
-    )
-    return Cochain3(m, xi, eta, alpha_x, lambda_l, rho_r)
+    return Cochain3(m, *_defect3(m.add, m.neg, m.left, m.right, r.add, r.mul, c.f, c.g))
 
 
 # ---------------------------------------------------------------------------

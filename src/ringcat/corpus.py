@@ -10,8 +10,6 @@ systems.  The test and acceptance suites iterate over `corpus()`, and
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .crossed import (
@@ -25,6 +23,7 @@ from .crossed import (
 from .rings import (
     FiniteRing,
     RingHom,
+    _additive_maps,
     ideal_cokernel,
     product_ring,
     validate_ring,
@@ -123,19 +122,10 @@ def corpus() -> list[ESystem]:
 def unital_homs(q: FiniteRing, r: FiniteRing) -> list[RingHom]:
     """All unital ring maps q -> r, in lexicographic order of their tables."""
     assert q.unit is not None and r.unit is not None
-    if int(q.unit) == 0:
-        return [RingHom(q, r, np.zeros(1, dtype=np.int64))] if int(r.unit) == 0 else []
-    fixed = np.zeros(q.order, dtype=np.int64)
-    fixed[q.unit] = r.unit
-    free = [i for i in range(1, q.order) if i != int(q.unit)]
-    out = []
-    for vals in itertools.product(range(r.order), repeat=len(free)):
-        m = fixed.copy()
-        m[free] = vals
-        add_ok = (r.add[m[:, None], m[None, :]] == m[q.add]).all()
-        if add_ok and (r.mul[m[:, None], m[None, :]] == m[q.mul]).all():
-            out.append(RingHom(q, r, m))
-    return out
+    maps = _additive_maps(q.add, r.add)
+    maps = maps[maps[:, q.unit] == r.unit]
+    ok = (r.mul[maps[:, :, None], maps[:, None, :]] == maps[:, q.mul]).all(axis=(1, 2))
+    return [RingHom(q, r, m) for m in maps[ok]]
 
 
 def corpus_triples(limit: int = 8):

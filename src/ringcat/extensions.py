@@ -28,13 +28,16 @@ from .bimult import (
     permutability_witness,
     validate_bimult,
 )
-from .cohomology import FunctorClassification, classify_functors
+from .cohomology import FunctorClassification, _defect3, classify_functors
 from .crossed import ESystem, ESystemError, is_regular, validate_esystem, validate_morphism
 from .rings import (
     FiniteRing,
     HomError,
     IdealQuotient,
     RingHom,
+    _first_bad,
+    _lift_defects,
+    _sum,
     find_unit,
     ideal_cokernel,
     validate_ring,
@@ -121,7 +124,7 @@ def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps
     for tbl, side in ((lt, "left"), (rt, "right")):
         mapped = jinv[tbl]
         if (mapped < 0).any():
-            x, bi = (int(v) for v in np.argwhere(mapped < 0)[0])
+            x, bi = _first_bad(mapped >= 0)
             raise ExtensionError(f"ideal-{side}", (x, int(jh.map[bi])))
     try:
         inner = validate_esystem(
@@ -215,9 +218,7 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
         edge[0, :] |= tbl[0, :] != 0
         edge[:, 0] |= tbl[:, 0] != 0
         if edge.any():
-            raise FactorSystemError(
-                f"{nm}-normalisation", tuple(int(v) for v in np.argwhere(edge)[0])
-            )
+            raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
 
     acts = []
     for u in range(n):
@@ -249,37 +250,15 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
 
     qa, qm = q.add, q.mul
     badd, bneg, bmul = b.add, b.neg, b.mul
-
-    def bsum(*terms):
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = badd[acc, t]
-        return acc
-
     arq = np.arange(n)
-    u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
-    vw_a, uv_a = qa[v3, w3], qa[u3, v3]
-    uv_m, vw_m, uw_m = qm[u3, v3], qm[v3, w3], qm[u3, w3]
-
-    conditions = [
-        (
-            "additive-cocycle",
-            bsum(f[u3, vw_a], f[v3, w3], bneg[f[u3, v3]], bneg[f[uv_a, w3]]),
-        ),
-        ("additive-symmetry", badd[f, bneg[f.T]]),
-        (
-            "multiplicative-cocycle",
-            bsum(al[u3, g[v3, w3]], bneg[g[uv_m, w3]], g[u3, vw_m], bneg[ar_[w3, g[u3, v3]]]),
-        ),
-        (
-            "left-distributivity",
-            bsum(g[u3, vw_a], bneg[g[u3, v3]], bneg[g[u3, w3]], al[u3, f[v3, w3]], bneg[f[uv_m, uw_m]]),
-        ),
-        (
-            "right-distributivity",
-            bsum(g[uv_a, w3], bneg[g[u3, w3]], bneg[g[v3, w3]], ar_[w3, f[u3, v3]], bneg[f[uw_m, qm[v3, w3]]]),
-        ),
-    ]
+    names = (
+        "additive-cocycle",
+        "additive-symmetry",
+        "multiplicative-cocycle",
+        "left-distributivity",
+        "right-distributivity",
+    )
+    conditions = list(zip(names, _defect3(badd, bneg, al, ar_, qa, qm, f, g), strict=True))
     # The action must be additive and multiplicative up to the inner
     # bimultiplications of the defect values.
     c3 = arm[None, None, :]
@@ -288,24 +267,24 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
     conditions += [
         (
             "action-additive-left",
-            bsum(al[:, None, :], al[None, :, :], bneg[bmul[f3, c3]], bneg[al[qa]]),
+            _sum(badd, al[:, None, :], al[None, :, :], bneg[bmul[f3, c3]], bneg[al[qa]]),
         ),
         (
             "action-additive-right",
-            bsum(ar_[:, None, :], ar_[None, :, :], bneg[bmul[c3, f3]], bneg[ar_[qa]]),
+            _sum(badd, ar_[:, None, :], ar_[None, :, :], bneg[bmul[c3, f3]], bneg[ar_[qa]]),
         ),
         (
             "action-multiplicative-left",
-            bsum(al[arq[:, None, None], al[None, :, :]], bneg[bmul[g3, c3]], bneg[al[qm]]),
+            _sum(badd, al[arq[:, None, None], al[None, :, :]], bneg[bmul[g3, c3]], bneg[al[qm]]),
         ),
         (
             "action-multiplicative-right",
-            bsum(ar_[arq[None, :, None], ar_[arq[:, None, None], c3]], bneg[bmul[c3, g3]], bneg[ar_[qm]]),
+            _sum(badd, ar_[arq[None, :, None], ar_[arq[:, None, None], c3]], bneg[bmul[c3, g3]], bneg[ar_[qm]]),
         ),
     ]
     for nm, diff in conditions:
         if diff.any():
-            raise FactorSystemError(nm, tuple(int(v) for v in np.argwhere(diff != 0)[0]))
+            raise FactorSystemError(nm, _first_bad(diff == 0))
     return FactorSystem(b, q, al, ar_, f, g)
 
 
@@ -395,16 +374,11 @@ def crossed_product(
     ):
         raise ExtensionError("context-action", ())
     dm = base.d.map
-    for tbl, op, nm in (
-        (fs.f, dd.add, "additive"),
-        (fs.g, dd.mul, "multiplicative"),
-    ):
-        qop = q.add if nm == "additive" else q.mul
-        want = dd.add[op[lift[:, None], lift[None, :]], dd.neg[lift[qop]]]
-        got = dm[tbl]
-        if not np.array_equal(got, want):
-            w = np.argwhere(got != want)[0]
-            raise ExtensionError(f"context-{nm}-defect", tuple(int(v) for v in w))
+    want_f, want_g = _lift_defects(dd, lift, q)
+    for tbl, want, nm in ((fs.f, want_f, "additive"), (fs.g, want_g, "multiplicative")):
+        ok = dm[tbl] == want
+        if not ok.all():
+            raise ExtensionError(f"context-{nm}-defect", _first_bad(ok))
     ring = crossed_ring(fs, name=name)
     nb = base.b.order
     e = np.arange(ring.order)
@@ -448,8 +422,9 @@ def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
         return out
 
     t = lifts
-    f = down(e.add[e.add[t[:, None], t[None, :]], e.neg[t[q.add]]], "additive defect")
-    g = down(e.add[e.mul[t[:, None], t[None, :]], e.neg[t[q.mul]]], "multiplicative defect")
+    f, g = _lift_defects(e, t, q)
+    f = down(f, "additive defect")
+    g = down(g, "multiplicative defect")
     al = down(e.mul[t[:, None], ext.j.map[None, :]], "left action")
     ar_ = down(e.mul[ext.j.map[None, :], t[:, None]], "right action")
     return validate_factor_system(b, q, al, ar_, f, g)
@@ -561,8 +536,7 @@ def enumerate_extensions(
     least_pre = np.full(dd.order, -1, dtype=np.int64)
     for bi in range(base.b.order - 1, -1, -1):
         least_pre[dm[bi]] = bi
-    dadd = dd.add[dd.add[lift[:, None], lift[None, :]], dd.neg[lift[q.add]]]
-    dmul = dd.add[dd.mul[lift[:, None], lift[None, :]], dd.neg[lift[q.mul]]]
+    dadd, dmul = _lift_defects(dd, lift, q)
     assert (least_pre[dadd] >= 0).all() and (least_pre[dmul] >= 0).all()
     fp, ft = least_pre[dadd], least_pre[dmul]
     stem = name or f"{base.name}_by_{q.name}"

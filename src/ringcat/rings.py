@@ -8,6 +8,7 @@ operand.  Rings need not be unital; `unit` is an index or None.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,14 +33,21 @@ def _table(t, n: int, what: str) -> np.ndarray:
     if a.shape != (n, n):
         raise ValueError(f"{what} table must be {n}x{n}, got {a.shape}")
     if a.size and (a.min() < 0 or a.max() >= n):
-        bad = tuple(int(x) for x in np.argwhere((a < 0) | (a >= n))[0])
-        raise RingAxiomError("table-range", bad, what)
+        raise RingAxiomError("table-range", _first_bad((a >= 0) & (a < n)), what)
     return a
 
 
 def _first_bad(ok: np.ndarray) -> tuple:
     """Index of the first False cell of `ok` in C order; `ok` must have one."""
     return tuple(int(x) for x in np.unravel_index(np.argmin(ok), ok.shape))
+
+
+def _sum(add: np.ndarray, *terms):
+    """Sum of broadcastable arrays of elements under the addition table `add`."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = add[acc, t]
+    return acc
 
 
 @dataclass(eq=False)
@@ -64,11 +72,7 @@ class FiniteRing:
         return range(self.order)
 
     def additive_order(self, i) -> int:
-        k, x = 1, int(i)
-        while x != 0:
-            x = int(self.add[x, i])
-            k += 1
-        return k if i != 0 else 1
+        return _additive_order(self.add, i)
 
     def describe(self) -> str:
         u = "none" if self.unit is None else str(self.unit)
@@ -320,6 +324,16 @@ def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
     return IdealQuotient(q, RingHom(t, q, class_of), reps)
 
 
+def _lift_defects(r: FiniteRing, t: np.ndarray, q: FiniteRing):
+    """How far a set map t from q into r is from a ring map: the tables
+    t(u) + t(v) - t(u + v) and t(u)t(v) - t(uv)."""
+    tu, tv = t[:, None], t[None, :]
+    return (
+        r.add[r.add[tu, tv], r.neg[t[q.add]]],
+        r.add[r.mul[tu, tv], r.neg[t[q.mul]]],
+    )
+
+
 # ------------------------------------------------- additive decomposition
 
 
@@ -423,15 +437,42 @@ def additive_group(r: FiniteRing):
     return group, coords, back
 
 
+def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
+    """Every additive map between two additive tables, one per row, rows in
+    lexicographic order.
+
+    A map is fixed by its images of the invariant-factor generators of the
+    source, and a generator of order m may go to any y with m*y = 0.
+    """
+    factors, _, coords = decompose_abelian(src_add)
+    nt = tgt_add.shape[0]
+    # times[k, y] = k*y in the target.
+    times = np.zeros((max(factors, default=0) + 1, nt), dtype=np.int64)
+    for k in range(1, len(times)):
+        times[k] = tgt_add[times[k - 1], np.arange(nt)]
+    pools = [np.nonzero(times[m] == 0)[0] for m in factors]
+    total = math.prod(len(p) for p in pools)
+    if total > 10**6:
+        raise HomError(f"{total} candidate additive maps, over the guard {10**6}")
+    images = np.array(list(itertools.product(*pools)), dtype=np.int64).reshape(total, -1)
+    cs = np.array([coords[x] for x in range(src_add.shape[0])], dtype=np.int64)
+    maps = np.zeros((total, len(cs)), dtype=np.int64)
+    for i in range(len(factors)):
+        maps = tgt_add[maps, times[cs[None, :, i], images[:, i, None]]]
+    return maps[np.lexsort(maps.T[::-1])]
+
+
 # ------------------------------------------------------------- isomorphism
 
 ISO_GUARD = 16
 
 
 def find_ring_isomorphism(r1: FiniteRing, r2: FiniteRing):
-    """Brute-force an isomorphism between small rings; None if there is none.
+    """The least isomorphism between small rings, in lexicographic order of
+    its table; None if there is none.
 
-    Guarded to order <= 16; searches images of additive generators only.
+    Guarded to order <= 16; filters the additive maps for bijective,
+    unit-preserving and multiplicative ones.
     """
     n = r1.order
     if n != r2.order:
@@ -439,26 +480,9 @@ def find_ring_isomorphism(r1: FiniteRing, r2: FiniteRing):
     assert n <= ISO_GUARD, f"isomorphism search is guarded to order {ISO_GUARD}"
     if (r1.unit is None) != (r2.unit is None):
         return None
-    orders1 = sorted(_additive_order(r1.add, x) for x in r1.elements())
-    orders2 = sorted(_additive_order(r2.add, x) for x in r2.elements())
-    if orders1 != orders2:
-        return None
-    factors, gens, coords = decompose_abelian(r1.add)
-    pools = [
-        [y for y in r2.elements() if _additive_order(r2.add, y) == m] for m in factors
-    ]
-    for images in itertools.product(*pools):
-        f = np.zeros(n, dtype=np.int16)
-        for x, cs in coords.items():
-            y = 0
-            for c, g in zip(cs, images, strict=True):
-                y = int(r2.add[y, _order_multiple(r2.add, g, c)])
-            f[x] = y
-        if len(set(f.tolist())) != n:
-            continue
-        if not np.array_equal(f[r1.mul], r2.mul[f[:, None], f[None, :]]):
-            continue
-        if r1.unit is not None and int(f[r1.unit]) != r2.unit:
-            continue
-        return RingHom(r1, r2, f)
-    return None
+    maps = _additive_maps(r1.add, r2.add)
+    maps = maps[(np.sort(maps, axis=1) == np.arange(n)).all(axis=1)]
+    if r1.unit is not None:
+        maps = maps[maps[:, r1.unit] == r2.unit]
+    ok = (maps[:, r1.mul] == r2.mul[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
+    return RingHom(r1, r2, maps[ok][0]) if ok.any() else None

@@ -21,13 +21,22 @@ from .cohomology import (
     Cochain2,
     Cochain3,
     CohomologyGuardError,
+    _defect3,
     d2,
     pullback3,
     pullback_module,
     sub3,
 )
 from .crossed import Bimodule, ESystem, KernelModule, induced_kernel_module
-from .rings import FiniteRing, IdealQuotient, RingHom, ideal_cokernel
+from .rings import (
+    FiniteRing,
+    IdealQuotient,
+    RingHom,
+    _first_bad,
+    _lift_defects,
+    _sum,
+    ideal_cokernel,
+)
 
 # The coherence checker walks grids of quartic size in the quotient order.
 CHECK_GUARD = 10**7
@@ -70,16 +79,13 @@ def validate_section(es: ESystem, sigma, fplus, ftimes, quo: IdealQuotient | Non
         raise ValueError("sigma must lift the unit class to the unit")
 
     dm = es.d.map.astype(np.int64)
-    s2 = sigma[:, None]
-    r2 = sigma[None, :]
-    want_add = dd.add[dd.add[s2, r2], dd.neg[sigma[rq.add]]]
-    if not (dm[fplus] == want_add).all():
-        bad = tuple(int(v) for v in np.argwhere(dm[fplus] != want_add)[0])
-        raise ValueError(f"additive defect misses its class at {bad}")
-    want_mul = dd.add[dd.mul[s2, r2], dd.neg[sigma[rq.mul]]]
-    if not (dm[ftimes] == want_mul).all():
-        bad = tuple(int(v) for v in np.argwhere(dm[ftimes] != want_mul)[0])
-        raise ValueError(f"multiplicative defect misses its class at {bad}")
+    want_add, want_mul = _lift_defects(dd, sigma, rq)
+    ok = dm[fplus] == want_add
+    if not ok.all():
+        raise ValueError(f"additive defect misses its class at {_first_bad(ok)}")
+    ok = dm[ftimes] == want_mul
+    if not ok.all():
+        raise ValueError(f"multiplicative defect misses its class at {_first_bad(ok)}")
 
     if fplus[0].any() or fplus[:, 0].any():
         raise ValueError("additive defect must vanish when an argument is zero")
@@ -113,10 +119,7 @@ def choose_section(es: ESystem, flavor: str = "least", quo: IdealQuotient | None
     for b in range(es.b.order):
         pre.setdefault(int(es.d.map[b]), []).append(b)
 
-    s2 = sigma[:, None]
-    r2 = sigma[None, :]
-    want_add = dd.add[dd.add[s2, r2], dd.neg[sigma[rq.add]]]
-    want_mul = dd.add[dd.mul[s2, r2], dd.neg[sigma[rq.mul]]]
+    want_add, want_mul = _lift_defects(dd, sigma, rq)
     fplus = np.zeros((n, n), dtype=np.int64)
     ftimes = np.zeros((n, n), dtype=np.int64)
     u = rq.unit
@@ -159,57 +162,18 @@ def reduce_esystem(
             "section lives over a different quotient presentation"
         )
     rq = quo.ring
-    n = rq.order
     bb = es.b
     sig = section.sigma
-    fp = section.fplus
-    ft = section.ftimes
-    tl, tr = es.theta_left, es.theta_right
-    bneg = bb.neg
-
-    def bsum(*terms):
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = bb.add[acc, t]
-        return acc
-
-    ar = np.arange(n)
-    s = ar[:, None, None]
-    r = ar[None, :, None]
-    t = ar[None, None, :]
-    rt_a = rq.add[r, t]
-    sr_a = rq.add[s, r]
-    sr_m = rq.mul[s, r]
-    rt_m = rq.mul[r, t]
-
-    xi_b = bsum(fp[s, rt_a], fp[r, t], bneg[fp[s, r]], bneg[fp[sr_a, t]])
-    eta_b = bb.add[fp, bneg[fp.T]]
-    ax_b = bsum(
-        tl[sig[s], ft[r, t]],
-        bneg[ft[sr_m, t]],
-        ft[s, rt_m],
-        bneg[tr[sig[t], ft[s, r]]],
-    )
-    ll_b = bsum(
-        ft[s, rt_a],
-        bneg[ft[s, r]],
-        bneg[ft[s, t]],
-        tl[sig[s], fp[r, t]],
-        bneg[fp[sr_m, rq.mul[s, t]]],
-    )
-    rr_b = bsum(
-        ft[sr_a, t],
-        bneg[ft[s, t]],
-        bneg[ft[r, t]],
-        tr[sig[t], fp[s, r]],
-        bneg[fp[rq.mul[s, t], rt_m]],
+    defects = _defect3(
+        bb.add, bb.neg, es.theta_left[sig], es.theta_right[sig], rq.add, rq.mul,
+        section.fplus, section.ftimes,
     )
 
     b2m = np.full(bb.order, -1, dtype=np.int64)
     for i, bx in enumerate(km.carrier):
         b2m[bx] = i
     tables = []
-    for tbl in (xi_b, eta_b, ax_b, ll_b, rr_b):
+    for tbl in defects:
         mapped = b2m[tbl]
         assert (mapped >= 0).all(), "obstruction value escapes the kernel"
         tables.append(mapped)
@@ -247,12 +211,6 @@ def reduced_axiom_check(
     z4 = ar[None, None, :, None]
     t4 = ar[None, None, None, :]
 
-    def msum(*terms):
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = ma[acc, t]
-        return acc
-
     results: list[LawResult] = []
     complete = True
 
@@ -262,17 +220,15 @@ def reduced_axiom_check(
             complete = False
             return
         lhs, rhs = fn()
-        diff = lhs != rhs
-        wit = None
-        if diff.any():
-            wit = tuple(int(v) for v in np.argwhere(diff)[0])
-        results.append(LawResult(law, wit is None, wit, int(np.broadcast(lhs, rhs).size)))
+        ok = lhs == rhs
+        wit = None if ok.all() else _first_bad(ok)
+        results.append(LawResult(law, wit is None, wit, int(ok.size)))
 
     run(
         "pentagon_add",
         lambda: (
-            msum(xi[x4, y4, radd[z4, t4]], xi[radd[x4, y4], z4, t4]),
-            msum(xi[y4, z4, t4], xi[x4, radd[y4, z4], t4], xi[x4, y4, z4]),
+            _sum(ma, xi[x4, y4, radd[z4, t4]], xi[radd[x4, y4], z4, t4]),
+            _sum(ma, xi[y4, z4, t4], xi[x4, radd[y4, z4], t4], xi[x4, y4, z4]),
         ),
     )
     run("unit_add", lambda: (xi[:, 0, :], np.zeros((n, n), dtype=np.int64)))
@@ -281,58 +237,61 @@ def reduced_axiom_check(
     run(
         "hexagon_add",
         lambda: (
-            msum(xi[x3, y3, z3], eta[radd[x3, y3], z3], xi[z3, x3, y3]),
-            msum(eta[y3, z3], xi[x3, z3, y3], eta[x3, z3]),
+            _sum(ma, xi[x3, y3, z3], eta[radd[x3, y3], z3], xi[z3, x3, y3]),
+            _sum(ma, eta[y3, z3], xi[x3, z3, y3], eta[x3, z3]),
         ),
     )
     run(
         "pentagon_mul",
         lambda: (
-            msum(ax[x4, y4, rmul[z4, t4]], ax[rmul[x4, y4], z4, t4]),
-            msum(mlft[x4, ax[y4, z4, t4]], ax[x4, rmul[y4, z4], t4], mrgt[t4, ax[x4, y4, z4]]),
+            _sum(ma, ax[x4, y4, rmul[z4, t4]], ax[rmul[x4, y4], z4, t4]),
+            _sum(ma, mlft[x4, ax[y4, z4, t4]], ax[x4, rmul[y4, z4], t4], mrgt[t4, ax[x4, y4, z4]]),
         ),
     )
     run(
         "left_distrib_add_assoc",
         lambda: (
-            msum(
+            _sum(
+                ma,
                 ll[x4, y4, radd[z4, t4]],
                 ll[x4, z4, t4],
                 xi[rmul[x4, y4], rmul[x4, z4], rmul[x4, t4]],
             ),
-            msum(mlft[x4, xi[y4, z4, t4]], ll[x4, radd[y4, z4], t4], ll[x4, y4, z4]),
+            _sum(ma, mlft[x4, xi[y4, z4, t4]], ll[x4, radd[y4, z4], t4], ll[x4, y4, z4]),
         ),
     )
     run(
         "left_distrib_add_comm",
         lambda: (
-            msum(ll[x3, y3, z3], eta[rmul[x3, y3], rmul[x3, z3]]),
-            msum(mlft[x3, eta[y3, z3]], ll[x3, z3, y3]),
+            _sum(ma, ll[x3, y3, z3], eta[rmul[x3, y3], rmul[x3, z3]]),
+            _sum(ma, mlft[x3, eta[y3, z3]], ll[x3, z3, y3]),
         ),
     )
     run(
         "right_distrib_add_assoc",
         lambda: (
-            msum(
+            _sum(
+                ma,
                 rr[x4, radd[y4, z4], t4],
                 rr[y4, z4, t4],
                 xi[rmul[x4, t4], rmul[y4, t4], rmul[z4, t4]],
             ),
-            msum(mrgt[t4, xi[x4, y4, z4]], rr[radd[x4, y4], z4, t4], rr[x4, y4, t4]),
+            _sum(ma, mrgt[t4, xi[x4, y4, z4]], rr[radd[x4, y4], z4, t4], rr[x4, y4, t4]),
         ),
     )
     run(
         "right_distrib_add_comm",
         lambda: (
-            msum(rr[x3, y3, z3], eta[rmul[x3, z3], rmul[y3, z3]]),
-            msum(mrgt[z3, eta[x3, y3]], rr[y3, x3, z3]),
+            _sum(ma, rr[x3, y3, z3], eta[rmul[x3, z3], rmul[y3, z3]]),
+            _sum(ma, mrgt[z3, eta[x3, y3]], rr[y3, x3, z3]),
         ),
     )
     run(
         "mul_assoc_left_distrib",
         lambda: (
-            msum(ax[x4, y4, radd[z4, t4]], ll[rmul[x4, y4], z4, t4]),
-            msum(
+            _sum(ma, ax[x4, y4, radd[z4, t4]], ll[rmul[x4, y4], z4, t4]),
+            _sum(
+                ma,
                 mlft[x4, ll[y4, z4, t4]],
                 ll[x4, rmul[y4, z4], rmul[y4, t4]],
                 ax[x4, y4, z4],
@@ -343,23 +302,26 @@ def reduced_axiom_check(
     run(
         "mul_assoc_right_distrib",
         lambda: (
-            msum(
+            _sum(
+                ma,
                 ax[radd[x4, y4], z4, t4],
                 mrgt[t4, rr[x4, y4, z4]],
                 rr[rmul[x4, z4], rmul[y4, z4], t4],
             ),
-            msum(rr[x4, y4, rmul[z4, t4]], ax[x4, z4, t4], ax[y4, z4, t4]),
+            _sum(ma, rr[x4, y4, rmul[z4, t4]], ax[x4, z4, t4], ax[y4, z4, t4]),
         ),
     )
     run(
         "mul_assoc_mixed_distrib",
         lambda: (
-            msum(
+            _sum(
+                ma,
                 ax[x4, radd[y4, z4], t4],
                 mrgt[t4, ll[x4, y4, z4]],
                 rr[rmul[x4, y4], rmul[x4, z4], t4],
             ),
-            msum(
+            _sum(
+                ma,
                 mlft[x4, rr[y4, z4, t4]],
                 ll[x4, rmul[y4, t4], rmul[z4, t4]],
                 ax[x4, y4, t4],
@@ -374,15 +336,16 @@ def reduced_axiom_check(
         q = rmul[w, xx]
         rp = rmul[u, yy]
         sp = rmul[w, yy]
-        mix = msum(
+        mix = _sum(
+            ma,
             mn[xi[p, q, radd[rp, sp]]],
             xi[q, rp, sp],
             eta[q, rp],
             mn[xi[rp, q, sp]],
             xi[p, rp, radd[q, sp]],
         )
-        lhs = msum(ll[radd[u, w], xx, yy], rr[u, w, xx], rr[u, w, yy], mix)
-        rhs = msum(rr[u, w, radd[xx, yy]], ll[u, xx, yy], ll[w, xx, yy])
+        lhs = _sum(ma, ll[radd[u, w], xx, yy], rr[u, w, xx], rr[u, w, yy], mix)
+        rhs = _sum(ma, rr[u, w, radd[xx, yy]], ll[u, xx, yy], ll[w, xx, yy])
         return lhs, rhs
 
     run("distrib_interchange", interchange)
@@ -445,18 +408,13 @@ def reduce_functor(
         target = int(d2r.add[sig2[p.map[s]], d2r.neg[f0[sig[s]]]])
         t1[s] = pre2[target][0]
 
-    def bsum(*terms):
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = b2.add[acc, t]
-        return acc
-
     fp, ft = rc_src.section.fplus, rc_src.section.ftimes
     fp2, ft2 = rc_tgt.section.fplus, rc_tgt.section.ftimes
     pm = p.map.astype(np.int64)
     ix = np.ix_(pm, pm)
     bneg2 = b2.neg
-    tau = bsum(
+    tau = _sum(
+        b2.add,
         f1[fp],
         bneg2[fp2[ix]],
         t1[:, None],
@@ -465,7 +423,8 @@ def reduce_functor(
         np.int64(fun.add_defect),
     )
     f0sig = f0[sig]
-    nu = bsum(
+    nu = _sum(
+        b2.add,
         f1[ft],
         bneg2[ft2[ix]],
         bneg2[t1[rq.mul]],

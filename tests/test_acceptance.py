@@ -23,11 +23,7 @@ from ringcat.anncat import anncat_axiom_check, anncat_to_esystem, build_anncat
 from ringcat.bimult import (
     Bimult,
     bicenter,
-    bm_add,
-    bm_mul,
-    bm_one,
-    bm_zero,
-    enumerate_bimultiplications,
+    bimult_ring,
     permutable,
 )
 from ringcat.cohomology import (
@@ -40,7 +36,7 @@ from ringcat.cohomology import (
     random_cochain1,
     sub3,
 )
-from ringcat.corpus import corpus, corpus_triples
+from ringcat.corpus import corpus, corpus_triples, unital_homs
 from ringcat.crossed import (
     ESystem,
     ESystemError,
@@ -249,64 +245,6 @@ def test_criterion_03_coherence_and_theta_mutations(instances):
     )
 
 
-def _zero_mult_actions(b, q, pool):
-    """Every unit-preserving ring hom q -> bimultiplications of b.
-
-    Over a zero-multiplication base the inner bimultiplications vanish, so
-    the action rows of any factor system form exactly such a hom; rows are
-    pinned by additivity from generator images, which keeps the search at
-    |pool|^(generator count).
-    """
-    one, zero = bm_one(b), bm_zero(b)
-
-    def close(gens):
-        got = {0}
-        while True:
-            new = {int(q.add[a, g]) for a in got for g in gens} - got
-            if not new:
-                return got
-            got |= new
-
-    gens = []
-    while len(close(gens)) < q.order:
-        span = close(gens)
-        gens.append(min(u for u in range(q.order) if u not in span))
-
-    out, seen = [], set()
-    for combo in itertools.product(pool, repeat=len(gens)):
-        rows = {0: zero}
-        rows.update(dict(zip(gens, combo)))
-        changed = True
-        bad = False
-        while changed and not bad:
-            changed = False
-            for u in list(rows):
-                for v in list(rows):
-                    w = int(q.add[u, v])
-                    s = bm_add(b, rows[u], rows[v])
-                    if w in rows:
-                        if rows[w] != s:
-                            bad = True
-                    elif not bad:
-                        rows[w] = s
-                        changed = True
-        if bad or len(rows) < q.order or rows[q.unit] != one:
-            continue
-        flat = [rows[u] for u in range(q.order)]
-        if any(
-            bm_mul(b, flat[u], flat[v]) != flat[int(q.mul[u, v])]
-            or not permutable(flat[u], flat[v])
-            for u in range(q.order)
-            for v in range(q.order)
-        ):
-            continue
-        key = tuple((r.left, r.right) for r in flat)
-        if key not in seen:
-            seen.add(key)
-            out.append(flat)
-    return out
-
-
 def test_criterion_04_regularity_iff_associativity():
     t0 = time.monotonic()
     kl = zero_mult_klein()
@@ -334,8 +272,8 @@ def test_criterion_04_regularity_iff_associativity():
     neg = np.array(
         [int(np.nonzero(kl.add[i] == 0)[0][0]) for i in range(kl.order)], dtype=np.int16
     )
-    pool = enumerate_bimultiplications(kl)
-    assert len(pool) == 256
+    mb = bimult_ring(kl)
+    assert len(mb.elements) == 256
 
     quotients = [
         (zmod(2), 1, 16),
@@ -345,7 +283,14 @@ def test_criterion_04_regularity_iff_associativity():
     ]
     for q, want_actions, want_total in quotients:
         assert kl.order * q.order <= 16
-        actions = _zero_mult_actions(kl, q, pool)
+        # The inner bimultiplications of a zero-multiplication base vanish,
+        # so the action rows of a factor system are exactly a unital ring
+        # map q -> bimultiplications of kl whose rows permute pairwise.
+        actions = []
+        for h in unital_homs(q, mb.ring):
+            rows = [mb.bimult_of(int(i)) for i in h.map]
+            if all(permutable(s, t) for s in rows for t in rows):
+                actions.append(rows)
         assert len(actions) == want_actions, q.name
         total = 0
         for rows in actions:

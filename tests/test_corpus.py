@@ -1,5 +1,7 @@
 """The built-in instance set and its obstruction-check triples."""
 
+import itertools
+
 import numpy as np
 
 from ringcat.corpus import (
@@ -10,7 +12,7 @@ from ringcat.corpus import (
     unital_homs,
 )
 from ringcat.crossed import is_regular
-from ringcat.rings import product_ring, zmod
+from ringcat.rings import dual_numbers, product_ring, zmod
 
 
 def test_corpus_shape():
@@ -54,6 +56,31 @@ def test_unital_homs_counts():
     assert len(unital_homs(klein, klein)) == 4
     for h in unital_homs(klein, klein):
         assert h.unital
+
+
+def _brute_unital_homs(q, r):
+    # Oracle: every table with 0 -> 0 and unit -> unit, kept when it is a
+    # ring map, in lexicographic order.
+    if int(q.unit) == 0:
+        return [[0]] if int(r.unit) == 0 else []
+    fixed = np.zeros(q.order, dtype=np.int64)
+    fixed[q.unit] = r.unit
+    free = [i for i in range(1, q.order) if i != int(q.unit)]
+    out = []
+    for vals in itertools.product(range(r.order), repeat=len(free)):
+        m = fixed.copy()
+        m[free] = vals
+        add_ok = (r.add[m[:, None], m[None, :]] == m[q.add]).all()
+        if add_ok and (r.mul[m[:, None], m[None, :]] == m[q.mul]).all():
+            out.append(m.tolist())
+    return out
+
+
+def test_unital_homs_match_brute_force():
+    rs = [zmod(1), zmod(2), zmod(3), zmod(4), product_ring(zmod(2), zmod(2)), dual_numbers(2)]
+    for q, r in itertools.product(rs, rs):
+        got = [h.map.tolist() for h in unital_homs(q, r)]
+        assert got == _brute_unital_homs(q, r), (q.name, r.name)
 
 
 def test_corpus_triples_scope():

@@ -162,6 +162,33 @@ def test_tampered_factor_systems():
     assert e.value.condition == "action-additive-left"
 
 
+@pytest.mark.parametrize(
+    "table, cells, condition, witness",
+    [
+        ("f", [(3, 3)], "additive-cocycle", (1, 2, 3)),
+        ("f", [(2, 1), (2, 3), (3, 1), (3, 3)], "additive-symmetry", (1, 2)),
+        ("g", [(3, 3)], "multiplicative-cocycle", (2, 3, 3)),
+        ("g", [(2, 3), (3, 1), (3, 3)], "left-distributivity", (2, 1, 2)),
+        ("f", [(2, 2), (2, 3), (3, 2), (3, 3)], "right-distributivity", (2, 2, 1)),
+    ],
+)
+def test_factor_system_cocycle_condition_witnesses(table, cells, condition, witness):
+    # Z/2 x Z/2 acting on the two-element zero ring through its first
+    # coordinate on the left and its second on the right; with f = g = 0
+    # this is a factor system.  Each perturbation trips the named
+    # condition first, at the pinned witness.
+    b, q = zero_mult(2), product_ring(zmod(2), zmod(2))
+    al = np.array([[0, 0], [0, 0], [0, 1], [0, 1]])
+    ar = np.array([[0, 0], [0, 1], [0, 0], [0, 1]])
+    tables = {"f": np.zeros((4, 4), dtype=int), "g": np.zeros((4, 4), dtype=int)}
+    validate_factor_system(b, q, al, ar, tables["f"], tables["g"])
+    for cell in cells:
+        tables[table][cell] = 1
+    with pytest.raises(FactorSystemError) as e:
+        validate_factor_system(b, q, al, ar, tables["f"], tables["g"])
+    assert (e.value.condition, e.value.witness) == (condition, witness)
+
+
 def test_factor_system_shape_errors():
     b, q = zero_mult(2), zmod(2)
     ident = np.array([[0, 0], [0, 1]])

@@ -1,5 +1,7 @@
 """File formats and the command-line front end."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,15 @@ from ringcat.rings import zmod
 from ringcat.transport import choose_section, reduce_esystem
 
 
+@functools.cache
+def _corpus():
+    # Building the corpus takes seconds (mult_klein0's 256-element
+    # bimultiplication ring), so this module builds it once.
+    return corpus()
+
+
 def by_name(name):
-    return next(es for es in corpus() if es.name == name)
+    return next(es for es in _corpus() if es.name == name)
 
 
 def test_ring_file_round_trip(tmp_path):
@@ -36,7 +45,7 @@ def test_ring_file_round_trip(tmp_path):
 
 
 def test_corpus_files_round_trip(tmp_path):
-    for es in corpus():
+    for es in _corpus():
         back = load_esystem(write_esystem(es, tmp_path, stem=es.name))
         assert back.name == es.name
         assert np.array_equal(back.d.map, es.d.map)

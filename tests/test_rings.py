@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ringcat.rings import (
     HomError,
     RingAxiomError,
     RingHom,
+    _additive_maps,
     additive_group,
     decompose_abelian,
     dual_numbers,
@@ -197,3 +200,31 @@ def test_iso_found_for_relabelled_ring():
 def test_describe():
     assert "unit none" in zero_mult(2).describe()
     assert "order 4" in zmod(4).describe()
+
+
+def _rings_up_to_four():
+    return [
+        zmod(1), zmod(2), zmod(3), zmod(4), zero_mult(2), zero_mult(3), zero_mult(4),
+        zero_mult_klein(), product_ring(zmod(2), zmod(2)), dual_numbers(2),
+    ]
+
+
+def test_additive_maps_match_brute_force():
+    # Oracle: every table src -> tgt, kept when additive, in lexicographic order.
+    rs = _rings_up_to_four()
+    for src, tgt in itertools.product(rs, rs):
+        want = []
+        for vals in itertools.product(range(tgt.order), repeat=src.order):
+            m = np.array(vals)
+            if (tgt.add[m[:, None], m[None, :]] == m[src.add]).all():
+                want.append(list(vals))
+        assert _additive_maps(src.add, tgt.add).tolist() == want, (src.name, tgt.name)
+
+
+def test_additive_maps_guard():
+    z2 = zmod(2)
+    r16 = product_ring(product_ring(z2, z2), product_ring(z2, z2))
+    r32 = product_ring(r16, z2)
+    # Four generators of order 2, each free to go to any of 32 elements.
+    with pytest.raises(HomError, match="1048576 candidate"):
+        _additive_maps(r16.add, r32.add)
