@@ -229,14 +229,13 @@ class LinearMap:
 
     def __post_init__(self):
         self.matrix = as_int_matrix(self.matrix)
-        assert self.matrix.shape == (self.target.rank, self.source.rank), (
-            self.matrix.shape,
-            self.target.rank,
-            self.source.rank,
-        )
+        shape = (self.target.rank, self.source.rank)
+        if self.matrix.shape != shape:
+            raise ValueError(f"matrix shape {self.matrix.shape}, expected {shape}")
         for j, m in enumerate(self.source.factors):
             img = self.target.reduce(m * self.matrix[:, j])
-            assert img == self.target.zero(), f"generator {j} breaks the modulus {m}"
+            if img != self.target.zero():
+                raise ValueError(f"generator {j} breaks the modulus {m}")
 
     def apply(self, x) -> tuple[int, ...]:
         vec = self.matrix @ np.asarray(x, dtype=np.int64)

@@ -22,7 +22,6 @@ from .cohomology import h2
 from .corpus import corpus
 from .crossed import es_to_xb, is_regular, xb_to_es
 from .extensions import (
-    SearchGuardError,
     enumerate_extensions,
     equivalent,
     extension_obstruction,
@@ -37,7 +36,7 @@ from .fileio import (
     load_section,
     write_esystem,
 )
-from .rings import RingHom, decompose_abelian
+from .rings import RingHom, SearchGuardError, decompose_abelian
 from .transport import reduce_esystem
 
 GUARD_DEFAULT = 10**6

@@ -330,8 +330,6 @@ _complexes: dict[Bimodule, CochainComplex] = {}
 
 
 def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
-    if module in _complexes:
-        return _complexes[module]
     n = module.ring.order
     rank = module.group.rank
     k = n - 1
@@ -343,6 +341,8 @@ def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
     for nm, d in dims.items():
         if d > guard:
             raise CohomologyGuardError(f"{nm} needs {d} coordinates, over the guard {guard}")
+    if module in _complexes:
+        return _complexes[module]
     nz = np.arange(1, n)
     cx = CochainComplex(
         module,
@@ -544,7 +544,9 @@ def h2_unit_normalised(module: Bimodule, guard: int = COORD_GUARD):
 
 def pullback_module(psi: RingHom, module: Bimodule) -> Bimodule:
     """The same group seen as a bimodule over psi's source."""
-    assert psi.target is module.ring and psi.unital
+    assert psi.target is module.ring
+    if not psi.unital:
+        raise ValueError(f"pullback needs a unital map, got {psi.map.tolist()}")
     return validate_bimodule(
         psi.source,
         module.group,

@@ -9,23 +9,42 @@ A crossed bimodule is the stricter classical notion: B is a unital
 D-bimodule and d is equivariant, with the Peiffer law making B's own
 product redundant.  Regular action systems (identity acts as identity,
 action images pairwise permutable) are exactly crossed bimodules, and the
-two validators plus converters below witness that equivalence.
+two validators plus converters below witness that equivalence.  Both
+validators, the bimodule validator and the regularity test are lists of
+the action-table laws in `bimult`, each under its own condition names.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ablin import FinAbGroup
-from .bimult import Bimult, bimult_ring, inner_hom, validate_bimult
+from .bimult import (
+    _additive,
+    _additive_in_source,
+    _equivariant,
+    _first_failure,
+    _intertwined,
+    _left_multiplicative,
+    _left_product,
+    _mixed_product,
+    _permutable,
+    _right_multiplicative,
+    _right_product,
+    _through,
+    _unital,
+    bimult_ring,
+    inner_hom,
+)
 from .rings import (
     FiniteRing,
     HomError,
     IdealQuotient,
+    RingAxiomError,
     RingHom,
-    _first_bad,
     decompose_abelian,
     ideal_cokernel,
     identity_hom,
@@ -50,12 +69,6 @@ class ESystem:
     theta_left: np.ndarray
     theta_right: np.ndarray
 
-    def theta(self, x: int) -> Bimult:
-        return Bimult(
-            tuple(int(v) for v in self.theta_left[x]),
-            tuple(int(v) for v in self.theta_right[x]),
-        )
-
     def describe(self) -> str:
         return (
             f"esystem {self.name}: base order {self.b.order}, "
@@ -63,94 +76,81 @@ class ESystem:
         )
 
 
-def validate_esystem(b, d_ring, d_map, theta_left, theta_right, name="es") -> ESystem:
-    """Check every axiom; raise ESystemError naming the first violated one."""
+def _action_tables(left, right, nx: int, n: int):
+    """The two stacked action tables as int16 arrays, checked to be
+    nx x n with entries below n."""
+    out = []
+    for t, nm in ((left, "left"), (right, "right")):
+        t = np.asarray(t, dtype=np.int16)
+        if t.shape != (nx, n) or (t.size and (t.min() < 0 or t.max() >= n)):
+            raise ESystemError(f"action-{nm}-shape", (nx, n))
+        out.append(t)
+    return out
+
+
+def _structure(b, d_ring, d_map, left, right):
+    """A unital target, the ring map d and the two action tables: what both
+    presentations check before any law."""
     if d_ring.unit is None:
         raise ESystemError("target-unital", ())
     try:
         d = RingHom(b, d_ring, d_map)
     except HomError as e:
         raise ESystemError("structure-map", str(e)) from e
-    tl = np.asarray(theta_left, dtype=np.int16)
-    tr = np.asarray(theta_right, dtype=np.int16)
-    nb, nd = b.order, d_ring.order
-    for t, nm in ((tl, "left"), (tr, "right")):
-        if t.shape != (nd, nb) or (t.size and (t.min() < 0 or t.max() >= nb)):
-            raise ESystemError(f"action-{nm}-shape", (nd, nb))
-    ar = np.arange(nb)
+    return d, *_action_tables(left, right, d_ring.order, b.order)
 
-    # Each theta(x) is a bimultiplication of B.
-    ok = tl[:, b.add] == b.add[tl[:, :, None], tl[:, None, :]]
-    if not ok.all():
-        raise ESystemError("action-left-additive", _first_bad(ok))
-    ok = tr[:, b.add] == b.add[tr[:, :, None], tr[:, None, :]]
-    if not ok.all():
-        raise ESystemError("action-right-additive", _first_bad(ok))
-    ok = tl[:, b.mul] == b.mul[tl[:, :, None], ar[None, None, :]]
-    if not ok.all():
-        raise ESystemError("action-left-product", _first_bad(ok))
-    ok = tr[:, b.mul] == b.mul[ar[None, :, None], tr[:, None, :]]
-    if not ok.all():
-        raise ESystemError("action-right-product", _first_bad(ok))
-    ok = b.mul[ar[None, :, None], tl[:, None, :]] == b.mul[tr[:, :, None], ar[None, None, :]]
-    if not ok.all():
-        raise ESystemError("action-mixed-product", _first_bad(ok))
 
-    # theta is a ring map into the bimultiplication ring.
-    ok = tl[d_ring.add] == b.add[tl[:, None, :], tl[None, :, :]]
-    if not ok.all():
-        raise ESystemError("action-left-additive-in-source", _first_bad(ok))
-    ok = tr[d_ring.add] == b.add[tr[:, None, :], tr[None, :, :]]
-    if not ok.all():
-        raise ESystemError("action-right-additive-in-source", _first_bad(ok))
-    xs = np.arange(nd)
-    ok = tl[d_ring.mul] == tl[xs[:, None, None], tl[xs[None, :, None], ar[None, None, :]]]
-    if not ok.all():
-        raise ESystemError("action-left-multiplicative", _first_bad(ok))
-    ok = tr[d_ring.mul] == tr[xs[None, :, None], tr[xs[:, None, None], ar[None, None, :]]]
-    if not ok.all():
-        raise ESystemError("action-right-multiplicative", _first_bad(ok))
+def _raise_first_failure(checks):
+    fail = _first_failure(checks)
+    if fail:
+        raise ESystemError(*fail)
 
-    # Acting through d is inner multiplication.
-    ok = tl[d.map] == b.mul
-    if not ok.all():
-        raise ESystemError("inner-action-left", _first_bad(ok))
-    ok = tr[d.map] == b.mul.T
-    if not ok.all():
-        raise ESystemError("inner-action-right", _first_bad(ok))
 
-    # d intertwines the action with multiplication in D.
-    ok = d.map[tl] == d_ring.mul[xs[:, None], d.map[None, :]]
-    if not ok.all():
-        raise ESystemError("equivariance-left", _first_bad(ok))
-    ok = d.map[tr] == d_ring.mul[d.map[None, :], xs[:, None]]
-    if not ok.all():
-        raise ESystemError("equivariance-right", _first_bad(ok))
+def validate_esystem(b, d_ring, d_map, theta_left, theta_right, name="es") -> ESystem:
+    """Check every axiom; raise ESystemError naming the first violated one."""
+    d, tl, tr = _structure(b, d_ring, d_map, theta_left, theta_right)
+    _raise_first_failure([
+        # Each theta(x) is a bimultiplication of B.
+        ("action-left-additive", _additive, b.add, tl),
+        ("action-right-additive", _additive, b.add, tr),
+        ("action-left-product", _left_product, b.mul, tl),
+        ("action-right-product", _right_product, b.mul, tr),
+        ("action-mixed-product", _mixed_product, b.mul, tl, tr),
+        # theta is a ring map into the bimultiplication ring.
+        ("action-left-additive-in-source", _additive_in_source, b.add, d_ring.add, tl),
+        ("action-right-additive-in-source", _additive_in_source, b.add, d_ring.add, tr),
+        ("action-left-multiplicative", _left_multiplicative, d_ring.mul, tl),
+        ("action-right-multiplicative", _right_multiplicative, d_ring.mul, tr),
+        # Acting through d is inner multiplication.
+        ("inner-action-left", _through, tl, d.map, b.mul),
+        ("inner-action-right", _through, tr, d.map, b.mul.T),
+        # d intertwines the action with multiplication in D.
+        ("equivariance-left", _equivariant, d_ring.mul, tl, d.map),
+        ("equivariance-right", _equivariant, d_ring.mul.T, tr, d.map),
+    ])
     return ESystem(name, b, d_ring, d, tl, tr)
 
 
 def regularity_witness(es: ESystem):
     """None if regular; else which condition fails and where."""
-    one = es.d_ring.unit
-    ar = np.arange(es.b.order)
-    if not (es.theta_left[one] == ar).all():
-        return ("unit-action-left", int(np.nonzero(es.theta_left[one] != ar)[0][0]))
-    if not (es.theta_right[one] == ar).all():
-        return ("unit-action-right", int(np.nonzero(es.theta_right[one] != ar)[0][0]))
-    tl, tr = es.theta_left, es.theta_right
-    xs = np.arange(es.d_ring.order)
-    # theta(x)(a theta(y)) == (theta(x) a) theta(y) for all x, y, a
-    ok = tl[xs[:, None, None], tr[xs[None, :, None], ar[None, None, :]]] == tr[
-        xs[None, :, None], tl[xs[:, None, None], ar[None, None, :]]
-    ]
-    if not ok.all():
-        x, y, a = _first_bad(ok)
-        return ("permutability", (x, y, a))
-    return None
+    fail = _first_failure([
+        ("unit-action-left", _unital, es.d_ring.unit, es.theta_left),
+        ("unit-action-right", _unital, es.d_ring.unit, es.theta_right),
+        ("permutability", _permutable, es.theta_left, es.theta_right),
+    ])
+    if fail and fail[0] != "permutability":
+        return fail[0], fail[1][0]  # a unit row reports the bare element
+    return fail
 
 
 def is_regular(es: ESystem) -> bool:
     return regularity_witness(es) is None
+
+
+def _require_regular(es: ESystem) -> None:
+    w = regularity_witness(es)
+    if w is not None:
+        raise ESystemError("not-regular", w)
 
 
 @dataclass(eq=False)
@@ -163,74 +163,38 @@ class CrossedBimodule:
     right: np.ndarray
 
 
-def validate_crossed_bimodule(b, d_ring, d_map, left, right, name="xb") -> CrossedBimodule:
-    if d_ring.unit is None:
-        raise ESystemError("target-unital", ())
-    try:
-        d = RingHom(b, d_ring, d_map)
-    except HomError as e:
-        raise ESystemError("structure-map", str(e)) from e
-    lf = np.asarray(left, dtype=np.int16)
-    rt = np.asarray(right, dtype=np.int16)
-    nb, nd = b.order, d_ring.order
-    for t, nm in ((lf, "left"), (rt, "right")):
-        if t.shape != (nd, nb) or (t.size and (t.min() < 0 or t.max() >= nb)):
-            raise ESystemError(f"action-{nm}-shape", (nd, nb))
-    xs, ar = np.arange(nd), np.arange(nb)
-
-    # Unital D-bimodule structure on (B, +).
-    ok = lf[d_ring.add] == b.add[lf[:, None, :], lf[None, :, :]]
-    if not ok.all():
-        raise ESystemError("bimodule-left-additive-in-ring", _first_bad(ok))
-    ok = lf[:, b.add] == b.add[lf[:, :, None], lf[:, None, :]]
-    if not ok.all():
-        raise ESystemError("bimodule-left-additive", _first_bad(ok))
-    ok = rt[d_ring.add] == b.add[rt[:, None, :], rt[None, :, :]]
-    if not ok.all():
-        raise ESystemError("bimodule-right-additive-in-ring", _first_bad(ok))
-    ok = rt[:, b.add] == b.add[rt[:, :, None], rt[:, None, :]]
-    if not ok.all():
-        raise ESystemError("bimodule-right-additive", _first_bad(ok))
-    ok = lf[d_ring.mul] == lf[xs[:, None, None], lf[xs[None, :, None], ar[None, None, :]]]
-    if not ok.all():
-        raise ESystemError("bimodule-left-associative", _first_bad(ok))
-    ok = rt[d_ring.mul] == rt[xs[None, :, None], rt[xs[:, None, None], ar[None, None, :]]]
-    if not ok.all():
-        raise ESystemError("bimodule-right-associative", _first_bad(ok))
-    ok = rt[xs[None, :, None], lf[xs[:, None, None], ar[None, None, :]]] == lf[
-        xs[:, None, None], rt[xs[None, :, None], ar[None, None, :]]
+def _bimodule_laws(add, ring: FiniteRing, left, right):
+    """The unital ring-bimodule conditions on stacked action tables over
+    `ring`, in check order."""
+    return [
+        ("bimodule-left-additive-in-ring", _additive_in_source, add, ring.add, left),
+        ("bimodule-left-additive", _additive, add, left),
+        ("bimodule-right-additive-in-ring", _additive_in_source, add, ring.add, right),
+        ("bimodule-right-additive", _additive, add, right),
+        ("bimodule-left-associative", _left_multiplicative, ring.mul, left),
+        ("bimodule-right-associative", _right_multiplicative, ring.mul, right),
+        ("bimodule-mixed-associative", _permutable, left, right),
+        ("bimodule-left-unital", _unital, ring.unit, left),
+        ("bimodule-right-unital", _unital, ring.unit, right),
     ]
-    if not ok.all():
-        raise ESystemError("bimodule-mixed-associative", _first_bad(ok))
-    one = d_ring.unit
-    if not (lf[one] == ar).all():
-        raise ESystemError("bimodule-left-unital", (int(np.nonzero(lf[one] != ar)[0][0]),))
-    if not (rt[one] == ar).all():
-        raise ESystemError("bimodule-right-unital", (int(np.nonzero(rt[one] != ar)[0][0]),))
 
-    # d is equivariant.
-    ok = d.map[lf] == d_ring.mul[xs[:, None], d.map[None, :]]
-    if not ok.all():
-        raise ESystemError("equivariance-left", _first_bad(ok))
-    ok = d.map[rt] == d_ring.mul[d.map[None, :], xs[:, None]]
-    if not ok.all():
-        raise ESystemError("equivariance-right", _first_bad(ok))
 
-    # Peiffer law: acting through d(c) is multiplying by c.
-    ok = lf[d.map] == b.mul
-    if not ok.all():
-        raise ESystemError("peiffer-left", _first_bad(ok))
-    ok = rt[d.map] == b.mul.T
-    if not ok.all():
-        raise ESystemError("peiffer-right", _first_bad(ok))
+def validate_crossed_bimodule(b, d_ring, d_map, left, right, name="xb") -> CrossedBimodule:
+    d, lf, rt = _structure(b, d_ring, d_map, left, right)
+    _raise_first_failure(_bimodule_laws(b.add, d_ring, lf, rt) + [
+        # d is equivariant.
+        ("equivariance-left", _equivariant, d_ring.mul, lf, d.map),
+        ("equivariance-right", _equivariant, d_ring.mul.T, rt, d.map),
+        # Peiffer law: acting through d(c) is multiplying by c.
+        ("peiffer-left", _through, lf, d.map, b.mul),
+        ("peiffer-right", _through, rt, d.map, b.mul.T),
+    ])
     return CrossedBimodule(name, b, d_ring, d, lf, rt)
 
 
 def es_to_xb(es: ESystem) -> CrossedBimodule:
     """Regular action systems are crossed bimodules; refuse otherwise."""
-    w = regularity_witness(es)
-    if w is not None:
-        raise ESystemError("not-regular", w)
+    _require_regular(es)
     return validate_crossed_bimodule(
         es.b, es.d_ring, es.d.map, es.theta_left, es.theta_right, name=es.name
     )
@@ -238,7 +202,7 @@ def es_to_xb(es: ESystem) -> CrossedBimodule:
 
 def xb_to_es(xb: CrossedBimodule) -> ESystem:
     es = validate_esystem(xb.b, xb.d_ring, xb.d.map, xb.left, xb.right, name=xb.name)
-    assert is_regular(es)
+    _require_regular(es)
     return es
 
 
@@ -253,7 +217,9 @@ class ESystemMorphism:
     f0: RingHom
 
 
-def validate_morphism(src: ESystem, tgt: ESystem, f1_map, f0_map) -> ESystemMorphism:
+def _morphism_maps(src, tgt, src_tables, tgt_tables, f1_map, f0_map):
+    """The ring maps (f1 on bases, f0 on targets) of a morphism between two
+    systems whose actions are the stacked (left, right) tables given."""
     try:
         f1 = RingHom(src.b, tgt.b, f1_map)
         f0 = RingHom(src.d_ring, tgt.d_ring, f0_map)
@@ -261,15 +227,17 @@ def validate_morphism(src: ESystem, tgt: ESystem, f1_map, f0_map) -> ESystemMorp
         raise ESystemError("morphism-hom", str(e)) from e
     if not f0.unital:
         raise ESystemError("morphism-target-unit", (src.d_ring.unit,))
-    ok = f0.map[src.d.map] == tgt.d.map[f1.map]
-    if not ok.all():
-        raise ESystemError("morphism-square", (int(np.nonzero(~ok)[0][0]),))
-    ok = f1.map[src.theta_left] == tgt.theta_left[f0.map[:, None], f1.map[None, :]]
-    if not ok.all():
-        raise ESystemError("morphism-action-left", _first_bad(ok))
-    ok = f1.map[src.theta_right] == tgt.theta_right[f0.map[:, None], f1.map[None, :]]
-    if not ok.all():
-        raise ESystemError("morphism-action-right", _first_bad(ok))
+    _raise_first_failure([
+        ("morphism-square", np.equal, f0.map[src.d.map], tgt.d.map[f1.map]),
+        ("morphism-action-left", _intertwined, f1.map, f0.map, src_tables[0], tgt_tables[0]),
+        ("morphism-action-right", _intertwined, f1.map, f0.map, src_tables[1], tgt_tables[1]),
+    ])
+    return f1, f0
+
+
+def validate_morphism(src: ESystem, tgt: ESystem, f1_map, f0_map) -> ESystemMorphism:
+    f1, f0 = _morphism_maps(src, tgt, (src.theta_left, src.theta_right),
+                            (tgt.theta_left, tgt.theta_right), f1_map, f0_map)
     return ESystemMorphism(src, tgt, f1, f0)
 
 
@@ -296,22 +264,8 @@ class XBMorphism:
 
 
 def validate_xb_morphism(src: CrossedBimodule, tgt: CrossedBimodule, f1_map, f0_map) -> XBMorphism:
-    try:
-        f1 = RingHom(src.b, tgt.b, f1_map)
-        f0 = RingHom(src.d_ring, tgt.d_ring, f0_map)
-    except HomError as e:
-        raise ESystemError("morphism-hom", str(e)) from e
-    if not f0.unital:
-        raise ESystemError("morphism-target-unit", (src.d_ring.unit,))
-    ok = f0.map[src.d.map] == tgt.d.map[f1.map]
-    if not ok.all():
-        raise ESystemError("morphism-square", (int(np.nonzero(~ok)[0][0]),))
-    ok = f1.map[src.left] == tgt.left[f0.map[:, None], f1.map[None, :]]
-    if not ok.all():
-        raise ESystemError("morphism-action-left", _first_bad(ok))
-    ok = f1.map[src.right] == tgt.right[f0.map[:, None], f1.map[None, :]]
-    if not ok.all():
-        raise ESystemError("morphism-action-right", _first_bad(ok))
+    f1, f0 = _morphism_maps(src, tgt, (src.left, src.right), (tgt.left, tgt.right),
+                            f1_map, f0_map)
     return XBMorphism(src, tgt, f1, f0)
 
 
@@ -365,7 +319,6 @@ def ideal_esystem(d_ring: FiniteRing, subset, name: str | None = None) -> ESyste
 
 def identity_esystem(r: FiniteRing, name: str | None = None) -> ESystem:
     """B = D with d the identity; the action is forced to be inner."""
-    assert r.unit is not None
     return validate_esystem(
         r, r, np.arange(r.order, dtype=np.int16), r.mul, r.mul.T, name=name or f"id_{r.name}"
     )
@@ -397,23 +350,33 @@ def bimodule_esystem(module: "Bimodule", name: str | None = None) -> ESystem:
     )
 
 
+def _class_actions(es: ESystem, quo: IdealQuotient, kernel: np.ndarray):
+    """How each cokernel class acts on Ker d, read off its least member,
+    and the first (condition, witness) at which some other member acts
+    differently or a class moves the kernel out of itself (None if
+    neither happens)."""
+    proj = quo.projection.map
+    reps = np.unique(proj, return_index=True)[1]
+    lrows, rrows = es.theta_left[:, kernel], es.theta_right[:, kernel]
+    lrep, rrep = lrows[reps], rrows[reps]
+    agree = (lrows == lrep[proj]).all(axis=1) & (rrows == rrep[proj]).all(axis=1)
+    constant = np.ones(len(reps), dtype=bool)
+    constant[proj[~agree]] = False
+    fail = _first_failure([
+        ("kernel-action-constant", np.asarray, constant),
+        ("kernel-action-closed", np.asarray, np.isin(lrep, kernel) & np.isin(rrep, kernel)),
+    ])
+    return lrep, rrep, fail
+
+
 def coker_action_well_defined(es: ESystem) -> bool:
     """Do all representatives of each coset act identically on Ker d?
 
     This is the representative-independence part of the induced-module
     construction alone; the full bimodule axioms may still fail when the
     system is not regular."""
-    quo = ideal_cokernel(es.d)
     kernel = np.nonzero(es.d.map == 0)[0]
-    for cls in range(quo.ring.order):
-        members = np.nonzero(quo.projection.map == np.int64(cls))[0]
-        lrows = es.theta_left[members][:, kernel]
-        rrows = es.theta_right[members][:, kernel]
-        if not ((lrows == lrows[0]).all() and (rrows == rrows[0]).all()):
-            return False
-        if not (np.isin(lrows[0], kernel).all() and np.isin(rrows[0], kernel).all()):
-            return False
-    return True
+    return _class_actions(es, ideal_cokernel(es.d), kernel)[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -448,38 +411,36 @@ class Bimodule:
 def validate_bimodule(ring, group, add, neg, left, right, coords) -> Bimodule:
     add = np.asarray(add, dtype=np.int16)
     neg = np.asarray(neg, dtype=np.int16)
-    left = np.asarray(left, dtype=np.int16)
-    right = np.asarray(right, dtype=np.int16)
     coords = np.asarray(coords, dtype=np.int64)
-    m = add.shape[0]
-    assert m == group.order
-    ar, xs = np.arange(m), np.arange(ring.order)
-    assert (add == add.T).all() and (add[0] == ar).all()
-    assert (add[add[:, :, None], ar[None, None, :]] == add[ar[:, None, None], add[None, :, :]]).all()
-    assert (add[ar, neg] == 0).all()
-    assert ring.unit is not None
-    for t, nm in ((left, "left"), (right, "right")):
-        assert t.shape == (ring.order, m), nm
-        assert (t[ring.unit] == ar).all(), f"{nm} action not unital"
-        assert (t[ring.add] == add[t[:, None, :], t[None, :, :]]).all(), f"{nm} not additive in ring"
-        assert (t[:, add] == add[t[:, :, None], t[:, None, :]]).all(), f"{nm} not additive"
-    assert (left[ring.mul] == left[xs[:, None, None], left[xs[None, :, None], ar[None, None, :]]]).all()
-    assert (right[ring.mul] == right[xs[None, :, None], right[xs[:, None, None], ar[None, None, :]]]).all()
-    assert (
-        right[xs[None, :, None], left[xs[:, None, None], ar[None, None, :]]]
-        == left[xs[:, None, None], right[xs[None, :, None], ar[None, None, :]]]
-    ).all()
-    # coords must enumerate the group bijectively, 0 at the origin.
-    index = {}
-    for i in range(m):
-        key = tuple(int(v) for v in group.reduce(coords[i]))
-        assert key not in index
-        index[key] = i
-    assert index[tuple(group.zero())] == 0
-    for i in range(m):
-        for j in range(m):
-            s = group.reduce(coords[i] + coords[j])
-            assert index[tuple(int(v) for v in s)] == add[i, j]
+    m = group.order
+    if add.shape != (m, m) or neg.shape != (m,) or coords.shape != (m, group.rank):
+        raise ESystemError("group-shape", (m,))
+    try:
+        validate_ring(add, np.zeros_like(add))
+    except RingAxiomError as e:
+        raise ESystemError(f"group-{e.axiom}", e.witness) from e
+    if ring.unit is None:
+        raise ESystemError("ring-unital", ())
+    left, right = _action_tables(left, right, ring.order, m)
+    # Coordinates are compared through their mixed-radix codes; pos[k] is
+    # the first element whose code is k.
+    factors = np.asarray(group.factors, dtype=np.int64)
+    strides = np.array([math.prod(group.factors[i + 1:]) for i in range(group.rank)], np.int64)
+    red = coords % factors
+    codes = red @ strides
+    pos = np.full(m, -1, dtype=np.int64)
+    uniq, first = np.unique(codes, return_index=True)
+    pos[uniq] = first
+    sums = ((red[:, None, :] + red[None, :, :]) % factors) @ strides
+    _raise_first_failure([
+        ("group-negation", np.equal, add[np.arange(m), neg], 0),
+        *_bimodule_laws(add, ring, left, right),
+        # coords must enumerate the group bijectively and additively (so 0
+        # sits at the origin).
+        ("coords-bijective", np.equal, pos[codes], np.arange(m)),
+        ("coords-additive", np.equal, pos[sums], add),
+    ])
+    index = {tuple(c): i for i, c in enumerate(red.tolist())}
     return Bimodule(ring, group, add, neg, left, right, coords, index)
 
 
@@ -493,45 +454,28 @@ class KernelModule:
     carrier: list[int]
     b_to_m: dict
 
-    def in_kernel(self, b_elem: int) -> bool:
-        return b_elem in self.b_to_m
-
 
 def induced_kernel_module(es: ESystem, name: str | None = None) -> KernelModule:
     quo = ideal_cokernel(es.d, name=name or f"coker_{es.name}")
     r = quo.ring
-    kernel = sorted(int(x) for x in np.nonzero(es.d.map == 0)[0])
-    factors, gens, coords_b = decompose_abelian(es.b.add, kernel)
-    group = FinAbGroup(tuple(factors))
-    carrier = kernel
+    carrier = sorted(int(x) for x in np.nonzero(es.d.map == 0)[0])
+    factors, _, coords_b = decompose_abelian(es.b.add, carrier)
     b_to_m = {b: i for i, b in enumerate(carrier)}
     m = len(carrier)
     kc = np.array(carrier, dtype=np.int64)
-    add = np.zeros((m, m), dtype=np.int16)
-    for i, x in enumerate(carrier):
-        row = es.b.add[x, kc]
-        add[i] = [b_to_m[int(v)] for v in row]
-    neg = np.array([b_to_m[int(es.b.neg[x])] for x in carrier], dtype=np.int16)
+    pos = np.full(es.b.order, -1, dtype=np.int64)
+    pos[kc] = np.arange(m)
+    add = pos[es.b.add[np.ix_(kc, kc)]]
+    neg = pos[es.b.neg[kc]]
     coords = np.array([coords_b[x] for x in carrier], dtype=np.int64)
 
-    # The action of a class is the action of any representative; check that
-    # every representative agrees and stays inside the kernel.
-    left = np.zeros((r.order, m), dtype=np.int16)
-    right = np.zeros((r.order, m), dtype=np.int16)
-    for cls in range(r.order):
-        members = [x for x in range(es.d_ring.order) if quo.projection.map[x] == cls]
-        lrows = es.theta_left[np.array(members)][:, kc]
-        rrows = es.theta_right[np.array(members)][:, kc]
-        assert (lrows == lrows[0]).all() and (rrows == rrows[0]).all(), (
-            f"action not constant on class {cls}"
-        )
-        for i in range(m):
-            lv, rv = int(lrows[0, i]), int(rrows[0, i])
-            assert lv in b_to_m and rv in b_to_m, f"action leaves kernel at {(cls, i)}"
-            left[cls, i] = b_to_m[lv]
-            right[cls, i] = b_to_m[rv]
+    # The action of a class is the action of any representative.
+    lrows, rrows, fail = _class_actions(es, quo, kc)
+    if fail:
+        raise ESystemError(*fail)
+    left, right = pos[lrows], pos[rrows]
     ar = np.arange(m)
     if not ((left[r.unit] == ar).all() and (right[r.unit] == ar).all()):
         raise ESystemError("kernel-action-unital", (int(r.unit),))
-    module = validate_bimodule(r, group, add, neg, left, right, coords)
+    module = validate_bimodule(r, FinAbGroup(tuple(factors)), add, neg, left, right, coords)
     return KernelModule(es, module, quo, carrier, b_to_m)

@@ -20,21 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bimult import (
-    Bimult,
-    BimultError,
-    bm_zero,
-    enumerate_bimultiplications,
-    permutability_witness,
-    validate_bimult,
-)
+from .bimult import _bimult_laws, _permutable, bm_zero, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, classify_functors
-from .crossed import ESystem, ESystemError, is_regular, validate_esystem, validate_morphism
+from .crossed import ESystem, ESystemError, _require_regular, validate_esystem, validate_morphism
 from .rings import (
     FiniteRing,
     HomError,
     IdealQuotient,
     RingHom,
+    SearchGuardError,
     _first_bad,
     _lift_defects,
     _sum,
@@ -62,10 +56,6 @@ class FactorSystemError(ValueError):
         self.witness = witness
         tail = f": {detail}" if detail else ""
         super().__init__(f"{condition} fails at {witness}{tail}")
-
-
-class SearchGuardError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +173,6 @@ class FactorSystem:
     f: np.ndarray
     g: np.ndarray
 
-    def action(self, u: int) -> Bimult:
-        return Bimult(
-            tuple(int(v) for v in self.act_left[u]),
-            tuple(int(v) for v in self.act_right[u]),
-        )
-
 
 def _flat(b_elem: int, u: int, nb: int) -> int:
     # Carrier layout for crossed products: (b, u) sits at u*nb + b.
@@ -220,33 +204,32 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
         if edge.any():
             raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
 
-    acts = []
-    for u in range(n):
-        try:
-            acts.append(validate_bimult(b, al[u], ar_[u]))
-        except BimultError as e:
-            raise FactorSystemError(f"action-{e.condition}", (u,) + tuple(
-                w for w in (e.witness if isinstance(e.witness, tuple) else (e.witness,))
-            )) from e
+    # Every row is a bimultiplication: the first failing row, then the
+    # first condition failing in it.
+    laws = _bimult_laws(b, al, ar_)
+    ok = np.stack([grid(*tables) for _, grid, *tables in laws], axis=1)
+    if not ok.all():
+        u, k, *cell = _first_bad(ok)
+        raise FactorSystemError(f"action-{laws[k][0]}", (u, *cell))
     arm = np.arange(m)
     if al[0].any() or ar_[0].any():
         raise FactorSystemError("action-zero", (0,))
     if not ((al[q.unit] == arm).all() and (ar_[q.unit] == arm).all()):
         raise FactorSystemError("action-unit", (int(q.unit),))
-    for u in range(n):
-        for v in range(u, n):
-            w = permutability_witness(acts[u], acts[v])
-            if w is not None:
-                side, a = w
-                if side == "first-around-second":
-                    triple = (_flat(0, u, m), _flat(a, 0, m), _flat(0, v, m))
-                else:
-                    triple = (_flat(0, v, m), _flat(a, 0, m), _flat(0, u, m))
-                raise FactorSystemError(
-                    "permutability",
-                    triple,
-                    detail="crossed-product triple that fails to associate",
-                )
+    # Rows u <= v permute: u's left map around v's right map, then v's
+    # left map around u's right map.
+    perm = _permutable(al, ar_)
+    below = np.tri(n, k=-1, dtype=bool)[:, :, None, None]
+    ok = np.stack([perm, perm.transpose(1, 0, 2)], axis=2) | below
+    if not ok.all():
+        u, v, side, a = _first_bad(ok)
+        if side:
+            u, v = v, u
+        raise FactorSystemError(
+            "permutability",
+            (_flat(0, u, m), _flat(a, 0, m), _flat(0, v, m)),
+            detail="crossed-product triple that fails to associate",
+        )
 
     qa, qm = q.add, q.mul
     badd, bneg, bmul = b.add, b.neg, b.mul
@@ -491,7 +474,7 @@ def extension_obstruction(
     comparison cochain per class; `enumerate_extensions` consumes the
     latter.
     """
-    assert is_regular(base), "obstruction theory needs a regular system"
+    _require_regular(base)
     if rc is None:
         rc = reduce_esystem(base)
     psi = _align_psi(psi, q, rc.ring)
@@ -514,7 +497,7 @@ def enumerate_extensions(
     product represents the class.  The representatives are checked to be
     pairwise inequivalent.
     """
-    assert is_regular(base), "enumeration needs a regular system"
+    _require_regular(base)
     if rc is None:
         rc = reduce_esystem(base)
     psi = _align_psi(psi, q, rc.ring)

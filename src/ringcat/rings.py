@@ -28,6 +28,10 @@ class RingAxiomError(ValueError):
         super().__init__(msg)
 
 
+class SearchGuardError(ValueError):
+    """An exhaustive search or enumeration would exceed its guard."""
+
+
 def _table(t, n: int, what: str) -> np.ndarray:
     a = np.asarray(t, dtype=np.int16)
     if a.shape != (n, n):
@@ -194,19 +198,18 @@ def subring(r: FiniteRing, subset, name: str | None = None):
 
     Returns (ring, embedding map as an index array into r)."""
     subset = sorted(int(x) for x in subset)
-    assert subset and subset[0] == 0, "a subring contains 0 first"
-    back = {x: k for k, x in enumerate(subset)}
-    m = len(subset)
-    add = np.zeros((m, m), int)
-    mul = np.zeros((m, m), int)
-    for i, x in enumerate(subset):
-        for j, y in enumerate(subset):
-            sx, px = int(r.add[x, y]), int(r.mul[x, y])
-            assert sx in back and px in back, f"subset not closed at ({x}, {y})"
-            add[i, j], mul[i, j] = back[sx], back[px]
+    if not subset or subset[0] != 0:
+        raise RingAxiomError("subring-zero", tuple(subset[:1]), "a subring contains 0")
     emb = np.array(subset, dtype=np.int16)
+    back = np.full(r.order, -1, dtype=np.int64)
+    back[emb] = np.arange(len(subset))
+    add, mul = back[r.add[np.ix_(emb, emb)]], back[r.mul[np.ix_(emb, emb)]]
+    closed = (add >= 0) & (mul >= 0)
+    if not closed.all():
+        i, j = _first_bad(closed)
+        raise RingAxiomError("subring-closed", (subset[i], subset[j]), "subset not closed")
     u = find_unit(add, mul)
-    ring = validate_ring(add, mul, u, name=name or f"{r.name}_sub{m}")
+    ring = validate_ring(add, mul, u, name=name or f"{r.name}_sub{len(subset)}")
     return ring, emb
 
 
@@ -477,7 +480,8 @@ def find_ring_isomorphism(r1: FiniteRing, r2: FiniteRing):
     n = r1.order
     if n != r2.order:
         return None
-    assert n <= ISO_GUARD, f"isomorphism search is guarded to order {ISO_GUARD}"
+    if n > ISO_GUARD:
+        raise SearchGuardError(f"isomorphism search is guarded to order {ISO_GUARD}, got {n}")
     if (r1.unit is None) != (r2.unit is None):
         return None
     maps = _additive_maps(r1.add, r2.add)

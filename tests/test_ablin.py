@@ -96,7 +96,7 @@ def test_group_basics():
 
 def test_linear_map_rejects_ill_defined():
     z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="modulus"):
         # 1 has order 2 in the source but its image would have order 4.
         LinearMap(z2, z4, [[1]])
     LinearMap(z2, z4, [[2]])  # fine: doubling lands in the 2-torsion

@@ -378,7 +378,7 @@ def test_criterion_07_section_independence(instances):
             # The kernel of the non-regular instance is not a bimodule over
             # the cokernel (left and right actions fail to commute), so no
             # reduction exists to compare; the failure itself is asserted.
-            with pytest.raises(AssertionError):
+            with pytest.raises(ESystemError, match="bimodule-mixed-associative"):
                 induced_kernel_module(es)
             continue
         km = induced_kernel_module(es)

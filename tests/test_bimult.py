@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ringcat import bimult
 from ringcat.bimult import (
     BimultError,
     bicenter,
@@ -19,6 +20,7 @@ from ringcat.bimult import (
     validate_bimult,
 )
 from ringcat.rings import (
+    SearchGuardError,
     dual_numbers,
     find_ring_isomorphism,
     product_ring,
@@ -59,8 +61,16 @@ def test_enumeration_is_sorted_and_deterministic():
 
 
 def test_enumeration_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SearchGuardError):
         enumerate_bimultiplications(zmod(17))
+
+
+def test_ring_and_isomorphism_guards(monkeypatch):
+    monkeypatch.setattr(bimult, "RING_GUARD", 3)
+    with pytest.raises(SearchGuardError, match="exceeds 3"):
+        bimult_ring(zero_mult(2))
+    with pytest.raises(SearchGuardError):
+        find_ring_isomorphism(zmod(17), zmod(17))
 
 
 def test_doubled_product_bimult_ring_shape():
@@ -87,6 +97,25 @@ def test_validate_bimult_witnesses():
         validate_bimult(d, swap, swap)
     s = validate_bimult(r, (3 * np.arange(4)) % 4, (3 * np.arange(4)) % 4)
     assert s == inner(r, 3)
+
+
+@pytest.mark.parametrize(
+    "ring, left, right, condition, witness",
+    [
+        (zmod(4), [0, 1], [0, 1, 2, 3], "left-map-shape", (4,)),
+        (zmod(4), [0, 1, 2, 3], [0, 1, 2, 4], "right-map-shape", (4,)),
+        (zmod(4), [0, 1, 2, 0], [0, 1, 2, 3], "left-map-additive", (1, 2)),
+        (zmod(4), [0, 1, 2, 3], [0, 1, 2, 0], "right-map-additive", (1, 2)),
+        (dual_numbers(2), [0, 2, 1, 3], [0, 2, 1, 3], "left-product", (1, 1)),
+        (dual_numbers(2), [0, 1, 2, 3], [0, 2, 1, 3], "right-product", (1, 1)),
+        (zmod(4), [0, 1, 2, 3], [0, 2, 0, 2], "mixed-product", (1, 1)),
+    ],
+)
+def test_validate_bimult_condition_witnesses(ring, left, right, condition, witness):
+    # the witnesses the validator reported before its laws were shared
+    with pytest.raises(BimultError) as e:
+        validate_bimult(ring, left, right)
+    assert (e.value.condition, e.value.witness) == (condition, witness)
 
 
 def test_bimult_ring_of_zero_mult_2_is_f2_squared():
@@ -131,18 +160,24 @@ def test_nilpotent_shift_pair_fails_to_permute():
     s = validate_bimult(k, [0, 2, 0, 2], [0, 0, 1, 1])
     assert permutability_witness(s, s) == ("first-around-second", 1)
     assert not permutable(s, s)
+    # The identity on the left permutes with everything, so only the
+    # second composite can clash.
+    ident = tuple(range(4))
+    t, u = validate_bimult(k, ident, s.right), validate_bimult(k, s.left, ident)
+    assert permutability_witness(t, u) == ("second-around-first", 1)
+    assert permutability_witness(u, t) == ("first-around-second", 1)
 
 
 def test_bimult_ops_match_ring_tables():
-    r = doubled_product_ring()
-    mb = bimult_ring(r)
-    idx, els = mb.index, mb.elements
-    for s in els:
-        for t in els:
-            assert idx[bm_add(r, s, t)] == mb.ring.add[idx[s], idx[t]]
-            assert idx[bm_mul(r, s, t)] == mb.ring.mul[idx[s], idx[t]]
-    assert idx[bm_zero(r)] == 0
-    assert mb.ring.unit == idx[bm_one(r)]
+    for r in (doubled_product_ring(), zero_mult_klein(), dual_numbers(2), zmod(6)):
+        mb = bimult_ring(r)
+        idx, els = mb.index, mb.elements
+        for s in els:
+            for t in els:
+                assert idx[bm_add(r, s, t)] == mb.ring.add[idx[s], idx[t]]
+                assert idx[bm_mul(r, s, t)] == mb.ring.mul[idx[s], idx[t]]
+        assert idx[bm_zero(r)] == 0
+        assert mb.ring.unit == idx[bm_one(r)]
 
 
 def test_klein_bimult_ring_order():

@@ -269,7 +269,7 @@ def test_pullback_module_along_unit_embedding():
     assert pulled.left.tolist() == [[0, 0], [0, 1]]
 
     bad = RingHom(zmod(2), r4, [0, 0])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="unital"):
         pullback_module(bad, mod)
 
 
@@ -364,6 +364,13 @@ def test_unit_normalised_h2_agrees():
 def test_coordinate_guard_refuses_large_complexes():
     with pytest.raises(CohomologyGuardError):
         complex_for(ring_as_module(zmod(4)), guard=10)
+
+
+def test_coordinate_guard_applies_to_cached_complexes():
+    mod = ring_as_module(zmod(4))
+    assert complex_for(mod) is complex_for(mod)
+    with pytest.raises(CohomologyGuardError):
+        complex_for(mod, guard=10)
 
 
 def test_encode_decode_roundtrip():

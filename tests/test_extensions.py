@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringcat.bimult import Bimult, enumerate_bimultiplications, permutability_witness
-from ringcat.crossed import multiplier_esystem, validate_esystem
+from ringcat.crossed import ESystemError, multiplier_esystem, validate_esystem
 from ringcat.extensions import (
     ExtensionError,
     FactorSystemError,
@@ -189,6 +189,43 @@ def test_factor_system_cocycle_condition_witnesses(table, cells, condition, witn
     assert (e.value.condition, e.value.witness) == (condition, witness)
 
 
+IDENT4, SWAP4 = [0, 1, 2, 3], [0, 2, 1, 3]
+SHIFT_L, SHIFT_R = [0, 2, 0, 2], [0, 0, 1, 1]  # a square-zero bimultiplication
+
+
+@pytest.mark.parametrize(
+    "b, q, rows, condition, witness",
+    [
+        (zmod(4), zmod(2), [(0, 0), ([0, 1, 2, 0], IDENT4)], "action-left-map-additive", (1, 1, 2)),
+        (zmod(4), zmod(2), [(0, 0), (IDENT4, [0, 1, 2, 0])], "action-right-map-additive", (1, 1, 2)),
+        (dual_numbers(2), zmod(2), [(0, 0), (SWAP4, SWAP4)], "action-left-product", (1, 1, 1)),
+        (dual_numbers(2), zmod(2), [(0, 0), (IDENT4, SWAP4)], "action-right-product", (1, 1, 1)),
+        (zmod(4), zmod(2), [(0, 0), (IDENT4, [0, 2, 0, 2])], "action-mixed-product", (1, 1, 1)),
+        # rows are checked in order, each against every condition
+        (zmod(4), zmod(2), [(IDENT4, [0, 2, 0, 2]), ([0, 1, 2, 0], IDENT4)],
+         "action-mixed-product", (0, 1, 1)),
+        (zmod(4), zmod(2), [(IDENT4, IDENT4), (IDENT4, IDENT4)], "action-zero", (0,)),
+        (zmod(4), zmod(2), [(0, 0), (0, 0)], "action-unit", (1,)),
+        # pairs u <= v in order: row 1 permutes around row 2, but row 2's
+        # left map does not permute around row 1's right map
+        (zero_mult_klein(), product_ring(zmod(2), zmod(2)),
+         [(0, 0), (IDENT4, SHIFT_R), (SHIFT_L, IDENT4), (IDENT4, IDENT4)],
+         "permutability", (8, 1, 4)),
+        (zero_mult_klein(), zmod(4), [(0, 0), (IDENT4, IDENT4), (SWAP4, [0, 1, 0, 1]),
+                                      (SWAP4, [0, 1, 0, 1])], "permutability", (8, 1, 8)),
+    ],
+)
+def test_factor_system_action_condition_witnesses(b, q, rows, condition, witness):
+    # the witnesses the validator reported while it checked one row, then
+    # one pair of rows, at a time
+    al = np.array([np.broadcast_to(lf, b.order) for lf, _ in rows])
+    ar = np.array([np.broadcast_to(rt, b.order) for _, rt in rows])
+    zero = np.zeros((q.order, q.order), dtype=int)
+    with pytest.raises(FactorSystemError) as e:
+        validate_factor_system(b, q, al, ar, zero, zero)
+    assert (e.value.condition, e.value.witness) == (condition, witness)
+
+
 def test_factor_system_shape_errors():
     b, q = zero_mult(2), zmod(2)
     ident = np.array([[0, 0], [0, 1]])
@@ -336,5 +373,5 @@ def test_quotient_presentation_mismatch():
 
 def test_obstruction_requires_regular_base():
     es = multiplier_esystem(zero_mult_klein(), name="klein0")
-    with pytest.raises(AssertionError, match="regular"):
+    with pytest.raises(ESystemError, match="not-regular"):
         extension_obstruction(es, zmod(2), RingHom(zmod(2), zmod(2), [0, 1]))

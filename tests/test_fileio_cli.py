@@ -128,6 +128,12 @@ def test_cli_validate_errors(tmp_path, capsys):
     assert main(["validate", "ring", str(tmp_path / "missing.ring")]) == 2
 
 
+def test_cli_bimult_guard_is_a_resource_error(tmp_path, capsys):
+    path = write_ring(zmod(17), tmp_path / "z17.ring")
+    assert main(["bimult", "enumerate", str(path)]) == 2
+    assert "guarded to order 16" in capsys.readouterr().err
+
+
 def test_cli_unknown_verb_usage():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

@@ -1,0 +1,39 @@
+"""Validation must not rest on `assert`, which `python -O` strips.
+
+The tests below exercise the validators whose laws live in `bimult`, the
+search guards, and the typed errors of `ablin`, `rings`, `cohomology` and
+`extensions`.  Here they run again in a `python -O` subprocess.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+VALIDATION_TESTS = [
+    "tests/test_crossed.py",
+    "tests/test_bimult.py",
+    "tests/test_ablin.py::test_linear_map_rejects_ill_defined",
+    "tests/test_rings.py::test_subring_two_z4",
+    "tests/test_cohomology.py::test_pullback_module_along_unit_embedding",
+    "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
+    "tests/test_extensions.py::test_obstruction_requires_regular_base",
+    "tests/test_extensions.py::test_factor_system_action_condition_witnesses",
+    "tests/test_extensions.py::test_factor_system_cocycle_condition_witnesses",
+    "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
+    "tests/test_acceptance.py::test_criterion_07_section_independence",
+]
+
+
+def test_validation_survives_optimized_mode():
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *VALIDATION_TESTS],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -116,8 +116,9 @@ def test_subring_two_z4():
     assert b.unit is None
     assert not b.mul.any()  # 2*2 = 0 in Z/4
     assert list(emb) == [0, 2]
-    with pytest.raises(AssertionError):
-        subring(z4, [0, 1])  # not closed under multiplication? 1*1=1, 1+1=2 missing
+    with pytest.raises(RingAxiomError, match="closed") as e:
+        subring(z4, [0, 1])  # 1 + 1 = 2 is missing
+    assert e.value.witness == (1, 1)
 
 
 def test_ring_hom_validation():
