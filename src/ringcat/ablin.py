@@ -49,88 +49,132 @@ class SNFResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+_ZERO_KEY = np.iinfo(np.uint64).max
+
+
+def _keys(a) -> np.ndarray:
+    """|x| - 1 as unsigned: zero gets the largest key, so a least key is a
+    least nonzero |x|."""
+    return (np.abs(a) - 1).view(np.uint64)
+
+
+def _batch(line, piv):
+    """Positions in `line` (a row or column beside the pivot) that one
+    batched elimination step clears, with their quotients.
+
+    They are the nonzero entries up to and including the first one `piv`
+    does not divide; the returned flag says whether that one exists.  Its
+    remainder is then nonzero and the caller swaps it into the pivot."""
+    idx = np.flatnonzero(line)
+    if not idx.size:
+        return idx, idx, False
+    vals = line[idx]
+    bad = np.flatnonzero(vals % piv)
+    if bad.size:
+        idx, vals = idx[: bad[0] + 1], vals[: bad[0] + 1]
+    return idx, -(vals // piv), bool(bad.size)
+
+
 def smith_normal_form(a) -> SNFResult:
     """Smith normal form over the integers, tracking both transforms.
 
     Total on any integer matrix, including empty and rank-deficient ones.
+
+    The steps are those of the classic elimination one entry at a time:
+    take the first least nonzero entry in row-major order as the pivot;
+    subtract the floor quotient of the pivot from each nonzero entry below
+    it, then beside it, in order, swapping in the first nonzero remainder
+    as the new pivot; fold the first row holding an entry the pivot does
+    not divide into the pivot row; make the pivot positive.  Every entry
+    the pivot divides, up to the first one it does not, is cleared in one
+    rank-one update: the pivot row (column) does not change until that
+    swap, the inverse transform sums the same integer terms in another
+    order, and rows and columns of earlier pivots hold zeros outside the
+    active block.  So s, u, v and their inverses are those of the
+    one-at-a-time loop, entry for entry.
     """
     s = as_int_matrix(a).copy()
     nr, nc = s.shape
     u = np.eye(nr, dtype=np.int64)
-    uinv = np.eye(nr, dtype=np.int64)
-    v = np.eye(nc, dtype=np.int64)
     vinv = np.eye(nc, dtype=np.int64)
+    # uinv and v are kept transposed, so that their column operations run
+    # on contiguous rows.
+    uinv_t = np.eye(nr, dtype=np.int64)
+    v_t = np.eye(nc, dtype=np.int64)
+    # For each row i > t: the least key and the gcd of s[i, t:].  Row
+    # operations refresh the rows they change; swaps carry them along, and
+    # column swaps and retiring a cleared column t leave them as they are.
+    rkey = _keys(s).min(axis=1, initial=_ZERO_KEY)
+    rgcd = np.gcd.reduce(s, axis=1)
+
+    def refresh(rows):
+        blk = s[rows, t:]
+        rkey[rows] = _keys(blk).min(axis=1)
+        rgcd[rows] = np.gcd.reduce(blk, axis=1)
 
     def swap_rows(i, j):
         if i != j:
-            s[[i, j]] = s[[j, i]]
-            u[[i, j]] = u[[j, i]]
-            uinv[:, [i, j]] = uinv[:, [j, i]]
+            for m in (s, u, uinv_t, rkey, rgcd):
+                m[[i, j]] = m[[j, i]]
 
     def swap_cols(i, j):
         if i != j:
-            s[:, [i, j]] = s[:, [j, i]]
-            v[:, [i, j]] = v[:, [j, i]]
-            vinv[[i, j]] = vinv[[j, i]]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        s[i] += q * s[j]
-        u[i] += q * u[j]
-        uinv[:, j] -= q * uinv[:, i]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j
-        s[:, i] += q * s[:, j]
-        v[:, i] += q * v[:, j]
-        vinv[j] -= q * vinv[i]
-
-    def negate_row(i):
-        s[i] = -s[i]
-        u[i] = -u[i]
-        uinv[:, i] = -uinv[:, i]
+            s[t:, [i, j]] = s[t:, [j, i]]
+            for m in (v_t, vinv):
+                m[[i, j]] = m[[j, i]]
 
     t = 0
     while t < min(nr, nc):
-        sub = s[t:, t:]
-        if not sub.any():
+        i = t + int(np.argmin(rkey[t:]))
+        if rkey[i] == _ZERO_KEY:
             break
-        # Move a least nonzero entry to the pivot position.
-        nz = np.nonzero(sub)
-        k = int(np.argmin(np.abs(sub[nz])))
-        swap_rows(t, t + int(nz[0][k]))
-        swap_cols(t, t + int(nz[1][k]))
-        # Clear row and column t; remainders shrink, so this terminates.
+        swap_rows(t, i)
+        swap_cols(t, t + int(np.argmin(_keys(s[t, t:]))))
+        # Clear column and row t; remainders shrink, so this terminates.
         while True:
             piv = int(s[t, t])
-            col = s[t + 1 :, t]
-            if col.any():
-                i = t + 1 + int(np.nonzero(col)[0][0])
-                q = -(int(s[i, t]) // piv)
-                add_row(i, t, q)
-                if s[i, t] != 0:
-                    swap_rows(i, t)
+            rows, q, swap = _batch(s[t + 1 :, t], piv)
+            if rows.size:
+                rows += t + 1
+                # row_i += q_i * row_t for every i in rows
+                s[rows, t:] += np.multiply.outer(q, s[t, t:])
+                u[rows] += np.multiply.outer(q, u[t])
+                uinv_t[t] -= q @ uinv_t[rows]
+                if swap:
+                    swap_rows(int(rows[-1]), t)
+                refresh(rows)
                 continue
-            row = s[t, t + 1 :]
-            if row.any():
-                j = t + 1 + int(np.nonzero(row)[0][0])
-                q = -(int(s[t, j]) // piv)
-                add_col(j, t, q)
-                if s[t, j] != 0:
-                    swap_cols(j, t)
+            cols, q, swap = _batch(s[t, t + 1 :], piv)
+            if cols.size:
+                cols += t + 1
+                # col_j += q_j * col_t for every j in cols; below the pivot
+                # column t is zero, so only row t changes.
+                s[t, cols] += q * piv
+                v_t[cols] += np.multiply.outer(q, v_t[t])
+                vinv[t] -= q @ vinv[cols]
+                if swap:
+                    swap_cols(int(cols[-1]), t)
                 continue
             break
-        # Fold any entry the pivot does not divide into the pivot block.
-        rest = s[t + 1 :, t + 1 :]
-        if rest.size and np.any(rest % s[t, t]):
-            i, j = np.argwhere(rest % s[t, t])[0]
-            add_row(t, t + 1 + int(i), 1)
-            continue
-        if s[t, t] < 0:
-            negate_row(t)
+        # Fold the first row holding an entry the pivot does not divide
+        # into the pivot row.
+        if abs(piv) != 1:
+            bad = np.flatnonzero(rgcd[t + 1 :] % piv)
+            if bad.size:
+                i = t + 1 + int(bad[0])
+                # row_t += row_i
+                s[t, t:] += s[i, t:]
+                u[t] += u[i]
+                uinv_t[i] -= uinv_t[t]
+                refresh([t])
+                continue
+        if piv < 0:
+            s[t, t] = -piv
+            u[t] = -u[t]
+            uinv_t[t] = -uinv_t[t]
         t += 1
 
-    return SNFResult(s, u, v, uinv, vinv)
+    return SNFResult(s, u, np.ascontiguousarray(v_t.T), np.ascontiguousarray(uinv_t.T), vinv)
 
 
 def det_exact(a) -> int:
@@ -169,7 +213,8 @@ class FinAbGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        assert all(int(m) >= 1 for m in self.factors), self.factors
+        if not all(int(m) >= 1 for m in self.factors):
+            raise ValueError(f"group factors must be at least 1, got {self.factors}")
 
     @property
     def rank(self) -> int:
@@ -243,7 +288,10 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         # self after other
-        assert other.target.factors == self.source.factors
+        if other.target.factors != self.source.factors:
+            raise ValueError(
+                f"cannot compose: target {other.target.factors} is not source {self.source.factors}"
+            )
         return LinearMap(other.source, self.target, self.matrix @ other.matrix)
 
 
@@ -456,7 +504,8 @@ class HomologyData:
 
     def class_of(self, x) -> tuple[int, ...]:
         c = self.cycles.coords_of(x)
-        assert c is not None, "not a cycle"
+        if c is None:
+            raise ValueError(f"not a cycle: {tuple(int(v) for v in x)}")
         return self._quot.project(c)
 
     def representative(self, h) -> tuple[int, ...]:
@@ -468,13 +517,18 @@ class HomologyData:
 
 def homology(incoming: LinearMap, outgoing: LinearMap) -> HomologyData:
     """Homology of `incoming` followed by `outgoing` (must compose to zero)."""
-    assert incoming.target.factors == outgoing.source.factors
+    if incoming.target.factors != outgoing.source.factors:
+        raise ValueError(
+            f"incoming target {incoming.target.factors} is not outgoing source "
+            f"{outgoing.source.factors}"
+        )
     cyc = kernel(outgoing)
     cols = []
     for j in range(incoming.source.rank):
         b = incoming.target.reduce(incoming.matrix[:, j])
         c = cyc.coords_of(b)
-        assert c is not None, f"boundary {j} is not a cycle"
+        if c is None:
+            raise ValueError(f"boundary {j} is not a cycle: the maps do not compose to zero")
         cols.append(c)
     mat = (
         np.array(cols, dtype=np.int64).T

@@ -17,6 +17,7 @@ conditions in `extensions.validate_factor_system`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,7 +327,9 @@ class CochainComplex:
         return Cochain2(self.module, f, g)
 
 
-_complexes: dict[Bimodule, CochainComplex] = {}
+# complex_for caches each complex on its module (as `_complex`), so it lives
+# exactly as long as the module; this set names the modules holding one.
+_complexes: weakref.WeakSet[Bimodule] = weakref.WeakSet()
 
 
 def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
@@ -341,8 +344,9 @@ def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
     for nm, d in dims.items():
         if d > guard:
             raise CohomologyGuardError(f"{nm} needs {d} coordinates, over the guard {guard}")
-    if module in _complexes:
-        return _complexes[module]
+    cached = getattr(module, "_complex", None)
+    if cached is not None:
+        return cached
     nz = np.arange(1, n)
     cx = CochainComplex(
         module,
@@ -390,7 +394,8 @@ def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
     if comp.size:
         fac = np.asarray(cx.c3_group.factors, dtype=np.int64).reshape(-1, 1)
         assert not np.any(comp % fac), "d2 after d1 is nonzero"
-    _complexes[module] = cx
+    module._complex = cx
+    _complexes.add(module)
     return cx
 
 

@@ -410,15 +410,28 @@ class Bimodule:
 
 def validate_bimodule(ring, group, add, neg, left, right, coords) -> Bimodule:
     add = np.asarray(add, dtype=np.int16)
-    neg = np.asarray(neg, dtype=np.int16)
-    coords = np.asarray(coords, dtype=np.int64)
     m = group.order
-    if add.shape != (m, m) or neg.shape != (m,) or coords.shape != (m, group.rank):
+    if add.shape != (m, m) or np.shape(neg) != (m,) or np.shape(coords) != (m, group.rank):
         raise ESystemError("group-shape", (m,))
+    _check_group(add)
+    return _bimodule_over_group(ring, group, add, neg, left, right, coords)
+
+
+def _check_group(add):
+    """Raise ESystemError("group-<axiom>", witness) unless the table is an
+    abelian group's addition with 0 as its zero."""
     try:
         validate_ring(add, np.zeros_like(add))
     except RingAxiomError as e:
         raise ESystemError(f"group-{e.axiom}", e.witness) from e
+
+
+def _bimodule_over_group(ring, group, add, neg, left, right, coords) -> Bimodule:
+    """validate_bimodule's checks after the shapes and the group axioms,
+    which the caller has checked on `add` as an int16 table."""
+    neg = np.asarray(neg, dtype=np.int16)
+    coords = np.asarray(coords, dtype=np.int64)
+    m = group.order
     if ring.unit is None:
         raise ESystemError("ring-unital", ())
     left, right = _action_tables(left, right, ring.order, m)

@@ -18,7 +18,8 @@ from .ablin import FinAbGroup
 from .crossed import (
     Bimodule,
     ESystem,
-    validate_bimodule,
+    _bimodule_over_group,
+    _check_group,
     validate_esystem,
 )
 from .extensions import Extension, validate_extension
@@ -155,8 +156,12 @@ def load_esystem(path) -> ESystem:
 
 
 def module_from_tables(ring: FiniteRing, add, left, right, name: str = "module") -> Bimodule:
-    """Bimodule from raw tables; negation and coordinates are derived."""
-    add = np.asarray(add)
+    """Bimodule from raw tables; negation and coordinates are derived.
+
+    The group axioms are checked before the decomposition, which needs them
+    to terminate."""
+    add = np.asarray(add, dtype=np.int16)
+    _check_group(add)
     m = add.shape[0]
     factors, _, coord_of = decompose_abelian(add)
     group = FinAbGroup(tuple(factors))
@@ -166,7 +171,7 @@ def module_from_tables(ring: FiniteRing, add, left, right, name: str = "module")
     coords = np.array([coord_of[i] for i in range(m)], dtype=np.int64).reshape(
         m, group.rank
     )
-    return validate_bimodule(ring, group, add, neg, left, right, coords)
+    return _bimodule_over_group(ring, group, add, neg, left, right, coords)
 
 
 def load_module(path, ring: FiniteRing) -> Bimodule:

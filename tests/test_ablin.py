@@ -2,13 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ringcat import rings
 from ringcat.ablin import (
     FinAbGroup,
     LinearMap,
+    SNFResult,
     Subgroup,
+    _augmented,
+    as_int_matrix,
     cokernel,
     det_exact,
     homology,
@@ -21,6 +25,96 @@ from ringcat.ablin import (
     solve_with_certificate,
     span_subgroup,
 )
+from ringcat.cohomology import complex_for
+from ringcat.crossed import validate_bimodule
+
+
+def reference_snf(a) -> SNFResult:
+    """The elimination one entry at a time that smith_normal_form batches;
+    its transforms are the ones smith_normal_form must return."""
+    s = as_int_matrix(a).copy()
+    nr, nc = s.shape
+    u = np.eye(nr, dtype=np.int64)
+    uinv = np.eye(nr, dtype=np.int64)
+    v = np.eye(nc, dtype=np.int64)
+    vinv = np.eye(nc, dtype=np.int64)
+
+    def swap_rows(i, j):
+        if i != j:
+            s[[i, j]] = s[[j, i]]
+            u[[i, j]] = u[[j, i]]
+            uinv[:, [i, j]] = uinv[:, [j, i]]
+
+    def swap_cols(i, j):
+        if i != j:
+            s[:, [i, j]] = s[:, [j, i]]
+            v[:, [i, j]] = v[:, [j, i]]
+            vinv[[i, j]] = vinv[[j, i]]
+
+    def add_row(i, j, q):
+        # row_i += q * row_j
+        s[i] += q * s[j]
+        u[i] += q * u[j]
+        uinv[:, j] -= q * uinv[:, i]
+
+    def add_col(i, j, q):
+        # col_i += q * col_j
+        s[:, i] += q * s[:, j]
+        v[:, i] += q * v[:, j]
+        vinv[j] -= q * vinv[i]
+
+    def negate_row(i):
+        s[i] = -s[i]
+        u[i] = -u[i]
+        uinv[:, i] = -uinv[:, i]
+
+    t = 0
+    while t < min(nr, nc):
+        sub = s[t:, t:]
+        if not sub.any():
+            break
+        # Move a least nonzero entry to the pivot position.
+        nz = np.nonzero(sub)
+        k = int(np.argmin(np.abs(sub[nz])))
+        swap_rows(t, t + int(nz[0][k]))
+        swap_cols(t, t + int(nz[1][k]))
+        # Clear row and column t; remainders shrink, so this terminates.
+        while True:
+            piv = int(s[t, t])
+            col = s[t + 1 :, t]
+            if col.any():
+                i = t + 1 + int(np.nonzero(col)[0][0])
+                q = -(int(s[i, t]) // piv)
+                add_row(i, t, q)
+                if s[i, t] != 0:
+                    swap_rows(i, t)
+                continue
+            row = s[t, t + 1 :]
+            if row.any():
+                j = t + 1 + int(np.nonzero(row)[0][0])
+                q = -(int(s[t, j]) // piv)
+                add_col(j, t, q)
+                if s[t, j] != 0:
+                    swap_cols(j, t)
+                continue
+            break
+        # Fold any entry the pivot does not divide into the pivot block.
+        rest = s[t + 1 :, t + 1 :]
+        if rest.size and np.any(rest % s[t, t]):
+            i, j = np.argwhere(rest % s[t, t])[0]
+            add_row(t, t + 1 + int(i), 1)
+            continue
+        if s[t, t] < 0:
+            negate_row(t)
+        t += 1
+
+    return SNFResult(s, u, v, uinv, vinv)
+
+
+def assert_same_snf(a):
+    got, want = smith_normal_form(a), reference_snf(a)
+    for name in ("s", "u", "v", "uinv", "vinv"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def check_snf(a):
@@ -74,6 +168,57 @@ def test_snf_random(nr, nc, data):
     check_snf(a)
 
 
+@st.composite
+def snf_inputs(draw):
+    """Up to 8x8 with entries in -30..30, some rows and columns zeroed, and
+    a common factor now and then, so that every pivot is a non-unit."""
+    nr, nc = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    scale = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    entry = st.integers(-30 // scale, 30 // scale).map(lambda x: scale * x)
+    a = np.array([[draw(entry) for _ in range(nc)] for _ in range(nr)], dtype=np.int64)
+    a = a.reshape(nr, nc)
+    a[draw(st.lists(st.booleans(), min_size=nr, max_size=nr)), :] = 0
+    a[:, draw(st.lists(st.booleans(), min_size=nc, max_size=nc))] = 0
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(snf_inputs())
+# The pivot divides neither 3 (fold) nor 6 (swap in the column, then the row).
+@example(np.array([[2, 0], [0, 3]]))
+@example(np.array([[4, 6, 4], [6, 4, 8]]))
+@example(np.array([[4, 4], [6, 8], [-4, 10]]))
+@example(np.array([[0, 0, 0], [0, -4, 6], [0, 10, -14]]))
+@example(np.zeros((0, 0), dtype=np.int64))
+def test_snf_matches_one_entry_at_a_time(a):
+    assert_same_snf(a)
+
+
+def klein_d2_block():
+    """[d2 | 2*I], the matrix `kernel` reduces for the d2 map of the Klein
+    zero ring as a module over Z/2 x Z/2, where (1, 0) acts as the
+    identity and (0, 1) as zero on both sides."""
+    kl = rings.zero_mult_klein()
+    q = rings.product_ring(rings.zmod(2), rings.zmod(2), name="klein")
+    e = next(x for x in range(q.order) if x not in (0, q.unit) and q.mul[x, x] == x)
+    acts = np.array(
+        [np.arange(4) if q.mul[x, e] == e else np.zeros(4) for x in range(q.order)],
+        dtype=np.int16,
+    )
+    factors, _, coords = rings.decompose_abelian(kl.add)
+    mod = validate_bimodule(
+        q, FinAbGroup(tuple(factors)), kl.add, kl.neg, acts, acts,
+        np.array([coords[i] for i in range(kl.order)], dtype=np.int64),
+    )
+    return _augmented(complex_for(mod).d2_map)
+
+
+def test_snf_matches_one_entry_at_a_time_on_census_block():
+    a = klein_d2_block()
+    assert a.shape == (234, 270)
+    assert_same_snf(a)
+
+
 def test_det_exact():
     assert det_exact([[2, 4], [6, 8]]) == -8
     assert det_exact([[1, 0], [0, 1]]) == 1
@@ -92,6 +237,36 @@ def test_group_basics():
     trivial = FinAbGroup(())
     assert trivial.order == 1
     assert list(trivial.elements()) == [()]
+
+
+def test_group_rejects_factor_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        FinAbGroup((2, 0))
+
+
+def test_compose_rejects_mismatched_groups():
+    z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    with pytest.raises(ValueError, match="compose"):
+        identity_map(z2).compose(identity_map(z4))
+
+
+def test_homology_rejects_mismatched_groups():
+    z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    with pytest.raises(ValueError, match="outgoing source"):
+        homology(identity_map(z2), identity_map(z4))
+
+
+def test_homology_rejects_maps_that_do_not_compose_to_zero():
+    z4 = FinAbGroup((4,))
+    with pytest.raises(ValueError, match="not a cycle"):
+        homology(identity_map(z4), identity_map(z4))
+
+
+def test_class_of_rejects_a_non_cycle():
+    z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    h = homology(LinearMap(FinAbGroup(()), z4, np.zeros((1, 0), int)), LinearMap(z4, z2, [[1]]))
+    with pytest.raises(ValueError, match="not a cycle"):
+        h.class_of((1,))
 
 
 def test_linear_map_rejects_ill_defined():

@@ -1,10 +1,13 @@
 """Cochains, differentials and second cohomology over small modules."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ringcat import cohomology
 from ringcat.ablin import FinAbGroup
 from ringcat.cohomology import (
     Cochain1,
@@ -371,6 +374,15 @@ def test_coordinate_guard_applies_to_cached_complexes():
     assert complex_for(mod) is complex_for(mod)
     with pytest.raises(CohomologyGuardError):
         complex_for(mod, guard=10)
+
+
+def test_cached_complex_dies_with_its_module():
+    mod = ring_as_module(zmod(4))
+    cx = weakref.ref(complex_for(mod))
+    assert mod in cohomology._complexes
+    del mod
+    gc.collect()
+    assert cx() is None
 
 
 def test_encode_decode_roundtrip():

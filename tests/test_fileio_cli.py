@@ -1,12 +1,18 @@
 """File formats and the command-line front end."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ringcat.ablin import FinAbGroup
 from ringcat.cli import main
 from ringcat.corpus import corpus, unital_homs
+from ringcat.crossed import ESystemError, validate_bimodule
 from ringcat.extensions import enumerate_extensions
 from ringcat.fileio import (
     ParseError,
@@ -132,6 +138,46 @@ def test_cli_bimult_guard_is_a_resource_error(tmp_path, capsys):
     path = write_ring(zmod(17), tmp_path / "z17.ring")
     assert main(["bimult", "enumerate", str(path)]) == 2
     assert "guarded to order 16" in capsys.readouterr().err
+
+
+# 1 + 1 = 1, so the addition is not a group: (1 + 2) + 2 = 0 but 1 + (2 + 2) = 1.
+NOT_A_GROUP = [[0, 1, 2], [1, 1, 2], [2, 2, 0]]
+
+
+def write_not_a_group_module(tmp_path) -> Path:
+    rows = "\n".join(" ".join(map(str, r)) for r in NOT_A_GROUP)
+    path = tmp_path / "bad.mod"
+    path.write_text(
+        f"module bad\norder 3\nadd\n{rows}\n"
+        "left\n0 0 0\n0 1 2\nright\n0 0 0\n0 1 2\n"
+    )
+    return path
+
+
+def test_load_module_checks_the_group_first(tmp_path):
+    with pytest.raises(ESystemError) as e:
+        load_module(write_not_a_group_module(tmp_path), zmod(2))
+    identity = [[0, 0, 0], [0, 1, 2]]
+    with pytest.raises(ESystemError) as direct:
+        validate_bimodule(zmod(2), FinAbGroup((3,)), NOT_A_GROUP, [0, 2, 1],
+                          identity, identity, [[0], [1], [2]])
+    assert (e.value.axiom, e.value.witness) == ("group-add-associative", (1, 2, 2))
+    assert (e.value.axiom, e.value.witness) == (direct.value.axiom, direct.value.witness)
+
+
+@pytest.mark.parametrize("verb", [["cohom", "h2"], ["validate", "module"]])
+def test_cli_module_that_is_not_a_group_is_invalid(tmp_path, verb):
+    # In a subprocess with a timeout: the loader used to spin forever here.
+    ring = write_ring(zmod(2), tmp_path / "z2.ring")
+    mod = write_not_a_group_module(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringcat.cli", *verb, str(ring), str(mod)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "status: invalid\nerror: group-add-associative fails at (1, 2, 2)\n"
 
 
 def test_cli_unknown_verb_usage():

@@ -16,6 +16,11 @@ VALIDATION_TESTS = [
     "tests/test_crossed.py",
     "tests/test_bimult.py",
     "tests/test_ablin.py::test_linear_map_rejects_ill_defined",
+    "tests/test_ablin.py::test_group_rejects_factor_below_one",
+    "tests/test_ablin.py::test_compose_rejects_mismatched_groups",
+    "tests/test_ablin.py::test_homology_rejects_mismatched_groups",
+    "tests/test_ablin.py::test_homology_rejects_maps_that_do_not_compose_to_zero",
+    "tests/test_ablin.py::test_class_of_rejects_a_non_cycle",
     "tests/test_rings.py::test_subring_two_z4",
     "tests/test_cohomology.py::test_pullback_module_along_unit_embedding",
     "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
