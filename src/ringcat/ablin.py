@@ -256,10 +256,6 @@ class FinAbGroup:
         return tuple(int(rng.integers(0, m)) for m in self.factors)
 
 
-def group_from_factors(factors) -> FinAbGroup:
-    return FinAbGroup(tuple(int(m) for m in factors))
-
-
 @dataclass
 class LinearMap:
     """Additive map given by generator images; column j is the image of e_j.

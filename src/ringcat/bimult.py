@@ -27,7 +27,6 @@ from .rings import (
     SearchGuardError,
     _additive_maps,
     _first_bad,
-    find_unit,
     validate_ring,
 )
 
@@ -166,26 +165,25 @@ def validate_bimult(b: FiniteRing, left, right) -> Bimult:
     return Bimult(tuple(left.tolist()), tuple(right.tolist()))
 
 
-def enumerate_bimultiplications(b: FiniteRing) -> list[Bimult]:
-    """Every bimultiplication of b, sorted by (left, right) image tuples (the
-    endomaps come sorted, and filtering keeps their order)."""
+def enumerate_bimultiplications(b: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """Every bimultiplication of b, as stacked (k, n) int16 left and right
+    tables: row i is element i of `bimult_ring(b)`.
+
+    Rows are sorted by left images, then right images (the endomaps come
+    sorted, and filtering keeps their order), so row 0 is the zero
+    bimultiplication.
+    """
     if b.order > ENUM_GUARD:
         raise SearchGuardError(f"enumeration is guarded to order {ENUM_GUARD}, got {b.order}")
     endos = _additive_maps(b.add, b.add).astype(np.int16)
     lefts = endos[_left_product(b.mul, endos).all(axis=(1, 2))]
     rights = endos[_right_product(b.mul, endos).all(axis=(1, 2))]
-    out = []
-    for lf in lefts:
-        ok = _mixed_product(b.mul, np.broadcast_to(lf, rights.shape), rights).all(axis=(1, 2))
-        out += [Bimult(tuple(lf.tolist()), tuple(rt)) for rt in rights[ok].tolist()]
-    return out
-
-
-def inner(b: FiniteRing, c: int) -> Bimult:
-    """Multiplication by a fixed element on both sides."""
-    return Bimult(
-        tuple(int(x) for x in b.mul[c, :]), tuple(int(x) for x in b.mul[:, c])
-    )
+    ok = np.array([
+        _mixed_product(b.mul, np.broadcast_to(lf, rights.shape), rights).all(axis=(1, 2))
+        for lf in lefts
+    ])
+    li, ri = np.nonzero(ok)
+    return lefts[li], rights[ri]
 
 
 def bicenter(b: FiniteRing) -> list[int]:
@@ -193,30 +191,6 @@ def bicenter(b: FiniteRing) -> list[int]:
     dead_left = ~b.mul.any(axis=1)
     dead_right = ~b.mul.any(axis=0)
     return [int(x) for x in np.nonzero(dead_left & dead_right)[0]]
-
-
-def bm_zero(b: FiniteRing) -> Bimult:
-    z = (0,) * b.order
-    return Bimult(z, z)
-
-
-def bm_one(b: FiniteRing) -> Bimult:
-    i = tuple(range(b.order))
-    return Bimult(i, i)
-
-
-def bm_add(b: FiniteRing, s: Bimult, t: Bimult) -> Bimult:
-    return Bimult(
-        tuple(int(b.add[x, y]) for x, y in zip(s.left, t.left, strict=True)),
-        tuple(int(b.add[x, y]) for x, y in zip(s.right, t.right, strict=True)),
-    )
-
-
-def bm_mul(b: FiniteRing, s: Bimult, t: Bimult) -> Bimult:
-    # (st)(a) = s(t(a)); (a)(st) = ((a)s)t
-    return Bimult(
-        tuple(s.left[x] for x in t.left), tuple(t.right[x] for x in s.right)
-    )
 
 
 def permutability_witness(s: Bimult, t: Bimult):
@@ -235,52 +209,62 @@ def permutable(s: Bimult, t: Bimult) -> bool:
 
 @dataclass
 class BimultRing:
-    """The ring of all bimultiplications of `base`, as explicit tables."""
+    """The ring of all bimultiplications of `base`, as explicit tables:
+    element i is the bimultiplication with rows left[i] and right[i]."""
 
     base: FiniteRing
     ring: FiniteRing
-    elements: list[Bimult]
-    index: dict[Bimult, int]
+    left: np.ndarray
+    right: np.ndarray
 
     def bimult_of(self, i: int) -> Bimult:
-        return self.elements[i]
+        return Bimult(tuple(self.left[i].tolist()), tuple(self.right[i].tolist()))
+
+
+def _row_lookup(left, right):
+    """A function taking rows lefts[..., :], rights[..., :] to the index of
+    each pair among the stacked bimultiplications (left, right); every
+    pair looked up must be among them.  A pair is keyed by its bytes and
+    found among the sorted keys."""
+    n = left.shape[1]
+    key = np.dtype((np.void, 2 * n * np.dtype(np.int16).itemsize))
+
+    def keys(lf, rt):
+        both = np.concatenate([lf, rt], axis=-1).astype(np.int16)
+        return both.reshape(-1, 2 * n).view(key)[:, 0]
+
+    have = keys(left, right)
+    order = np.argsort(have)
+    have = have[order]
+
+    def index_of(lefts, rights):
+        return order[np.searchsorted(have, keys(lefts, rights))].reshape(np.shape(lefts)[:-1])
+
+    return index_of
 
 
 def bimult_ring(b: FiniteRing, name: str | None = None) -> BimultRing:
-    elems = enumerate_bimultiplications(b)
-    n = len(elems)
-    if n > RING_GUARD:
-        raise SearchGuardError(f"bimultiplication ring order {n} exceeds {RING_GUARD}")
-    index = {s: k for k, s in enumerate(elems)}
-    left = np.array([s.left for s in elems], dtype=np.int16)
-    right = np.array([s.right for s in elems], dtype=np.int16)
-    # An element is keyed by the bytes of its left and right rows, and
-    # looked up among the sorted keys.  Row i of each table pairs element
-    # i with every element: sums add both maps pointwise, and
-    # (st)(a) = s(t(a)), (a)(st) = ((a)s)t.
-    key = np.dtype((np.void, 2 * b.order * left.itemsize))
-    keys = np.hstack([left, right]).view(key)[:, 0]
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    def index_of(lefts, rights):
-        return order[np.searchsorted(sorted_keys, np.hstack([lefts, rights]).view(key)[:, 0])]
-
+    left, right = enumerate_bimultiplications(b)
+    k = len(left)
+    if k > RING_GUARD:
+        raise SearchGuardError(f"bimultiplication ring order {k} exceeds {RING_GUARD}")
+    index_of = _row_lookup(left, right)
+    # Row s of each table pairs s with every t: sums add both maps
+    # pointwise, and (st)(a) = s(t(a)), (a)(st) = ((a)s)t.  Building the
+    # tables a row at a time keeps the temporaries at k x n.
     add = np.array([index_of(b.add[lf, left], b.add[rt, right]) for lf, rt in zip(left, right)],
                    dtype=np.int16)
     mul = np.array([index_of(lf[left], right[:, rt]) for lf, rt in zip(left, right)],
                    dtype=np.int16)
-    unit = index.get(bm_one(b))
-    assert unit is not None and unit == find_unit(add, mul)
-    ring = validate_ring(add, mul, unit, name=name or f"bimult_{b.name}")
-    return BimultRing(b, ring, elems, index)
+    ident = np.arange(b.order)
+    ring = validate_ring(add, mul, index_of(ident, ident), name=name or f"bimult_{b.name}")
+    return BimultRing(b, ring, left, right)
 
 
 def inner_hom(mb: BimultRing) -> RingHom:
     """b -> bimultiplication ring, c to multiplication-by-c; its kernel is
     the bicenter."""
     b = mb.base
-    f = np.array([mb.index[inner(b, c)] for c in b.elements()], dtype=np.int16)
-    h = RingHom(b, mb.ring, f)
+    h = RingHom(b, mb.ring, _row_lookup(mb.left, mb.right)(b.mul, b.mul.T))
     assert h.kernel_elements() == bicenter(b)
     return h

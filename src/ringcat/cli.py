@@ -6,7 +6,7 @@ with --format tsv) and translate the outcome into an exit code.
 
 Exit codes: 0 success, 1 mathematical negative (invalid object, not
 equivalent, obstructed), 2 input or resource error (parse failure,
-missing file, tripped search guard).
+missing file, any tripped guard).
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .fileio import (
 from .rings import RingHom, SearchGuardError, decompose_abelian
 from .transport import reduce_esystem
 
-GUARD_DEFAULT = 10**6
-
 
 class Report:
     """Ordered key/value lines; identical content in both formats."""
@@ -64,6 +62,12 @@ class Report:
     def emit(self):
         for line in self.lines:
             print(line)
+
+
+def _guard(args) -> dict:
+    """The --guard keyword if given, so that otherwise each verb keeps its
+    library default."""
+    return {} if args.guard is None else {"guard": args.guard}
 
 
 def _parse_psi(text: str, q, target) -> RingHom:
@@ -134,14 +138,11 @@ def cmd_convert(args, rep: Report) -> int:
 
 def cmd_bimult(args, rep: Report) -> int:
     r = load_ring(args.file)
-    found = enumerate_bimultiplications(r)
+    left, right = enumerate_bimultiplications(r)
     rep.add("ring", r.name)
-    rep.add("count", len(found))
-    for i, s in enumerate(found):
-        rep.add(
-            f"bimult[{i}]",
-            " ".join(str(v) for v in s.left) + " | " + " ".join(str(v) for v in s.right),
-        )
+    rep.add("count", len(left))
+    for i, (lf, rt) in enumerate(zip(left.tolist(), right.tolist(), strict=True)):
+        rep.add(f"bimult[{i}]", " ".join(map(str, lf)) + " | " + " ".join(map(str, rt)))
     return 0
 
 
@@ -178,7 +179,7 @@ def cmd_anncat_reduce(args, rep: Report) -> int:
 def cmd_cohom_h2(args, rep: Report) -> int:
     ring = load_ring(args.ring)
     mod = load_module(args.module, ring)
-    data = h2(mod, guard=args.guard)
+    data = h2(mod, **_guard(args))
     rep.add("order", data.order)
     rep.add("invariant factors", [f for f in data.factors if f > 1])
     return 0
@@ -234,7 +235,7 @@ def cmd_ext_equiv(args, rep: Report) -> int:
     e2 = validate_extension(
         b1, e2.ring, e2.quotient, e2.j.map, e2.p.map, e2.eps.map, name=e2.name
     )
-    iso = equivalent(e1, e2, guard=args.guard)
+    iso = equivalent(e1, e2, **_guard(args))
     if iso is None:
         rep.add("equivalent", "no")
         return 1
@@ -265,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("text", "tsv"), default="text")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized reports (current verbs are deterministic)")
-    ap.add_argument("--guard", type=int, default=GUARD_DEFAULT,
-                    help="search size limit for solver and equivalence scans")
+    ap.add_argument("--guard", type=int, default=None,
+                    help="search size limit for solver and equivalence scans "
+                         "(default: each verb's own limit)")
     ap.add_argument("--jobs", type=int, default=1,
                     help="reserved; the engine is single-threaded")
     sub = ap.add_subparsers(dest="verb", required=True)

@@ -34,14 +34,10 @@ from .ablin import (
     span_subgroup,
 )
 from .crossed import Bimodule, validate_bimodule
-from .rings import FiniteRing, RingHom, _sum
+from .rings import FiniteRing, RingHom, SearchGuardError, _sum
 
 # Refuse to materialise linear systems beyond this many coordinates.
 COORD_GUARD = 10**4
-
-
-class CohomologyGuardError(ValueError):
-    pass
 
 
 def _as_table(module: Bimodule, a, shape, name: str) -> np.ndarray:
@@ -149,16 +145,6 @@ class Cochain3:
             np.array_equal(a, b)
             for (a, _), (b, _) in zip(self.tables(), other.tables(), strict=True)
         )
-
-
-def zero_cochain1(module: Bimodule) -> Cochain1:
-    return Cochain1(module, np.zeros(module.ring.order, dtype=np.int64))
-
-
-def zero_cochain2(module: Bimodule) -> Cochain2:
-    n = module.ring.order
-    z = np.zeros((n, n), dtype=np.int64)
-    return Cochain2(module, z, z.copy())
 
 
 def zero_cochain3(module: Bimodule) -> Cochain3:
@@ -343,7 +329,7 @@ def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
     }
     for nm, d in dims.items():
         if d > guard:
-            raise CohomologyGuardError(f"{nm} needs {d} coordinates, over the guard {guard}")
+            raise SearchGuardError(f"{nm} needs {d} coordinates, over the guard {guard}")
     cached = getattr(module, "_complex", None)
     if cached is not None:
         return cached

@@ -327,14 +327,8 @@ def identity_esystem(r: FiniteRing, name: str | None = None) -> ESystem:
 def multiplier_esystem(b: FiniteRing, name: str | None = None) -> ESystem:
     """D = the full bimultiplication ring of B, d = inner, action tautological."""
     mb = bimult_ring(b)
-    h = inner_hom(mb)
-    nd = mb.ring.order
-    tl = np.zeros((nd, b.order), dtype=np.int16)
-    tr = np.zeros((nd, b.order), dtype=np.int16)
-    for x, s in enumerate(mb.elements):
-        tl[x] = s.left
-        tr[x] = s.right
-    return validate_esystem(b, mb.ring, h.map, tl, tr, name=name or f"mult_{b.name}")
+    return validate_esystem(b, mb.ring, inner_hom(mb).map, mb.left, mb.right,
+                            name=name or f"mult_{b.name}")
 
 
 def bimodule_esystem(module: "Bimodule", name: str | None = None) -> ESystem:

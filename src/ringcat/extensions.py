@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bimult import _bimult_laws, _permutable, bm_zero, enumerate_bimultiplications
+from .bimult import _bimult_laws, _permutable, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, classify_functors
 from .crossed import ESystem, ESystemError, _require_regular, validate_esystem, validate_morphism
 from .rings import (
@@ -342,7 +342,8 @@ def crossed_product(
     to be a homomorphism the factor system's action must be theta after
     l and its defect tables must push forward, under d, to l's defects.
     """
-    assert fs.b is base.b, "factor system must live over the context base"
+    if fs.b is not base.b:
+        raise ExtensionError("factor-system-base", (fs.b.name, base.b.name))
     if section is None:
         section = choose_section(base)
     rq = section.quotient.ring
@@ -422,7 +423,8 @@ def equivalent(e1: Extension, e2: Extension, guard: int = SEARCH_GUARD) -> RingH
     correction c: Q -> B with c(0) = 0, so the space has |B|^(|Q|-1)
     candidates.  Returns the isomorphism, or None once it is exhausted.
     """
-    assert e1.base is e2.base, "equivalence needs a common base system"
+    if e1.base is not e2.base:
+        raise ExtensionError("common-base", (e1.base.name, e2.base.name))
     b = e1.base.b
     q = e1.quotient
     if q is not e2.quotient and not _tables_equal(q, e2.quotient):
@@ -562,11 +564,13 @@ def exhaustive_extension_search(
     """
     b, dd = base.b, base.d_ring
     nb, nq = b.order, q.order
-    assert q.unit is not None, "the quotient must be unital"
+    if q.unit is None:
+        raise ExtensionError("quotient-unital", (q.name,))
     if quo is None:
         quo = ideal_cokernel(base.d)
     psi = _align_psi(psi, q, quo.ring)
-    assert psi.unital, "the induced quotient map must be unital"
+    if not psi.unital:
+        raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
     proj = quo.projection.map
     dm = base.d.map
     arb, arq = np.arange(nb), np.arange(nq)
@@ -586,14 +590,12 @@ def exhaustive_extension_search(
         if np.array_equal(lhs, rhs):
             f_pool.append(f)
 
-    pool = enumerate_bimultiplications(b)
-    npool = len(pool)
+    # Pool row 0 is the zero bimultiplication, the action of the zero class.
+    pl, pr = enumerate_bimultiplications(b)
+    npool = len(pl)
     if npool ** (nq - 1) > guard:
         raise SearchGuardError(f"{npool}^{nq - 1} action candidates")
-    pl = np.array([s.left for s in pool], dtype=np.int16)
-    pr = np.array([s.right for s in pool], dtype=np.int16)
-    zero_idx = pool.index(bm_zero(b))
-    around = (pl[:, pr] == pr[:, pl].transpose(1, 0, 2)).all(axis=-1)
+    around = _permutable(pl, pr).all(axis=2)
     perm_ok = around & around.T
 
     results: list[Extension] = []
@@ -603,7 +605,7 @@ def exhaustive_extension_search(
         fl3 = b.mul[f[:, :, None], c3b]
         fr3 = b.mul[c3b, f[:, :, None]]
         for choice in itertools.product(range(npool), repeat=nq - 1):
-            acts = np.concatenate(([zero_idx], np.asarray(choice)))
+            acts = np.concatenate(([0], np.asarray(choice)))
             if not perm_ok[acts[:, None], acts[None, :]].all():
                 continue
             left = pl[acts]

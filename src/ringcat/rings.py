@@ -456,7 +456,7 @@ def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
     pools = [np.nonzero(times[m] == 0)[0] for m in factors]
     total = math.prod(len(p) for p in pools)
     if total > 10**6:
-        raise HomError(f"{total} candidate additive maps, over the guard {10**6}")
+        raise SearchGuardError(f"{total} candidate additive maps, over the guard {10**6}")
     images = np.array(list(itertools.product(*pools)), dtype=np.int64).reshape(total, -1)
     cs = np.array([coords[x] for x in range(src_add.shape[0])], dtype=np.int64)
     maps = np.zeros((total, len(cs)), dtype=np.int64)

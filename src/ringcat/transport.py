@@ -20,7 +20,6 @@ from .anncat import AnnFunctor, CheckReport, LawResult
 from .cohomology import (
     Cochain2,
     Cochain3,
-    CohomologyGuardError,
     _defect3,
     d2,
     pullback3,
@@ -32,6 +31,7 @@ from .rings import (
     FiniteRing,
     IdealQuotient,
     RingHom,
+    SearchGuardError,
     _first_bad,
     _lift_defects,
     _sum,
@@ -199,7 +199,7 @@ def reduced_axiom_check(
     """
     n = ring.order
     if n**4 > guard:
-        raise CohomologyGuardError(f"{n ** 4} grid entries, over the guard {guard}")
+        raise SearchGuardError(f"{n ** 4} grid entries, over the guard {guard}")
     assert k.module is module and module.ring is ring
     xi, eta, ax, ll, rr = (tbl for tbl, _ in k.tables())
     ma, mn, mlft, mrgt = module.add, module.neg, module.left, module.right

@@ -5,15 +5,11 @@ import pytest
 
 from ringcat import bimult
 from ringcat.bimult import (
+    Bimult,
     BimultError,
     bicenter,
     bimult_ring,
-    bm_add,
-    bm_mul,
-    bm_one,
-    bm_zero,
     enumerate_bimultiplications,
-    inner,
     inner_hom,
     permutability_witness,
     permutable,
@@ -31,6 +27,46 @@ from ringcat.rings import (
 )
 
 
+# Tuple oracles for the ring of bimultiplications, one pair of image
+# tuples per bimultiplication.
+
+
+def inner(b, c) -> Bimult:
+    """Multiplication by c on both sides."""
+    return Bimult(tuple(b.mul[c, :].tolist()), tuple(b.mul[:, c].tolist()))
+
+
+def bm_zero(b) -> Bimult:
+    z = (0,) * b.order
+    return Bimult(z, z)
+
+
+def bm_one(b) -> Bimult:
+    i = tuple(range(b.order))
+    return Bimult(i, i)
+
+
+def bm_add(b, s: Bimult, t: Bimult) -> Bimult:
+    return Bimult(
+        tuple(int(b.add[x, y]) for x, y in zip(s.left, t.left, strict=True)),
+        tuple(int(b.add[x, y]) for x, y in zip(s.right, t.right, strict=True)),
+    )
+
+
+def bm_mul(b, s: Bimult, t: Bimult) -> Bimult:
+    # (st)(a) = s(t(a)); (a)(st) = ((a)s)t
+    return Bimult(
+        tuple(s.left[x] for x in t.left), tuple(t.right[x] for x in s.right)
+    )
+
+
+def bimults(b) -> list[Bimult]:
+    """The enumeration of b as tuple pairs, in row order."""
+    left, right = enumerate_bimultiplications(b)
+    return [Bimult(tuple(lf), tuple(rt))
+            for lf, rt in zip(left.tolist(), right.tolist(), strict=True)]
+
+
 def doubled_product_ring():
     """Additive group of zmod(4) with product i*j = 2ij."""
     n = 4
@@ -38,26 +74,37 @@ def doubled_product_ring():
     return validate_ring((i[:, None] + i[None, :]) % n, (2 * i[:, None] * i[None, :]) % n, name="2z8")
 
 
+def left_scalar_ring():
+    """Klein group with xy = x when phi(y) = 1 and 0 otherwise, for the
+    functional phi that is 1 on elements 1 and 2: a noncommutative ring
+    (1*2 = 1, 2*1 = 2), so its left and right multiplications differ."""
+    k = zero_mult_klein()
+    phi = np.array([0, 1, 1, 0])
+    return validate_ring(k.add, np.arange(4)[:, None] * phi[None, :], name="left_scalar")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_unital_commutative_ring_has_only_inner_bimults(n):
     r = zmod(n)
-    bs = enumerate_bimultiplications(r)
+    bs = bimults(r)
     assert len(bs) == n
     assert set(bs) == {inner(r, c) for c in range(n)}
 
 
 def test_enumeration_counts_frozen():
-    assert len(enumerate_bimultiplications(zero_mult(2))) == 4
-    assert len(enumerate_bimultiplications(zero_mult_klein())) == 256
-    assert len(enumerate_bimultiplications(doubled_product_ring())) == 8
-    assert len(enumerate_bimultiplications(zmod(1))) == 1
+    for r, count in ((zero_mult(2), 4), (zero_mult_klein(), 256),
+                     (doubled_product_ring(), 8), (zmod(1), 1)):
+        left, right = enumerate_bimultiplications(r)
+        assert left.shape == right.shape == (count, r.order)
+        assert left.dtype == right.dtype == np.int16
 
 
 def test_enumeration_is_sorted_and_deterministic():
-    bs = enumerate_bimultiplications(zero_mult(2))
+    bs = bimults(zero_mult(2))
     keys = [(s.left, s.right) for s in bs]
     assert keys == sorted(keys)
-    assert bs == enumerate_bimultiplications(zero_mult(2))
+    assert bs[0] == bm_zero(zero_mult(2))
+    assert bs == bimults(zero_mult(2))
 
 
 def test_enumeration_guard():
@@ -76,8 +123,7 @@ def test_ring_and_isomorphism_guards(monkeypatch):
 def test_doubled_product_bimult_ring_shape():
     # The pair (s, t) of scalar maps is a bimultiplication iff s = t mod 2.
     r = doubled_product_ring()
-    bs = enumerate_bimultiplications(r)
-    for s in bs:
+    for s in bimults(r):
         sl, tr = s.left[1], s.right[1]
         assert tuple(s.left) == tuple((sl * np.arange(4)) % 4)
         assert tuple(s.right) == tuple((tr * np.arange(4)) % 4)
@@ -171,13 +217,33 @@ def test_nilpotent_shift_pair_fails_to_permute():
 def test_bimult_ops_match_ring_tables():
     for r in (doubled_product_ring(), zero_mult_klein(), dual_numbers(2), zmod(6)):
         mb = bimult_ring(r)
-        idx, els = mb.index, mb.elements
+        els = [mb.bimult_of(i) for i in range(mb.ring.order)]
+        idx = {s: i for i, s in enumerate(els)}
+        assert len(idx) == len(els)
         for s in els:
             for t in els:
                 assert idx[bm_add(r, s, t)] == mb.ring.add[idx[s], idx[t]]
                 assert idx[bm_mul(r, s, t)] == mb.ring.mul[idx[s], idx[t]]
         assert idx[bm_zero(r)] == 0
         assert mb.ring.unit == idx[bm_one(r)]
+
+
+@pytest.mark.parametrize(
+    "r", [zero_mult_klein(), zero_mult(4), zmod(6), dual_numbers(2), left_scalar_ring()],
+    ids=lambda r: r.name,
+)
+def test_enumeration_rows_are_the_ring_elements(r):
+    left, right = enumerate_bimultiplications(r)
+    mb = bimult_ring(r)
+    assert np.array_equal(mb.left, left) and np.array_equal(mb.right, right)
+    assert [mb.bimult_of(i) for i in range(len(left))] == bimults(r)
+    # The unit is the pair of identity rows.
+    ident = np.arange(r.order)
+    assert np.array_equal(left[mb.ring.unit], ident)
+    assert np.array_equal(right[mb.ring.unit], ident)
+    # inner_hom agrees with a lookup of each inner tuple pair in a dict.
+    index = {s: i for i, s in enumerate(bimults(r))}
+    assert inner_hom(mb).map.tolist() == [index[inner(r, c)] for c in r.elements()]
 
 
 def test_klein_bimult_ring_order():

@@ -13,7 +13,6 @@ from ringcat.cohomology import (
     Cochain1,
     Cochain2,
     Cochain3,
-    CohomologyGuardError,
     add2,
     b2,
     classify_functors,
@@ -33,7 +32,14 @@ from ringcat.cohomology import (
     zero_cochain3,
 )
 from ringcat.crossed import validate_bimodule
-from ringcat.rings import RingHom, decompose_abelian, dual_numbers, identity_hom, zmod
+from ringcat.rings import (
+    RingHom,
+    SearchGuardError,
+    decompose_abelian,
+    dual_numbers,
+    identity_hom,
+    zmod,
+)
 
 
 def ring_as_module(r):
@@ -365,14 +371,14 @@ def test_unit_normalised_h2_agrees():
 
 
 def test_coordinate_guard_refuses_large_complexes():
-    with pytest.raises(CohomologyGuardError):
+    with pytest.raises(SearchGuardError):
         complex_for(ring_as_module(zmod(4)), guard=10)
 
 
 def test_coordinate_guard_applies_to_cached_complexes():
     mod = ring_as_module(zmod(4))
     assert complex_for(mod) is complex_for(mod)
-    with pytest.raises(CohomologyGuardError):
+    with pytest.raises(SearchGuardError):
         complex_for(mod, guard=10)
 
 

@@ -245,14 +245,14 @@ def test_klein_factor_system_census():
     """Over the Klein zero ring every action choice is a bimultiplication
     pair, but only the regular ones pass; all survivors associate."""
     kl, q = zero_mult_klein(), zmod(2)
-    pool = enumerate_bimultiplications(kl)
-    assert len(pool) == 256
+    pl, pr = enumerate_bimultiplications(kl)
+    assert pl.shape == pr.shape == (256, 4)
     valid = 0
-    for s in pool:
+    for lf, rt in zip(pl, pr, strict=True):
         for f11 in range(4):
             for g11 in range(4):
-                al = np.array([[0] * 4, list(s.left)])
-                ar = np.array([[0] * 4, list(s.right)])
+                al = np.array([[0] * 4, lf])
+                ar = np.array([[0] * 4, rt])
                 f = np.array([[0, 0], [0, f11]])
                 g = np.array([[0, 0], [0, g11]])
                 try:
@@ -369,6 +369,37 @@ def test_quotient_presentation_mismatch():
     with pytest.raises(ExtensionError) as e:
         enumerate_extensions(es, zmod(4), psi, rc=rc)
     assert e.value.condition == "quotient-presentation"
+
+
+def test_search_rejects_non_unital_quotient():
+    es, q = flat_z2(), zero_mult(2)
+    with pytest.raises(ExtensionError) as e:
+        exhaustive_extension_search(es, q, RingHom(q, q, [0, 1]))
+    assert (e.value.condition, e.value.witness) == ("quotient-unital", (q.name,))
+
+
+def test_search_rejects_non_unital_psi():
+    es = flat_z2()
+    rc = reduce_esystem(es)
+    with pytest.raises(ExtensionError) as e:
+        exhaustive_extension_search(es, rc.ring, RingHom(rc.ring, rc.ring, [0, 0]))
+    assert (e.value.condition, e.value.witness) == ("psi-unital", (0,))
+
+
+def test_crossed_product_rejects_a_foreign_base():
+    es = flat_z2()
+    rc = reduce_esystem(es)
+    fs = factor_system_from_extension(z4_extension(es))
+    other = flat_z2()
+    with pytest.raises(ExtensionError) as e:
+        crossed_product(fs, other, RingHom(rc.ring, rc.ring, np.arange(2)))
+    assert e.value.condition == "factor-system-base"
+
+
+def test_equivalent_rejects_extensions_over_different_bases():
+    with pytest.raises(ExtensionError) as e:
+        equivalent(z4_extension(flat_z2()), z4_extension(flat_z2()))
+    assert e.value.condition == "common-base"
 
 
 def test_obstruction_requires_regular_base():

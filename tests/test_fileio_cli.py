@@ -180,6 +180,40 @@ def test_cli_module_that_is_not_a_group_is_invalid(tmp_path, verb):
     assert proc.stdout == "status: invalid\nerror: group-add-associative fails at (1, 2, 2)\n"
 
 
+def write_regular_module(r, path) -> Path:
+    """r acting on its own additive group by multiplication."""
+    def rows(t):
+        return "\n".join(" ".join(map(str, row)) for row in t.tolist())
+
+    path.write_text(f"module self\norder {r.order}\nadd\n{rows(r.add)}\n"
+                    f"left\n{rows(r.mul)}\nright\n{rows(r.mul.T)}\n")
+    return path
+
+
+def test_cli_cohom_h2_guard_is_a_resource_error(tmp_path, capsys):
+    # Degree 2 of Z/2 acting on itself needs 2 coordinates.
+    ring = write_ring(zmod(2), tmp_path / "z2.ring")
+    mod = write_regular_module(zmod(2), tmp_path / "z2.mod")
+    assert main(["--guard", "1", "cohom", "h2", str(ring), str(mod)]) == 2
+    assert "degree 2 needs 2 coordinates, over the guard 1" in capsys.readouterr().err
+
+
+def test_cli_cohom_h2_keeps_the_library_coordinate_guard(tmp_path):
+    # In a subprocess with a timeout: with the guard widened, the CLI would
+    # go on to reduce an 11172 x 11564 system.
+    ring = write_ring(zmod(15), tmp_path / "z15.ring")
+    mod = write_regular_module(zmod(15), tmp_path / "z15.mod")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringcat.cli", "cohom", "h2", str(ring), str(mod)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "degree 3 needs 11172 coordinates, over the guard 10000" in proc.stderr
+
+
 def test_cli_unknown_verb_usage():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

@@ -27,7 +27,12 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_obstruction_requires_regular_base",
     "tests/test_extensions.py::test_factor_system_action_condition_witnesses",
     "tests/test_extensions.py::test_factor_system_cocycle_condition_witnesses",
+    "tests/test_extensions.py::test_search_rejects_non_unital_quotient",
+    "tests/test_extensions.py::test_search_rejects_non_unital_psi",
+    "tests/test_extensions.py::test_crossed_product_rejects_a_foreign_base",
+    "tests/test_extensions.py::test_equivalent_rejects_extensions_over_different_bases",
     "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
+    "tests/test_fileio_cli.py::test_cli_cohom_h2_guard_is_a_resource_error",
     "tests/test_acceptance.py::test_criterion_07_section_independence",
 ]
 

@@ -8,6 +8,7 @@ from ringcat.rings import (
     HomError,
     RingAxiomError,
     RingHom,
+    SearchGuardError,
     _additive_maps,
     additive_group,
     decompose_abelian,
@@ -227,5 +228,5 @@ def test_additive_maps_guard():
     r16 = product_ring(product_ring(z2, z2), product_ring(z2, z2))
     r32 = product_ring(r16, z2)
     # Four generators of order 2, each free to go to any of 32 elements.
-    with pytest.raises(HomError, match="1048576 candidate"):
+    with pytest.raises(SearchGuardError, match="1048576 candidate"):
         _additive_maps(r16.add, r32.add)
