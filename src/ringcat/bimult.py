@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import (
+    MAP_GUARD,
     FiniteRing,
     RingHom,
     SearchGuardError,
@@ -178,6 +179,10 @@ def enumerate_bimultiplications(b: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     endos = _additive_maps(b.add, b.add).astype(np.int16)
     lefts = endos[_left_product(b.mul, endos).all(axis=(1, 2))]
     rights = endos[_right_product(b.mul, endos).all(axis=(1, 2))]
+    pairs = len(lefts) * len(rights)
+    if pairs > MAP_GUARD:
+        raise SearchGuardError(
+            f"{pairs} candidate bimultiplications, over the guard {MAP_GUARD}")
     ok = np.array([
         _mixed_product(b.mul, np.broadcast_to(lf, rights.shape), rights).all(axis=(1, 2))
         for lf in lefts

@@ -6,7 +6,8 @@ with --format tsv) and translate the outcome into an exit code.
 
 Exit codes: 0 success, 1 mathematical negative (invalid object, not
 equivalent, obstructed), 2 input or resource error (parse failure,
-missing file, any tripped guard).
+missing file, any tripped guard), 3 internal error (a failed internal
+`assert`, reported on stderr as `error: internal: ...`).
 """
 
 from __future__ import annotations
@@ -358,11 +359,15 @@ def main(argv=None) -> int:
     except SearchGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         rep.add("status", "invalid")
         rep.add("error", e)
         rep.emit()
         return 1
+    except AssertionError as e:
+        # A broken internal invariant is a bug, not a mathematical negative.
+        print(f"error: internal: {e}", file=sys.stderr)
+        return 3
     rep.emit()
     return code
 

@@ -289,16 +289,10 @@ class CochainComplex:
 
     def _fill(self, flat_coords: np.ndarray, axes: int) -> np.ndarray:
         m = self.module
-        rank = m.group.rank
         nz = self._nz
-        k = len(nz) ** axes
-        vals = np.zeros(k, dtype=np.int64)
-        cs = flat_coords.reshape(k, rank)
-        for i in range(k):
-            vals[i] = m.from_coords(cs[i])
-        n = m.ring.order
-        out = np.zeros((n,) * axes, dtype=np.int64)
-        out[np.ix_(*[nz] * axes)] = vals.reshape((len(nz),) * axes)
+        vals = m.elements_at(flat_coords.reshape((len(nz),) * axes + (m.group.rank,)))
+        out = np.zeros((m.ring.order,) * axes, dtype=np.int64)
+        out[np.ix_(*[nz] * axes)] = vals
         return out
 
     def decode1(self, vec) -> Cochain1:
@@ -499,17 +493,13 @@ def h2_unit_normalised(module: Bimodule, guard: int = COORD_GUARD):
         return np.concatenate([fpart, gpart])
 
     def dec2u(vec) -> Cochain2:
-        vec = np.asarray(vec, dtype=np.int64)
-        rank = m.group.rank
+        cs = np.asarray(vec, dtype=np.int64).reshape(len(nzsq) + len(keep_g), m.group.rank)
+        vals = m.elements_at(cs)
         f = np.zeros((n, n), dtype=np.int64)
         g = np.zeros((n, n), dtype=np.int64)
-        pos = 0
-        for u, v in nzsq:
-            f[u, v] = m.from_coords(vec[pos : pos + rank])
-            pos += rank
-        for u, v in keep_g:
-            g[u, v] = m.from_coords(vec[pos : pos + rank])
-            pos += rank
+        f[tuple(np.array(nzsq).T)] = vals[: len(nzsq)]
+        if keep_g:
+            g[tuple(np.array(keep_g).T)] = vals[len(nzsq) :]
         return Cochain2(m, f, g)
 
     cols1 = []
@@ -533,9 +523,16 @@ def h2_unit_normalised(module: Bimodule, guard: int = COORD_GUARD):
 # Pullbacks along a unital ring map.
 
 
+def _check_pullback(psi: RingHom, ring: FiniteRing, pulled: Bimodule | None = None):
+    if psi.target is not ring:
+        raise ValueError(f"psi maps into {psi.target.name}, not {ring.name}")
+    if pulled is not None and pulled.ring is not psi.source:
+        raise ValueError(f"pulled module lives over {pulled.ring.name}, not {psi.source.name}")
+
+
 def pullback_module(psi: RingHom, module: Bimodule) -> Bimodule:
     """The same group seen as a bimodule over psi's source."""
-    assert psi.target is module.ring
+    _check_pullback(psi, module.ring)
     if not psi.unital:
         raise ValueError(f"pullback needs a unital map, got {psi.map.tolist()}")
     return validate_bimodule(
@@ -550,13 +547,13 @@ def pullback_module(psi: RingHom, module: Bimodule) -> Bimodule:
 
 
 def pullback2(psi: RingHom, c: Cochain2, pulled: Bimodule) -> Cochain2:
-    assert psi.target is c.module.ring and pulled.ring is psi.source
+    _check_pullback(psi, c.module.ring, pulled)
     p = psi.map
     return Cochain2(pulled, c.f[np.ix_(p, p)], c.g[np.ix_(p, p)])
 
 
 def pullback3(psi: RingHom, c: Cochain3, pulled: Bimodule) -> Cochain3:
-    assert psi.target is c.module.ring and pulled.ring is psi.source
+    _check_pullback(psi, c.module.ring, pulled)
     p = psi.map
     cube = np.ix_(p, p, p)
     return Cochain3(

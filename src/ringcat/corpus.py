@@ -22,6 +22,7 @@ from .crossed import (
 )
 from .rings import (
     FiniteRing,
+    HomError,
     RingHom,
     _additive_maps,
     ideal_cokernel,
@@ -121,7 +122,8 @@ def corpus() -> list[ESystem]:
 
 def unital_homs(q: FiniteRing, r: FiniteRing) -> list[RingHom]:
     """All unital ring maps q -> r, in lexicographic order of their tables."""
-    assert q.unit is not None and r.unit is not None
+    if q.unit is None or r.unit is None:
+        raise HomError(f"unital maps need unital rings, got {q.name} and {r.name}")
     maps = _additive_maps(q.add, r.add)
     maps = maps[maps[:, q.unit] == r.unit]
     ok = (r.mul[maps[:, :, None], maps[:, None, :]] == maps[:, q.mul]).all(axis=(1, 2))

@@ -247,7 +247,8 @@ def identity_morphism(es: ESystem) -> ESystemMorphism:
 
 def compose_morphisms(g: ESystemMorphism, f: ESystemMorphism) -> ESystemMorphism:
     """g after f."""
-    assert f.target is g.source
+    if f.target is not g.source:
+        raise ESystemError("composable", (f.target.name, g.source.name))
     return validate_morphism(
         f.source, g.target, g.f1.map[f.f1.map], g.f0.map[f.f0.map]
     )
@@ -271,7 +272,8 @@ def validate_xb_morphism(src: CrossedBimodule, tgt: CrossedBimodule, f1_map, f0_
 
 def compose_xb_morphisms(g: XBMorphism, f: XBMorphism) -> XBMorphism:
     """g after f."""
-    assert f.target is g.source
+    if f.target is not g.source:
+        raise ESystemError("composable", (f.target.name, g.source.name))
     return validate_xb_morphism(f.source, g.target, g.f1.map[f.f1.map], g.f0.map[f.f0.map])
 
 
@@ -382,7 +384,9 @@ class Bimodule:
     """A finite unital ring acting on both sides of a finite abelian group.
 
     Elements of the module are plain indices 0..order-1 with 0 the zero;
-    `coords` gives each element's coordinates in `group`.
+    `coords` gives each element's coordinates in `group`; `by_code[k]` is
+    the element whose reduced coordinates have mixed-radix code k, the
+    dot product with `strides`.
     """
 
     ring: FiniteRing
@@ -392,14 +396,21 @@ class Bimodule:
     left: np.ndarray
     right: np.ndarray
     coords: np.ndarray
-    index: dict = field(repr=False)
+    by_code: np.ndarray = field(repr=False)
+    strides: np.ndarray = field(repr=False)
 
     @property
     def order(self) -> int:
         return int(self.add.shape[0])
 
+    def elements_at(self, coords) -> np.ndarray:
+        """The elements with the coordinates along the last axis of
+        `coords`, taken modulo the factors."""
+        factors = np.asarray(self.group.factors, dtype=np.int64)
+        return self.by_code[(np.asarray(coords, dtype=np.int64) % factors) @ self.strides]
+
     def from_coords(self, c) -> int:
-        return self.index[tuple(int(v) for v in self.group.reduce(c))]
+        return int(self.elements_at(c))
 
 
 def validate_bimodule(ring, group, add, neg, left, right, coords) -> Bimodule:
@@ -447,8 +458,7 @@ def _bimodule_over_group(ring, group, add, neg, left, right, coords) -> Bimodule
         ("coords-bijective", np.equal, pos[codes], np.arange(m)),
         ("coords-additive", np.equal, pos[sums], add),
     ])
-    index = {tuple(c): i for i, c in enumerate(red.tolist())}
-    return Bimodule(ring, group, add, neg, left, right, coords, index)
+    return Bimodule(ring, group, add, neg, left, right, coords, pos, strides)
 
 
 @dataclass(eq=False)

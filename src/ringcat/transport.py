@@ -73,7 +73,8 @@ def validate_section(es: ESystem, sigma, fplus, ftimes, quo: IdealQuotient | Non
         raise ValueError("sigma does not pick representatives")
     if sigma[0] != 0:
         raise ValueError("sigma must lift the zero class to zero")
-    assert rq.unit is not None and dd.unit is not None
+    if rq.unit is None or dd.unit is None:
+        raise ValueError("a section needs a unital target and quotient")
     # In the zero quotient the unit class is the zero class and stays at 0.
     if rq.unit != 0 and sigma[rq.unit] != dd.unit:
         raise ValueError("sigma must lift the unit class to the unit")
@@ -100,7 +101,8 @@ def validate_section(es: ESystem, sigma, fplus, ftimes, quo: IdealQuotient | Non
 def choose_section(es: ESystem, flavor: str = "least", quo: IdealQuotient | None = None) -> Section:
     """Deterministic section: least (or greatest) class representatives and
     defect preimages, except where normalisation forces the value."""
-    assert flavor in ("least", "greatest")
+    if flavor not in ("least", "greatest"):
+        raise ValueError(f"section flavor must be least or greatest, got {flavor!r}")
     pick = min if flavor == "least" else max
     if quo is None:
         quo = ideal_cokernel(es.d)
@@ -157,10 +159,8 @@ def reduce_esystem(
     quo = km.quotient
     if section is None:
         section = choose_section(es, flavor, quo=quo)
-    else:
-        assert np.array_equal(section.quotient.projection.map, quo.projection.map), (
-            "section lives over a different quotient presentation"
-        )
+    elif not np.array_equal(section.quotient.projection.map, quo.projection.map):
+        raise ValueError("section lives over a different quotient presentation")
     rq = quo.ring
     bb = es.b
     sig = section.sigma

@@ -112,6 +112,23 @@ def test_enumeration_guard():
         enumerate_bimultiplications(zmod(17))
 
 
+def zero_ring_2_2_4():
+    """The zero ring on Z/2 x Z/2 x Z/4: 1024 additive endomaps, each a
+    left and a right multiplication."""
+    return product_ring(zero_mult(2), product_ring(zero_mult(2), zero_mult(4)))
+
+
+def test_pair_scan_guard_trips_before_the_scan(monkeypatch):
+    # 1024 * 1024 candidate pairs exceed the 10**6 guard; the scan itself
+    # must not start.
+    def no_scan(*args):
+        raise AssertionError("the pair scan ran")
+
+    monkeypatch.setattr(bimult, "_mixed_product", no_scan)
+    with pytest.raises(SearchGuardError, match="1048576 candidate bimultiplications"):
+        enumerate_bimultiplications(zero_ring_2_2_4())
+
+
 def test_ring_and_isomorphism_guards(monkeypatch):
     monkeypatch.setattr(bimult, "RING_GUARD", 3)
     with pytest.raises(SearchGuardError, match="exceeds 3"):

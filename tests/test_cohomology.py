@@ -1,6 +1,7 @@
 """Cochains, differentials and second cohomology over small modules."""
 
 import gc
+import itertools
 import weakref
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ from ringcat.rings import (
     decompose_abelian,
     dual_numbers,
     identity_hom,
+    product_ring,
     zmod,
 )
 
@@ -282,6 +284,30 @@ def test_pullback_module_along_unit_embedding():
         pullback_module(bad, mod)
 
 
+def test_pullback_module_rejects_a_foreign_module():
+    psi = RingHom(zmod(2), dual_numbers(2), [0, 2])
+    with pytest.raises(ValueError, match="psi maps into"):
+        pullback_module(psi, eps_module())
+
+
+def test_pullback2_rejects_a_foreign_pulled_module():
+    r4 = dual_numbers(2)
+    mod = eps_module(r4)
+    psi = RingHom(zmod(2), r4, [0, r4.unit])
+    c2 = Cochain2(mod, np.zeros((4, 4), dtype=np.int64), np.zeros((4, 4), dtype=np.int64))
+    with pytest.raises(ValueError, match="pulled module lives over"):
+        pullback2(psi, c2, mod)
+
+
+def test_pullback3_rejects_a_foreign_cochain():
+    r4 = dual_numbers(2)
+    mod = eps_module(r4)
+    psi = RingHom(zmod(2), r4, [0, r4.unit])
+    k = zero_cochain3(pullback_module(psi, mod))
+    with pytest.raises(ValueError, match="psi maps into"):
+        pullback3(psi, k, pullback_module(psi, mod))
+
+
 def test_pullback_is_functorial():
     r4 = dual_numbers(2)
     z2r = zmod(2)
@@ -401,3 +427,34 @@ def test_encode_decode_roundtrip():
     c = Cochain2(mod, f, g)
     back = cx.decode2(cx.encode2(c))
     assert back.equals(c)
+
+
+def decode_per_element(cx, vec, axes):
+    """Oracle for decoding: the element of each coordinate tuple, one
+    tuple at a time, through a dict keyed by reduced coordinates."""
+    m = cx.module
+    index = {tuple(c): i for i, c in enumerate((m.coords % m.group.factors).tolist())}
+    out = np.zeros((m.ring.order,) * axes, dtype=np.int64)
+    cells = itertools.product(cx._nz, repeat=axes)
+    for cell, c in zip(cells, vec.reshape(len(cx._nz) ** axes, m.group.rank), strict=True):
+        out[cell] = index[m.group.reduce(c)]
+    return out
+
+
+@pytest.mark.parametrize("module", [
+    ring_as_module(product_ring(zmod(2), zmod(4))),
+    ring_as_module(dual_numbers(3)),
+    trivial_module(zmod(3)),
+], ids=["z2xz4", "z3_dual", "trivial"])
+def test_decode_matches_per_element_lookup(module):
+    cx = complex_for(module)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        # unreduced coordinates, negative ones included
+        v1 = rng.integers(-50, 50, size=cx.c1_group.rank)
+        assert np.array_equal(cx.decode1(v1).t, decode_per_element(cx, v1, 1))
+        v2 = rng.integers(-50, 50, size=cx.c2_group.rank)
+        c = cx.decode2(v2)
+        f, g = np.split(v2, 2)
+        assert np.array_equal(c.f, decode_per_element(cx, f, 2))
+        assert np.array_equal(c.g, decode_per_element(cx, g, 2))

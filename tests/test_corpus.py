@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from ringcat.corpus import (
     corpus,
@@ -12,7 +13,12 @@ from ringcat.corpus import (
     unital_homs,
 )
 from ringcat.crossed import is_regular
-from ringcat.rings import dual_numbers, product_ring, zmod
+from ringcat.rings import HomError, dual_numbers, product_ring, zero_mult, zmod
+
+
+def test_unital_homs_rejects_a_non_unital_ring():
+    with pytest.raises(HomError, match="unital rings"):
+        unital_homs(zmod(2), zero_mult(2))
 
 
 def test_corpus_shape():

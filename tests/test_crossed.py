@@ -182,6 +182,19 @@ def test_morphism_mod_two_between_identity_systems():
         validate_morphism(ideal_esystem(zmod(4), [0, 2]), src, [0, 0], np.arange(4))
 
 
+def test_compose_morphisms_rejects_a_gap():
+    m = identity_morphism(identity_esystem(zmod(2)))
+    with pytest.raises(ESystemError, match="composable"):
+        compose_morphisms(identity_morphism(identity_esystem(zmod(4))), m)
+
+
+def test_compose_xb_morphisms_rejects_a_gap():
+    mx = es_to_xb_morphism(identity_morphism(identity_esystem(zmod(2))))
+    nx = es_to_xb_morphism(identity_morphism(identity_esystem(zmod(4))))
+    with pytest.raises(ESystemError, match="composable"):
+        compose_xb_morphisms(nx, mx)
+
+
 def test_morphism_composition_preserved_under_conversion():
     a = ideal_esystem(zmod(4), [0, 2])
     b = identity_esystem(zmod(4))

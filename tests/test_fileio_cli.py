@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ringcat.ablin import FinAbGroup
+from ringcat import cli
 from ringcat.cli import main
 from ringcat.corpus import corpus, unital_homs
 from ringcat.crossed import ESystemError, validate_bimodule
@@ -27,7 +28,7 @@ from ringcat.fileio import (
     write_ring,
     write_section,
 )
-from ringcat.rings import zmod
+from ringcat.rings import product_ring, zero_mult, zmod
 from ringcat.transport import choose_section, reduce_esystem
 
 
@@ -138,6 +139,35 @@ def test_cli_bimult_guard_is_a_resource_error(tmp_path, capsys):
     path = write_ring(zmod(17), tmp_path / "z17.ring")
     assert main(["bimult", "enumerate", str(path)]) == 2
     assert "guarded to order 16" in capsys.readouterr().err
+
+
+def test_cli_bimult_pair_scan_guard_is_a_resource_error(tmp_path, capsys):
+    # The zero ring on Z/2 x Z/2 x Z/4 has 1024 left and 1024 right
+    # multiplications, over the 10**6 guard on candidate pairs.
+    r = product_ring(zero_mult(2), product_ring(zero_mult(2), zero_mult(4)), name="z2z2z4_zero")
+    path = write_ring(r, tmp_path / "r.ring")
+    assert main(["bimult", "enumerate", str(path)]) == 2
+    assert "1048576 candidate bimultiplications" in capsys.readouterr().err
+
+
+def test_cli_reports_the_first_failing_ring_law(tmp_path, capsys):
+    # 0 * 1 = 1 breaks right distributivity, so mul-associative, reported
+    # first, is scanned in full: (1 * 0) * 1 = 1 but 1 * (0 * 1) = 0.
+    path = tmp_path / "bad_axiom.ring"
+    path.write_text("ring x\norder 2\nadd\n0 1\n1 0\nmul\n0 1\n0 0\nunit none\n")
+    assert main(["validate", "ring", str(path)]) == 1
+    assert capsys.readouterr().out == "status: invalid\nerror: mul-associative fails at (1, 0, 1)\n"
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args, rep):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_corpus", broken)
+    assert main(["corpus"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal: invariant broken\n"
 
 
 # 1 + 1 = 1, so the addition is not a group: (1 + 2) + 2 = 0 but 1 + (2 + 2) = 1.

@@ -1,8 +1,9 @@
 """Validation must not rest on `assert`, which `python -O` strips.
 
 The tests below exercise the validators whose laws live in `bimult`, the
-search guards, and the typed errors of `ablin`, `rings`, `cohomology` and
-`extensions`.  Here they run again in a `python -O` subprocess.
+search guards, the typed errors of `ablin`, `rings`, `crossed`, `corpus`,
+`transport`, `cohomology` and `extensions`, and the CLI's exit code for
+internal errors.  Here they run again in a `python -O` subprocess.
 """
 
 import os
@@ -22,7 +23,15 @@ VALIDATION_TESTS = [
     "tests/test_ablin.py::test_homology_rejects_maps_that_do_not_compose_to_zero",
     "tests/test_ablin.py::test_class_of_rejects_a_non_cycle",
     "tests/test_rings.py::test_subring_two_z4",
+    "tests/test_rings.py::test_compose_rejects_mismatched_rings",
+    "tests/test_corpus.py::test_unital_homs_rejects_a_non_unital_ring",
+    "tests/test_transport.py::test_validate_section_rejects_a_non_unital_quotient",
+    "tests/test_transport.py::test_choose_section_rejects_an_unknown_flavor",
+    "tests/test_transport.py::test_reduce_rejects_a_section_over_another_quotient",
     "tests/test_cohomology.py::test_pullback_module_along_unit_embedding",
+    "tests/test_cohomology.py::test_pullback_module_rejects_a_foreign_module",
+    "tests/test_cohomology.py::test_pullback2_rejects_a_foreign_pulled_module",
+    "tests/test_cohomology.py::test_pullback3_rejects_a_foreign_cochain",
     "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
     "tests/test_extensions.py::test_obstruction_requires_regular_base",
     "tests/test_extensions.py::test_factor_system_action_condition_witnesses",
@@ -33,6 +42,8 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_equivalent_rejects_extensions_over_different_bases",
     "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_guard_is_a_resource_error",
+    "tests/test_fileio_cli.py::test_cli_bimult_pair_scan_guard_is_a_resource_error",
+    "tests/test_fileio_cli.py::test_cli_internal_error_exits_3",
     "tests/test_acceptance.py::test_criterion_07_section_independence",
 ]
 

@@ -1,8 +1,13 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringcat.bimult import bimult_ring
 from ringcat.rings import (
     FiniteRing,
     HomError,
@@ -10,6 +15,7 @@ from ringcat.rings import (
     RingHom,
     SearchGuardError,
     _additive_maps,
+    _sum_generators,
     additive_group,
     decompose_abelian,
     dual_numbers,
@@ -135,6 +141,12 @@ def test_ring_hom_validation():
     assert np.array_equal(comp.map, h.map)
 
 
+def test_compose_rejects_mismatched_rings():
+    h = RingHom(zmod(4), zmod(2), [0, 1, 0, 1])
+    with pytest.raises(HomError, match="cannot compose"):
+        h.compose(identity_hom(zmod(2)))
+
+
 def test_ideal_cokernel_two_z4():
     # The ideal {0, 2} in Z/4 gives a quotient of order 2.
     z4 = zmod(4)
@@ -230,3 +242,168 @@ def test_additive_maps_guard():
     # Four generators of order 2, each free to go to any of 32 elements.
     with pytest.raises(SearchGuardError, match="1048576 candidate"):
         _additive_maps(r16.add, r32.add)
+
+
+# ---------------------------------------------------------------------------
+# validate_ring proves its laws over three elements from additive
+# generators; the whole-grid scan below is the oracle for its reports.
+
+
+def whole_grid_validate(add, mul, unit=None):
+    """validate_ring's axioms on in-range tables, each checked as one
+    index grid (|R|^3 cells for the laws over three elements): the first
+    failing (axiom, witness), or None if the tables form a ring."""
+    idx = np.arange(len(add))
+    checks = [
+        ("zero-element", add[0] == idx, lambda j: (0, j)),
+        ("zero-element", add[:, 0] == idx, lambda i: (i, 0)),
+        ("add-commutative", add == add.T, None),
+        ("add-associative", add[:, add] == add[add, :], None),
+        # validate_ring nests this witness one level deeper: ((i,),)
+        ("add-inverse", (add == 0).any(axis=1), lambda i: ((i,),)),
+        ("mul-associative", mul[:, mul] == mul[mul, :], None),
+        ("distributive-left", mul[:, add] == add[mul[:, :, None], mul[:, None, :]], None),
+        ("distributive-right", mul[add, :] == add[mul[:, None, :], mul[None, :, :]], None),
+    ]
+    if unit is not None:
+        checks += [
+            ("unit", mul[unit] == idx, lambda j: (unit, j)),
+            ("unit", mul[:, unit] == idx, lambda i: (i, unit)),
+        ]
+    for axiom, ok, place in checks:
+        if not ok.all():
+            w = tuple(int(x) for x in np.unravel_index(np.argmin(ok), ok.shape))
+            return axiom, place(*w) if place else w
+    return None
+
+
+def outcome(add, mul, unit=None):
+    try:
+        validate_ring(add, mul, unit)
+    except RingAxiomError as e:
+        return e.axiom, e.witness
+    return None
+
+
+def relabelled(r, seed):
+    """r with its nonzero elements permuted at random, so that the least
+    elements are no longer the additive generators."""
+    p = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(r.order - 1)))
+    add, mul = np.empty_like(r.add), np.empty_like(r.mul)
+    add[np.ix_(p, p)] = p[r.add]
+    mul[np.ix_(p, p)] = p[r.mul]
+    unit = None if r.unit is None else int(p[r.unit])
+    return validate_ring(add, mul, unit, name=f"{r.name}_relabelled")
+
+
+@functools.cache
+def mutation_bases():
+    return (
+        [zmod(n) for n in range(1, 9)]
+        + [zero_mult(n) for n in (2, 3, 4, 6, 8)]
+        + [dual_numbers(2), dual_numbers(3), zero_mult_klein(), relabelled(zmod(8), 3)]
+    )
+
+
+def test_relabelled_ring_has_more_than_the_fewest_generators():
+    # Z/8 needs one generator besides 0; the least-index rule keeps more.
+    assert _sum_generators(zmod(8).add).tolist() == [0, 1]
+    assert len(_sum_generators(relabelled(zmod(8), 3).add)) > 2
+
+
+@st.composite
+def mutated_tables(draw):
+    r = draw(st.sampled_from(mutation_bases()))
+    add, mul, n = r.add.copy(), r.mul.copy(), r.order
+    for _ in range(draw(st.integers(1, 2))):
+        t = draw(st.sampled_from((add, mul)))
+        i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        t[i, j] = v
+        # a symmetric change of the addition keeps it commutative, so the
+        # later laws are reached
+        if t is add and draw(st.booleans()):
+            t[j, i] = v
+    return add, mul, r.unit
+
+
+@settings(max_examples=600, deadline=None)
+@given(tables=mutated_tables())
+def test_validate_matches_whole_grid_scan(tables):
+    assert outcome(*tables) == whole_grid_validate(*tables)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_mul_associative_is_scanned_when_one_distributive_law_fails(side):
+    # On Z/4 let a * c = a f(c) with f = (0, 1, 1, 3): every column map is
+    # additive, so right distributivity holds, but f is not additive, so
+    # left distributivity fails.  The generators are 0 and 1 and f fixes
+    # both, so (st)u = s(tu) holds on them, yet (1 * 2) * 3 != 1 * (2 * 3).
+    # The transposed table swaps the sides.  mul-associative is reported
+    # first; it may only be proved from the generators when both
+    # distributive laws hold.
+    z4 = zmod(4)
+    i = np.arange(4)
+    mul = (i[:, None] * np.array([0, 1, 1, 3])) % 4
+    if side == "right":
+        mul = mul.T
+    assert outcome(z4.add, mul)[0] == "mul-associative"
+    assert outcome(z4.add, mul) == whole_grid_validate(z4.add, mul)
+
+
+def test_validate_matches_whole_grid_scan_on_every_biadditive_klein_product():
+    # Every biadditive product on the Klein group, fixed by the products of
+    # its basis 1, 2 (element 3 = 1 + 2): both distributive laws hold, so
+    # mul-associative is proved from the generators 0, 1, 2 alone.
+    k = zero_mult_klein()
+    bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])  # element x = 2 x0 + x1
+    laws = set()
+    for images in itertools.product(range(4), repeat=4):
+        basis = bits[np.array(images).reshape(2, 2)]  # basis[i, j] = e_i e_j
+        coef = bits[:, ::-1]  # coefficients of e_1 = 1 and e_2 = 2
+        prod = np.einsum("ai,bj,ijk->abk", coef, coef, basis) % 2
+        mul = prod[..., 0] * 2 + prod[..., 1]
+        got = outcome(k.add, mul)
+        assert got == whole_grid_validate(k.add, mul), images
+        laws.add(got and got[0])
+    assert laws == {None, "mul-associative"}
+
+
+def test_validate_matches_whole_grid_scan_on_every_unmutated_base():
+    for r in mutation_bases():
+        assert outcome(r.add, r.mul, r.unit) is None
+        assert whole_grid_validate(r.add, r.mul, r.unit) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)))
+def test_every_element_is_a_sum_of_generators_on_any_table(cells):
+    # No ring axiom is assumed: close the generators under the table.
+    n = int(round(len(cells) ** 0.5))
+    add = np.array(cells).reshape(n, n)
+    reached = np.zeros(n, dtype=bool)
+    reached[_sum_generators(add)] = True
+    while True:
+        grown = reached.copy()
+        grown[add[np.ix_(reached, reached)]] = True
+        if (grown == reached).all():
+            break
+        reached = grown
+    assert reached.all()
+
+
+def test_klein_bimultiplication_ring_has_nine_generators():
+    ring = bimult_ring(zero_mult_klein()).ring
+    assert _sum_generators(ring.add).tolist() == [0, 1, 2, 4, 8, 16, 32, 64, 128]
+
+
+def test_bimult_ring_validation_memory_is_bounded():
+    # The whole-grid laws took 96 MB here, one |R|^3 grid of 256^3 cells.
+    zero_mult_klein()
+    tracemalloc.start()
+    try:
+        bimult_ring(zero_mult_klein())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak

@@ -1,5 +1,7 @@
 """Sections, reduction to quotient data, and the reduced checker."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,28 @@ def test_validate_section_rejects_broken_tables():
     sigma[1] = 3
     with pytest.raises(ValueError, match="unit"):
         validate_section(es, sigma, sec.fplus, sec.ftimes, quo=sec.quotient)
+
+
+def test_validate_section_rejects_a_non_unital_quotient():
+    es = doubled_into_z4()
+    sec = choose_section(es, "least")
+    quo = copy.copy(sec.quotient)
+    quo.ring = copy.copy(quo.ring)
+    quo.ring.unit = None
+    with pytest.raises(ValueError, match="unital"):
+        validate_section(es, sec.sigma, sec.fplus, sec.ftimes, quo=quo)
+
+
+def test_choose_section_rejects_an_unknown_flavor():
+    with pytest.raises(ValueError, match="flavor"):
+        choose_section(doubled_into_z4(), "middle")
+
+
+def test_reduce_rejects_a_section_over_another_quotient():
+    # Z/4 -> Z/4/(2) and Z/2 -> Z/2 project differently
+    section = choose_section(identity_action_z2())
+    with pytest.raises(ValueError, match="different quotient"):
+        reduce_esystem(doubled_into_z4(), section=section)
 
 
 def test_reduce_flat_system_is_trivial():
