@@ -28,6 +28,7 @@ from .rings import (
     SearchGuardError,
     _additive_maps,
     _first_bad,
+    _product_blocks,
     validate_ring,
 )
 
@@ -177,8 +178,12 @@ def enumerate_bimultiplications(b: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     if b.order > ENUM_GUARD:
         raise SearchGuardError(f"enumeration is guarded to order {ENUM_GUARD}, got {b.order}")
     endos = _additive_maps(b.add, b.add).astype(np.int16)
-    lefts = endos[_left_product(b.mul, endos).all(axis=(1, 2))]
-    rights = endos[_right_product(b.mul, endos).all(axis=(1, 2))]
+    lefts, rights = [], []
+    for rows in _product_blocks([len(endos)], b.order**2):
+        t = endos[rows[:, 0]]
+        lefts.append(t[_left_product(b.mul, t).all(axis=(1, 2))])
+        rights.append(t[_right_product(b.mul, t).all(axis=(1, 2))])
+    lefts, rights = np.concatenate(lefts), np.concatenate(rights)
     pairs = len(lefts) * len(rights)
     if pairs > MAP_GUARD:
         raise SearchGuardError(

@@ -16,6 +16,7 @@ tiny orders.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .rings import (
     SearchGuardError,
     _first_bad,
     _lift_defects,
+    _product_blocks,
     _sum,
     find_unit,
     ideal_cokernel,
@@ -561,8 +563,13 @@ def exhaustive_extension_search(
     bimultiplication ring, then multiplicative defects pinned slotwise
     by the composite-action rows, then a unit scan and the search for a
     compatible map into the action target.
+
+    Each stage filters its candidates a block at a time
+    (`rings._product_blocks`) and passes the survivors on in
+    itertools.product order, so the finds and their order are those of
+    a one-candidate-at-a-time walk.
     """
-    b, dd = base.b, base.d_ring
+    b = base.b
     nb, nq = b.order, q.order
     if q.unit is None:
         raise ExtensionError("quotient-unital", (q.name,))
@@ -571,59 +578,53 @@ def exhaustive_extension_search(
     psi = _align_psi(psi, q, quo.ring)
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
-    proj = quo.projection.map
-    dm = base.d.map
-    arb, arq = np.arange(nb), np.arange(nq)
+    arq = np.arange(nq)
     u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
-    qa, qm = q.add, q.mul
+    qa = q.add
 
     free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
     if nb ** len(free_f) > guard:
         raise SearchGuardError(f"{nb}^{len(free_f)} additive defect candidates")
-    f_pool = []
-    for vals in itertools.product(range(nb), repeat=len(free_f)):
-        f = np.zeros((nq, nq), dtype=np.int16)
-        for (u, v), val in zip(free_f, vals, strict=True):
-            f[u, v] = f[v, u] = val
-        lhs = b.add[f[v3, w3], f[u3, qa[v3, w3]]]
-        rhs = b.add[f[u3, v3], f[qa[u3, v3], w3]]
-        if np.array_equal(lhs, rhs):
-            f_pool.append(f)
-
     # Pool row 0 is the zero bimultiplication, the action of the zero class.
     pl, pr = enumerate_bimultiplications(b)
     npool = len(pl)
     if npool ** (nq - 1) > guard:
         raise SearchGuardError(f"{npool}^{nq - 1} action candidates")
+
+    fu, fv = np.array(free_f, dtype=np.int64).reshape(-1, 2).T
+    f_pool = []
+    for vals in _product_blocks([nb] * len(free_f), nq**3):
+        fs = np.zeros((len(vals), nq, nq), dtype=np.int16)
+        fs[:, fu, fv] = vals
+        fs[:, fv, fu] = vals
+        lhs = b.add[fs[:, v3, w3], fs[:, u3, qa[v3, w3]]]
+        rhs = b.add[fs[:, u3, v3], fs[:, qa[u3, v3], w3]]
+        f_pool.extend(fs[(lhs == rhs).all(axis=(1, 2, 3))])
+
     around = _permutable(pl, pr).all(axis=2)
     perm_ok = around & around.T
-
     results: list[Extension] = []
-    c3b = arb[None, None, :]
+    c3b = np.arange(nb)[None, None, :]
     for f in f_pool:
-        dmf = dm[f]
         fl3 = b.mul[f[:, :, None], c3b]
         fr3 = b.mul[c3b, f[:, :, None]]
-        for choice in itertools.product(range(npool), repeat=nq - 1):
-            acts = np.concatenate(([0], np.asarray(choice)))
-            if not perm_ok[acts[:, None], acts[None, :]].all():
-                continue
-            left = pl[acts]
-            right = pr[acts]
+        for choice in _product_blocks([npool] * (nq - 1), nq * nq * nb):
+            acts = np.zeros((len(choice), nq), dtype=np.int64)
+            acts[:, 1:] = choice
+            acts = acts[perm_ok[acts[:, :, None], acts[:, None, :]].all(axis=(1, 2))]
+            left, right = pl[acts], pr[acts]
             ok = (
-                b.add[left[:, None, :], left[None, :, :]]
-                == b.add[fl3, left[qa]]
-            ).all() and (
-                b.add[right[:, None, :], right[None, :, :]]
-                == b.add[fr3, right[qa]]
-            ).all()
-            if not ok:
-                continue
-            ext = _search_g_stage(
-                base, q, psi, quo, f, left, right, guard, stop_at_first, results
-            )
-            if ext and stop_at_first:
-                return results
+                b.add[left[:, :, None], left[:, None]] == b.add[fl3, left[:, qa]]
+            ).all(axis=(1, 2, 3))
+            ok &= (
+                b.add[right[:, :, None], right[:, None]] == b.add[fr3, right[:, qa]]
+            ).all(axis=(1, 2, 3))
+            for lt, rt in zip(left[ok], right[ok], strict=True):
+                found = _search_g_stage(
+                    base, q, psi, quo, f, lt, rt, guard, stop_at_first, results
+                )
+                if found and stop_at_first:
+                    return results
     return results
 
 
@@ -631,107 +632,103 @@ def _search_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, res
     """Inner stages of the exhaustive search: multiplicative defects,
     unit scan, target map.  Appends finds to `results`, returns whether
     anything was appended."""
-    b, dd = base.b, base.d_ring
+    b = base.b
     nb, nq = b.order, q.order
-    dm = base.d.map
-    proj = quo.projection.map
     arq = np.arange(nq)
     qa, qm = q.add, q.mul
 
     # The composite-action rows pin each g(u, v) to the elements whose
     # inner bimultiplication matches the defect of the action product.
-    cands: list[list[int]] = []
-    slots = [(u, v) for u in range(1, nq) for v in range(1, nq)]
-    for u, v in slots:
-        lrow = b.add[left[u][left[v]], b.neg[left[qm[u, v]]]]
-        rrow = b.add[right[v][right[u]], b.neg[right[qm[u, v]]]]
-        opts = [
-            x
-            for x in range(nb)
-            if np.array_equal(b.mul[x, :], lrow) and np.array_equal(b.mul[:, x], rrow)
-        ]
-        if not opts:
-            return False
-        cands.append(opts)
+    us, vs = (a.ravel() for a in np.meshgrid(arq[1:], arq[1:], indexing="ij"))
+    lrows = b.add[left[us[:, None], left[vs]], b.neg[left[qm[us, vs]]]]
+    rrows = b.add[right[vs[:, None], right[us]], b.neg[right[qm[us, vs]]]]
+    opts = (b.mul == lrows[:, None, :]).all(axis=2) & (b.mul.T == rrows[:, None, :]).all(axis=2)
+    counts = opts.sum(axis=1).tolist()
+    if not all(counts):
+        return False
     total = 1
-    for opts in cands:
-        total *= len(opts)
+    for c in counts:
+        total *= c
         if total > guard:
             raise SearchGuardError(f"{total}+ multiplicative defect candidates")
-    gs = np.zeros((total, nq, nq), dtype=np.int16)
-    for ci, combo in enumerate(itertools.product(*cands)):
-        for (u, v), val in zip(slots, combo, strict=True):
-            gs[ci, u, v] = val
+    # Column k of `pick` is the k-th option of each slot, options ascending.
+    pick = np.argsort(~opts, axis=1, kind="stable")
 
     u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
-    G_uvm_w = gs[:, qm[:, :, None], arq[None, None, :]]
-    G_uva_w = gs[:, qa[:, :, None], arq[None, None, :]]
-    G_u_vwm = gs[:, arq[:, None, None], qm[None, :, :]]
-    G_u_vwa = gs[:, arq[:, None, None], qa[None, :, :]]
-    G_vw = gs[:, None, :, :]
-    # mixed associativity: r_w(g(u,v)) + g(uv,w) == l_u(g(v,w)) + g(u,vw)
-    lhs = b.add[right[arq[None, None, None, :], gs[:, :, :, None]], G_uvm_w]
-    rhs = b.add[left[arq[None, :, None, None], G_vw], G_u_vwm]
-    ok = (lhs == rhs).all(axis=(1, 2, 3))
-    # distributivity across the quotient: both defect kinds interact.
     f_uw_vw = f[qm[u3, w3], qm[v3, w3]]
-    lhs = b.add[right[arq[None, None, None, :], f[None, :, :, None]], G_uva_w]
-    rhs = b.add[b.add[gs[:, :, None, :], G_vw], f_uw_vw[None]]
-    ok &= (lhs == rhs).all(axis=(1, 2, 3))
     f_uv_uw = f[qm[u3, v3], qm[u3, w3]]
-    lhs = b.add[left[arq[None, :, None, None], f[None, None, :, :]], G_u_vwa]
-    rhs = b.add[b.add[gs[:, :, :, None], gs[:, :, None, :]], f_uv_uw[None]]
-    ok &= (lhs == rhs).all(axis=(1, 2, 3))
-
     found = False
-    for ci in np.nonzero(ok)[0]:
-        g = gs[ci]
-        add, mul = crossed_tables(b, q, left, right, f, g)
-        unit = find_unit(add, mul)
-        if unit is None:
-            continue
-        # Lift candidates into the action target, one fibre per class.
-        xc = []
-        for u in range(nq):
-            opts = [
-                x
-                for x in range(dd.order)
-                if proj[x] == psi.map[u]
-                and np.array_equal(base.theta_left[x], left[u])
-                and np.array_equal(base.theta_right[x], right[u])
-            ]
-            if not opts:
-                break
-            xc.append(opts)
-        if len(xc) < nq:
-            continue
-        total_x = 1
-        for opts in xc:
-            total_x *= len(opts)
-        if total_x > guard:
-            raise SearchGuardError(f"{total_x} target-lift candidates")
-        X = np.array(list(itertools.product(*xc)), dtype=np.int64)
-        okx = (X[:, qa] == dd.add[dd.add[X[:, :, None], X[:, None, :]], dm[f][None]]).all(
+    for digits in _product_blocks(counts, nq**3):
+        gs = np.zeros((len(digits), nq, nq), dtype=np.int16)
+        gs[:, us, vs] = pick[np.arange(len(us)), digits]
+        G_uvm_w = gs[:, qm[:, :, None], arq[None, None, :]]
+        G_uva_w = gs[:, qa[:, :, None], arq[None, None, :]]
+        G_u_vwm = gs[:, arq[:, None, None], qm[None, :, :]]
+        G_u_vwa = gs[:, arq[:, None, None], qa[None, :, :]]
+        G_vw = gs[:, None, :, :]
+        # mixed associativity: r_w(g(u,v)) + g(uv,w) == l_u(g(v,w)) + g(u,vw)
+        lhs = b.add[right[arq[None, None, None, :], gs[:, :, :, None]], G_uvm_w]
+        rhs = b.add[left[arq[None, :, None, None], G_vw], G_u_vwm]
+        ok = (lhs == rhs).all(axis=(1, 2, 3))
+        # distributivity across the quotient: both defect kinds interact.
+        lhs = b.add[right[arq[None, None, None, :], f[None, :, :, None]], G_uva_w]
+        rhs = b.add[b.add[gs[:, :, None, :], G_vw], f_uw_vw[None]]
+        ok &= (lhs == rhs).all(axis=(1, 2, 3))
+        lhs = b.add[left[arq[None, :, None, None], f[None, None, :, :]], G_u_vwa]
+        rhs = b.add[b.add[gs[:, :, :, None], gs[:, :, None, :]], f_uv_uw[None]]
+        ok &= (lhs == rhs).all(axis=(1, 2, 3))
+
+        for g in gs[ok]:
+            add, mul = crossed_tables(b, q, left, right, f, g)
+            unit = find_unit(add, mul)
+            if unit is None:
+                continue
+            xrow = _target_lift(base, q, psi, quo, left, right, f, g, unit, guard)
+            if xrow is None:
+                continue
+            ring = validate_ring(add, mul, unit, name=f"{base.name}_search_{len(results)}")
+            e = np.arange(ring.order)
+            bp, qp = e % nb, e // nb
+            eps = base.d_ring.add[base.d.map[bp], xrow[qp]]
+            ext = validate_extension(
+                base, ring, q, np.arange(nb), qp, eps, name=ring.name
+            )
+            results.append(ext)
+            found = True
+            if stop_at_first:
+                return True
+    return found
+
+
+def _target_lift(base, q, psi, quo, left, right, f, g, unit, guard):
+    """The first choice of one lift into the action target per class that
+    makes eps a unital ring map, or None."""
+    dd, dm = base.d_ring, base.d.map
+    nb, nq = base.b.order, q.order
+    # Row u masks the lifts of class u: over psi(u), acting as u does.
+    lifts = (
+        (quo.projection.map == psi.map[:, None])
+        & (base.theta_left == left[:, None, :]).all(axis=2)
+        & (base.theta_right == right[:, None, :]).all(axis=2)
+    )
+    counts = lifts.sum(axis=1).tolist()
+    if not all(counts):
+        return None
+    total_x = math.prod(counts)
+    if total_x > guard:
+        raise SearchGuardError(f"{total_x} target-lift candidates")
+    pick = np.argsort(~lifts, axis=1, kind="stable")
+    u0, e0 = divmod(int(unit), nb)
+    for digits in _product_blocks(counts, nq * nq):
+        X = pick[np.arange(nq), digits]
+        okx = (X[:, q.add] == dd.add[dd.add[X[:, :, None], X[:, None, :]], dm[f][None]]).all(
             axis=(1, 2)
         )
-        okx &= (X[:, qm] == dd.add[dd.mul[X[:, :, None], X[:, None, :]], dm[g][None]]).all(
+        okx &= (X[:, q.mul] == dd.add[dd.mul[X[:, :, None], X[:, None, :]], dm[g][None]]).all(
             axis=(1, 2)
         )
-        u0, e0 = divmod(int(unit), nb)
         okx &= dd.add[dm[e0], X[:, u0]] == dd.unit
         rows = np.nonzero(okx)[0]
-        if rows.size == 0:
-            continue
-        xrow = X[rows[0]]
-        ring = validate_ring(add, mul, unit, name=f"{base.name}_search_{len(results)}")
-        e = np.arange(ring.order)
-        bp, qp = e % nb, e // nb
-        eps = dd.add[dm[bp], xrow[qp]]
-        ext = validate_extension(
-            base, ring, q, np.arange(nb), qp, eps, name=ring.name
-        )
-        results.append(ext)
-        found = True
-        if stop_at_first:
-            return True
-    return found
+        if rows.size:
+            return X[rows[0]]
+    return None

@@ -54,6 +54,29 @@ def _sum(add: np.ndarray, *terms):
     return acc
 
 
+# A batched candidate filter takes rows in blocks of about this many
+# cells, so that each of its temporaries stays within a few hundred KB.
+BLOCK_CELLS = 1 << 16
+
+
+def _product_blocks(radices, width: int):
+    """The tuples of itertools.product(*map(range, radices)), in that order,
+    as (m, len(radices)) int64 blocks of digits (last digit fastest).
+
+    A filter spending `width` cells on each candidate gets blocks of at
+    most BLOCK_CELLS // width rows.
+    """
+    radices = [int(r) for r in radices]
+    total = math.prod(radices)
+    rows = max(1, BLOCK_CELLS // width)
+    for lo in range(0, total, rows):
+        rest = np.arange(lo, min(lo + rows, total))
+        digits = np.empty((len(rest), len(radices)), dtype=np.int64)
+        for i in range(len(radices) - 1, -1, -1):
+            rest, digits[:, i] = np.divmod(rest, radices[i])
+        yield digits
+
+
 @dataclass(eq=False)
 class FiniteRing:
     """Validated ring tables.  Instances compare and hash by identity so
@@ -131,7 +154,7 @@ def validate_ring(add, mul, unit=None, name: str = "ring") -> FiniteRing:
 
     has_neg = (add == 0).any(axis=1)
     if not has_neg.all():
-        raise RingAxiomError("add-inverse", (_first_bad(has_neg),))
+        raise RingAxiomError("add-inverse", _first_bad(has_neg))
 
     # a(s + c) == as + ac on axes (a, s, c); (s + b)c == sc + bc on (s, b, c)
     left = (mul[:, add[gens]] == add[mul[:, gens, None], mul[:, None, :]]).all()

@@ -1,5 +1,7 @@
 """Bimultiplication enumeration, the bimultiplication ring, inner maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ def test_pair_scan_guard_trips_before_the_scan(monkeypatch):
     monkeypatch.setattr(bimult, "_mixed_product", no_scan)
     with pytest.raises(SearchGuardError, match="1048576 candidate bimultiplications"):
         enumerate_bimultiplications(zero_ring_2_2_4())
+
+
+def test_endomap_filter_memory_is_bounded():
+    # The 1024 endomaps are filtered in blocks of BLOCK_CELLS cells; the
+    # whole (1024, 16, 16) grids of each filter took 1.5 MB at once.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchGuardError):
+            enumerate_bimultiplications(zero_ring_2_2_4())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_ring_and_isomorphism_guards(monkeypatch):

@@ -1,14 +1,21 @@
 """Extensions: validation, factor systems, crossed products, enumeration."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
-from ringcat.bimult import Bimult, enumerate_bimultiplications, permutability_witness
+from ringcat import extensions
+from ringcat.bimult import Bimult, _permutable, enumerate_bimultiplications, permutability_witness
+from ringcat.corpus import corpus
 from ringcat.crossed import ESystemError, multiplier_esystem, validate_esystem
 from ringcat.extensions import (
+    SEARCH_GUARD,
     ExtensionError,
     FactorSystemError,
     SearchGuardError,
+    _align_psi,
     crossed_ring,
     crossed_product,
     crossed_tables,
@@ -22,9 +29,13 @@ from ringcat.extensions import (
     validate_factor_system,
 )
 from ringcat.rings import (
+    BLOCK_CELLS,
     RingAxiomError,
     RingHom,
+    _product_blocks,
     dual_numbers,
+    find_unit,
+    ideal_cokernel,
     product_ring,
     validate_ring,
     zero_mult,
@@ -306,6 +317,8 @@ def test_obstructed_identity_pullback():
     cls = extension_obstruction(es, rc.ring, psi, rc=rc)
     assert not cls.vanishes and cls.certificate is not None
     assert enumerate_extensions(es, rc.ring, psi, rc=rc, classification=cls) == []
+    # The brute-force route, run to exhaustion, finds no extension either.
+    assert exhaustive_extension_search(es, rc.ring, psi, stop_at_first=False) == []
 
 
 def test_obstruction_vanishes_on_unit_pullback():
@@ -343,15 +356,24 @@ def test_brute_force_matches_enumeration():
     assert len(exhaustive_extension_search(es, psi.source, psi)) == 1
 
 
-def test_search_guards():
+def test_search_guards(monkeypatch):
     es = flat_z2()
     e4 = z4_extension(es)
     with pytest.raises(SearchGuardError):
         equivalent(e4, e4, guard=1)
     rc = reduce_esystem(es)
     psi = RingHom(rc.ring, rc.ring, np.arange(2))
-    with pytest.raises(SearchGuardError):
+    with pytest.raises(SearchGuardError, match=r"^2\^1 additive defect candidates$"):
         exhaustive_extension_search(es, rc.ring, psi, guard=1)
+
+    # The zero ring on Z/2 has 4 bimultiplications and Z/2 one nonzero
+    # class: the action guard trips before any additive defect is made.
+    def no_pool(*args):
+        raise AssertionError("the additive defect pool was built")
+
+    monkeypatch.setattr(extensions, "_product_blocks", no_pool)
+    with pytest.raises(SearchGuardError, match=r"^4\^1 action candidates$"):
+        exhaustive_extension_search(es, rc.ring, psi, guard=3)
 
 
 def test_equivalent_identity_and_mismatch():
@@ -406,3 +428,263 @@ def test_obstruction_requires_regular_base():
     es = multiplier_esystem(zero_mult_klein(), name="klein0")
     with pytest.raises(ESystemError, match="not-regular"):
         extension_obstruction(es, zmod(2), RingHom(zmod(2), zmod(2), [0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# The staged brute-force search filters its candidates in blocks; the
+# one-candidate-at-a-time walk below is the oracle for its finds and their
+# order.
+
+
+def reference_search(base, q, psi, quo=None, stop_at_first=True, guard=SEARCH_GUARD):
+    """exhaustive_extension_search, testing one candidate at a time."""
+    b, dd = base.b, base.d_ring
+    nb, nq = b.order, q.order
+    if q.unit is None:
+        raise ExtensionError("quotient-unital", (q.name,))
+    if quo is None:
+        quo = ideal_cokernel(base.d)
+    psi = _align_psi(psi, q, quo.ring)
+    if not psi.unital:
+        raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
+    arb, arq = np.arange(nb), np.arange(nq)
+    u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
+    qa = q.add
+
+    free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
+    if nb ** len(free_f) > guard:
+        raise SearchGuardError(f"{nb}^{len(free_f)} additive defect candidates")
+    f_pool = []
+    for vals in itertools.product(range(nb), repeat=len(free_f)):
+        f = np.zeros((nq, nq), dtype=np.int16)
+        for (u, v), val in zip(free_f, vals, strict=True):
+            f[u, v] = f[v, u] = val
+        lhs = b.add[f[v3, w3], f[u3, qa[v3, w3]]]
+        rhs = b.add[f[u3, v3], f[qa[u3, v3], w3]]
+        if np.array_equal(lhs, rhs):
+            f_pool.append(f)
+
+    pl, pr = enumerate_bimultiplications(b)
+    npool = len(pl)
+    if npool ** (nq - 1) > guard:
+        raise SearchGuardError(f"{npool}^{nq - 1} action candidates")
+    around = _permutable(pl, pr).all(axis=2)
+    perm_ok = around & around.T
+
+    results = []
+    c3b = arb[None, None, :]
+    for f in f_pool:
+        fl3 = b.mul[f[:, :, None], c3b]
+        fr3 = b.mul[c3b, f[:, :, None]]
+        for choice in itertools.product(range(npool), repeat=nq - 1):
+            acts = np.concatenate(([0], np.asarray(choice)))
+            if not perm_ok[acts[:, None], acts[None, :]].all():
+                continue
+            left = pl[acts]
+            right = pr[acts]
+            ok = (
+                b.add[left[:, None, :], left[None, :, :]] == b.add[fl3, left[qa]]
+            ).all() and (
+                b.add[right[:, None, :], right[None, :, :]] == b.add[fr3, right[qa]]
+            ).all()
+            if not ok:
+                continue
+            ext = _reference_g_stage(
+                base, q, psi, quo, f, left, right, guard, stop_at_first, results
+            )
+            if ext and stop_at_first:
+                return results
+    return results
+
+
+def _reference_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, results):
+    b, dd = base.b, base.d_ring
+    nb, nq = b.order, q.order
+    dm = base.d.map
+    proj = quo.projection.map
+    arq = np.arange(nq)
+    qa, qm = q.add, q.mul
+
+    cands = []
+    slots = [(u, v) for u in range(1, nq) for v in range(1, nq)]
+    for u, v in slots:
+        lrow = b.add[left[u][left[v]], b.neg[left[qm[u, v]]]]
+        rrow = b.add[right[v][right[u]], b.neg[right[qm[u, v]]]]
+        opts = [
+            x
+            for x in range(nb)
+            if np.array_equal(b.mul[x, :], lrow) and np.array_equal(b.mul[:, x], rrow)
+        ]
+        if not opts:
+            return False
+        cands.append(opts)
+    total = 1
+    for opts in cands:
+        total *= len(opts)
+        if total > guard:
+            raise SearchGuardError(f"{total}+ multiplicative defect candidates")
+    gs = np.zeros((total, nq, nq), dtype=np.int16)
+    for ci, combo in enumerate(itertools.product(*cands)):
+        for (u, v), val in zip(slots, combo, strict=True):
+            gs[ci, u, v] = val
+
+    u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
+    G_uvm_w = gs[:, qm[:, :, None], arq[None, None, :]]
+    G_uva_w = gs[:, qa[:, :, None], arq[None, None, :]]
+    G_u_vwm = gs[:, arq[:, None, None], qm[None, :, :]]
+    G_u_vwa = gs[:, arq[:, None, None], qa[None, :, :]]
+    G_vw = gs[:, None, :, :]
+    lhs = b.add[right[arq[None, None, None, :], gs[:, :, :, None]], G_uvm_w]
+    rhs = b.add[left[arq[None, :, None, None], G_vw], G_u_vwm]
+    ok = (lhs == rhs).all(axis=(1, 2, 3))
+    f_uw_vw = f[qm[u3, w3], qm[v3, w3]]
+    lhs = b.add[right[arq[None, None, None, :], f[None, :, :, None]], G_uva_w]
+    rhs = b.add[b.add[gs[:, :, None, :], G_vw], f_uw_vw[None]]
+    ok &= (lhs == rhs).all(axis=(1, 2, 3))
+    f_uv_uw = f[qm[u3, v3], qm[u3, w3]]
+    lhs = b.add[left[arq[None, :, None, None], f[None, None, :, :]], G_u_vwa]
+    rhs = b.add[b.add[gs[:, :, :, None], gs[:, :, None, :]], f_uv_uw[None]]
+    ok &= (lhs == rhs).all(axis=(1, 2, 3))
+
+    found = False
+    for ci in np.nonzero(ok)[0]:
+        g = gs[ci]
+        add, mul = crossed_tables(b, q, left, right, f, g)
+        unit = find_unit(add, mul)
+        if unit is None:
+            continue
+        xc = []
+        for u in range(nq):
+            opts = [
+                x
+                for x in range(dd.order)
+                if proj[x] == psi.map[u]
+                and np.array_equal(base.theta_left[x], left[u])
+                and np.array_equal(base.theta_right[x], right[u])
+            ]
+            if not opts:
+                break
+            xc.append(opts)
+        if len(xc) < nq:
+            continue
+        total_x = 1
+        for opts in xc:
+            total_x *= len(opts)
+        if total_x > guard:
+            raise SearchGuardError(f"{total_x} target-lift candidates")
+        X = np.array(list(itertools.product(*xc)), dtype=np.int64)
+        okx = (X[:, qa] == dd.add[dd.add[X[:, :, None], X[:, None, :]], dm[f][None]]).all(
+            axis=(1, 2)
+        )
+        okx &= (X[:, qm] == dd.add[dd.mul[X[:, :, None], X[:, None, :]], dm[g][None]]).all(
+            axis=(1, 2)
+        )
+        u0, e0 = divmod(int(unit), nb)
+        okx &= dd.add[dm[e0], X[:, u0]] == dd.unit
+        rows = np.nonzero(okx)[0]
+        if rows.size == 0:
+            continue
+        xrow = X[rows[0]]
+        ring = validate_ring(add, mul, unit, name=f"{base.name}_search_{len(results)}")
+        e = np.arange(ring.order)
+        bp, qp = e % nb, e // nb
+        eps = dd.add[dm[bp], xrow[qp]]
+        ext = validate_extension(base, ring, q, np.arange(nb), qp, eps, name=ring.name)
+        results.append(ext)
+        found = True
+        if stop_at_first:
+            return True
+    return found
+
+
+@functools.cache
+def corpus_system(name):
+    return {es.name: es for es in corpus()}[name]
+
+
+def klein():
+    return product_ring(zmod(2), zmod(2))
+
+
+def corpus_triple(name, q=None, psi=None):
+    """A corpus system with quotient q and psi into its cokernel, given by
+    images; by default its own cokernel with psi = id."""
+    es = corpus_system(name)
+    coker = ideal_cokernel(es.d).ring
+    if q is None:
+        q, psi = coker, np.arange(coker.order)
+    return es, q, RingHom(q, coker, psi)
+
+
+def search_record(exts):
+    return [
+        (e.ring.add.tolist(), e.ring.mul.tolist(), e.ring.unit, e.eps.map.tolist(),
+         e.p.map.tolist(), e.ring.name)
+        for e in exts
+    ]
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ("mult_2z8",),  # obstructed: the search runs to exhaustion
+        ("double_2z8", klein(), [0, 0, 1, 1]),
+        ("flat_z2", klein(), [0, 1, 0, 1]),
+        ("flat_klein0", zmod(2), [0, 1]),
+    ],
+    ids=["mult_2z8-own", "double_2z8-z2xz2", "flat_z2-z2xz2", "flat_klein0-z2"],
+)
+@pytest.mark.parametrize("stop", [True, False])
+def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
+    # Besides the finds, the (f, action) candidates that reach the g stage
+    # must be the same and come in the same order: the earlier filters
+    # only prune, so dropping one would not change the finds.
+    calls = {"reference": [], "batched": []}
+
+    def recording(key, stage):
+        def run(base, q, psi, quo, f, left, right, *rest):
+            calls[key].append((f.tolist(), left.tolist(), right.tolist()))
+            return stage(base, q, psi, quo, f, left, right, *rest)
+        return run
+
+    monkeypatch.setitem(globals(), "_reference_g_stage",
+                        recording("reference", _reference_g_stage))
+    monkeypatch.setattr(extensions, "_search_g_stage",
+                        recording("batched", extensions._search_g_stage))
+    es, q, psi = corpus_triple(*triple)
+    want = search_record(reference_search(es, q, psi, stop_at_first=stop))
+    assert search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop)) == want
+    assert calls["batched"] == calls["reference"] and calls["reference"]
+
+
+@pytest.mark.parametrize("name", ["id_z2", "id_klein"])
+def test_zero_quotient_search_finds_the_base_itself(name):
+    # The cokernel is the zero ring, so b x q is b: the one extension is b
+    # with every map the obvious one.
+    es, q, psi = corpus_triple(name)
+    assert q.order == 1
+    found = exhaustive_extension_search(es, q, psi, stop_at_first=False)
+    assert len(found) == 1
+    ring = found[0].ring
+    assert np.array_equal(ring.add, es.b.add) and np.array_equal(ring.mul, es.b.mul)
+    assert ring.unit == es.b.unit
+
+
+@pytest.mark.parametrize(
+    "radices, width",
+    [
+        ([], 1),
+        ([3], 1),
+        ([2, 3, 4], 1),
+        ([5, 0, 2], 1),
+        ([4] * 6, 64),
+        ([3, 3, 3], BLOCK_CELLS // 5),
+        ([2] * 17, 1),
+    ],
+)
+def test_product_blocks_follow_product_order(radices, width):
+    blocks = list(_product_blocks(radices, width))
+    assert all(b.shape[1] == len(radices) and len(b) <= max(1, BLOCK_CELLS // width)
+               for b in blocks)
+    got = [tuple(row) for b in blocks for row in b.tolist()]
+    assert got == list(itertools.product(*(range(r) for r in radices)))

@@ -159,6 +159,14 @@ def test_cli_reports_the_first_failing_ring_law(tmp_path, capsys):
     assert capsys.readouterr().out == "status: invalid\nerror: mul-associative fails at (1, 0, 1)\n"
 
 
+def test_cli_reports_a_missing_additive_inverse(tmp_path, capsys):
+    # 1 + 1 = 1 and 1 + 0 = 1: the element 1 has no negative.
+    path = tmp_path / "no_inverse.ring"
+    path.write_text("ring x\norder 2\nadd\n0 1\n1 1\nmul\n0 0\n0 0\nunit none\n")
+    assert main(["validate", "ring", str(path)]) == 1
+    assert capsys.readouterr().out == "status: invalid\nerror: add-inverse fails at (1,)\n"
+
+
 def test_cli_internal_error_exits_3(monkeypatch, capsys):
     def broken(args, rep):
         raise AssertionError("invariant broken")
