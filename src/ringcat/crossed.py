@@ -45,6 +45,8 @@ from .rings import (
     IdealQuotient,
     RingAxiomError,
     RingHom,
+    _first_bad,
+    _preimages,
     decompose_abelian,
     ideal_cokernel,
     identity_hom,
@@ -304,18 +306,12 @@ def ideal_esystem(d_ring: FiniteRing, subset, name: str | None = None) -> ESyste
     """A two-sided ideal sitting inside its ambient ring, acting by
     ambient multiplication."""
     b, emb = subring(d_ring, subset)
-    pos = {int(e): i for i, e in enumerate(emb)}
-    nd = d_ring.order
-    tl = np.zeros((nd, b.order), dtype=np.int16)
-    tr = np.zeros((nd, b.order), dtype=np.int16)
-    for x in range(nd):
-        for c in range(b.order):
-            p = int(d_ring.mul[x, emb[c]])
-            q = int(d_ring.mul[emb[c], x])
-            if p not in pos or q not in pos:
-                raise ESystemError("not-an-ideal", (x, int(emb[c])))
-            tl[x, c] = pos[p]
-            tr[x, c] = pos[q]
+    pos = _preimages(emb, d_ring.order)
+    tl, tr = pos[d_ring.mul[:, emb]], pos[d_ring.mul[emb].T]
+    ok = (tl >= 0) & (tr >= 0)
+    if not ok.all():
+        x, c = _first_bad(ok)
+        raise ESystemError("not-an-ideal", (x, int(emb[c])))
     return validate_esystem(b, d_ring, emb, tl, tr, name=name or f"ideal_{d_ring.name}")
 
 
@@ -352,7 +348,7 @@ def _class_actions(es: ESystem, quo: IdealQuotient, kernel: np.ndarray):
     differently or a class moves the kernel out of itself (None if
     neither happens)."""
     proj = quo.projection.map
-    reps = np.unique(proj, return_index=True)[1]
+    reps = _preimages(proj, quo.ring.order)
     lrows, rrows = es.theta_left[:, kernel], es.theta_right[:, kernel]
     lrep, rrep = lrows[reps], rrows[reps]
     agree = (lrows == lrep[proj]).all(axis=1) & (rrows == rrep[proj]).all(axis=1)
@@ -422,11 +418,11 @@ def validate_bimodule(ring, group, add, neg, left, right, coords) -> Bimodule:
     return _bimodule_over_group(ring, group, add, neg, left, right, coords)
 
 
-def _check_group(add):
-    """Raise ESystemError("group-<axiom>", witness) unless the table is an
-    abelian group's addition with 0 as its zero."""
+def _check_group(add) -> FiniteRing:
+    """The table as a zero ring; raise ESystemError("group-<axiom>",
+    witness) unless it is an abelian group's addition with 0 as its zero."""
     try:
-        validate_ring(add, np.zeros_like(add))
+        return validate_ring(add, np.zeros_like(add))
     except RingAxiomError as e:
         raise ESystemError(f"group-{e.axiom}", e.witness) from e
 
@@ -446,9 +442,7 @@ def _bimodule_over_group(ring, group, add, neg, left, right, coords) -> Bimodule
     strides = np.array([math.prod(group.factors[i + 1:]) for i in range(group.rank)], np.int64)
     red = coords % factors
     codes = red @ strides
-    pos = np.full(m, -1, dtype=np.int64)
-    uniq, first = np.unique(codes, return_index=True)
-    pos[uniq] = first
+    pos = _preimages(codes, m)
     sums = ((red[:, None, :] + red[None, :, :]) % factors) @ strides
     _raise_first_failure([
         ("group-negation", np.equal, add[np.arange(m), neg], 0),
@@ -469,7 +463,7 @@ class KernelModule:
     module: Bimodule
     quotient: IdealQuotient
     carrier: list[int]
-    b_to_m: dict
+    b_to_m: np.ndarray
 
 
 def induced_kernel_module(es: ESystem, name: str | None = None) -> KernelModule:
@@ -477,20 +471,19 @@ def induced_kernel_module(es: ESystem, name: str | None = None) -> KernelModule:
     r = quo.ring
     carrier = sorted(int(x) for x in np.nonzero(es.d.map == 0)[0])
     factors, _, coords_b = decompose_abelian(es.b.add, carrier)
-    b_to_m = {b: i for i, b in enumerate(carrier)}
     m = len(carrier)
     kc = np.array(carrier, dtype=np.int64)
-    pos = np.full(es.b.order, -1, dtype=np.int64)
-    pos[kc] = np.arange(m)
-    add = pos[es.b.add[np.ix_(kc, kc)]]
-    neg = pos[es.b.neg[kc]]
+    # b_to_m[x] is the module index of the kernel element x, else -1.
+    b_to_m = _preimages(kc, es.b.order)
+    add = b_to_m[es.b.add[np.ix_(kc, kc)]]
+    neg = b_to_m[es.b.neg[kc]]
     coords = np.array([coords_b[x] for x in carrier], dtype=np.int64)
 
     # The action of a class is the action of any representative.
     lrows, rrows, fail = _class_actions(es, quo, kc)
     if fail:
         raise ESystemError(*fail)
-    left, right = pos[lrows], pos[rrows]
+    left, right = b_to_m[lrows], b_to_m[rrows]
     ar = np.arange(m)
     if not ((left[r.unit] == ar).all() and (right[r.unit] == ar).all()):
         raise ESystemError("kernel-action-unital", (int(r.unit),))

@@ -32,6 +32,7 @@ from .rings import (
     SearchGuardError,
     _first_bad,
     _lift_defects,
+    _preimages,
     _product_blocks,
     _sum,
     find_unit,
@@ -109,8 +110,7 @@ def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps
         raise ExtensionError("exactness", tuple(sorted(kernel ^ image)))
     if ring.unit is None:
         raise ExtensionError("unit", ())
-    jinv = np.full(ring.order, -1, dtype=np.int64)
-    jinv[jh.map] = np.arange(base.b.order)
+    jinv = _preimages(jh.map, ring.order)
     lt = ring.mul[:, jh.map]
     rt = ring.mul[jh.map, :].T
     for tbl, side in ((lt, "left"), (rt, "right")):
@@ -140,14 +140,13 @@ def induced_psi(ext: Extension, quo: IdealQuotient | None = None) -> RingHom:
     if quo is None:
         quo = ideal_cokernel(ext.base.d)
     vals = quo.projection.map[ext.eps.map]
-    q = ext.quotient
-    psi = np.full(q.order, -1, dtype=np.int64)
-    for x in range(ext.ring.order):
-        u = int(ext.p.map[x])
-        if psi[u] < 0:
-            psi[u] = vals[x]
-        elif psi[u] != vals[x]:
-            raise ExtensionError("induced-map", (u, x))
+    q, pm = ext.quotient, ext.p.map
+    # psi(u) is read off the least preimage of u; every other preimage must agree.
+    psi = vals[_preimages(pm, q.order)]
+    ok = vals == psi[pm]
+    if not ok.all():
+        x = _first_bad(ok)[0]
+        raise ExtensionError("induced-map", (int(pm[x]), x))
     h = RingHom(q, quo.ring, psi)
     if not h.unital:
         raise ExtensionError("induced-unit", (int(psi[q.unit]),))
@@ -374,14 +373,6 @@ def crossed_product(
     return ring, ext
 
 
-def _least_lift(p: RingHom) -> np.ndarray:
-    t = np.full(p.target.order, -1, dtype=np.int64)
-    for x in range(p.source.order - 1, -1, -1):
-        t[p.map[x]] = x
-    assert (t >= 0).all(), "projection is not surjective"
-    return t
-
-
 def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
     """Read the defect tables off a set-lift of the quotient.
 
@@ -391,7 +382,7 @@ def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
     """
     e, q, b = ext.ring, ext.quotient, ext.base.b
     if lifts is None:
-        lifts = _least_lift(ext.p)
+        lifts = _preimages(ext.p.map, q.order)
         lifts[q.unit] = e.unit
     else:
         lifts = np.asarray(lifts, dtype=np.int64)
@@ -399,8 +390,7 @@ def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
             raise ExtensionError("lift-section", ())
         if lifts[0] != 0:
             raise ExtensionError("lift-zero", (int(lifts[0]),))
-    jinv = np.full(e.order, -1, dtype=np.int64)
-    jinv[ext.j.map] = np.arange(b.order)
+    jinv = _preimages(ext.j.map, e.order)
 
     def down(tbl, what):
         out = jinv[tbl]
@@ -439,9 +429,8 @@ def equivalent(e1: Extension, e2: Extension, guard: int = SEARCH_GUARD) -> RingH
     r1, r2 = e1.ring, e2.ring
     if r1.order != r2.order:
         return None
-    t1, t2 = _least_lift(e1.p), _least_lift(e2.p)
-    jinv1 = np.full(r1.order, -1, dtype=np.int64)
-    jinv1[e1.j.map] = np.arange(nb)
+    t1, t2 = _preimages(e1.p.map, nq), _preimages(e2.p.map, nq)
+    jinv1 = _preimages(e1.j.map, r1.order)
     xs = np.arange(r1.order)
     u_of = np.asarray(e1.p.map, dtype=np.int64)
     b_of = jinv1[r1.add[xs, r1.neg[t1[u_of]]]]
@@ -491,7 +480,6 @@ def enumerate_extensions(
     psi: RingHom,
     rc: ReducedAnnCat | None = None,
     classification: FunctorClassification | None = None,
-    check_inequivalent: bool = True,
     name: str | None = None,
 ) -> list[Extension]:
     """One extension per cohomology class over psi; empty iff obstructed.
@@ -512,7 +500,6 @@ def enumerate_extensions(
     sec = rc.section
     carrier = np.asarray(km.carrier, dtype=np.int64)
     dd = base.d_ring
-    dm = base.d.map
     lift = sec.sigma[psi.map].copy()
     lift[q.unit] = dd.unit
     al = base.theta_left[lift]
@@ -520,12 +507,9 @@ def enumerate_extensions(
     # Base defect tables for the unit-adjusted lift, as least d-preimages.
     # With a nontrivial cokernel the lift is the transported section and
     # these reproduce the section's own defect tables.
-    least_pre = np.full(dd.order, -1, dtype=np.int64)
-    for bi in range(base.b.order - 1, -1, -1):
-        least_pre[dm[bi]] = bi
-    dadd, dmul = _lift_defects(dd, lift, q)
-    assert (least_pre[dadd] >= 0).all() and (least_pre[dmul] >= 0).all()
-    fp, ft = least_pre[dadd], least_pre[dmul]
+    least_pre = _preimages(base.d.map, dd.order)
+    fp, ft = (least_pre[t] for t in _lift_defects(dd, lift, q))
+    assert (fp >= 0).all() and (ft >= 0).all()
     stem = name or f"{base.name}_by_{q.name}"
     out = []
     for i, c in enumerate(cls.classes):
@@ -534,10 +518,9 @@ def enumerate_extensions(
         fs = validate_factor_system(base.b, q, al, ar_, f, g)
         _, ext = crossed_product(fs, base, psi, section=sec, name=f"{stem}_{i}")
         out.append(ext)
-    if check_inequivalent:
-        for i in range(len(out)):
-            for k in range(i + 1, len(out)):
-                assert equivalent(out[i], out[k]) is None, f"classes {i} and {k} collapse"
+    for i in range(len(out)):
+        for k in range(i + 1, len(out)):
+            assert equivalent(out[i], out[k]) is None, f"classes {i} and {k} collapse"
     return out
 
 

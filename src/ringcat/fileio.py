@@ -161,13 +161,10 @@ def module_from_tables(ring: FiniteRing, add, left, right, name: str = "module")
     The group axioms are checked before the decomposition, which needs them
     to terminate."""
     add = np.asarray(add, dtype=np.int16)
-    _check_group(add)
+    neg = _check_group(add).neg
     m = add.shape[0]
     factors, _, coord_of = decompose_abelian(add)
     group = FinAbGroup(tuple(factors))
-    neg = np.array(
-        [int(np.nonzero(add[i] == 0)[0][0]) for i in range(m)], dtype=np.int64
-    )
     coords = np.array([coord_of[i] for i in range(m)], dtype=np.int64).reshape(
         m, group.rank
     )

@@ -54,6 +54,16 @@ def _sum(add: np.ndarray, *terms):
     return acc
 
 
+def _preimages(m, n: int, last: bool = False) -> np.ndarray:
+    """out[y] is the least x with m[x] == y, or the greatest when `last`;
+    -1 where y has no preimage.  For an injective m this is its inverse."""
+    m = np.asarray(m, dtype=np.int64).ravel()
+    out = np.full(n, -1, dtype=np.int64)
+    ys, first = np.unique(m[::-1] if last else m, return_index=True)
+    out[ys] = len(m) - 1 - first if last else first
+    return out
+
+
 # A batched candidate filter takes rows in blocks of about this many
 # cells, so that each of its temporaries stays within a few hundred KB.
 BLOCK_CELLS = 1 << 16
@@ -253,12 +263,10 @@ def zero_mult(n: int) -> FiniteRing:
 
 
 def zero_mult_klein() -> FiniteRing:
-    """Klein four-group additively, every product zero."""
-    pairs = [(a, b) for a in range(2) for b in range(2)]
-    ix = {p: k for k, p in enumerate(pairs)}
-    n = 4
-    add = [[ix[((a + c) % 2, (b + d) % 2)] for (c, d) in pairs] for (a, b) in pairs]
-    return validate_ring(add, np.zeros((n, n), int), None, name="klein_zero")
+    """Klein four-group additively, every product zero.  Element 2a + b is
+    the pair (a, b), so the sum of two elements is the xor of their indices."""
+    i = np.arange(4)
+    return validate_ring(i[:, None] ^ i, np.zeros((4, 4), int), None, name="klein_zero")
 
 
 def product_ring(r1: FiniteRing, r2: FiniteRing, name: str | None = None) -> FiniteRing:
@@ -288,8 +296,7 @@ def subring(r: FiniteRing, subset, name: str | None = None):
     if not subset or subset[0] != 0:
         raise RingAxiomError("subring-zero", tuple(subset[:1]), "a subring contains 0")
     emb = np.array(subset, dtype=np.int16)
-    back = np.full(r.order, -1, dtype=np.int64)
-    back[emb] = np.arange(len(subset))
+    back = _preimages(emb, r.order)
     add, mul = back[r.add[np.ix_(emb, emb)]], back[r.mul[np.ix_(emb, emb)]]
     closed = (add >= 0) & (mul >= 0)
     if not closed.all():
@@ -375,38 +382,28 @@ class IdealQuotient:
 def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
     """Quotient of h.target by the image of h.
 
-    The image must be a two-sided ideal; otherwise raises with a witness
-    pair (ring element, image element).
+    The image must be a two-sided ideal; otherwise raises with the first
+    witness (r, b) or (b, r), r a ring element and b an image element,
+    whose product leaves the image.
     """
     t = h.target
-    image = h.image_elements()
-    iset = set(image)
-    for r in t.elements():
-        for b in image:
-            if int(t.mul[r, b]) not in iset:
-                raise HomError(f"image not an ideal: witness ({r}, {b})")
-            if int(t.mul[b, r]) not in iset:
-                raise HomError(f"image not an ideal: witness ({b}, {r})")
+    image = np.unique(h.map)
+    in_image = np.zeros(t.order, dtype=bool)
+    in_image[image] = True
+    # ok[r, i, side]: r * image[i] (side 0) and image[i] * r (side 1) stay inside.
+    ok = np.stack([in_image[t.mul[:, image]], in_image[t.mul[image].T]], axis=2)
+    if not ok.all():
+        r, i, side = _first_bad(ok)
+        b = int(image[i])
+        raise HomError(f"image not an ideal: witness {(b, r) if side else (r, b)}")
     # Additive cosets x + image; each class is represented by its least member.
-    class_of = np.full(t.order, -1, dtype=np.int64)
-    reps = []
-    for x in t.elements():
-        if class_of[x] >= 0:
-            continue
-        coset = sorted(int(t.add[x, b]) for b in image)
-        k = len(reps)
-        reps.append(coset[0])
-        for y in coset:
-            class_of[y] = k
-    order = np.argsort(np.array(reps))
-    relabel = np.empty(len(reps), dtype=np.int64)
-    relabel[order] = np.arange(len(reps))
-    class_of = relabel[class_of]
-    reps = [reps[i] for i in order]
+    rep = t.add[:, image].min(axis=1)
+    reps = np.unique(rep)
+    class_of = np.searchsorted(reps, rep)
     assert reps[0] == 0
-    ridx = np.array(reps)
-    qadd = class_of[t.add[np.ix_(ridx, ridx)]]
-    qmul = class_of[t.mul[np.ix_(ridx, ridx)]]
+    reps = reps.tolist()
+    qadd = class_of[t.add[np.ix_(reps, reps)]]
+    qmul = class_of[t.mul[np.ix_(reps, reps)]]
     # Well-definedness across every representative choice, not just the least.
     assert np.array_equal(class_of[t.add], qadd[class_of[:, None], class_of[None, :]])
     assert np.array_equal(class_of[t.mul], qmul[class_of[:, None], class_of[None, :]])
@@ -455,9 +452,7 @@ def decompose_abelian(add: np.ndarray, elements=None):
     add = np.asarray(add)
     elems = sorted(int(x) for x in (elements if elements is not None else range(add.shape[0])))
     assert elems[0] == 0
-
-    def neg(x):
-        return int(np.nonzero(add[x] == 0)[0][0])
+    neg = np.argmax(add == 0, axis=1)
 
     # Peel off a maximal-order cyclic summand, then recurse on the quotient.
     gens_desc: list[int] = []
@@ -493,7 +488,7 @@ def decompose_abelian(add: np.ndarray, elements=None):
                 corr = s
                 break
         assert corr is not None, "purity correction must exist"
-        best = int(add[best, neg(corr)])
+        best = int(add[best, neg[corr]])
         assert _additive_order(add, best) == e
         gens_desc.append(best)
         factors_desc.append(e)
@@ -546,14 +541,18 @@ def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
     for k in range(1, len(times)):
         times[k] = tgt_add[times[k - 1], np.arange(nt)]
     pools = [np.nonzero(times[m] == 0)[0] for m in factors]
-    total = math.prod(len(p) for p in pools)
+    radices = [len(p) for p in pools]
+    total = math.prod(radices)
     if total > MAP_GUARD:
         raise SearchGuardError(f"{total} candidate additive maps, over the guard {MAP_GUARD}")
-    images = np.array(list(itertools.product(*pools)), dtype=np.int64).reshape(total, -1)
     cs = np.array([coords[x] for x in range(src_add.shape[0])], dtype=np.int64)
-    maps = np.zeros((total, len(cs)), dtype=np.int64)
-    for i in range(len(factors)):
-        maps = tgt_add[maps, times[cs[None, :, i], images[:, i, None]]]
+    maps = np.zeros((total, len(cs)), dtype=tgt_add.dtype)
+    lo = 0
+    for digits in _product_blocks(radices, len(cs)):
+        block = maps[lo:lo + len(digits)]
+        for i, pool in enumerate(pools):
+            block[:] = tgt_add[block, times[cs[:, i], pool[digits[:, i], None]]]
+        lo += len(digits)
     return maps[np.lexsort(maps.T[::-1])]
 
 

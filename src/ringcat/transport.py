@@ -34,6 +34,7 @@ from .rings import (
     SearchGuardError,
     _first_bad,
     _lift_defects,
+    _preimages,
     _sum,
     ideal_cokernel,
 )
@@ -103,34 +104,20 @@ def choose_section(es: ESystem, flavor: str = "least", quo: IdealQuotient | None
     defect preimages, except where normalisation forces the value."""
     if flavor not in ("least", "greatest"):
         raise ValueError(f"section flavor must be least or greatest, got {flavor!r}")
-    pick = min if flavor == "least" else max
+    last = flavor == "greatest"
     if quo is None:
         quo = ideal_cokernel(es.d)
     rq, dd = quo.ring, es.d_ring
-    n = rq.order
-    proj = quo.projection.map
-
-    members: list[list[int]] = [[] for _ in range(n)]
-    for x in range(dd.order):
-        members[int(proj[x])].append(x)
-    sigma = np.array([pick(m) for m in members], dtype=np.int64)
+    sigma = _preimages(quo.projection.map, rq.order, last)
     sigma[rq.unit] = dd.unit
     sigma[0] = 0
 
-    pre: dict[int, list[int]] = {}
-    for b in range(es.b.order):
-        pre.setdefault(int(es.d.map[b]), []).append(b)
-
+    pre = _preimages(es.d.map, dd.order, last)
     want_add, want_mul = _lift_defects(dd, sigma, rq)
-    fplus = np.zeros((n, n), dtype=np.int64)
-    ftimes = np.zeros((n, n), dtype=np.int64)
-    u = rq.unit
-    for s in range(n):
-        for r in range(n):
-            if s and r:
-                fplus[s, r] = pick(pre[int(want_add[s, r])])
-            if s and r and s != u and r != u:
-                ftimes[s, r] = pick(pre[int(want_mul[s, r])])
+    fplus, ftimes = pre[want_add], pre[want_mul]
+    for tbl, edges in ((fplus, [0]), (ftimes, [0, rq.unit])):
+        tbl[edges, :] = 0
+        tbl[:, edges] = 0
     return validate_section(es, sigma, fplus, ftimes, quo=quo)
 
 
@@ -152,7 +139,6 @@ def reduce_esystem(
     section: Section | None = None,
     flavor: str = "least",
     km: KernelModule | None = None,
-    check: bool = True,
 ) -> ReducedAnnCat:
     if km is None:
         km = induced_kernel_module(es)
@@ -169,20 +155,12 @@ def reduce_esystem(
         section.fplus, section.ftimes,
     )
 
-    b2m = np.full(bb.order, -1, dtype=np.int64)
-    for i, bx in enumerate(km.carrier):
-        b2m[bx] = i
-    tables = []
-    for tbl in defects:
-        mapped = b2m[tbl]
-        assert (mapped >= 0).all(), "obstruction value escapes the kernel"
-        tables.append(mapped)
+    tables = [km.b_to_m[tbl] for tbl in defects]
+    assert all((t >= 0).all() for t in tables), "obstruction value escapes the kernel"
     k = Cochain3(km.module, *tables)
-    rc = ReducedAnnCat(rq, km.module, k, es, section, km)
-    if check:
-        report = reduced_axiom_check(rq, km.module, k)
-        assert report.ok, f"reduced data breaks {report.failures()[0].law}"
-    return rc
+    report = reduced_axiom_check(rq, km.module, k)
+    assert report.ok, f"reduced data breaks {report.failures()[0].law}"
+    return ReducedAnnCat(rq, km.module, k, es, section, km)
 
 
 def reduced_axiom_check(
@@ -364,14 +342,12 @@ class ReducedFunctor:
     target: ReducedAnnCat
 
 
-def reduce_functor(
-    fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat, check: bool = True
-) -> ReducedFunctor:
+def reduce_functor(fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat) -> ReducedFunctor:
     """Push a functor down to the quotient data on both sides.
 
     The comparison cochain g measures how far the functor is from
     matching the chosen sections; it ties the two obstruction cochains
-    together by q*k - p*k' = d2(g), which is asserted when check is on.
+    together by q*k - p*k' = d2(g), which is asserted.
     """
     m = fun.morphism
     assert rc_src.es is m.source and rc_tgt.es is m.target
@@ -391,22 +367,15 @@ def reduce_functor(
     p = RingHom(rq, rq2, comp[rc_src.section.sigma])
     assert p.unital
 
-    carrier = rc_src.kernel_module.carrier
     b_to_m2 = rc_tgt.kernel_module.b_to_m
-    q = np.zeros(len(carrier), dtype=np.int64)
-    for i, bx in enumerate(carrier):
-        img = int(f1[bx])
-        assert img in b_to_m2, "kernel does not map into the kernel"
-        q[i] = b_to_m2[img]
+    q = b_to_m2[f1[rc_src.kernel_module.carrier]]
+    assert (q >= 0).all(), "kernel does not map into the kernel"
 
     sig, sig2 = rc_src.section.sigma, rc_tgt.section.sigma
-    pre2: dict[int, list[int]] = {}
-    for b in range(b2.order):
-        pre2.setdefault(int(es2.d.map[b]), []).append(b)
-    t1 = np.zeros(rq.order, dtype=np.int64)
-    for s in range(rq.order):
-        target = int(d2r.add[sig2[p.map[s]], d2r.neg[f0[sig[s]]]])
-        t1[s] = pre2[target][0]
+    f0sig = f0[sig]
+    # t1[s] is the least d-preimage of sig2(p(s)) - f0(sig(s)).
+    t1 = _preimages(es2.d.map, d2r.order)[d2r.add[sig2[p.map], d2r.neg[f0sig]]]
+    assert (t1 >= 0).all(), "section difference leaves the image of d"
 
     fp, ft = rc_src.section.fplus, rc_src.section.ftimes
     fp2, ft2 = rc_tgt.section.fplus, rc_tgt.section.ftimes
@@ -422,7 +391,6 @@ def reduce_functor(
         bneg2[t1[rq.add]],
         np.int64(fun.add_defect),
     )
-    f0sig = f0[sig]
     nu = _sum(
         b2.add,
         f1[ft],
@@ -438,15 +406,9 @@ def reduce_functor(
     dm2 = es2.d.map.astype(np.int64)
     assert not dm2[g_f].any() and not dm2[g_g].any(), "comparison cochain leaves the kernel"
 
-    b2m2 = np.full(b2.order, -1, dtype=np.int64)
-    for i, bx in enumerate(rc_tgt.kernel_module.carrier):
-        b2m2[bx] = i
     pulled = pullback_module(p, rc_tgt.module)
-    g = Cochain2(pulled, b2m2[g_f], b2m2[g_g])
-    out = ReducedFunctor(p, q, g, rc_src, rc_tgt)
-    if check:
-        ktab = [q[tbl] for tbl, _ in rc_src.k.tables()]
-        qk = Cochain3(pulled, *ktab)
-        pk = pullback3(p, rc_tgt.k, pulled)
-        assert sub3(qk, pk).equals(d2(g)), "reduction does not intertwine the obstructions"
-    return out
+    g = Cochain2(pulled, b_to_m2[g_f], b_to_m2[g_g])
+    qk = Cochain3(pulled, *(q[tbl] for tbl, _ in rc_src.k.tables()))
+    pk = pullback3(p, rc_tgt.k, pulled)
+    assert sub3(qk, pk).equals(d2(g)), "reduction does not intertwine the obstructions"
+    return ReducedFunctor(p, q, g, rc_src, rc_tgt)

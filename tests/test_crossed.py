@@ -68,6 +68,30 @@ def test_ideal_esystem_rejects_non_ideal():
         ideal_esystem(zmod(4), [0, 1])
 
 
+def upper_triangular_z2():
+    """2x2 upper-triangular matrices over Z/2, [[a, b], [0, c]] at index
+    4a + 2b + c: a noncommutative ring of order 8 with unit 5."""
+    i = np.arange(8)
+    a, b, c = i >> 2, (i >> 1) & 1, i & 1
+    mul = 4 * (a[:, None] & a) + 2 * ((a[:, None] & b) ^ (b[:, None] & c)) + (c[:, None] & c)
+    return validate_ring(i[:, None] ^ i, mul, 5, name="ut2_z2")
+
+
+@pytest.mark.parametrize(
+    "subset, witness",
+    [
+        ([0, 1], (2, 1)),  # 2 * 1 = 2 leaves the subring {0, 1}
+        ([0, 4], (2, 4)),  # 2 * 4 = 0 stays, 4 * 2 = 2 leaves {0, 4}
+    ],
+)
+def test_ideal_esystem_not_an_ideal_witness(subset, witness):
+    # Both subsets are subrings, so the ideal check itself reports: the
+    # first (x, c) in scan order with x * c or c * x outside.
+    with pytest.raises(ESystemError) as e:
+        ideal_esystem(upper_triangular_z2(), subset)
+    assert (e.value.axiom, e.value.witness) == ("not-an-ideal", witness)
+
+
 def test_identity_esystem_regular_and_trivial_reduction():
     es = identity_esystem(zmod(2))
     assert is_regular(es)

@@ -9,7 +9,7 @@ import pytest
 from ringcat import extensions
 from ringcat.bimult import Bimult, _permutable, enumerate_bimultiplications, permutability_witness
 from ringcat.corpus import corpus
-from ringcat.crossed import ESystemError, multiplier_esystem, validate_esystem
+from ringcat.crossed import ESystemError, ideal_esystem, multiplier_esystem, validate_esystem
 from ringcat.extensions import (
     SEARCH_GUARD,
     ExtensionError,
@@ -91,6 +91,22 @@ def test_validate_extension_examples():
     ed = dual_extension(es)
     assert induced_psi(e4).map.tolist() == [0, 1]
     assert induced_psi(ed).map.tolist() == [0, 1]
+
+
+def test_induced_psi_names_the_first_disagreeing_preimage():
+    # Read through the quotient of Z/4 by zero, eps(b, u) = d(b) + l(u)
+    # splits each class: the first is the class of 0, at the first b with
+    # d(b) != 0.
+    es = doubled_into_z4()
+    rc = reduce_esystem(es)
+    psi = RingHom(rc.ring, rc.ring, np.arange(2))
+    ext = enumerate_extensions(es, rc.ring, psi, rc=rc)[0]
+    assert ext.p.map.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert ext.eps.map.tolist() == [0, 2, 0, 2, 1, 3, 1, 3]
+    exact = ideal_cokernel(RingHom(zmod(1), es.d_ring, [0]))
+    with pytest.raises(ExtensionError) as e:
+        induced_psi(ext, exact)
+    assert (e.value.condition, e.value.witness) == ("induced-map", (0, 1))
 
 
 def test_validate_extension_rejects():
@@ -597,9 +613,21 @@ def _reference_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, 
     return found
 
 
+def upper_triangular_z2():
+    """2x2 upper-triangular matrices over Z/2, [[a, b], [0, c]] at index
+    4a + 2b + c: a noncommutative ring of order 8 with unit 5."""
+    i = np.arange(8)
+    a, b, c = i >> 2, (i >> 1) & 1, i & 1
+    mul = 4 * (a[:, None] & a) + 2 * ((a[:, None] & b) ^ (b[:, None] & c)) + (c[:, None] & c)
+    return validate_ring(i[:, None] ^ i, mul, 5, name="ut2_z2")
+
+
 @functools.cache
 def corpus_system(name):
-    return {es.name: es for es in corpus()}[name]
+    # Besides the corpus, the first-row ideal of the upper-triangular
+    # matrices: a regular system over a noncommutative base of order 4.
+    first_row = ideal_esystem(upper_triangular_z2(), [0, 2, 4, 6], name="ut2_first_row")
+    return {es.name: es for es in [*corpus(), first_row]}[name]
 
 
 def klein():
@@ -631,15 +659,19 @@ def search_record(exts):
         ("double_2z8", klein(), [0, 0, 1, 1]),
         ("flat_z2", klein(), [0, 1, 0, 1]),
         ("flat_klein0", zmod(2), [0, 1]),
+        ("ut2_first_row",),  # noncommutative base: gives the right-hand masks teeth
     ],
-    ids=["mult_2z8-own", "double_2z8-z2xz2", "flat_z2-z2xz2", "flat_klein0-z2"],
+    ids=["mult_2z8-own", "double_2z8-z2xz2", "flat_z2-z2xz2", "flat_klein0-z2",
+         "ut2_first_row-own"],
 )
 @pytest.mark.parametrize("stop", [True, False])
 def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
     # Besides the finds, the (f, action) candidates that reach the g stage
-    # must be the same and come in the same order: the earlier filters
-    # only prune, so dropping one would not change the finds.
+    # and the g tables that pass its defect conditions must be the same and
+    # come in the same order: the filters only prune, so dropping one would
+    # not change the finds.
     calls = {"reference": [], "batched": []}
+    tables = {"reference": [], "batched": []}
 
     def recording(key, stage):
         def run(base, q, psi, quo, f, left, right, *rest):
@@ -647,14 +679,23 @@ def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
             return stage(base, q, psi, quo, f, left, right, *rest)
         return run
 
+    def recording_tables(key, build=crossed_tables):
+        def run(b, q, left, right, f, g):
+            tables[key].append(np.asarray(g).tolist())
+            return build(b, q, left, right, f, g)
+        return run
+
     monkeypatch.setitem(globals(), "_reference_g_stage",
                         recording("reference", _reference_g_stage))
     monkeypatch.setattr(extensions, "_search_g_stage",
                         recording("batched", extensions._search_g_stage))
+    monkeypatch.setitem(globals(), "crossed_tables", recording_tables("reference"))
+    monkeypatch.setattr(extensions, "crossed_tables", recording_tables("batched"))
     es, q, psi = corpus_triple(*triple)
     want = search_record(reference_search(es, q, psi, stop_at_first=stop))
     assert search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop)) == want
     assert calls["batched"] == calls["reference"] and calls["reference"]
+    assert tables["batched"] == tables["reference"]
 
 
 @pytest.mark.parametrize("name", ["id_z2", "id_klein"])

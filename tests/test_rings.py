@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcat.bimult import bimult_ring
+from ringcat.corpus import corpus
 from ringcat.rings import (
     FiniteRing,
     HomError,
@@ -15,6 +17,7 @@ from ringcat.rings import (
     RingHom,
     SearchGuardError,
     _additive_maps,
+    _preimages,
     _sum_generators,
     additive_group,
     decompose_abelian,
@@ -167,8 +170,94 @@ def test_ideal_cokernel_rejects_non_ideal():
     p = product_ring(z4, z4)
     b, _ = subring(z4, [0, 2])
     diag = RingHom(b, p, [0, 2 * 4 + 2])
-    with pytest.raises(HomError, match="not an ideal"):
+    with pytest.raises(HomError, match=re.escape("image not an ideal: witness (1, 10)")):
         ideal_cokernel(diag)
+
+
+def upper_triangular_z2():
+    """2x2 upper-triangular matrices over Z/2, [[a, b], [0, c]] at index
+    4a + 2b + c: a noncommutative ring of order 8 with unit 5."""
+    i = np.arange(8)
+    a, b, c = i >> 2, (i >> 1) & 1, i & 1
+    mul = 4 * (a[:, None] & a) + 2 * ((a[:, None] & b) ^ (b[:, None] & c)) + (c[:, None] & c)
+    return validate_ring(i[:, None] ^ i, mul, 5, name="ut2_z2")
+
+
+@pytest.mark.parametrize(
+    "subset, witness",
+    [
+        ([0, 1], (2, 1)),  # e12 * e22 = e12 leaves on the left: (r, b)
+        ([0, 4], (4, 2)),  # e11 * e12 = e12 leaves on the right only: (b, r)
+    ],
+)
+def test_ideal_cokernel_witness_names_the_side(subset, witness):
+    r = upper_triangular_z2()
+    b, emb = subring(r, subset)
+    with pytest.raises(HomError, match=re.escape(f"image not an ideal: witness {witness}")):
+        ideal_cokernel(RingHom(b, r, emb))
+
+
+def reference_ideal_cokernel(h):
+    """The one-coset-at-a-time walk: (reps, class map), or the error text
+    naming the first (r, b) or (b, r) that leaves the image."""
+    t = h.target
+    image = h.image_elements()
+    iset = set(image)
+    for r in t.elements():
+        for b in image:
+            if int(t.mul[r, b]) not in iset:
+                return f"image not an ideal: witness ({r}, {b})"
+            if int(t.mul[b, r]) not in iset:
+                return f"image not an ideal: witness ({b}, {r})"
+    class_of = np.full(t.order, -1, dtype=np.int64)
+    reps = []
+    for x in t.elements():
+        if class_of[x] >= 0:
+            continue
+        coset = sorted(int(t.add[x, b]) for b in image)
+        k = len(reps)
+        reps.append(coset[0])
+        for y in coset:
+            class_of[y] = k
+    order = np.argsort(np.array(reps))
+    relabel = np.empty(len(reps), dtype=np.int64)
+    relabel[order] = np.arange(len(reps))
+    return [reps[i] for i in order], relabel[class_of].tolist()
+
+
+def cokernel_outcome(h):
+    try:
+        q = ideal_cokernel(h)
+    except HomError as e:
+        return str(e)
+    return q.reps, q.projection.map.tolist()
+
+
+def test_ideal_cokernel_matches_the_coset_walk():
+    homs = [es.d for es in corpus()]
+    for r in (upper_triangular_z2(), product_ring(zmod(2), zmod(4)), dual_numbers(2)):
+        for k in range(r.order):
+            for rest in itertools.combinations(range(1, r.order), k):
+                try:
+                    b, emb = subring(r, (0, *rest))
+                except RingAxiomError:
+                    continue
+                homs.append(RingHom(b, r, emb))
+    assert len(homs) > 30
+    for h in homs:
+        assert cokernel_outcome(h) == reference_ideal_cokernel(h), (h.source.name, h.target.name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("last", [False, True])
+def test_preimages_match_a_scan(n, last):
+    rng = np.random.default_rng(n)
+    for size in (0, 1, 3, 8, 20):
+        m = rng.integers(0, n, size)
+        want = [-1] * n
+        for x in (reversed(range(size)) if not last else range(size)):
+            want[m[x]] = x
+        assert _preimages(m, n, last).tolist() == want
 
 
 def test_decompose_abelian_tables():
@@ -233,6 +322,22 @@ def test_additive_maps_match_brute_force():
             if (tgt.add[m[:, None], m[None, :]] == m[src.add]).all():
                 want.append(list(vals))
         assert _additive_maps(src.add, tgt.add).tolist() == want, (src.name, tgt.name)
+
+
+def test_additive_maps_memory_is_bounded():
+    # A Python list of the generator-image tuples took 21 MB here, plus a
+    # (k, n) int64 temporary per generator.
+    # The zero ring over (Z/2)^4: the sum of two elements is the xor.
+    i = np.arange(16)
+    r16 = validate_ring(i[:, None] ^ i, np.zeros((16, 16), int))
+    tracemalloc.start()
+    try:
+        maps = _additive_maps(r16.add, r16.add)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (65536, 16)
+    assert peak < 8 * 2**20, peak
 
 
 def test_additive_maps_guard():

@@ -7,6 +7,7 @@ import pytest
 
 from ringcat.anncat import functor_from_morphism
 from ringcat.cohomology import Cochain2, d2, is_coboundary3, sub3
+from ringcat.corpus import corpus
 from ringcat.crossed import (
     identity_esystem,
     identity_morphism,
@@ -16,8 +17,10 @@ from ringcat.crossed import (
     validate_morphism,
 )
 from ringcat.rings import (
+    _lift_defects,
     dual_numbers,
     find_ring_isomorphism,
+    ideal_cokernel,
     validate_ring,
     zero_mult,
     zmod,
@@ -63,6 +66,42 @@ def test_choose_section_flavours_on_d2b():
     greatest = choose_section(es, "greatest")
     assert greatest.sigma.tolist() == [0, 1]
     assert greatest.fplus[1, 1] == 3
+
+
+def reference_section(es, flavor):
+    """The one-class-at-a-time pick: (sigma, fplus, ftimes) tables."""
+    pick = min if flavor == "least" else max
+    quo = ideal_cokernel(es.d)
+    rq, dd = quo.ring, es.d_ring
+    n = rq.order
+    members = [[] for _ in range(n)]
+    for x in range(dd.order):
+        members[int(quo.projection.map[x])].append(x)
+    sigma = np.array([pick(m) for m in members], dtype=np.int64)
+    sigma[rq.unit] = dd.unit
+    sigma[0] = 0
+    pre = {}
+    for b in range(es.b.order):
+        pre.setdefault(int(es.d.map[b]), []).append(b)
+    want_add, want_mul = _lift_defects(dd, sigma, rq)
+    fplus = np.zeros((n, n), dtype=np.int64)
+    ftimes = np.zeros((n, n), dtype=np.int64)
+    u = rq.unit
+    for s in range(n):
+        for r in range(n):
+            if s and r:
+                fplus[s, r] = pick(pre[int(want_add[s, r])])
+            if s and r and s != u and r != u:
+                ftimes[s, r] = pick(pre[int(want_mul[s, r])])
+    return sigma.tolist(), fplus.tolist(), ftimes.tolist()
+
+
+@pytest.mark.parametrize("flavor", ["least", "greatest"])
+def test_choose_section_matches_the_class_walk(flavor):
+    for es in corpus():
+        sec = choose_section(es, flavor)
+        got = sec.sigma.tolist(), sec.fplus.tolist(), sec.ftimes.tolist()
+        assert got == reference_section(es, flavor), es.name
 
 
 def test_validate_section_rejects_broken_tables():
