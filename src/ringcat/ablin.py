@@ -14,6 +14,7 @@ import numpy as np
 
 # Inputs are kept below this bound so int64 accumulation stays exact.
 ENTRY_BOUND = 2**31
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def as_int_matrix(a) -> np.ndarray:
@@ -78,7 +79,10 @@ def _batch(line, piv):
 def smith_normal_form(a) -> SNFResult:
     """Smith normal form over the integers, tracking both transforms.
 
-    Total on any integer matrix, including empty and rank-deficient ones.
+    Defined on any integer matrix, including empty and rank-deficient ones.
+    Raises OverflowError, before making the update, when an entry of s or
+    of a transform would leave the int64 range; whatever it returns is
+    exact.
 
     The steps are those of the classic elimination one entry at a time:
     take the first least nonzero entry in row-major order as the pivot;
@@ -106,6 +110,35 @@ def smith_normal_form(a) -> SNFResult:
     # column swaps and retiring a cleared column t leave them as they are.
     rkey = _keys(s).min(axis=1, initial=_ZERO_KEY)
     rgcd = np.gcd.reduce(s, axis=1)
+    # bound[k] is at least every |entry| of arrays[k], as a Python int.
+    arrays = (s, u, uinv_t, v_t, vinv)
+    bound = [int(np.abs(s).max(initial=0)), 1, 1, 1, 1]
+
+    def apply(step, growth):
+        """Run step(*arrays) in place; growth pairs each array k it changes
+        with a factor bounding how much it can grow |entries| of arrays[k].
+        A bound that would pass int64 is refreshed from its array; if it
+        still would, the step runs first on exact copies, and raises
+        OverflowError when one of their entries leaves int64."""
+        exact = False
+        for k, factor in growth:
+            if bound[k] * factor > _INT64_MAX:
+                bound[k] = int(np.abs(arrays[k]).max(initial=0))
+                exact |= bound[k] * factor > _INT64_MAX
+            bound[k] *= factor
+        if exact:
+            copies = list(arrays)
+            for k, _ in growth:
+                copies[k] = arrays[k].astype(object)
+            step(*copies)
+            for k, _ in growth:
+                bound[k] = int(np.abs(copies[k]).max(initial=0))
+                if bound[k] > _INT64_MAX:
+                    name = ("s", "u", "uinv", "v", "vinv")[k]
+                    raise OverflowError(
+                        f"Smith normal form: entry {bound[k]} of {name} leaves int64"
+                    )
+        step(*arrays)
 
     def refresh(rows):
         blk = s[rows, t:]
@@ -136,10 +169,15 @@ def smith_normal_form(a) -> SNFResult:
             rows, q, swap = _batch(s[t + 1 :, t], piv)
             if rows.size:
                 rows += t + 1
-                # row_i += q_i * row_t for every i in rows
-                s[rows, t:] += np.multiply.outer(q, s[t, t:])
-                u[rows] += np.multiply.outer(q, u[t])
-                uinv_t[t] -= q @ uinv_t[rows]
+
+                def step(s, u, uinv_t, v_t, vinv):
+                    # row_i += q_i * row_t for every i in rows
+                    s[rows, t:] += np.multiply.outer(q, s[t, t:])
+                    u[rows] += np.multiply.outer(q, u[t])
+                    uinv_t[t] -= q @ uinv_t[rows]
+
+                g = max(map(abs, q.tolist()))
+                apply(step, ((0, 1 + g), (1, 1 + g), (2, 1 + len(q) * g)))
                 if swap:
                     swap_rows(int(rows[-1]), t)
                 refresh(rows)
@@ -147,11 +185,16 @@ def smith_normal_form(a) -> SNFResult:
             cols, q, swap = _batch(s[t, t + 1 :], piv)
             if cols.size:
                 cols += t + 1
-                # col_j += q_j * col_t for every j in cols; below the pivot
-                # column t is zero, so only row t changes.
-                s[t, cols] += q * piv
-                v_t[cols] += np.multiply.outer(q, v_t[t])
-                vinv[t] -= q @ vinv[cols]
+
+                def step(s, u, uinv_t, v_t, vinv):
+                    # col_j += q_j * col_t for every j in cols; below the
+                    # pivot column t is zero, so only row t changes.
+                    s[t, cols] += q * piv
+                    v_t[cols] += np.multiply.outer(q, v_t[t])
+                    vinv[t] -= q @ vinv[cols]
+
+                g = max(map(abs, q.tolist()))
+                apply(step, ((0, 1 + g), (3, 1 + g), (4, 1 + len(q) * g)))
                 if swap:
                     swap_cols(int(cols[-1]), t)
                 continue
@@ -162,10 +205,14 @@ def smith_normal_form(a) -> SNFResult:
             bad = np.flatnonzero(rgcd[t + 1 :] % piv)
             if bad.size:
                 i = t + 1 + int(bad[0])
-                # row_t += row_i
-                s[t, t:] += s[i, t:]
-                u[t] += u[i]
-                uinv_t[i] -= uinv_t[t]
+
+                def step(s, u, uinv_t, v_t, vinv):
+                    # row_t += row_i
+                    s[t, t:] += s[i, t:]
+                    u[t] += u[i]
+                    uinv_t[i] -= uinv_t[t]
+
+                apply(step, ((0, 2), (1, 2), (2, 2)))
                 refresh([t])
                 continue
         if piv < 0:
@@ -273,10 +320,12 @@ class LinearMap:
         shape = (self.target.rank, self.source.rank)
         if self.matrix.shape != shape:
             raise ValueError(f"matrix shape {self.matrix.shape}, expected {shape}")
-        for j, m in enumerate(self.source.factors):
-            img = self.target.reduce(m * self.matrix[:, j])
-            if img != self.target.zero():
-                raise ValueError(f"generator {j} breaks the modulus {m}")
+        src = np.asarray(self.source.factors, dtype=np.int64)
+        tgt = np.asarray(self.target.factors, dtype=np.int64)
+        bad = np.flatnonzero(((self.matrix * src) % tgt[:, None]).any(axis=0))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"generator {j} breaks the modulus {self.source.factors[j]}")
 
     def apply(self, x) -> tuple[int, ...]:
         vec = self.matrix @ np.asarray(x, dtype=np.int64)

@@ -6,8 +6,9 @@ with --format tsv) and translate the outcome into an exit code.
 
 Exit codes: 0 success, 1 mathematical negative (invalid object, not
 equivalent, obstructed), 2 input or resource error (parse failure,
-missing file, any tripped guard), 3 internal error (a failed internal
-`assert`, reported on stderr as `error: internal: ...`).
+missing file, any tripped guard, integer arithmetic that would leave
+int64), 3 internal error (a failed internal `assert`, reported on stderr
+as `error: internal: ...`).
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SearchGuardError as e:
+    except (SearchGuardError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

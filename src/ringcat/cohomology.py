@@ -17,8 +17,9 @@ conditions in `extensions.validate_factor_system`.
 
 from __future__ import annotations
 
+import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,17 +194,19 @@ def sub3(a: Cochain3, b: Cochain3) -> Cochain3:
 # The differentials, as table evaluations.
 
 
+def _defect2(module: Bimodule, t):
+    """The defect pair (f, g) of the 1-cochain table t[..., u]; leading
+    axes of t stack cochains."""
+    m, r = module, module.ring
+    us = np.arange(r.order)
+    tu, tv = t[..., :, None], t[..., None, :]
+    f = _sum(m.add, tu, tv, m.neg[t[..., r.add]])
+    g = _sum(m.add, m.left[us[:, None], tv], m.right[us[None, :], tu], m.neg[t[..., r.mul]])
+    return f, g
+
+
 def d1(c: Cochain1) -> Cochain2:
-    m, r = c.module, c.module.ring
-    n = r.order
-    t = c.t
-    us = np.arange(n)
-    f = m.add[m.add[t[:, None], t[None, :]], m.neg[t[r.add]]]
-    g = m.add[
-        m.add[m.left[us[:, None], t[None, :]], m.right[us[None, :], t[:, None]]],
-        m.neg[t[r.mul]],
-    ]
-    return Cochain2(m, f, g)
+    return Cochain2(c.module, *_defect2(c.module, c.t))
 
 
 def _defect3(add, neg, left, right, radd, rmul, f, g):
@@ -212,20 +215,26 @@ def _defect3(add, neg, left, right, radd, rmul, f, g):
 
     Values live in an abelian group given by `add` and `neg`; ring element
     u acts through rows `left[u]` and `right[u]`, and `radd`, `rmul` are the
-    ring's tables.
+    ring's tables.  Leading axes of f[..., a, b] and g[..., a, b] stack
+    pairs, and lead the returned tables.
     """
     us = np.arange(radd.shape[0])
     u, v, w = us[:, None, None], us[None, :, None], us[None, None, :]
     uv, vw = radd[u, v], radd[v, w]
     uv_m, vw_m, uw_m = rmul[u, v], rmul[v, w], rmul[u, w]
-    xi = _sum(add, f[u, vw], f[v, w], neg[f[u, v]], neg[f[uv, w]])
-    eta = add[f, neg[f.T]]
-    alpha_x = _sum(add, left[u, g[v, w]], neg[g[uv_m, w]], g[u, vw_m], neg[right[w, g[u, v]]])
+    xi = _sum(add, f[..., u, vw], f[..., v, w], neg[f[..., u, v]], neg[f[..., uv, w]])
+    eta = add[f, neg[np.swapaxes(f, -1, -2)]]
+    alpha_x = _sum(
+        add, left[u, g[..., v, w]], neg[g[..., uv_m, w]], g[..., u, vw_m],
+        neg[right[w, g[..., u, v]]],
+    )
     lambda_l = _sum(
-        add, g[u, vw], neg[g[u, v]], neg[g[u, w]], left[u, f[v, w]], neg[f[uv_m, uw_m]]
+        add, g[..., u, vw], neg[g[..., u, v]], neg[g[..., u, w]], left[u, f[..., v, w]],
+        neg[f[..., uv_m, uw_m]],
     )
     rho_r = _sum(
-        add, g[uv, w], neg[g[u, w]], neg[g[v, w]], right[w, f[u, v]], neg[f[uw_m, vw_m]]
+        add, g[..., uv, w], neg[g[..., u, w]], neg[g[..., v, w]], right[w, f[..., u, v]],
+        neg[f[..., uw_m, vw_m]],
     )
     return xi, eta, alpha_x, lambda_l, rho_r
 
@@ -251,18 +260,14 @@ def _coords_of(module: Bimodule, values: np.ndarray) -> np.ndarray:
     return module.coords[values.reshape(-1)] % fac
 
 
-def _gen_elements(module: Bimodule) -> list[int]:
-    gens = []
-    for i in range(module.group.rank):
-        e = tuple(1 if j == i else 0 for j in range(module.group.rank))
-        gens.append(module.from_coords(e))
-    return gens
-
-
 @dataclass(eq=False)
 class CochainComplex:
     """Everything needed to treat the degree 1..3 cochains of one module as
-    finite abelian groups with explicit differential matrices."""
+    finite abelian groups with explicit differential matrices.
+
+    A cochain's coordinates run over its tables in order, each table's
+    nonzero arguments in C order, and the module's invariant factors
+    innermost."""
 
     module: Bimodule
     c1_group: FinAbGroup
@@ -270,41 +275,64 @@ class CochainComplex:
     c3_group: FinAbGroup
     d1_map: LinearMap
     d2_map: LinearMap
-    _nz: np.ndarray = field(repr=False, default=None)
 
-    def encode1(self, c: Cochain1) -> np.ndarray:
-        return _coords_of(self.module, c.t[self._nz]).reshape(-1)
+    def _encode(self, *tables) -> np.ndarray:
+        """Row i holds the coordinates of cochain i of a stack given by its
+        tables, each with one leading stack axis."""
+        rows = []
+        for t in tables:
+            inner = t[(slice(None),) + (slice(1, None),) * (t.ndim - 1)]
+            width = math.prod(inner.shape[1:]) * self.module.group.rank
+            rows.append(_coords_of(self.module, inner).reshape(len(t), width))
+        return np.concatenate(rows, axis=1)
 
     def encode2(self, c: Cochain2) -> np.ndarray:
-        nz = self._nz
-        parts = [c.f[np.ix_(nz, nz)], c.g[np.ix_(nz, nz)]]
-        return np.concatenate([_coords_of(self.module, p).reshape(-1) for p in parts])
+        return self._encode(c.f[None], c.g[None])[0]
 
     def encode3(self, c: Cochain3) -> np.ndarray:
-        nz = self._nz
-        cube = np.ix_(nz, nz, nz)
-        sq = np.ix_(nz, nz)
-        parts = [c.xi[cube], c.eta[sq], c.alpha_x[cube], c.lambda_l[cube], c.rho_r[cube]]
-        return np.concatenate([_coords_of(self.module, p).reshape(-1) for p in parts])
+        return self._encode(*(t[None] for t, _ in c.tables()))[0]
 
-    def _fill(self, flat_coords: np.ndarray, axes: int) -> np.ndarray:
+    def _fill(self, coords: np.ndarray, axes: int) -> np.ndarray:
+        """Tables with `axes` ring arguments from coordinates along the last
+        axis of `coords`; leading axes stack cochains."""
         m = self.module
-        nz = self._nz
-        vals = m.elements_at(flat_coords.reshape((len(nz),) * axes + (m.group.rank,)))
-        out = np.zeros((m.ring.order,) * axes, dtype=np.int64)
-        out[np.ix_(*[nz] * axes)] = vals
+        k = m.ring.order - 1
+        lead = coords.shape[:-1]
+        out = np.zeros(lead + (k + 1,) * axes, dtype=np.int64)
+        out[(...,) + (slice(1, None),) * axes] = m.elements_at(
+            coords.reshape(lead + (k,) * axes + (m.group.rank,))
+        )
         return out
 
+    def _fill2(self, coords: np.ndarray):
+        """The (f, g) tables of 2-cochain coordinates, f's coming first."""
+        half = coords.shape[-1] // 2
+        return self._fill(coords[..., :half], 2), self._fill(coords[..., half:], 2)
+
     def decode1(self, vec) -> Cochain1:
-        vec = np.asarray(vec, dtype=np.int64)
-        return Cochain1(self.module, self._fill(vec, 1))
+        return Cochain1(self.module, self._fill(np.asarray(vec, dtype=np.int64), 1))
 
     def decode2(self, vec) -> Cochain2:
-        vec = np.asarray(vec, dtype=np.int64)
-        half = vec.size // 2
-        f = self._fill(vec[:half], 2)
-        g = self._fill(vec[half:], 2)
-        return Cochain2(self.module, f, g)
+        return Cochain2(self.module, *self._fill2(np.asarray(vec, dtype=np.int64)))
+
+    # Each differential runs once on a stack of cochains, one per row of
+    # coordinates.  The stacked degree-3 tables of a basis hold about as
+    # many cells as the d2 matrix they fill (a few times more on the
+    # smallest rings, where both are tiny), and far fewer than the Smith
+    # normal form transforms built from that matrix next, so the stack is
+    # not split into blocks.
+
+    def _d1_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Row i: the coordinates of d1 of the 1-cochain with coordinates
+        coords[i]."""
+        return self._encode(*_defect2(self.module, self._fill(coords, 1)))
+
+    def _d2_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Row i: the coordinates of d2 of the 2-cochain with coordinates
+        coords[i]."""
+        m, r = self.module, self.module.ring
+        f, g = self._fill2(coords)
+        return self._encode(*_defect3(m.add, m.neg, m.left, m.right, r.add, r.mul, f, g))
 
 
 # complex_for caches each complex on its module (as `_complex`), so it lives
@@ -316,58 +344,18 @@ def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
     n = module.ring.order
     rank = module.group.rank
     k = n - 1
-    dims = {
-        "degree 1": k * rank,
-        "degree 2": 2 * k * k * rank,
-        "degree 3": (4 * k**3 + k * k) * rank,
-    }
-    for nm, d in dims.items():
-        if d > guard:
-            raise SearchGuardError(f"{nm} needs {d} coordinates, over the guard {guard}")
+    slots = {"degree 1": k, "degree 2": 2 * k * k, "degree 3": 4 * k**3 + k * k}
+    for nm, sl in slots.items():
+        if sl * rank > guard:
+            raise SearchGuardError(f"{nm} needs {sl * rank} coordinates, over the guard {guard}")
     cached = getattr(module, "_complex", None)
     if cached is not None:
         return cached
-    nz = np.arange(1, n)
-    cx = CochainComplex(
-        module,
-        _tiled_group(module, k),
-        _tiled_group(module, 2 * k * k),
-        _tiled_group(module, 4 * k**3 + k * k),
-        None,
-        None,
-        nz,
-    )
-
-    gens = _gen_elements(module)
-    cols1 = []
-    for u in range(1, n):
-        for e in gens:
-            t = np.zeros(n, dtype=np.int64)
-            t[u] = e
-            cols1.append(cx.encode2(d1(Cochain1(module, t))))
-    mat1 = (
-        np.array(cols1, dtype=np.int64).T
-        if cols1
-        else np.zeros((cx.c2_group.rank, 0), dtype=np.int64)
-    )
-    cx.d1_map = LinearMap(cx.c1_group, cx.c2_group, mat1)
-
-    cols2 = []
-    zero = np.zeros((n, n), dtype=np.int64)
-    for which in range(2):
-        for u in range(1, n):
-            for v in range(1, n):
-                for e in gens:
-                    f = zero.copy()
-                    g = zero.copy()
-                    (f if which == 0 else g)[u, v] = e
-                    cols2.append(cx.encode3(d2(Cochain2(module, f, g))))
-    mat2 = (
-        np.array(cols2, dtype=np.int64).T
-        if cols2
-        else np.zeros((cx.c3_group.rank, 0), dtype=np.int64)
-    )
-    cx.d2_map = LinearMap(cx.c2_group, cx.c3_group, mat2)
+    c1, c2, c3 = (_tiled_group(module, sl) for sl in slots.values())
+    cx = CochainComplex(module, c1, c2, c3, None, None)
+    # Column j of each matrix is the image of the j-th unit coordinate vector.
+    cx.d1_map = LinearMap(c1, c2, cx._d1_rows(np.eye(c1.rank, dtype=np.int64)).T)
+    cx.d2_map = LinearMap(c2, c3, cx._d2_rows(np.eye(c2.rank, dtype=np.int64)).T)
 
     # The composite must vanish on every generator.
     comp = cx.d2_map.matrix @ cx.d1_map.matrix
@@ -451,72 +439,38 @@ def h2_unit_normalised(module: Bimodule, guard: int = COORD_GUARD):
     """
     cx = complex_for(module, guard)
     m = module
-    r = m.ring
-    n = r.order
-    one = r.unit
+    n, one, rank = m.ring.order, m.ring.unit, m.group.rank
     assert one is not None and n >= 2
-    gens = _gen_elements(m)
 
     ann = annihilated_submodule(m)
     ann_cols = _coords_of(m, np.array(ann, dtype=np.int64)).T
     ann_sub = span_subgroup(m.group, ann_cols)
-    ann_gens = [m.from_coords(g) for g in ann_sub.gens]
 
-    # Source: one slot per nonzero u, the unit slot restricted.
-    src_factors: list[int] = []
-    basis: list[tuple[int, int]] = []  # (slot u, module element)
-    for u in range(1, n):
-        if u == one:
-            for gf, ge in zip(ann_sub.group.factors, ann_gens, strict=True):
-                src_factors.append(gf)
-                basis.append((u, ge))
-        else:
-            for gf, ge in zip(m.group.factors, gens, strict=True):
-                src_factors.append(gf)
-                basis.append((u, ge))
-    c1u = FinAbGroup(tuple(src_factors))
+    # Source: the module's generators at every nonzero slot, except the
+    # annihilator's generators at the unit slot.
+    fac = tuple(m.group.factors)
+    c1u = FinAbGroup(fac * (one - 1) + tuple(ann_sub.group.factors) + fac * (n - 1 - one))
+    at = (one - 1) * rank
+    na = len(ann_sub.gens)
+    unit_rows = np.zeros((na, cx.c1_group.rank), dtype=np.int64)
+    unit_rows[:, at : at + rank] = np.array(ann_sub.gens, dtype=np.int64).reshape(na, rank)
+    eye1 = np.eye(cx.c1_group.rank, dtype=np.int64)
+    rows1 = cx._d1_rows(np.concatenate([eye1[:at], unit_rows, eye1[at + rank :]]))
 
-    # Middle: all f slots, g slots avoiding the unit.
-    keep_g = [(u, v) for u in range(1, n) for v in range(1, n) if one not in (u, v)]
-    mid_factors = tuple(m.group.factors) * ((n - 1) ** 2) + tuple(m.group.factors) * len(keep_g)
-    c2u = FinAbGroup(mid_factors)
-    nzsq = [(u, v) for u in range(1, n) for v in range(1, n)]
-
-    def enc2u(c: Cochain2) -> np.ndarray:
-        fpart = _coords_of(m, c.f[tuple(np.array(nzsq).T)]).reshape(-1)
-        for u in range(1, n):
-            assert not (c.g[u, one] or c.g[one, u]), "not unit-normalised"
-        if keep_g:
-            gpart = _coords_of(m, c.g[tuple(np.array(keep_g).T)]).reshape(-1)
-        else:
-            gpart = np.zeros(0, dtype=np.int64)
-        return np.concatenate([fpart, gpart])
-
-    def dec2u(vec) -> Cochain2:
-        cs = np.asarray(vec, dtype=np.int64).reshape(len(nzsq) + len(keep_g), m.group.rank)
-        vals = m.elements_at(cs)
-        f = np.zeros((n, n), dtype=np.int64)
-        g = np.zeros((n, n), dtype=np.int64)
-        f[tuple(np.array(nzsq).T)] = vals[: len(nzsq)]
-        if keep_g:
-            g[tuple(np.array(keep_g).T)] = vals[len(nzsq) :]
-        return Cochain2(m, f, g)
-
-    cols1 = []
-    for u, e in basis:
-        t = np.zeros(n, dtype=np.int64)
-        t[u] = e
-        cols1.append(enc2u(d1(Cochain1(m, t))))
-    mat1 = np.array(cols1, dtype=np.int64).T if cols1 else np.zeros((c2u.rank, 0), dtype=np.int64)
-    d1u = LinearMap(c1u, c2u, mat1)
-
-    cols2 = [cx.encode3(d2(dec2u(e))) for e in np.eye(c2u.rank, dtype=np.int64)]
-    mat2 = np.array(cols2, dtype=np.int64).T if cols2 else np.zeros((cx.c3_group.rank, 0), dtype=np.int64)
-    d2u = LinearMap(c2u, cx.c3_group, mat2)
+    # Middle: the coordinates of all f slots and of the g slots off the unit.
+    cells = np.ones((2, n - 1, n - 1), dtype=bool)
+    cells[1, one - 1, :] = cells[1, :, one - 1] = False
+    keep = np.repeat(cells.ravel(), rank)
+    assert not rows1[:, ~keep].any(), "not unit-normalised"
+    c2u = _tiled_group(m, int(cells.sum()))
+    d1u = LinearMap(c1u, c2u, rows1[:, keep].T)
+    rows2 = cx._d2_rows(np.eye(cx.c2_group.rank, dtype=np.int64)[keep])
+    d2u = LinearMap(c2u, cx.c3_group, rows2.T)
 
     hdata = homology(d1u, d2u)
-    reps = [dec2u(np.asarray(r, dtype=np.int64)) for r in hdata.representatives()]
-    return hdata.order, hdata.group.factors, reps
+    reps = np.zeros((hdata.order, cx.c2_group.rank), dtype=np.int64)
+    reps[:, keep] = np.array(hdata.representatives(), dtype=np.int64).reshape(hdata.order, c2u.rank)
+    return hdata.order, hdata.group.factors, [cx.decode2(r) for r in reps]
 
 
 # ---------------------------------------------------------------------------

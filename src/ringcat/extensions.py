@@ -488,6 +488,11 @@ def enumerate_extensions(
     transported section defects yields a factor system whose crossed
     product represents the class.  The representatives are checked to be
     pairwise inequivalent.
+
+    Over the zero quotient, 0 = 1 in q, so no factor system exists: the
+    zero class would have to act both as 0 and as the identity.  The one
+    class is then the base ring itself, with j the identity, p zero and
+    eps = d; it is unital, because d is onto and the system is regular.
     """
     _require_regular(base)
     if rc is None:
@@ -496,6 +501,11 @@ def enumerate_extensions(
     cls = classification if classification is not None else classify_functors(psi, rc)
     if not cls.vanishes:
         return []
+    stem = name or f"{base.name}_by_{q.name}"
+    if q.order == 1:
+        nb = base.b.order
+        return [validate_extension(base, base.b, q, np.arange(nb), np.zeros(nb, dtype=np.int64),
+                                   base.d.map, name=f"{stem}_0")]
     km = rc.kernel_module
     sec = rc.section
     carrier = np.asarray(km.carrier, dtype=np.int64)
@@ -510,7 +520,6 @@ def enumerate_extensions(
     least_pre = _preimages(base.d.map, dd.order)
     fp, ft = (least_pre[t] for t in _lift_defects(dd, lift, q))
     assert (fp >= 0).all() and (ft >= 0).all()
-    stem = name or f"{base.name}_by_{q.name}"
     out = []
     for i, c in enumerate(cls.classes):
         f = base.b.add[fp, carrier[c.f]]

@@ -29,15 +29,22 @@ from ringcat.cohomology import complex_for
 from ringcat.crossed import validate_bimodule
 
 
-def reference_snf(a) -> SNFResult:
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def reference_snf(a, dtype=object):
     """The elimination one entry at a time that smith_normal_form batches;
-    its transforms are the ones smith_normal_form must return."""
-    s = as_int_matrix(a).copy()
+    its transforms are the ones smith_normal_form must return.
+
+    Returns the result and the largest |entry| any step wrote.  In the
+    default object dtype it runs in exact integers."""
+    s = as_int_matrix(a).astype(dtype)
     nr, nc = s.shape
-    u = np.eye(nr, dtype=np.int64)
-    uinv = np.eye(nr, dtype=np.int64)
-    v = np.eye(nc, dtype=np.int64)
-    vinv = np.eye(nc, dtype=np.int64)
+    u = np.eye(nr, dtype=np.int64).astype(dtype)
+    uinv = u.copy()
+    v = np.eye(nc, dtype=np.int64).astype(dtype)
+    vinv = v.copy()
+    peak = int(np.abs(s).max(initial=1))
 
     def swap_rows(i, j):
         if i != j:
@@ -53,15 +60,19 @@ def reference_snf(a) -> SNFResult:
 
     def add_row(i, j, q):
         # row_i += q * row_j
+        nonlocal peak
         s[i] += q * s[j]
         u[i] += q * u[j]
         uinv[:, j] -= q * uinv[:, i]
+        peak = max(peak, *(int(np.abs(x).max()) for x in (s[i], u[i], uinv[:, j])))
 
     def add_col(i, j, q):
         # col_i += q * col_j
+        nonlocal peak
         s[:, i] += q * s[:, j]
         v[:, i] += q * v[:, j]
         vinv[j] -= q * vinv[i]
+        peak = max(peak, *(int(np.abs(x).max()) for x in (s[:, i], v[:, i], vinv[j])))
 
     def negate_row(i):
         s[i] = -s[i]
@@ -108,21 +119,38 @@ def reference_snf(a) -> SNFResult:
             negate_row(t)
         t += 1
 
-    return SNFResult(s, u, v, uinv, vinv)
+    return SNFResult(s, u, v, uinv, vinv), peak
 
 
-def assert_same_snf(a):
-    got, want = smith_normal_form(a), reference_snf(a)
+def snf_or_overflow(a):
+    """smith_normal_form(a), or None when it raises OverflowError, which it
+    may do only when the exact elimination leaves the int64 range."""
+    try:
+        return smith_normal_form(a)
+    except OverflowError:
+        assert reference_snf(a)[1] > INT64_MAX, "raised on an elimination that fits int64"
+        return None
+
+
+def assert_same_snf(a, dtype=object):
+    got = snf_or_overflow(a)
+    if got is None:
+        return
+    want, _peak = reference_snf(a, dtype)
     for name in ("s", "u", "v", "uinv", "vinv"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def check_snf(a):
-    res = smith_normal_form(a)
-    a = np.asarray(a, dtype=np.int64)
-    assert np.array_equal(res.u @ a @ res.v, res.s)
-    assert np.array_equal(res.u @ res.uinv, np.eye(a.shape[0], dtype=np.int64))
-    assert np.array_equal(res.v @ res.vinv, np.eye(a.shape[1], dtype=np.int64))
+    res = snf_or_overflow(a)
+    if res is None:
+        return None
+    # The identities in exact integers: int64 products would wrap.
+    a = np.asarray(a, dtype=np.int64).astype(object)
+    u, v, uinv, vinv = (getattr(res, k).astype(object) for k in ("u", "v", "uinv", "vinv"))
+    assert np.array_equal(u @ a @ v, res.s)
+    assert np.array_equal(u @ uinv, np.eye(a.shape[0], dtype=np.int64))
+    assert np.array_equal(v @ vinv, np.eye(a.shape[1], dtype=np.int64))
     d = res.diagonal
     # off-diagonal zero, nonnegative diagonal, divisibility chain
     mask = np.ones_like(res.s, dtype=bool)
@@ -216,7 +244,20 @@ def klein_d2_block():
 def test_snf_matches_one_entry_at_a_time_on_census_block():
     a = klein_d2_block()
     assert a.shape == (234, 270)
-    assert_same_snf(a)
+    # Its entries stay small, so the int64 reference is exact and quicker.
+    assert_same_snf(a, dtype=np.int64)
+
+
+def test_snf_raises_instead_of_wrapping_past_int64():
+    # The diagonal is (1, 1, 1, 442245), but in exact integers an entry of
+    # v reaches about 5e20; in int64 it would wrap, and u @ a @ v would
+    # equal s only modulo 2**64.
+    a = [[-6, 12, -12, 25], [27, 0, 6, 0], [-20, 13, 30, 13], [24, -28, 15, -24]]
+    with pytest.raises(OverflowError, match="of v leaves int64"):
+        smith_normal_form(a)
+    want, peak = reference_snf(a)
+    assert want.diagonal == [1, 1, 1, 442245]
+    assert peak > INT64_MAX
 
 
 def test_det_exact():
@@ -275,6 +316,10 @@ def test_linear_map_rejects_ill_defined():
         # 1 has order 2 in the source but its image would have order 4.
         LinearMap(z2, z4, [[1]])
     LinearMap(z2, z4, [[2]])  # fine: doubling lands in the 2-torsion
+    # Generator 0 is fine; generators 1 and 2 both break, and the first
+    # one is named.
+    with pytest.raises(ValueError, match=r"^generator 1 breaks the modulus 3$"):
+        LinearMap(FinAbGroup((2, 3, 4)), FinAbGroup((4, 6)), [[2, 1, 1], [3, 2, 1]])
 
 
 def test_solve_frozen_doubling():

@@ -9,12 +9,16 @@ import numpy as np
 import pytest
 
 from ringcat import cohomology
-from ringcat.ablin import FinAbGroup
+from ringcat.ablin import FinAbGroup, LinearMap, homology, span_subgroup
+from ringcat.bimult import bimult_ring, permutable
 from ringcat.cohomology import (
     Cochain1,
     Cochain2,
     Cochain3,
+    _defect2,
+    _defect3,
     add2,
+    annihilated_submodule,
     b2,
     classify_functors,
     complex_for,
@@ -32,6 +36,7 @@ from ringcat.cohomology import (
     z2,
     zero_cochain3,
 )
+from ringcat.corpus import unital_homs
 from ringcat.crossed import validate_bimodule
 from ringcat.rings import (
     RingHom,
@@ -40,8 +45,10 @@ from ringcat.rings import (
     dual_numbers,
     identity_hom,
     product_ring,
+    zero_mult_klein,
     zmod,
 )
+from test_rings import upper_triangular_z2
 
 
 def ring_as_module(r):
@@ -364,6 +371,21 @@ def test_is_coboundary3_certificate_on_unreachable_target():
     assert verdict.witness is None and verdict.certificate is not None
 
 
+def test_z6_smith_normal_form_overflow_is_raised():
+    # Z/6 acting on itself needs 525 degree-3 coordinates, inside the
+    # guard, but eliminating its d2 block leaves int64.  A wrapped solve
+    # would return a witness whose d2 is not the input.
+    mod = ring_as_module(zmod(6))
+    rng = np.random.default_rng(48)
+    f = rng.integers(0, 6, size=(6, 6))
+    g = rng.integers(0, 6, size=(6, 6))
+    f[0] = f[:, 0] = g[0] = g[:, 0] = 0
+    with pytest.raises(OverflowError, match="leaves int64"):
+        is_coboundary3(d2(Cochain2(mod, f, g)))
+    with pytest.raises(OverflowError, match="leaves int64"):
+        h2(mod)
+
+
 def test_classify_functors_unobstructed_identity():
     mod = ring_as_module(zmod(2))
     rc = SimpleNamespace(module=mod, k=zero_cochain3(mod))
@@ -435,8 +457,9 @@ def decode_per_element(cx, vec, axes):
     m = cx.module
     index = {tuple(c): i for i, c in enumerate((m.coords % m.group.factors).tolist())}
     out = np.zeros((m.ring.order,) * axes, dtype=np.int64)
-    cells = itertools.product(cx._nz, repeat=axes)
-    for cell, c in zip(cells, vec.reshape(len(cx._nz) ** axes, m.group.rank), strict=True):
+    nz = range(1, m.ring.order)
+    cells = itertools.product(nz, repeat=axes)
+    for cell, c in zip(cells, vec.reshape(len(nz) ** axes, m.group.rank), strict=True):
         out[cell] = index[m.group.reduce(c)]
     return out
 
@@ -458,3 +481,194 @@ def test_decode_matches_per_element_lookup(module):
         f, g = np.split(v2, 2)
         assert np.array_equal(c.f, decode_per_element(cx, f, 2))
         assert np.array_equal(c.g, decode_per_element(cx, g, 2))
+
+
+# ---------------------------------------------------------------------------
+# complex_for and h2_unit_normalised as they were built before they stacked
+# their basis cochains: one basis cochain at a time through d1 and d2.  They
+# are the references for the batched matrices.
+
+
+def reference_coords(mod, values):
+    """The invariant-factor coordinates of some module elements, in a row."""
+    fac = np.asarray(mod.group.factors, dtype=np.int64)
+    return (mod.coords[np.asarray(values).reshape(-1)] % fac).reshape(-1)
+
+
+def reference_encode(mod, *tables):
+    """One cochain's coordinates: its tables in order, nonzero arguments
+    in C order, invariant factors innermost."""
+    nz = np.arange(1, mod.ring.order)
+    return np.concatenate([reference_coords(mod, t[np.ix_(*[nz] * t.ndim)]) for t in tables])
+
+
+def generator_elements(mod):
+    rank = mod.group.rank
+    return [mod.from_coords(tuple(int(i == j) for j in range(rank))) for i in range(rank)]
+
+
+def reference_matrices(mod):
+    """The d1 and d2 matrices, one column per basis cochain."""
+    n = mod.ring.order
+    gens = generator_elements(mod)
+    cols1 = []
+    for u in range(1, n):
+        for e in gens:
+            t = np.zeros(n, dtype=np.int64)
+            t[u] = e
+            c = d1(Cochain1(mod, t))
+            cols1.append(reference_encode(mod, c.f, c.g))
+    cols2 = []
+    zero = np.zeros((n, n), dtype=np.int64)
+    for which in range(2):
+        for u in range(1, n):
+            for v in range(1, n):
+                for e in gens:
+                    f = zero.copy()
+                    g = zero.copy()
+                    (f if which == 0 else g)[u, v] = e
+                    c = d2(Cochain2(mod, f, g))
+                    cols2.append(reference_encode(mod, *(t for t, _ in c.tables())))
+    return cols1, cols2
+
+
+def reference_h2_unit_normalised(mod):
+    cx = complex_for(mod)
+    m = mod
+    r = m.ring
+    n = r.order
+    one = r.unit
+    gens = generator_elements(m)
+
+    ann = annihilated_submodule(m)
+    ann_cols = reference_coords(m, ann).reshape(len(ann), m.group.rank).T
+    ann_sub = span_subgroup(m.group, ann_cols)
+    ann_gens = [m.from_coords(g) for g in ann_sub.gens]
+
+    src_factors = []
+    basis = []
+    for u in range(1, n):
+        if u == one:
+            for gf, ge in zip(ann_sub.group.factors, ann_gens, strict=True):
+                src_factors.append(gf)
+                basis.append((u, ge))
+        else:
+            for gf, ge in zip(m.group.factors, gens, strict=True):
+                src_factors.append(gf)
+                basis.append((u, ge))
+    c1u = FinAbGroup(tuple(src_factors))
+
+    keep_g = [(u, v) for u in range(1, n) for v in range(1, n) if one not in (u, v)]
+    mid_factors = tuple(m.group.factors) * ((n - 1) ** 2) + tuple(m.group.factors) * len(keep_g)
+    c2u = FinAbGroup(mid_factors)
+    nzsq = [(u, v) for u in range(1, n) for v in range(1, n)]
+
+    def enc2u(c):
+        fpart = reference_coords(m, c.f[tuple(np.array(nzsq).T)])
+        for u in range(1, n):
+            assert not (c.g[u, one] or c.g[one, u]), "not unit-normalised"
+        if keep_g:
+            gpart = reference_coords(m, c.g[tuple(np.array(keep_g).T)])
+        else:
+            gpart = np.zeros(0, dtype=np.int64)
+        return np.concatenate([fpart, gpart])
+
+    def dec2u(vec):
+        cs = np.asarray(vec, dtype=np.int64).reshape(len(nzsq) + len(keep_g), m.group.rank)
+        vals = m.elements_at(cs)
+        f = np.zeros((n, n), dtype=np.int64)
+        g = np.zeros((n, n), dtype=np.int64)
+        f[tuple(np.array(nzsq).T)] = vals[: len(nzsq)]
+        if keep_g:
+            g[tuple(np.array(keep_g).T)] = vals[len(nzsq) :]
+        return Cochain2(m, f, g)
+
+    cols1 = []
+    for u, e in basis:
+        t = np.zeros(n, dtype=np.int64)
+        t[u] = e
+        cols1.append(enc2u(d1(Cochain1(m, t))))
+    mat1 = np.array(cols1, dtype=np.int64).T if cols1 else np.zeros((c2u.rank, 0), dtype=np.int64)
+    d1u = LinearMap(c1u, c2u, mat1)
+
+    cols2 = []
+    for e in np.eye(c2u.rank, dtype=np.int64):
+        k = d2(dec2u(e))
+        cols2.append(reference_encode(m, *(t for t, _ in k.tables())))
+    mat2 = np.array(cols2, dtype=np.int64).T if cols2 else np.zeros((cx.c3_group.rank, 0), dtype=np.int64)
+    d2u = LinearMap(c2u, cx.c3_group, mat2)
+
+    hdata = homology(d1u, d2u)
+    reps = [dec2u(np.asarray(r, dtype=np.int64)) for r in hdata.representatives()]
+    return hdata.order, hdata.group.factors, reps
+
+
+def klein_census_modules():
+    """The Klein zero ring as a module over Z/2, Z/4 and Z/2 x Z/2: one
+    module per unital map into its bimultiplication ring whose rows
+    permute pairwise."""
+    kl = zero_mult_klein()
+    mb = bimult_ring(kl)
+    factors, _gens, coords = decompose_abelian(kl.add)
+    coords = np.array([coords[i] for i in range(kl.order)], dtype=np.int64)
+    mods = []
+    for q in (zmod(2), zmod(4), product_ring(zmod(2), zmod(2))):
+        for h in unital_homs(q, mb.ring):
+            rows = [mb.bimult_of(int(i)) for i in h.map]
+            if all(permutable(s, t) for s in rows for t in rows):
+                mods.append(validate_bimodule(
+                    q, FinAbGroup(tuple(factors)), kl.add, kl.neg, mb.left[h.map],
+                    mb.right[h.map], coords,
+                ))
+    return mods
+
+
+MATRIX_MODULES = {
+    **{f"z{k}": lambda k=k: [ring_as_module(zmod(k))] for k in range(2, 6)},
+    "dual_z2": lambda: [ring_as_module(dual_numbers(2))],
+    "z2xz2": lambda: [ring_as_module(product_ring(zmod(2), zmod(2)))],
+    "rank0": lambda: [trivial_module(zmod(3))],
+    "ut2_z2": lambda: [ring_as_module(upper_triangular_z2())],
+    "klein_census": klein_census_modules,
+}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_MODULES))
+def test_complex_matrices_match_the_per_basis_loops(name):
+    mods = MATRIX_MODULES[name]()
+    if name == "klein_census":
+        assert len(mods) == 42
+    for mod in mods:
+        cx = complex_for(mod)
+        cols1, cols2 = reference_matrices(mod)
+        for lm, cols in ((cx.d1_map, cols1), (cx.d2_map, cols2)):
+            assert lm.matrix.shape == (lm.target.rank, len(cols))
+            assert lm.matrix.T.tolist() == [c.tolist() for c in cols]
+
+
+def test_unit_normalised_h2_matches_the_per_basis_loops():
+    for mod in (ring_as_module(zmod(2)), eps_module(), ring_as_module(zmod(4))):
+        order, factors, reps = h2_unit_normalised(mod)
+        want_order, want_factors, want_reps = reference_h2_unit_normalised(mod)
+        assert (order, factors) == (want_order, want_factors)
+        assert [(c.f.tolist(), c.g.tolist()) for c in reps] == [
+            (c.f.tolist(), c.g.tolist()) for c in want_reps
+        ]
+
+
+@pytest.mark.parametrize("mod", [eps_module(), ring_as_module(upper_triangular_z2())],
+                         ids=["eps", "ut2_z2"])
+def test_stacked_defects_match_one_cochain_at_a_time(mod):
+    r = mod.ring
+    n = r.order
+    rng = np.random.default_rng(47)
+    t = rng.integers(0, mod.order, size=(2, 3, n))
+    f = rng.integers(0, mod.order, size=(2, 3, n, n))
+    g = rng.integers(0, mod.order, size=(2, 3, n, n))
+    stacked2 = _defect2(mod, t)
+    stacked3 = _defect3(mod.add, mod.neg, mod.left, mod.right, r.add, r.mul, f, g)
+    for i, j in itertools.product(range(2), range(3)):
+        one2 = _defect2(mod, t[i, j])
+        one3 = _defect3(mod.add, mod.neg, mod.left, mod.right, r.add, r.mul, f[i, j], g[i, j])
+        for got, want in zip(stacked2 + stacked3, one2 + one3, strict=True):
+            assert np.array_equal(got[i, j], want)

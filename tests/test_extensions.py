@@ -698,17 +698,22 @@ def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
     assert tables["batched"] == tables["reference"]
 
 
-@pytest.mark.parametrize("name", ["id_z2", "id_klein"])
+@pytest.mark.parametrize("name", ["id_z2", "id_z3", "id_z4", "id_klein", "mult_z2", "mult_z3"])
 def test_zero_quotient_search_finds_the_base_itself(name):
     # The cokernel is the zero ring, so b x q is b: the one extension is b
-    # with every map the obvious one.
+    # with every map the obvious one, and enumeration returns the same.
     es, q, psi = corpus_triple(name)
     assert q.order == 1
     found = exhaustive_extension_search(es, q, psi, stop_at_first=False)
-    assert len(found) == 1
-    ring = found[0].ring
-    assert np.array_equal(ring.add, es.b.add) and np.array_equal(ring.mul, es.b.mul)
-    assert ring.unit == es.b.unit
+    listed = enumerate_extensions(es, q, psi)
+    assert len(found) == len(listed) == 1
+    for ext in (found[0], listed[0]):
+        ring = ext.ring
+        assert np.array_equal(ring.add, es.b.add) and np.array_equal(ring.mul, es.b.mul)
+        assert ring.unit == es.b.unit
+        assert ext.j.map.tolist() == list(range(es.b.order))
+        assert ext.p.map.tolist() == [0] * es.b.order
+        assert ext.eps.map.tolist() == es.d.map.tolist()
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,17 @@ def test_cli_cohom_h2_guard_is_a_resource_error(tmp_path, capsys):
     assert "degree 2 needs 2 coordinates, over the guard 1" in capsys.readouterr().err
 
 
+def test_cli_cohom_h2_overflow_is_a_resource_error(tmp_path, capsys):
+    # Z/6 acting on itself fits the coordinate guard (525 degree-3
+    # coordinates), but the Smith normal form of its d2 block leaves int64.
+    ring = write_ring(zmod(6), tmp_path / "z6.ring")
+    mod = write_regular_module(zmod(6), tmp_path / "z6.mod")
+    assert main(["cohom", "h2", str(ring), str(mod)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Smith normal form: entry ") and "leaves int64" in err
+
+
 def test_cli_cohom_h2_keeps_the_library_coordinate_guard(tmp_path):
     # In a subprocess with a timeout: with the guard widened, the CLI would
     # go on to reduce an 11172 x 11564 system.

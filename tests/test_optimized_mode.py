@@ -19,6 +19,7 @@ VALIDATION_TESTS = [
     "tests/test_crossed.py::test_ideal_esystem_not_an_ideal_witness",
     "tests/test_bimult.py",
     "tests/test_ablin.py::test_linear_map_rejects_ill_defined",
+    "tests/test_ablin.py::test_snf_raises_instead_of_wrapping_past_int64",
     "tests/test_ablin.py::test_group_rejects_factor_below_one",
     "tests/test_ablin.py::test_compose_rejects_mismatched_groups",
     "tests/test_ablin.py::test_homology_rejects_mismatched_groups",
@@ -36,6 +37,7 @@ VALIDATION_TESTS = [
     "tests/test_cohomology.py::test_pullback2_rejects_a_foreign_pulled_module",
     "tests/test_cohomology.py::test_pullback3_rejects_a_foreign_cochain",
     "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
+    "tests/test_cohomology.py::test_z6_smith_normal_form_overflow_is_raised",
     "tests/test_extensions.py::test_obstruction_requires_regular_base",
     "tests/test_extensions.py::test_factor_system_action_condition_witnesses",
     "tests/test_extensions.py::test_factor_system_cocycle_condition_witnesses",
@@ -46,6 +48,7 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_equivalent_rejects_extensions_over_different_bases",
     "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_guard_is_a_resource_error",
+    "tests/test_fileio_cli.py::test_cli_cohom_h2_overflow_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_bimult_pair_scan_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_internal_error_exits_3",
     "tests/test_acceptance.py::test_criterion_07_section_independence",
