@@ -340,10 +340,6 @@ class LinearMap:
         return LinearMap(other.source, self.target, self.matrix @ other.matrix)
 
 
-def identity_map(g: FinAbGroup) -> LinearMap:
-    return LinearMap(g, g, np.eye(g.rank, dtype=np.int64))
-
-
 def _augmented(lm: LinearMap) -> np.ndarray:
     """[matrix | diag(target moduli)]: solving over Z against this block
     is solving in the target group."""
@@ -520,18 +516,6 @@ def cokernel(lm: LinearMap) -> Quotient:
     rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, h), dtype=np.int64)
     lifts = np.array(lifts, dtype=np.int64).T if lifts else np.zeros((h, 0), dtype=np.int64)
     return Quotient(lm.target, FinAbGroup(tuple(moduli)), rows, tuple(moduli), lifts)
-
-
-def kernel_order(lm: LinearMap) -> int:
-    return kernel(lm).order
-
-
-def image_order(lm: LinearMap) -> int:
-    """Order of the image; checked against |source| = |kernel| * |image|."""
-    via_coker = lm.target.order // cokernel(lm).group.order
-    via_kernel = lm.source.order // kernel(lm).order
-    assert via_coker == via_kernel, "rank-nullity over the two routes"
-    return via_coker
 
 
 @dataclass

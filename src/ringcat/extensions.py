@@ -35,6 +35,7 @@ from .rings import (
     _preimages,
     _product_blocks,
     _sum,
+    _sum_generators,
     find_unit,
     ideal_cokernel,
     validate_ring,
@@ -553,13 +554,16 @@ def exhaustive_extension_search(
     |b|*|q| extending the data.  Stage order: symmetric associative
     additive defects, then per-class actions drawn from the
     bimultiplication ring, then multiplicative defects pinned slotwise
-    by the composite-action rows, then a unit scan and the search for a
-    compatible map into the action target.
+    by the composite-action rows, enumerated on pairs of additive
+    generators of q and solved on every other slot by the distributivity
+    conditions (`_search_g_stage`), then a unit scan and the search for
+    a compatible map into the action target.
 
     Each stage filters its candidates a block at a time
     (`rings._product_blocks`) and passes the survivors on in
     itertools.product order, so the finds and their order are those of
-    a one-candidate-at-a-time walk.
+    a one-candidate-at-a-time walk over every slot.  Each guard counts
+    the candidates its stage generates.
     """
     b = base.b
     nb, nq = b.order, q.order
@@ -623,7 +627,37 @@ def exhaustive_extension_search(
 def _search_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, results):
     """Inner stages of the exhaustive search: multiplicative defects,
     unit scan, target map.  Appends finds to `results`, returns whether
-    anything was appended."""
+    anything was appended.
+
+    The composite-action rows pin each slot g(u, v), u, v != 0, to a set
+    of options.  The stage does not walk the product of every slot's
+    options.  Two of the conditions it checks are distributivity across
+    the quotient, for all u, v, w:
+
+        r_w(f(u, v)) + g(u+v, w) = g(u, w) + g(v, w) + f(uw, vw),
+        l_u(f(v, w)) + g(u, v+w) = g(u, v) + g(u, w) + f(uv, uw).
+
+    In the additive group of b, the first gives g(u+v, w) and the second
+    g(u, v+w) from g at the summands and the fixed f and action.  Let S
+    be `rings._sum_generators(q.add)` without 0.  Every other x != 0 is
+    add[i, j] for some 0 < i, j < x (i = 0 would give x = j < x).  So a
+    g satisfying both conditions is fixed by its S x S slots: first the
+    rows x outside S on the columns in S, g(x, w) from rows i and j, in
+    increasing x; then every column x outside S, g(u, x) from columns i
+    and j, in increasing x.  The stage enumerates options only on the
+    S x S slots, derives every other slot by those lookups, and keeps
+    the derived tables whose every slot holds one of its options and
+    that pass the three defect conditions.  These are exactly the g in
+    the product of all slots' options that pass the conditions: no more,
+    since the masks and conditions are tested, and no fewer, since such
+    a g is the derived table of its own S x S values.
+
+    They also come in that product's order, slots in C order.  A derived
+    slot reads only slots before it: (i, w) and (j, w) lie in earlier
+    rows, (u, i) and (u, j) earlier in the same row.  So two survivors
+    first differ at an S x S slot.  Options are ascending there, so the
+    enumeration order over the S x S digits is the order over all slots.
+    """
     b = base.b
     nb, nq = b.order, q.order
     arq = np.arange(nq)
@@ -635,16 +669,30 @@ def _search_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, res
     lrows = b.add[left[us[:, None], left[vs]], b.neg[left[qm[us, vs]]]]
     rrows = b.add[right[vs[:, None], right[us]], b.neg[right[qm[us, vs]]]]
     opts = (b.mul == lrows[:, None, :]).all(axis=2) & (b.mul.T == rrows[:, None, :]).all(axis=2)
-    counts = opts.sum(axis=1).tolist()
-    if not all(counts):
+    if not opts.any(axis=1).all():
         return False
+    gens = _sum_generators(qa)
+    gens = gens[gens != 0]
+    free = np.isin(us, gens) & np.isin(vs, gens)
+    counts = opts[free].sum(axis=1).tolist()
+    # The guard counts the candidates generated: the S x S products.
     total = 1
     for c in counts:
         total *= c
         if total > guard:
             raise SearchGuardError(f"{total}+ multiplicative defect candidates")
-    # Column k of `pick` is the k-th option of each slot, options ascending.
-    pick = np.argsort(~opts, axis=1, kind="stable")
+    # Column k of `pick` is the k-th option of each free slot, options ascending.
+    pick = np.argsort(~opts[free], axis=1, kind="stable")
+    # x = i + j for each x outside S, with the constant terms of both solved
+    # conditions: rows on the generator columns, then whole columns.
+    sums = [(x, *np.argwhere(qa[:x, :x] == x)[0]) for x in range(1, nq) if x not in gens]
+    row_terms = [
+        (x, i, j, b.add[f[qm[i, gens], qm[j, gens]], b.neg[right[gens, f[i, j]]]])
+        for x, i, j in sums
+    ]
+    col_terms = [
+        (x, i, j, b.add[f[qm[:, i], qm[:, j]], b.neg[left[:, f[i, j]]]]) for x, i, j in sums
+    ]
 
     u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
     f_uw_vw = f[qm[u3, w3], qm[v3, w3]]
@@ -652,7 +700,12 @@ def _search_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, res
     found = False
     for digits in _product_blocks(counts, nq**3):
         gs = np.zeros((len(digits), nq, nq), dtype=np.int16)
-        gs[:, us, vs] = pick[np.arange(len(us)), digits]
+        gs[:, us[free], vs[free]] = pick[np.arange(len(counts)), digits]
+        for x, i, j, term in row_terms:
+            gs[:, x, gens] = b.add[b.add[gs[:, i, gens], gs[:, j, gens]], term]
+        for x, i, j, term in col_terms:
+            gs[:, :, x] = b.add[b.add[gs[:, :, i], gs[:, :, j]], term]
+        gs = gs[opts[np.arange(len(us)), gs[:, us, vs]].all(axis=1)]
         G_uvm_w = gs[:, qm[:, :, None], arq[None, None, :]]
         G_uva_w = gs[:, qa[:, :, None], arq[None, None, :]]
         G_u_vwm = gs[:, arq[:, None, None], qm[None, :, :]]

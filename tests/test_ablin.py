@@ -16,10 +16,7 @@ from ringcat.ablin import (
     cokernel,
     det_exact,
     homology,
-    identity_map,
-    image_order,
     kernel,
-    kernel_order,
     smith_normal_form,
     solve,
     solve_with_certificate,
@@ -27,6 +24,22 @@ from ringcat.ablin import (
 )
 from ringcat.cohomology import complex_for
 from ringcat.crossed import validate_bimodule
+
+
+def identity_map(g):
+    return LinearMap(g, g, np.eye(g.rank, dtype=np.int64))
+
+
+def kernel_order(lm):
+    return kernel(lm).order
+
+
+def image_order(lm):
+    """Order of the image; checked against |source| = |kernel| * |image|."""
+    via_coker = lm.target.order // cokernel(lm).group.order
+    via_kernel = lm.source.order // kernel(lm).order
+    assert via_coker == via_kernel, "rank-nullity over the two routes"
+    return via_coker
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -660,9 +661,10 @@ def search_record(exts):
         ("flat_z2", klein(), [0, 1, 0, 1]),
         ("flat_klein0", zmod(2), [0, 1]),
         ("ut2_first_row",),  # noncommutative base: gives the right-hand masks teeth
+        ("flat_z2_in_z4",),  # Z/4: 2 = 1 + 1 is solved before 3 = 1 + 2
     ],
     ids=["mult_2z8-own", "double_2z8-z2xz2", "flat_z2-z2xz2", "flat_klein0-z2",
-         "ut2_first_row-own"],
+         "ut2_first_row-own", "flat_z2_in_z4-own"],
 )
 @pytest.mark.parametrize("stop", [True, False])
 def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
@@ -696,6 +698,84 @@ def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
     assert search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop)) == want
     assert calls["batched"] == calls["reference"] and calls["reference"]
     assert tables["batched"] == tables["reference"]
+
+
+def g_stage_calls(es, q, psi, monkeypatch, **search):
+    """A search run to exhaustion, and the arguments up to the guard of
+    every g stage it runs, each with the stage's answer."""
+    seen = []
+    stage = extensions._search_g_stage
+
+    def run(*args):
+        found = stage(*args)
+        seen.append((args[:7], found))
+        return found
+
+    with monkeypatch.context() as m:
+        m.setattr(extensions, "_search_g_stage", run)
+        exts = exhaustive_extension_search(es, q, psi, stop_at_first=False, **search)
+    return exts, seen
+
+
+@pytest.mark.parametrize(
+    "triple, fewer",
+    [(("double_2z8", klein(), [0, 0, 1, 1]), True), (("double_2z8",), False)],
+    ids=["double_2z8-z2xz2", "double_2z8-own"],
+)
+def test_g_stage_decodes_only_generator_pair_candidates(triple, fewer, monkeypatch):
+    # Z/2 x Z/2 is spanned by 1 and 2, so the stage decodes the options of
+    # 4 of its 9 slots; Z/2 (the cokernel of double_2z8) has one slot,
+    # (1, 1), and it is a generator pair.  Each route's first product is
+    # its g enumeration: the target lifts come after it.
+    es, q, psi = corpus_triple(*triple)
+    inputs = [args for args, _ in g_stage_calls(es, q, psi, monkeypatch)[1]]
+    radices = []
+    blocks, product = extensions._product_blocks, itertools.product
+
+    def recording_blocks(rad, width):
+        radices.append(math.prod(rad))
+        return blocks(rad, width)
+
+    def recording_product(*pools):
+        radices.append(math.prod(map(len, pools)))
+        return product(*pools)
+
+    monkeypatch.setattr(extensions, "_product_blocks", recording_blocks)
+    monkeypatch.setattr(itertools, "product", recording_product)
+    decoded = {"batched": [], "reference": []}
+    for args in inputs:
+        for key, stage in (("batched", extensions._search_g_stage),
+                           ("reference", _reference_g_stage)):
+            radices.clear()
+            stage(*args, SEARCH_GUARD, False, [])
+            decoded[key].append(radices[0] if radices else 0)
+    new, old = decoded["batched"], decoded["reference"]
+    assert sum(old) > 0
+    if fewer:
+        assert all(n <= o for n, o in zip(new, old, strict=True)) and sum(new) < sum(old)
+    else:
+        assert new == old
+
+
+def test_g_stage_guard_counts_generator_pair_candidates(monkeypatch):
+    # Over the zero ring on Z/2 a g slot takes both elements or none, so a
+    # g stage over Z/2 x Z/2 generates 2^4 candidates on the generator
+    # pairs where the slot walk decoded 2^9.  The 2^6 additive defects and
+    # 4^3 actions fit under 100 too.
+    es, q, psi = corpus_triple("flat_z2", klein(), [0, 1, 0, 1])
+    want = search_record(exhaustive_extension_search(es, q, psi, stop_at_first=False))
+    with pytest.raises(SearchGuardError, match=r"^128\+ multiplicative defect candidates$"):
+        reference_search(es, q, psi, stop_at_first=False, guard=100)
+    exts, stages = g_stage_calls(es, q, psi, monkeypatch, guard=100)
+    assert search_record(exts) == want
+
+    def no_tables(*args):
+        raise AssertionError("a g table was built")
+
+    monkeypatch.setattr(extensions, "crossed_tables", no_tables)
+    args = next(args for args, found in stages if found)
+    with pytest.raises(SearchGuardError, match=r"^16\+ multiplicative defect candidates$"):
+        extensions._search_g_stage(*args, 15, False, [])
 
 
 @pytest.mark.parametrize("name", ["id_z2", "id_z3", "id_z4", "id_klein", "mult_z2", "mult_z3"])
