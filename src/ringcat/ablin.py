@@ -362,25 +362,56 @@ class UnsolvableWitness:
         )
 
 
+def _factor(lm: LinearMap) -> SNFResult:
+    """The Smith normal form of lm's augmented block.  Callers that need it
+    twice compute it once and hand it to `_solve` and `_kernel`; no
+    factorisation is kept beyond the call that made it."""
+    return smith_normal_form(_augmented(lm))
+
+
+def _solve(lm: LinearMap, rhs, res: SNFResult | None = None):
+    """Solve lm(x) = b for every column b of `rhs` against one
+    factorisation `res` of lm's augmented block, made here when not given
+    and there is something to solve.
+
+    Returns (x, None, None) with column j of x solving column j of rhs, or
+    (None, j, witness) for the first column j that has no solution.  The
+    column-stacked products u @ rhs and v @ w do the integer arithmetic of
+    one column at a time, so each column's answer and certificate are those
+    of a solve of that column alone."""
+    h, g = lm.target.rank, lm.source.rank
+    rhs = np.asarray(rhs, dtype=np.int64)
+    if rhs.ndim == 1:
+        rhs = rhs[:, None]
+    k = rhs.shape[1]
+    if h == 0 or k == 0:
+        return np.zeros((g, k), dtype=np.int64), None, None
+    if res is None:
+        res = _factor(lm)
+    c = res.u @ rhs
+    # The diagonal block has full row rank, so every diagonal entry is nonzero.
+    d = np.diagonal(res.s)[:h, None]
+    assert (d > 0).all(), "target moduli must make the system full row rank"
+    rem = c % d
+    bad = np.flatnonzero(rem.any(axis=0))
+    if bad.size:
+        j = int(bad[0])
+        i = int(np.flatnonzero(rem[:, j])[0])
+        return None, j, UnsolvableWitness(res.u[i].copy(), int(d[i, 0]), int(rem[i, j]))
+    w = np.zeros((g + h, k), dtype=np.int64)
+    w[:h] = c // d
+    x = (res.v @ w)[:g] % np.asarray(lm.source.factors, dtype=np.int64)[:, None]
+    tgt = np.asarray(lm.target.factors, dtype=np.int64)[:, None]
+    assert not ((lm.matrix @ x - rhs) % tgt).any(), "solver postcondition"
+    return x, None, None
+
+
 def solve_with_certificate(lm: LinearMap, b):
     """Solve lm(x) = b.  Returns (x, None) or (None, UnsolvableWitness)."""
-    h, g = lm.target.rank, lm.source.rank
-    if h == 0:
-        return lm.source.zero(), None
-    m = _augmented(lm)
-    res = smith_normal_form(m)
-    c = res.u @ np.asarray(b, dtype=np.int64)
-    w = np.zeros(g + h, dtype=np.int64)
-    # The diagonal block has full row rank, so every diagonal entry is nonzero.
-    for i in range(h):
-        d = int(res.s[i, i])
-        assert d > 0, "target moduli must make the system full row rank"
-        if c[i] % d:
-            return None, UnsolvableWitness(res.u[i].copy(), d, int(c[i] % d))
-        w[i] = c[i] // d
-    x = lm.source.reduce((res.v @ w)[:g])
-    assert lm.apply(x) == lm.target.reduce(b), "solver postcondition"
-    return x, None
+    x, _, cert = _solve(lm, b)
+    if x is None:
+        return None, cert
+    return tuple(int(v) for v in x[:, 0]), None
 
 
 def solve(lm: LinearMap, b):
@@ -462,10 +493,17 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
 
 def kernel(lm: LinearMap) -> Subgroup:
     """Kernel of lm as a presented subgroup of the source."""
+    return _kernel(lm)
+
+
+def _kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
+    """`kernel` from a factorisation `res` of lm's augmented block, made
+    here when not given."""
     g = lm.source.rank
     if g == 0:
         return Subgroup(lm.source, FinAbGroup(()), [])
-    res = smith_normal_form(_augmented(lm))
+    if res is None:
+        res = _factor(lm)
     r = res.rank
     # x-parts of an integer basis of the kernel lattice of the augmented block;
     # together with the source moduli they span the kernel as a lattice.
@@ -503,8 +541,7 @@ class Quotient:
 def cokernel(lm: LinearMap) -> Quotient:
     """target / image(lm), presented by invariant factors."""
     h = lm.target.rank
-    m = _augmented(lm)
-    res = smith_normal_form(m)
+    res = _factor(lm)
     rows, moduli, lifts = [], [], []
     for i in range(h):
         d = int(res.s[i, i])
@@ -551,18 +588,16 @@ def homology(incoming: LinearMap, outgoing: LinearMap) -> HomologyData:
             f"incoming target {incoming.target.factors} is not outgoing source "
             f"{outgoing.source.factors}"
         )
-    cyc = kernel(outgoing)
-    cols = []
-    for j in range(incoming.source.rank):
-        b = incoming.target.reduce(incoming.matrix[:, j])
-        c = cyc.coords_of(b)
-        if c is None:
-            raise ValueError(f"boundary {j} is not a cycle: the maps do not compose to zero")
-        cols.append(c)
-    mat = (
-        np.array(cols, dtype=np.int64).T
-        if cols
-        else np.zeros((cyc.group.rank, 0), dtype=np.int64)
-    )
-    quot = cokernel(LinearMap(incoming.source, cyc.group, mat))
-    return HomologyData(cyc, quot.group, quot)
+    return _homology(incoming, kernel(outgoing))
+
+
+def _homology(incoming: LinearMap, cycles: Subgroup) -> HomologyData:
+    """`homology` from the cycles, the kernel of the outgoing map.  Every
+    boundary column is solved against one factorisation of the cycles'
+    embedding."""
+    tgt = np.asarray(incoming.target.factors, dtype=np.int64)[:, None]
+    mat, j, _ = _solve(cycles._embed, incoming.matrix % tgt)
+    if mat is None:
+        raise ValueError(f"boundary {j} is not a cycle: the maps do not compose to zero")
+    quot = cokernel(LinearMap(incoming.source, cycles.group, mat))
+    return HomologyData(cycles, quot.group, quot)

@@ -29,9 +29,12 @@ from .ablin import (
     LinearMap,
     Subgroup,
     UnsolvableWitness,
+    _factor,
+    _homology,
+    _kernel,
+    _solve,
     homology,
     kernel,
-    solve_with_certificate,
     span_subgroup,
 )
 from .crossed import Bimodule, validate_bimodule
@@ -337,6 +340,11 @@ class CochainComplex:
 
 # complex_for caches each complex on its module (as `_complex`), so it lives
 # exactly as long as the module; this set names the modules holding one.
+# The module and its complex refer to each other (`module._complex` and
+# `cx.module`), a reference cycle that only the cyclic collector frees.  So
+# the complex must hold no factorisation: the transforms of a Smith normal
+# form, several MB on the larger modules, would outlive every call that
+# used them.
 _complexes: weakref.WeakSet[Bimodule] = weakref.WeakSet()
 
 
@@ -527,11 +535,16 @@ class CoboundaryVerdict:
 
 
 def is_coboundary3(k: Cochain3, guard: int = COORD_GUARD) -> CoboundaryVerdict:
-    cx = complex_for(k.module, guard)
-    x, cert = solve_with_certificate(cx.d2_map, cx.encode3(k))
+    return _coboundary_verdict(complex_for(k.module, guard), k)
+
+
+def _coboundary_verdict(cx: CochainComplex, k: Cochain3, res=None) -> CoboundaryVerdict:
+    """`is_coboundary3` on k's complex cx, solved against the factorisation
+    `res` of the augmented d2 block when given."""
+    x, _, cert = _solve(cx.d2_map, cx.encode3(k), res)
     if x is None:
         return CoboundaryVerdict(False, None, cert)
-    c = cx.decode2(np.asarray(x, dtype=np.int64))
+    c = cx.decode2(x[:, 0])
     assert d2(c).equals(k), "solver witness must differentiate to k"
     return CoboundaryVerdict(True, c, None)
 
@@ -562,11 +575,18 @@ def classify_functors(psi: RingHom, rc, guard: int = COORD_GUARD) -> FunctorClas
     """
     pulled = pullback_module(psi, rc.module)
     kq = pullback3(psi, rc.k, pulled)
-    verdict = is_coboundary3(neg3(kq), guard)
+    cx = complex_for(pulled, guard)
+    # The bounding test and the cocycles both need the augmented d2 block
+    # factored, so it is factored once here.  Its source and target are
+    # both trivial or both not; when trivial, neither needs it.
+    res = _factor(cx.d2_map) if cx.c2_group.rank else None
+    verdict = _coboundary_verdict(cx, neg3(kq), res)
     if not verdict.is_coboundary:
         return FunctorClassification(pulled, kq, False, verdict.certificate, [], ())
     g0 = verdict.witness
-    hd = h2(pulled, guard)
+    cycles = _kernel(cx.d2_map, res)
+    del res  # free the transforms before homology factors anything else
+    hd = H2Data(cx, _homology(cx.d1_map, cycles))
     classes = [add2(g0, rep) for rep in hd.representatives()]
     for c in classes:
         assert d2(c).equals(neg3(kq))

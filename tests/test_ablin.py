@@ -9,9 +9,11 @@ from ringcat import rings
 from ringcat.ablin import (
     FinAbGroup,
     LinearMap,
+    HomologyData,
     SNFResult,
     Subgroup,
     _augmented,
+    _solve,
     as_int_matrix,
     cokernel,
     det_exact,
@@ -517,3 +519,132 @@ def test_homology_against_exhaustive_quotient():
             assert same == (b.sub(x, y) in boundaries)
         reps = h.representatives()
         assert len({h.class_of(r) for r in reps}) == h.order
+
+
+def reference_solve_with_certificate(lm, b):
+    """The one-column solve that `_solve` batches: factor lm's augmented
+    block and divide one row at a time, stopping at the first row whose
+    residue is nonzero."""
+    h, g = lm.target.rank, lm.source.rank
+    if h == 0:
+        return lm.source.zero(), None
+    res = smith_normal_form(_augmented(lm))
+    c = res.u @ np.asarray(b, dtype=np.int64)
+    w = np.zeros(g + h, dtype=np.int64)
+    for i in range(h):
+        d = int(res.s[i, i])
+        assert d > 0
+        if c[i] % d:
+            return None, (res.u[i].tolist(), d, int(c[i] % d))
+        w[i] = c[i] // d
+    x = lm.source.reduce((res.v @ w)[:g])
+    assert lm.apply(x) == lm.target.reduce(b)
+    return x, None
+
+
+def reference_homology(incoming, outgoing):
+    """The per-column loop homology ran before it solved every boundary
+    against one factorisation: each boundary is solved on its own."""
+    cyc = kernel(outgoing)
+    cols = []
+    for j in range(incoming.source.rank):
+        b = incoming.target.reduce(incoming.matrix[:, j])
+        c, _ = reference_solve_with_certificate(cyc._embed, b)
+        if c is None:
+            raise ValueError(f"boundary {j} is not a cycle: the maps do not compose to zero")
+        cols.append(c)
+    mat = (
+        np.array(cols, dtype=np.int64).T
+        if cols
+        else np.zeros((cyc.group.rank, 0), dtype=np.int64)
+    )
+    quot = cokernel(LinearMap(incoming.source, cyc.group, mat))
+    return HomologyData(cyc, quot.group, quot)
+
+
+def reference_class_of(h, x):
+    c, _ = reference_solve_with_certificate(h.cycles._embed, x)
+    return None if c is None else h._quot.project(c)
+
+
+def assert_same_homology(got, want, probes=()):
+    """Equal cycle generators, group factors, representatives, and classes
+    of the representatives and of each cycle in `probes`."""
+    assert got.cycles.group.factors == want.cycles.group.factors
+    assert got.cycles.gens == want.cycles.gens
+    assert got.group.factors == want.group.factors
+    reps = got.representatives()
+    assert reps == want.representatives()
+    for x in [*reps, *probes]:
+        assert got.class_of(x) == reference_class_of(want, x)
+
+
+def test_solve_matches_column_by_column():
+    # Column j of rhs: an image when flip[j] is 0, an arbitrary element
+    # (often outside the image) otherwise.
+    rng = np.random.default_rng(31)
+    unsolvable = 0
+    for _ in range(150):
+        src = _random_group(rng)
+        dst = _random_group(rng, max_order=64)
+        lm = _random_map(rng, src, dst)
+        k = int(rng.integers(0, 5))
+        flip = rng.integers(0, 3, size=k) == 0
+        cols = [
+            dst.random_element(rng) if bad else lm.apply(src.random_element(rng))
+            for bad in flip
+        ]
+        rhs = np.array(cols, dtype=np.int64).reshape(k, dst.rank).T
+        want = [reference_solve_with_certificate(lm, b) for b in cols]
+        x, j, cert = _solve(lm, rhs)
+        first_bad = next((i for i, (_, c) in enumerate(want) if c is not None), None)
+        if first_bad is None:
+            assert j is None and cert is None
+            assert x.shape == (src.rank, k)
+            assert [tuple(col) for col in x.T.tolist()] == [w for w, _ in want]
+        else:
+            unsolvable += 1
+            assert x is None and j == first_bad
+            assert (cert.row.tolist(), cert.modulus, cert.residue) == want[first_bad][1]
+        for b, (wx, wcert) in zip(cols, want, strict=True):
+            one, one_cert = solve_with_certificate(lm, b)
+            assert one == wx
+            if wcert is None:
+                assert one_cert is None
+            else:
+                assert (one_cert.row.tolist(), one_cert.modulus, one_cert.residue) == wcert
+    assert unsolvable >= 20
+
+
+def random_complex(rng):
+    """incoming, outgoing with incoming's image inside outgoing's kernel."""
+    a = _random_group(rng, 32)
+    b = _random_group(rng, 32)
+    c = _random_group(rng, 32)
+    outgoing = _random_map(rng, b, c)
+    ker = kernel(outgoing)
+    inner = _random_map(rng, a, ker.group)
+    cols = np.array(
+        [list(ker.embed(inner.apply(e))) for e in np.eye(a.rank, dtype=np.int64)],
+        dtype=np.int64,
+    ).T if a.rank else np.zeros((b.rank, 0), int)
+    return LinearMap(a, b, cols), outgoing
+
+
+def test_homology_matches_the_per_column_loop():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        incoming, outgoing = random_complex(rng)
+        cycles = [x for x in incoming.target.elements()
+                  if outgoing.apply(x) == outgoing.target.zero()]
+        assert_same_homology(homology(incoming, outgoing),
+                             reference_homology(incoming, outgoing), cycles[:8])
+
+
+def test_homology_names_the_first_boundary_that_is_not_a_cycle():
+    # Boundaries 0 and 3 map to 0 under reduction mod 2; 1 and 2 do not,
+    # and the error names 1.
+    z4, z2 = FinAbGroup((4,)), FinAbGroup((2,))
+    incoming = LinearMap(FinAbGroup((4, 4, 4, 4)), z4, [[2, 1, 3, 0]])
+    with pytest.raises(ValueError, match=r"^boundary 1 is not a cycle"):
+        homology(incoming, LinearMap(z4, z2, [[1]]))

@@ -1,5 +1,6 @@
 """Cochains, differentials and second cohomology over small modules."""
 
+import functools
 import gc
 import itertools
 import weakref
@@ -36,18 +37,22 @@ from ringcat.cohomology import (
     z2,
     zero_cochain3,
 )
-from ringcat.corpus import unital_homs
+from ringcat.corpus import corpus_triples, unital_homs
 from ringcat.crossed import validate_bimodule
+from ringcat.extensions import _align_psi
 from ringcat.rings import (
     RingHom,
     SearchGuardError,
     decompose_abelian,
     dual_numbers,
+    ideal_cokernel,
     identity_hom,
     product_ring,
     zero_mult_klein,
     zmod,
 )
+from ringcat.transport import reduce_esystem
+from test_ablin import assert_same_homology, reference_homology, reference_solve_with_certificate
 from test_rings import upper_triangular_z2
 
 
@@ -672,3 +677,81 @@ def test_stacked_defects_match_one_cochain_at_a_time(mod):
         one3 = _defect3(mod.add, mod.neg, mod.left, mod.right, r.add, r.mul, f[i, j], g[i, j])
         for got, want in zip(stacked2 + stacked3, one2 + one3, strict=True):
             assert np.array_equal(got[i, j], want)
+
+
+@functools.cache
+def classify_triples():
+    """The triples of the classify benchmark: corpus_triples(limit=16), then
+    each of their 13 systems over its own cokernel with psi = id.  Each is
+    (label, psi into the reduced ring, reduced data)."""
+    triples = corpus_triples(limit=16)
+    systems = list({id(es): es for es, _, _ in triples}.values())
+    for es in systems:
+        coker = ideal_cokernel(es.d, name=f"coker_{es.name}").ring
+        triples.append((es, coker, RingHom(coker, coker, np.arange(coker.order))))
+    rcs = {id(es): reduce_esystem(es) for es in systems}
+    return [
+        (f"{es.name}|{q.name}|{','.join(map(str, psi.map.tolist()))}",
+         _align_psi(psi, q, rcs[id(es)].ring), rcs[id(es)])
+        for es, q, psi in triples
+    ]
+
+
+def reference_classify(psi, rc):
+    """classify_functors with each boundary solved on its own and d2's
+    augmented block factored once for the solve and again for the kernel:
+    (vanishes, certificate, class tables, H2 factors)."""
+    pulled = pullback_module(psi, rc.module)
+    cx = complex_for(pulled)
+    target = neg3(pullback3(psi, rc.k, pulled))
+    x, cert = reference_solve_with_certificate(cx.d2_map, cx.encode3(target))
+    if x is None:
+        return False, cert, [], ()
+    g0 = cx.decode2(np.asarray(x, dtype=np.int64))
+    hd = reference_homology(cx.d1_map, cx.d2_map)
+    classes = [add2(g0, cx.decode2(np.asarray(r, dtype=np.int64))) for r in hd.representatives()]
+    return True, None, [(c.f.tolist(), c.g.tolist()) for c in classes], hd.group.factors
+
+
+def test_classify_triples_match_the_per_column_solves():
+    triples = classify_triples()
+    assert len(triples) == 59
+    obstructed = []
+    for label, psi, rc in triples:
+        out = classify_functors(psi, rc)
+        cert = out.certificate and (out.certificate.row.tolist(), out.certificate.modulus,
+                                    out.certificate.residue)
+        got = (out.vanishes, cert, [(c.f.tolist(), c.g.tolist()) for c in out.classes],
+               out.h2_factors)
+        assert got == reference_classify(psi, rc), label
+        if not out.vanishes:
+            obstructed.append(label)
+        cx = complex_for(out.pulled_module)
+        assert_same_homology(h2(out.pulled_module).data,
+                             reference_homology(cx.d1_map, cx.d2_map),
+                             z2(out.pulled_module).subgroup.gens)
+    assert obstructed == ["mult_2z8|coker_mult_2z8|0,1,2,3"]
+
+
+def test_klein_census_homology_matches_the_per_column_loop():
+    mods = klein_census_modules()
+    assert len(mods) == 42
+    for mod in mods:
+        cx = complex_for(mod)
+        assert_same_homology(homology(cx.d1_map, cx.d2_map),
+                             reference_homology(cx.d1_map, cx.d2_map))
+
+
+def test_unit_normalised_h2_matches_the_per_column_loop(monkeypatch):
+    mods = [pullback_module(psi, rc.module) for _, psi, rc in classify_triples()]
+    mods = [m for m in mods if m.ring.order >= 2]
+    assert len(mods) == 53
+    for mod in mods:
+        order, factors, reps = h2_unit_normalised(mod)
+        with monkeypatch.context() as m:
+            m.setattr(cohomology, "homology", reference_homology)
+            want_order, want_factors, want_reps = h2_unit_normalised(mod)
+        assert (order, factors) == (want_order, want_factors)
+        assert [(c.f.tolist(), c.g.tolist()) for c in reps] == [
+            (c.f.tolist(), c.g.tolist()) for c in want_reps
+        ]

@@ -1,14 +1,17 @@
 """Extensions: validation, factor systems, crossed products, enumeration."""
 
 import functools
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from ringcat import extensions
+from ringcat import ablin, extensions
 from ringcat.bimult import Bimult, _permutable, enumerate_bimultiplications, permutability_witness
+from ringcat.cohomology import classify_functors
 from ringcat.corpus import corpus
 from ringcat.crossed import ESystemError, ideal_esystem, multiplier_esystem, validate_esystem
 from ringcat.extensions import (
@@ -814,3 +817,60 @@ def test_product_blocks_follow_product_order(radices, width):
                for b in blocks)
     got = [tuple(row) for b in blocks for row in b.tolist()]
     assert got == list(itertools.product(*(range(r) for r in radices)))
+
+
+@pytest.mark.parametrize(
+    "triple, calls",
+    [
+        (("flat_z2", zmod(4), [0, 1, 0, 1]), 5),
+        (("flat_z2", klein(), [0, 1, 0, 1]), 5),
+        (("mult_2z8",), 1),  # obstructed: only the bounding test runs
+    ],
+    ids=["flat_z2-z4", "flat_z2-z2xz2", "mult_2z8-own"],
+)
+def test_obstruction_factors_each_matrix_once(triple, calls, monkeypatch):
+    # The bounding test and the kernel of d2 share one factorisation of
+    # the augmented d2 block, and homology solves every boundary against
+    # one factorisation of the cycles' embedding.
+    inputs = []
+    snf = ablin.smith_normal_form
+
+    def recording(a):
+        m = np.asarray(a, dtype=np.int64)
+        inputs.append((m.shape, m.tobytes()))
+        return snf(a)
+
+    es, q, psi = corpus_triple(*triple)
+    rc = reduce_esystem(es)
+    monkeypatch.setattr(ablin, "smith_normal_form", recording)
+    out = extension_obstruction(es, q, psi, rc)
+    assert out.vanishes == (calls > 1)
+    assert len(inputs) == len(set(inputs)) == calls
+
+
+def test_no_factorisation_outlives_classify_functors(monkeypatch):
+    # Each module and its cached complex refer to each other, so anything
+    # stored on the complex or its maps would live as long as the module
+    # the classification returns.  The collector is off, so a factorisation
+    # kept in such a cycle would show too.
+    results = []
+    snf = ablin.smith_normal_form
+
+    def recording(a):
+        res = snf(a)
+        results.append(weakref.ref(res))
+        return res
+
+    es, q, psi = corpus_triple("flat_z2", zmod(4), [0, 1, 0, 1])
+    rc = reduce_esystem(es)
+    psi = _align_psi(psi, q, rc.ring)
+    monkeypatch.setattr(ablin, "smith_normal_form", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = classify_functors(psi, rc)
+        assert out.vanishes and out.count == 2
+        assert results and [r() for r in results] == [None] * len(results)
+    finally:
+        if enabled:
+            gc.enable()

@@ -24,6 +24,7 @@ VALIDATION_TESTS = [
     "tests/test_ablin.py::test_compose_rejects_mismatched_groups",
     "tests/test_ablin.py::test_homology_rejects_mismatched_groups",
     "tests/test_ablin.py::test_homology_rejects_maps_that_do_not_compose_to_zero",
+    "tests/test_ablin.py::test_homology_names_the_first_boundary_that_is_not_a_cycle",
     "tests/test_ablin.py::test_class_of_rejects_a_non_cycle",
     "tests/test_rings.py::test_subring_two_z4",
     "tests/test_rings.py::test_compose_rejects_mismatched_rings",
