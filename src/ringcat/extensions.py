@@ -25,6 +25,7 @@ from .bimult import _bimult_laws, _permutable, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, classify_functors
 from .crossed import ESystem, ESystemError, _require_regular, validate_esystem, validate_morphism
 from .rings import (
+    BLOCK_CELLS,
     FiniteRing,
     HomError,
     IdealQuotient,
@@ -36,7 +37,7 @@ from .rings import (
     _product_blocks,
     _sum,
     _sum_generators,
-    find_unit,
+    _units,
     ideal_cokernel,
     validate_ring,
 )
@@ -278,6 +279,9 @@ def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
 
     Feeding tables that break the factor-system conditions is allowed;
     validate_ring on the result then locates the concrete broken triple.
+    The inputs may carry leading axes, a stack of factor data; each table
+    then carries those of the inputs it reads (f for addition; the
+    actions and g for multiplication).
     """
     nb, nq = b.order, q.order
     e = np.arange(nb * nq)
@@ -288,8 +292,8 @@ def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
     g = np.asarray(g)
     al = np.asarray(act_left)
     ar_ = np.asarray(act_right)
-    add = q.add[ui, uj] * nb + b.add[b.add[bi, bj], f[ui, uj]]
-    prod = b.add[b.add[b.mul[bi, bj], ar_[uj, bi]], b.add[al[ui, bj], g[ui, uj]]]
+    add = q.add[ui, uj] * nb + b.add[b.add[bi, bj], f[..., ui, uj]]
+    prod = b.add[b.add[b.mul[bi, bj], ar_[..., uj, bi]], b.add[al[..., ui, bj], g[..., ui, uj]]]
     mul = q.mul[ui, uj] * nb + prod
     return add.astype(np.int16), mul.astype(np.int16)
 
@@ -551,19 +555,26 @@ def exhaustive_extension_search(
     Independent of the cohomology route: every extension admits a
     presentation on the product carrier with block embedding and
     projection, so the stages below cover all ring tables of order
-    |b|*|q| extending the data.  Stage order: symmetric associative
-    additive defects, then per-class actions drawn from the
-    bimultiplication ring, then multiplicative defects pinned slotwise
-    by the composite-action rows, enumerated on pairs of additive
-    generators of q and solved on every other slot by the distributivity
-    conditions (`_search_g_stage`), then a unit scan and the search for
-    a compatible map into the action target.
+    |b|*|q| extending the data.  The stages:
+
+    - symmetric associative additive defects f;
+    - per f, per-class actions drawn from the bimultiplication ring,
+      kept if pairwise permutable and additive up to f;
+    - per f and block of kept actions, one `_search_g_stage` call:
+      multiplicative defects g pinned slotwise by the composite-action
+      rows, enumerated on pairs of additive generators of q for all the
+      block's actions together and solved on every other slot by the
+      distributivity conditions;
+    - a unit scan of the crossed tables of the surviving g together;
+    - survivor by survivor, the search for a compatible map into the
+      action target (`_target_lift`).
 
     Each stage filters its candidates a block at a time
     (`rings._product_blocks`) and passes the survivors on in
     itertools.product order, so the finds and their order are those of
     a one-candidate-at-a-time walk over every slot.  Each guard counts
-    the candidates its stage generates.
+    the candidates its stage generates.  The q-only index tables of the
+    g stage are built once per search (`_quotient_grid`).
     """
     b = base.b
     nb, nq = b.order, q.order
@@ -574,8 +585,8 @@ def exhaustive_extension_search(
     psi = _align_psi(psi, q, quo.ring)
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
-    arq = np.arange(nq)
-    u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
+    grid = _quotient_grid(q)
+    u3, v3, w3 = grid.u3, grid.v3, grid.w3
     qa = q.add
 
     free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
@@ -615,24 +626,58 @@ def exhaustive_extension_search(
             ok &= (
                 b.add[right[:, :, None], right[:, None]] == b.add[fr3, right[:, qa]]
             ).all(axis=(1, 2, 3))
-            for lt, rt in zip(left[ok], right[ok], strict=True):
-                found = _search_g_stage(
-                    base, q, psi, quo, f, lt, rt, guard, stop_at_first, results
-                )
-                if found and stop_at_first:
-                    return results
+            found = _search_g_stage(
+                base, grid, psi, quo, f, left[ok], right[ok], guard, stop_at_first, results
+            )
+            if found and stop_at_first:
+                return results
     return results
 
 
-def _search_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, results):
-    """Inner stages of the exhaustive search: multiplicative defects,
-    unit scan, target map.  Appends finds to `results`, returns whether
-    anything was appended.
+@dataclass(frozen=True)
+class _QuotientGrid:
+    """The index tables of the g stage that depend on q alone.
+
+    `us`, `vs` list the slots (u, v), u, v != 0, in C order; `gens` is S,
+    `rings._sum_generators(q.add)` without 0, and `free` marks the S x S
+    slots; `sums` holds one (x, i, j) with x = i + j, 0 < i, j < x, for
+    each x != 0 outside S, in increasing x.
+    """
+
+    q: FiniteRing
+    us: np.ndarray
+    vs: np.ndarray
+    gens: np.ndarray
+    free: np.ndarray
+    sums: list
+    u3: np.ndarray
+    v3: np.ndarray
+    w3: np.ndarray
+
+
+def _quotient_grid(q: FiniteRing) -> _QuotientGrid:
+    arq = np.arange(q.order)
+    us, vs = (a.ravel() for a in np.meshgrid(arq[1:], arq[1:], indexing="ij"))
+    gens = _sum_generators(q.add)
+    gens = gens[gens != 0]
+    sums = [(x, *np.argwhere(q.add[:x, :x] == x)[0]) for x in arq[1:] if x not in gens]
+    return _QuotientGrid(
+        q, us, vs, gens, np.isin(us, gens) & np.isin(vs, gens), sums,
+        arq[:, None, None], arq[None, :, None], arq[None, None, :],
+    )
+
+
+def _search_g_stage(base, grid, psi, quo, f, left, right, guard, stop_at_first, results):
+    """Inner stages of the exhaustive search for one f and a block of
+    actions, row k of `left`/`right` being action k: multiplicative
+    defects, unit scan, target map.  Appends finds to `results`, returns
+    whether anything was appended.
 
     The composite-action rows pin each slot g(u, v), u, v != 0, to a set
-    of options.  The stage does not walk the product of every slot's
-    options.  Two of the conditions it checks are distributivity across
-    the quotient, for all u, v, w:
+    of options: the x with x*c = l_u(l_v(c)) - l_uv(c) and
+    c*x = r_v(r_u(c)) - r_uv(c) for every c in b.  The stage does not
+    walk the product of every slot's options.  Two of the conditions it
+    checks are distributivity across the quotient, for all u, v, w:
 
         r_w(f(u, v)) + g(u+v, w) = g(u, w) + g(v, w) + f(uw, vw),
         l_u(f(v, w)) + g(u, v+w) = g(u, v) + g(u, w) + f(uv, uw).
@@ -646,102 +691,151 @@ def _search_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, res
     increasing x; then every column x outside S, g(u, x) from columns i
     and j, in increasing x.  The stage enumerates options only on the
     S x S slots, derives every other slot by those lookups, and keeps
-    the derived tables whose every slot holds one of its options and
-    that pass the three defect conditions.  These are exactly the g in
-    the product of all slots' options that pass the conditions: no more,
-    since the masks and conditions are tested, and no fewer, since such
-    a g is the derived table of its own S x S values.
+    the derived tables that pass the three defect conditions.
+
+    A derived slot always holds one of its options, so no option mask
+    is tested there.  The action stage passes only actions with
+    l_i(c) + l_j(c) = f(i, j)*c + l_x(c) and
+    r_i(c) + r_j(c) = c*f(i, j) + r_x(c), and each pool row is a
+    bimultiplication: l_w and r_w are additive, l_w(a*c) = l_w(a)*c,
+    r_w(a*c) = a*r_w(c) and a*l_w(c) = r_w(a)*c.  With x = i + j and
+    xw = iw + jw, the row rule and the options at (i, w) and (j, w) give
+
+        g(x, w)*c = l_i(l_w c) - l_iw(c) + l_j(l_w c) - l_jw(c)
+                    + f(iw, jw)*c - r_w(f(i, j))*c
+                  = [f(i, j)*l_w(c) + l_x(l_w c)] - l_xw(c)
+                    - f(i, j)*l_w(c)
+                  = l_x(l_w c) - l_xw(c),
+        c*g(x, w) = r_w(r_i c) - r_iw(c) + r_w(r_j c) - r_jw(c)
+                    + c*f(iw, jw) - c*r_w(f(i, j))
+                  = r_w(c*f(i, j) + r_x c) - r_xw(c) - c*r_w(f(i, j))
+                  = r_w(r_x c) - r_xw(c).
+
+    The column rule likewise, from the options at (u, i) and (u, j):
+    l_u(l_i c) + l_u(l_j c) = l_u(f(i, j)*c + l_x c) = l_u(f(i, j))*c
+    + l_u(l_x c) gives g(u, x)*c = l_u(l_x c) - l_ux(c), and
+    r_i(r_u c) + r_j(r_u c) = r_u(c)*f(i, j) + r_x(r_u c)
+    = c*l_u(f(i, j)) + r_x(r_u c) gives c*g(u, x) = r_x(r_u c) - r_ux(c).
+    Each derived slot reads slots already holding options, so by
+    induction every slot does.  The survivors are therefore exactly the
+    g in the product of all slots' options that pass the conditions: no
+    more, since the conditions are tested, and no fewer, since such a g
+    is the derived table of its own S x S values.
 
     They also come in that product's order, slots in C order.  A derived
     slot reads only slots before it: (i, w) and (j, w) lie in earlier
     rows, (u, i) and (u, j) earlier in the same row.  So two survivors
     first differ at an S x S slot.  Options are ascending there, so the
     enumeration order over the S x S digits is the order over all slots.
+
+    The whole block goes through each step at once.  The option masks
+    of every action come first; an action with an empty slot has no
+    candidate.  A nonempty slot's options are one coset of the two-sided
+    annihilator Ann(b): x and x' are both options iff x - x' kills b on
+    both sides.  So every action left has |Ann(b)| options in every
+    slot, and the candidates of the block are decoded together with the
+    action as the leading digit, so they come action by action, as one
+    stage per action would give them.  The guard counts each action's
+    S x S products; as these are equal, one over the guard is the first
+    action left, and the stage raises before searching any.  The
+    survivors of each decoded block then get their crossed tables and
+    unit scan (`rings._units`) together, and the target lift in order.
     """
-    b = base.b
+    b, q = base.b, grid.q
     nb, nq = b.order, q.order
-    arq = np.arange(nq)
     qa, qm = q.add, q.mul
+    us, vs, gens, free = grid.us, grid.vs, grid.gens, grid.free
 
     # The composite-action rows pin each g(u, v) to the elements whose
-    # inner bimultiplication matches the defect of the action product.
-    us, vs = (a.ravel() for a in np.meshgrid(arq[1:], arq[1:], indexing="ij"))
-    lrows = b.add[left[us[:, None], left[vs]], b.neg[left[qm[us, vs]]]]
-    rrows = b.add[right[vs[:, None], right[us]], b.neg[right[qm[us, vs]]]]
-    opts = (b.mul == lrows[:, None, :]).all(axis=2) & (b.mul.T == rrows[:, None, :]).all(axis=2)
-    if not opts.any(axis=1).all():
+    # inner bimultiplication matches the defect of the action product:
+    # opts[k, s, x] for action k, slot s.
+    step = max(1, BLOCK_CELLS // max(1, len(us) * nb * nb))
+    opts = np.zeros((len(left), len(us), nb), dtype=bool)
+    for lo in range(0, len(left), step):
+        lt, rt = left[lo:lo + step], right[lo:lo + step]
+        lrows = b.add[np.take_along_axis(lt[:, us], lt[:, vs], axis=2), b.neg[lt[:, qm[us, vs]]]]
+        rrows = b.add[np.take_along_axis(rt[:, vs], rt[:, us], axis=2), b.neg[rt[:, qm[us, vs]]]]
+        opts[lo:lo + step] = (b.mul == lrows[:, :, None, :]).all(axis=3) & (
+            b.mul.T == rrows[:, :, None, :]
+        ).all(axis=3)
+    live = opts.any(axis=2).all(axis=1)
+    if not live.any():
         return False
-    gens = _sum_generators(qa)
-    gens = gens[gens != 0]
-    free = np.isin(us, gens) & np.isin(vs, gens)
-    counts = opts[free].sum(axis=1).tolist()
-    # The guard counts the candidates generated: the S x S products.
+    opts, left, right = opts[live][:, free], left[live], right[live]
+    counts = opts[0].sum(axis=1).tolist()
+    # The guard counts the candidates generated: the S x S products, the
+    # same for every action left.
     total = 1
     for c in counts:
         total *= c
         if total > guard:
             raise SearchGuardError(f"{total}+ multiplicative defect candidates")
-    # Column k of `pick` is the k-th option of each free slot, options ascending.
-    pick = np.argsort(~opts[free], axis=1, kind="stable")
-    # x = i + j for each x outside S, with the constant terms of both solved
-    # conditions: rows on the generator columns, then whole columns.
-    sums = [(x, *np.argwhere(qa[:x, :x] == x)[0]) for x in range(1, nq) if x not in gens]
+    # Column d of pick[k, s] is the d-th option of action k's free slot s,
+    # options ascending.
+    pick = np.argsort(~opts, axis=2, kind="stable")
+    # The constant terms of both solved conditions, per action: rows on
+    # the generator columns, then whole columns.
     row_terms = [
-        (x, i, j, b.add[f[qm[i, gens], qm[j, gens]], b.neg[right[gens, f[i, j]]]])
-        for x, i, j in sums
+        b.add[f[qm[i, gens], qm[j, gens]], b.neg[right[:, gens, f[i, j]]]] for x, i, j in grid.sums
     ]
-    col_terms = [
-        (x, i, j, b.add[f[qm[:, i], qm[:, j]], b.neg[left[:, f[i, j]]]]) for x, i, j in sums
-    ]
+    col_terms = [b.add[f[qm[:, i], qm[:, j]], b.neg[left[:, :, f[i, j]]]] for x, i, j in grid.sums]
 
-    u3, v3, w3 = arq[:, None, None], arq[None, :, None], arq[None, None, :]
+    u3, v3, w3 = grid.u3, grid.v3, grid.w3
     f_uw_vw = f[qm[u3, w3], qm[v3, w3]]
     f_uv_uw = f[qm[u3, v3], qm[u3, w3]]
+    slot = np.arange(len(counts))
+    table_rows = max(1, BLOCK_CELLS // (nb * nq) ** 2)
     found = False
-    for digits in _product_blocks(counts, nq**3):
-        gs = np.zeros((len(digits), nq, nq), dtype=np.int16)
-        gs[:, us[free], vs[free]] = pick[np.arange(len(counts)), digits]
-        for x, i, j, term in row_terms:
-            gs[:, x, gens] = b.add[b.add[gs[:, i, gens], gs[:, j, gens]], term]
-        for x, i, j, term in col_terms:
-            gs[:, :, x] = b.add[b.add[gs[:, :, i], gs[:, :, j]], term]
-        gs = gs[opts[np.arange(len(us)), gs[:, us, vs]].all(axis=1)]
-        G_uvm_w = gs[:, qm[:, :, None], arq[None, None, :]]
-        G_uva_w = gs[:, qa[:, :, None], arq[None, None, :]]
-        G_u_vwm = gs[:, arq[:, None, None], qm[None, :, :]]
-        G_u_vwa = gs[:, arq[:, None, None], qa[None, :, :]]
+    for digits in _product_blocks([len(left), *counts], nq**3):
+        k = digits[:, 0]
+        gs = np.zeros((len(k), nq, nq), dtype=np.int16)
+        gs[:, us[free], vs[free]] = pick[k[:, None], slot, digits[:, 1:]]
+        for (x, i, j), term in zip(grid.sums, row_terms, strict=True):
+            gs[:, x, gens] = b.add[b.add[gs[:, i, gens], gs[:, j, gens]], term[k]]
+        for (x, i, j), term in zip(grid.sums, col_terms, strict=True):
+            gs[:, :, x] = b.add[b.add[gs[:, :, i], gs[:, :, j]], term[k]]
+        # Row k4 of `left`/`right` is the action of candidate k4.
+        k4 = k[:, None, None, None]
+        G_uvm_w = gs[:, qm[:, :, None], w3]
+        G_uva_w = gs[:, qa[:, :, None], w3]
+        G_u_vwm = gs[:, u3, qm[None, :, :]]
+        G_u_vwa = gs[:, u3, qa[None, :, :]]
         G_vw = gs[:, None, :, :]
         # mixed associativity: r_w(g(u,v)) + g(uv,w) == l_u(g(v,w)) + g(u,vw)
-        lhs = b.add[right[arq[None, None, None, :], gs[:, :, :, None]], G_uvm_w]
-        rhs = b.add[left[arq[None, :, None, None], G_vw], G_u_vwm]
+        lhs = b.add[right[k4, w3[None], gs[:, :, :, None]], G_uvm_w]
+        rhs = b.add[left[k4, u3[None], G_vw], G_u_vwm]
         ok = (lhs == rhs).all(axis=(1, 2, 3))
         # distributivity across the quotient: both defect kinds interact.
-        lhs = b.add[right[arq[None, None, None, :], f[None, :, :, None]], G_uva_w]
+        lhs = b.add[right[k4, w3[None], f[None, :, :, None]], G_uva_w]
         rhs = b.add[b.add[gs[:, :, None, :], G_vw], f_uw_vw[None]]
         ok &= (lhs == rhs).all(axis=(1, 2, 3))
-        lhs = b.add[left[arq[None, :, None, None], f[None, None, :, :]], G_u_vwa]
+        lhs = b.add[left[k4, u3[None], f[None, None, :, :]], G_u_vwa]
         rhs = b.add[b.add[gs[:, :, :, None], gs[:, :, None, :]], f_uv_uw[None]]
         ok &= (lhs == rhs).all(axis=(1, 2, 3))
-
-        for g in gs[ok]:
-            add, mul = crossed_tables(b, q, left, right, f, g)
-            unit = find_unit(add, mul)
-            if unit is None:
-                continue
-            xrow = _target_lift(base, q, psi, quo, left, right, f, g, unit, guard)
-            if xrow is None:
-                continue
-            ring = validate_ring(add, mul, unit, name=f"{base.name}_search_{len(results)}")
-            e = np.arange(ring.order)
-            bp, qp = e % nb, e // nb
-            eps = base.d_ring.add[base.d.map[bp], xrow[qp]]
-            ext = validate_extension(
-                base, ring, q, np.arange(nb), qp, eps, name=ring.name
-            )
-            results.append(ext)
-            found = True
-            if stop_at_first:
-                return True
+        # The unit scan and the crossed tables it reads, for the
+        # survivors at once; then the target lift in survivor order.
+        gs, ks = gs[ok], k[ok]
+        for lo in range(0, len(gs), table_rows):
+            g_blk, k_blk = gs[lo:lo + table_rows], ks[lo:lo + table_rows]
+            add, mul = crossed_tables(b, q, left[k_blk], right[k_blk], f, g_blk)
+            for g, a, m, unit in zip(g_blk, k_blk, mul, _units(mul).tolist(), strict=True):
+                if unit < 0:
+                    continue
+                xrow = _target_lift(base, q, psi, quo, left[a], right[a], f, g, unit, guard)
+                if xrow is None:
+                    continue
+                # Copies, so that a found ring holds no view of the stack.
+                ring = validate_ring(
+                    add.copy(), m.copy(), unit, name=f"{base.name}_search_{len(results)}"
+                )
+                e = np.arange(ring.order)
+                bp, qp = e % nb, e // nb
+                eps = base.d_ring.add[base.d.map[bp], xrow[qp]]
+                ext = validate_extension(base, ring, q, np.arange(nb), qp, eps, name=ring.name)
+                results.append(ext)
+                found = True
+                if stop_at_first:
+                    return True
     return found
 
 

@@ -235,13 +235,18 @@ def _assoc_failure(t: np.ndarray, gens) -> tuple | None:
     return _first_row_failure(len(t), lambda i: _assoc_row(t, i))
 
 
+def _units(mul) -> np.ndarray:
+    """For each multiplication table in the stack `mul` (..., n, n), the
+    least e with mul[e] and mul[:, e] both the identity map, or -1."""
+    mul = np.asarray(mul)
+    idx = np.arange(mul.shape[-1])
+    ok = (mul == idx).all(axis=-1) & (mul.swapaxes(-1, -2) == idx).all(axis=-1)
+    return np.where(ok.any(axis=-1), ok.argmax(axis=-1), -1)
+
+
 def find_unit(add, mul) -> int | None:
-    n = np.asarray(add).shape[0]
-    idx = np.arange(n)
-    for e in range(n):
-        if np.array_equal(mul[e], idx) and np.array_equal(mul[:, e], idx):
-            return e
-    return None
+    unit = int(_units(mul))
+    return None if unit < 0 else unit
 
 
 # ---------------------------------------------------------------- presets

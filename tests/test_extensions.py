@@ -517,6 +517,22 @@ def reference_search(base, q, psi, quo=None, stop_at_first=True, guard=SEARCH_GU
     return results
 
 
+def reference_slot_options(b, q, left, right):
+    """The slots (u, v), u, v != 0, in C order, and the options of each,
+    tested one element at a time."""
+    slots = [(u, v) for u in range(1, q.order) for v in range(1, q.order)]
+    cands = []
+    for u, v in slots:
+        lrow = b.add[left[u][left[v]], b.neg[left[q.mul[u, v]]]]
+        rrow = b.add[right[v][right[u]], b.neg[right[q.mul[u, v]]]]
+        cands.append([
+            x
+            for x in range(b.order)
+            if np.array_equal(b.mul[x, :], lrow) and np.array_equal(b.mul[:, x], rrow)
+        ])
+    return slots, cands
+
+
 def _reference_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, results):
     b, dd = base.b, base.d_ring
     nb, nq = b.order, q.order
@@ -525,19 +541,9 @@ def _reference_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, 
     arq = np.arange(nq)
     qa, qm = q.add, q.mul
 
-    cands = []
-    slots = [(u, v) for u in range(1, nq) for v in range(1, nq)]
-    for u, v in slots:
-        lrow = b.add[left[u][left[v]], b.neg[left[qm[u, v]]]]
-        rrow = b.add[right[v][right[u]], b.neg[right[qm[u, v]]]]
-        opts = [
-            x
-            for x in range(nb)
-            if np.array_equal(b.mul[x, :], lrow) and np.array_equal(b.mul[:, x], rrow)
-        ]
-        if not opts:
-            return False
-        cands.append(opts)
+    slots, cands = reference_slot_options(b, q, left, right)
+    if not all(cands):
+        return False
     total = 1
     for opts in cands:
         total *= len(opts)
@@ -656,6 +662,47 @@ def search_record(exts):
     ]
 
 
+def recorded_search(search, es, q, psi, stop, monkeypatch):
+    """Finds of `search` (the walk or the batched route), with what
+    reached its g stage and its crossed tables, in order, one list per
+    call: the (f, action) pairs and the g tables."""
+    calls, tables = [], []
+
+    def recording(stage):
+        def run(base, q, psi, quo, f, left, right, *rest):
+            acts = zip(left, right, strict=True) if left.ndim == 3 else [(left, right)]
+            calls.append([(f.tolist(), lt.tolist(), rt.tolist()) for lt, rt in acts])
+            return stage(base, q, psi, quo, f, left, right, *rest)
+        return run
+
+    def recording_tables(b, q, left, right, f, g, build=crossed_tables):
+        g = np.asarray(g)
+        tables.append(g.reshape(-1, *g.shape[-2:]).tolist())
+        return build(b, q, left, right, f, g)
+
+    with monkeypatch.context() as m:
+        m.setitem(globals(), "_reference_g_stage", recording(_reference_g_stage))
+        m.setattr(extensions, "_search_g_stage", recording(extensions._search_g_stage))
+        m.setitem(globals(), "crossed_tables", recording_tables)
+        m.setattr(extensions, "crossed_tables", recording_tables)
+        found = search_record(search(es, q, psi, stop_at_first=stop))
+    return found, calls, tables
+
+
+def assert_walks_to_the_end_of_its_call(calls, walked, exhausted):
+    """`calls` lists what one route handed a stage, one list per call, and
+    `walked` and `exhausted` what the walk handed it when stopping as that
+    route did and when run to exhaustion.  The route must have seen what
+    the exhausted walk saw, in order, up to where it stopped: where the
+    walk stopped or, if it takes a block per call, the end of the call the
+    walk stopped in."""
+    flat, walked, exhausted = ([x for call in c for x in call] for c in (calls, walked, exhausted))
+    assert flat == exhausted[:len(flat)]
+    assert flat[:len(walked)] == walked
+    if len(flat) > len(walked):
+        assert len(flat) - len(calls[-1]) < len(walked)
+
+
 @pytest.mark.parametrize(
     "triple",
     [
@@ -674,33 +721,20 @@ def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
     # Besides the finds, the (f, action) candidates that reach the g stage
     # and the g tables that pass its defect conditions must be the same and
     # come in the same order: the filters only prune, so dropping one would
-    # not change the finds.
-    calls = {"reference": [], "batched": []}
-    tables = {"reference": [], "batched": []}
-
-    def recording(key, stage):
-        def run(base, q, psi, quo, f, left, right, *rest):
-            calls[key].append((f.tolist(), left.tolist(), right.tolist()))
-            return stage(base, q, psi, quo, f, left, right, *rest)
-        return run
-
-    def recording_tables(key, build=crossed_tables):
-        def run(b, q, left, right, f, g):
-            tables[key].append(np.asarray(g).tolist())
-            return build(b, q, left, right, f, g)
-        return run
-
-    monkeypatch.setitem(globals(), "_reference_g_stage",
-                        recording("reference", _reference_g_stage))
-    monkeypatch.setattr(extensions, "_search_g_stage",
-                        recording("batched", extensions._search_g_stage))
-    monkeypatch.setitem(globals(), "crossed_tables", recording_tables("reference"))
-    monkeypatch.setattr(extensions, "crossed_tables", recording_tables("batched"))
+    # not change the finds.  The batched route hands its g stage a block of
+    # actions and crossed_tables a block of survivors, so when it stops at
+    # the first find it has seen the rest of that block too; up to there
+    # it must have seen what the walk run to exhaustion sees.
     es, q, psi = corpus_triple(*triple)
-    want = search_record(reference_search(es, q, psi, stop_at_first=stop))
-    assert search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop)) == want
-    assert calls["batched"] == calls["reference"] and calls["reference"]
-    assert tables["batched"] == tables["reference"]
+    want, *walk = recorded_search(reference_search, es, q, psi, stop, monkeypatch)
+    exhausted = walk
+    if stop:
+        exhausted = recorded_search(reference_search, es, q, psi, False, monkeypatch)[1:]
+    got, *batched = recorded_search(exhaustive_extension_search, es, q, psi, stop, monkeypatch)
+    assert got == want
+    assert walk[0]
+    for seen, walked, walked_out in zip(batched, walk, exhausted, strict=True):
+        assert_walks_to_the_end_of_its_call(seen, walked, walked_out)
 
 
 def g_stage_calls(es, q, psi, monkeypatch, **search):
@@ -720,6 +754,15 @@ def g_stage_calls(es, q, psi, monkeypatch, **search):
     return exts, seen
 
 
+def single_actions(args):
+    """The batched and the walk's g-stage arguments of each action in the
+    block of a batched g-stage call."""
+    base, grid, psi, quo, f, left, right = args
+    for i in range(len(left)):
+        yield ((base, grid, psi, quo, f, left[i:i + 1], right[i:i + 1]),
+               (base, grid.q, psi, quo, f, left[i], right[i]))
+
+
 @pytest.mark.parametrize(
     "triple, fewer",
     [(("double_2z8", klein(), [0, 0, 1, 1]), True), (("double_2z8",), False)],
@@ -729,9 +772,11 @@ def test_g_stage_decodes_only_generator_pair_candidates(triple, fewer, monkeypat
     # Z/2 x Z/2 is spanned by 1 and 2, so the stage decodes the options of
     # 4 of its 9 slots; Z/2 (the cokernel of double_2z8) has one slot,
     # (1, 1), and it is a generator pair.  Each route's first product is
-    # its g enumeration: the target lifts come after it.
+    # its g enumeration: the target lifts come after it.  The batched
+    # stage runs on each action of each block it was handed, alone, and
+    # then on the whole block, which must decode the sum of its actions.
     es, q, psi = corpus_triple(*triple)
-    inputs = [args for args, _ in g_stage_calls(es, q, psi, monkeypatch)[1]]
+    blocks_in = [args for args, _ in g_stage_calls(es, q, psi, monkeypatch)[1]]
     radices = []
     blocks, product = extensions._product_blocks, itertools.product
 
@@ -743,16 +788,20 @@ def test_g_stage_decodes_only_generator_pair_candidates(triple, fewer, monkeypat
         radices.append(math.prod(map(len, pools)))
         return product(*pools)
 
+    def decoded(stage, args):
+        radices.clear()
+        stage(*args, SEARCH_GUARD, False, [])
+        return radices[0] if radices else 0
+
     monkeypatch.setattr(extensions, "_product_blocks", recording_blocks)
     monkeypatch.setattr(itertools, "product", recording_product)
-    decoded = {"batched": [], "reference": []}
-    for args in inputs:
-        for key, stage in (("batched", extensions._search_g_stage),
-                           ("reference", _reference_g_stage)):
-            radices.clear()
-            stage(*args, SEARCH_GUARD, False, [])
-            decoded[key].append(radices[0] if radices else 0)
-    new, old = decoded["batched"], decoded["reference"]
+    new, old = [], []
+    for args in blocks_in:
+        per_action = [(decoded(extensions._search_g_stage, one), decoded(_reference_g_stage, walk))
+                      for one, walk in single_actions(args)]
+        assert decoded(extensions._search_g_stage, args) == sum(n for n, _ in per_action)
+        new += [n for n, _ in per_action]
+        old += [o for _, o in per_action]
     assert sum(old) > 0
     if fewer:
         assert all(n <= o for n, o in zip(new, old, strict=True)) and sum(new) < sum(old)
@@ -779,6 +828,49 @@ def test_g_stage_guard_counts_generator_pair_candidates(monkeypatch):
     args = next(args for args, found in stages if found)
     with pytest.raises(SearchGuardError, match=r"^16\+ multiplicative defect candidates$"):
         extensions._search_g_stage(*args, 15, False, [])
+
+
+@pytest.mark.parametrize("stop", [True, False])
+def test_g_guard_trips_at_the_first_action_with_candidates(stop, monkeypatch):
+    # The options of a nonempty slot are one coset of the two-sided
+    # annihilator of b, so every action with candidates has the same
+    # count, |Ann(b)| per S x S slot.  Hence no block has an earlier
+    # action that finds and a later one over the guard: below that count
+    # the block's first action with candidates trips it before any g
+    # table is built, with the walk's message, whether or not the search
+    # stops at its first find; at the count, the block finds what the
+    # walk, which counts every slot, finds running its actions in order.
+    es, q, psi = corpus_triple("double_2z8", klein(), [0, 0, 1, 1])
+    b = es.b
+    ann = int(((b.mul == 0).all(axis=0) & (b.mul == 0).all(axis=1)).sum())
+    stages = g_stage_calls(es, q, psi, monkeypatch)[1]
+    options = [reference_slot_options(b, q, walk[5], walk[6])[1]
+               for args, _ in stages for _, walk in single_actions(args)]
+    assert {len(opts) for cands in options for opts in cands} == {0, ann}
+    count = ann**4  # S = {1, 2}
+    # A block with a find that also holds actions with an empty slot.
+    args = next(args for args, found in stages if found)
+    walks = [walk for _, walk in single_actions(args)]
+    assert not all(all(reference_slot_options(b, q, *walk[5:7])[1]) for walk in walks)
+
+    def no_tables(*args):
+        raise AssertionError("a g table was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(extensions, "crossed_tables", no_tables)
+        m.setitem(globals(), "crossed_tables", no_tables)
+        message = rf"^{count}\+ multiplicative defect candidates$"
+        with pytest.raises(SearchGuardError, match=message):
+            extensions._search_g_stage(*args, count - 1, stop, [])
+        with pytest.raises(SearchGuardError, match=message):
+            for walk in walks:
+                _reference_g_stage(*walk, count - 1, stop, [])
+    got, want = [], []
+    extensions._search_g_stage(*args, count, stop, got)
+    for walk in walks:
+        if _reference_g_stage(*walk, SEARCH_GUARD, stop, want) and stop:
+            break
+    assert search_record(got) == search_record(want) and want
 
 
 @pytest.mark.parametrize("name", ["id_z2", "id_z3", "id_z4", "id_klein", "mult_z2", "mult_z3"])

@@ -48,6 +48,7 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_crossed_product_rejects_a_foreign_base",
     "tests/test_extensions.py::test_equivalent_rejects_extensions_over_different_bases",
     "tests/test_extensions.py::test_g_stage_guard_counts_generator_pair_candidates",
+    "tests/test_extensions.py::test_g_guard_trips_at_the_first_action_with_candidates",
     "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_overflow_is_a_resource_error",

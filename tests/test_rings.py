@@ -19,6 +19,7 @@ from ringcat.rings import (
     _additive_maps,
     _preimages,
     _sum_generators,
+    _units,
     additive_group,
     decompose_abelian,
     dual_numbers,
@@ -117,6 +118,45 @@ def test_find_unit():
     z = zmod(5)
     assert find_unit(z.add, z.mul) == 1
     assert find_unit(zero_mult(3).add, zero_mult(3).mul) is None
+
+
+def reference_find_unit(add, mul):
+    """find_unit, testing one element at a time."""
+    n = np.asarray(add).shape[0]
+    idx = np.arange(n)
+    for e in range(n):
+        if np.array_equal(mul[e], idx) and np.array_equal(mul[:, e], idx):
+            return e
+    return None
+
+
+@st.composite
+def unit_tables(draw):
+    # A random table, with an identity row and an identity column planted
+    # at elements drawn apart or together, so that it may have a two-sided
+    # unit, only a one-sided one, or none.
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    mul = np.array(cells).reshape(n, n)
+    idx = np.arange(n)
+    row, col = draw(st.sampled_from([None, *range(n)])), draw(st.sampled_from([None, *range(n)]))
+    if row is not None:
+        mul[row] = idx
+    if col is not None:
+        mul[:, col] = idx
+    return (idx[:, None] + idx) % n, mul
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(unit_tables(), min_size=1, max_size=4))
+def test_find_unit_matches_the_one_element_at_a_time_scan(tables):
+    want = [reference_find_unit(add, mul) for add, mul in tables]
+    assert [find_unit(add, mul) for add, mul in tables] == want
+    # Tables of one order stack: the scan answers each of them at once.
+    n = len(tables[0][1])
+    same = [(mul, w) for (_, mul), w in zip(tables, want, strict=True) if len(mul) == n]
+    units = _units(np.stack([mul for mul, _ in same])).tolist()
+    assert units == [-1 if w is None else w for _, w in same]
 
 
 def test_subring_two_z4():
