@@ -17,6 +17,31 @@ ENTRY_BOUND = 2**31
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+class SearchGuardError(ValueError):
+    """An exhaustive step would exceed its size limit."""
+
+
+# The size limits of the exhaustive steps.  Each site calls `_guard` with
+# one of them before it allocates anything proportional to the size it
+# checks.
+# Ring order: bimultiplication enumeration and the isomorphism search.
+ORDER_LIMIT = 16
+# Elements of a materialised bimultiplication ring.
+RING_ORDER_LIMIT = 256
+# Candidates a search generates, or pairs it scans.
+CANDIDATE_LIMIT = 10**6
+# Coordinates of each cochain group.
+COORD_LIMIT = 10**4
+# Array cells: the reduced coherence grid, the Smith normal form arrays.
+CELL_LIMIT = 10**7
+
+
+def _guard(size: int, what: str, limit: int) -> None:
+    """Refuse a step of `size` units of `what` over `limit`."""
+    if size > limit:
+        raise SearchGuardError(f"{size} {what}, over the guard {limit}")
+
+
 def as_int_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.int64)
     if m.ndim != 2:
@@ -96,9 +121,13 @@ def smith_normal_form(a) -> SNFResult:
     order, and rows and columns of earlier pivots hold zeros outside the
     active block.  So s, u, v and their inverses are those of the
     one-at-a-time loop, entry for entry.
+
+    Guarded by the cells of s, u, v and both inverses.
     """
-    s = as_int_matrix(a).copy()
+    s = as_int_matrix(a)
     nr, nc = s.shape
+    _guard(nr * nc + 2 * nr * nr + 2 * nc * nc, "Smith normal form cells", CELL_LIMIT)
+    s = s.copy()
     u = np.eye(nr, dtype=np.int64)
     vinv = np.eye(nc, dtype=np.int64)
     # uinv and v are kept transposed, so that their column operations run

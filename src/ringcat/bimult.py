@@ -21,22 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ablin import CANDIDATE_LIMIT, ORDER_LIMIT, RING_ORDER_LIMIT, _guard
 from .rings import (
-    MAP_GUARD,
     FiniteRing,
     RingHom,
-    SearchGuardError,
     _additive_maps,
     _first_bad,
     _product_blocks,
     validate_ring,
 )
-
-ENUM_GUARD = 16
-# Materialising the bimultiplication ring is capped at the largest order
-# the rest of the package ever needs.
-RING_GUARD = 256
-
 
 class BimultError(ValueError):
     def __init__(self, condition: str, witness: tuple):
@@ -175,8 +168,7 @@ def enumerate_bimultiplications(b: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     sorted, and filtering keeps their order), so row 0 is the zero
     bimultiplication.
     """
-    if b.order > ENUM_GUARD:
-        raise SearchGuardError(f"enumeration is guarded to order {ENUM_GUARD}, got {b.order}")
+    _guard(b.order, "ring elements for bimultiplication enumeration", ORDER_LIMIT)
     endos = _additive_maps(b.add, b.add).astype(np.int16)
     lefts, rights = [], []
     for rows in _product_blocks([len(endos)], b.order**2):
@@ -184,10 +176,7 @@ def enumerate_bimultiplications(b: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
         lefts.append(t[_left_product(b.mul, t).all(axis=(1, 2))])
         rights.append(t[_right_product(b.mul, t).all(axis=(1, 2))])
     lefts, rights = np.concatenate(lefts), np.concatenate(rights)
-    pairs = len(lefts) * len(rights)
-    if pairs > MAP_GUARD:
-        raise SearchGuardError(
-            f"{pairs} candidate bimultiplications, over the guard {MAP_GUARD}")
+    _guard(len(lefts) * len(rights), "candidate bimultiplications", CANDIDATE_LIMIT)
     ok = np.array([
         _mixed_product(b.mul, np.broadcast_to(lf, rights.shape), rights).all(axis=(1, 2))
         for lf in lefts
@@ -255,9 +244,7 @@ def _row_lookup(left, right):
 
 def bimult_ring(b: FiniteRing, name: str | None = None) -> BimultRing:
     left, right = enumerate_bimultiplications(b)
-    k = len(left)
-    if k > RING_GUARD:
-        raise SearchGuardError(f"bimultiplication ring order {k} exceeds {RING_GUARD}")
+    _guard(len(left), "bimultiplication ring elements", RING_ORDER_LIMIT)
     index_of = _row_lookup(left, right)
     # Row s of each table pairs s with every t: sums add both maps
     # pointwise, and (st)(a) = s(t(a)), (a)(st) = ((a)s)t.  Building the

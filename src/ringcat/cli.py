@@ -269,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized reports (current verbs are deterministic)")
     ap.add_argument("--guard", type=int, default=None,
-                    help="search size limit for solver and equivalence scans "
-                         "(default: each verb's own limit)")
+                    help="size limit: coordinates per cochain group for cohom h2, "
+                         "candidates for ext equiv (default: the library's limits)")
     ap.add_argument("--jobs", type=int, default=1,
                     help="reserved; the engine is single-threaded")
     sub = ap.add_subparsers(dest="verb", required=True)

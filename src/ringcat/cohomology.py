@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ablin import (
+    COORD_LIMIT,
     FinAbGroup,
     HomologyData,
     LinearMap,
@@ -32,16 +33,14 @@ from .ablin import (
     _factor,
     _homology,
     _kernel,
+    _guard,
     _solve,
     homology,
     kernel,
     span_subgroup,
 )
 from .crossed import Bimodule, validate_bimodule
-from .rings import FiniteRing, RingHom, SearchGuardError, _sum
-
-# Refuse to materialise linear systems beyond this many coordinates.
-COORD_GUARD = 10**4
+from .rings import FiniteRing, RingHom, _sum
 
 
 def _as_table(module: Bimodule, a, shape, name: str) -> np.ndarray:
@@ -348,14 +347,13 @@ class CochainComplex:
 _complexes: weakref.WeakSet[Bimodule] = weakref.WeakSet()
 
 
-def complex_for(module: Bimodule, guard: int = COORD_GUARD) -> CochainComplex:
+def complex_for(module: Bimodule, guard: int = COORD_LIMIT) -> CochainComplex:
     n = module.ring.order
     rank = module.group.rank
     k = n - 1
     slots = {"degree 1": k, "degree 2": 2 * k * k, "degree 3": 4 * k**3 + k * k}
     for nm, sl in slots.items():
-        if sl * rank > guard:
-            raise SearchGuardError(f"{nm} needs {sl * rank} coordinates, over the guard {guard}")
+        _guard(sl * rank, f"{nm} coordinates", guard)
     cached = getattr(module, "_complex", None)
     if cached is not None:
         return cached
@@ -396,13 +394,13 @@ class CocycleGroup:
         return self.subgroup.contains(tuple(int(v) for v in self.complex.encode2(c)))
 
 
-def z2(module: Bimodule, guard: int = COORD_GUARD) -> CocycleGroup:
-    cx = complex_for(module, guard)
+def z2(module: Bimodule) -> CocycleGroup:
+    cx = complex_for(module)
     return CocycleGroup(cx, kernel(cx.d2_map))
 
 
-def b2(module: Bimodule, guard: int = COORD_GUARD) -> CocycleGroup:
-    cx = complex_for(module, guard)
+def b2(module: Bimodule) -> CocycleGroup:
+    cx = complex_for(module)
     return CocycleGroup(cx, span_subgroup(cx.c2_group, cx.d1_map.matrix))
 
 
@@ -426,7 +424,7 @@ class H2Data:
         return self.data.class_of(tuple(int(v) for v in self.complex.encode2(c)))
 
 
-def h2(module: Bimodule, guard: int = COORD_GUARD) -> H2Data:
+def h2(module: Bimodule, guard: int = COORD_LIMIT) -> H2Data:
     cx = complex_for(module, guard)
     return H2Data(cx, homology(cx.d1_map, cx.d2_map))
 
@@ -437,7 +435,7 @@ def annihilated_submodule(module: Bimodule) -> list[int]:
     return [int(x) for x in np.nonzero(dead)[0]]
 
 
-def h2_unit_normalised(module: Bimodule, guard: int = COORD_GUARD):
+def h2_unit_normalised(module: Bimodule):
     """H2 computed from cochains that also vanish at the ring unit.
 
     Correction terms must then keep the unit slots clean, which pins their
@@ -445,7 +443,7 @@ def h2_unit_normalised(module: Bimodule, guard: int = COORD_GUARD):
     representatives); agreement with h2 is checked by tests, and any
     mismatch is a finding to report rather than smooth over.
     """
-    cx = complex_for(module, guard)
+    cx = complex_for(module)
     m = module
     n, one, rank = m.ring.order, m.ring.unit, m.group.rank
     assert one is not None and n >= 2
@@ -534,8 +532,8 @@ class CoboundaryVerdict:
     certificate: UnsolvableWitness | None
 
 
-def is_coboundary3(k: Cochain3, guard: int = COORD_GUARD) -> CoboundaryVerdict:
-    return _coboundary_verdict(complex_for(k.module, guard), k)
+def is_coboundary3(k: Cochain3) -> CoboundaryVerdict:
+    return _coboundary_verdict(complex_for(k.module), k)
 
 
 def _coboundary_verdict(cx: CochainComplex, k: Cochain3, res=None) -> CoboundaryVerdict:
@@ -565,7 +563,7 @@ class FunctorClassification:
         return len(self.classes)
 
 
-def classify_functors(psi: RingHom, rc, guard: int = COORD_GUARD) -> FunctorClassification:
+def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     """All classes of structure maps over psi against the reduced data rc.
 
     rc carries `module` (coefficients over the base's quotient ring) and
@@ -575,7 +573,7 @@ def classify_functors(psi: RingHom, rc, guard: int = COORD_GUARD) -> FunctorClas
     """
     pulled = pullback_module(psi, rc.module)
     kq = pullback3(psi, rc.k, pulled)
-    cx = complex_for(pulled, guard)
+    cx = complex_for(pulled)
     # The bounding test and the cocycles both need the augmented d2 block
     # factored, so it is factored once here.  Its source and target are
     # both trivial or both not; when trivial, neither needs it.

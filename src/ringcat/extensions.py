@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ablin import CANDIDATE_LIMIT, _guard
 from .bimult import _bimult_laws, _permutable, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, classify_functors
 from .crossed import ESystem, ESystemError, _require_regular, validate_esystem, validate_morphism
@@ -42,10 +43,6 @@ from .rings import (
     validate_ring,
 )
 from .transport import ReducedAnnCat, Section, choose_section, reduce_esystem
-
-# Candidate-space cap shared by the equivalence search and the staged
-# brute-force search.
-SEARCH_GUARD = 10**6
 
 
 class ExtensionError(ValueError):
@@ -411,7 +408,7 @@ def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
     return validate_factor_system(b, q, al, ar_, f, g)
 
 
-def equivalent(e1: Extension, e2: Extension, guard: int = SEARCH_GUARD) -> RingHom | None:
+def equivalent(e1: Extension, e2: Extension, guard: int = CANDIDATE_LIMIT) -> RingHom | None:
     """Search for an equivalence: a ring isomorphism fixing the embedded
     base pointwise, covering the identity on the quotient and commuting
     with the maps into the action target.
@@ -427,10 +424,7 @@ def equivalent(e1: Extension, e2: Extension, guard: int = SEARCH_GUARD) -> RingH
     if q is not e2.quotient and not _tables_equal(q, e2.quotient):
         raise ExtensionError("quotient-presentation", (e2.quotient.name, q.name))
     nb, nq = b.order, q.order
-    if nb ** (nq - 1) > guard:
-        raise SearchGuardError(
-            f"{nb}^{nq - 1} candidate corrections, over the guard {guard}"
-        )
+    _guard(nb ** (nq - 1), "candidate corrections", guard)
     r1, r2 = e1.ring, e2.ring
     if r1.order != r2.order:
         return None
@@ -548,7 +542,7 @@ def exhaustive_extension_search(
     psi: RingHom,
     quo: IdealQuotient | None = None,
     stop_at_first: bool = True,
-    guard: int = SEARCH_GUARD,
+    guard: int = CANDIDATE_LIMIT,
 ) -> list[Extension]:
     """Find extensions by staged search over ring structures on b x q.
 
@@ -590,13 +584,11 @@ def exhaustive_extension_search(
     qa = q.add
 
     free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
-    if nb ** len(free_f) > guard:
-        raise SearchGuardError(f"{nb}^{len(free_f)} additive defect candidates")
+    _guard(nb ** len(free_f), "additive defect candidates", guard)
     # Pool row 0 is the zero bimultiplication, the action of the zero class.
     pl, pr = enumerate_bimultiplications(b)
     npool = len(pl)
-    if npool ** (nq - 1) > guard:
-        raise SearchGuardError(f"{npool}^{nq - 1} action candidates")
+    _guard(npool ** (nq - 1), "action candidates", guard)
 
     fu, fv = np.array(free_f, dtype=np.int64).reshape(-1, 2).T
     f_pool = []
@@ -765,11 +757,7 @@ def _search_g_stage(base, grid, psi, quo, f, left, right, guard, stop_at_first, 
     counts = opts[0].sum(axis=1).tolist()
     # The guard counts the candidates generated: the S x S products, the
     # same for every action left.
-    total = 1
-    for c in counts:
-        total *= c
-        if total > guard:
-            raise SearchGuardError(f"{total}+ multiplicative defect candidates")
+    _guard(math.prod(counts), "multiplicative defect candidates", guard)
     # Column d of pick[k, s] is the d-th option of action k's free slot s,
     # options ascending.
     pick = np.argsort(~opts, axis=2, kind="stable")
@@ -853,19 +841,13 @@ def _target_lift(base, q, psi, quo, left, right, f, g, unit, guard):
     counts = lifts.sum(axis=1).tolist()
     if not all(counts):
         return None
-    total_x = math.prod(counts)
-    if total_x > guard:
-        raise SearchGuardError(f"{total_x} target-lift candidates")
+    _guard(math.prod(counts), "target-lift candidates", guard)
     pick = np.argsort(~lifts, axis=1, kind="stable")
     u0, e0 = divmod(int(unit), nb)
     for digits in _product_blocks(counts, nq * nq):
         X = pick[np.arange(nq), digits]
-        okx = (X[:, q.add] == dd.add[dd.add[X[:, :, None], X[:, None, :]], dm[f][None]]).all(
-            axis=(1, 2)
-        )
-        okx &= (X[:, q.mul] == dd.add[dd.mul[X[:, :, None], X[:, None, :]], dm[g][None]]).all(
-            axis=(1, 2)
-        )
+        fx, gx = _lift_defects(dd, X, q)
+        okx = (fx == dm[f]).all(axis=(1, 2)) & (gx == dm[g]).all(axis=(1, 2))
         okx &= dd.add[dm[e0], X[:, u0]] == dd.unit
         rows = np.nonzero(okx)[0]
         if rows.size:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ablin import FinAbGroup
+from .ablin import CANDIDATE_LIMIT, ORDER_LIMIT, FinAbGroup, SearchGuardError, _guard
 
 
 class RingAxiomError(ValueError):
@@ -26,10 +26,6 @@ class RingAxiomError(ValueError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class SearchGuardError(ValueError):
-    """An exhaustive search or enumeration would exceed its guard."""
 
 
 def _table(t, n: int, what: str) -> np.ndarray:
@@ -419,11 +415,12 @@ def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
 
 def _lift_defects(r: FiniteRing, t: np.ndarray, q: FiniteRing):
     """How far a set map t from q into r is from a ring map: the tables
-    t(u) + t(v) - t(u + v) and t(u)t(v) - t(uv)."""
-    tu, tv = t[:, None], t[None, :]
+    t(u) + t(v) - t(u + v) and t(u)t(v) - t(uv).  Leading axes of t stack
+    maps, and the tables stack the same way."""
+    tu, tv = t[..., :, None], t[..., None, :]
     return (
-        r.add[r.add[tu, tv], r.neg[t[q.add]]],
-        r.add[r.mul[tu, tv], r.neg[t[q.mul]]],
+        r.add[r.add[tu, tv], r.neg[t[..., q.add]]],
+        r.add[r.mul[tu, tv], r.neg[t[..., q.mul]]],
     )
 
 
@@ -528,10 +525,6 @@ def additive_group(r: FiniteRing):
     return group, coords, back
 
 
-# Cap on the candidates an enumeration of maps generates, or pairs it scans.
-MAP_GUARD = 10**6
-
-
 def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
     """Every additive map between two additive tables, one per row, rows in
     lexicographic order.
@@ -548,8 +541,7 @@ def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
     pools = [np.nonzero(times[m] == 0)[0] for m in factors]
     radices = [len(p) for p in pools]
     total = math.prod(radices)
-    if total > MAP_GUARD:
-        raise SearchGuardError(f"{total} candidate additive maps, over the guard {MAP_GUARD}")
+    _guard(total, "candidate additive maps", CANDIDATE_LIMIT)
     cs = np.array([coords[x] for x in range(src_add.shape[0])], dtype=np.int64)
     maps = np.zeros((total, len(cs)), dtype=tgt_add.dtype)
     lo = 0
@@ -563,21 +555,18 @@ def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------- isomorphism
 
-ISO_GUARD = 16
-
 
 def find_ring_isomorphism(r1: FiniteRing, r2: FiniteRing):
     """The least isomorphism between small rings, in lexicographic order of
     its table; None if there is none.
 
-    Guarded to order <= 16; filters the additive maps for bijective,
+    Guarded to order `ORDER_LIMIT`; filters the additive maps for bijective,
     unit-preserving and multiplicative ones.
     """
     n = r1.order
     if n != r2.order:
         return None
-    if n > ISO_GUARD:
-        raise SearchGuardError(f"isomorphism search is guarded to order {ISO_GUARD}, got {n}")
+    _guard(n, "ring elements for the isomorphism search", ORDER_LIMIT)
     if (r1.unit is None) != (r2.unit is None):
         return None
     maps = _additive_maps(r1.add, r2.add)

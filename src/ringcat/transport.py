@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ablin import CELL_LIMIT, _guard
 from .anncat import AnnFunctor, CheckReport, LawResult
 from .cohomology import (
     Cochain2,
@@ -31,16 +32,12 @@ from .rings import (
     FiniteRing,
     IdealQuotient,
     RingHom,
-    SearchGuardError,
     _first_bad,
     _lift_defects,
     _preimages,
     _sum,
     ideal_cokernel,
 )
-
-# The coherence checker walks grids of quartic size in the quotient order.
-CHECK_GUARD = 10**7
 
 
 @dataclass(eq=False)
@@ -163,21 +160,15 @@ def reduce_esystem(
     return ReducedAnnCat(rq, km.module, k, es, section, km)
 
 
-def reduced_axiom_check(
-    ring: FiniteRing,
-    module: Bimodule,
-    k: Cochain3,
-    guard: int = CHECK_GUARD,
-    stop_at_first: bool = False,
-) -> CheckReport:
+def reduced_axiom_check(ring: FiniteRing, module: Bimodule, k: Cochain3) -> CheckReport:
     """All coherence identities a reduced obstruction cochain must satisfy.
 
     Each law compares two table expressions over full index grids; a
-    failing law reports the first witness in scan order.
+    failing law reports the first witness in scan order.  Guarded by the
+    cells of one quartic grid.
     """
     n = ring.order
-    if n**4 > guard:
-        raise SearchGuardError(f"{n ** 4} grid entries, over the guard {guard}")
+    _guard(n**4, "coherence grid cells", CELL_LIMIT)
     assert k.module is module and module.ring is ring
     xi, eta, ax, ll, rr = (tbl for tbl, _ in k.tables())
     ma, mn, mlft, mrgt = module.add, module.neg, module.left, module.right
@@ -190,13 +181,8 @@ def reduced_axiom_check(
     t4 = ar[None, None, None, :]
 
     results: list[LawResult] = []
-    complete = True
 
     def run(law, fn):
-        nonlocal complete
-        if stop_at_first and any(not lr.ok for lr in results):
-            complete = False
-            return
         lhs, rhs = fn()
         ok = lhs == rhs
         wit = None if ok.all() else _first_bad(ok)
@@ -327,7 +313,7 @@ def reduced_axiom_check(
         return lhs, rhs
 
     run("distrib_interchange", interchange)
-    return CheckReport(f"reduced_{ring.name}", results, complete)
+    return CheckReport(f"reduced_{ring.name}", results, True)
 
 
 @dataclass(eq=False)

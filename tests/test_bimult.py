@@ -110,7 +110,8 @@ def test_enumeration_is_sorted_and_deterministic():
 
 
 def test_enumeration_guard():
-    with pytest.raises(SearchGuardError):
+    with pytest.raises(SearchGuardError, match=r"^17 ring elements for bimultiplication "
+                                               r"enumeration, over the guard 16$"):
         enumerate_bimultiplications(zmod(17))
 
 
@@ -127,7 +128,8 @@ def test_pair_scan_guard_trips_before_the_scan(monkeypatch):
         raise AssertionError("the pair scan ran")
 
     monkeypatch.setattr(bimult, "_mixed_product", no_scan)
-    with pytest.raises(SearchGuardError, match="1048576 candidate bimultiplications"):
+    with pytest.raises(SearchGuardError,
+                       match=r"^1048576 candidate bimultiplications, over the guard 1000000$"):
         enumerate_bimultiplications(zero_ring_2_2_4())
 
 
@@ -145,10 +147,12 @@ def test_endomap_filter_memory_is_bounded():
 
 
 def test_ring_and_isomorphism_guards(monkeypatch):
-    monkeypatch.setattr(bimult, "RING_GUARD", 3)
-    with pytest.raises(SearchGuardError, match="exceeds 3"):
+    monkeypatch.setattr(bimult, "RING_ORDER_LIMIT", 3)
+    with pytest.raises(SearchGuardError,
+                       match=r"^4 bimultiplication ring elements, over the guard 3$"):
         bimult_ring(zero_mult(2))
-    with pytest.raises(SearchGuardError):
+    with pytest.raises(SearchGuardError, match=r"^17 ring elements for the isomorphism "
+                                               r"search, over the guard 16$"):
         find_ring_isomorphism(zmod(17), zmod(17))
 
 

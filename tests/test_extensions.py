@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from ringcat import ablin, extensions
+from ringcat.ablin import CANDIDATE_LIMIT, _guard
 from ringcat.bimult import Bimult, _permutable, enumerate_bimultiplications, permutability_witness
 from ringcat.cohomology import classify_functors
 from ringcat.corpus import corpus
 from ringcat.crossed import ESystemError, ideal_esystem, multiplier_esystem, validate_esystem
 from ringcat.extensions import (
-    SEARCH_GUARD,
     ExtensionError,
     FactorSystemError,
     SearchGuardError,
@@ -383,7 +383,7 @@ def test_search_guards(monkeypatch):
         equivalent(e4, e4, guard=1)
     rc = reduce_esystem(es)
     psi = RingHom(rc.ring, rc.ring, np.arange(2))
-    with pytest.raises(SearchGuardError, match=r"^2\^1 additive defect candidates$"):
+    with pytest.raises(SearchGuardError, match=r"^2 additive defect candidates, over the guard 1$"):
         exhaustive_extension_search(es, rc.ring, psi, guard=1)
 
     # The zero ring on Z/2 has 4 bimultiplications and Z/2 one nonzero
@@ -392,7 +392,7 @@ def test_search_guards(monkeypatch):
         raise AssertionError("the additive defect pool was built")
 
     monkeypatch.setattr(extensions, "_product_blocks", no_pool)
-    with pytest.raises(SearchGuardError, match=r"^4\^1 action candidates$"):
+    with pytest.raises(SearchGuardError, match=r"^4 action candidates, over the guard 3$"):
         exhaustive_extension_search(es, rc.ring, psi, guard=3)
 
 
@@ -456,7 +456,7 @@ def test_obstruction_requires_regular_base():
 # order.
 
 
-def reference_search(base, q, psi, quo=None, stop_at_first=True, guard=SEARCH_GUARD):
+def reference_search(base, q, psi, quo=None, stop_at_first=True, guard=CANDIDATE_LIMIT):
     """exhaustive_extension_search, testing one candidate at a time."""
     b, dd = base.b, base.d_ring
     nb, nq = b.order, q.order
@@ -472,8 +472,7 @@ def reference_search(base, q, psi, quo=None, stop_at_first=True, guard=SEARCH_GU
     qa = q.add
 
     free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
-    if nb ** len(free_f) > guard:
-        raise SearchGuardError(f"{nb}^{len(free_f)} additive defect candidates")
+    _guard(nb ** len(free_f), "additive defect candidates", guard)
     f_pool = []
     for vals in itertools.product(range(nb), repeat=len(free_f)):
         f = np.zeros((nq, nq), dtype=np.int16)
@@ -486,8 +485,7 @@ def reference_search(base, q, psi, quo=None, stop_at_first=True, guard=SEARCH_GU
 
     pl, pr = enumerate_bimultiplications(b)
     npool = len(pl)
-    if npool ** (nq - 1) > guard:
-        raise SearchGuardError(f"{npool}^{nq - 1} action candidates")
+    _guard(npool ** (nq - 1), "action candidates", guard)
     around = _permutable(pl, pr).all(axis=2)
     perm_ok = around & around.T
 
@@ -547,8 +545,7 @@ def _reference_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, 
     total = 1
     for opts in cands:
         total *= len(opts)
-        if total > guard:
-            raise SearchGuardError(f"{total}+ multiplicative defect candidates")
+        _guard(total, "multiplicative defect candidates", guard)
     gs = np.zeros((total, nq, nq), dtype=np.int16)
     for ci, combo in enumerate(itertools.product(*cands)):
         for (u, v), val in zip(slots, combo, strict=True):
@@ -596,13 +593,14 @@ def _reference_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, 
         total_x = 1
         for opts in xc:
             total_x *= len(opts)
-        if total_x > guard:
-            raise SearchGuardError(f"{total_x} target-lift candidates")
+        _guard(total_x, "target-lift candidates", guard)
         X = np.array(list(itertools.product(*xc)), dtype=np.int64)
-        okx = (X[:, qa] == dd.add[dd.add[X[:, :, None], X[:, None, :]], dm[f][None]]).all(
+        # eps(b, u) = d(b) + X(u) is a ring map iff X(u) + X(v) =
+        # X(u + v) + d f(u, v) and X(u) X(v) = X(uv) + d g(u, v).
+        okx = (dd.add[X[:, :, None], X[:, None, :]] == dd.add[X[:, qa], dm[f][None]]).all(
             axis=(1, 2)
         )
-        okx &= (X[:, qm] == dd.add[dd.mul[X[:, :, None], X[:, None, :]], dm[g][None]]).all(
+        okx &= (dd.mul[X[:, :, None], X[:, None, :]] == dd.add[X[:, qm], dm[g][None]]).all(
             axis=(1, 2)
         )
         u0, e0 = divmod(int(unit), nb)
@@ -635,9 +633,15 @@ def upper_triangular_z2():
 @functools.cache
 def corpus_system(name):
     # Besides the corpus, the first-row ideal of the upper-triangular
-    # matrices: a regular system over a noncommutative base of order 4.
-    first_row = ideal_esystem(upper_triangular_z2(), [0, 2, 4, 6], name="ut2_first_row")
-    return {es.name: es for es in [*corpus(), first_row]}[name]
+    # matrices: a regular system over a noncommutative base of order 4;
+    # and 2Z/8 in Z/8 and 3Z/9 in Z/9, whose defects d f and d g are not
+    # all 2-torsion.
+    extra = [
+        ideal_esystem(upper_triangular_z2(), [0, 2, 4, 6], name="ut2_first_row"),
+        ideal_esystem(zmod(8), [0, 2, 4, 6], name="ideal_2z8"),
+        ideal_esystem(zmod(9), [0, 3, 6], name="ideal_3z9"),
+    ]
+    return {es.name: es for es in [*corpus(), *extra]}[name]
 
 
 def klein():
@@ -712,9 +716,10 @@ def assert_walks_to_the_end_of_its_call(calls, walked, exhausted):
         ("flat_klein0", zmod(2), [0, 1]),
         ("ut2_first_row",),  # noncommutative base: gives the right-hand masks teeth
         ("flat_z2_in_z4",),  # Z/4: 2 = 1 + 1 is solved before 3 = 1 + 2
+        ("ideal_3z9",),  # the target lift reads defects that are not 2-torsion
     ],
     ids=["mult_2z8-own", "double_2z8-z2xz2", "flat_z2-z2xz2", "flat_klein0-z2",
-         "ut2_first_row-own", "flat_z2_in_z4-own"],
+         "ut2_first_row-own", "flat_z2_in_z4-own", "ideal_3z9-own"],
 )
 @pytest.mark.parametrize("stop", [True, False])
 def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
@@ -790,7 +795,7 @@ def test_g_stage_decodes_only_generator_pair_candidates(triple, fewer, monkeypat
 
     def decoded(stage, args):
         radices.clear()
-        stage(*args, SEARCH_GUARD, False, [])
+        stage(*args, CANDIDATE_LIMIT, False, [])
         return radices[0] if radices else 0
 
     monkeypatch.setattr(extensions, "_product_blocks", recording_blocks)
@@ -816,7 +821,8 @@ def test_g_stage_guard_counts_generator_pair_candidates(monkeypatch):
     # 4^3 actions fit under 100 too.
     es, q, psi = corpus_triple("flat_z2", klein(), [0, 1, 0, 1])
     want = search_record(exhaustive_extension_search(es, q, psi, stop_at_first=False))
-    with pytest.raises(SearchGuardError, match=r"^128\+ multiplicative defect candidates$"):
+    with pytest.raises(SearchGuardError,
+                       match=r"^128 multiplicative defect candidates, over the guard 100$"):
         reference_search(es, q, psi, stop_at_first=False, guard=100)
     exts, stages = g_stage_calls(es, q, psi, monkeypatch, guard=100)
     assert search_record(exts) == want
@@ -826,7 +832,8 @@ def test_g_stage_guard_counts_generator_pair_candidates(monkeypatch):
 
     monkeypatch.setattr(extensions, "crossed_tables", no_tables)
     args = next(args for args, found in stages if found)
-    with pytest.raises(SearchGuardError, match=r"^16\+ multiplicative defect candidates$"):
+    with pytest.raises(SearchGuardError,
+                       match=r"^16 multiplicative defect candidates, over the guard 15$"):
         extensions._search_g_stage(*args, 15, False, [])
 
 
@@ -859,7 +866,7 @@ def test_g_guard_trips_at_the_first_action_with_candidates(stop, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(extensions, "crossed_tables", no_tables)
         m.setitem(globals(), "crossed_tables", no_tables)
-        message = rf"^{count}\+ multiplicative defect candidates$"
+        message = rf"^{count} multiplicative defect candidates, over the guard {count - 1}$"
         with pytest.raises(SearchGuardError, match=message):
             extensions._search_g_stage(*args, count - 1, stop, [])
         with pytest.raises(SearchGuardError, match=message):
@@ -868,9 +875,23 @@ def test_g_guard_trips_at_the_first_action_with_candidates(stop, monkeypatch):
     got, want = [], []
     extensions._search_g_stage(*args, count, stop, got)
     for walk in walks:
-        if _reference_g_stage(*walk, SEARCH_GUARD, stop, want) and stop:
+        if _reference_g_stage(*walk, CANDIDATE_LIMIT, stop, want) and stop:
             break
     assert search_record(got) == search_record(want) and want
+
+
+@pytest.mark.parametrize("name, finds", [("ideal_2z8", 4), ("ideal_3z9", 9)])
+@pytest.mark.parametrize("stop", [True, False])
+def test_search_target_lift_reads_the_defects_with_their_sign(name, finds, stop):
+    # eps(b, u) = d(b) + X(u) is a ring map iff X(u) + X(v) = X(u + v)
+    # + d f(u, v) and X(u) X(v) = X(uv) + d g(u, v).  Here d f and d g are
+    # not 2-torsion, so reading the defects with the opposite sign accepts
+    # an X that `validate_extension` then rejects.
+    es, q, psi = corpus_triple(name)
+    (listed,) = enumerate_extensions(es, q, psi)
+    found = exhaustive_extension_search(es, q, psi, stop_at_first=stop)
+    assert len(found) == (1 if stop else finds)
+    assert all(equivalent(e, listed) is not None for e in found)
 
 
 @pytest.mark.parametrize("name", ["id_z2", "id_z3", "id_z4", "id_klein", "mult_z2", "mult_z3"])

@@ -30,6 +30,7 @@ from ringcat.fileio import (
 )
 from ringcat.rings import product_ring, zero_mult, zmod
 from ringcat.transport import choose_section, reduce_esystem
+from test_rings import upper_triangular_z2
 
 
 @functools.cache
@@ -138,7 +139,8 @@ def test_cli_validate_errors(tmp_path, capsys):
 def test_cli_bimult_guard_is_a_resource_error(tmp_path, capsys):
     path = write_ring(zmod(17), tmp_path / "z17.ring")
     assert main(["bimult", "enumerate", str(path)]) == 2
-    assert "guarded to order 16" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: 17 ring elements for bimultiplication enumeration, over the guard 16\n"
 
 
 def test_cli_bimult_pair_scan_guard_is_a_resource_error(tmp_path, capsys):
@@ -233,7 +235,7 @@ def test_cli_cohom_h2_guard_is_a_resource_error(tmp_path, capsys):
     ring = write_ring(zmod(2), tmp_path / "z2.ring")
     mod = write_regular_module(zmod(2), tmp_path / "z2.mod")
     assert main(["--guard", "1", "cohom", "h2", str(ring), str(mod)]) == 2
-    assert "degree 2 needs 2 coordinates, over the guard 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: 2 degree 2 coordinates, over the guard 1\n"
 
 
 def test_cli_cohom_h2_overflow_is_a_resource_error(tmp_path, capsys):
@@ -247,20 +249,38 @@ def test_cli_cohom_h2_overflow_is_a_resource_error(tmp_path, capsys):
     assert err.startswith("error: Smith normal form: entry ") and "leaves int64" in err
 
 
-def test_cli_cohom_h2_keeps_the_library_coordinate_guard(tmp_path):
-    # In a subprocess with a timeout: with the guard widened, the CLI would
-    # go on to reduce an 11172 x 11564 system.
-    ring = write_ring(zmod(15), tmp_path / "z15.ring")
-    mod = write_regular_module(zmod(15), tmp_path / "z15.mod")
+def cohom_h2_in_a_subprocess(r, tmp_path):
+    """`ringcat cohom h2` on r acting on itself, in a subprocess with a
+    timeout, so that a guard that does not trip fails the test instead of
+    running on."""
+    ring = write_ring(r, tmp_path / "r.ring")
+    mod = write_regular_module(r, tmp_path / "r.mod")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ringcat.cli", "cohom", "h2", str(ring), str(mod)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
     )
+
+
+def test_cli_cohom_h2_keeps_the_library_coordinate_guard(tmp_path):
+    # With the guard widened, the CLI would go on to reduce an 11172 x
+    # 11564 system.
+    proc = cohom_h2_in_a_subprocess(zmod(15), tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "degree 3 needs 11172 coordinates, over the guard 10000" in proc.stderr
+    assert "error: 11172 degree 3 coordinates, over the guard 10000" in proc.stderr
+
+
+def test_cli_cohom_h2_guards_the_smith_normal_form(tmp_path):
+    # The upper-triangular 2x2 matrices over Z/2 fit the coordinate guard
+    # (4263 degree-3 coordinates), but the Smith normal form of its
+    # 4263 x 4557 block would hold 9.7e7 cells in s, u, v and both
+    # inverses: without its guard, h2 grew past 1 GB for minutes.
+    proc = cohom_h2_in_a_subprocess(upper_triangular_z2(), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 97305327 Smith normal form cells, over the guard 10000000\n"
 
 
 def test_cli_unknown_verb_usage():

@@ -54,6 +54,7 @@ VALIDATION_TESTS = [
     "tests/test_fileio_cli.py::test_cli_cohom_h2_overflow_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_bimult_pair_scan_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_internal_error_exits_3",
+    "tests/test_guards.py",
     "tests/test_acceptance.py::test_criterion_07_section_independence",
 ]
 

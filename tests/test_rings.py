@@ -385,7 +385,8 @@ def test_additive_maps_guard():
     r16 = product_ring(product_ring(z2, z2), product_ring(z2, z2))
     r32 = product_ring(r16, z2)
     # Four generators of order 2, each free to go to any of 32 elements.
-    with pytest.raises(SearchGuardError, match="1048576 candidate"):
+    with pytest.raises(SearchGuardError,
+                       match=r"^1048576 candidate additive maps, over the guard 1000000$"):
         _additive_maps(r16.add, r32.add)
 
 
