@@ -42,6 +42,12 @@ def _guard(size: int, what: str, limit: int) -> None:
         raise SearchGuardError(f"{size} {what}, over the guard {limit}")
 
 
+def _guard_snf(nr: int, nc: int) -> None:
+    """Refuse the Smith normal form of an nr x nc matrix by the cells of s,
+    u, v and both inverses; callers that build the matrix check first."""
+    _guard(nr * nc + 2 * nr * nr + 2 * nc * nc, "Smith normal form cells", CELL_LIMIT)
+
+
 def as_int_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.int64)
     if m.ndim != 2:
@@ -122,11 +128,11 @@ def smith_normal_form(a) -> SNFResult:
     active block.  So s, u, v and their inverses are those of the
     one-at-a-time loop, entry for entry.
 
-    Guarded by the cells of s, u, v and both inverses.
+    Guarded by the cells of s, u, v and both inverses (`_guard_snf`).
     """
     s = as_int_matrix(a)
     nr, nc = s.shape
-    _guard(nr * nc + 2 * nr * nr + 2 * nc * nc, "Smith normal form cells", CELL_LIMIT)
+    _guard_snf(nr, nc)
     s = s.copy()
     u = np.eye(nr, dtype=np.int64)
     vinv = np.eye(nc, dtype=np.int64)
@@ -394,7 +400,9 @@ class UnsolvableWitness:
 def _factor(lm: LinearMap) -> SNFResult:
     """The Smith normal form of lm's augmented block.  Callers that need it
     twice compute it once and hand it to `_solve` and `_kernel`; no
-    factorisation is kept beyond the call that made it."""
+    factorisation is kept beyond the call that made it.  Guarded before
+    the block is built."""
+    _guard_snf(lm.target.rank, lm.source.rank + lm.target.rank)
     return smith_normal_form(_augmented(lm))
 
 
@@ -497,6 +505,7 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
     if g == 0:
         return Subgroup(ambient, FinAbGroup(()), [])
     cols = np.asarray(cols, dtype=np.int64).reshape(g, -1)
+    _guard_snf(g, cols.shape[1] + g)
     mdiag = np.diag(np.asarray(ambient.factors, dtype=np.int64))
     span = smith_normal_form(np.hstack([cols, mdiag]))
     assert span.rank == g, "the moduli force a full-rank lattice"

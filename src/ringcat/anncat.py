@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ablin import CELL_LIMIT, _guard
 from .crossed import ESystem, ESystemMorphism, validate_esystem, validate_morphism
 from .rings import _assoc_failure, _first_bad, _sum_generators, validate_ring
 
@@ -251,7 +252,8 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     Returns a report with one entry per law; each failing law carries the
     first witness in scan order.  With stop_at_first, later laws are
-    skipped once one fails.
+    skipped once one fails.  Raises SearchGuardError before building a
+    grid of more than `CELL_LIMIT` cells; proved chunks build none.
     """
     b, d = es.b, es.d_ring
     dm = es.d.map.astype(np.int64)
@@ -276,15 +278,11 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
         return False, _first_bad(ok), int(ok.size)
 
     def add_comm():
-        ok = (b.add == b.add.T).all() and (d.add == d.add.T).all()
-        if ok:
-            return True, None, nb * nb + nd * nd
-        for t, in_b in ((b.add, True), (d.add, False)):
+        for t, tag in ((b.add, "base"), (d.add, "object")):
             ok = t == t.T
             if not ok.all():
-                i, j = _first_bad(ok)
-                return False, ("base" if in_b else "object", i, j), nb * nb + nd * nd
-        raise AssertionError
+                return False, (tag, *_first_bad(ok)), nb * nb + nd * nd
+        return True, None, nb * nb + nd * nd
 
     run("add-commutative", add_comm)
 
@@ -322,6 +320,7 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     def add_interchange():
         # (g o f) + (g' o f') vs (g + g') o (f + f'), base parts
+        _guard(nb**4, "add-interchange grid cells", CELL_LIMIT)
         lhs = b.add[b.add[:, :, None, None], b.add[None, None, :, :]]
         rhs = b.add[b.add[ab[:, None, None, None], ab[None, None, :, None]],
                     b.add[ab[None, :, None, None], ab[None, None, None, :]]]
@@ -351,6 +350,7 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     def tensor_cod():
         # axes (b1, x1, b2, x2)
+        _guard(nb * nb * nd * nd, "tensor-cod grid cells", CELL_LIMIT)
         b1, b2 = ab[:, None, None, None], ab[None, None, :, None]
         x1, x2 = ad[None, :, None, None], ad[None, None, None, :]
         lhs = d.add[dm[_tensor(es, b1, x1, b2, x2)], d.mul[x1, x2]]
@@ -369,7 +369,10 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
         nonlocal proved
         if proved is None:
             proved = _proved_chunks(es) if results[0].ok and results[1].ok else {}
-        for x1 in range(proved.get(law, 0), nd):
+        start = proved.get(law, 0)
+        if start < nd:
+            _guard(cells, f"{law} chunk cells", CELL_LIMIT)
+        for x1 in range(start, nd):
             ok = law_fn(x1)
             if not ok.all():
                 return False, (x1, *_first_bad(ok)), (x1 + 1) * cells

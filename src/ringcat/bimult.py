@@ -25,17 +25,16 @@ from .ablin import CANDIDATE_LIMIT, ORDER_LIMIT, RING_ORDER_LIMIT, _guard
 from .rings import (
     FiniteRing,
     RingHom,
+    WitnessError,
     _additive_maps,
     _first_bad,
     _product_blocks,
     validate_ring,
 )
 
-class BimultError(ValueError):
-    def __init__(self, condition: str, witness: tuple):
-        self.condition = condition
-        self.witness = witness
-        super().__init__(f"{condition} fails at {witness}")
+
+class BimultError(WitnessError):
+    """A bimultiplication condition failed."""
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .fileio import (
     load_section,
     write_esystem,
 )
-from .rings import RingHom, SearchGuardError, decompose_abelian
+from .rings import RingHom, SearchGuardError, _additive_orders, decompose_abelian
 from .transport import reduce_esystem
 
 
@@ -210,7 +210,7 @@ def cmd_ext_enum(args, rep: Report) -> int:
     rep.add("quotient", q.name)
     rep.add("classes", len(exts))
     for i, ext in enumerate(exts):
-        tops = max(ext.ring.additive_order(x) for x in range(ext.ring.order))
+        tops = int(_additive_orders(ext.ring.add).max())
         rep.add(f"class[{i}]", f"order {ext.ring.order} unit {int(ext.ring.unit)} "
                               f"max additive order {tops}")
     return 0 if exts else 1

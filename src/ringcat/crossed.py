@@ -45,7 +45,9 @@ from .rings import (
     IdealQuotient,
     RingAxiomError,
     RingHom,
+    WitnessError,
     _first_bad,
+    _ideal_actions,
     _preimages,
     decompose_abelian,
     ideal_cokernel,
@@ -55,11 +57,8 @@ from .rings import (
 )
 
 
-class ESystemError(ValueError):
-    def __init__(self, axiom: str, witness):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(f"{axiom} fails at {witness}")
+class ESystemError(WitnessError):
+    """An action-system, bimodule or morphism condition failed."""
 
 
 @dataclass(eq=False)
@@ -306,8 +305,7 @@ def ideal_esystem(d_ring: FiniteRing, subset, name: str | None = None) -> ESyste
     """A two-sided ideal sitting inside its ambient ring, acting by
     ambient multiplication."""
     b, emb = subring(d_ring, subset)
-    pos = _preimages(emb, d_ring.order)
-    tl, tr = pos[d_ring.mul[:, emb]], pos[d_ring.mul[emb].T]
+    tl, tr = _ideal_actions(d_ring, emb)
     ok = (tl >= 0) & (tr >= 0)
     if not ok.all():
         x, c = _first_bad(ok)
@@ -424,7 +422,7 @@ def _check_group(add) -> FiniteRing:
     try:
         return validate_ring(add, np.zeros_like(add))
     except RingAxiomError as e:
-        raise ESystemError(f"group-{e.axiom}", e.witness) from e
+        raise ESystemError(f"group-{e.condition}", e.witness) from e
 
 
 def _bimodule_over_group(ring, group, add, neg, left, right, coords) -> Bimodule:

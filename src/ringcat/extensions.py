@@ -32,7 +32,9 @@ from .rings import (
     IdealQuotient,
     RingHom,
     SearchGuardError,
+    WitnessError,
     _first_bad,
+    _ideal_actions,
     _lift_defects,
     _preimages,
     _product_blocks,
@@ -45,19 +47,12 @@ from .rings import (
 from .transport import ReducedAnnCat, Section, choose_section, reduce_esystem
 
 
-class ExtensionError(ValueError):
-    def __init__(self, condition: str, witness):
-        self.condition = condition
-        self.witness = witness
-        super().__init__(f"{condition} fails at {witness}")
+class ExtensionError(WitnessError):
+    """An extension condition failed."""
 
 
-class FactorSystemError(ValueError):
-    def __init__(self, condition: str, witness, detail: str = ""):
-        self.condition = condition
-        self.witness = witness
-        tail = f": {detail}" if detail else ""
-        super().__init__(f"{condition} fails at {witness}{tail}")
+class FactorSystemError(WitnessError):
+    """A factor-system condition failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +104,13 @@ def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps
         raise ExtensionError("exactness", tuple(sorted(kernel ^ image)))
     if ring.unit is None:
         raise ExtensionError("unit", ())
-    jinv = _preimages(jh.map, ring.order)
-    lt = ring.mul[:, jh.map]
-    rt = ring.mul[jh.map, :].T
-    for tbl, side in ((lt, "left"), (rt, "right")):
-        mapped = jinv[tbl]
+    lt, rt = _ideal_actions(ring, jh.map)
+    for mapped, side in ((lt, "left"), (rt, "right")):
         if (mapped < 0).any():
             x, bi = _first_bad(mapped >= 0)
             raise ExtensionError(f"ideal-{side}", (x, int(jh.map[bi])))
     try:
-        inner = validate_esystem(
-            base.b, ring, jh.map, jinv[lt], jinv[rt], name=f"{name}_inner"
-        )
+        inner = validate_esystem(base.b, ring, jh.map, lt, rt, name=f"{name}_inner")
     except ESystemError as e:
         raise ExtensionError("induced-system", str(e)) from e
     try:
@@ -349,30 +339,42 @@ def crossed_product(
         raise ExtensionError("factor-system-base", (fs.b.name, base.b.name))
     if section is None:
         section = choose_section(base)
-    rq = section.quotient.ring
     q = fs.q
-    psi = _align_psi(psi, q, rq)
-    dd = base.d_ring
-    lift = section.sigma[psi.map].copy()
-    lift[q.unit] = dd.unit
+    psi = _align_psi(psi, q, section.quotient.ring)
+    lift = _context_lift(base, section, psi)
     if not (
         np.array_equal(fs.act_left, base.theta_left[lift])
         and np.array_equal(fs.act_right, base.theta_right[lift])
     ):
         raise ExtensionError("context-action", ())
     dm = base.d.map
-    want_f, want_g = _lift_defects(dd, lift, q)
+    want_f, want_g = _lift_defects(base.d_ring, lift, q)
     for tbl, want, nm in ((fs.f, want_f, "additive"), (fs.g, want_g, "multiplicative")):
         ok = dm[tbl] == want
         if not ok.all():
             raise ExtensionError(f"context-{nm}-defect", _first_bad(ok))
     ring = crossed_ring(fs, name=name)
+    return ring, _carrier_extension(base, ring, q, lift, name or ring.name)
+
+
+def _context_lift(base: ESystem, section: Section, psi: RingHom) -> np.ndarray:
+    """The lift of psi through the section, sigma(psi(u)), except that the
+    unit of psi's source lifts to the unit of the action target."""
+    lift = section.sigma[psi.map].copy()
+    lift[psi.source.unit] = base.d_ring.unit
+    return lift
+
+
+def _carrier_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, lift,
+                       name: str) -> Extension:
+    """The extension of base by q on the product carrier of `ring`, with
+    (b, u) at `_flat(b, u, |b|)`: j(b) = (b, 0), p(b, u) = u and
+    eps(b, u) = d(b) + lift(u)."""
     nb = base.b.order
     e = np.arange(ring.order)
     bp, qp = e % nb, e // nb
-    eps = dd.add[dm[bp], lift[qp]]
-    ext = validate_extension(base, ring, q, np.arange(nb), qp, eps, name=name or ring.name)
-    return ring, ext
+    eps = base.d_ring.add[base.d.map[bp], lift[qp]]
+    return validate_extension(base, ring, q, np.arange(nb), qp, eps, name=name)
 
 
 def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
@@ -393,18 +395,13 @@ def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
         if lifts[0] != 0:
             raise ExtensionError("lift-zero", (int(lifts[0]),))
     jinv = _preimages(ext.j.map, e.order)
-
-    def down(tbl, what):
-        out = jinv[tbl]
+    f, g = (jinv[t] for t in _lift_defects(e, lifts, q))
+    # Row u of each action table is how lifts[u] multiplies the base.
+    left, right = _ideal_actions(e, ext.j.map)
+    al, ar_ = left[lifts], right[lifts]
+    for out, what in ((f, "additive defect"), (g, "multiplicative defect"),
+                      (al, "left action"), (ar_, "right action")):
         assert (out >= 0).all(), f"{what} leaves the embedded base"
-        return out
-
-    t = lifts
-    f, g = _lift_defects(e, t, q)
-    f = down(f, "additive defect")
-    g = down(g, "multiplicative defect")
-    al = down(e.mul[t[:, None], ext.j.map[None, :]], "left action")
-    ar_ = down(e.mul[ext.j.map[None, :], t[:, None]], "right action")
     return validate_factor_system(b, q, al, ar_, f, g)
 
 
@@ -502,15 +499,12 @@ def enumerate_extensions(
         return []
     stem = name or f"{base.name}_by_{q.name}"
     if q.order == 1:
-        nb = base.b.order
-        return [validate_extension(base, base.b, q, np.arange(nb), np.zeros(nb, dtype=np.int64),
-                                   base.d.map, name=f"{stem}_0")]
+        return [_carrier_extension(base, base.b, q, np.zeros(1, dtype=np.int64), f"{stem}_0")]
     km = rc.kernel_module
     sec = rc.section
     carrier = np.asarray(km.carrier, dtype=np.int64)
     dd = base.d_ring
-    lift = sec.sigma[psi.map].copy()
-    lift[q.unit] = dd.unit
+    lift = _context_lift(base, sec, psi)
     al = base.theta_left[lift]
     ar_ = base.theta_right[lift]
     # Base defect tables for the unit-adjusted lift, as least d-preimages.
@@ -540,7 +534,6 @@ def exhaustive_extension_search(
     base: ESystem,
     q: FiniteRing,
     psi: RingHom,
-    quo: IdealQuotient | None = None,
     stop_at_first: bool = True,
     guard: int = CANDIDATE_LIMIT,
 ) -> list[Extension]:
@@ -574,8 +567,7 @@ def exhaustive_extension_search(
     nb, nq = b.order, q.order
     if q.unit is None:
         raise ExtensionError("quotient-unital", (q.name,))
-    if quo is None:
-        quo = ideal_cokernel(base.d)
+    quo = ideal_cokernel(base.d)
     psi = _align_psi(psi, q, quo.ring)
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
@@ -816,11 +808,7 @@ def _search_g_stage(base, grid, psi, quo, f, left, right, guard, stop_at_first, 
                 ring = validate_ring(
                     add.copy(), m.copy(), unit, name=f"{base.name}_search_{len(results)}"
                 )
-                e = np.arange(ring.order)
-                bp, qp = e % nb, e // nb
-                eps = base.d_ring.add[base.d.map[bp], xrow[qp]]
-                ext = validate_extension(base, ring, q, np.arange(nb), qp, eps, name=ring.name)
-                results.append(ext)
+                results.append(_carrier_extension(base, ring, q, xrow, ring.name))
                 found = True
                 if stop_at_first:
                     return True

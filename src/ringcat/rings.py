@@ -16,16 +16,20 @@ import numpy as np
 from .ablin import CANDIDATE_LIMIT, ORDER_LIMIT, FinAbGroup, SearchGuardError, _guard
 
 
-class RingAxiomError(ValueError):
-    """A ring axiom failed; carries the axiom name and a witness tuple."""
+class WitnessError(ValueError):
+    """A checked condition failed: carries its name, its first witness in
+    scan order and an optional detail, reported as
+    "<condition> fails at <witness>[: <detail>]"."""
 
-    def __init__(self, axiom: str, witness: tuple, detail: str = ""):
-        self.axiom = axiom
+    def __init__(self, condition: str, witness, detail: str = ""):
+        self.condition = condition
         self.witness = witness
-        msg = f"{axiom} fails at {witness}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        self.detail = detail
+        super().__init__(f"{condition} fails at {witness}" + (f": {detail}" if detail else ""))
+
+
+class RingAxiomError(WitnessError):
+    """A ring axiom failed."""
 
 
 def _table(t, n: int, what: str) -> np.ndarray:
@@ -105,7 +109,7 @@ class FiniteRing:
         return range(self.order)
 
     def additive_order(self, i) -> int:
-        return _additive_order(self.add, i)
+        return int(_additive_orders(self.add)[i])
 
     def describe(self) -> str:
         u = "none" if self.unit is None else str(self.unit)
@@ -380,6 +384,14 @@ class IdealQuotient:
     reps: list[int]
 
 
+def _ideal_actions(ring: FiniteRing, emb) -> tuple[np.ndarray, np.ndarray]:
+    """How `ring` multiplies the distinct elements `emb` on either side:
+    left[r, i] and right[r, i] are the positions in emb of r * emb[i] and
+    emb[i] * r, or -1 where the product leaves emb."""
+    pos = _preimages(emb, ring.order)
+    return pos[ring.mul[:, emb]], pos[ring.mul[emb].T]
+
+
 def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
     """Quotient of h.target by the image of h.
 
@@ -389,10 +401,8 @@ def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
     """
     t = h.target
     image = np.unique(h.map)
-    in_image = np.zeros(t.order, dtype=bool)
-    in_image[image] = True
     # ok[r, i, side]: r * image[i] (side 0) and image[i] * r (side 1) stay inside.
-    ok = np.stack([in_image[t.mul[:, image]], in_image[t.mul[image].T]], axis=2)
+    ok = np.stack(_ideal_actions(t, image), axis=2) >= 0
     if not ok.all():
         r, i, side = _first_bad(ok)
         b = int(image[i])
@@ -427,20 +437,18 @@ def _lift_defects(r: FiniteRing, t: np.ndarray, q: FiniteRing):
 # ------------------------------------------------- additive decomposition
 
 
-def _additive_order(add: np.ndarray, x: int) -> int:
-    k, y = 1, int(x)
-    while y != 0:
-        y = int(add[y, x])
-        k += 1
-    return k if x != 0 else 1
-
-
-def _cyclic(add: np.ndarray, g: int) -> list[int]:
-    out, y = [0], int(g)
-    while y != 0:
-        out.append(y)
-        y = int(add[y, g])
+def _multiples(add: np.ndarray, k: int) -> np.ndarray:
+    """Row j holds j*x for every element x, for j < k."""
+    ar = np.arange(len(add))
+    out = np.zeros((k, len(ar)), dtype=np.int64)
+    for j in range(1, k):
+        out[j] = add[out[j - 1], ar]
     return out
+
+
+def _additive_orders(add: np.ndarray) -> np.ndarray:
+    """The additive order of every element: the least k > 0 with k*x = 0."""
+    return (_multiples(add, len(add) + 1)[1:] == 0).argmax(axis=0) + 1
 
 
 def decompose_abelian(add: np.ndarray, elements=None):
@@ -455,6 +463,7 @@ def decompose_abelian(add: np.ndarray, elements=None):
     elems = sorted(int(x) for x in (elements if elements is not None else range(add.shape[0])))
     assert elems[0] == 0
     neg = np.argmax(add == 0, axis=1)
+    mult = _multiples(add, len(add) + 1)
 
     # Peel off a maximal-order cyclic summand, then recurse on the quotient.
     gens_desc: list[int] = []
@@ -462,39 +471,28 @@ def decompose_abelian(add: np.ndarray, elements=None):
     # Work with explicit coset structures: current congruence is "differ by
     # an element of span", starting from the trivial subgroup.
     span = {0}
-
-    def coset_rep(x):
-        return min(int(add[x, s]) for s in span)
-
     while True:
-        reps = sorted({coset_rep(x) for x in elems})
-        if reps == [0]:
+        # Each coset x + span is represented by its least member.
+        reps = np.unique(add[np.ix_(elems, sorted(span))].min(axis=1))
+        if len(reps) == 1:
             break
-        # order of x in the quotient = least k with k*x in span
-        def qorder(x):
-            k, y = 1, x
-            while coset_rep(y) != 0:
-                y = int(add[y, x])
-                k += 1
-            return k
-
-        best = max(reps, key=qorder)
-        e = qorder(best)
+        # order of x in the quotient = least k > 0 with k*x in span
+        in_span = np.zeros(len(add), dtype=bool)
+        in_span[list(span)] = True
+        qorders = in_span[mult[1:, reps]].argmax(axis=0) + 1
+        best, e = int(reps[qorders.argmax()]), int(qorders.max())
         # e * best lies in span; divide it by e there (span is pure, being a
         # sum of earlier maximal-order summands) and correct the lift so its
-        # order drops to e.
-        target = _order_multiple(add, best, e)
-        corr = None
-        for s in span:
-            if _order_multiple(add, s, e) == target:
-                corr = s
-                break
+        # order drops to e.  The correction is the first match in span's
+        # iteration order, which fixes the generators and coordinates.
+        corr = next((s for s in span if mult[e, s] == mult[e, best]), None)
         assert corr is not None, "purity correction must exist"
         best = int(add[best, neg[corr]])
-        assert _additive_order(add, best) == e
+        # e * best = 0, and no smaller multiple lies even in span.
+        assert mult[e, best] == 0
         gens_desc.append(best)
         factors_desc.append(e)
-        span = {int(add[s, c]) for s in span for c in _cyclic(add, best)}
+        span = {int(add[s, c]) for s in span for c in mult[:e, best].tolist()}
 
     factors = list(reversed(factors_desc))
     gens = list(reversed(gens_desc))
@@ -503,18 +501,11 @@ def decompose_abelian(add: np.ndarray, elements=None):
     for combo in itertools.product(*[range(m) for m in factors]):
         x = 0
         for c, g in zip(combo, gens, strict=True):
-            x = int(add[x, _order_multiple(add, g, c)])
+            x = int(add[x, mult[c, g]])
         assert x in eset and x not in coords, "decomposition must be a bijection"
         coords[x] = combo
     assert len(coords) == len(elems)
     return tuple(factors), gens, coords
-
-
-def _order_multiple(add: np.ndarray, x: int, k: int) -> int:
-    y = 0
-    for _ in range(k):
-        y = int(add[y, x])
-    return y
 
 
 def additive_group(r: FiniteRing):
@@ -533,11 +524,8 @@ def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
     source, and a generator of order m may go to any y with m*y = 0.
     """
     factors, _, coords = decompose_abelian(src_add)
-    nt = tgt_add.shape[0]
     # times[k, y] = k*y in the target.
-    times = np.zeros((max(factors, default=0) + 1, nt), dtype=np.int64)
-    for k in range(1, len(times)):
-        times[k] = tgt_add[times[k - 1], np.arange(nt)]
+    times = _multiples(tgt_add, max(factors, default=0) + 1)
     pools = [np.nonzero(times[m] == 0)[0] for m in factors]
     radices = [len(p) for p in pools]
     total = math.prod(radices)

@@ -258,7 +258,7 @@ def test_criterion_04_regularity_iff_associativity():
     add, mul = crossed_tables(kl, zmod(2), al, ar, zero2, zero2)
     with pytest.raises(RingAxiomError) as err:
         validate_ring(add, mul, None, name="bad_product")
-    assert err.value.axiom == "mul-associative"
+    assert err.value.condition == "mul-associative"
     x, y, z = err.value.witness
     assert mul[mul[x, y], z] != mul[x, mul[y, z]]
 

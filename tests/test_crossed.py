@@ -89,7 +89,7 @@ def test_ideal_esystem_not_an_ideal_witness(subset, witness):
     # first (x, c) in scan order with x * c or c * x outside.
     with pytest.raises(ESystemError) as e:
         ideal_esystem(upper_triangular_z2(), subset)
-    assert (e.value.axiom, e.value.witness) == ("not-an-ideal", witness)
+    assert (e.value.condition, e.value.witness) == ("not-an-ideal", witness)
 
 
 def test_identity_esystem_regular_and_trivial_reduction():
@@ -364,7 +364,7 @@ def _tables(name):
 def test_esystem_condition_witnesses(name, condition, witness):
     with pytest.raises(ESystemError) as e:
         validate_esystem(*_tables(name))
-    assert (e.value.axiom, e.value.witness) == (condition, witness)
+    assert (e.value.condition, e.value.witness) == (condition, witness)
 
 
 @pytest.mark.parametrize(
@@ -394,14 +394,14 @@ def test_crossed_bimodule_condition_witnesses(name, condition, witness):
         tables = _tables(name)
     with pytest.raises(ESystemError) as e:
         validate_crossed_bimodule(*tables)
-    assert (e.value.axiom, e.value.witness) == (condition, witness)
+    assert (e.value.condition, e.value.witness) == (condition, witness)
     if condition.startswith("bimodule-"):
         # the bimodule validator checks the same laws in the same order
         b, d_ring, _, tl, tr = tables
         group, coords = FinAbGroup((2,) * (b.order // 2)), _bits(b.order)
         with pytest.raises(ESystemError) as e:
             validate_bimodule(d_ring, group, b.add, b.neg, tl, tr, coords)
-        assert (e.value.axiom, e.value.witness) == (condition, witness)
+        assert (e.value.condition, e.value.witness) == (condition, witness)
 
 
 def _bits(n):
@@ -458,7 +458,7 @@ def test_bimodule_group_and_coordinate_conditions(change, condition, witness):
                 "left": z4.mul, "right": z4.mul, "coords": np.array([[0], [2], [1], [3]])}
     with pytest.raises(ESystemError) as e:
         validate_bimodule(**args)
-    assert (e.value.axiom, e.value.witness) == (condition, witness)
+    assert (e.value.condition, e.value.witness) == (condition, witness)
 
 
 @pytest.mark.parametrize(
@@ -503,7 +503,7 @@ def test_morphism_condition_witnesses(f1, f0, target, condition, witness, as_cro
         src, tgt, validate = es_to_xb(src), es_to_xb(tgt), validate_xb_morphism
     with pytest.raises(ESystemError) as e:
         validate(src, tgt, f1, f0)
-    assert e.value.axiom == condition
+    assert e.value.condition == condition
     if witness is not None:
         assert e.value.witness == witness
 
@@ -514,7 +514,7 @@ def test_morphism_square_witness_on_both_sides():
                            (validate_xb_morphism, es_to_xb(src), es_to_xb(tgt))):
         with pytest.raises(ESystemError) as e:
             validate(s, t, [0, 0], np.arange(4))
-        assert (e.value.axiom, e.value.witness) == ("morphism-square", (1,))
+        assert (e.value.condition, e.value.witness) == ("morphism-square", (1,))
 
 
 @pytest.mark.parametrize(
@@ -536,4 +536,4 @@ def test_induced_kernel_module_rejects_ill_defined_actions(rows, condition, witn
     assert not coker_action_well_defined(broken)
     with pytest.raises(ESystemError) as e:
         induced_kernel_module(broken)
-    assert (e.value.axiom, e.value.witness) == (condition, witness)
+    assert (e.value.condition, e.value.witness) == (condition, witness)

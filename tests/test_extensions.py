@@ -308,7 +308,7 @@ def test_non_regular_action_breaks_associativity():
     add, mul = crossed_tables(kl, q, al, ar, zero2, zero2)
     with pytest.raises(RingAxiomError) as e:
         validate_ring(add, mul, None, name="bad_product")
-    assert e.value.axiom == "mul-associative"
+    assert e.value.condition == "mul-associative"
     x, y, z = e.value.witness
     assert mul[mul[x, y], z] != mul[x, mul[y, z]]
 
@@ -456,14 +456,13 @@ def test_obstruction_requires_regular_base():
 # order.
 
 
-def reference_search(base, q, psi, quo=None, stop_at_first=True, guard=CANDIDATE_LIMIT):
+def reference_search(base, q, psi, stop_at_first=True, guard=CANDIDATE_LIMIT):
     """exhaustive_extension_search, testing one candidate at a time."""
     b, dd = base.b, base.d_ring
     nb, nq = b.order, q.order
     if q.unit is None:
         raise ExtensionError("quotient-unital", (q.name,))
-    if quo is None:
-        quo = ideal_cokernel(base.d)
+    quo = ideal_cokernel(base.d)
     psi = _align_psi(psi, q, quo.ring)
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))

@@ -201,8 +201,8 @@ def test_load_module_checks_the_group_first(tmp_path):
     with pytest.raises(ESystemError) as direct:
         validate_bimodule(zmod(2), FinAbGroup((3,)), NOT_A_GROUP, [0, 2, 1],
                           identity, identity, [[0], [1], [2]])
-    assert (e.value.axiom, e.value.witness) == ("group-add-associative", (1, 2, 2))
-    assert (e.value.axiom, e.value.witness) == (direct.value.axiom, direct.value.witness)
+    assert (e.value.condition, e.value.witness) == ("group-add-associative", (1, 2, 2))
+    assert (e.value.condition, e.value.witness) == (direct.value.condition, direct.value.witness)
 
 
 @pytest.mark.parametrize("verb", [["cohom", "h2"], ["validate", "module"]])

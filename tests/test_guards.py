@@ -7,22 +7,27 @@ site would run past its check by a function that fails the test.
 """
 
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from ringcat import ablin, bimult, cohomology, extensions, rings, transport
-from ringcat.ablin import SearchGuardError, smith_normal_form
+from ringcat import ablin, anncat, bimult, cohomology, extensions, rings, transport
+from ringcat.ablin import FinAbGroup, LinearMap, SearchGuardError, smith_normal_form, span_subgroup
+from ringcat.anncat import anncat_axiom_check
 from ringcat.bimult import bimult_ring, enumerate_bimultiplications
-from ringcat.cohomology import complex_for
+from ringcat.cohomology import complex_for, h2
 from ringcat.corpus import corpus
+from ringcat.crossed import ESystem, multiplier_esystem, validate_esystem
 from ringcat.extensions import equivalent, exhaustive_extension_search
 from ringcat.rings import RingHom, _additive_maps, find_ring_isomorphism, ideal_cokernel
 from ringcat.rings import zero_mult, zmod
 from ringcat.transport import reduce_esystem, reduced_axiom_check
+from test_anncat import doubled_into_z4, zero_action_es
 from test_cohomology import ring_as_module
 from test_extensions import flat_z2, z4_extension
+from test_rings import upper_triangular_z2
 
 GUARD_MESSAGE = r"^\d+ [^,]+, over the guard \d+$"
 
@@ -144,6 +149,63 @@ def snf(m):
     return call, "32 Smith normal form cells, over the guard 31"
 
 
+def snf_block(m):
+    # lm's augmented block is 2 x 3, as in `snf`.
+    m.setattr(ablin, "CELL_LIMIT", 31)
+    m.setattr(ablin, "_augmented", never("the augmented block"))
+    lm = LinearMap(FinAbGroup((2,)), FinAbGroup((2, 2)), [[0], [0]])
+    return partial(ablin.kernel, lm), "32 Smith normal form cells, over the guard 31"
+
+
+def snf_span(m):
+    # One column beside the 2 x 2 moduli block: again 2 x 3.
+    m.setattr(ablin, "CELL_LIMIT", 31)
+    m.setattr(np, "diag", never("the moduli block"))
+    call = partial(span_subgroup, FinAbGroup((2, 2)), np.zeros((2, 1), dtype=np.int64))
+    return call, "32 Smith normal form cells, over the guard 31"
+
+
+def never_on_grids(m, axes):
+    """Make anncat's tensor fail on index grids of `axes` axes, the grids
+    of the law under test, and run as before on smaller ones."""
+    tensor = anncat._tensor
+
+    def run(es, b1, *rest):
+        if np.ndim(b1) == axes:
+            raise AssertionError("a 2-ring grid ran past its guard")
+        return tensor(es, b1, *rest)
+    m.setattr(anncat, "_tensor", run)
+
+
+def anncat_add_interchange(m):
+    # |B| = |D| = 2: 16 cells for add-interchange, then 16 for tensor-cod.
+    m.setattr(anncat, "CELL_LIMIT", 15)
+    m.setattr(anncat, "_tensor", never("a later 2-ring law"))
+    call = partial(anncat_axiom_check, zero_action_es())
+    return call, "16 add-interchange grid cells, over the guard 15"
+
+
+def anncat_tensor_cod(m):
+    # |B| = 2, |D| = 4: 16 cells for add-interchange, 64 for tensor-cod.
+    m.setattr(anncat, "CELL_LIMIT", 63)
+    never_on_grids(m, 4)
+    call = partial(anncat_axiom_check, multiplier_esystem(rings.zero_mult(2)))
+    return call, "64 tensor-cod grid cells, over the guard 63"
+
+
+def anncat_chunk(m):
+    # |B| = |D| = 4; a changed action entry leaves tensor-interchange
+    # unproved from x1 = 1, and its chunks have 4^4 * 4 cells.
+    base = doubled_into_z4()
+    tl = base.theta_left.copy()
+    tl[1, 1] = (tl[1, 1] + 1) % 4
+    es = ESystem(base.name, base.b, base.d_ring, base.d, tl, base.theta_right)
+    m.setattr(anncat, "CELL_LIMIT", 1023)
+    never_on_grids(m, 5)
+    call = partial(anncat_axiom_check, es)
+    return call, "1024 tensor-interchange chunk cells, over the guard 1023"
+
+
 SITES = {
     "bimult-order": bimult_order,
     "bimult-pairs": bimult_pairs,
@@ -160,6 +222,11 @@ SITES = {
     "search-target-lift": search_target_lift,
     "reduced-axiom-check": reduced_check,
     "smith-normal-form": snf,
+    "smith-normal-form-block": snf_block,
+    "smith-normal-form-span": snf_span,
+    "anncat-add-interchange": anncat_add_interchange,
+    "anncat-tensor-cod": anncat_tensor_cod,
+    "anncat-chunk": anncat_chunk,
 }
 
 
@@ -170,3 +237,38 @@ def test_every_guard_site_refuses_before_it_allocates(site, monkeypatch):
     with pytest.raises(SearchGuardError, match=GUARD_MESSAGE) as e:
         call()
     assert str(e.value) == message
+
+
+def test_proved_chunks_are_not_guarded(monkeypatch):
+    # Every chunk of a regular system is proved, so a limit below the
+    # chunk size but above every other grid lets the check finish.
+    monkeypatch.setattr(anncat, "CELL_LIMIT", 256)
+    assert anncat_axiom_check(doubled_into_z4()).ok
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchGuardError) as e:
+            call()
+        return str(e.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_h2_refuses_the_upper_triangular_block_before_building_it():
+    # 4263 degree-3 and 294 degree-2 coordinates: the augmented d2 block
+    # is 4263 x 4557.  Building it and its moduli diagonal took 306 MB.
+    mod = ring_as_module(upper_triangular_z2())
+    message, peak = traced_peak(partial(h2, mod))
+    assert message == "97305327 Smith normal form cells, over the guard 10000000"
+    assert peak < 64 * 2**20, peak
+
+
+def test_anncat_check_refuses_the_64_element_zero_ring():
+    b = zero_mult(64)
+    zero = np.zeros((1, 64), dtype=np.int16)
+    es = validate_esystem(b, zmod(1), np.zeros(64, dtype=np.int16), zero, zero)
+    message, peak = traced_peak(partial(anncat_axiom_check, es))
+    assert message == "16777216 add-interchange grid cells, over the guard 10000000"
+    assert peak < 8 * 2**20, peak

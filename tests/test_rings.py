@@ -8,15 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringcat.bimult import bimult_ring
+from ringcat.bimult import BimultError, bimult_ring
 from ringcat.corpus import corpus
+from ringcat.crossed import ESystemError
+from ringcat.extensions import ExtensionError, FactorSystemError
 from ringcat.rings import (
     FiniteRing,
     HomError,
     RingAxiomError,
     RingHom,
     SearchGuardError,
+    WitnessError,
     _additive_maps,
+    _additive_orders,
+    _multiples,
     _preimages,
     _sum_generators,
     _units,
@@ -83,7 +88,7 @@ def test_validate_reports_first_axiom(base, unit, mutate, axiom):
     mutate(add, mul)
     with pytest.raises(RingAxiomError) as err:
         validate_ring(add, mul, unit)
-    assert err.value.axiom == axiom
+    assert err.value.condition == axiom
     assert isinstance(err.value.witness, tuple)
 
 
@@ -91,12 +96,12 @@ def test_validate_catches_broken_unit_and_range():
     z = zmod(3)
     with pytest.raises(RingAxiomError) as err:
         validate_ring(z.add, z.mul, 2)
-    assert err.value.axiom == "unit"
+    assert err.value.condition == "unit"
     bad = z.mul.copy()
     bad[1, 1] = 7
     with pytest.raises(RingAxiomError) as err:
         validate_ring(z.add, bad, 1)
-    assert err.value.axiom == "table-range"
+    assert err.value.condition == "table-range"
 
 
 def test_validate_mutation_sweep_z6():
@@ -426,7 +431,7 @@ def outcome(add, mul, unit=None):
     try:
         validate_ring(add, mul, unit)
     except RingAxiomError as e:
-        return e.axiom, e.witness
+        return e.condition, e.witness
     return None
 
 
@@ -552,3 +557,139 @@ def test_bimult_ring_validation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# Additive multiples come from one table, `_multiples`; the n*x loops it
+# replaced and the decomposition written on them are the oracles.
+
+
+def reference_additive_order(add, x):
+    k, y = 1, int(x)
+    while y != 0:
+        y = int(add[y, x])
+        k += 1
+    return k if x != 0 else 1
+
+
+def reference_cyclic(add, g):
+    out, y = [0], int(g)
+    while y != 0:
+        out.append(y)
+        y = int(add[y, g])
+    return out
+
+
+def reference_order_multiple(add, x, k):
+    y = 0
+    for _ in range(k):
+        y = int(add[y, x])
+    return y
+
+
+def reference_decompose_abelian(add, elements=None):
+    """decompose_abelian with every multiple walked by the loops above."""
+    add = np.asarray(add)
+    elems = sorted(int(x) for x in (elements if elements is not None else range(add.shape[0])))
+    neg = np.argmax(add == 0, axis=1)
+    gens_desc, factors_desc = [], []
+    span = {0}
+
+    def coset_rep(x):
+        return min(int(add[x, s]) for s in span)
+
+    while True:
+        reps = sorted({coset_rep(x) for x in elems})
+        if reps == [0]:
+            break
+
+        def qorder(x):
+            k, y = 1, x
+            while coset_rep(y) != 0:
+                y = int(add[y, x])
+                k += 1
+            return k
+
+        best = max(reps, key=qorder)
+        e = qorder(best)
+        target = reference_order_multiple(add, best, e)
+        corr = next(s for s in span if reference_order_multiple(add, s, e) == target)
+        best = int(add[best, neg[corr]])
+        gens_desc.append(best)
+        factors_desc.append(e)
+        span = {int(add[s, c]) for s in span for c in reference_cyclic(add, best)}
+
+    factors, gens = list(reversed(factors_desc)), list(reversed(gens_desc))
+    coords = {}
+    for combo in itertools.product(*[range(m) for m in factors]):
+        x = 0
+        for c, g in zip(combo, gens, strict=True):
+            x = int(add[x, reference_order_multiple(add, g, c)])
+        coords[x] = combo
+    return tuple(factors), gens, coords
+
+
+@functools.cache
+def multiples_cases():
+    """(name, additive table, elements) for every ring of the corpus,
+    dual_numbers(4) and the quotients of the Klein census, and the kernel
+    of each corpus structure map as a subset of its base."""
+    cases, seen = [], set()
+    census = [zmod(2), zmod(3), zmod(4), product_ring(zmod(2), zmod(2), name="klein")]
+    for es in corpus():
+        for r in (es.b, es.d_ring):
+            if id(r) not in seen:
+                seen.add(id(r))
+                cases.append((r.name, r.add, None))
+        cases.append((f"ker_{es.name}", es.b.add, np.nonzero(es.d.map == 0)[0].tolist()))
+    cases += [(r.name, r.add, None) for r in [dual_numbers(4), *census]]
+    return cases
+
+
+def test_multiples_match_the_loops():
+    for name, add, _ in multiples_cases():
+        orders = _additive_orders(add)
+        mult = _multiples(add, 2 * int(orders.max()) + 2)
+        for x in range(len(add)):
+            assert orders[x] == reference_additive_order(add, x), (name, x)
+            assert mult[:orders[x], x].tolist() == reference_cyclic(add, x), (name, x)
+            assert mult[:, x].tolist() == [
+                reference_order_multiple(add, x, k) for k in range(len(mult))
+            ], (name, x)
+
+
+def test_additive_order_and_the_cli_maximum_read_the_orders():
+    r = dual_numbers(4)
+    assert [r.additive_order(x) for x in r.elements()] == _additive_orders(r.add).tolist()
+    assert int(_additive_orders(r.add).max()) == 4
+
+
+def test_decompose_abelian_matches_the_loops():
+    for name, add, elements in multiples_cases():
+        factors, gens, coords = decompose_abelian(add, elements)
+        want_factors, want_gens, want_coords = reference_decompose_abelian(add, elements)
+        assert (factors, gens) == (want_factors, want_gens), name
+        # the same coordinates, inserted in the same order
+        assert list(coords.items()) == list(want_coords.items()), name
+
+
+# ---------------------------------------------------------------------------
+# One message format for every error that names a condition and a witness.
+
+
+@pytest.mark.parametrize("cls", [RingAxiomError, ESystemError, BimultError, ExtensionError,
+                                 FactorSystemError])
+@pytest.mark.parametrize("witness, detail, message", [
+    ((1, 2), "", "law fails at (1, 2)"),
+    ((), "", "law fails at ()"),
+    ("not additive at (0, 1)", "", "law fails at not additive at (0, 1)"),
+    ((1, 2), "why", "law fails at (1, 2): why"),
+])
+def test_witness_errors_share_one_message(cls, witness, detail, message):
+    args = ("law", witness, detail) if detail else ("law", witness)
+    try:
+        raise cls(*args)
+    except ValueError as e:
+        assert type(e) is cls and isinstance(e, WitnessError)
+        assert str(e) == message
+        assert (e.condition, e.witness, e.detail) == ("law", witness, detail)
