@@ -8,6 +8,7 @@ factors.  Everything is integer arithmetic; no floats appear anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -524,7 +525,8 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
             factors.append(d)
             gens.append(ambient.reduce(newbasis[:, i]))
     sub = Subgroup(ambient, FinAbGroup(tuple(factors)), gens)
-    expected = ambient.order // (int(np.prod(d1)) or 1)
+    # Python ints: the lattice index can pass 2**63 although the order does not
+    expected = ambient.order // math.prod(int(x) for x in d1)
     assert sub.order == expected, "subgroup order must match the lattice index"
     return sub
 

@@ -6,14 +6,15 @@ with --format tsv) and translate the outcome into an exit code.
 
 Exit codes: 0 success, 1 mathematical negative (invalid object, not
 equivalent, obstructed), 2 input or resource error (parse failure,
-missing file, any tripped guard, integer arithmetic that would leave
-int64), 3 internal error (a failed internal `assert`, reported on stderr
+missing file, a closed stdout, any tripped guard, integer arithmetic
+that would leave int64), 3 internal error (a failed internal `assert`, reported on stderr
 as `error: internal: ...`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -351,25 +352,26 @@ def main(argv=None) -> int:
     rep = Report(args.format)
     try:
         code = args.func(args, rep)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SearchGuardError, OverflowError) as e:
+    except (ParseError, OSError, SearchGuardError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         rep.add("status", "invalid")
         rep.add("error", e)
-        rep.emit()
-        return 1
+        code = 1
     except AssertionError as e:
         # A broken internal invariant is a bug, not a mathematical negative.
         print(f"error: internal: {e}", file=sys.stderr)
         return 3
-    rep.emit()
+    try:
+        rep.emit()
+        sys.stdout.flush()
+    except OSError as e:
+        # stdout closed early, as by `| head`: send what is left to devnull,
+        # so that the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return code
 
 

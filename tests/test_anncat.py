@@ -191,8 +191,9 @@ def test_homotopy_requires_same_form():
 
 # ---------------------------------------------------------------------------
 # Factored law checking: chunks proved from lower-arity identities are not
-# scanned, associativity of addition is proved by Light's test, and the
-# report must equal the full scan's.
+# scanned, the others are scanned one b1 row at a time, associativity of
+# addition is proved by Light's test, add-interchange is proved from the
+# additive laws, and the report must equal the full scan's.
 
 CHUNKED = LAWS[-4:]
 
@@ -205,16 +206,30 @@ def small_sources():
     return small + [multiplier_esystem(zero_mult(4))]
 
 
+def first_false(ok):
+    """Index of the first False cell of `ok` in C order, or None."""
+    return None if ok.all() else tuple(int(x) for x in np.unravel_index(np.argmin(ok), ok.shape))
+
+
 def whole_grid_assoc(t, gens):
     """First (i, j, k) with (i + j) + k != i + (j + k), from one |t|^3 grid."""
     ar = np.arange(len(t))
-    ok = t[t[:, :, None], ar] == t[ar[:, None, None], t]
-    return None if ok.all() else tuple(int(x) for x in np.unravel_index(np.argmin(ok), ok.shape))
+    return first_false(t[t[:, :, None], ar] == t[ar[:, None, None], t])
+
+
+def whole_chunks(grid, todo, nb):
+    """Every chunk evaluated whole, from x1 = 0, whatever `todo` says."""
+    for x1 in range(len(todo)):
+        bad = first_false(grid(x1, np.arange(nb)))
+        if bad is not None:
+            return (x1, *bad)
+    return None
 
 
 def full_scan(es, stop_at_first=False):
     with mock.patch.object(anncat, "_proved_chunks", lambda es: {}), \
-            mock.patch.object(anncat, "_assoc_failure", whole_grid_assoc):
+            mock.patch.object(anncat, "_assoc_failure", whole_grid_assoc), \
+            mock.patch.object(anncat, "_scan", whole_chunks):
         return anncat_axiom_check(es, stop_at_first=stop_at_first)
 
 
@@ -262,21 +277,59 @@ def test_factored_check_matches_full_scan(es, stop_at_first):
     assert fast.complete == full.complete
 
 
+def add_interchange_grid(es):
+    """(a + b) + (c + d) == (a + c) + (b + d) on B's addition, one nb^4 grid."""
+    t = es.b.add
+    return t[t[:, :, None, None], t[None, None, :, :]] == t[t[:, None, :, None], t[None, :, None, :]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(es=mutated_systems())
+def test_add_interchange_matches_its_grid(es):
+    (row,) = [r for r in anncat_axiom_check(es).results if r.law == "add-interchange"]
+    ok = add_interchange_grid(es)
+    assert (row.ok, row.witness, row.checked) == (ok.all(), first_false(ok), ok.size)
+
+
 def test_identities_prove_every_chunk_of_regular_systems():
     for es in small_sources():
         if is_regular(es):
-            assert anncat._proved_chunks(es) == dict.fromkeys(CHUNKED, es.d_ring.order)
+            proved = anncat._proved_chunks(es)
+            assert sorted(proved) == sorted(CHUNKED)
+            for mask in proved.values():
+                assert mask.shape == (es.d_ring.order,) and mask.all()
 
 
 def test_permutability_leaves_klein_multiplier_unproved_from_16():
-    # theta(16) is the first action not permuting with every other one
+    # tensor-associative is unproved exactly where theta(x1) fails to
+    # permute with some action: 224 chunks, the first x1 = 16.
     es = multiplier_esystem(zero_mult_klein())
-    assert anncat._proved_chunks(es) == {
-        "tensor-interchange": 256,
-        "tensor-associative": 16,
-        "tensor-distributive-left": 256,
-        "tensor-distributive-right": 256,
-    }
+    tl, tr, ad = es.theta_left, es.theta_right, np.arange(256)
+    permutes = tr[ad[None, :, None], tl[:, None, :]] == tl[ad[:, None, None], tr[None, :, :]]
+    not_permuting = np.flatnonzero(~permutes.reshape(256, -1).all(axis=1))
+    proved = anncat._proved_chunks(es)
+    assert sorted(proved) == sorted(CHUNKED)
+    unproved = np.flatnonzero(~proved["tensor-associative"])
+    assert unproved.tolist() == not_permuting.tolist()
+    assert unproved[0] == 16 and len(unproved) == 224
+    for law in CHUNKED:
+        if law != "tensor-associative":
+            assert proved[law].all(), law
+
+
+def test_theta_left_mutation_leaves_one_interchange_chunk_unproved():
+    # d is zero on the multiplier system of zero_mult(6), so chunk x1 needs
+    # theta_left additive in x only at the pair (0, x1).  A changed entry
+    # of theta_left[5] breaks that pair, and lam_5's additivity in b, for
+    # x1 = 5 alone.
+    es = with_entry(multiplier_esystem(zero_mult(6)), "theta_left", (5, 1), 3)
+    proved = anncat._proved_chunks(es)
+    assert np.flatnonzero(~proved["tensor-interchange"]).tolist() == [5]
+    report = anncat_axiom_check(es, stop_at_first=True)
+    assert report.failures()[0].law == "tensor-interchange"
+    assert report.failures()[0].witness[0] == 5
+    assert report.failures()[0].checked == 6 * 6**4 * 36
+    assert report.results == full_scan(es, stop_at_first=True).results
 
 
 def rows(report):

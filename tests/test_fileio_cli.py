@@ -220,6 +220,27 @@ def test_cli_module_that_is_not_a_group_is_invalid(tmp_path, verb):
     assert proc.stdout == "status: invalid\nerror: group-add-associative fails at (1, 2, 2)\n"
 
 
+
+def test_cli_closed_stdout_is_an_io_error(corpus_dir):
+    # stdout is a pipe whose reading end is closed before the verb prints,
+    # as when `ringcat ... | head -2` has stopped reading: exit 2 with one
+    # line on stderr, no traceback and no complaint at interpreter exit.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringcat.cli", "bimult", "enumerate",
+             str(corpus_dir / "mult_klein0_B.ring")],
+            env=dict(os.environ, PYTHONPATH=path), stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
 def write_regular_module(r, path) -> Path:
     """r acting on its own additive group by multiplication."""
     def rows(t):
@@ -333,6 +354,16 @@ def test_cli_cohom_obstruct(corpus_dir, capsys):
     out = capsys.readouterr().out
     assert "obstruction: vanishes" in out and "classes: 2" in out
 
+
+
+def test_cli_cohom_obstruct_with_a_lattice_index_past_int64(corpus_dir, tmp_path, capsys):
+    # A lattice index on this route is 3^44, past 2^63: its product must be
+    # exact for the subgroup order check to pass.
+    q = write_ring(zmod(6), tmp_path / "z6.ring")
+    assert main(["cohom", "obstruct", str(corpus_dir / "flat_z3.esys"), "--q", str(q),
+                 "--psi", "0:0,1:1,2:2,3:0,4:1,5:2"]) == 0
+    out = capsys.readouterr().out
+    assert "obstruction: vanishes" in out and "classes: 3" in out
 
 def test_cli_ext_equiv(corpus_dir, tmp_path, capsys):
     es = by_name("flat_z2")
