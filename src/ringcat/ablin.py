@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,17 +61,23 @@ def as_int_matrix(a) -> np.ndarray:
 
 @dataclass
 class SNFResult:
-    """Diagonalisation s = u @ a @ v with u, v unimodular.
+    """A Smith normal form s = u @ a @ v with u, v unimodular.
 
     The diagonal of s is nonnegative and each entry divides the next.
     uinv and vinv are the exact integer inverses of u and v.
+
+    `smith_normal_form` computes s alone and logs its steps: `row_log`
+    holds those that act on u and uinv, `col_log` those that act on v and
+    vinv.  Each transform is built on its first read, by replaying its
+    side's log onto an identity, and is then kept; a transform no caller
+    reads is never built.  A transform with an entry that would leave
+    int64 raises OverflowError naming it on that read, so whatever is
+    returned is exact.
     """
 
     s: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    uinv: np.ndarray
-    vinv: np.ndarray
+    row_log: list = field(repr=False)
+    col_log: list = field(repr=False)
 
     @property
     def diagonal(self) -> list[int]:
@@ -80,6 +87,83 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    # uinv and v are built transposed, so that their column operations run
+    # on contiguous rows.
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _replay(self.s.shape[0], self.row_log, False, "u")
+
+    @cached_property
+    def uinv(self) -> np.ndarray:
+        return np.ascontiguousarray(_replay(self.s.shape[0], self.row_log, True, "uinv").T)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return np.ascontiguousarray(_replay(self.s.shape[1], self.col_log, False, "v").T)
+
+    @cached_property
+    def vinv(self) -> np.ndarray:
+        return _replay(self.s.shape[1], self.col_log, True, "vinv")
+
+
+def _grow(a: np.ndarray, bound: int, factor: int, step, name: str) -> int:
+    """Run step(a) in place and return a bound on |entries| of a after it.
+
+    `bound` is at least every |entry| of a, and the step grows |entries|
+    at most `factor` times.  A bound that would pass int64 is refreshed
+    from a; if it still would, the step runs first on an exact copy, and
+    raises OverflowError when one of its entries leaves int64."""
+    bound *= factor
+    if bound > _INT64_MAX:
+        bound = int(np.abs(a).max(initial=0)) * factor
+        if bound > _INT64_MAX:
+            exact = a.astype(object)
+            step(exact)
+            bound = int(np.abs(exact).max(initial=0))
+            if bound > _INT64_MAX:
+                raise OverflowError(f"Smith normal form: entry {bound} of {name} leaves int64")
+    step(a)
+    return bound
+
+
+_ONE = np.ones(1, dtype=np.int64)
+
+
+def _replay(n: int, log: list, inverse: bool, name: str) -> np.ndarray:
+    """The transform `name` of one side: `log` run on the n x n identity.
+
+    A step is a swap ("swap", i, j), a sign flip ("neg", t), an update
+    ("add", t, idx, q, g) with g = max |q|, or a fold ("fold", t, i), the
+    update that adds row i to row t.  On u and on v transposed an update
+    adds q_k times row t to row idx[k]; on uinv transposed and on vinv,
+    the inverses, it subtracts the sum of q_k times row idx[k] from row t.
+    Each update runs through `_grow`, with the growth bounds 1 + g and
+    1 + len(q) g."""
+    a = np.eye(n, dtype=np.int64)
+    bound = 1
+    for op, *args in log:
+        if op == "swap":
+            i, j = args
+            a[[i, j]] = a[[j, i]]
+            continue
+        if op == "neg":
+            a[args[0]] *= -1
+            continue
+        t, idx, q, g = (args[1], [args[0]], _ONE, 1) if op == "fold" else args
+        if inverse:
+
+            def step(x):
+                x[t] -= q @ x[idx]
+
+            bound = _grow(a, bound, 1 + len(q) * g, step, name)
+        else:
+
+            def step(x):
+                x[idx] += np.multiply.outer(q, x[t])
+
+            bound = _grow(a, bound, 1 + g, step, name)
+    return a
 
 
 _ZERO_KEY = np.iinfo(np.uint64).max
@@ -109,12 +193,14 @@ def _batch(line, piv):
 
 
 def smith_normal_form(a) -> SNFResult:
-    """Smith normal form over the integers, tracking both transforms.
+    """Smith normal form over the integers, s = u @ a @ v.
 
     Defined on any integer matrix, including empty and rank-deficient ones.
-    Raises OverflowError, before making the update, when an entry of s or
-    of a transform would leave the int64 range; whatever it returns is
-    exact.
+    The elimination runs on s alone and logs each step; the returned
+    `SNFResult` builds u, uinv, v and vinv from that log when a caller
+    first reads them.  Raises OverflowError, before making the update,
+    when an entry of s would leave the int64 range; a transform that would
+    leave it raises on its first read.  Whatever is returned is exact.
 
     The steps are those of the classic elimination one entry at a time:
     take the first least nonzero entry in row-major order as the pivot;
@@ -129,52 +215,27 @@ def smith_normal_form(a) -> SNFResult:
     active block.  So s, u, v and their inverses are those of the
     one-at-a-time loop, entry for entry.
 
+    Only a swap needs a fresh scan.  A row update that swapped nothing
+    cleared every nonzero entry below the pivot, so the scan of column t
+    would find nothing and the scan of row t follows at once.  A column
+    update that swapped nothing cleared row t, and changed no entry below
+    the pivot, so the pivot is done.  Skipping those empty scans leaves
+    the steps as they were.
+
     Guarded by the cells of s, u, v and both inverses (`_guard_snf`).
     """
     s = as_int_matrix(a)
     nr, nc = s.shape
     _guard_snf(nr, nc)
     s = s.copy()
-    u = np.eye(nr, dtype=np.int64)
-    vinv = np.eye(nc, dtype=np.int64)
-    # uinv and v are kept transposed, so that their column operations run
-    # on contiguous rows.
-    uinv_t = np.eye(nr, dtype=np.int64)
-    v_t = np.eye(nc, dtype=np.int64)
+    row_log, col_log = [], []
     # For each row i > t: the least key and the gcd of s[i, t:].  Row
     # operations refresh the rows they change; swaps carry them along, and
     # column swaps and retiring a cleared column t leave them as they are.
     rkey = _keys(s).min(axis=1, initial=_ZERO_KEY)
     rgcd = np.gcd.reduce(s, axis=1)
-    # bound[k] is at least every |entry| of arrays[k], as a Python int.
-    arrays = (s, u, uinv_t, v_t, vinv)
-    bound = [int(np.abs(s).max(initial=0)), 1, 1, 1, 1]
-
-    def apply(step, growth):
-        """Run step(*arrays) in place; growth pairs each array k it changes
-        with a factor bounding how much it can grow |entries| of arrays[k].
-        A bound that would pass int64 is refreshed from its array; if it
-        still would, the step runs first on exact copies, and raises
-        OverflowError when one of their entries leaves int64."""
-        exact = False
-        for k, factor in growth:
-            if bound[k] * factor > _INT64_MAX:
-                bound[k] = int(np.abs(arrays[k]).max(initial=0))
-                exact |= bound[k] * factor > _INT64_MAX
-            bound[k] *= factor
-        if exact:
-            copies = list(arrays)
-            for k, _ in growth:
-                copies[k] = arrays[k].astype(object)
-            step(*copies)
-            for k, _ in growth:
-                bound[k] = int(np.abs(copies[k]).max(initial=0))
-                if bound[k] > _INT64_MAX:
-                    name = ("s", "u", "uinv", "v", "vinv")[k]
-                    raise OverflowError(
-                        f"Smith normal form: entry {bound[k]} of {name} leaves int64"
-                    )
-        step(*arrays)
+    # At least every |entry| of s, as a Python int.
+    bound = int(np.abs(s).max(initial=0))
 
     def refresh(rows):
         blk = s[rows, t:]
@@ -183,14 +244,14 @@ def smith_normal_form(a) -> SNFResult:
 
     def swap_rows(i, j):
         if i != j:
-            for m in (s, u, uinv_t, rkey, rgcd):
+            for m in (s, rkey, rgcd):
                 m[[i, j]] = m[[j, i]]
+            row_log.append(("swap", i, j))
 
     def swap_cols(i, j):
         if i != j:
             s[t:, [i, j]] = s[t:, [j, i]]
-            for m in (v_t, vinv):
-                m[[i, j]] = m[[j, i]]
+            col_log.append(("swap", i, j))
 
     t = 0
     while t < min(nr, nc):
@@ -205,35 +266,34 @@ def smith_normal_form(a) -> SNFResult:
             rows, q, swap = _batch(s[t + 1 :, t], piv)
             if rows.size:
                 rows += t + 1
+                g = max(map(abs, q.tolist()))
 
-                def step(s, u, uinv_t, v_t, vinv):
+                def step(s):
                     # row_i += q_i * row_t for every i in rows
                     s[rows, t:] += np.multiply.outer(q, s[t, t:])
-                    u[rows] += np.multiply.outer(q, u[t])
-                    uinv_t[t] -= q @ uinv_t[rows]
 
-                g = max(map(abs, q.tolist()))
-                apply(step, ((0, 1 + g), (1, 1 + g), (2, 1 + len(q) * g)))
+                bound = _grow(s, bound, 1 + g, step, "s")
+                row_log.append(("add", t, rows, q, g))
                 if swap:
                     swap_rows(int(rows[-1]), t)
+                    refresh(rows)
+                    continue
                 refresh(rows)
-                continue
             cols, q, swap = _batch(s[t, t + 1 :], piv)
             if cols.size:
                 cols += t + 1
+                g = max(map(abs, q.tolist()))
 
-                def step(s, u, uinv_t, v_t, vinv):
+                def step(s):
                     # col_j += q_j * col_t for every j in cols; below the
                     # pivot column t is zero, so only row t changes.
                     s[t, cols] += q * piv
-                    v_t[cols] += np.multiply.outer(q, v_t[t])
-                    vinv[t] -= q @ vinv[cols]
 
-                g = max(map(abs, q.tolist()))
-                apply(step, ((0, 1 + g), (3, 1 + g), (4, 1 + len(q) * g)))
+                bound = _grow(s, bound, 1 + g, step, "s")
+                col_log.append(("add", t, cols, q, g))
                 if swap:
                     swap_cols(int(cols[-1]), t)
-                continue
+                    continue
             break
         # Fold the first row holding an entry the pivot does not divide
         # into the pivot row.
@@ -242,47 +302,20 @@ def smith_normal_form(a) -> SNFResult:
             if bad.size:
                 i = t + 1 + int(bad[0])
 
-                def step(s, u, uinv_t, v_t, vinv):
+                def step(s):
                     # row_t += row_i
                     s[t, t:] += s[i, t:]
-                    u[t] += u[i]
-                    uinv_t[i] -= uinv_t[t]
 
-                apply(step, ((0, 2), (1, 2), (2, 2)))
+                bound = _grow(s, bound, 2, step, "s")
+                row_log.append(("fold", t, i))
                 refresh([t])
                 continue
         if piv < 0:
             s[t, t] = -piv
-            u[t] = -u[t]
-            uinv_t[t] = -uinv_t[t]
+            row_log.append(("neg", t))
         t += 1
 
-    return SNFResult(s, u, np.ascontiguousarray(v_t.T), np.ascontiguousarray(uinv_t.T), vinv)
-
-
-def det_exact(a) -> int:
-    """Fraction-free determinant in arbitrary precision (small matrices)."""
-    m = [[int(x) for x in row] for row in as_int_matrix(a)]
-    n = len(m)
-    if n == 0:
-        return 1
-    if n != len(m[0]):
-        raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return SNFResult(s, row_log, col_log)
 
 
 @dataclass(frozen=True)
@@ -429,7 +462,8 @@ def _solve(lm: LinearMap, rhs, res: SNFResult | None = None):
     c = res.u @ rhs
     # The diagonal block has full row rank, so every diagonal entry is nonzero.
     d = np.diagonal(res.s)[:h, None]
-    assert (d > 0).all(), "target moduli must make the system full row rank"
+    if not (d > 0).all():
+        raise AssertionError("target moduli must make the system full row rank")
     rem = c % d
     bad = np.flatnonzero(rem.any(axis=0))
     if bad.size:
@@ -440,7 +474,8 @@ def _solve(lm: LinearMap, rhs, res: SNFResult | None = None):
     w[:h] = c // d
     x = (res.v @ w)[:g] % np.asarray(lm.source.factors, dtype=np.int64)[:, None]
     tgt = np.asarray(lm.target.factors, dtype=np.int64)[:, None]
-    assert not ((lm.matrix @ x - rhs) % tgt).any(), "solver postcondition"
+    if ((lm.matrix @ x - rhs) % tgt).any():
+        raise AssertionError("solver postcondition")
     return x, None, None
 
 
@@ -480,9 +515,15 @@ class Subgroup:
     def embed(self, coords) -> tuple[int, ...]:
         return self._embed.apply(coords)
 
+    @cached_property
+    def _snf(self) -> SNFResult:
+        return _factor(self._embed)
+
     def coords_of(self, x):
-        """Abstract coordinates of ambient x, or None if x lies outside."""
-        return solve(self._embed, x)
+        """Abstract coordinates of ambient x, or None if x lies outside.
+        The embedding is factored on the first call and kept."""
+        c, _, _ = _solve(self._embed, x, self._snf)
+        return None if c is None else tuple(int(v) for v in c[:, 0])
 
     def contains(self, x) -> bool:
         return self.coords_of(x) is not None
@@ -509,12 +550,14 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
     _guard_snf(g, cols.shape[1] + g)
     mdiag = np.diag(np.asarray(ambient.factors, dtype=np.int64))
     span = smith_normal_form(np.hstack([cols, mdiag]))
-    assert span.rank == g, "the moduli force a full-rank lattice"
+    if span.rank != g:
+        raise AssertionError("the moduli force a full-rank lattice")
     d1 = np.asarray(span.diagonal[:g], dtype=np.int64)
     basis = span.uinv * d1  # column i is d1[i] * uinv[:, i]
     # Relations of the moduli lattice in that basis present the quotient.
     rel = span.u @ mdiag
-    assert not np.any(rel % d1[:, None]), "moduli must lie in the lattice"
+    if np.any(rel % d1[:, None]):
+        raise AssertionError("moduli must lie in the lattice")
     rel = rel // d1[:, None]
     rel_res = smith_normal_form(rel)
     newbasis = basis @ rel_res.uinv
@@ -527,7 +570,8 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
     sub = Subgroup(ambient, FinAbGroup(tuple(factors)), gens)
     # Python ints: the lattice index can pass 2**63 although the order does not
     expected = ambient.order // math.prod(int(x) for x in d1)
-    assert sub.order == expected, "subgroup order must match the lattice index"
+    if sub.order != expected:
+        raise AssertionError("subgroup order must match the lattice index")
     return sub
 
 
@@ -549,8 +593,8 @@ def _kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
     # together with the source moduli they span the kernel as a lattice.
     kz = res.v[:g, r:]
     sub = span_subgroup(lm.source, kz)
-    for x in sub.gens:
-        assert lm.apply(x) == lm.target.zero(), "kernel generator sanity"
+    if any(lm.apply(x) != lm.target.zero() for x in sub.gens):
+        raise AssertionError("kernel generator sanity")
     return sub
 
 
@@ -574,7 +618,8 @@ class Quotient:
 
     def lift(self, c) -> tuple[int, ...]:
         x = self.ambient.reduce(self._lift_cols @ np.asarray(c, dtype=np.int64))
-        assert self.project(x) == self.group.reduce(c), "section postcondition"
+        if self.project(x) != self.group.reduce(c):
+            raise AssertionError("section postcondition")
         return x
 
 
@@ -585,7 +630,8 @@ def cokernel(lm: LinearMap) -> Quotient:
     rows, moduli, lifts = [], [], []
     for i in range(h):
         d = int(res.s[i, i])
-        assert d > 0
+        if d <= 0:
+            raise AssertionError("target moduli must make the system full row rank")
         if d > 1:
             rows.append(res.u[i])
             moduli.append(d)

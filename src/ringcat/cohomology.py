@@ -150,32 +150,10 @@ class Cochain3:
         )
 
 
-def zero_cochain3(module: Bimodule) -> Cochain3:
-    n = module.ring.order
-    z3 = np.zeros((n, n, n), dtype=np.int64)
-    z2 = np.zeros((n, n), dtype=np.int64)
-    return Cochain3(module, z3, z2, z3.copy(), z3.copy(), z3.copy())
-
-
-def random_cochain1(module: Bimodule, rng) -> Cochain1:
-    t = rng.integers(0, module.order, size=module.ring.order)
-    t[0] = 0
-    return Cochain1(module, t)
-
-
 def add2(a: Cochain2, b: Cochain2) -> Cochain2:
     assert a.module is b.module
     m = a.module
     return Cochain2(m, m.add[a.f, b.f], m.add[a.g, b.g])
-
-
-def neg2(a: Cochain2) -> Cochain2:
-    m = a.module
-    return Cochain2(m, m.neg[a.f], m.neg[a.g])
-
-
-def sub2(a: Cochain2, b: Cochain2) -> Cochain2:
-    return add2(a, neg2(b))
 
 
 def neg3(a: Cochain3) -> Cochain3:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ablin import CANDIDATE_LIMIT, ORDER_LIMIT, FinAbGroup, SearchGuardError, _guard
+from .ablin import CANDIDATE_LIMIT, ORDER_LIMIT, SearchGuardError, _guard
 
 
 class WitnessError(ValueError):
@@ -506,14 +506,6 @@ def decompose_abelian(add: np.ndarray, elements=None):
         coords[x] = combo
     assert len(coords) == len(elems)
     return tuple(factors), gens, coords
-
-
-def additive_group(r: FiniteRing):
-    """(FinAbGroup, coords dict, elements-by-coords dict) for (r, +)."""
-    factors, _, coords = decompose_abelian(r.add)
-    group = FinAbGroup(factors)
-    back = {v: k for k, v in coords.items()}
-    return group, coords, back
 
 
 def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:

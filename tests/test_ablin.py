@@ -1,22 +1,25 @@
 import itertools
+import re
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringcat import rings
+from ringcat import ablin, rings
 from ringcat.ablin import (
     FinAbGroup,
     LinearMap,
+    Quotient,
     HomologyData,
-    SNFResult,
     Subgroup,
     _augmented,
+    _kernel,
     _solve,
     as_int_matrix,
     cokernel,
-    det_exact,
     homology,
     kernel,
     smith_normal_form,
@@ -26,6 +29,31 @@ from ringcat.ablin import (
 )
 from ringcat.cohomology import complex_for
 from ringcat.crossed import validate_bimodule
+
+
+def det_exact(a) -> int:
+    """Fraction-free determinant in arbitrary precision (small matrices)."""
+    m = [[int(x) for x in row] for row in as_int_matrix(a)]
+    n = len(m)
+    if n == 0:
+        return 1
+    if n != len(m[0]):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def identity_map(g):
@@ -47,19 +75,29 @@ def image_order(lm):
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+SNF_ARRAYS = ("s", "u", "v", "uinv", "vinv")
+TRANSFORMS = SNF_ARRAYS[1:]
+
+
 def reference_snf(a, dtype=object):
     """The elimination one entry at a time that smith_normal_form batches;
     its transforms are the ones smith_normal_form must return.
 
-    Returns the result and the largest |entry| any step wrote.  In the
-    default object dtype it runs in exact integers."""
+    Returns the five arrays, by name, and for each the largest |entry| any
+    step wrote to it.  In the default object dtype it runs in exact
+    integers."""
     s = as_int_matrix(a).astype(dtype)
     nr, nc = s.shape
     u = np.eye(nr, dtype=np.int64).astype(dtype)
     uinv = u.copy()
     v = np.eye(nc, dtype=np.int64).astype(dtype)
     vinv = v.copy()
-    peak = int(np.abs(s).max(initial=1))
+    peak = dict.fromkeys(SNF_ARRAYS, 1)
+    peak["s"] = int(np.abs(s).max(initial=1))
+
+    def record(**written):
+        for name, x in written.items():
+            peak[name] = max(peak[name], int(np.abs(x).max()))
 
     def swap_rows(i, j):
         if i != j:
@@ -75,19 +113,17 @@ def reference_snf(a, dtype=object):
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        nonlocal peak
         s[i] += q * s[j]
         u[i] += q * u[j]
         uinv[:, j] -= q * uinv[:, i]
-        peak = max(peak, *(int(np.abs(x).max()) for x in (s[i], u[i], uinv[:, j])))
+        record(s=s[i], u=u[i], uinv=uinv[:, j])
 
     def add_col(i, j, q):
         # col_i += q * col_j
-        nonlocal peak
         s[:, i] += q * s[:, j]
         v[:, i] += q * v[:, j]
         vinv[j] -= q * vinv[i]
-        peak = max(peak, *(int(np.abs(x).max()) for x in (s[:, i], v[:, i], vinv[j])))
+        record(s=s[:, i], v=v[:, i], vinv=vinv[j])
 
     def negate_row(i):
         s[i] = -s[i]
@@ -134,26 +170,52 @@ def reference_snf(a, dtype=object):
             negate_row(t)
         t += 1
 
-    return SNFResult(s, u, v, uinv, vinv), peak
+    return SimpleNamespace(s=s, u=u, v=v, uinv=uinv, vinv=vinv), peak
+
+
+def built(res):
+    """The transforms of `res` built so far."""
+    return {name for name in TRANSFORMS if name in vars(res)}
 
 
 def snf_or_overflow(a):
-    """smith_normal_form(a), or None when it raises OverflowError, which it
-    may do only when the exact elimination leaves the int64 range."""
+    """smith_normal_form(a) with every transform built, or None when that
+    raises OverflowError, which it may do only for an array whose exact
+    elimination leaves the int64 range."""
     try:
-        return smith_normal_form(a)
-    except OverflowError:
-        assert reference_snf(a)[1] > INT64_MAX, "raised on an elimination that fits int64"
+        res = smith_normal_form(a)
+        for name in TRANSFORMS:
+            getattr(res, name)
+        return res
+    except OverflowError as e:
+        name = re.fullmatch(r"Smith normal form: entry \d+ of (\w+) leaves int64", str(e))[1]
+        assert reference_snf(a)[1][name] > INT64_MAX, f"raised on {name}, which fits int64"
         return None
 
 
-def assert_same_snf(a, dtype=object):
-    got = snf_or_overflow(a)
-    if got is None:
+def assert_same_snf(a, dtype=object, order=TRANSFORMS):
+    """Read the transforms of smith_normal_form(a) one by one in `order`.
+    Each read builds that transform alone, and every array equals the
+    reference's, or raises OverflowError naming it when its exact
+    elimination leaves the int64 range."""
+    want, peak = reference_snf(a, dtype)
+    try:
+        got = smith_normal_form(a)
+    except OverflowError as e:
+        assert "of s leaves int64" in str(e) and peak["s"] > INT64_MAX
         return
-    want, _peak = reference_snf(a, dtype)
-    for name in ("s", "u", "v", "uinv", "vinv"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.s, want.s), "s"
+    assert built(got) == set()
+    done = set()
+    for name in order:
+        try:
+            x = getattr(got, name)
+        except OverflowError as e:
+            assert f"of {name} leaves int64" in str(e) and peak[name] > INT64_MAX, name
+        else:
+            assert np.array_equal(x, getattr(want, name)), name
+            done.add(name)
+        assert built(got) == done
 
 
 def check_snf(a):
@@ -233,14 +295,26 @@ def snf_inputs(draw):
 @example(np.array([[4, 4], [6, 8], [-4, 10]]))
 @example(np.array([[0, 0, 0], [0, -4, 6], [0, 10, -14]]))
 @example(np.zeros((0, 0), dtype=np.int64))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((3, 0), dtype=np.int64))
+@example(np.zeros((2, 3), dtype=np.int64))
 def test_snf_matches_one_entry_at_a_time(a):
     assert_same_snf(a)
 
 
-def klein_d2_block():
-    """[d2 | 2*I], the matrix `kernel` reduces for the d2 map of the Klein
-    zero ring as a module over Z/2 x Z/2, where (1, 0) acts as the
-    identity and (0, 1) as zero on both sides."""
+@settings(max_examples=200, deadline=None)
+@given(snf_inputs(), st.permutations(TRANSFORMS))
+@example(np.zeros((0, 0), dtype=np.int64), ("vinv", "v", "uinv", "u"))
+@example(np.zeros((3, 2), dtype=np.int64), ("v", "u", "vinv", "uinv"))
+@example(np.array([[4, 6, 4], [6, 4, 8]]), ("vinv", "uinv", "v", "u"))
+def test_snf_builds_each_transform_alone_in_any_order(a, order):
+    assert_same_snf(a, order=order)
+
+
+def klein_complex():
+    """The cochain complex of the Klein zero ring as a module over
+    Z/2 x Z/2, where (1, 0) acts as the identity and (0, 1) as zero on
+    both sides."""
     kl = rings.zero_mult_klein()
     q = rings.product_ring(rings.zmod(2), rings.zmod(2), name="klein")
     e = next(x for x in range(q.order) if x not in (0, q.unit) and q.mul[x, x] == x)
@@ -253,7 +327,13 @@ def klein_d2_block():
         q, FinAbGroup(tuple(factors)), kl.add, kl.neg, acts, acts,
         np.array([coords[i] for i in range(kl.order)], dtype=np.int64),
     )
-    return _augmented(complex_for(mod).d2_map)
+    return complex_for(mod)
+
+
+def klein_d2_block():
+    """[d2 | 2*I], the matrix `kernel` reduces for the d2 map of the Klein
+    complex."""
+    return _augmented(klein_complex().d2_map)
 
 
 def test_snf_matches_one_entry_at_a_time_on_census_block():
@@ -263,16 +343,132 @@ def test_snf_matches_one_entry_at_a_time_on_census_block():
     assert_same_snf(a, dtype=np.int64)
 
 
+def recorded_snfs(monkeypatch):
+    """Every SNFResult `smith_normal_form` returns from now on, in order."""
+    results = []
+    snf = ablin.smith_normal_form
+
+    def recording(a):
+        results.append(snf(a))
+        return results[-1]
+
+    monkeypatch.setattr(ablin, "smith_normal_form", recording)
+    return results
+
+
+def test_each_caller_builds_only_the_transforms_it_reads(monkeypatch):
+    d2_map = klein_complex().d2_map
+    results = recorded_snfs(monkeypatch)
+    ker = kernel(d2_map)
+    # The augmented d2 block, then span_subgroup's lattice and relations.
+    assert [r.s.shape for r in results] == [(234, 270), (36, 72), (36, 36)]
+    assert [built(r) for r in results] == [{"v"}, {"u", "uinv"}, {"uinv"}]
+    results.clear()
+    cokernel(d2_map)
+    assert [built(r) for r in results] == [{"u", "uinv"}]
+    results.clear()
+    assert solve(d2_map, d2_map.apply(ker.gens[0])) is not None
+    assert [built(r) for r in results] == [{"u", "v"}]
+
+
+def test_class_of_factors_the_cycles_embedding_once(monkeypatch):
+    cx = klein_complex()
+    h = homology(cx.d1_map, cx.d2_map)
+    results = recorded_snfs(monkeypatch)
+    classes = [h.class_of(x) for x in h.cycles.gens]
+    assert len(results) == 1 and built(results[0]) == {"u", "v"}
+    monkeypatch.undo()
+    assert classes == [reference_class_of(h, x) for x in h.cycles.gens]
+    assert len(set(classes)) > 1
+
+
 def test_snf_raises_instead_of_wrapping_past_int64():
     # The diagonal is (1, 1, 1, 442245), but in exact integers an entry of
     # v reaches about 5e20; in int64 it would wrap, and u @ a @ v would
     # equal s only modulo 2**64.
+    # uinv passes int64 as well; u and vinv fit, and are read as usual.
     a = [[-6, 12, -12, 25], [27, 0, 6, 0], [-20, 13, 30, 13], [24, -28, 15, -24]]
     with pytest.raises(OverflowError, match="of v leaves int64"):
-        smith_normal_form(a)
+        smith_normal_form(a).v
+    res = smith_normal_form(a)
+    with pytest.raises(OverflowError, match="of uinv leaves int64"):
+        res.uinv
     want, peak = reference_snf(a)
-    assert want.diagonal == [1, 1, 1, 442245]
-    assert peak > INT64_MAX
+    assert res.diagonal == [int(x) for x in np.diagonal(want.s)] == [1, 1, 1, 442245]
+    assert peak["v"] > INT64_MAX and peak["uinv"] > INT64_MAX
+    assert np.array_equal(res.u, want.u) and np.array_equal(res.vinv, want.vinv)
+    assert built(res) == {"u", "vinv"}
+
+
+def scaled_snf(m, *factors):
+    """Make call k of `smith_normal_form` factor factors[k] times its input."""
+    snf, it = ablin.smith_normal_form, iter(factors)
+    m.setattr(ablin, "smith_normal_form", lambda a: snf(next(it) * np.asarray(a)))
+
+
+Z4 = FinAbGroup((4,))
+
+
+def solve_rank(m):
+    # A factorisation of a zero block has a zero diagonal.
+    lm = LinearMap(Z4, Z4, [[1]])
+    return partial(_solve, lm, [1], smith_normal_form([[0, 0]])), "target moduli must make the system full row rank"
+
+
+def solve_post(m):
+    # x -> 3x solved with the factorisation of x -> x returns x = b.
+    lm = LinearMap(Z4, Z4, [[3]])
+    return partial(_solve, lm, [1], smith_normal_form([[1, 4]])), "solver postcondition"
+
+
+def span_rank(m):
+    scaled_snf(m, 0)
+    return partial(span_subgroup, Z4, [[2]]), "the moduli force a full-rank lattice"
+
+
+def span_moduli(m):
+    # The lattice of [6 | 12] does not hold the modulus 4.
+    scaled_snf(m, 3)
+    return partial(span_subgroup, Z4, [[2]]), "moduli must lie in the lattice"
+
+
+def span_order(m):
+    # The relations [[4]] instead of [[2]] present Z/4, not the order 2 of <2>.
+    scaled_snf(m, 1, 2)
+    return partial(span_subgroup, Z4, [[2]]), "subgroup order must match the lattice index"
+
+
+def kernel_gens(m):
+    # The kernel of the zero map read against the identity.
+    lm = LinearMap(Z4, Z4, [[1]])
+    return partial(_kernel, lm, smith_normal_form([[0, 4]])), "kernel generator sanity"
+
+
+def section(m):
+    quot = Quotient(Z4, FinAbGroup((2,)), np.array([[1]]), (2,), np.array([[2]]))
+    return partial(quot.lift, (1,)), "section postcondition"
+
+
+def cokernel_rank(m):
+    scaled_snf(m, 0)
+    lm = LinearMap(Z4, Z4, [[1]])
+    return partial(cokernel, lm), "target moduli must make the system full row rank"
+
+
+POSTCONDITIONS = {f.__name__: f for f in (
+    solve_rank, solve_post, span_rank, span_moduli, span_order, kernel_gens, section,
+    cokernel_rank,
+)}
+
+
+@pytest.mark.parametrize("check", list(POSTCONDITIONS))
+def test_broken_postconditions_raise_without_assert(check, monkeypatch):
+    # Each internal check raises AssertionError itself, so `python -O`
+    # keeps it.
+    call, message = POSTCONDITIONS[check](monkeypatch)
+    with pytest.raises(AssertionError) as e:
+        call()
+    assert str(e.value) == message
 
 
 def test_det_exact():

@@ -14,7 +14,6 @@ import pytest
 from ringcat.ablin import (
     FinAbGroup,
     LinearMap,
-    det_exact,
     kernel,
     smith_normal_form,
     solve_with_certificate,
@@ -33,7 +32,6 @@ from ringcat.cohomology import (
     d1,
     d2,
     is_coboundary3,
-    random_cochain1,
     sub3,
 )
 from ringcat.corpus import corpus, corpus_triples, unital_homs
@@ -71,6 +69,8 @@ from ringcat.rings import (
     zmod,
 )
 from ringcat.transport import choose_section, reduce_esystem, reduced_axiom_check
+from test_ablin import det_exact
+from test_cohomology import random_cochain1
 
 
 @pytest.fixture(scope="module")

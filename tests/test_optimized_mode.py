@@ -20,6 +20,7 @@ VALIDATION_TESTS = [
     "tests/test_bimult.py",
     "tests/test_ablin.py::test_linear_map_rejects_ill_defined",
     "tests/test_ablin.py::test_snf_raises_instead_of_wrapping_past_int64",
+    "tests/test_ablin.py::test_broken_postconditions_raise_without_assert",
     "tests/test_ablin.py::test_group_rejects_factor_below_one",
     "tests/test_ablin.py::test_compose_rejects_mismatched_groups",
     "tests/test_ablin.py::test_homology_rejects_mismatched_groups",
