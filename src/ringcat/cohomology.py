@@ -151,7 +151,8 @@ class Cochain3:
 
 
 def add2(a: Cochain2, b: Cochain2) -> Cochain2:
-    assert a.module is b.module
+    if a.module is not b.module:
+        raise AssertionError("add2 of cochains over different modules")
     m = a.module
     return Cochain2(m, m.add[a.f, b.f], m.add[a.g, b.g])
 
@@ -162,7 +163,8 @@ def neg3(a: Cochain3) -> Cochain3:
 
 
 def sub3(a: Cochain3, b: Cochain3) -> Cochain3:
-    assert a.module is b.module
+    if a.module is not b.module:
+        raise AssertionError("sub3 of cochains over different modules")
     m = a.module
     return Cochain3(
         m,
@@ -345,7 +347,8 @@ def complex_for(module: Bimodule, guard: int = COORD_LIMIT) -> CochainComplex:
     comp = cx.d2_map.matrix @ cx.d1_map.matrix
     if comp.size:
         fac = np.asarray(cx.c3_group.factors, dtype=np.int64).reshape(-1, 1)
-        assert not np.any(comp % fac), "d2 after d1 is nonzero"
+        if np.any(comp % fac):
+            raise AssertionError("d2 after d1 is nonzero")
     module._complex = cx
     _complexes.add(module)
     return cx
@@ -424,7 +427,8 @@ def h2_unit_normalised(module: Bimodule):
     cx = complex_for(module)
     m = module
     n, one, rank = m.ring.order, m.ring.unit, m.group.rank
-    assert one is not None and n >= 2
+    if one is None or n < 2:
+        raise AssertionError("unit normalisation needs a unital ring of order at least 2")
 
     ann = annihilated_submodule(m)
     ann_cols = _coords_of(m, np.array(ann, dtype=np.int64)).T
@@ -445,7 +449,8 @@ def h2_unit_normalised(module: Bimodule):
     cells = np.ones((2, n - 1, n - 1), dtype=bool)
     cells[1, one - 1, :] = cells[1, :, one - 1] = False
     keep = np.repeat(cells.ravel(), rank)
-    assert not rows1[:, ~keep].any(), "not unit-normalised"
+    if rows1[:, ~keep].any():
+        raise AssertionError("not unit-normalised")
     c2u = _tiled_group(m, int(cells.sum()))
     d1u = LinearMap(c1u, c2u, rows1[:, keep].T)
     rows2 = cx._d2_rows(np.eye(cx.c2_group.rank, dtype=np.int64)[keep])
@@ -521,7 +526,8 @@ def _coboundary_verdict(cx: CochainComplex, k: Cochain3, res=None) -> Coboundary
     if x is None:
         return CoboundaryVerdict(False, None, cert)
     c = cx.decode2(x[:, 0])
-    assert d2(c).equals(k), "solver witness must differentiate to k"
+    if not d2(c).equals(k):
+        raise AssertionError("solver witness must differentiate to k")
     return CoboundaryVerdict(True, c, None)
 
 
@@ -564,7 +570,8 @@ def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     del res  # free the transforms before homology factors anything else
     hd = H2Data(cx, _homology(cx.d1_map, cycles))
     classes = [add2(g0, rep) for rep in hd.representatives()]
-    for c in classes:
-        assert d2(c).equals(neg3(kq))
-    assert len(classes) == hd.order
+    if not all(d2(c).equals(neg3(kq)) for c in classes):
+        raise AssertionError("class representatives must differentiate to -psi*k")
+    if len(classes) != hd.order:
+        raise AssertionError("one class per element of H2")
     return FunctorClassification(pulled, kq, True, None, classes, hd.factors)

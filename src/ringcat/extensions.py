@@ -15,6 +15,7 @@ tiny orders.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -170,6 +171,36 @@ def _flat(b_elem: int, u: int, nb: int) -> int:
 
 
 def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g) -> FactorSystem:
+    """Check a factor system on b x q in two stages; raise FactorSystemError
+    with the first failing condition and its first witness in C order.
+
+    The checks run in a fixed order: the quotient's unit, the shape and
+    range of each table, the normalisation of f and g, then the action
+    stage, then the cocycle stage.
+
+    - Action stage (`_action_stage`): each row is a bimultiplication (the
+      first failing row, then the first law failing in it), row 0 is zero,
+      the unit's row is the identity, and rows u <= v permute.  It also
+      returns the f,g-free halves of the four action conditions, tables
+      over (u, v, c): PL = l_u(c) + l_v(c) - l_{u+v}(c), PR the same on
+      the right, ML = l_u(l_v(c)) - l_{uv}(c) and
+      MR = ((c)r_u)r_v - (c)r_{uv}.
+    - Cocycle stage, on every call: the five degree-3 conditions of (f, g),
+      then the four action conditions, which hold where PL = f(u, v)*c,
+      PR = c*f(u, v), ML = g(u, v)*c and MR = c*g(u, v).  In the additive
+      group of b, PL = f(u, v)*c exactly where
+      l_u(c) + l_v(c) - f(u, v)*c - l_{u+v}(c) = 0, and likewise for the
+      other three, so each ok-grid is the one of the defect itself.
+
+    The action stage depends on (b, q, act_left, act_right) alone and is
+    memoised on exactly that: b and q by identity (a FiniteRing hashes by
+    identity, and its tables are not changed after validation), the
+    actions by the bytes of their int16 tables.  It keeps the 32 actions
+    used last.  A raise is never stored, so a memo hit stands for an
+    action that passed, whose stage would pass again with the same
+    tables, and a failing action is checked, and raises, on every call.
+    So a hit changes no verdict and no witness.
+    """
     if q.unit is None:
         raise FactorSystemError("quotient-unit", ())
     n, m = q.order, b.order
@@ -193,7 +224,40 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
         edge[:, 0] |= tbl[:, 0] != 0
         if edge.any():
             raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
+    pl, pr, ml, mr = _action_stage(b, q, al.tobytes(), ar_.tobytes())
 
+    names = (
+        "additive-cocycle",
+        "additive-symmetry",
+        "multiplicative-cocycle",
+        "left-distributivity",
+        "right-distributivity",
+    )
+    for nm, diff in zip(names, _defect3(b.add, b.neg, al, ar_, q.add, q.mul, f, g), strict=True):
+        if diff.any():
+            raise FactorSystemError(nm, _first_bad(diff == 0))
+    # The action must be additive and multiplicative up to the inner
+    # bimultiplications of the defect values.
+    for nm, half, inner in (
+        ("action-additive-left", pl, b.mul[f]),
+        ("action-additive-right", pr, b.mul.T[f]),
+        ("action-multiplicative-left", ml, b.mul[g]),
+        ("action-multiplicative-right", mr, b.mul.T[g]),
+    ):
+        ok = half == inner
+        if not ok.all():
+            raise FactorSystemError(nm, _first_bad(ok))
+    return FactorSystem(b, q, al, ar_, f, g)
+
+
+@functools.lru_cache(maxsize=32)
+def _action_stage(b: FiniteRing, q: FiniteRing, left: bytes, right: bytes):
+    """The action stage of `validate_factor_system` on the int16 action
+    tables with bytes `left` and `right`: raises its first failure, or
+    returns the read-only tables (PL, PR, ML, MR)."""
+    n, m = q.order, b.order
+    al = np.frombuffer(left, dtype=np.int16).reshape(n, m)
+    ar_ = np.frombuffer(right, dtype=np.int16).reshape(n, m)
     # Every row is a bimultiplication: the first failing row, then the
     # first condition failing in it.
     laws = _bimult_laws(b, al, ar_)
@@ -221,44 +285,17 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
             detail="crossed-product triple that fails to associate",
         )
 
-    qa, qm = q.add, q.mul
-    badd, bneg, bmul = b.add, b.neg, b.mul
+    badd, bneg, qa, qm = b.add, b.neg, q.add, q.mul
     arq = np.arange(n)
-    names = (
-        "additive-cocycle",
-        "additive-symmetry",
-        "multiplicative-cocycle",
-        "left-distributivity",
-        "right-distributivity",
+    halves = (
+        _sum(badd, al[:, None, :], al[None, :, :], bneg[al[qa]]),
+        _sum(badd, ar_[:, None, :], ar_[None, :, :], bneg[ar_[qa]]),
+        badd[al[arq[:, None, None], al[None, :, :]], bneg[al[qm]]],
+        badd[ar_[arq[None, :, None], ar_[arq[:, None, None], arm[None, None, :]]], bneg[ar_[qm]]],
     )
-    conditions = list(zip(names, _defect3(badd, bneg, al, ar_, qa, qm, f, g), strict=True))
-    # The action must be additive and multiplicative up to the inner
-    # bimultiplications of the defect values.
-    c3 = arm[None, None, :]
-    f3 = f[:, :, None]
-    g3 = g[:, :, None]
-    conditions += [
-        (
-            "action-additive-left",
-            _sum(badd, al[:, None, :], al[None, :, :], bneg[bmul[f3, c3]], bneg[al[qa]]),
-        ),
-        (
-            "action-additive-right",
-            _sum(badd, ar_[:, None, :], ar_[None, :, :], bneg[bmul[c3, f3]], bneg[ar_[qa]]),
-        ),
-        (
-            "action-multiplicative-left",
-            _sum(badd, al[arq[:, None, None], al[None, :, :]], bneg[bmul[g3, c3]], bneg[al[qm]]),
-        ),
-        (
-            "action-multiplicative-right",
-            _sum(badd, ar_[arq[None, :, None], ar_[arq[:, None, None], c3]], bneg[bmul[c3, g3]], bneg[ar_[qm]]),
-        ),
-    ]
-    for nm, diff in conditions:
-        if diff.any():
-            raise FactorSystemError(nm, _first_bad(diff == 0))
-    return FactorSystem(b, q, al, ar_, f, g)
+    for t in halves:
+        t.flags.writeable = False
+    return halves
 
 
 def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
@@ -401,7 +438,8 @@ def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
     al, ar_ = left[lifts], right[lifts]
     for out, what in ((f, "additive defect"), (g, "multiplicative defect"),
                       (al, "left action"), (ar_, "right action")):
-        assert (out >= 0).all(), f"{what} leaves the embedded base"
+        if (out < 0).any():
+            raise AssertionError(f"{what} leaves the embedded base")
     return validate_factor_system(b, q, al, ar_, f, g)
 
 
@@ -430,7 +468,8 @@ def equivalent(e1: Extension, e2: Extension, guard: int = CANDIDATE_LIMIT) -> Ri
     xs = np.arange(r1.order)
     u_of = np.asarray(e1.p.map, dtype=np.int64)
     b_of = jinv1[r1.add[xs, r1.neg[t1[u_of]]]]
-    assert (b_of >= 0).all()
+    if (b_of < 0).any():
+        raise AssertionError("an element less the lift of its class leaves the embedded base")
     j2m = np.asarray(e2.j.map, dtype=np.int64)
     eps1, eps2 = e1.eps.map, e2.eps.map
     add1, mul1, add2, mul2 = r1.add, r1.mul, r2.add, r2.mul
@@ -512,7 +551,8 @@ def enumerate_extensions(
     # these reproduce the section's own defect tables.
     least_pre = _preimages(base.d.map, dd.order)
     fp, ft = (least_pre[t] for t in _lift_defects(dd, lift, q))
-    assert (fp >= 0).all() and (ft >= 0).all()
+    if (fp < 0).any() or (ft < 0).any():
+        raise AssertionError("a defect of the lift has no d-preimage")
     out = []
     for i, c in enumerate(cls.classes):
         f = base.b.add[fp, carrier[c.f]]
@@ -522,7 +562,8 @@ def enumerate_extensions(
         out.append(ext)
     for i in range(len(out)):
         for k in range(i + 1, len(out)):
-            assert equivalent(out[i], out[k]) is None, f"classes {i} and {k} collapse"
+            if equivalent(out[i], out[k]) is not None:
+                raise AssertionError(f"classes {i} and {k} collapse")
     return out
 
 

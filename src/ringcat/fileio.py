@@ -9,6 +9,8 @@ the file, line and column of the offending token.
 
 from __future__ import annotations
 
+import bisect
+import math
 import re
 from pathlib import Path
 
@@ -51,7 +53,9 @@ class ParseError(ValueError):
 
 
 class _Tokens:
-    """Whitespace token stream remembering line and column positions."""
+    """Whitespace token stream that can name the line and column of any
+    token.  Lines are split with `str.split`; a column is found only for
+    the token an error names."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -59,18 +63,21 @@ class _Tokens:
             text = self.path.read_text(encoding="utf-8")
         except OSError as e:
             raise ParseError(path, 0, 0, f"cannot read file: {e.strerror}") from e
-        self.toks: list[tuple[str, int, int]] = []
-        line = 1
-        for line, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            for mo in re.finditer(r"\S+", body):
-                self.toks.append((mo.group(), line, mo.start() + 1))
-        self.end_pos = (line, 1)
+        self.toks: list[str] = []
+        # Line k + 1 holds the tokens from index starts[k] on.
+        self.bodies = [raw.split("#", 1)[0] for raw in text.splitlines()]
+        self.starts = []
+        for body in self.bodies:
+            self.starts.append(len(self.toks))
+            self.toks += body.split()
+        self.end_pos = (max(len(self.bodies), 1), 1)
         self.i = 0
 
     def _fail(self, message: str):
         if self.i < len(self.toks):
-            _, line, col = self.toks[self.i]
+            line = bisect.bisect_right(self.starts, self.i)
+            nth = self.i - self.starts[line - 1]
+            col = [mo.start() for mo in re.finditer(r"\S+", self.bodies[line - 1])][nth] + 1
         else:
             line, col = self.end_pos
         raise ParseError(self.path, line, col, message)
@@ -78,14 +85,14 @@ class _Tokens:
     def take(self, what: str) -> str:
         if self.i >= len(self.toks):
             self._fail(f"expected {what}, found end of file")
-        tok = self.toks[self.i][0]
+        tok = self.toks[self.i]
         self.i += 1
         return tok
 
     def keyword(self, kw: str):
         if self.i >= len(self.toks):
             self._fail(f"expected keyword '{kw}', found end of file")
-        tok = self.toks[self.i][0]
+        tok = self.toks[self.i]
         if tok != kw:
             self._fail(f"expected keyword '{kw}', found '{tok}'")
         self.i += 1
@@ -103,9 +110,23 @@ class _Tokens:
         return v
 
     def table(self, what: str, shape: tuple[int, ...], hi: int) -> np.ndarray:
-        flat = [
-            self.integer(f"{what} entry", 0, hi) for _ in range(int(np.prod(shape)))
-        ]
+        """The next prod(shape) tokens as entries in [0, hi).
+
+        When every token is at most 18 ASCII digits, so that `int` and
+        numpy read it alike and it fits int64, the table is converted in
+        one call.  Otherwise, or when an entry is out of range, it is read
+        through `integer` one token at a time, which raises at the first
+        bad entry with its position."""
+        count = math.prod(shape)
+        toks = self.toks[self.i:self.i + count]
+        digits = "".join(toks)
+        if (len(toks) == count and digits.isascii() and digits.isdigit()
+                and max(map(len, toks)) <= 18):
+            flat = np.fromstring(" ".join(toks), dtype=np.int64, sep=" ")
+            if flat.max() < hi:
+                self.i += count
+                return flat.reshape(shape)
+        flat = [self.integer(f"{what} entry", 0, hi) for _ in range(count)]
         return np.array(flat, dtype=np.int64).reshape(shape)
 
     def path_ref(self, what: str) -> Path:
@@ -113,7 +134,7 @@ class _Tokens:
 
     def done(self):
         if self.i < len(self.toks):
-            self._fail(f"unexpected trailing token '{self.toks[self.i][0]}'")
+            self._fail(f"unexpected trailing token '{self.toks[self.i]}'")
 
 
 def load_ring(path) -> FiniteRing:

@@ -430,6 +430,50 @@ def test_classify_functors_reports_obstruction():
     assert not out.vanishes and out.count == 0 and out.certificate is not None
 
 
+def d2_embeds_c2(m):
+    # d2 replaced by the embedding of each 2-cochain coordinate into the
+    # 3-cochain coordinate of the same index and modulus, so that d2 after
+    # d1 is d1.
+    m.setattr(cohomology.CochainComplex, "_d2_rows",
+              lambda self, x: np.pad(x, ((0, 0), (0, self.c3_group.rank - x.shape[1]))))
+    return functools.partial(complex_for, ring_as_module(zmod(3))), "d2 after d1 is nonzero"
+
+
+def wrong_solver_witness(m):
+    mod = ring_as_module(zmod(3))
+    c = Cochain2(mod, np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]]), np.zeros((3, 3), int))
+    k = d2(c)
+    assert not k.is_zero()
+    m.setattr(cohomology, "d2", lambda c: zero_cochain3(c.module))
+    return functools.partial(is_coboundary3, k), "solver witness must differentiate to k"
+
+
+def missing_class(m):
+    reps = cohomology.H2Data.representatives
+    m.setattr(cohomology.H2Data, "representatives", lambda self: reps(self)[:-1])
+    mod = ring_as_module(zmod(2))
+    rc = SimpleNamespace(module=mod, k=zero_cochain3(mod))
+    return (functools.partial(classify_functors, identity_hom(mod.ring), rc),
+            "one class per element of H2")
+
+
+def foreign_cochains(m):
+    a, b = (Cochain2(ring_as_module(zmod(2)), np.zeros((2, 2), int), np.zeros((2, 2), int))
+            for _ in range(2))
+    return functools.partial(add2, a, b), "add2 of cochains over different modules"
+
+
+@pytest.mark.parametrize("check", [d2_embeds_c2, wrong_solver_witness, missing_class,
+                                   foreign_cochains], ids=lambda f: f.__name__)
+def test_broken_checks_raise_without_assert(check, monkeypatch):
+    # Each internal check raises AssertionError itself, so `python -O`
+    # keeps it.
+    call, message = check(monkeypatch)
+    with pytest.raises(AssertionError) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_unit_normalised_h2_agrees():
     for mod in (ring_as_module(zmod(2)), eps_module(), ring_as_module(zmod(4))):
         order, _factors, reps = h2_unit_normalised(mod)

@@ -5,21 +5,31 @@ import gc
 import itertools
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ringcat import ablin, extensions
 from ringcat.ablin import CANDIDATE_LIMIT, _guard
-from ringcat.bimult import Bimult, _permutable, enumerate_bimultiplications, permutability_witness
-from ringcat.cohomology import classify_functors
+from ringcat.bimult import (
+    Bimult,
+    _bimult_laws,
+    _permutable,
+    enumerate_bimultiplications,
+    permutability_witness,
+)
+from ringcat.cohomology import _defect3, classify_functors, complex_for
 from ringcat.corpus import corpus
 from ringcat.crossed import ESystemError, ideal_esystem, multiplier_esystem, validate_esystem
 from ringcat.extensions import (
     ExtensionError,
+    FactorSystem,
     FactorSystemError,
     SearchGuardError,
+    _action_stage,
     _align_psi,
+    _flat,
     crossed_ring,
     crossed_product,
     crossed_tables,
@@ -36,7 +46,10 @@ from ringcat.rings import (
     BLOCK_CELLS,
     RingAxiomError,
     RingHom,
+    _additive_maps,
+    _first_bad,
     _product_blocks,
+    _sum,
     dual_numbers,
     find_unit,
     ideal_cokernel,
@@ -47,6 +60,7 @@ from ringcat.rings import (
     zmod,
 )
 from ringcat.transport import reduce_esystem
+from test_cohomology import klein_census_modules
 
 
 def flat_z2():
@@ -193,30 +207,35 @@ def test_tampered_factor_systems():
     assert e.value.condition == "action-additive-left"
 
 
-@pytest.mark.parametrize(
-    "table, cells, condition, witness",
-    [
-        ("f", [(3, 3)], "additive-cocycle", (1, 2, 3)),
-        ("f", [(2, 1), (2, 3), (3, 1), (3, 3)], "additive-symmetry", (1, 2)),
-        ("g", [(3, 3)], "multiplicative-cocycle", (2, 3, 3)),
-        ("g", [(2, 3), (3, 1), (3, 3)], "left-distributivity", (2, 1, 2)),
-        ("f", [(2, 2), (2, 3), (3, 2), (3, 3)], "right-distributivity", (2, 2, 1)),
-    ],
-)
-def test_factor_system_cocycle_condition_witnesses(table, cells, condition, witness):
-    # Z/2 x Z/2 acting on the two-element zero ring through its first
-    # coordinate on the left and its second on the right; with f = g = 0
-    # this is a factor system.  Each perturbation trips the named
-    # condition first, at the pinned witness.
+COCYCLE_CASES = [
+    ("f", [(3, 3)], "additive-cocycle", (1, 2, 3)),
+    ("f", [(2, 1), (2, 3), (3, 1), (3, 3)], "additive-symmetry", (1, 2)),
+    ("g", [(3, 3)], "multiplicative-cocycle", (2, 3, 3)),
+    ("g", [(2, 3), (3, 1), (3, 3)], "left-distributivity", (2, 1, 2)),
+    ("f", [(2, 2), (2, 3), (3, 2), (3, 3)], "right-distributivity", (2, 2, 1)),
+]
+
+
+def cocycle_case(table, cells):
+    """Z/2 x Z/2 acting on the two-element zero ring through its first
+    coordinate on the left and its second on the right, f = g = 0 but
+    for a 1 at each of `cells` of `table`."""
     b, q = zero_mult(2), product_ring(zmod(2), zmod(2))
     al = np.array([[0, 0], [0, 0], [0, 1], [0, 1]])
     ar = np.array([[0, 0], [0, 1], [0, 0], [0, 1]])
     tables = {"f": np.zeros((4, 4), dtype=int), "g": np.zeros((4, 4), dtype=int)}
-    validate_factor_system(b, q, al, ar, tables["f"], tables["g"])
     for cell in cells:
         tables[table][cell] = 1
+    return b, q, al, ar, tables["f"], tables["g"]
+
+
+@pytest.mark.parametrize("table, cells, condition, witness", COCYCLE_CASES)
+def test_factor_system_cocycle_condition_witnesses(table, cells, condition, witness):
+    # With f = g = 0 the case is a factor system.  Each perturbation trips
+    # the named condition first, at the pinned witness.
+    validate_factor_system(*cocycle_case(table, []))
     with pytest.raises(FactorSystemError) as e:
-        validate_factor_system(b, q, al, ar, tables["f"], tables["g"])
+        validate_factor_system(*cocycle_case(table, cells))
     assert (e.value.condition, e.value.witness) == (condition, witness)
 
 
@@ -224,36 +243,42 @@ IDENT4, SWAP4 = [0, 1, 2, 3], [0, 2, 1, 3]
 SHIFT_L, SHIFT_R = [0, 2, 0, 2], [0, 0, 1, 1]  # a square-zero bimultiplication
 
 
-@pytest.mark.parametrize(
-    "b, q, rows, condition, witness",
-    [
-        (zmod(4), zmod(2), [(0, 0), ([0, 1, 2, 0], IDENT4)], "action-left-map-additive", (1, 1, 2)),
-        (zmod(4), zmod(2), [(0, 0), (IDENT4, [0, 1, 2, 0])], "action-right-map-additive", (1, 1, 2)),
-        (dual_numbers(2), zmod(2), [(0, 0), (SWAP4, SWAP4)], "action-left-product", (1, 1, 1)),
-        (dual_numbers(2), zmod(2), [(0, 0), (IDENT4, SWAP4)], "action-right-product", (1, 1, 1)),
-        (zmod(4), zmod(2), [(0, 0), (IDENT4, [0, 2, 0, 2])], "action-mixed-product", (1, 1, 1)),
-        # rows are checked in order, each against every condition
-        (zmod(4), zmod(2), [(IDENT4, [0, 2, 0, 2]), ([0, 1, 2, 0], IDENT4)],
-         "action-mixed-product", (0, 1, 1)),
-        (zmod(4), zmod(2), [(IDENT4, IDENT4), (IDENT4, IDENT4)], "action-zero", (0,)),
-        (zmod(4), zmod(2), [(0, 0), (0, 0)], "action-unit", (1,)),
-        # pairs u <= v in order: row 1 permutes around row 2, but row 2's
-        # left map does not permute around row 1's right map
-        (zero_mult_klein(), product_ring(zmod(2), zmod(2)),
-         [(0, 0), (IDENT4, SHIFT_R), (SHIFT_L, IDENT4), (IDENT4, IDENT4)],
-         "permutability", (8, 1, 4)),
-        (zero_mult_klein(), zmod(4), [(0, 0), (IDENT4, IDENT4), (SWAP4, [0, 1, 0, 1]),
-                                      (SWAP4, [0, 1, 0, 1])], "permutability", (8, 1, 8)),
-    ],
-)
-def test_factor_system_action_condition_witnesses(b, q, rows, condition, witness):
-    # the witnesses the validator reported while it checked one row, then
-    # one pair of rows, at a time
+ACTION_CASES = [
+    (zmod(4), zmod(2), [(0, 0), ([0, 1, 2, 0], IDENT4)], "action-left-map-additive", (1, 1, 2)),
+    (zmod(4), zmod(2), [(0, 0), (IDENT4, [0, 1, 2, 0])], "action-right-map-additive", (1, 1, 2)),
+    (dual_numbers(2), zmod(2), [(0, 0), (SWAP4, SWAP4)], "action-left-product", (1, 1, 1)),
+    (dual_numbers(2), zmod(2), [(0, 0), (IDENT4, SWAP4)], "action-right-product", (1, 1, 1)),
+    (zmod(4), zmod(2), [(0, 0), (IDENT4, [0, 2, 0, 2])], "action-mixed-product", (1, 1, 1)),
+    # rows are checked in order, each against every condition
+    (zmod(4), zmod(2), [(IDENT4, [0, 2, 0, 2]), ([0, 1, 2, 0], IDENT4)],
+     "action-mixed-product", (0, 1, 1)),
+    (zmod(4), zmod(2), [(IDENT4, IDENT4), (IDENT4, IDENT4)], "action-zero", (0,)),
+    (zmod(4), zmod(2), [(0, 0), (0, 0)], "action-unit", (1,)),
+    # pairs u <= v in order: row 1 permutes around row 2, but row 2's
+    # left map does not permute around row 1's right map
+    (zero_mult_klein(), product_ring(zmod(2), zmod(2)),
+     [(0, 0), (IDENT4, SHIFT_R), (SHIFT_L, IDENT4), (IDENT4, IDENT4)],
+     "permutability", (8, 1, 4)),
+    (zero_mult_klein(), zmod(4), [(0, 0), (IDENT4, IDENT4), (SWAP4, [0, 1, 0, 1]),
+                                  (SWAP4, [0, 1, 0, 1])], "permutability", (8, 1, 8)),
+]
+
+
+def action_case(b, q, rows):
+    """Rows (left, right) per element of q, with f = g = 0; an int row is
+    that constant."""
     al = np.array([np.broadcast_to(lf, b.order) for lf, _ in rows])
     ar = np.array([np.broadcast_to(rt, b.order) for _, rt in rows])
     zero = np.zeros((q.order, q.order), dtype=int)
+    return b, q, al, ar, zero, zero
+
+
+@pytest.mark.parametrize("b, q, rows, condition, witness", ACTION_CASES)
+def test_factor_system_action_condition_witnesses(b, q, rows, condition, witness):
+    # the witnesses the validator reported while it checked one row, then
+    # one pair of rows, at a time
     with pytest.raises(FactorSystemError) as e:
-        validate_factor_system(b, q, al, ar, zero, zero)
+        validate_factor_system(*action_case(b, q, rows))
     assert (e.value.condition, e.value.witness) == (condition, witness)
 
 
@@ -657,6 +682,10 @@ def corpus_triple(name, q=None, psi=None):
     return es, q, RingHom(q, coker, psi)
 
 
+def flat_z2_over_z4():
+    return corpus_triple("flat_z2", zmod(4), [0, 1, 0, 1])
+
+
 def search_record(exts):
     return [
         (e.ring.add.tolist(), e.ring.mul.tolist(), e.ring.unit, e.eps.map.tolist(),
@@ -986,3 +1015,325 @@ def test_no_factorisation_outlives_classify_functors(monkeypatch):
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The factor-system validator against its one-stage form.
+
+
+def reference_validate_factor_system(b, q, act_left, act_right, f, g):
+    """`validate_factor_system` checking every condition in one pass, the
+    action's with the defects', on every call."""
+    if q.unit is None:
+        raise FactorSystemError("quotient-unit", ())
+    n, m = q.order, b.order
+    al = np.asarray(act_left, dtype=np.int16)
+    ar_ = np.asarray(act_right, dtype=np.int16)
+    f = np.asarray(f, dtype=np.int16)
+    g = np.asarray(g, dtype=np.int16)
+    for tbl, shape, nm in (
+        (al, (n, m), "act_left"),
+        (ar_, (n, m), "act_right"),
+        (f, (n, n), "f"),
+        (g, (n, n), "g"),
+    ):
+        if tbl.shape != shape:
+            raise FactorSystemError(f"{nm}-shape", tbl.shape)
+        if tbl.size and (tbl.min() < 0 or tbl.max() >= m):
+            raise FactorSystemError(f"{nm}-range", ())
+    for tbl, nm in ((f, "f"), (g, "g")):
+        edge = np.zeros((n, n), dtype=bool)
+        edge[0, :] |= tbl[0, :] != 0
+        edge[:, 0] |= tbl[:, 0] != 0
+        if edge.any():
+            raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
+
+    laws = _bimult_laws(b, al, ar_)
+    ok = np.stack([grid(*tables) for _, grid, *tables in laws], axis=1)
+    if not ok.all():
+        u, k, *cell = _first_bad(ok)
+        raise FactorSystemError(f"action-{laws[k][0]}", (u, *cell))
+    arm = np.arange(m)
+    if al[0].any() or ar_[0].any():
+        raise FactorSystemError("action-zero", (0,))
+    if not ((al[q.unit] == arm).all() and (ar_[q.unit] == arm).all()):
+        raise FactorSystemError("action-unit", (int(q.unit),))
+    perm = _permutable(al, ar_)
+    below = np.tri(n, k=-1, dtype=bool)[:, :, None, None]
+    ok = np.stack([perm, perm.transpose(1, 0, 2)], axis=2) | below
+    if not ok.all():
+        u, v, side, a = _first_bad(ok)
+        if side:
+            u, v = v, u
+        raise FactorSystemError(
+            "permutability",
+            (_flat(0, u, m), _flat(a, 0, m), _flat(0, v, m)),
+            detail="crossed-product triple that fails to associate",
+        )
+
+    qa, qm = q.add, q.mul
+    badd, bneg, bmul = b.add, b.neg, b.mul
+    arq = np.arange(n)
+    names = (
+        "additive-cocycle",
+        "additive-symmetry",
+        "multiplicative-cocycle",
+        "left-distributivity",
+        "right-distributivity",
+    )
+    conditions = list(zip(names, _defect3(badd, bneg, al, ar_, qa, qm, f, g), strict=True))
+    c3 = arm[None, None, :]
+    f3 = f[:, :, None]
+    g3 = g[:, :, None]
+    conditions += [
+        (
+            "action-additive-left",
+            _sum(badd, al[:, None, :], al[None, :, :], bneg[bmul[f3, c3]], bneg[al[qa]]),
+        ),
+        (
+            "action-additive-right",
+            _sum(badd, ar_[:, None, :], ar_[None, :, :], bneg[bmul[c3, f3]], bneg[ar_[qa]]),
+        ),
+        (
+            "action-multiplicative-left",
+            _sum(badd, al[arq[:, None, None], al[None, :, :]], bneg[bmul[g3, c3]], bneg[al[qm]]),
+        ),
+        (
+            "action-multiplicative-right",
+            _sum(badd, ar_[arq[None, :, None], ar_[arq[:, None, None], c3]], bneg[bmul[c3, g3]],
+                 bneg[ar_[qm]]),
+        ),
+    ]
+    for nm, diff in conditions:
+        if diff.any():
+            raise FactorSystemError(nm, _first_bad(diff == 0))
+    return FactorSystem(b, q, al, ar_, f, g)
+
+
+@functools.cache
+def klein_census_factor_systems():
+    """The factor systems of the Klein zero-ring census, as argument tuples:
+    one per element of Ker d2 of each module of `klein_census_modules`,
+    16 over Z/2, 256 over Z/4 and 3712 over the 40 actions of Z/2 x Z/2."""
+    kl = zero_mult_klein()
+    out = []
+    for mod in klein_census_modules():
+        cx = complex_for(mod)
+        for enc in ablin.kernel(cx.d2_map).elements():
+            c = cx.decode2(np.asarray(enc, dtype=np.int64))
+            out.append((kl, mod.ring, mod.left, mod.right, c.f, c.g))
+    return out
+
+
+def outcome(validate, *args):
+    """The tables a validator accepts, or the condition, witness and detail
+    of its error."""
+    try:
+        fs = validate(*args)
+    except FactorSystemError as e:
+        return e.condition, e.witness, e.detail
+    return [t.tolist() for t in (fs.act_left, fs.act_right, fs.f, fs.g)]
+
+
+def test_klein_census_factor_systems_pass_both_validators():
+    systems = klein_census_factor_systems()
+    assert Counter(q.name for _, q, *_ in systems) == {"z2": 16, "z4": 256, "z2xz2": 3712}
+    for args in systems:
+        got = outcome(validate_factor_system, *args)
+        assert isinstance(got, list)
+        assert got == outcome(reference_validate_factor_system, *args)
+
+
+def mutation_sources():
+    """Valid factor systems to mutate, as argument tuples."""
+    census = klein_census_factor_systems()
+    flat = zero_mult(2), zmod(2), [[0, 0], [0, 1]], [[0, 0], [0, 1]]
+    zero2 = np.zeros((2, 2), dtype=int)
+    out = [
+        census[1], census[16 + 7], census[16 + 256 + 5], census[-1],
+        cocycle_case("f", []),
+        # Z/4 over 2Z/4, and Z/2 x Z/2 over its ideal Z/2 x 0.
+        (*flat, [[0, 0], [0, 1]], zero2),
+        (zmod(2), zmod(2), [[0, 0], [0, 1]], [[0, 0], [0, 1]], zero2, zero2),
+    ]
+    # The upper-triangular matrices over Z/2 acting on the Klein group as
+    # matrices on the left and through their first diagonal entry on the
+    # right: a noncommutative quotient.
+    i, x = np.arange(8)[:, None], np.arange(4)[None, :]
+    a, bb, c = i >> 2, (i >> 1) & 1, i & 1
+    left = 2 * ((a & (x >> 1)) ^ (bb & x & 1)) + (c & x & 1)
+    zero8 = np.zeros((8, 8), dtype=int)
+    out.append((zero_mult_klein(), upper_triangular_z2(), left, a * x, zero8, zero8))
+    es = doubled_into_z4()
+    psi = RingHom(zmod(2), reduce_esystem(es).ring, [0, 1])
+    exts = [enumerate_extensions(es, zmod(2), psi)[0],
+            *enumerate_extensions(*corpus_triple("ut2_first_row"))]
+    for ext in exts:
+        fs = factor_system_from_extension(ext)
+        out.append((fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g))
+    return out
+
+
+def mutations(b, q, *tables):
+    """Each table of a factor system changed in one place, labelled: one
+    entry set to every other value, the out-of-range |b| included; one
+    action row replaced by every additive endomap of b; the last row
+    dropped."""
+    names = ("act_left", "act_right", "f", "g")
+    tables = [np.array(t, dtype=np.int64) for t in tables]
+    endomaps = _additive_maps(b.add, b.add)
+    for k, (nm, t) in enumerate(zip(names, tables, strict=True)):
+        def swapped(new):
+            return (b, q, *tables[:k], new, *tables[k + 1:])
+        for cell in itertools.product(*map(range, t.shape)):
+            for x in range(b.order + 1):
+                if x != t[cell]:
+                    new = t.copy()
+                    new[cell] = x
+                    yield f"{nm}{list(cell)}={x}", swapped(new)
+        if k < 2:
+            for u, row in itertools.product(range(len(t)), endomaps):
+                if (row != t[u]).any():
+                    new = t.copy()
+                    new[u] = row
+                    yield f"{nm}[{u}]={row.tolist()}", swapped(new)
+        yield f"{nm} without its last row", swapped(t[:-1])
+
+
+FACTOR_SYSTEM_CONDITIONS = {
+    "quotient-unit",
+    *(f"{nm}-{what}" for nm in ("act_left", "act_right", "f", "g") for what in ("shape", "range")),
+    "f-normalisation", "g-normalisation",
+    *(f"action-{nm}" for nm in ("left-map-additive", "right-map-additive", "left-product",
+                                 "right-product", "mixed-product")),
+    "action-zero", "action-unit", "permutability",
+    "additive-cocycle", "additive-symmetry", "multiplicative-cocycle",
+    "left-distributivity", "right-distributivity",
+    *(f"action-{kind}-{side}" for kind in ("additive", "multiplicative")
+      for side in ("left", "right")),
+}
+
+
+def test_factor_system_errors_match_the_one_stage_form():
+    # Valid systems as given and changed in one place (`mutations`), then
+    # the witness cases above.  A changed entry of an additive map on
+    # three or more elements breaks additivity before the product laws or
+    # permutability are read, and a changed entry of f breaks the additive
+    # cocycle before its symmetry; whole-row replacements and the witness
+    # cases reach those conditions.  Each case runs twice, the second time
+    # with its action in the memo if the action passed.
+    sources = mutation_sources()
+    cases = [(f"{b.name}/{q.name} {label}", args)
+             for b, q, *tables in sources
+             for label, args in [("as given", (b, q, *tables)), *mutations(b, q, *tables)]]
+    cases += [(f"cocycle {c}", cocycle_case(t, cells)) for t, cells, c, _ in COCYCLE_CASES]
+    cases += [(f"action {c}", action_case(b, q, rows)) for b, q, rows, c, _ in ACTION_CASES]
+    z2 = [[0, 0], [0, 1]]
+    cases.append(("non-unital quotient", (zmod(2), zero_mult(2), z2, z2, z2, z2)))
+    valid, reached = 0, set()
+    for label, args in cases:
+        want = outcome(reference_validate_factor_system, *args)
+        assert outcome(validate_factor_system, *args) == want, label
+        assert outcome(validate_factor_system, *args) == want, label
+        if isinstance(want, tuple):
+            reached.add(want[0])
+        else:
+            valid += 1
+    assert reached == FACTOR_SYSTEM_CONDITIONS
+    assert valid > len(sources)
+
+
+def test_a_failing_action_is_checked_again_on_every_call():
+    b, q, rows, condition, witness = ACTION_CASES[8]
+    before = _action_stage.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(FactorSystemError) as e:
+            validate_factor_system(*action_case(b, q, rows))
+        assert (e.value.condition, e.value.witness) == (condition, witness)
+    assert _action_stage.cache_info().currsize == before
+    ident = (IDENT4, IDENT4)
+    fs = validate_factor_system(*action_case(b, q, [(0, 0), (0, 0), ident, ident]))
+    assert fs.b is b and fs.q is q
+
+
+def test_rings_with_equal_tables_do_not_share_a_memo_entry():
+    q, z2 = zmod(2), [[0, 0], [0, 1]]
+    rings = [zero_mult(2), zero_mult(2)]
+    args = [(b, q, z2, z2, z2, np.zeros((2, 2), dtype=int)) for b in rings]
+    before = _action_stage.cache_info()
+    fs = [validate_factor_system(*a) for a in args]
+    mid = _action_stage.cache_info()
+    assert (mid.misses - before.misses, mid.hits - before.hits) == (2, 0)
+    assert [x.b for x in fs] == rings
+    validate_factor_system(*args[1])
+    after = _action_stage.cache_info()
+    assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
+
+
+def test_the_census_checks_each_action_once_within_the_memo_bound():
+    systems = klein_census_factor_systems()
+    _action_stage.cache_clear()
+    for args in systems:
+        validate_factor_system(*args)
+    info = _action_stage.cache_info()
+    # The census lists each action's cocycles together.
+    assert (info.misses, info.hits) == (42, len(systems) - 42)
+    assert info.currsize <= info.maxsize < 42
+
+
+def test_enumerate_extensions_checks_its_action_once(monkeypatch):
+    calls = []
+    laws = extensions._bimult_laws
+
+    def counting(*args):
+        calls.append(args)
+        return laws(*args)
+
+    monkeypatch.setattr(extensions, "_bimult_laws", counting)
+    validated = []
+    validate = extensions.validate_factor_system
+    monkeypatch.setattr(extensions, "validate_factor_system",
+                        lambda *args: validated.append(args) or validate(*args))
+    _action_stage.cache_clear()
+    exts = enumerate_extensions(*flat_z2_over_z4())
+    assert len(exts) == len(validated) == 2
+    assert len(calls) == 1
+
+
+def broken_ideal_action(m):
+    # The lift of the quotient's unit seen outside the embedded base.
+    def actions(ring, emb):
+        left, right = ideal_actions(ring, emb)
+        left = left.copy()
+        left[1, 1] = -1
+        return left, right
+
+    ext = z4_extension(flat_z2())
+    ideal_actions = extensions._ideal_actions
+    m.setattr(extensions, "_ideal_actions", actions)
+    return (functools.partial(factor_system_from_extension, ext),
+            "left action leaves the embedded base")
+
+
+def missing_d_preimage(m):
+    # No defect value of the lift has a d-preimage.
+    m.setattr(extensions, "_preimages", lambda *args: np.full(args[1], -1))
+    return (functools.partial(enumerate_extensions, *flat_z2_over_z4()),
+            "a defect of the lift has no d-preimage")
+
+
+def collapsing_classes(m):
+    m.setattr(extensions, "equivalent", lambda e1, e2: True)
+    return (functools.partial(enumerate_extensions, *flat_z2_over_z4()),
+            "classes 0 and 1 collapse")
+
+
+@pytest.mark.parametrize("check", [broken_ideal_action, missing_d_preimage, collapsing_classes],
+                         ids=lambda f: f.__name__)
+def test_broken_checks_raise_without_assert(check, monkeypatch):
+    # Each internal check raises AssertionError itself, so `python -O`
+    # keeps it.
+    call, message = check(monkeypatch)
+    with pytest.raises(AssertionError) as e:
+        call()
+    assert str(e.value) == message

@@ -106,6 +106,34 @@ def test_parse_errors_cite_position(tmp_path):
         assert e.value.line == int(suffix.split(":")[0])
 
 
+@pytest.mark.parametrize(
+    "content, suffix",
+    [
+        ("ring x\norder 3\nadd # 7 8\n0 1 2\n1\t2 0\n2 0 x1\n",
+         "6:5: expected add entry, found 'x1'"),
+        ("ring x\norder 2\nadd\n0 1\n1\t 5\n", "5:4: add entry 5 out of range [0, 2)"),
+        ("ring x\norder 2\nadd\n0 1\n1 99999999999999999999\n",
+         "5:3: add entry 99999999999999999999 out of range [0, 2)"),
+        # int() reads other digits too.
+        ("ring x\norder 2\nadd\n0 1\n1 \u0663\n", "5:3: add entry 3 out of range [0, 2)"),
+        ("ring x\norder 2\nadd\n0 1\n1\n\n", "6:1: expected add entry, found end of file"),
+    ],
+)
+def test_table_errors_cite_position(tmp_path, content, suffix):
+    p = tmp_path / "bad.ring"
+    p.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError) as e:
+        load_ring(p)
+    assert str(e.value) == f"{p}:{suffix}"
+
+
+def test_table_entries_are_read_as_int_reads_them(tmp_path):
+    p = tmp_path / "signs.ring"
+    p.write_text("ring x\norder 2\nadd\n0 +1\n1 0_0\nmul\n0000000000000000000 0\n0 -0\nunit none\n")
+    r = load_ring(p)
+    assert r.add.tolist() == [[0, 1], [1, 0]] and not r.mul.any()
+
+
 # ---------------------------------------------------------------------------
 # CLI.  main() returns the exit code and prints the report to stdout.
 

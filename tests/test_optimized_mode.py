@@ -40,6 +40,7 @@ VALIDATION_TESTS = [
     "tests/test_cohomology.py::test_pullback3_rejects_a_foreign_cochain",
     "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
     "tests/test_cohomology.py::test_z6_smith_normal_form_overflow_is_raised",
+    "tests/test_cohomology.py::test_broken_checks_raise_without_assert",
     "tests/test_extensions.py::test_obstruction_requires_regular_base",
     "tests/test_extensions.py::test_factor_system_action_condition_witnesses",
     "tests/test_extensions.py::test_factor_system_cocycle_condition_witnesses",
@@ -50,6 +51,9 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_equivalent_rejects_extensions_over_different_bases",
     "tests/test_extensions.py::test_g_stage_guard_counts_generator_pair_candidates",
     "tests/test_extensions.py::test_g_guard_trips_at_the_first_action_with_candidates",
+    "tests/test_extensions.py::test_broken_checks_raise_without_assert",
+    "tests/test_extensions.py::test_factor_system_errors_match_the_one_stage_form",
+    "tests/test_extensions.py::test_a_failing_action_is_checked_again_on_every_call",
     "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_overflow_is_a_resource_error",
