@@ -182,11 +182,14 @@ def _batch(line, piv):
     They are the nonzero entries up to and including the first one `piv`
     does not divide; the returned flag says whether that one exists.  Its
     remainder is then nonzero and the caller swaps it into the pivot."""
-    idx = np.flatnonzero(line)
+    idx = line.nonzero()[0]
     if not idx.size:
         return idx, idx, False
     vals = line[idx]
-    bad = np.flatnonzero(vals % piv)
+    if abs(piv) == 1:
+        # A unit divides everything, and vals // piv = vals * piv.
+        return idx, -vals * piv, False
+    bad = (vals % piv).nonzero()[0]
     if bad.size:
         idx, vals = idx[: bad[0] + 1], vals[: bad[0] + 1]
     return idx, -(vals // piv), bool(bad.size)
@@ -244,13 +247,18 @@ def smith_normal_form(a) -> SNFResult:
 
     def swap_rows(i, j):
         if i != j:
-            for m in (s, rkey, rgcd):
-                m[[i, j]] = m[[j, i]]
+            row = s[i].copy()
+            s[i] = s[j]
+            s[j] = row
+            rkey[i], rkey[j] = rkey[j], rkey[i]
+            rgcd[i], rgcd[j] = rgcd[j], rgcd[i]
             row_log.append(("swap", i, j))
 
     def swap_cols(i, j):
         if i != j:
-            s[t:, [i, j]] = s[t:, [j, i]]
+            col = s[t:, i].copy()
+            s[t:, i] = s[t:, j]
+            s[t:, j] = col
             col_log.append(("swap", i, j))
 
     t = 0
@@ -529,12 +537,18 @@ class Subgroup:
         return self.coords_of(x) is not None
 
     def elements(self):
+        """The distinct embedded elements, in the order of the abstract
+        group's elements; embedded a block at a time."""
+        from .rings import _product_blocks  # rings imports this module
+
         seen = set()
-        for c in self.group.elements():
-            e = self.embed(c)
-            if e not in seen:
-                seen.add(e)
-                yield e
+        cols = self._embed.matrix.T
+        fac = np.asarray(self.ambient.factors, dtype=np.int64)
+        for digits in _product_blocks(self.group.factors, max(1, self.ambient.rank)):
+            for e in map(tuple, ((digits @ cols) % fac).tolist()):
+                if e not in seen:
+                    seen.add(e)
+                    yield e
 
 
 def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:

@@ -233,7 +233,7 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
         "left-distributivity",
         "right-distributivity",
     )
-    for nm, diff in zip(names, _defect3(b.add, b.neg, al, ar_, q.add, q.mul, f, g), strict=True):
+    for nm, diff in zip(names, _defect3(b.add, b.neg, al, ar_, q, f, g), strict=True):
         if diff.any():
             raise FactorSystemError(nm, _first_bad(diff == 0))
     # The action must be additive and multiplicative up to the inner

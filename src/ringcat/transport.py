@@ -148,15 +148,17 @@ def reduce_esystem(
     bb = es.b
     sig = section.sigma
     defects = _defect3(
-        bb.add, bb.neg, es.theta_left[sig], es.theta_right[sig], rq.add, rq.mul,
-        section.fplus, section.ftimes,
+        bb.add, bb.neg, es.theta_left[sig], es.theta_right[sig], rq, section.fplus,
+        section.ftimes,
     )
 
     tables = [km.b_to_m[tbl] for tbl in defects]
-    assert all((t >= 0).all() for t in tables), "obstruction value escapes the kernel"
+    if not all((t >= 0).all() for t in tables):
+        raise AssertionError("obstruction value escapes the kernel")
     k = Cochain3(km.module, *tables)
     report = reduced_axiom_check(rq, km.module, k)
-    assert report.ok, f"reduced data breaks {report.failures()[0].law}"
+    if not report.ok:
+        raise AssertionError(f"reduced data breaks {report.failures()[0].law}")
     return ReducedAnnCat(rq, km.module, k, es, section, km)
 
 
@@ -169,7 +171,8 @@ def reduced_axiom_check(ring: FiniteRing, module: Bimodule, k: Cochain3) -> Chec
     """
     n = ring.order
     _guard(n**4, "coherence grid cells", CELL_LIMIT)
-    assert k.module is module and module.ring is ring
+    if not (k.module is module and module.ring is ring):
+        raise AssertionError("the cochain lives over another module or ring")
     xi, eta, ax, ll, rr = (tbl for tbl, _ in k.tables())
     ma, mn, mlft, mrgt = module.add, module.neg, module.left, module.right
     radd, rmul = ring.add, ring.mul
@@ -333,10 +336,11 @@ def reduce_functor(fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat
 
     The comparison cochain g measures how far the functor is from
     matching the chosen sections; it ties the two obstruction cochains
-    together by q*k - p*k' = d2(g), which is asserted.
+    together by q*k - p*k' = d2(g), which is checked.
     """
     m = fun.morphism
-    assert rc_src.es is m.source and rc_tgt.es is m.target
+    if not (rc_src.es is m.source and rc_tgt.es is m.target):
+        raise AssertionError("reduced data of other systems than the functor's")
     f1 = m.f1.map.astype(np.int64)
     f0 = m.f0.map.astype(np.int64)
     es2 = m.target
@@ -349,19 +353,23 @@ def reduce_functor(fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat
     comp = proj2[f0]
     for cls in range(rq.order):
         vals = comp[src_proj == cls]
-        assert (vals == vals[0]).all(), f"class map splits on class {cls}"
+        if not (vals == vals[0]).all():
+            raise AssertionError(f"class map splits on class {cls}")
     p = RingHom(rq, rq2, comp[rc_src.section.sigma])
-    assert p.unital
+    if not p.unital:
+        raise AssertionError("class map is not unital")
 
     b_to_m2 = rc_tgt.kernel_module.b_to_m
     q = b_to_m2[f1[rc_src.kernel_module.carrier]]
-    assert (q >= 0).all(), "kernel does not map into the kernel"
+    if not (q >= 0).all():
+        raise AssertionError("kernel does not map into the kernel")
 
     sig, sig2 = rc_src.section.sigma, rc_tgt.section.sigma
     f0sig = f0[sig]
     # t1[s] is the least d-preimage of sig2(p(s)) - f0(sig(s)).
     t1 = _preimages(es2.d.map, d2r.order)[d2r.add[sig2[p.map], d2r.neg[f0sig]]]
-    assert (t1 >= 0).all(), "section difference leaves the image of d"
+    if not (t1 >= 0).all():
+        raise AssertionError("section difference leaves the image of d")
 
     fp, ft = rc_src.section.fplus, rc_src.section.ftimes
     fp2, ft2 = rc_tgt.section.fplus, rc_tgt.section.ftimes
@@ -390,11 +398,13 @@ def reduce_functor(fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat
     g_f = b2.add[tau, bneg2[np.int64(fun.add_defect)]]
     g_g = b2.add[nu, bneg2[np.int64(fun.mul_defect)]]
     dm2 = es2.d.map.astype(np.int64)
-    assert not dm2[g_f].any() and not dm2[g_g].any(), "comparison cochain leaves the kernel"
+    if dm2[g_f].any() or dm2[g_g].any():
+        raise AssertionError("comparison cochain leaves the kernel")
 
     pulled = pullback_module(p, rc_tgt.module)
     g = Cochain2(pulled, b_to_m2[g_f], b_to_m2[g_g])
     qk = Cochain3(pulled, *(q[tbl] for tbl, _ in rc_src.k.tables()))
     pk = pullback3(p, rc_tgt.k, pulled)
-    assert sub3(qk, pk).equals(d2(g)), "reduction does not intertwine the obstructions"
+    if not sub3(qk, pk).equals(d2(g)):
+        raise AssertionError("reduction does not intertwine the obstructions")
     return ReducedFunctor(p, q, g, rc_src, rc_tgt)

@@ -575,6 +575,35 @@ def test_subgroup_membership():
     assert sorted(sub.elements()) == [(0, 0), (2, 2)]
 
 
+def reference_subgroup_elements(sub):
+    """The distinct embedded elements of a subgroup, one abstract element
+    at a time through `embed`."""
+    seen = set()
+    for c in sub.group.elements():
+        e = sub.embed(c)
+        if e not in seen:
+            seen.add(e)
+            yield e
+
+
+def test_subgroup_elements_match_the_one_at_a_time_loop():
+    rng = np.random.default_rng(49)
+    subs = [kernel(klein_complex().d2_map), Subgroup(FinAbGroup(()), FinAbGroup(()), []),
+            Subgroup(FinAbGroup(()), FinAbGroup((3,)), [()])]
+    for _ in range(60):
+        src, dst = _random_group(rng, 64), _random_group(rng, 64)
+        lm = _random_map(rng, src, dst)
+        subs += [kernel(lm), span_subgroup(dst, lm.matrix),
+                 Subgroup(dst, src, [tuple(c) for c in lm.matrix.T.tolist()])]
+    # In (Z/2)^16 a block holds BLOCK_CELLS // 16 = 4096 rows, so the 2^14
+    # sums of 14 generators fill four.
+    dst = FinAbGroup((2,) * 16)
+    subs.append(Subgroup(dst, FinAbGroup((2,) * 14),
+                         [tuple(int(x) for x in rng.integers(0, 2, 16)) for _ in range(14)]))
+    for sub in subs:
+        assert list(sub.elements()) == list(reference_subgroup_elements(sub))
+
+
 def _random_group(rng, max_order=256):
     while True:
         rank = int(rng.integers(0, 4))

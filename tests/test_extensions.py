@@ -19,7 +19,7 @@ from ringcat.bimult import (
     enumerate_bimultiplications,
     permutability_witness,
 )
-from ringcat.cohomology import _defect3, classify_functors, complex_for
+from ringcat.cohomology import classify_functors, complex_for
 from ringcat.corpus import corpus
 from ringcat.crossed import ESystemError, ideal_esystem, multiplier_esystem, validate_esystem
 from ringcat.extensions import (
@@ -60,7 +60,7 @@ from ringcat.rings import (
     zmod,
 )
 from ringcat.transport import reduce_esystem
-from test_cohomology import klein_census_modules
+from test_cohomology import klein_census_modules, reference_defect3
 
 
 def flat_z2():
@@ -1081,7 +1081,8 @@ def reference_validate_factor_system(b, q, act_left, act_right, f, g):
         "left-distributivity",
         "right-distributivity",
     )
-    conditions = list(zip(names, _defect3(badd, bneg, al, ar_, qa, qm, f, g), strict=True))
+    defects = reference_defect3(badd, bneg, al, ar_, qa, qm, f, g)
+    conditions = list(zip(names, defects, strict=True))
     c3 = arm[None, None, :]
     f3 = f[:, :, None]
     g3 = g[:, :, None]

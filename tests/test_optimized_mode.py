@@ -34,6 +34,7 @@ VALIDATION_TESTS = [
     "tests/test_transport.py::test_validate_section_rejects_a_non_unital_quotient",
     "tests/test_transport.py::test_choose_section_rejects_an_unknown_flavor",
     "tests/test_transport.py::test_reduce_rejects_a_section_over_another_quotient",
+    "tests/test_transport.py::test_broken_checks_raise_without_assert",
     "tests/test_cohomology.py::test_pullback_module_along_unit_embedding",
     "tests/test_cohomology.py::test_pullback_module_rejects_a_foreign_module",
     "tests/test_cohomology.py::test_pullback2_rejects_a_foreign_pulled_module",

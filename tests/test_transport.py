@@ -1,12 +1,14 @@
 """Sections, reduction to quotient data, and the reduced checker."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
 
+from ringcat import transport
 from ringcat.anncat import functor_from_morphism
-from ringcat.cohomology import Cochain2, d2, is_coboundary3, sub3
+from ringcat.cohomology import Cochain2, Cochain3, d2, is_coboundary3, sub3
 from ringcat.corpus import corpus
 from ringcat.crossed import (
     identity_esystem,
@@ -318,3 +320,115 @@ def test_reduce_functor_across_systems():
     rc_tgt_g = reduce_esystem(tgt, flavor="greatest")
     rf2 = reduce_functor(fun, rc_src, rc_tgt_g)
     assert rf2.g.f[1, 1] == 1
+
+
+# ---------------------------------------------------------------------------
+# Internal checks of the reduction, each broken on purpose.  The system
+# doubled_into_z4 has base 2Z/8 (carrier 0..3) with kernel {0, 2}, so the
+# base element 1 lies outside the kernel.
+
+
+def escaping_obstruction(m):
+    defects = transport._defect3
+    m.setattr(transport, "_defect3", lambda *a: [t * 0 + 1 for t in defects(*a)])
+    return functools.partial(reduce_esystem, doubled_into_z4()), (
+        "obstruction value escapes the kernel")
+
+
+def tampered_obstruction(m):
+    defects = transport._defect3
+
+    def tampered(*a):
+        tables = defects(*a)
+        tables[0][1, 1, 1] = 2  # xi(1, 1, 1) := the kernel element 2
+        return tables
+
+    m.setattr(transport, "_defect3", tampered)
+    return functools.partial(reduce_esystem, doubled_into_z4()), (
+        "reduced data breaks hexagon_add")
+
+
+def foreign_cochain(m):
+    rc, other = reduce_esystem(doubled_into_z4()), reduce_esystem(doubled_into_z4())
+    return functools.partial(reduced_axiom_check, rc.ring, other.module, rc.k), (
+        "the cochain lives over another module or ring")
+
+
+def identity_functor_data():
+    """The identity functor of doubled_into_z4 and its system reduced
+    along both sections, before any check is broken."""
+    es = doubled_into_z4()
+    fun = functor_from_morphism(identity_morphism(es))
+    return fun, reduce_esystem(es), reduce_esystem(es, flavor="greatest")
+
+
+def foreign_reduced_data(m):
+    fun, _, _ = identity_functor_data()
+    rc = reduce_esystem(doubled_into_z4())
+    return functools.partial(reduce_functor, fun, rc, rc), (
+        "reduced data of other systems than the functor's")
+
+
+def split_class_map(m):
+    fun, rc, rc_g = identity_functor_data()
+    proj = rc.kernel_module.quotient.projection
+    m.setattr(proj, "map", np.zeros_like(proj.map))
+    return functools.partial(reduce_functor, fun, rc, rc_g), "class map splits on class 0"
+
+
+def non_unital_class_map(m):
+    fun, rc, rc_g = identity_functor_data()
+    m.setattr(transport.RingHom, "unital", property(lambda self: False))
+    return functools.partial(reduce_functor, fun, rc, rc_g), "class map is not unital"
+
+
+def kernel_leaves_kernel(m):
+    fun, rc, rc_g = identity_functor_data()
+    m.setattr(rc_g.kernel_module, "b_to_m", np.full_like(rc_g.kernel_module.b_to_m, -1))
+    return functools.partial(reduce_functor, fun, rc, rc_g), (
+        "kernel does not map into the kernel")
+
+
+def section_leaves_image(m):
+    fun, rc, rc_g = identity_functor_data()
+    m.setattr(transport, "_preimages", lambda mp, n, last=False: np.full(n, -1))
+    return functools.partial(reduce_functor, fun, rc, rc_g), (
+        "section difference leaves the image of d")
+
+
+def comparison_leaves_kernel(m):
+    fun, rc, rc_g = identity_functor_data()
+    total = transport._sum
+    # Every sum becomes the base element 1, which d sends to 2.
+    m.setattr(transport, "_sum", lambda add, *terms: np.ones_like(total(add, *terms)))
+    return functools.partial(reduce_functor, fun, rc, rc_g), (
+        "comparison cochain leaves the kernel")
+
+
+def broken_intertwining(m):
+    fun, rc, rc_g = identity_functor_data()
+
+    def wrong_d2(c):
+        n = c.module.ring.order
+        xi = np.zeros((n, n, n), dtype=np.int64)
+        xi[1, 1, 1] = 1
+        zero2 = np.zeros((n, n), dtype=np.int64)
+        return Cochain3(c.module, xi, zero2, xi * 0, xi * 0, xi * 0)
+
+    m.setattr(transport, "d2", wrong_d2)
+    return functools.partial(reduce_functor, fun, rc, rc_g), (
+        "reduction does not intertwine the obstructions")
+
+
+@pytest.mark.parametrize("check", [
+    escaping_obstruction, tampered_obstruction, foreign_cochain, foreign_reduced_data,
+    split_class_map, non_unital_class_map, kernel_leaves_kernel, section_leaves_image,
+    comparison_leaves_kernel, broken_intertwining,
+], ids=lambda f: f.__name__)
+def test_broken_checks_raise_without_assert(check, monkeypatch):
+    # Each internal check raises AssertionError itself, so `python -O`
+    # keeps it.
+    call, message = check(monkeypatch)
+    with pytest.raises(AssertionError) as e:
+        call()
+    assert str(e.value) == message
