@@ -508,7 +508,8 @@ def validate_ann_functor(src: ESystem, tgt: ESystem, f1, f0, add_defect=0, mul_d
     if not (tlp[img, fp] == want).all() or not (trp[img, fp] == want).all():
         raise ValueError("constraint constants break distributivity coherence")
     # consequences of the above at x = 0
-    assert vals == {0} and ft == int(bp.neg[fp])
+    if vals != {0} or ft != int(bp.neg[fp]):
+        raise AssertionError("constraint constants break their consequences at 0")
     return AnnFunctor(m, fp, ft)
 
 
@@ -541,9 +542,12 @@ def homotopy_between(f: AnnFunctor, g: AnnFunctor):
         return None
     bp = f.target.b
     alpha = int(bp.sub(f.add_defect, g.add_defect))
-    assert f.target.d.map[alpha] == 0
-    assert alpha == int(bp.sub(g.mul_defect, f.mul_defect))
+    if f.target.d.map[alpha] != 0:
+        raise AssertionError("homotopy component leaves the kernel of d")
+    if alpha != int(bp.sub(g.mul_defect, f.mul_defect)):
+        raise AssertionError("homotopy component misses the tensor constants")
     img = f.morphism.f0.map
     tlp, trp = f.target.theta_left, f.target.theta_right
-    assert (tlp[img, alpha] == 0).all() and (trp[img, alpha] == 0).all()
+    if not ((tlp[img, alpha] == 0).all() and (trp[img, alpha] == 0).all()):
+        raise AssertionError("homotopy component is not annihilated by the actions")
     return alpha

@@ -262,5 +262,6 @@ def inner_hom(mb: BimultRing) -> RingHom:
     the bicenter."""
     b = mb.base
     h = RingHom(b, mb.ring, _row_lookup(mb.left, mb.right)(b.mul, b.mul.T))
-    assert h.kernel_elements() == bicenter(b)
+    if h.kernel_elements() != bicenter(b):
+        raise AssertionError("the kernel of the inner map must be the bicenter")
     return h

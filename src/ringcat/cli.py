@@ -4,6 +4,12 @@ Every verb is a thin shell over the library: load files, call one
 operation, print a report of `key: value` lines (or `key<TAB>value`
 with --format tsv) and translate the outcome into an exit code.
 
+Each verb imports only the layers it calls, inside its handler: a verb
+is mostly interpreter start-up, and no bytecode cache is assumed, so
+every module imported is compiled and its dataclasses built on each
+run.  `validate ring` loads `ablin`, `rings`, `fileio` and this module;
+the extension verbs load every layer but `corpus`.
+
 Exit codes: 0 success, 1 mathematical negative (invalid object, not
 equivalent, obstructed), 2 input or resource error (parse failure,
 missing file, a closed stdout, any tripped guard, integer arithmetic
@@ -19,17 +25,6 @@ import sys
 
 import numpy as np
 
-from .anncat import anncat_axiom_check
-from .bimult import enumerate_bimultiplications
-from .cohomology import h2
-from .corpus import corpus
-from .crossed import es_to_xb, is_regular, xb_to_es
-from .extensions import (
-    enumerate_extensions,
-    equivalent,
-    extension_obstruction,
-    validate_extension,
-)
 from .fileio import (
     ParseError,
     load_esystem,
@@ -40,7 +35,6 @@ from .fileio import (
     write_esystem,
 )
 from .rings import RingHom, SearchGuardError, _additive_orders, decompose_abelian
-from .transport import reduce_esystem
 
 
 class Report:
@@ -102,6 +96,8 @@ def cmd_validate(args, rep: Report) -> int:
         rep.add("order", r.order)
         rep.add("unit", "none" if r.unit is None else int(r.unit))
     elif kind == "esystem":
+        from .crossed import is_regular
+
         es = load_esystem(args.file)
         rep.add("esystem", es.name)
         rep.add("base order", es.b.order)
@@ -126,6 +122,8 @@ def cmd_validate(args, rep: Report) -> int:
 
 
 def cmd_convert(args, rep: Report) -> int:
+    from .crossed import es_to_xb, xb_to_es
+
     es = load_esystem(args.file)
     xb = es_to_xb(es)
     back = xb_to_es(xb)
@@ -140,6 +138,8 @@ def cmd_convert(args, rep: Report) -> int:
 
 
 def cmd_bimult(args, rep: Report) -> int:
+    from .bimult import enumerate_bimultiplications
+
     r = load_ring(args.file)
     left, right = enumerate_bimultiplications(r)
     rep.add("ring", r.name)
@@ -150,6 +150,8 @@ def cmd_bimult(args, rep: Report) -> int:
 
 
 def cmd_anncat_check(args, rep: Report) -> int:
+    from .anncat import anncat_axiom_check
+
     es = load_esystem(args.file)
     report = anncat_axiom_check(es)
     rep.add("esystem", es.name)
@@ -160,6 +162,8 @@ def cmd_anncat_check(args, rep: Report) -> int:
 
 
 def cmd_anncat_reduce(args, rep: Report) -> int:
+    from .transport import reduce_esystem
+
     es = load_esystem(args.file)
     section = None
     if args.section and args.section != "auto":
@@ -180,6 +184,8 @@ def cmd_anncat_reduce(args, rep: Report) -> int:
 
 
 def cmd_cohom_h2(args, rep: Report) -> int:
+    from .cohomology import h2
+
     ring = load_ring(args.ring)
     mod = load_module(args.module, ring)
     data = h2(mod, **_guard(args))
@@ -189,6 +195,9 @@ def cmd_cohom_h2(args, rep: Report) -> int:
 
 
 def cmd_cohom_obstruct(args, rep: Report) -> int:
+    from .extensions import extension_obstruction
+    from .transport import reduce_esystem
+
     es = load_esystem(args.file)
     rc = reduce_esystem(es)
     q = load_ring(args.q) if args.q else rc.ring
@@ -202,6 +211,9 @@ def cmd_cohom_obstruct(args, rep: Report) -> int:
 
 
 def cmd_ext_enum(args, rep: Report) -> int:
+    from .extensions import enumerate_extensions
+    from .transport import reduce_esystem
+
     es = load_esystem(args.file)
     rc = reduce_esystem(es)
     q = load_ring(args.q)
@@ -218,6 +230,8 @@ def cmd_ext_enum(args, rep: Report) -> int:
 
 
 def cmd_ext_equiv(args, rep: Report) -> int:
+    from .extensions import equivalent, validate_extension
+
     e1 = load_extension(args.first)
     e2 = load_extension(args.second)
     b1, b2 = e1.base, e2.base
@@ -248,6 +262,9 @@ def cmd_ext_equiv(args, rep: Report) -> int:
 
 
 def cmd_corpus(args, rep: Report) -> int:
+    from .corpus import corpus
+    from .crossed import is_regular
+
     for es in corpus():
         rep.add(
             es.name,

@@ -5,6 +5,11 @@ field and the payload is a flat list of indices, so any line breaking
 works.  `#` starts a comment.  Composite objects reference their parts
 by path, resolved relative to the referencing file.  Parse errors carry
 the file, line and column of the offending token.
+
+Only `ablin` and `rings` are imported with this module.  Each loader
+imports the layer that validates its object (`crossed`, `transport` or
+`extensions`) when it runs, so that a CLI verb starts with only the
+layers it calls.
 """
 
 from __future__ import annotations
@@ -13,20 +18,17 @@ import bisect
 import math
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ablin import FinAbGroup
-from .crossed import (
-    Bimodule,
-    ESystem,
-    _bimodule_over_group,
-    _check_group,
-    validate_esystem,
-)
-from .extensions import Extension, validate_extension
 from .rings import FiniteRing, decompose_abelian, ideal_cokernel, validate_ring
-from .transport import Section, validate_section
+
+if TYPE_CHECKING:
+    from .crossed import Bimodule, ESystem
+    from .extensions import Extension
+    from .transport import Section
 
 __all__ = [
     "ParseError",
@@ -159,6 +161,8 @@ def load_ring(path) -> FiniteRing:
 
 
 def load_esystem(path) -> ESystem:
+    from .crossed import validate_esystem
+
     t = _Tokens(path)
     t.keyword("esystem")
     name = t.take("system name")
@@ -181,6 +185,8 @@ def module_from_tables(ring: FiniteRing, add, left, right, name: str = "module")
 
     The group axioms are checked before the decomposition, which needs them
     to terminate."""
+    from .crossed import _bimodule_over_group, _check_group
+
     add = np.asarray(add, dtype=np.int16)
     neg = _check_group(add).neg
     m = add.shape[0]
@@ -210,6 +216,8 @@ def load_module(path, ring: FiniteRing) -> Bimodule:
 
 
 def load_section(path, es: ESystem) -> Section:
+    from .transport import validate_section
+
     t = _Tokens(path)
     t.keyword("section")
     t.take("section name")
@@ -225,6 +233,8 @@ def load_section(path, es: ESystem) -> Section:
 
 
 def load_extension(path) -> Extension:
+    from .extensions import validate_extension
+
     t = _Tokens(path)
     t.keyword("extension")
     name = t.take("extension name")

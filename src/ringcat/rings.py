@@ -411,13 +411,16 @@ def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
     rep = t.add[:, image].min(axis=1)
     reps = np.unique(rep)
     class_of = np.searchsorted(reps, rep)
-    assert reps[0] == 0
+    if reps[0] != 0:
+        raise AssertionError("the zero class is not represented by 0")
     reps = reps.tolist()
     qadd = class_of[t.add[np.ix_(reps, reps)]]
     qmul = class_of[t.mul[np.ix_(reps, reps)]]
     # Well-definedness across every representative choice, not just the least.
-    assert np.array_equal(class_of[t.add], qadd[class_of[:, None], class_of[None, :]])
-    assert np.array_equal(class_of[t.mul], qmul[class_of[:, None], class_of[None, :]])
+    if not np.array_equal(class_of[t.add], qadd[class_of[:, None], class_of[None, :]]):
+        raise AssertionError("quotient addition depends on the representatives")
+    if not np.array_equal(class_of[t.mul], qmul[class_of[:, None], class_of[None, :]]):
+        raise AssertionError("quotient multiplication depends on the representatives")
     unit = int(class_of[t.unit]) if t.unit is not None else find_unit(qadd, qmul)
     q = validate_ring(qadd, qmul, unit, name=name or f"{t.name}_mod_{h.source.name}")
     return IdealQuotient(q, RingHom(t, q, class_of), reps)
@@ -461,7 +464,8 @@ def decompose_abelian(add: np.ndarray, elements=None):
     """
     add = np.asarray(add)
     elems = sorted(int(x) for x in (elements if elements is not None else range(add.shape[0])))
-    assert elems[0] == 0
+    if elems[0] != 0:
+        raise AssertionError("the elements must include 0")
     neg = np.argmax(add == 0, axis=1)
     mult = _multiples(add, len(add) + 1)
 
@@ -486,10 +490,12 @@ def decompose_abelian(add: np.ndarray, elements=None):
         # order drops to e.  The correction is the first match in span's
         # iteration order, which fixes the generators and coordinates.
         corr = next((s for s in span if mult[e, s] == mult[e, best]), None)
-        assert corr is not None, "purity correction must exist"
+        if corr is None:
+            raise AssertionError("purity correction must exist")
         best = int(add[best, neg[corr]])
         # e * best = 0, and no smaller multiple lies even in span.
-        assert mult[e, best] == 0
+        if mult[e, best] != 0:
+            raise AssertionError("the corrected generator must have order e")
         gens_desc.append(best)
         factors_desc.append(e)
         span = {int(add[s, c]) for s in span for c in mult[:e, best].tolist()}
@@ -502,9 +508,11 @@ def decompose_abelian(add: np.ndarray, elements=None):
         x = 0
         for c, g in zip(combo, gens, strict=True):
             x = int(add[x, mult[c, g]])
-        assert x in eset and x not in coords, "decomposition must be a bijection"
+        if x not in eset or x in coords:
+            raise AssertionError("decomposition must be a bijection")
         coords[x] = combo
-    assert len(coords) == len(elems)
+    if len(coords) != len(elems):
+        raise AssertionError("decomposition must reach every element")
     return tuple(factors), gens, coords
 
 

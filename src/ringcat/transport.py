@@ -27,7 +27,7 @@ from .cohomology import (
     pullback_module,
     sub3,
 )
-from .crossed import Bimodule, ESystem, KernelModule, induced_kernel_module
+from .crossed import Bimodule, ESystem, KernelModule, _require_regular, induced_kernel_module
 from .rings import (
     FiniteRing,
     IdealQuotient,
@@ -137,6 +137,9 @@ def reduce_esystem(
     flavor: str = "least",
     km: KernelModule | None = None,
 ) -> ReducedAnnCat:
+    # A non-regular system has no reduction: its kernel is not a bimodule
+    # over the cokernel.  Say so with the typed error before building it.
+    _require_regular(es)
     if km is None:
         km = induced_kernel_module(es)
     quo = km.quotient

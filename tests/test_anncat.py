@@ -372,3 +372,61 @@ def test_zero_mult_8_multiplier_full_report():
         ("tensor-distributive-left", True, None, 134217728),
         ("tensor-distributive-right", True, None, 134217728),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Internal checks of functors and homotopies, each broken on purpose.  On
+# the zero-action system over Z/2 the identity with both constants 1 and
+# the identity with both constants 0 are functors, homotopic through 1.
+
+
+def zero_action_functors():
+    es = zero_action_es()
+    ident = np.arange(2)
+    f = validate_ann_functor(es, es, ident, ident, 1, 1)
+    g = functor_from_morphism(validate_morphism(es, es, ident, ident))
+    return es, f, g
+
+
+def tensor_constant_off_the_negative(m):
+    es = zero_action_es()
+    ident = np.arange(2)
+    # With -1 read as 0, the tensor constant 1 is no longer the negative
+    # of the additive constant 1.
+    m.setattr(es.b, "neg", np.zeros_like(es.b.neg))
+    return functools.partial(validate_ann_functor, es, es, ident, ident, 1, 1), (
+        "constraint constants break their consequences at 0")
+
+
+def component_outside_the_kernel(m):
+    es, f, g = zero_action_functors()
+    m.setattr(es.d, "map", np.ones_like(es.d.map))
+    return functools.partial(homotopy_between, f, g), (
+        "homotopy component leaves the kernel of d")
+
+
+def component_off_the_tensor_constants(m):
+    es, f, g = zero_action_functors()
+    m.setattr(g, "mul_defect", 1)
+    return functools.partial(homotopy_between, f, g), (
+        "homotopy component misses the tensor constants")
+
+
+def component_moved_by_the_actions(m):
+    es, f, g = zero_action_functors()
+    m.setattr(es, "theta_left", np.ones_like(es.theta_left))
+    return functools.partial(homotopy_between, f, g), (
+        "homotopy component is not annihilated by the actions")
+
+
+@pytest.mark.parametrize("check", [
+    tensor_constant_off_the_negative, component_outside_the_kernel,
+    component_off_the_tensor_constants, component_moved_by_the_actions,
+], ids=lambda f: f.__name__)
+def test_broken_checks_raise_without_assert(check, monkeypatch):
+    # Each internal check raises AssertionError itself, so `python -O`
+    # keeps it.
+    call, message = check(monkeypatch)
+    with pytest.raises(AssertionError) as e:
+        call()
+    assert str(e.value) == message

@@ -1,5 +1,6 @@
 """Bimultiplication enumeration, the bimultiplication ring, inner maps."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -286,3 +287,26 @@ def test_klein_bimult_ring_order():
     mb = bimult_ring(zero_mult_klein())
     assert mb.ring.order == 256
     assert bicenter(zero_mult_klein()) == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# The inner map's internal check, broken on purpose: every row pair is
+# looked up as the zero bimultiplication, so the whole of Z/4 would be the
+# kernel although its bicenter is {0}.
+
+
+def inner_map_looked_up_as_zero(m):
+    mb = bimult_ring(zmod(4))
+    m.setattr(bimult, "_row_lookup",
+              lambda left, right: lambda lf, rt: np.zeros(len(lf), dtype=np.int64))
+    return functools.partial(inner_hom, mb), "the kernel of the inner map must be the bicenter"
+
+
+@pytest.mark.parametrize("check", [inner_map_looked_up_as_zero], ids=lambda f: f.__name__)
+def test_broken_checks_raise_without_assert(check, monkeypatch):
+    # The internal check raises AssertionError itself, so `python -O`
+    # keeps it.
+    call, message = check(monkeypatch)
+    with pytest.raises(AssertionError) as e:
+        call()
+    assert str(e.value) == message

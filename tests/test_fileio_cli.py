@@ -421,6 +421,13 @@ def test_cli_anncat_and_reduce(corpus_dir, capsys):
     assert "k xi: 0 0 0 0 0 0 0 0" in out
 
 
+def test_cli_reduce_non_regular_is_invalid(corpus_dir, capsys):
+    assert main(["reduce", str(corpus_dir / "mult_klein0.esys")]) == 1
+    assert capsys.readouterr().out == (
+        "status: invalid\nerror: not-regular fails at ('permutability', (16, 2, 2))\n"
+    )
+
+
 def test_cli_anncat_check_klein_multiplier(corpus_dir, capsys):
     assert main(["anncat", "check", str(corpus_dir / "mult_klein0.esys")]) == 1
     out = capsys.readouterr().out
@@ -439,3 +446,58 @@ def test_cli_corpus_listing(capsys):
     out = capsys.readouterr().out
     assert "mult_klein0: base 4 target 256 regular no" in out
     assert out.count("regular yes") == 13
+
+
+# ---------------------------------------------------------------------------
+# A verb is mostly interpreter start-up, so each one imports only the layers
+# it calls.  Each verb below runs in a fresh interpreter that then prints
+# the ringcat modules it has loaded; a new module-level import fails here.
+
+BASE_LAYERS = {"ablin", "rings", "fileio", "cli"}
+ALL_LAYERS = BASE_LAYERS | {
+    "bimult", "crossed", "anncat", "transport", "cohomology", "extensions", "corpus",
+}
+
+LOADED_LAYERS = """
+import sys
+from ringcat.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("ringcat."))))
+sys.exit(code)
+"""
+
+
+def layers_loaded(code: str, *argv, cwd=None) -> tuple[int, set[str]]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["validate", "ring", "id_z4_B.ring"], BASE_LAYERS),
+    (["bimult", "enumerate", "flat_z2_B.ring"], BASE_LAYERS | {"bimult"}),
+    (["convert", "double_2z8.esys"], BASE_LAYERS | {"bimult", "crossed"}),
+    (["anncat", "check", "flat_z2.esys"], BASE_LAYERS | {"bimult", "crossed", "anncat"}),
+    (["cohom", "h2", "z2.ring", "z2.mod"],
+     BASE_LAYERS | {"bimult", "crossed", "cohomology"}),
+    (["reduce", "flat_z2.esys"], ALL_LAYERS - {"extensions", "corpus"}),
+    (["cohom", "obstruct", "mult_2z8.esys", "--psi", "id"], ALL_LAYERS - {"corpus"}),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_each_verb_loads_only_the_layers_it_calls(corpus_dir, argv, layers):
+    write_ring(zmod(2), corpus_dir / "z2.ring")
+    write_regular_module(zmod(2), corpus_dir / "z2.mod")
+    code, loaded = layers_loaded(LOADED_LAYERS, *argv, cwd=corpus_dir)
+    assert code in (0, 1)
+    assert loaded == layers
+
+
+def test_file_formats_load_the_upper_layers_on_demand():
+    code, loaded = layers_loaded(
+        "import sys, ringcat.fileio\n"
+        "print(' '.join(m.split('.')[1] for m in sys.modules if m.startswith('ringcat.')))")
+    assert code == 0
+    assert loaded == {"ablin", "rings", "fileio"}

@@ -2,8 +2,10 @@
 
 The tests below exercise the validators whose laws live in `bimult`, the
 search guards, the typed errors of `ablin`, `rings`, `crossed`, `corpus`,
-`transport`, `cohomology` and `extensions`, and the CLI's exit code for
-internal errors.  Here they run again in a `python -O` subprocess.
+`transport`, `cohomology` and `extensions`, the internal checks of
+`ablin`, `rings`, `bimult`, `anncat`, `transport`, `cohomology` and
+`extensions`, and the CLI's exit code for internal errors.  Here they run
+again in a `python -O` subprocess.
 """
 
 import os
@@ -18,6 +20,8 @@ VALIDATION_TESTS = [
     # Listed again by name, though the file above holds it (pytest runs it once).
     "tests/test_crossed.py::test_ideal_esystem_not_an_ideal_witness",
     "tests/test_bimult.py",
+    "tests/test_bimult.py::test_broken_checks_raise_without_assert",
+    "tests/test_anncat.py::test_broken_checks_raise_without_assert",
     "tests/test_ablin.py::test_linear_map_rejects_ill_defined",
     "tests/test_ablin.py::test_snf_raises_instead_of_wrapping_past_int64",
     "tests/test_ablin.py::test_broken_postconditions_raise_without_assert",
@@ -30,11 +34,13 @@ VALIDATION_TESTS = [
     "tests/test_rings.py::test_subring_two_z4",
     "tests/test_rings.py::test_compose_rejects_mismatched_rings",
     "tests/test_rings.py::test_ideal_cokernel_witness_names_the_side",
+    "tests/test_rings.py::test_broken_checks_raise_without_assert",
     "tests/test_corpus.py::test_unital_homs_rejects_a_non_unital_ring",
     "tests/test_transport.py::test_validate_section_rejects_a_non_unital_quotient",
     "tests/test_transport.py::test_choose_section_rejects_an_unknown_flavor",
     "tests/test_transport.py::test_reduce_rejects_a_section_over_another_quotient",
     "tests/test_transport.py::test_broken_checks_raise_without_assert",
+    "tests/test_transport.py::test_reduce_requires_regular_base",
     "tests/test_cohomology.py::test_pullback_module_along_unit_embedding",
     "tests/test_cohomology.py::test_pullback_module_rejects_a_foreign_module",
     "tests/test_cohomology.py::test_pullback2_rejects_a_foreign_pulled_module",
@@ -60,6 +66,7 @@ VALIDATION_TESTS = [
     "tests/test_fileio_cli.py::test_cli_cohom_h2_overflow_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_bimult_pair_scan_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_internal_error_exits_3",
+    "tests/test_fileio_cli.py::test_cli_reduce_non_regular_is_invalid",
     "tests/test_guards.py",
     "tests/test_acceptance.py::test_criterion_07_section_independence",
 ]

@@ -692,3 +692,90 @@ def test_witness_errors_share_one_message(cls, witness, detail, message):
         assert type(e) is cls and isinstance(e, WitnessError)
         assert str(e) == message
         assert (e.condition, e.witness, e.detail) == ("law", witness, detail)
+
+
+# ---------------------------------------------------------------------------
+# Internal checks of the cokernel and of the decomposition, each broken on
+# purpose.  The cokernel cases start from the ideal {0, 2} of Z/4 and
+# change a table of Z/4 behind the validation.  The decomposition assumes
+# an abelian group (or a subgroup); each table or subset below breaks that
+# in a way one of its checks catches.
+
+
+def two_z4_inclusion():
+    z4 = zmod(4)
+    b, emb = subring(z4, [0, 2])
+    return RingHom(b, z4, emb)
+
+
+def zero_class_off_zero(m):
+    h = two_z4_inclusion()
+    # No sum is 0, so the least member of no coset is 0.
+    m.setattr(h.target, "add", np.ones_like(h.target.add))
+    return functools.partial(ideal_cokernel, h), "the zero class is not represented by 0"
+
+
+def addition_off_the_cosets(m):
+    h = two_z4_inclusion()
+    add = h.target.add.copy()
+    add[3, 1] = 1  # 3 + 1 lands in the class of 1, but 1 + 1 in the class of 0
+    m.setattr(h.target, "add", add)
+    return functools.partial(ideal_cokernel, h), (
+        "quotient addition depends on the representatives")
+
+
+def multiplication_off_the_cosets(m):
+    h = two_z4_inclusion()
+    mul = h.target.mul.copy()
+    mul[3, 1] = 0  # 3 * 1 lands in the class of 0, but 1 * 1 in the class of 1
+    m.setattr(h.target, "mul", mul)
+    return functools.partial(ideal_cokernel, h), (
+        "quotient multiplication depends on the representatives")
+
+
+def elements_without_zero(m):
+    return functools.partial(decompose_abelian, zmod(4).add, [1, 2, 3]), (
+        "the elements must include 0")
+
+
+def impure_span(m):
+    # 1 + 1 = 0 and 2 + 2 = 1: 2 has quotient order 2, but no element of
+    # the span {0, 1} doubles to 2 + 2.
+    add = [[0, 1, 2], [1, 0, 2], [2, 2, 1]]
+    return functools.partial(decompose_abelian, np.array(add)), "purity correction must exist"
+
+
+def corrected_generator_of_wrong_order(m):
+    # 3 has order 3 over the span {0, 1}, and 3 * 3 = 1 is corrected by 1,
+    # but 3 - 1 = 3 + 1 = 3, so the corrected generator still triples to 1.
+    add = [[0, 1, 2, 3], [1, 0, 0, 3], [2, 0, 0, 1], [3, 3, 1, 2]]
+    return functools.partial(decompose_abelian, np.array(add)), (
+        "the corrected generator must have order e")
+
+
+def subset_not_closed(m):
+    # {0, 2} of Z/8 is no subgroup: 2 generates 4 and 6 as well.
+    return functools.partial(decompose_abelian, zmod(8).add, [0, 2]), (
+        "decomposition must be a bijection")
+
+
+def generators_miss_an_element(m):
+    # 1 + 1 = 1 + 2 = 2 + 2 = 0: 1 has order 2 and the quotient by {0, 1}
+    # is trivial, so the one generator never reaches 2.
+    add = [[0, 1, 2], [1, 0, 0], [2, 0, 0]]
+    return functools.partial(decompose_abelian, np.array(add)), (
+        "decomposition must reach every element")
+
+
+@pytest.mark.parametrize("check", [
+    zero_class_off_zero, addition_off_the_cosets, multiplication_off_the_cosets,
+    elements_without_zero, impure_span, corrected_generator_of_wrong_order,
+    subset_not_closed, generators_miss_an_element,
+], ids=lambda f: f.__name__)
+def test_broken_checks_raise_without_assert(check, monkeypatch):
+    # Each internal check raises AssertionError itself, so `python -O`
+    # keeps it.
+    call, message = check(monkeypatch)
+    with pytest.raises(AssertionError) as e:
+        call()
+    assert str(e.value) == message

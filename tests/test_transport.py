@@ -11,6 +11,7 @@ from ringcat.anncat import functor_from_morphism
 from ringcat.cohomology import Cochain2, Cochain3, d2, is_coboundary3, sub3
 from ringcat.corpus import corpus
 from ringcat.crossed import (
+    ESystemError,
     identity_esystem,
     identity_morphism,
     induced_kernel_module,
@@ -25,6 +26,7 @@ from ringcat.rings import (
     ideal_cokernel,
     validate_ring,
     zero_mult,
+    zero_mult_klein,
     zmod,
 )
 from ringcat.transport import (
@@ -143,6 +145,17 @@ def test_reduce_rejects_a_section_over_another_quotient():
     section = choose_section(identity_action_z2())
     with pytest.raises(ValueError, match="different quotient"):
         reduce_esystem(doubled_into_z4(), section=section)
+
+
+def test_reduce_requires_regular_base():
+    # The Klein zero ring's multiplier system is not permutable, so its
+    # kernel is no bimodule over the cokernel.  The typed regularity error
+    # names that before the kernel module is built.
+    es = multiplier_esystem(zero_mult_klein(), name="mult_klein0")
+    with pytest.raises(ESystemError) as e:
+        reduce_esystem(es)
+    assert e.value.condition == "not-regular"
+    assert str(e.value) == "not-regular fails at ('permutability', (16, 2, 2))"
 
 
 def test_reduce_flat_system_is_trivial():
