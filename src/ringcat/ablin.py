@@ -441,7 +441,7 @@ class UnsolvableWitness:
 
 def _factor(lm: LinearMap) -> SNFResult:
     """The Smith normal form of lm's augmented block.  Callers that need it
-    twice compute it once and hand it to `_solve` and `_kernel`; no
+    twice compute it once and hand it to `_solve` and `kernel`; no
     factorisation is kept beyond the call that made it.  Guarded before
     the block is built."""
     _guard_snf(lm.target.rank, lm.source.rank + lm.target.rank)
@@ -589,14 +589,9 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
     return sub
 
 
-def kernel(lm: LinearMap) -> Subgroup:
-    """Kernel of lm as a presented subgroup of the source."""
-    return _kernel(lm)
-
-
-def _kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
-    """`kernel` from a factorisation `res` of lm's augmented block, made
-    here when not given."""
+def kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
+    """Kernel of lm as a presented subgroup of the source, from a
+    factorisation `res` of lm's augmented block, made here when not given."""
     g = lm.source.rank
     if g == 0:
         return Subgroup(lm.source, FinAbGroup(()), [])

@@ -29,6 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ablin import CELL_LIMIT, _guard
+from .bimult import (
+    _additive,
+    _additive_in_source,
+    _left_multiplicative,
+    _left_product,
+    _mixed_product,
+    _permutable,
+    _right_multiplicative,
+    _right_product,
+    _through,
+)
 from .crossed import ESystem, ESystemMorphism, validate_esystem, validate_morphism
 from .rings import _assoc_failure, _first_bad, _sum_generators, validate_ring
 
@@ -206,27 +217,28 @@ def _proved_chunks(es: ESystem) -> dict[str, np.ndarray]:
     """
     tl, tr, dm = es.theta_left, es.theta_right, es.d.map
     ba, bm, da, dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
-    ab, ad = np.arange(es.b.order), np.arange(es.d_ring.order)
+    ad = np.arange(es.d_ring.order)
 
     def per_x(ok):
         # axis 0 is x
         return ok.reshape(len(ok), -1).all(axis=1)
 
-    b_left = (bm[:, ba] == ba[bm[:, :, None], bm[:, None, :]]).all()
-    b_right = (bm[ba, :] == ba[bm[:, None, :], bm[None, :, :]]).all()
-    b_assoc = (bm[:, bm] == bm[bm, :]).all()
-    lam_add_x = (tl[da] == ba[tl[:, None, :], tl[None, :, :]]).all()
-    rho_add_x = (tr[da] == ba[tr[:, None, :], tr[None, :, :]]).all()
-    peiffer = (tl[dm] == bm).all() and (tr[dm] == bm.T).all()
-    rho_mul = (tr[dmul] == tr[ad[None, :, None], tr[:, None, :]]).all()
-    rho_inner = (tr[:, bm] == bm[ab[None, :, None], tr[:, None, :]]).all()
-    mixed = (bm[tr[:, :, None], ab] == bm[ab[:, None], tl[:, None, :]]).all()
+    # Each grid is a law of `bimult`; for B's own laws, B acts on itself by mul.
+    b_left = _additive(ba, bm).all()
+    b_right = _additive_in_source(ba, ba, bm).all()
+    b_assoc = _left_multiplicative(bm, bm).all()
+    lam_add_x = _additive_in_source(ba, da, tl).all()
+    rho_add_x = _additive_in_source(ba, da, tr).all()
+    peiffer = _through(tl, dm, bm).all() and _through(tr, dm, bm.T).all()
+    rho_mul = _right_multiplicative(dmul, tr).all()
+    rho_inner = _right_product(bm, tr).all()
+    mixed = _mixed_product(bm, tl, tr).all()
     # per x, axes (x, ...)
-    lam_add_b = per_x(tl[:, ba] == ba[tl[:, :, None], tl[:, None, :]])
-    rho_add_b = per_x(tr[:, ba] == ba[tr[:, :, None], tr[:, None, :]])
-    lam_mul = per_x(tl[dmul] == tl[ad[:, None, None], tl[None, :, :]])
-    lam_inner = per_x(bm[tl[:, :, None], ab] == tl[:, bm])
-    permutable = per_x(tr[ad[None, :, None], tl[:, None, :]] == tl[ad[:, None, None], tr[None, :, :]])
+    lam_add_b = per_x(_additive(ba, tl))
+    rho_add_b = per_x(_additive(ba, tr))
+    lam_mul = per_x(_left_multiplicative(dmul, tl))
+    lam_inner = per_x(_left_product(bm, tl))
+    permutable = per_x(_permutable(tl, tr))
     # axes (x, b, c): lam_d(b)+x(c) = lam_d(b)(c) + lam_x(c)
     lam_add_dx = per_x(tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]])
     # D's identities, on generators of D's addition in the second place

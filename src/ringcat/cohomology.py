@@ -37,7 +37,6 @@ from .ablin import (
     UnsolvableWitness,
     _factor,
     _homology,
-    _kernel,
     _guard,
     _solve,
     homology,
@@ -646,7 +645,7 @@ def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     if not verdict.is_coboundary:
         return FunctorClassification(pulled, kq, False, verdict.certificate, [], ())
     g0 = verdict.witness
-    cycles = _kernel(cx.d2_map, res)
+    cycles = kernel(cx.d2_map, res)
     del res  # free the transforms before homology factors anything else
     hd = H2Data(cx, _homology(cx.d1_map, cycles))
     classes = [add2(g0, rep) for rep in hd.representatives()]

@@ -25,7 +25,6 @@ from .rings import (
     HomError,
     RingHom,
     _additive_maps,
-    ideal_cokernel,
     product_ring,
     validate_ring,
     zero_mult,
@@ -141,10 +140,9 @@ def corpus_triples(limit: int = 8):
     for es in corpus():
         if not is_regular(es):
             continue
-        coker = ideal_cokernel(es.d).ring
         for q in quotients:
             if es.b.order * q.order > limit:
                 continue
-            for psi in unital_homs(q, coker):
+            for psi in unital_homs(q, es.cokernel.ring):
                 triples.append((es, q, psi))
     return triples

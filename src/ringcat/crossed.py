@@ -16,6 +16,7 @@ the action-table laws in `bimult`, each under its own condition names.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,12 +64,24 @@ class ESystemError(WitnessError):
 
 @dataclass(eq=False)
 class ESystem:
+    """An action system.  Its tables are not changed after validation, so
+    the cokernel of d and the kernel module are built on first read and
+    kept."""
+
     name: str
     b: FiniteRing
     d_ring: FiniteRing
     d: RingHom
     theta_left: np.ndarray
     theta_right: np.ndarray
+
+    @functools.cached_property
+    def cokernel(self) -> IdealQuotient:
+        return ideal_cokernel(self.d, name=f"coker_{self.name}")
+
+    @functools.cached_property
+    def kernel_module(self) -> KernelModule:
+        return induced_kernel_module(self)
 
     def describe(self) -> str:
         return (
@@ -366,7 +379,7 @@ def coker_action_well_defined(es: ESystem) -> bool:
     construction alone; the full bimodule axioms may still fail when the
     system is not regular."""
     kernel = np.nonzero(es.d.map == 0)[0]
-    return _class_actions(es, ideal_cokernel(es.d), kernel)[2] is None
+    return _class_actions(es, es.cokernel, kernel)[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +477,8 @@ class KernelModule:
     b_to_m: np.ndarray
 
 
-def induced_kernel_module(es: ESystem, name: str | None = None) -> KernelModule:
-    quo = ideal_cokernel(es.d, name=name or f"coker_{es.name}")
+def induced_kernel_module(es: ESystem) -> KernelModule:
+    quo = es.cokernel
     r = quo.ring
     carrier = sorted(int(x) for x in np.nonzero(es.d.map == 0)[0])
     factors, _, coords_b = decompose_abelian(es.b.add, carrier)

@@ -30,7 +30,6 @@ from .rings import (
     BLOCK_CELLS,
     FiniteRing,
     HomError,
-    IdealQuotient,
     RingHom,
     SearchGuardError,
     WitnessError,
@@ -42,7 +41,6 @@ from .rings import (
     _sum,
     _sum_generators,
     _units,
-    ideal_cokernel,
     validate_ring,
 )
 from .transport import ReducedAnnCat, Section, choose_section, reduce_esystem
@@ -121,14 +119,13 @@ def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps
     return Extension(name, base, ring, jh, ph, eh)
 
 
-def induced_psi(ext: Extension, quo: IdealQuotient | None = None) -> RingHom:
+def induced_psi(ext: Extension) -> RingHom:
     """The quotient-level map carried by eps, checked over every preimage.
 
     Well-definedness is automatic (eps sends the ideal into the image of
     the structure map), but the check is kept as part of the contract.
     """
-    if quo is None:
-        quo = ideal_cokernel(ext.base.d)
+    quo = ext.base.cokernel
     vals = quo.projection.map[ext.eps.map]
     q, pm = ext.quotient, ext.p.map
     # psi(u) is read off the least preimage of u; every other preimage must agree.
@@ -608,7 +605,7 @@ def exhaustive_extension_search(
     nb, nq = b.order, q.order
     if q.unit is None:
         raise ExtensionError("quotient-unital", (q.name,))
-    quo = ideal_cokernel(base.d)
+    quo = base.cokernel
     psi = _align_psi(psi, q, quo.ring)
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))

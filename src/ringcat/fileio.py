@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .ablin import FinAbGroup
-from .rings import FiniteRing, decompose_abelian, ideal_cokernel, validate_ring
+from .rings import FiniteRing, decompose_abelian, validate_ring
 
 if TYPE_CHECKING:
     from .crossed import Bimodule, ESystem
@@ -222,7 +222,7 @@ def load_section(path, es: ESystem) -> Section:
     t.keyword("section")
     t.take("section name")
     t.keyword("sigma")
-    n = ideal_cokernel(es.d).ring.order
+    n = es.cokernel.ring.order
     sigma = t.table("sigma", (n,), es.d_ring.order)
     t.keyword("fplus")
     fplus = t.table("fplus", (n, n), es.b.order)

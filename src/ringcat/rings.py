@@ -485,6 +485,9 @@ def decompose_abelian(add: np.ndarray, elements=None):
         in_span[list(span)] = True
         qorders = in_span[mult[1:, reps]].argmax(axis=0) + 1
         best, e = int(reps[qorders.argmax()]), int(qorders.max())
+        # In a group some class outside span has order above 1.
+        if e == 1:
+            raise ValueError("the addition table is not an abelian group")
         # e * best lies in span; divide it by e there (span is pure, being a
         # sum of earlier maximal-order summands) and correct the lift so its
         # order drops to e.  The correction is the first match in span's

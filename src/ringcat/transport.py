@@ -27,17 +27,8 @@ from .cohomology import (
     pullback_module,
     sub3,
 )
-from .crossed import Bimodule, ESystem, KernelModule, _require_regular, induced_kernel_module
-from .rings import (
-    FiniteRing,
-    IdealQuotient,
-    RingHom,
-    _first_bad,
-    _lift_defects,
-    _preimages,
-    _sum,
-    ideal_cokernel,
-)
+from .crossed import Bimodule, ESystem, KernelModule, _require_regular
+from .rings import FiniteRing, IdealQuotient, RingHom, _first_bad, _lift_defects, _preimages, _sum
 
 
 @dataclass(eq=False)
@@ -56,9 +47,8 @@ class Section:
     ftimes: np.ndarray
 
 
-def validate_section(es: ESystem, sigma, fplus, ftimes, quo: IdealQuotient | None = None) -> Section:
-    if quo is None:
-        quo = ideal_cokernel(es.d)
+def validate_section(es: ESystem, sigma, fplus, ftimes) -> Section:
+    quo = es.cokernel
     rq, dd, bb = quo.ring, es.d_ring, es.b
     n = rq.order
     sigma = np.asarray(sigma, dtype=np.int64)
@@ -96,16 +86,14 @@ def validate_section(es: ESystem, sigma, fplus, ftimes, quo: IdealQuotient | Non
     return Section(es, quo, sigma, fplus, ftimes)
 
 
-def choose_section(es: ESystem, flavor: str = "least", quo: IdealQuotient | None = None) -> Section:
+def choose_section(es: ESystem, flavor: str = "least") -> Section:
     """Deterministic section: least (or greatest) class representatives and
     defect preimages, except where normalisation forces the value."""
     if flavor not in ("least", "greatest"):
         raise ValueError(f"section flavor must be least or greatest, got {flavor!r}")
     last = flavor == "greatest"
-    if quo is None:
-        quo = ideal_cokernel(es.d)
-    rq, dd = quo.ring, es.d_ring
-    sigma = _preimages(quo.projection.map, rq.order, last)
+    rq, dd = es.cokernel.ring, es.d_ring
+    sigma = _preimages(es.cokernel.projection.map, rq.order, last)
     sigma[rq.unit] = dd.unit
     sigma[0] = 0
 
@@ -115,7 +103,7 @@ def choose_section(es: ESystem, flavor: str = "least", quo: IdealQuotient | None
     for tbl, edges in ((fplus, [0]), (ftimes, [0, rq.unit])):
         tbl[edges, :] = 0
         tbl[:, edges] = 0
-    return validate_section(es, sigma, fplus, ftimes, quo=quo)
+    return validate_section(es, sigma, fplus, ftimes)
 
 
 @dataclass(eq=False)
@@ -131,23 +119,16 @@ class ReducedAnnCat:
     kernel_module: KernelModule
 
 
-def reduce_esystem(
-    es: ESystem,
-    section: Section | None = None,
-    flavor: str = "least",
-    km: KernelModule | None = None,
-) -> ReducedAnnCat:
+def reduce_esystem(es: ESystem, section: Section | None = None) -> ReducedAnnCat:
     # A non-regular system has no reduction: its kernel is not a bimodule
     # over the cokernel.  Say so with the typed error before building it.
     _require_regular(es)
-    if km is None:
-        km = induced_kernel_module(es)
-    quo = km.quotient
+    km = es.kernel_module
     if section is None:
-        section = choose_section(es, flavor, quo=quo)
-    elif not np.array_equal(section.quotient.projection.map, quo.projection.map):
+        section = choose_section(es)
+    elif not np.array_equal(section.quotient.projection.map, es.cokernel.projection.map):
         raise ValueError("section lives over a different quotient presentation")
-    rq = quo.ring
+    rq = es.cokernel.ring
     bb = es.b
     sig = section.sigma
     defects = _defect3(

@@ -16,7 +16,6 @@ from ringcat.ablin import (
     HomologyData,
     Subgroup,
     _augmented,
-    _kernel,
     _solve,
     as_int_matrix,
     cokernel,
@@ -441,7 +440,7 @@ def span_order(m):
 def kernel_gens(m):
     # The kernel of the zero map read against the identity.
     lm = LinearMap(Z4, Z4, [[1]])
-    return partial(_kernel, lm, smith_normal_form([[0, 4]])), "kernel generator sanity"
+    return partial(kernel, lm, smith_normal_form([[0, 4]])), "kernel generator sanity"
 
 
 def section(m):

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ringcat import ablin, extensions
+from ringcat import ablin, crossed, extensions
 from ringcat.ablin import CANDIDATE_LIMIT, _guard
 from ringcat.bimult import (
     Bimult,
@@ -21,7 +21,13 @@ from ringcat.bimult import (
 )
 from ringcat.cohomology import classify_functors, complex_for
 from ringcat.corpus import corpus
-from ringcat.crossed import ESystemError, ideal_esystem, multiplier_esystem, validate_esystem
+from ringcat.crossed import (
+    ESystemError,
+    coker_action_well_defined,
+    ideal_esystem,
+    multiplier_esystem,
+    validate_esystem,
+)
 from ringcat.extensions import (
     ExtensionError,
     FactorSystem,
@@ -42,6 +48,7 @@ from ringcat.extensions import (
     validate_extension,
     validate_factor_system,
 )
+from ringcat.fileio import load_section, write_section
 from ringcat.rings import (
     BLOCK_CELLS,
     RingAxiomError,
@@ -111,7 +118,7 @@ def test_validate_extension_examples():
     assert induced_psi(ed).map.tolist() == [0, 1]
 
 
-def test_induced_psi_names_the_first_disagreeing_preimage():
+def test_induced_psi_names_the_first_disagreeing_preimage(monkeypatch):
     # Read through the quotient of Z/4 by zero, eps(b, u) = d(b) + l(u)
     # splits each class: the first is the class of 0, at the first b with
     # d(b) != 0.
@@ -122,9 +129,30 @@ def test_induced_psi_names_the_first_disagreeing_preimage():
     assert ext.p.map.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     assert ext.eps.map.tolist() == [0, 2, 0, 2, 1, 3, 1, 3]
     exact = ideal_cokernel(RingHom(zmod(1), es.d_ring, [0]))
+    monkeypatch.setitem(vars(es), "cokernel", exact)
     with pytest.raises(ExtensionError) as e:
-        induced_psi(ext, exact)
+        induced_psi(ext)
     assert (e.value.condition, e.value.witness) == ("induced-map", (0, 1))
+
+
+def test_every_layer_reads_the_cokernel_the_system_keeps(monkeypatch, tmp_path):
+    # Reduction, obstruction, enumeration, the brute-force search,
+    # induced_psi, a loaded section and the well-definedness check of one
+    # system together build its cokernel once.
+    calls = []
+    build = crossed.ideal_cokernel
+    monkeypatch.setattr(crossed, "ideal_cokernel", lambda *a, **k: calls.append(a) or build(*a, **k))
+    es = doubled_into_z4()
+    rc = reduce_esystem(es)
+    q = rc.ring
+    psi = RingHom(q, q, np.arange(q.order))
+    exts = enumerate_extensions(es, q, psi)
+    assert len(exts) == extension_obstruction(es, q, psi).count == 2
+    assert len(exhaustive_extension_search(es, q, psi)) == 1
+    assert induced_psi(exts[0]).target is q
+    assert load_section(write_section(rc.section, tmp_path / "s.sect"), es).quotient is es.cokernel
+    assert coker_action_well_defined(es)
+    assert len(calls) == 1 and q.name == "coker_d2b"
 
 
 def test_validate_extension_rejects():

@@ -34,6 +34,7 @@ VALIDATION_TESTS = [
     "tests/test_rings.py::test_subring_two_z4",
     "tests/test_rings.py::test_compose_rejects_mismatched_rings",
     "tests/test_rings.py::test_ideal_cokernel_witness_names_the_side",
+    "tests/test_rings.py::test_decompose_abelian_rejects_a_table_that_is_no_group",
     "tests/test_rings.py::test_broken_checks_raise_without_assert",
     "tests/test_corpus.py::test_unital_homs_rejects_a_non_unital_ring",
     "tests/test_transport.py::test_validate_section_rejects_a_non_unital_quotient",

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -317,6 +318,22 @@ def test_decompose_abelian_tables():
     factors, gens, coords = decompose_abelian(zmod(4).add, [0, 2])
     assert factors == (2,)
     assert set(coords) == {0, 2}
+
+
+def test_decompose_abelian_rejects_a_table_that_is_no_group():
+    # 1 + 2 = 1, so this is no group: each round would add a factor 1
+    # without growing the span.  The alarm turns a loop into a failure.
+    def hang(*_):
+        raise TimeoutError("decompose_abelian did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ValueError, match="not an abelian group"):
+            decompose_abelian([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_iso_search_distinguishes_order_four_rings():

@@ -14,7 +14,6 @@ from ringcat.crossed import (
     ESystemError,
     identity_esystem,
     identity_morphism,
-    induced_kernel_module,
     multiplier_esystem,
     validate_esystem,
     validate_morphism,
@@ -114,25 +113,27 @@ def test_validate_section_rejects_broken_tables():
     bad = sec.fplus.copy()
     bad[1, 1] = 0
     with pytest.raises(ValueError, match="misses its class"):
-        validate_section(es, sec.sigma, bad, sec.ftimes, quo=sec.quotient)
+        validate_section(es, sec.sigma, bad, sec.ftimes)
     bad = sec.fplus.copy()
     bad[0, 1] = 2
     with pytest.raises(ValueError, match="vanish"):
-        validate_section(es, sec.sigma, bad, sec.ftimes, quo=sec.quotient)
+        validate_section(es, sec.sigma, bad, sec.ftimes)
     sigma = sec.sigma.copy()
     sigma[1] = 3
     with pytest.raises(ValueError, match="unit"):
-        validate_section(es, sigma, sec.fplus, sec.ftimes, quo=sec.quotient)
+        validate_section(es, sigma, sec.fplus, sec.ftimes)
 
 
-def test_validate_section_rejects_a_non_unital_quotient():
+def test_validate_section_rejects_a_non_unital_quotient(monkeypatch):
     es = doubled_into_z4()
     sec = choose_section(es, "least")
+    # The system keeps its cokernel; give it a copy without a unit.
     quo = copy.copy(sec.quotient)
     quo.ring = copy.copy(quo.ring)
     quo.ring.unit = None
+    monkeypatch.setitem(vars(es), "cokernel", quo)
     with pytest.raises(ValueError, match="unital"):
-        validate_section(es, sec.sigma, sec.fplus, sec.ftimes, quo=quo)
+        validate_section(es, sec.sigma, sec.fplus, sec.ftimes)
 
 
 def test_choose_section_rejects_an_unknown_flavor():
@@ -158,10 +159,22 @@ def test_reduce_requires_regular_base():
     assert str(e.value) == "not-regular fails at ('permutability', (16, 2, 2))"
 
 
+def test_a_system_keeps_one_cokernel_and_one_kernel_module():
+    # Sections and reductions of one system share its quotient and kernel
+    # module, so sub3 accepts the cochains of two sections.
+    es = multiplier_esystem(two_z8())
+    rc_l = reduce_esystem(es, section=choose_section(es, "least"))
+    rc_g = reduce_esystem(es, section=choose_section(es, "greatest"))
+    assert es.cokernel is choose_section(es).quotient is reduce_esystem(es).kernel_module.quotient
+    assert reduce_esystem(es).kernel_module is es.kernel_module
+    assert rc_l.kernel_module is rc_g.kernel_module is es.kernel_module
+    assert sub3(rc_l.k, rc_g.k).module is es.kernel_module.module
+
+
 def test_reduce_flat_system_is_trivial():
     es = identity_action_z2()
     for flavor in ("least", "greatest"):
-        rc = reduce_esystem(es, flavor=flavor)
+        rc = reduce_esystem(es, section=choose_section(es, flavor))
         assert rc.ring.order == 2
         assert rc.module.order == 2
         assert rc.k.is_zero()
@@ -176,9 +189,8 @@ def test_reduce_trivial_kernel():
 
 def test_reduce_d2b_both_flavours_vanish():
     es = doubled_into_z4()
-    km = induced_kernel_module(es)
     for flavor in ("least", "greatest"):
-        rc = reduce_esystem(es, flavor=flavor, km=km)
+        rc = reduce_esystem(es, section=choose_section(es, flavor))
         assert rc.ring.order == 2 and rc.module.order == 2
         assert rc.k.is_zero()
 
@@ -245,12 +257,12 @@ def slow_obstruction(es, sec, km):
 
 def test_reduce_multiplier_system_frozen_and_dual_route():
     es = multiplier_esystem(two_z8())
-    km = induced_kernel_module(es)
+    km = es.kernel_module
     assert km.quotient.ring.order == 4
     assert find_ring_isomorphism(km.quotient.ring, dual_numbers(2)) is not None
     assert km.module.order == 2
 
-    rc = reduce_esystem(es, flavor="least", km=km)
+    rc = reduce_esystem(es)
     # Only the right-distributor table survives: the class of a one-sided
     # multiplier acts by zero from the left but not from the right.
     assert not rc.k.is_zero()
@@ -261,7 +273,7 @@ def test_reduce_multiplier_system_frozen_and_dual_route():
     assert rc.k.rho_r[2, 2, 1] == 1
 
     for flavor in ("least", "greatest"):
-        rcf = reduce_esystem(es, flavor=flavor, km=km)
+        rcf = reduce_esystem(es, section=choose_section(es, flavor))
         slow = slow_obstruction(es, rcf.section, km)
         for got, want in zip([t for t, _ in rcf.k.tables()], slow, strict=True):
             assert np.array_equal(got, want)
@@ -270,9 +282,8 @@ def test_reduce_multiplier_system_frozen_and_dual_route():
 def test_section_difference_is_a_coboundary():
     systems = [identity_action_z2(), doubled_into_z4(), multiplier_esystem(two_z8())]
     for es in systems:
-        km = induced_kernel_module(es)
-        rc_l = reduce_esystem(es, flavor="least", km=km)
-        rc_g = reduce_esystem(es, flavor="greatest", km=km)
+        rc_l = reduce_esystem(es)
+        rc_g = reduce_esystem(es, section=choose_section(es, "greatest"))
         verdict = is_coboundary3(sub3(rc_l.k, rc_g.k))
         assert verdict.is_coboundary
 
@@ -303,9 +314,8 @@ def test_reduced_checker_flags_tampering():
 
 def test_reduce_functor_between_two_sections_of_one_system():
     es = doubled_into_z4()
-    km = induced_kernel_module(es)
-    rc_l = reduce_esystem(es, flavor="least", km=km)
-    rc_g = reduce_esystem(es, flavor="greatest", km=km)
+    rc_l = reduce_esystem(es)
+    rc_g = reduce_esystem(es, section=choose_section(es, "greatest"))
     fun = functor_from_morphism(identity_morphism(es))
 
     same = reduce_functor(fun, rc_l, rc_l)
@@ -315,7 +325,7 @@ def test_reduce_functor_between_two_sections_of_one_system():
 
     across = reduce_functor(fun, rc_l, rc_g)
     # fplus entries 1 versus 3 differ by the kernel element 2.
-    assert across.g.f[1, 1] == km.b_to_m[2]
+    assert across.g.f[1, 1] == es.kernel_module.b_to_m[2]
 
 
 def test_reduce_functor_across_systems():
@@ -330,7 +340,7 @@ def test_reduce_functor_across_systems():
     assert rf.q.tolist() == [0, 0]
     assert rf.g.is_zero()
 
-    rc_tgt_g = reduce_esystem(tgt, flavor="greatest")
+    rc_tgt_g = reduce_esystem(tgt, section=choose_section(tgt, "greatest"))
     rf2 = reduce_functor(fun, rc_src, rc_tgt_g)
     assert rf2.g.f[1, 1] == 1
 
@@ -372,7 +382,7 @@ def identity_functor_data():
     along both sections, before any check is broken."""
     es = doubled_into_z4()
     fun = functor_from_morphism(identity_morphism(es))
-    return fun, reduce_esystem(es), reduce_esystem(es, flavor="greatest")
+    return fun, reduce_esystem(es), reduce_esystem(es, section=choose_section(es, "greatest"))
 
 
 def foreign_reduced_data(m):
@@ -384,8 +394,12 @@ def foreign_reduced_data(m):
 
 def split_class_map(m):
     fun, rc, rc_g = identity_functor_data()
-    proj = rc.kernel_module.quotient.projection
-    m.setattr(proj, "map", np.zeros_like(proj.map))
+    # rc and rc_g share the system's kernel module: break a copy in rc alone.
+    km = copy.copy(rc.kernel_module)
+    km.quotient = copy.copy(km.quotient)
+    km.quotient.projection = copy.copy(km.quotient.projection)
+    km.quotient.projection.map = np.zeros_like(km.quotient.projection.map)
+    m.setattr(rc, "kernel_module", km)
     return functools.partial(reduce_functor, fun, rc, rc_g), "class map splits on class 0"
 
 
