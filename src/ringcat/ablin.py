@@ -441,9 +441,9 @@ class UnsolvableWitness:
 
 def _factor(lm: LinearMap) -> SNFResult:
     """The Smith normal form of lm's augmented block.  Callers that need it
-    twice compute it once and hand it to `_solve` and `kernel`; no
-    factorisation is kept beyond the call that made it.  Guarded before
-    the block is built."""
+    twice compute it once and hand it to `_solve` and `kernel`.  Only a
+    `Subgroup` keeps one, of its embedding; no other factorisation
+    outlives the call that made it.  Guarded before the block is built."""
     _guard_snf(lm.target.rank, lm.source.rank + lm.target.rank)
     return smith_normal_form(_augmented(lm))
 
@@ -688,10 +688,12 @@ def homology(incoming: LinearMap, outgoing: LinearMap) -> HomologyData:
 
 def _homology(incoming: LinearMap, cycles: Subgroup) -> HomologyData:
     """`homology` from the cycles, the kernel of the outgoing map.  Every
-    boundary column is solved against one factorisation of the cycles'
-    embedding."""
+    boundary column is solved against the cycles' kept factorisation of
+    their embedding, which `class_of` reads again.  With no coordinate or
+    no boundary there is nothing to solve, and nothing is factored."""
     tgt = np.asarray(incoming.target.factors, dtype=np.int64)[:, None]
-    mat, j, _ = _solve(cycles._embed, incoming.matrix % tgt)
+    res = cycles._snf if tgt.size and incoming.source.rank else None
+    mat, j, _ = _solve(cycles._embed, incoming.matrix % tgt, res)
     if mat is None:
         raise ValueError(f"boundary {j} is not a cycle: the maps do not compose to zero")
     quot = cokernel(LinearMap(incoming.source, cycles.group, mat))

@@ -81,7 +81,26 @@ class ESystem:
 
     @functools.cached_property
     def kernel_module(self) -> KernelModule:
-        return induced_kernel_module(self)
+        """Ker d as a bimodule over the cokernel: each class acts as any
+        of its representatives does."""
+        r = self.cokernel.ring
+        carrier = sorted(int(x) for x in np.nonzero(self.d.map == 0)[0])
+        factors, _, coords_b = decompose_abelian(self.b.add, carrier)
+        kc = np.array(carrier, dtype=np.int64)
+        # b_to_m[x] is the module index of the kernel element x, else -1.
+        b_to_m = _preimages(kc, self.b.order)
+        add = b_to_m[self.b.add[np.ix_(kc, kc)]]
+        neg = b_to_m[self.b.neg[kc]]
+        coords = np.array([coords_b[x] for x in carrier], dtype=np.int64)
+        lrows, rrows, fail = _class_actions(self, kc)
+        if fail:
+            raise ESystemError(*fail)
+        left, right = b_to_m[lrows], b_to_m[rrows]
+        ar = np.arange(len(carrier))
+        if not ((left[r.unit] == ar).all() and (right[r.unit] == ar).all()):
+            raise ESystemError("kernel-action-unital", (int(r.unit),))
+        module = validate_bimodule(r, FinAbGroup(tuple(factors)), add, neg, left, right, coords)
+        return KernelModule(module, carrier, b_to_m)
 
     def describe(self) -> str:
         return (
@@ -353,11 +372,12 @@ def bimodule_esystem(module: "Bimodule", name: str | None = None) -> ESystem:
     )
 
 
-def _class_actions(es: ESystem, quo: IdealQuotient, kernel: np.ndarray):
+def _class_actions(es: ESystem, kernel: np.ndarray):
     """How each cokernel class acts on Ker d, read off its least member,
     and the first (condition, witness) at which some other member acts
     differently or a class moves the kernel out of itself (None if
     neither happens)."""
+    quo = es.cokernel
     proj = quo.projection.map
     reps = _preimages(proj, quo.ring.order)
     lrows, rrows = es.theta_left[:, kernel], es.theta_right[:, kernel]
@@ -379,7 +399,7 @@ def coker_action_well_defined(es: ESystem) -> bool:
     construction alone; the full bimodule axioms may still fail when the
     system is not regular."""
     kernel = np.nonzero(es.d.map == 0)[0]
-    return _class_actions(es, es.cokernel, kernel)[2] is None
+    return _class_actions(es, kernel)[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -468,35 +488,11 @@ def _bimodule_over_group(ring, group, add, neg, left, right, coords) -> Bimodule
 
 @dataclass(eq=False)
 class KernelModule:
-    """Kernel of the structure map as a bimodule over its cokernel."""
+    """Kernel of the structure map as a bimodule over its cokernel, as
+    `ESystem.kernel_module` builds it: `carrier` lists the kernel's base
+    elements in module order, and `b_to_m` sends a base element to its
+    module index, or -1 off the kernel."""
 
-    es: ESystem
     module: Bimodule
-    quotient: IdealQuotient
     carrier: list[int]
     b_to_m: np.ndarray
-
-
-def induced_kernel_module(es: ESystem) -> KernelModule:
-    quo = es.cokernel
-    r = quo.ring
-    carrier = sorted(int(x) for x in np.nonzero(es.d.map == 0)[0])
-    factors, _, coords_b = decompose_abelian(es.b.add, carrier)
-    m = len(carrier)
-    kc = np.array(carrier, dtype=np.int64)
-    # b_to_m[x] is the module index of the kernel element x, else -1.
-    b_to_m = _preimages(kc, es.b.order)
-    add = b_to_m[es.b.add[np.ix_(kc, kc)]]
-    neg = b_to_m[es.b.neg[kc]]
-    coords = np.array([coords_b[x] for x in carrier], dtype=np.int64)
-
-    # The action of a class is the action of any representative.
-    lrows, rrows, fail = _class_actions(es, quo, kc)
-    if fail:
-        raise ESystemError(*fail)
-    left, right = b_to_m[lrows], b_to_m[rrows]
-    ar = np.arange(m)
-    if not ((left[r.unit] == ar).all() and (right[r.unit] == ar).all()):
-        raise ESystemError("kernel-action-unital", (int(r.unit),))
-    module = validate_bimodule(r, FinAbGroup(tuple(factors)), add, neg, left, right, coords)
-    return KernelModule(es, module, quo, carrier, b_to_m)

@@ -374,7 +374,7 @@ def crossed_product(
     if section is None:
         section = choose_section(base)
     q = fs.q
-    psi = _align_psi(psi, q, section.quotient.ring)
+    psi = _align_psi(psi, q, base.cokernel.ring)
     lift = _context_lift(base, section, psi)
     if not (
         np.array_equal(fs.act_left, base.theta_left[lift])
@@ -536,9 +536,8 @@ def enumerate_extensions(
     stem = name or f"{base.name}_by_{q.name}"
     if q.order == 1:
         return [_carrier_extension(base, base.b, q, np.zeros(1, dtype=np.int64), f"{stem}_0")]
-    km = rc.kernel_module
     sec = rc.section
-    carrier = np.asarray(km.carrier, dtype=np.int64)
+    carrier = np.asarray(rc.es.kernel_module.carrier, dtype=np.int64)
     dd = base.d_ring
     lift = _context_lift(base, sec, psi)
     al = base.theta_left[lift]
@@ -605,8 +604,7 @@ def exhaustive_extension_search(
     nb, nq = b.order, q.order
     if q.unit is None:
         raise ExtensionError("quotient-unital", (q.name,))
-    quo = base.cokernel
-    psi = _align_psi(psi, q, quo.ring)
+    psi = _align_psi(psi, q, base.cokernel.ring)
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
     grid = _quotient_grid(q)
@@ -649,7 +647,7 @@ def exhaustive_extension_search(
                 b.add[right[:, :, None], right[:, None]] == b.add[fr3, right[:, qa]]
             ).all(axis=(1, 2, 3))
             found = _search_g_stage(
-                base, grid, psi, quo, f, left[ok], right[ok], guard, stop_at_first, results
+                base, grid, psi, f, left[ok], right[ok], guard, stop_at_first, results
             )
             if found and stop_at_first:
                 return results
@@ -689,7 +687,7 @@ def _quotient_grid(q: FiniteRing) -> _QuotientGrid:
     )
 
 
-def _search_g_stage(base, grid, psi, quo, f, left, right, guard, stop_at_first, results):
+def _search_g_stage(base, grid, psi, f, left, right, guard, stop_at_first, results):
     """Inner stages of the exhaustive search for one f and a block of
     actions, row k of `left`/`right` being action k: multiplicative
     defects, unit scan, target map.  Appends finds to `results`, returns
@@ -839,7 +837,7 @@ def _search_g_stage(base, grid, psi, quo, f, left, right, guard, stop_at_first, 
             for g, a, m, unit in zip(g_blk, k_blk, mul, _units(mul).tolist(), strict=True):
                 if unit < 0:
                     continue
-                xrow = _target_lift(base, q, psi, quo, left[a], right[a], f, g, unit, guard)
+                xrow = _target_lift(base, psi, left[a], right[a], f, g, unit, guard)
                 if xrow is None:
                     continue
                 # Copies, so that a found ring holds no view of the stack.
@@ -853,14 +851,14 @@ def _search_g_stage(base, grid, psi, quo, f, left, right, guard, stop_at_first, 
     return found
 
 
-def _target_lift(base, q, psi, quo, left, right, f, g, unit, guard):
-    """The first choice of one lift into the action target per class that
-    makes eps a unital ring map, or None."""
-    dd, dm = base.d_ring, base.d.map
+def _target_lift(base, psi, left, right, f, g, unit, guard):
+    """The first choice of one lift into the action target per class of
+    q = psi.source that makes eps a unital ring map, or None."""
+    dd, dm, q = base.d_ring, base.d.map, psi.source
     nb, nq = base.b.order, q.order
     # Row u masks the lifts of class u: over psi(u), acting as u does.
     lifts = (
-        (quo.projection.map == psi.map[:, None])
+        (base.cokernel.projection.map == psi.map[:, None])
         & (base.theta_left == left[:, None, :]).all(axis=2)
         & (base.theta_right == right[:, None, :]).all(axis=2)
     )

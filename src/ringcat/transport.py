@@ -27,13 +27,14 @@ from .cohomology import (
     pullback_module,
     sub3,
 )
-from .crossed import Bimodule, ESystem, KernelModule, _require_regular
-from .rings import FiniteRing, IdealQuotient, RingHom, _first_bad, _lift_defects, _preimages, _sum
+from .crossed import Bimodule, ESystem, _require_regular
+from .rings import FiniteRing, RingHom, _first_bad, _lift_defects, _preimages, _sum
 
 
 @dataclass(eq=False)
 class Section:
-    """A lift of the cokernel into the target ring plus its two defects.
+    """A lift of the cokernel `es.cokernel` into the target ring plus its
+    two defects.
 
     `sigma` maps classes to target-ring elements, `fplus` and `ftimes`
     are base-valued and push forward to the additive and multiplicative
@@ -41,7 +42,6 @@ class Section:
     """
 
     es: ESystem
-    quotient: IdealQuotient
     sigma: np.ndarray
     fplus: np.ndarray
     ftimes: np.ndarray
@@ -83,7 +83,7 @@ def validate_section(es: ESystem, sigma, fplus, ftimes) -> Section:
         raise ValueError("multiplicative defect must vanish at zero and unit slots")
     if fplus.min() < 0 or fplus.max() >= bb.order or ftimes.min() < 0 or ftimes.max() >= bb.order:
         raise ValueError("defect entry out of range")
-    return Section(es, quo, sigma, fplus, ftimes)
+    return Section(es, sigma, fplus, ftimes)
 
 
 def choose_section(es: ESystem, flavor: str = "least") -> Section:
@@ -109,14 +109,14 @@ def choose_section(es: ESystem, flavor: str = "least") -> Section:
 @dataclass(eq=False)
 class ReducedAnnCat:
     """Quotient ring, kernel module, and the obstruction cochain of one
-    section of an action system."""
+    section of an action system; `ring` and `module` are those of
+    `es.cokernel` and `es.kernel_module`."""
 
     ring: FiniteRing
     module: Bimodule
     k: Cochain3
     es: ESystem
     section: Section
-    kernel_module: KernelModule
 
 
 def reduce_esystem(es: ESystem, section: Section | None = None) -> ReducedAnnCat:
@@ -126,7 +126,7 @@ def reduce_esystem(es: ESystem, section: Section | None = None) -> ReducedAnnCat
     km = es.kernel_module
     if section is None:
         section = choose_section(es)
-    elif not np.array_equal(section.quotient.projection.map, es.cokernel.projection.map):
+    elif not np.array_equal(section.es.cokernel.projection.map, es.cokernel.projection.map):
         raise ValueError("section lives over a different quotient presentation")
     rq = es.cokernel.ring
     bb = es.b
@@ -143,7 +143,7 @@ def reduce_esystem(es: ESystem, section: Section | None = None) -> ReducedAnnCat
     report = reduced_axiom_check(rq, km.module, k)
     if not report.ok:
         raise AssertionError(f"reduced data breaks {report.failures()[0].law}")
-    return ReducedAnnCat(rq, km.module, k, es, section, km)
+    return ReducedAnnCat(rq, km.module, k, es, section)
 
 
 def reduced_axiom_check(ring: FiniteRing, module: Bimodule, k: Cochain3) -> CheckReport:
@@ -330,8 +330,8 @@ def reduce_functor(fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat
     es2 = m.target
     b2, d2r = es2.b, es2.d_ring
     rq, rq2 = rc_src.ring, rc_tgt.ring
-    proj2 = rc_tgt.kernel_module.quotient.projection.map.astype(np.int64)
-    src_proj = rc_src.kernel_module.quotient.projection.map.astype(np.int64)
+    proj2 = es2.cokernel.projection.map.astype(np.int64)
+    src_proj = m.source.cokernel.projection.map.astype(np.int64)
 
     # The class map must not depend on the representative.
     comp = proj2[f0]
@@ -343,8 +343,8 @@ def reduce_functor(fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat
     if not p.unital:
         raise AssertionError("class map is not unital")
 
-    b_to_m2 = rc_tgt.kernel_module.b_to_m
-    q = b_to_m2[f1[rc_src.kernel_module.carrier]]
+    b_to_m2 = es2.kernel_module.b_to_m
+    q = b_to_m2[f1[m.source.kernel_module.carrier]]
     if not (q >= 0).all():
         raise AssertionError("kernel does not map into the kernel")
 

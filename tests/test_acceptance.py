@@ -43,7 +43,6 @@ from ringcat.crossed import (
     es_to_xb,
     es_to_xb_morphism,
     identity_morphism,
-    induced_kernel_module,
     is_regular,
     validate_bimodule,
     validate_morphism,
@@ -379,7 +378,7 @@ def test_criterion_07_section_independence(instances):
             # the cokernel (left and right actions fail to commute), so no
             # reduction exists to compare; the failure itself is asserted.
             with pytest.raises(ESystemError, match="bimodule-mixed-associative"):
-                induced_kernel_module(es)
+                es.kernel_module
             continue
         s1 = choose_section(es, "least")
         s2 = choose_section(es, "greatest")

@@ -16,7 +16,6 @@ from ringcat.crossed import (
     ideal_esystem,
     identity_esystem,
     identity_morphism,
-    induced_kernel_module,
     is_regular,
     multiplier_esystem,
     regularity_witness,
@@ -58,9 +57,8 @@ def test_ideal_esystem_two_in_z4():
     assert es.b.order == 2 and es.b.unit is None
     assert list(es.d.map) == [0, 2]
     assert is_regular(es)
-    km = induced_kernel_module(es)
-    assert km.module.order == 1
-    assert km.quotient.ring.order == 2
+    assert es.kernel_module.module.order == 1
+    assert es.cokernel.ring.order == 2
 
 
 def test_ideal_esystem_rejects_non_ideal():
@@ -95,8 +93,7 @@ def test_ideal_esystem_not_an_ideal_witness(subset, witness):
 def test_identity_esystem_regular_and_trivial_reduction():
     es = identity_esystem(zmod(2))
     assert is_regular(es)
-    km = induced_kernel_module(es)
-    assert km.module.order == 1 and km.quotient.ring.order == 1
+    assert es.kernel_module.module.order == 1 and es.cokernel.ring.order == 1
 
 
 def test_multiplier_esystem_of_z2_zero_mult():
@@ -104,9 +101,9 @@ def test_multiplier_esystem_of_z2_zero_mult():
     assert es.d_ring.order == 4
     assert (es.d.map == 0).all()
     assert is_regular(es)
-    km = induced_kernel_module(es)
+    km = es.kernel_module
     assert km.module.order == 2
-    assert km.quotient.ring.order == 4
+    assert es.cokernel.ring.order == 4
     assert tuple(km.module.group.factors) == (2,)
 
 
@@ -127,9 +124,9 @@ def test_multiplier_esystem_of_klein_is_not_regular():
 def test_doubled_into_z4_reduction_frozen():
     es = doubled_into_z4()
     assert is_regular(es)
-    km = induced_kernel_module(es)
+    km = es.kernel_module
     assert km.carrier == [0, 2]
-    assert km.quotient.reps == [0, 1]
+    assert es.cokernel.reps == [0, 1]
     assert km.module.order == 2
     # the nonzero class acts as the identity on the kernel
     assert list(km.module.left[1]) == [0, 1]
@@ -142,7 +139,7 @@ def test_zero_action_is_valid_but_not_regular():
     es = validate_esystem(b, zmod(2), [0, 0], tl, tl)
     assert regularity_witness(es) == ("unit-action-left", 1)
     with pytest.raises(ESystemError, match="kernel-action-unital"):
-        induced_kernel_module(es)
+        es.kernel_module
 
 
 def test_validation_witnesses():
@@ -237,12 +234,12 @@ def test_morphism_composition_preserved_under_conversion():
 
 
 def test_bimodule_esystem_roundtrips_module_action():
-    km = induced_kernel_module(doubled_into_z4())
+    km = doubled_into_z4().kernel_module
     es = bimodule_esystem(km.module)
     assert es.b.order == 2 and (es.d.map == 0).all()
     assert is_regular(es)
     assert (es.theta_left == km.module.left).all()
-    km2 = induced_kernel_module(es)
+    km2 = es.kernel_module
     assert (km2.module.left == km.module.left).all()
 
 
@@ -254,8 +251,7 @@ def test_coker_action_well_defined_even_when_not_regular():
 def test_scalar_action_with_zero_structure_map():
     es = scalar_action_d0(2, zmod(4), 2)
     assert is_regular(es)
-    km = induced_kernel_module(es)
-    assert km.module.order == 2 and km.quotient.ring.order == 4
+    assert es.kernel_module.module.order == 2 and es.cokernel.ring.order == 4
 
 
 # ---------------------------------------------------------------------------
@@ -535,5 +531,5 @@ def test_induced_kernel_module_rejects_ill_defined_actions(rows, condition, witn
     broken = ESystem("broken", es.b, es.d_ring, es.d, tl, es.theta_right)
     assert not coker_action_well_defined(broken)
     with pytest.raises(ESystemError) as e:
-        induced_kernel_module(broken)
+        broken.kernel_module
     assert (e.value.condition, e.value.witness) == (condition, witness)

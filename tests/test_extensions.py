@@ -20,7 +20,7 @@ from ringcat.bimult import (
     permutability_witness,
 )
 from ringcat.cohomology import classify_functors, complex_for
-from ringcat.corpus import corpus
+from ringcat.corpus import corpus, unital_homs
 from ringcat.crossed import (
     ESystemError,
     coker_action_well_defined,
@@ -61,6 +61,7 @@ from ringcat.rings import (
     find_unit,
     ideal_cokernel,
     product_ring,
+    subring,
     validate_ring,
     zero_mult,
     zero_mult_klein,
@@ -150,7 +151,8 @@ def test_every_layer_reads_the_cokernel_the_system_keeps(monkeypatch, tmp_path):
     assert len(exts) == extension_obstruction(es, q, psi).count == 2
     assert len(exhaustive_extension_search(es, q, psi)) == 1
     assert induced_psi(exts[0]).target is q
-    assert load_section(write_section(rc.section, tmp_path / "s.sect"), es).quotient is es.cokernel
+    loaded = load_section(write_section(rc.section, tmp_path / "s.sect"), es)
+    assert loaded.sigma.tolist() == rc.section.sigma.tolist()
     assert coker_action_well_defined(es)
     assert len(calls) == 1 and q.name == "coker_d2b"
 
@@ -728,11 +730,13 @@ def recorded_search(search, es, q, psi, stop, monkeypatch):
     call: the (f, action) pairs and the g tables."""
     calls, tables = [], []
 
-    def recording(stage):
-        def run(base, q, psi, quo, f, left, right, *rest):
+    def recording(stage, at):
+        # f, left and right are the stage's arguments at, at + 1, at + 2.
+        def run(*args):
+            f, left, right = args[at:at + 3]
             acts = zip(left, right, strict=True) if left.ndim == 3 else [(left, right)]
             calls.append([(f.tolist(), lt.tolist(), rt.tolist()) for lt, rt in acts])
-            return stage(base, q, psi, quo, f, left, right, *rest)
+            return stage(*args)
         return run
 
     def recording_tables(b, q, left, right, f, g, build=crossed_tables):
@@ -741,8 +745,8 @@ def recorded_search(search, es, q, psi, stop, monkeypatch):
         return build(b, q, left, right, f, g)
 
     with monkeypatch.context() as m:
-        m.setitem(globals(), "_reference_g_stage", recording(_reference_g_stage))
-        m.setattr(extensions, "_search_g_stage", recording(extensions._search_g_stage))
+        m.setitem(globals(), "_reference_g_stage", recording(_reference_g_stage, 4))
+        m.setattr(extensions, "_search_g_stage", recording(extensions._search_g_stage, 3))
         m.setitem(globals(), "crossed_tables", recording_tables)
         m.setattr(extensions, "crossed_tables", recording_tables)
         found = search_record(search(es, q, psi, stop_at_first=stop))
@@ -806,7 +810,7 @@ def g_stage_calls(es, q, psi, monkeypatch, **search):
 
     def run(*args):
         found = stage(*args)
-        seen.append((args[:7], found))
+        seen.append((args[:6], found))
         return found
 
     with monkeypatch.context() as m:
@@ -818,10 +822,10 @@ def g_stage_calls(es, q, psi, monkeypatch, **search):
 def single_actions(args):
     """The batched and the walk's g-stage arguments of each action in the
     block of a batched g-stage call."""
-    base, grid, psi, quo, f, left, right = args
+    base, grid, psi, f, left, right = args
     for i in range(len(left)):
-        yield ((base, grid, psi, quo, f, left[i:i + 1], right[i:i + 1]),
-               (base, grid.q, psi, quo, f, left[i], right[i]))
+        yield ((base, grid, psi, f, left[i:i + 1], right[i:i + 1]),
+               (base, grid.q, psi, base.cokernel, f, left[i], right[i]))
 
 
 @pytest.mark.parametrize(
@@ -934,6 +938,27 @@ def test_g_guard_trips_at_the_first_action_with_candidates(stop, monkeypatch):
         if _reference_g_stage(*walk, CANDIDATE_LIMIT, stop, want) and stop:
             break
     assert search_record(got) == search_record(want) and want
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_three_routes_agree_on_obstructed_instances(k):
+    # The multiplier system of 2Z/2^k has a cokernel Q of order 4 with
+    # unit 2 and 1*1 = 0, and two unital maps Q -> Q.  Over the identity
+    # the obstruction does not vanish; over (0 0 2 2) it does.  The
+    # obstruction, the enumeration and the brute-force search must agree
+    # on both, so this cross-check can fail either way.  A search that
+    # finds nothing has run to exhaustion.
+    b, _ = subring(zmod(2**k), range(0, 2**k, 2))
+    es = multiplier_esystem(b)
+    q = es.cokernel.ring
+    answers = {}
+    for psi in unital_homs(q, q):
+        cls = extension_obstruction(es, q, psi)
+        exts = enumerate_extensions(es, q, psi, classification=cls)
+        found = exhaustive_extension_search(es, q, psi)
+        assert (len(exts) > 0) == cls.vanishes == (len(found) > 0)
+        answers[tuple(psi.map.tolist())] = (cls.vanishes, len(exts), len(found))
+    assert answers == {(0, 1, 2, 3): (False, 0, 0), (0, 0, 2, 2): (True, 4, 1)}
 
 
 @pytest.mark.parametrize("name, finds", [("ideal_2z8", 4), ("ideal_3z9", 9)])

@@ -118,7 +118,7 @@ def search_g(m):
     # gets limit 1 (its argument after the block of actions).
     es, q, psi = flat_z2_search()
     stage = extensions._search_g_stage
-    m.setattr(extensions, "_search_g_stage", lambda *a: stage(*a[:7], 1, *a[8:]))
+    m.setattr(extensions, "_search_g_stage", lambda *a: stage(*a[:6], 1, *a[7:]))
     m.setattr(extensions, "crossed_tables", never("the crossed tables"))
     call = partial(exhaustive_extension_search, es, q, psi)
     return call, "2 multiplicative defect candidates, over the guard 1"

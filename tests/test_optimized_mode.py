@@ -1,6 +1,6 @@
 """Validation must not rest on `assert`, which `python -O` strips.
 
-The tests below exercise the validators whose laws live in `bimult`, the
+No source file holds an `assert` statement, and the tests below exercise the validators whose laws live in `bimult`, the
 search guards, the typed errors of `ablin`, `rings`, `crossed`, `corpus`,
 `transport`, `cohomology` and `extensions`, the internal checks of
 `ablin`, `rings`, `bimult`, `anncat`, `transport`, `cohomology` and
@@ -8,6 +8,7 @@ search guards, the typed errors of `ablin`, `rings`, `crossed`, `corpus`,
 again in a `python -O` subprocess.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -83,3 +84,13 @@ def test_validation_survives_optimized_mode():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
+def test_no_check_rests_on_assert():
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "ringcat").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, f"assert statements in the library: {', '.join(asserts)}"

@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from ringcat import transport
+from ringcat import crossed, transport
 from ringcat.anncat import functor_from_morphism
 from ringcat.cohomology import Cochain2, Cochain3, d2, is_coboundary3, sub3
 from ringcat.corpus import corpus
@@ -18,7 +18,9 @@ from ringcat.crossed import (
     validate_esystem,
     validate_morphism,
 )
+from ringcat.extensions import enumerate_extensions, extension_obstruction
 from ringcat.rings import (
+    RingHom,
     _lift_defects,
     dual_numbers,
     find_ring_isomorphism,
@@ -128,7 +130,7 @@ def test_validate_section_rejects_a_non_unital_quotient(monkeypatch):
     es = doubled_into_z4()
     sec = choose_section(es, "least")
     # The system keeps its cokernel; give it a copy without a unit.
-    quo = copy.copy(sec.quotient)
+    quo = copy.copy(es.cokernel)
     quo.ring = copy.copy(quo.ring)
     quo.ring.unit = None
     monkeypatch.setitem(vars(es), "cokernel", quo)
@@ -159,16 +161,29 @@ def test_reduce_requires_regular_base():
     assert str(e.value) == "not-regular fails at ('permutability', (16, 2, 2))"
 
 
-def test_a_system_keeps_one_cokernel_and_one_kernel_module():
-    # Sections and reductions of one system share its quotient and kernel
-    # module, so sub3 accepts the cochains of two sections.
+def test_a_system_keeps_one_cokernel_and_one_kernel_module(monkeypatch):
+    # The system is the one route to its quotient and kernel module:
+    # sections, kernel modules and reductions keep no copy, so sub3
+    # accepts the cochains of two sections, and reducing, classifying,
+    # enumerating and reducing a functor build the kernel module once.
+    assert not hasattr(crossed, "induced_kernel_module")
+    builds = []
+    decompose = crossed.decompose_abelian
+    monkeypatch.setattr(crossed, "decompose_abelian",
+                        lambda *a: builds.append(a) or decompose(*a))
     es = multiplier_esystem(two_z8())
     rc_l = reduce_esystem(es, section=choose_section(es, "least"))
     rc_g = reduce_esystem(es, section=choose_section(es, "greatest"))
-    assert es.cokernel is choose_section(es).quotient is reduce_esystem(es).kernel_module.quotient
-    assert reduce_esystem(es).kernel_module is es.kernel_module
-    assert rc_l.kernel_module is rc_g.kernel_module is es.kernel_module
+    assert not hasattr(rc_l.section, "quotient") and not hasattr(es.kernel_module, "quotient")
+    assert not hasattr(rc_l, "kernel_module")
+    assert rc_l.ring is rc_g.ring is es.cokernel.ring
+    assert rc_l.module is rc_g.module is es.kernel_module.module
     assert sub3(rc_l.k, rc_g.k).module is es.kernel_module.module
+    q = es.cokernel.ring
+    psi = RingHom(q, q, [0, 0, 2, 2])
+    assert extension_obstruction(es, q, psi).count == len(enumerate_extensions(es, q, psi)) == 4
+    reduce_functor(functor_from_morphism(identity_morphism(es)), rc_l, rc_g)
+    assert len(builds) == 1
 
 
 def test_reduce_flat_system_is_trivial():
@@ -197,7 +212,7 @@ def test_reduce_d2b_both_flavours_vanish():
 
 def slow_obstruction(es, sec, km):
     """Scalar recomputation of the five tables straight from the section."""
-    rq = km.quotient.ring
+    rq = es.cokernel.ring
     bb, dd = es.b, es.d_ring
     n = rq.order
     b_to_m = km.b_to_m
@@ -258,8 +273,8 @@ def slow_obstruction(es, sec, km):
 def test_reduce_multiplier_system_frozen_and_dual_route():
     es = multiplier_esystem(two_z8())
     km = es.kernel_module
-    assert km.quotient.ring.order == 4
-    assert find_ring_isomorphism(km.quotient.ring, dual_numbers(2)) is not None
+    assert es.cokernel.ring.order == 4
+    assert find_ring_isomorphism(es.cokernel.ring, dual_numbers(2)) is not None
     assert km.module.order == 2
 
     rc = reduce_esystem(es)
@@ -394,12 +409,9 @@ def foreign_reduced_data(m):
 
 def split_class_map(m):
     fun, rc, rc_g = identity_functor_data()
-    # rc and rc_g share the system's kernel module: break a copy in rc alone.
-    km = copy.copy(rc.kernel_module)
-    km.quotient = copy.copy(km.quotient)
-    km.quotient.projection = copy.copy(km.quotient.projection)
-    km.quotient.projection.map = np.zeros_like(km.quotient.projection.map)
-    m.setattr(rc, "kernel_module", km)
+    # Both sides read the system's one cokernel, with classes {0, 2} and
+    # {1, 3}; an f0 sending 0 and 2 to different classes splits class 0.
+    m.setattr(fun.morphism.f0, "map", np.array([0, 1, 1, 3]))
     return functools.partial(reduce_functor, fun, rc, rc_g), "class map splits on class 0"
 
 
@@ -411,7 +423,8 @@ def non_unital_class_map(m):
 
 def kernel_leaves_kernel(m):
     fun, rc, rc_g = identity_functor_data()
-    m.setattr(rc_g.kernel_module, "b_to_m", np.full_like(rc_g.kernel_module.b_to_m, -1))
+    km = rc_g.es.kernel_module
+    m.setattr(km, "b_to_m", np.full_like(km.b_to_m, -1))
     return functools.partial(reduce_functor, fun, rc, rc_g), (
         "kernel does not map into the kernel")
 
