@@ -299,7 +299,8 @@ def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
     """Addition and multiplication tables on b x q, with no validity checks.
 
     Feeding tables that break the factor-system conditions is allowed;
-    validate_ring on the result then locates the concrete broken triple.
+    validating the result as a ring then locates the concrete broken
+    triple.
     The inputs may carry leading axes, a stack of factor data; each table
     then carries those of the inputs it reads (f for addition; the
     actions and g for multiplication).
@@ -320,16 +321,54 @@ def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
 
 
 def crossed_ring(fs: FactorSystem, name: str | None = None) -> FiniteRing:
-    """The validated ring a factor system builds on b x q.
+    """The ring a factor system builds on b x q: the crossed product.
 
-    The unit is (-g(1,1), 1): the multiplicative action condition at
-    (1,1) forces g(1,1) to annihilate b on both sides, and the action
-    relations make its negative correct the lift of 1.
+    On the carrier, (a, u) + (c, v) = (a + c + f(u, v), u + v) and
+    (a, u)(c, v) = (ac + (a)r_v + l_u(c) + g(u, v), uv), with l_u and r_u
+    the rows of the actions.  `validate_factor_system` is the only
+    constructor of a FactorSystem, so b and q are validated rings and
+    the action stage, the five degree-3 conditions and the four action
+    conditions hold.  Those prove every ring law on the tables, so the
+    ring is built from them without checking its laws again:
+
+    - zero-element: f is normalised, so (0, 0) + (c, v) = (c, v).
+    - add-commutative: additive-symmetry, f(u, v) = f(v, u), with the
+      additions of b and q commutative.
+    - add-associative: additive-cocycle,
+      f(u, v) + f(u + v, w) = f(v, w) + f(u, v + w).
+    - add-inverse: follows from the group laws; (-a - f(u, -u), -u) is
+      the negative of (a, u).
+    - distributive-left: expand (a, u)((c, v) + (c', v')) with b and q
+      distributive.  l_u is additive (a row law of the bimultiplication)
+      and (a)r_v + (a)r_v' = (a)r_{v+v'} + a f(v, v')
+      (action-additive-right); what remains is left-distributivity,
+      l_u(f(v, v')) + g(u, v + v') = g(u, v) + g(u, v') + f(uv, uv').
+      distributive-right likewise, from the additive r_u,
+      action-additive-left and right-distributivity.
+    - mul-associative: expand ((a, u)(c, v))(e, w) and
+      (a, u)((c, v)(e, w)) with b and q associative.  The row laws match
+      (l_u(c))e with l_u(ce), (ac)r_w with a((c)r_w) and ((a)r_v)e with
+      a(l_v(e)); permutability matches (l_u(c))r_w with l_u((c)r_w);
+      action-multiplicative turns l_u(l_v(e)) into l_{uv}(e) + g(u, v)e
+      and ((a)r_v)r_w into (a)r_{vw} + a g(v, w); what remains is the
+      multiplicative cocycle, (g(u, v))r_w + g(uv, w)
+      = l_u(g(v, w)) + g(u, vw).
+    - unit: (-g(1, 1), 1).  action-multiplicative at (1, 1) makes
+      g(1, 1) annihilate b on both sides, and the multiplicative cocycle
+      at (1, 1, v) and (v, 1, 1) gives g(1, v) = (g(1, 1))r_v and
+      g(v, 1) = l_v(g(1, 1)), so it is a unit on both sides.  It is
+      still checked on the tables, as the element whose row and column
+      are the identity (`rings._units`); a failure is an internal fault
+      and raises AssertionError.
+
+    Each entry is u*|b| + a with u in q and a in b, so the tables are in
+    range by construction.
     """
     add, mul = crossed_tables(fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g)
-    e0 = int(fs.b.neg[fs.g[fs.q.unit, fs.q.unit]])
-    unit = _flat(e0, int(fs.q.unit), fs.b.order)
-    return validate_ring(add, mul, unit, name=name or f"{fs.b.name}_x_{fs.q.name}")
+    unit = _flat(int(fs.b.neg[fs.g[fs.q.unit, fs.q.unit]]), int(fs.q.unit), fs.b.order)
+    if _units(mul) != unit:
+        raise AssertionError(f"(-g(1, 1), 1) = {unit} is not the unit of the crossed product")
+    return FiniteRing(name or f"{fs.b.name}_x_{fs.q.name}", add, mul, unit)
 
 
 def _tables_equal(r1: FiniteRing, r2: FiniteRing) -> bool:

@@ -89,14 +89,20 @@ def _product_blocks(radices, width: int):
 
 @dataclass(eq=False)
 class FiniteRing:
-    """Validated ring tables.  Instances compare and hash by identity so
-    they can key caches."""
+    """Ring tables whose laws hold.  `validate_ring` checks them on any
+    tables; `extensions.crossed_ring` builds them from a FactorSystem,
+    whose conditions already prove them.  `neg` is each element's
+    additive inverse, read off the tables.  Instances compare and hash
+    by identity so they can key caches."""
 
     name: str
     add: np.ndarray
     mul: np.ndarray
     unit: int | None
-    neg: np.ndarray = field(repr=False, default=None)
+    neg: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.neg = np.argmax(self.add == 0, axis=1).astype(np.int16)
 
     @property
     def order(self) -> int:
@@ -190,8 +196,7 @@ def validate_ring(add, mul, unit=None, name: str = "ring") -> FiniteRing:
         if not np.array_equal(mul[:, unit], idx):
             raise RingAxiomError("unit", (_first_bad(mul[:, unit] == idx)[0], unit))
 
-    neg = np.argmax(add == 0, axis=1).astype(np.int16)
-    return FiniteRing(name, add, mul, unit, neg)
+    return FiniteRing(name, add, mul, unit)
 
 
 def _sum_generators(add: np.ndarray) -> np.ndarray:

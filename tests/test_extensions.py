@@ -20,7 +20,7 @@ from ringcat.bimult import (
     permutability_witness,
 )
 from ringcat.cohomology import classify_functors, complex_for
-from ringcat.corpus import corpus, unital_homs
+from ringcat.corpus import corpus, corpus_triples, unital_homs
 from ringcat.crossed import (
     ESystemError,
     coker_action_well_defined,
@@ -1354,6 +1354,74 @@ def test_enumerate_extensions_checks_its_action_once(monkeypatch):
     assert len(calls) == 1
 
 
+def assert_crossed_ring_matches_validate_ring(fs):
+    ring = crossed_ring(fs)
+    add, mul = crossed_tables(fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g)
+    unit = _flat(int(fs.b.neg[fs.g[fs.q.unit, fs.q.unit]]), int(fs.q.unit), fs.b.order)
+    want = validate_ring(add, mul, unit)
+    for got, ref in ((ring.add, want.add), (ring.mul, want.mul), (ring.neg, want.neg)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert type(ring.unit) is type(want.unit)
+    assert ring.unit == want.unit
+
+
+def test_crossed_ring_matches_validate_ring(monkeypatch):
+    # The census, every factor system that enumeration builds over
+    # corpus_triples(limit=16), and every system the one-stage comparison
+    # above accepts; each must also pass validate_ring.
+    for args in klein_census_factor_systems():
+        assert_crossed_ring_matches_validate_ring(validate_factor_system(*args))
+
+    built = []
+    validate = extensions.validate_factor_system
+    monkeypatch.setattr(extensions, "validate_factor_system",
+                        lambda *args: built.append(validate(*args)) or built[-1])
+    for triple in corpus_triples(limit=16):
+        enumerate_extensions(*triple)
+    monkeypatch.undo()
+    assert len(built) > 0
+    for fs in built:
+        assert_crossed_ring_matches_validate_ring(fs)
+
+    sources = mutation_sources()
+    cases = [args for b, q, *tables in sources
+             for args in [(b, q, *tables), *(a for _, a in mutations(b, q, *tables))]]
+    cases += [cocycle_case(t, cells) for t, cells, _, _ in COCYCLE_CASES]
+    cases += [action_case(b, q, rows) for b, q, rows, _, _ in ACTION_CASES]
+    valid = 0
+    for args in cases:
+        try:
+            fs = validate_factor_system(*args)
+        except FactorSystemError:
+            continue
+        assert_crossed_ring_matches_validate_ring(fs)
+        valid += 1
+    assert valid > len(sources)
+
+
+def test_crossed_rings_are_built_without_validate_ring(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("validate_ring called on the tables of a proved factor system")
+
+    monkeypatch.setattr(extensions, "validate_ring", refuse)
+    for args in klein_census_factor_systems()[::97]:
+        assert crossed_ring(validate_factor_system(*args)).order == 4 * args[1].order
+    assert len(enumerate_extensions(*flat_z2_over_z4())) == 2
+
+
+def test_the_search_validates_each_find(monkeypatch):
+    # The search derives its rings from the ring axioms alone, so each
+    # find keeps its own validate_ring.
+    rings = []
+    validate = extensions.validate_ring
+    monkeypatch.setattr(extensions, "validate_ring",
+                        lambda *args, **kwargs: rings.append(validate(*args, **kwargs)) or rings[-1])
+    finds = exhaustive_extension_search(*flat_z2_over_z4(), stop_at_first=False)
+    assert len(finds) > 1
+    assert [ext.ring for ext in finds] == rings
+
+
 def broken_ideal_action(m):
     # The lift of the quotient's unit seen outside the embedded base.
     def actions(ring, emb):
@@ -1382,7 +1450,22 @@ def collapsing_classes(m):
             "classes 0 and 1 collapse")
 
 
-@pytest.mark.parametrize("check", [broken_ideal_action, missing_d_preimage, collapsing_classes],
+def broken_unit(m):
+    # The unit's row of the crossed tables corrupted.
+    def tables(*args):
+        add, mul = crossed_tables(*args)
+        mul[2, 1] = 0
+        return add, mul
+
+    z2, zero2 = [[0, 0], [0, 1]], np.zeros((2, 2), dtype=int)
+    fs = validate_factor_system(zmod(2), zmod(2), z2, z2, zero2, zero2)
+    m.setattr(extensions, "crossed_tables", tables)
+    return (functools.partial(crossed_ring, fs),
+            "(-g(1, 1), 1) = 2 is not the unit of the crossed product")
+
+
+@pytest.mark.parametrize("check", [broken_ideal_action, missing_d_preimage, collapsing_classes,
+                                   broken_unit],
                          ids=lambda f: f.__name__)
 def test_broken_checks_raise_without_assert(check, monkeypatch):
     # Each internal check raises AssertionError itself, so `python -O`
