@@ -412,8 +412,8 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
         if proved is None:
             proved = _proved_chunks(es) if results[0].ok and results[1].ok else {}
         todo = ~proved.get(law, np.zeros(nd, dtype=bool))
-        if todo.any():
-            _guard(cells, f"{law} chunk cells", CELL_LIMIT)
+        if todo.any():  # `_scan` builds one b1 row of a chunk at a time
+            _guard(cells // nb, f"{law} row cells", CELL_LIMIT)
         witness = _scan(grid, todo, nb)
         if witness is None:
             return True, None, nd * cells

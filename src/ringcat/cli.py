@@ -73,10 +73,15 @@ def _parse_psi(text: str, q, target) -> RingHom:
             raise ParseError("<psi>", 0, 0, "psi 'id' needs equal orders")
         return RingHom(q, target, np.arange(q.order))
     m = np.full(q.order, -1, dtype=np.int64)
+    seen = set()
     for part in text.split(","):
         src, _, dst = part.partition(":")
         try:
-            m[int(src)] = int(dst)
+            s = int(src)
+            if s < 0 or s in seen:  # a negative index would wrap around
+                raise IndexError(s)
+            m[s] = int(dst)
+            seen.add(s)
         except (ValueError, IndexError) as e:
             raise ParseError("<psi>", 0, 0, f"bad psi pair '{part}'") from e
     if (m < 0).any() or (m >= target.order).any():

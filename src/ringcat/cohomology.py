@@ -1,10 +1,13 @@
 """Low-degree cohomology of a finite ring acting on a finite bimodule.
 
-Cochains are dense tables of module elements indexed by ring elements and
-normalised to vanish whenever an argument is zero.  Degree one measures
-corrections to a section, degree two the additive/multiplicative defect
-pair (f, g) of a factor system, degree three the five obstruction tables
-that the reduced structure checker evaluates.
+Cochains are one type, `_Cochain`: dense tables of module elements
+indexed by ring elements and normalised to vanish whenever an argument is
+zero.  A degree names only its tables and their arities, and every
+check, the per-table algebra, the pullback and the coordinate encoding
+run over those tables alike.  Degree one (t) measures corrections to a
+section, degree two the additive/multiplicative defect pair (f, g) of a
+factor system, degree three the five obstruction tables (xi, eta,
+alpha_x, lambda_l, rho_r) that the reduced structure checker evaluates.
 
 The two differentials exist twice over: once as table evaluations (cheap,
 used by property checks) and once as integer matrices over the invariant
@@ -25,6 +28,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,133 +51,97 @@ from .crossed import Bimodule, validate_bimodule
 from .rings import BLOCK_CELLS, FiniteRing, RingHom, _sum
 
 
-def _as_table(module: Bimodule, a, shape, name: str) -> np.ndarray:
-    t = np.asarray(a, dtype=np.int64)
-    if t.shape != shape:
-        raise ValueError(f"{name} has shape {t.shape}, expected {shape}")
-    if t.size and (t.min() < 0 or t.max() >= module.order):
-        raise ValueError(f"{name} holds an out-of-range module element")
-    return t
-
-
-def _check_normalised(t: np.ndarray, name: str) -> None:
-    for axis in range(t.ndim):
-        sl = tuple(0 if i == axis else slice(None) for i in range(t.ndim))
-        if t[sl].any():
-            raise ValueError(f"{name} must vanish when an argument is zero")
-
-
 @dataclass(eq=False)
-class Cochain1:
-    """One ring argument; t(0) = 0."""
+class _Cochain:
+    """Tables of module elements over one module, one per name in
+    `ARITIES`, each with that many ring arguments and normalised to vanish
+    whenever an argument is zero.  Every table's shape and range are
+    checked before any table's normalisation."""
 
     module: Bimodule
-    t: np.ndarray
+    ARITIES: ClassVar[tuple[tuple[str, int], ...]]
 
     def __post_init__(self):
-        n = self.module.ring.order
-        self.t = _as_table(self.module, self.t, (n,), "t")
-        _check_normalised(self.t, "t")
+        n, order = self.ring.order, self.module.order
+        for name, arity in self.ARITIES:
+            t = np.asarray(getattr(self, name), dtype=np.int64)
+            if t.shape != (n,) * arity:
+                raise ValueError(f"{name} has shape {t.shape}, expected {(n,) * arity}")
+            if t.size and (t.min() < 0 or t.max() >= order):
+                raise ValueError(f"{name} holds an out-of-range module element")
+            setattr(self, name, t)
+        for t, name in self.tables():
+            for axis in range(t.ndim):
+                if t[(slice(None),) * axis + (0,)].any():
+                    raise ValueError(f"{name} must vanish when an argument is zero")
 
     @property
     def ring(self) -> FiniteRing:
         return self.module.ring
 
-
-@dataclass(eq=False)
-class Cochain2:
-    """Additive defect f and multiplicative defect g, normalised at zero."""
-
-    module: Bimodule
-    f: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        n = self.module.ring.order
-        self.f = _as_table(self.module, self.f, (n, n), "f")
-        self.g = _as_table(self.module, self.g, (n, n), "g")
-        _check_normalised(self.f, "f")
-        _check_normalised(self.g, "g")
-
-    @property
-    def ring(self) -> FiniteRing:
-        return self.module.ring
-
-    def is_zero(self) -> bool:
-        return not (self.f.any() or self.g.any())
-
-    def equals(self, other: "Cochain2") -> bool:
-        return (
-            self.module is other.module
-            and np.array_equal(self.f, other.f)
-            and np.array_equal(self.g, other.g)
-        )
-
-
-@dataclass(eq=False)
-class Cochain3:
-    """The five obstruction tables, normalised at zero in every slot."""
-
-    module: Bimodule
-    xi: np.ndarray
-    eta: np.ndarray
-    alpha_x: np.ndarray
-    lambda_l: np.ndarray
-    rho_r: np.ndarray
-
-    def __post_init__(self):
-        n = self.module.ring.order
-        self.xi = _as_table(self.module, self.xi, (n, n, n), "xi")
-        self.eta = _as_table(self.module, self.eta, (n, n), "eta")
-        self.alpha_x = _as_table(self.module, self.alpha_x, (n, n, n), "alpha_x")
-        self.lambda_l = _as_table(self.module, self.lambda_l, (n, n, n), "lambda_l")
-        self.rho_r = _as_table(self.module, self.rho_r, (n, n, n), "rho_r")
-        for t, nm in self.tables():
-            _check_normalised(t, nm)
-
-    @property
-    def ring(self) -> FiniteRing:
-        return self.module.ring
-
-    def tables(self):
-        return (
-            (self.xi, "xi"),
-            (self.eta, "eta"),
-            (self.alpha_x, "alpha_x"),
-            (self.lambda_l, "lambda_l"),
-            (self.rho_r, "rho_r"),
-        )
+    def tables(self) -> tuple[tuple[np.ndarray, str], ...]:
+        """(table, name) pairs in field order."""
+        return tuple((getattr(self, name), name) for name, _ in self.ARITIES)
 
     def is_zero(self) -> bool:
         return not any(t.any() for t, _ in self.tables())
 
-    def equals(self, other: "Cochain3") -> bool:
+    def equals(self, other: "_Cochain") -> bool:
         return self.module is other.module and all(
             np.array_equal(a, b)
             for (a, _), (b, _) in zip(self.tables(), other.tables(), strict=True)
         )
 
 
+@dataclass(eq=False)
+class Cochain1(_Cochain):
+    """One ring argument; t(0) = 0."""
+
+    t: np.ndarray
+    ARITIES = (("t", 1),)
+
+
+@dataclass(eq=False)
+class Cochain2(_Cochain):
+    """Additive defect f and multiplicative defect g, normalised at zero."""
+
+    f: np.ndarray
+    g: np.ndarray
+    ARITIES = (("f", 2), ("g", 2))
+
+
+@dataclass(eq=False)
+class Cochain3(_Cochain):
+    """The five obstruction tables, normalised at zero in every slot."""
+
+    xi: np.ndarray
+    eta: np.ndarray
+    alpha_x: np.ndarray
+    lambda_l: np.ndarray
+    rho_r: np.ndarray
+    ARITIES = (("xi", 3), ("eta", 2), ("alpha_x", 3), ("lambda_l", 3), ("rho_r", 3))
+
+
+def _per_table(name: str, op, *cs: _Cochain) -> _Cochain:
+    """The cochain of cs's type whose tables are op(module, *tables),
+    table by table, over cs's one module."""
+    m = cs[0].module
+    if any(c.module is not m for c in cs):
+        raise AssertionError(f"{name} of cochains over different modules")
+    pairs = zip(*(c.tables() for c in cs), strict=True)
+    return type(cs[0])(m, *(op(m, *(t for t, _ in p)) for p in pairs))
+
+
 def add2(a: Cochain2, b: Cochain2) -> Cochain2:
-    if a.module is not b.module:
-        raise AssertionError("add2 of cochains over different modules")
-    m = a.module
-    return Cochain2(m, m.add[a.f, b.f], m.add[a.g, b.g])
+    return _per_table("add2", lambda m, x, y: m.add[x, y], a, b)
 
 
 def neg3(a: Cochain3) -> Cochain3:
-    m = a.module
-    return Cochain3(m, *[m.neg[t] for t, _ in a.tables()])
+    return _per_table("neg3", lambda m, x: m.neg[x], a)
 
 
 def sub3(a: Cochain3, b: Cochain3) -> Cochain3:
-    if a.module is not b.module:
-        raise AssertionError("sub3 of cochains over different modules")
-    m = a.module
-    return Cochain3(
-        m,
-        *[m.add[ta, m.neg[tb]] for (ta, _), (tb, _) in zip(a.tables(), b.tables(), strict=True)],
-    )
+    return _per_table("sub3", lambda m, x, y: m.add[x, m.neg[y]], a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +315,7 @@ class CochainComplex:
             rows.append(_coords_of(self.module, inner).reshape(len(t), width))
         return np.concatenate(rows, axis=1)
 
-    def encode2(self, c: Cochain2) -> np.ndarray:
-        return self._encode(c.f[None], c.g[None])[0]
-
-    def encode3(self, c: Cochain3) -> np.ndarray:
+    def encode(self, c: _Cochain) -> np.ndarray:
         return self._encode(*(t[None] for t, _ in c.tables()))[0]
 
     def _fill(self, coords: np.ndarray, axes: int) -> np.ndarray:
@@ -451,7 +416,7 @@ class CocycleGroup:
             yield self.complex.decode2(np.asarray(x, dtype=np.int64))
 
     def contains(self, c: Cochain2) -> bool:
-        return self.subgroup.contains(tuple(int(v) for v in self.complex.encode2(c)))
+        return self.subgroup.contains(tuple(int(v) for v in self.complex.encode(c)))
 
 
 def z2(module: Bimodule) -> CocycleGroup:
@@ -481,7 +446,7 @@ class H2Data:
         return [self.complex.decode2(np.asarray(r, dtype=np.int64)) for r in self.data.representatives()]
 
     def class_of(self, c: Cochain2) -> tuple[int, ...]:
-        return self.data.class_of(tuple(int(v) for v in self.complex.encode2(c)))
+        return self.data.class_of(tuple(int(v) for v in self.complex.encode(c)))
 
 
 def h2(module: Bimodule, guard: int = COORD_LIMIT) -> H2Data:
@@ -568,19 +533,11 @@ def pullback_module(psi: RingHom, module: Bimodule) -> Bimodule:
     )
 
 
-def pullback2(psi: RingHom, c: Cochain2, pulled: Bimodule) -> Cochain2:
+def pullback(psi: RingHom, c: _Cochain, pulled: Bimodule) -> _Cochain:
+    """c read through psi on every argument, over the pulled module."""
     _check_pullback(psi, c.module.ring, pulled)
     p = psi.map
-    return Cochain2(pulled, c.f[np.ix_(p, p)], c.g[np.ix_(p, p)])
-
-
-def pullback3(psi: RingHom, c: Cochain3, pulled: Bimodule) -> Cochain3:
-    _check_pullback(psi, c.module.ring, pulled)
-    p = psi.map
-    cube = np.ix_(p, p, p)
-    return Cochain3(
-        pulled, c.xi[cube], c.eta[np.ix_(p, p)], c.alpha_x[cube], c.lambda_l[cube], c.rho_r[cube]
-    )
+    return type(c)(pulled, *(t[np.ix_(*(p,) * t.ndim)] for t, _ in c.tables()))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +558,7 @@ def is_coboundary3(k: Cochain3) -> CoboundaryVerdict:
 def _coboundary_verdict(cx: CochainComplex, k: Cochain3, res=None) -> CoboundaryVerdict:
     """`is_coboundary3` on k's complex cx, solved against the factorisation
     `res` of the augmented d2 block when given."""
-    x, _, cert = _solve(cx.d2_map, cx.encode3(k), res)
+    x, _, cert = _solve(cx.d2_map, cx.encode(k), res)
     if x is None:
         return CoboundaryVerdict(False, None, cert)
     c = cx.decode2(x[:, 0])
@@ -635,7 +592,7 @@ def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     of Z2 and are listed one per cohomology class.
     """
     pulled = pullback_module(psi, rc.module)
-    kq = pullback3(psi, rc.k, pulled)
+    kq = pullback(psi, rc.k, pulled)
     cx = complex_for(pulled)
     # The bounding test and the cocycles both need the augmented d2 block
     # factored, so it is factored once here.  Its source and target are

@@ -23,7 +23,7 @@ from .cohomology import (
     Cochain3,
     _defect3,
     d2,
-    pullback3,
+    pullback,
     pullback_module,
     sub3,
 )
@@ -388,7 +388,7 @@ def reduce_functor(fun: AnnFunctor, rc_src: ReducedAnnCat, rc_tgt: ReducedAnnCat
     pulled = pullback_module(p, rc_tgt.module)
     g = Cochain2(pulled, b_to_m2[g_f], b_to_m2[g_g])
     qk = Cochain3(pulled, *(q[tbl] for tbl, _ in rc_src.k.tables()))
-    pk = pullback3(p, rc_tgt.k, pulled)
+    pk = pullback(p, rc_tgt.k, pulled)
     if not sub3(qk, pk).equals(d2(g)):
         raise AssertionError("reduction does not intertwine the obstructions")
     return ReducedFunctor(p, q, g, rc_src, rc_tgt)

@@ -30,8 +30,7 @@ from ringcat.cohomology import (
     h2_unit_normalised,
     is_coboundary3,
     neg3,
-    pullback2,
-    pullback3,
+    pullback,
     pullback_module,
     z2,
 )
@@ -203,6 +202,37 @@ def test_d2_kills_both_generators_over_z2():
     assert d2(Cochain2(mod, zero, f)).is_zero()
 
 
+def cochain_contract_cases(mod):
+    """(cochain type, tables, message): for each table of each degree over
+    the two-element module `mod`, a wrong shape, an out-of-range entry and
+    a nonzero value in each argument's zero slot, the other tables zero."""
+    cases = []
+    for cls, arities in ((Cochain1, [1]), (Cochain2, [2, 2]), (Cochain3, [3, 2, 3, 3, 3])):
+        names = [nm for nm, _ in cls.ARITIES]
+        assert [k for _, k in cls.ARITIES] == arities
+        for i, (name, k) in enumerate(zip(names, arities, strict=True)):
+            def tables(bad, i=i):
+                return [bad if j == i else np.zeros((2,) * a, dtype=int)
+                        for j, a in enumerate(arities)]
+            cases.append((cls, tables(np.zeros((3,) * k, dtype=int)),
+                          f"{name} has shape {(3,) * k}, expected {(2,) * k}"))
+            for value in (2, -1):
+                bad = np.zeros((2,) * k, dtype=int)
+                bad[(1,) * k] = value
+                cases.append((cls, tables(bad), f"{name} holds an out-of-range module element"))
+            for axis in range(k):
+                bad = np.zeros((2,) * k, dtype=int)
+                bad[(1,) * axis + (0,) + (1,) * (k - axis - 1)] = 1
+                cases.append((cls, tables(bad), f"{name} must vanish when an argument is zero"))
+    # Every table's shape is checked before any table's normalisation.
+    xi = np.zeros((2, 2, 2), dtype=int)
+    xi[0, 1, 1] = 1
+    z3 = np.zeros((2, 2, 2), dtype=int)
+    cases.append((Cochain3, [xi, np.zeros((3, 3), dtype=int), z3, z3, z3],
+                  "eta has shape (3, 3), expected (2, 2)"))
+    return cases
+
+
 def test_cochain_normalisation_enforced():
     mod = ring_as_module(zmod(2))
     with pytest.raises(ValueError, match="vanish"):
@@ -211,6 +241,24 @@ def test_cochain_normalisation_enforced():
         Cochain2(mod, np.array([[0, 1], [0, 0]]), np.zeros((2, 2), dtype=int))
     with pytest.raises(ValueError, match="shape"):
         Cochain2(mod, np.zeros((3, 3), dtype=int), np.zeros((3, 3), dtype=int))
+    cases = cochain_contract_cases(mod)
+    assert len(cases) == 4 + 2 * 5 + (4 * 6 + 5) + 1
+    for cls, tables, message in cases:
+        with pytest.raises(ValueError) as e:
+            cls(mod, *tables)
+        assert str(e.value) == message, (cls.__name__, message)
+
+
+def test_cochain1_shares_the_cochain_contract():
+    mod = ring_as_module(zmod(2))
+    c = Cochain1(mod, [0, 1])
+    (t, name), = c.tables()
+    assert name == "t" and t.dtype == np.int64 and t.tolist() == [0, 1]
+    assert not c.is_zero() and Cochain1(mod, [0, 0]).is_zero()
+    assert c.equals(Cochain1(mod, np.array([0, 1], dtype=np.int8)))
+    assert not c.equals(Cochain1(mod, [0, 0]))
+    assert not c.equals(Cochain1(ring_as_module(zmod(2)), [0, 1]))
+    assert d1(c).equals(d1(Cochain1(mod, [0, 1])))
 
 
 def test_vectorised_differentials_match_scalar_route():
@@ -325,7 +373,7 @@ def test_pullback2_rejects_a_foreign_pulled_module():
     psi = RingHom(zmod(2), r4, [0, r4.unit])
     c2 = Cochain2(mod, np.zeros((4, 4), dtype=np.int64), np.zeros((4, 4), dtype=np.int64))
     with pytest.raises(ValueError, match="pulled module lives over"):
-        pullback2(psi, c2, mod)
+        pullback(psi, c2, mod)
 
 
 def test_pullback3_rejects_a_foreign_cochain():
@@ -334,7 +382,7 @@ def test_pullback3_rejects_a_foreign_cochain():
     psi = RingHom(zmod(2), r4, [0, r4.unit])
     k = zero_cochain3(pullback_module(psi, mod))
     with pytest.raises(ValueError, match="psi maps into"):
-        pullback3(psi, k, pullback_module(psi, mod))
+        pullback(psi, k, pullback_module(psi, mod))
 
 
 def test_pullback_is_functorial():
@@ -355,15 +403,51 @@ def test_pullback_is_functorial():
     g = rng.integers(0, 2, size=(4, 4))
     f[0] = f[:, 0] = g[0] = g[:, 0] = 0
     c2 = Cochain2(mod, f, g)
-    a = pullback2(combined, c2, one_step)
-    b = pullback2(sigma, pullback2(psi, c2, pullback_module(psi, mod)), two_step)
+    a = pullback(combined, c2, one_step)
+    b = pullback(sigma, pullback(psi, c2, pullback_module(psi, mod)), two_step)
     assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
 
     k = d2(c2)
-    ka = pullback3(combined, k, one_step)
-    kb = pullback3(sigma, pullback3(psi, k, pullback_module(psi, mod)), two_step)
+    ka = pullback(combined, k, one_step)
+    kb = pullback(sigma, pullback(psi, k, pullback_module(psi, mod)), two_step)
     for (ta, _), (tb, _) in zip(ka.tables(), kb.tables(), strict=True):
         assert np.array_equal(ta, tb)
+
+
+def test_pullback_matches_a_per_table_reference():
+    r4 = dual_numbers(2)
+    mod = eps_module(r4)
+    z2r = zmod(2)
+    psi = RingHom(z2r, r4, [0, r4.unit]).compose(RingHom(zmod(4), z2r, [0, 1, 0, 1]))
+    pulled = pullback_module(psi, mod)
+    rng = np.random.default_rng(47)
+
+    def random_tables(cls):
+        # random off the zero slots, and 1 where every argument is the
+        # unit, which psi hits, so no pulled table is zero
+        out = []
+        for _, k in cls.ARITIES:
+            t = rng.integers(0, 2, size=(4,) * k)
+            t[(r4.unit,) * k] = 1
+            for axis in range(k):
+                t[(slice(None),) * axis + (0,)] = 0
+            out.append(t)
+        return out
+
+    c1, c2, k = (cls(mod, *random_tables(cls)) for cls in (Cochain1, Cochain2, Cochain3))
+    p = psi.map
+    sq, cube = np.ix_(p, p), np.ix_(p, p, p)
+    for c, want in (
+        (c1, [c1.t[np.ix_(p)]]),
+        (c2, [c2.f[sq], c2.g[sq]]),
+        (k, [k.xi[cube], k.eta[sq], k.alpha_x[cube], k.lambda_l[cube], k.rho_r[cube]]),
+    ):
+        got = pullback(psi, c, pulled)
+        assert type(got) is type(c) and got.module is pulled
+        assert [nm for _, nm in got.tables()] == [nm for _, nm in c.tables()]
+        for (t, _), w in zip(got.tables(), want, strict=True):
+            assert t.dtype == np.int64 and np.array_equal(t, w)
+        assert all(t.any() for t, _ in got.tables())
 
 
 def test_is_coboundary3_recovers_an_image():
@@ -513,7 +597,7 @@ def test_encode_decode_roundtrip():
     g = rng.integers(0, 2, size=(4, 4))
     f[0] = f[:, 0] = g[0] = g[:, 0] = 0
     c = Cochain2(mod, f, g)
-    back = cx.decode2(cx.encode2(c))
+    back = cx.decode2(cx.encode(c))
     assert back.equals(c)
 
 
@@ -854,8 +938,8 @@ def reference_classify(psi, rc):
     (vanishes, certificate, class tables, H2 factors)."""
     pulled = pullback_module(psi, rc.module)
     cx = complex_for(pulled)
-    target = neg3(pullback3(psi, rc.k, pulled))
-    x, cert = reference_solve_with_certificate(cx.d2_map, cx.encode3(target))
+    target = neg3(pullback(psi, rc.k, pulled))
+    x, cert = reference_solve_with_certificate(cx.d2_map, cx.encode(target))
     if x is None:
         return False, cert, [], ()
     g0 = cx.decode2(np.asarray(x, dtype=np.int64))

@@ -384,6 +384,17 @@ def test_cli_cohom_obstruct(corpus_dir, capsys):
 
 
 
+def test_cli_psi_rejects_a_negative_or_repeated_source(corpus_dir, capsys):
+    # -1 would wrap around to the last element, and a repeated source
+    # would keep its last pair.
+    for psi, part in (("0:0,-1:1", "-1:1"), ("0:0,1:0,1:1", "1:1")):
+        assert main(["cohom", "obstruct", str(corpus_dir / "mult_2z8.esys"),
+                     "--q", str(corpus_dir / "flat_z2_D.ring"), "--psi", psi]) == 2
+        assert f"<psi>:0:0: bad psi pair '{part}'" in capsys.readouterr().err
+        with pytest.raises(ParseError, match=f"bad psi pair '{part}'"):
+            cli._parse_psi(psi, zmod(2), zmod(2))
+
+
 def test_cli_cohom_obstruct_with_a_lattice_index_past_int64(corpus_dir, tmp_path, capsys):
     # A lattice index on this route is 3^44, past 2^63: its product must be
     # exact for the subgroup order check to pass.

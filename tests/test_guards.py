@@ -19,10 +19,10 @@ from ringcat.anncat import anncat_axiom_check
 from ringcat.bimult import bimult_ring, enumerate_bimultiplications
 from ringcat.cohomology import complex_for, h2
 from ringcat.corpus import corpus
-from ringcat.crossed import ESystem, multiplier_esystem, validate_esystem
+from ringcat.crossed import multiplier_esystem, validate_esystem
 from ringcat.extensions import equivalent, exhaustive_extension_search
 from ringcat.rings import RingHom, _additive_maps, find_ring_isomorphism, ideal_cokernel
-from ringcat.rings import zero_mult, zmod
+from ringcat.rings import zero_mult, zero_mult_klein, zmod
 from ringcat.transport import reduce_esystem, reduced_axiom_check
 from test_anncat import doubled_into_z4, with_entry, zero_action_es
 from test_cohomology import ring_as_module
@@ -195,17 +195,23 @@ def anncat_tensor_cod(m):
     return call, "64 tensor-cod grid cells, over the guard 63"
 
 
+def klein_over_z2():
+    """The Klein zero ring with Z/2 acting by the identity and d = 0: a
+    regular system with |B| = 4 > |D| = 2, so a tensor-interchange row,
+    nb^3 * nd = 128 cells, holds more than the tensor-cod grid, 64."""
+    tl = np.array([[0, 0, 0, 0], [0, 1, 2, 3]], dtype=np.int16)
+    return validate_esystem(zero_mult_klein(), zmod(2), np.zeros(4, dtype=np.int16), tl, tl)
+
+
 def anncat_chunk(m):
-    # |B| = |D| = 4; a changed action entry leaves the tensor-interchange
-    # chunks x1 = 1 and 3 unproved, and its chunks have 4^4 * 4 cells.
-    base = doubled_into_z4()
-    tl = base.theta_left.copy()
-    tl[1, 1] = (tl[1, 1] + 1) % 4
-    es = ESystem(base.name, base.b, base.d_ring, base.d, tl, base.theta_right)
-    m.setattr(anncat, "CELL_LIMIT", 1023)
+    # A changed action entry leaves the tensor-interchange chunk x1 = 1
+    # unproved.  Its chunk has 4^4 * 2 = 512 cells, scanned one b1 row of
+    # 128 at a time, so the row is charged.
+    es = with_entry(klein_over_z2(), "theta_left", (1, 1), 0)
+    m.setattr(anncat, "CELL_LIMIT", 127)
     never_on_grids(m, 5)
     call = partial(anncat_axiom_check, es)
-    return call, "1024 tensor-interchange chunk cells, over the guard 1023"
+    return call, "128 tensor-interchange row cells, over the guard 127"
 
 
 SITES = {
@@ -243,9 +249,12 @@ def test_every_guard_site_refuses_before_it_allocates(site, monkeypatch):
 
 def test_proved_chunks_are_not_guarded(monkeypatch):
     # Every chunk of a regular system is proved, so a limit below the
-    # chunk size but above every other grid lets the check finish.
-    monkeypatch.setattr(anncat, "CELL_LIMIT", 256)
-    assert anncat_axiom_check(doubled_into_z4()).ok
+    # chunk size but above every other grid lets the check finish.  On
+    # klein_over_z2 the limit is also one cell below a tensor-interchange
+    # row, the size the guard charges.
+    for es, limit in ((doubled_into_z4(), 256), (klein_over_z2(), 127)):
+        monkeypatch.setattr(anncat, "CELL_LIMIT", limit)
+        assert anncat_axiom_check(es).ok
 
 
 def traced_peak(call):

@@ -4,8 +4,8 @@ No source file holds an `assert` statement, and the tests below exercise the val
 search guards, the typed errors of `ablin`, `rings`, `crossed`, `corpus`,
 `transport`, `cohomology` and `extensions`, the internal checks of
 `ablin`, `rings`, `bimult`, `anncat`, `transport`, `cohomology` and
-`extensions`, and the CLI's exit code for internal errors.  Here they run
-again in a `python -O` subprocess.
+`extensions`, and the CLI's exit codes for bad input, tripped guards and
+internal errors.  Here they run again in a `python -O` subprocess.
 """
 
 import ast
@@ -45,6 +45,7 @@ VALIDATION_TESTS = [
     "tests/test_transport.py::test_reduce_requires_regular_base",
     "tests/test_cohomology.py::test_pullback_module_along_unit_embedding",
     "tests/test_cohomology.py::test_pullback_module_rejects_a_foreign_module",
+    "tests/test_cohomology.py::test_cochain_normalisation_enforced",
     "tests/test_cohomology.py::test_pullback2_rejects_a_foreign_pulled_module",
     "tests/test_cohomology.py::test_pullback3_rejects_a_foreign_cochain",
     "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
@@ -68,6 +69,7 @@ VALIDATION_TESTS = [
     "tests/test_fileio_cli.py::test_cli_cohom_h2_overflow_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_bimult_pair_scan_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_internal_error_exits_3",
+    "tests/test_fileio_cli.py::test_cli_psi_rejects_a_negative_or_repeated_source",
     "tests/test_fileio_cli.py::test_cli_reduce_non_regular_is_invalid",
     "tests/test_guards.py",
     "tests/test_acceptance.py::test_criterion_07_section_independence",
