@@ -82,7 +82,7 @@ def _parse_psi(text: str, q, target) -> RingHom:
                 raise IndexError(s)
             m[s] = int(dst)
             seen.add(s)
-        except (ValueError, IndexError) as e:
+        except (ValueError, IndexError, OverflowError) as e:
             raise ParseError("<psi>", 0, 0, f"bad psi pair '{part}'") from e
     if (m < 0).any() or (m >= target.order).any():
         raise ParseError("<psi>", 0, 0, "psi must map every quotient element")

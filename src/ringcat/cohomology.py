@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -47,7 +47,7 @@ from .ablin import (
     kernel,
     span_subgroup,
 )
-from .crossed import Bimodule, validate_bimodule
+from .crossed import Bimodule
 from .rings import BLOCK_CELLS, FiniteRing, RingHom, _sum
 
 
@@ -518,19 +518,15 @@ def _check_pullback(psi: RingHom, ring: FiniteRing, pulled: Bimodule | None = No
 
 
 def pullback_module(psi: RingHom, module: Bimodule) -> Bimodule:
-    """The same group seen as a bimodule over psi's source."""
+    """The same group seen as a bimodule over psi's source.  No law is
+    checked again: the tables are the module's own or its rows at psi's
+    images, and psi is a unital ring map, so every `group-*`, `coords-*`,
+    `ring-unital` and `bimodule-*` condition still holds."""
     _check_pullback(psi, module.ring)
     if not psi.unital:
         raise ValueError(f"pullback needs a unital map, got {psi.map.tolist()}")
-    return validate_bimodule(
-        psi.source,
-        module.group,
-        module.add,
-        module.neg,
-        module.left[psi.map],
-        module.right[psi.map],
-        module.coords,
-    )
+    return replace(module, ring=psi.source, left=module.left[psi.map],
+                   right=module.right[psi.map])
 
 
 def pullback(psi: RingHom, c: _Cochain, pulled: Bimodule) -> _Cochain:

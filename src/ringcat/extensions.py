@@ -5,7 +5,7 @@ An extension is a unital ring holding the base of an action system
 compatible map to the action target.  Choosing a set-lift of the
 quotient casts the ring onto the product carrier B x Q, leaving behind a
 factor system: one bimultiplication per quotient element plus additive
-and multiplicative defect tables.  `crossed_product` rebuilds the ring
+and multiplicative defect tables.  `crossed_product` rebuilds the extension
 from a factor system, `enumerate_extensions` walks the degree-two
 cohomology classes instead of raw tables, and
 `exhaustive_extension_search` re-derives existence by a staged search
@@ -25,7 +25,7 @@ import numpy as np
 from .ablin import CANDIDATE_LIMIT, _guard
 from .bimult import _bimult_laws, _permutable, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, classify_functors
-from .crossed import ESystem, ESystemError, _require_regular, validate_esystem, validate_morphism
+from .crossed import ESystem, ESystemError, _require_regular, validate_morphism
 from .rings import (
     BLOCK_CELLS,
     FiniteRing,
@@ -86,8 +86,9 @@ class Extension:
 
 def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps,
                        name: str = "ext") -> Extension:
-    """Check exactness, the ideal property, the induced action system on
-    (base, ring) and its compatibility with the given one."""
+    """Check exactness, the ideal property and that the action system
+    induced on (base, ring) maps to the given one.  That system needs no
+    law checked: j is injective and j(B) an ideal of a validated ring."""
     try:
         jh = RingHom(base.b, ring, j)
         ph = RingHom(ring, q, p)
@@ -108,10 +109,7 @@ def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps
         if (mapped < 0).any():
             x, bi = _first_bad(mapped >= 0)
             raise ExtensionError(f"ideal-{side}", (x, int(jh.map[bi])))
-    try:
-        inner = validate_esystem(base.b, ring, jh.map, lt, rt, name=f"{name}_inner")
-    except ESystemError as e:
-        raise ExtensionError("induced-system", str(e)) from e
+    inner = ESystem(f"{name}_inner", base.b, ring, jh, lt, rt)
     try:
         validate_morphism(inner, base, np.arange(base.b.order), eh.map)
     except ESystemError as e:
@@ -397,37 +395,26 @@ def crossed_product(
     psi: RingHom,
     section: Section | None = None,
     name: str | None = None,
-) -> tuple[FiniteRing, Extension]:
-    """Ring and extension built from a factor system in a reduction context.
+) -> Extension:
+    """Extension on `crossed_ring(fs)` from a factor system in a context.
 
     The context pins the compatible map into the action target as
     eps(b, u) = d(b) + l(u), where l lifts psi through the section except
     that l(1) = 1 is forced.  (The default section already sends the
     quotient's unit class to 1, so the forcing only matters when the
-    cokernel is trivial and the unit class is the zero class.)  For eps
-    to be a homomorphism the factor system's action must be theta after
-    l and its defect tables must push forward, under d, to l's defects.
+    cokernel is trivial and the unit class is the zero class.)  The
+    defect tables must push forward, under d, to l's defects, so that eps
+    is a ring map (`structure-hom`), and (0, u) must act as l(u) does, so
+    that eps maps the induced system (`target-compatibility`).
     """
     if fs.b is not base.b:
         raise ExtensionError("factor-system-base", (fs.b.name, base.b.name))
     if section is None:
         section = choose_section(base)
-    q = fs.q
-    psi = _align_psi(psi, q, base.cokernel.ring)
-    lift = _context_lift(base, section, psi)
-    if not (
-        np.array_equal(fs.act_left, base.theta_left[lift])
-        and np.array_equal(fs.act_right, base.theta_right[lift])
-    ):
-        raise ExtensionError("context-action", ())
-    dm = base.d.map
-    want_f, want_g = _lift_defects(base.d_ring, lift, q)
-    for tbl, want, nm in ((fs.f, want_f, "additive"), (fs.g, want_g, "multiplicative")):
-        ok = dm[tbl] == want
-        if not ok.all():
-            raise ExtensionError(f"context-{nm}-defect", _first_bad(ok))
+    psi = _align_psi(psi, fs.q, base.cokernel.ring)
     ring = crossed_ring(fs, name=name)
-    return ring, _carrier_extension(base, ring, q, lift, name or ring.name)
+    return _carrier_extension(base, ring, fs.q, _context_lift(base, section, psi),
+                              name or ring.name)
 
 
 def _context_lift(base: ESystem, section: Section, psi: RingHom) -> np.ndarray:
@@ -593,8 +580,7 @@ def enumerate_extensions(
         f = base.b.add[fp, carrier[c.f]]
         g = base.b.add[ft, carrier[c.g]]
         fs = validate_factor_system(base.b, q, al, ar_, f, g)
-        _, ext = crossed_product(fs, base, psi, section=sec, name=f"{stem}_{i}")
-        out.append(ext)
+        out.append(crossed_product(fs, base, psi, section=sec, name=f"{stem}_{i}"))
     for i in range(len(out)):
         for k in range(i + 1, len(out)):
             if equivalent(out[i], out[k]) is not None:

@@ -56,6 +56,10 @@ def validate_section(es: ESystem, sigma, fplus, ftimes) -> Section:
     ftimes = np.asarray(ftimes, dtype=np.int64)
     if sigma.shape != (n,) or fplus.shape != (n, n) or ftimes.shape != (n, n):
         raise ValueError("section tables have the wrong shape")
+    if sigma.min() < 0 or sigma.max() >= dd.order:
+        raise ValueError("sigma entry out of range")
+    if fplus.min() < 0 or fplus.max() >= bb.order or ftimes.min() < 0 or ftimes.max() >= bb.order:
+        raise ValueError("defect entry out of range")
     proj = quo.projection.map
     if not (proj[sigma] == np.arange(n)).all():
         raise ValueError("sigma does not pick representatives")
@@ -81,8 +85,6 @@ def validate_section(es: ESystem, sigma, fplus, ftimes) -> Section:
     u = rq.unit
     if ftimes[0].any() or ftimes[:, 0].any() or ftimes[u].any() or ftimes[:, u].any():
         raise ValueError("multiplicative defect must vanish at zero and unit slots")
-    if fplus.min() < 0 or fplus.max() >= bb.order or ftimes.min() < 0 or ftimes.max() >= bb.order:
-        raise ValueError("defect entry out of range")
     return Section(es, sigma, fplus, ftimes)
 
 

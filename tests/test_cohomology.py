@@ -968,6 +968,24 @@ def test_classify_triples_match_the_per_column_solves():
     assert obstructed == ["mult_2z8|coker_mult_2z8|0,1,2,3"]
 
 
+def test_pullback_module_matches_validate_bimodule():
+    # pullback_module reuses the module's checked tables instead of running
+    # validate_bimodule; over the classify triples it must build the same
+    # module, array types included, and carry no complex of the original.
+    for label, psi, rc in classify_triples():
+        m = rc.module
+        complex_for(m)
+        got = pullback_module(psi, m)
+        want = validate_bimodule(psi.source, m.group, m.add, m.neg, m.left[psi.map],
+                                 m.right[psi.map], m.coords)
+        assert got.ring is want.ring is psi.source, label
+        assert got.group == want.group, label
+        for field in ("add", "neg", "left", "right", "coords", "by_code", "strides"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (label, field)
+        assert getattr(got, "_complex", None) is None, label
+
+
 def test_klein_census_homology_matches_the_per_column_loop():
     mods = klein_census_modules()
     assert len(mods) == 42

@@ -55,6 +55,7 @@ from ringcat.rings import (
     RingHom,
     _additive_maps,
     _first_bad,
+    _ideal_actions,
     _product_blocks,
     _sum,
     dual_numbers,
@@ -68,7 +69,7 @@ from ringcat.rings import (
     zmod,
 )
 from ringcat.transport import reduce_esystem
-from test_cohomology import klein_census_modules, reference_defect3
+from test_cohomology import classify_triples, klein_census_modules, reference_defect3
 
 
 def flat_z2():
@@ -212,7 +213,7 @@ def test_factor_system_roundtrip_and_lifts():
     assert fs3.f.tolist() == [[0, 0], [0, 1]] and fs3.g.tolist() == [[0, 0], [0, 1]]
     assert crossed_ring(fs3, name="shifted").unit == 3
     for fsx in (fs, fs3):
-        _, rebuilt = crossed_product(fsx, es, psi, section=rc.section, name="rt")
+        rebuilt = crossed_product(fsx, es, psi, section=rc.section, name="rt")
         assert equivalent(e4, rebuilt) is not None
     with pytest.raises(ExtensionError) as e:
         factor_system_from_extension(e4, lifts=[2, 1])
@@ -491,6 +492,25 @@ def test_crossed_product_rejects_a_foreign_base():
     with pytest.raises(ExtensionError) as e:
         crossed_product(fs, other, RingHom(rc.ring, rc.ring, np.arange(2)))
     assert e.value.condition == "factor-system-base"
+
+
+def test_crossed_product_enforces_its_context():
+    # Over its order-4 cokernel Q, mult_2z8 has the unital maps Q -> Q
+    # (0 0 2 2) and the identity.  A factor system read off an extension
+    # over the first is the wrong context for the second: its action is
+    # not theta after the identity's lift, which validate_extension finds.
+    es = corpus_system("mult_2z8")
+    rc = reduce_esystem(es)
+    q = rc.ring
+    homs = unital_homs(q, q)
+    assert [h.map.tolist() for h in homs] == [[0, 0, 2, 2], [0, 1, 2, 3]]
+    ext = enumerate_extensions(es, q, homs[0], rc=rc)[0]
+    fs = factor_system_from_extension(ext)
+    assert equivalent(ext, crossed_product(fs, es, homs[0], section=rc.section)) is not None
+    with pytest.raises(ExtensionError) as e:
+        crossed_product(fs, es, homs[1], section=rc.section)
+    assert e.value.condition == "target-compatibility"
+    assert str(e.value).endswith("morphism-action-right fails at (4, 1)")
 
 
 def test_equivalent_rejects_extensions_over_different_bases():
@@ -1408,6 +1428,18 @@ def test_crossed_rings_are_built_without_validate_ring(monkeypatch):
     for args in klein_census_factor_systems()[::97]:
         assert crossed_ring(validate_factor_system(*args)).order == 4 * args[1].order
     assert len(enumerate_extensions(*flat_z2_over_z4())) == 2
+
+
+def test_enumerated_extensions_induce_valid_action_systems():
+    # validate_extension builds the action system induced on (B, E)
+    # without validate_esystem; over the classify triples every one of
+    # them must still pass it.
+    count = 0
+    for _, psi, rc in classify_triples():
+        for ext in enumerate_extensions(rc.es, psi.source, psi, rc=rc):
+            validate_esystem(rc.es.b, ext.ring, ext.j.map, *_ideal_actions(ext.ring, ext.j.map))
+            count += 1
+    assert count == 93
 
 
 def test_the_search_validates_each_find(monkeypatch):

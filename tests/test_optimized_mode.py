@@ -2,7 +2,9 @@
 
 No source file holds an `assert` statement, and the tests below exercise the validators whose laws live in `bimult`, the
 search guards, the typed errors of `ablin`, `rings`, `crossed`, `corpus`,
-`transport`, `cohomology` and `extensions`, the internal checks of
+`transport`, `cohomology` and `extensions` (among them the range checks
+of a section's tables and the context check that a crossed product gets
+from `validate_extension`), the internal checks of
 `ablin`, `rings`, `bimult`, `anncat`, `transport`, `cohomology` and
 `extensions`, and the CLI's exit codes for bad input, tripped guards and
 internal errors.  Here they run again in a `python -O` subprocess.
@@ -38,6 +40,7 @@ VALIDATION_TESTS = [
     "tests/test_rings.py::test_decompose_abelian_rejects_a_table_that_is_no_group",
     "tests/test_rings.py::test_broken_checks_raise_without_assert",
     "tests/test_corpus.py::test_unital_homs_rejects_a_non_unital_ring",
+    "tests/test_transport.py::test_validate_section_rejects_broken_tables",
     "tests/test_transport.py::test_validate_section_rejects_a_non_unital_quotient",
     "tests/test_transport.py::test_choose_section_rejects_an_unknown_flavor",
     "tests/test_transport.py::test_reduce_rejects_a_section_over_another_quotient",
@@ -58,6 +61,7 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_induced_psi_names_the_first_disagreeing_preimage",
     "tests/test_extensions.py::test_search_rejects_non_unital_psi",
     "tests/test_extensions.py::test_crossed_product_rejects_a_foreign_base",
+    "tests/test_extensions.py::test_crossed_product_enforces_its_context",
     "tests/test_extensions.py::test_equivalent_rejects_extensions_over_different_bases",
     "tests/test_extensions.py::test_g_stage_guard_counts_generator_pair_candidates",
     "tests/test_extensions.py::test_g_guard_trips_at_the_first_action_with_candidates",

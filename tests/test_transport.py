@@ -124,6 +124,16 @@ def test_validate_section_rejects_broken_tables():
     sigma[1] = 3
     with pytest.raises(ValueError, match="unit"):
         validate_section(es, sigma, sec.fplus, sec.ftimes)
+    # Entries past the carriers are refused before any table indexes with them.
+    sigma = sec.sigma.copy()
+    sigma[1] = 99
+    with pytest.raises(ValueError, match="sigma entry out of range"):
+        validate_section(es, sigma, sec.fplus, sec.ftimes)
+    for which in (1, 2):
+        tables = [sec.sigma, sec.fplus.copy(), sec.ftimes.copy()]
+        tables[which][1, 1] = 99
+        with pytest.raises(ValueError, match="defect entry out of range"):
+            validate_section(es, *tables)
 
 
 def test_validate_section_rejects_a_non_unital_quotient(monkeypatch):
