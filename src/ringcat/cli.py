@@ -77,14 +77,14 @@ def _parse_psi(text: str, q, target) -> RingHom:
     for part in text.split(","):
         src, _, dst = part.partition(":")
         try:
-            s = int(src)
-            if s < 0 or s in seen:  # a negative index would wrap around
+            s, d = int(src), int(dst)
+            if s < 0 or s in seen or not 0 <= d < target.order:  # -1 would wrap around
                 raise IndexError(s)
-            m[s] = int(dst)
+            m[s] = d
             seen.add(s)
-        except (ValueError, IndexError, OverflowError) as e:
+        except (ValueError, IndexError) as e:
             raise ParseError("<psi>", 0, 0, f"bad psi pair '{part}'") from e
-    if (m < 0).any() or (m >= target.order).any():
+    if (m < 0).any():
         raise ParseError("<psi>", 0, 0, "psi must map every quotient element")
     return RingHom(q, target, m)
 

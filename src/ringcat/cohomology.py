@@ -19,7 +19,10 @@ conditions in `extensions.validate_factor_system`.  Its five conditions
 are written once, as data: a plan per ring (`_defect3_plan`, memoised)
 names each term's cochain, arguments and map, so one evaluation is a
 fixed handful of numpy gathers and folds, and a stack of cochains runs
-through it in blocks of rows.
+through it in blocks of rows.  A map is a row of one table,
+`_map_table` (identity, l_u, r_w and their negatives), numbered by
+`_map_codes`.  The 14 reduced coherence laws of `transport` are terms of
+the same format through the same table.
 """
 
 from __future__ import annotations
@@ -163,6 +166,24 @@ def d1(c: Cochain1) -> Cochain2:
     return Cochain2(c.module, *_defect2(c.module, c.t))
 
 
+def _map_table(neg, left, right) -> np.ndarray:
+    """Every map a cochain term goes through, one row each: the maps
+    [id; l_0 .. l_{n-1}; r_0 .. r_{n-1}] of a module or group with
+    negation `neg` and action rows `left` and `right`, then their
+    negatives in the same order.  `_map_codes` numbers the rows."""
+    maps = np.concatenate((np.arange(len(neg))[None], left, right))
+    return np.concatenate((maps, neg[maps]))
+
+
+def _map_codes(n: int):
+    """The rows of `_map_table` over a ring of order n: (id, neg, left,
+    right, minus), where left(u) is the row of l_u, right(w) that of r_w,
+    and minus(c) that of the negative of row c.  All but the two constant
+    codes take ints or arrays alike."""
+    half = 2 * n + 1
+    return 0, half, lambda u: 1 + u, lambda w: 1 + n + w, lambda c: (c + half) % (2 * half)
+
+
 @functools.lru_cache(maxsize=32)
 def _defect3_plan(ring: FiniteRing):
     """The term plan of `_defect3` over `ring`: read-only arrays (terms,
@@ -172,10 +193,8 @@ def _defect3_plan(ring: FiniteRing):
     alpha_x, lambda_l, rho_r, each in C order), and row k its k-th term.
     terms[k, c] is where the term sits in the row [f | g | 0] of one
     defect pair: f(a, b) at a*n + b, g(a, b) at n^2 + a*n + b, and the
-    zero that pads a table to five terms at 2n^2.  maps[k, c] is the row
-    of the map table [id; neg; left; right; neg o right] that it goes
-    through: 0, 1, 2 + u for l_u, 2 + n + w for r_w, 2 + 2n + w for
-    -r_w.  No term applies -l_u.
+    zero that pads a table to five terms at 2n^2.  maps[k, c] is the
+    `_map_codes` row of `_map_table` that it goes through.
     """
     n = ring.order
     us = np.arange(n)
@@ -183,17 +202,18 @@ def _defect3_plan(ring: FiniteRing):
     radd, rmul = ring.add.astype(np.intp), ring.mul.astype(np.intp)  # a*n passes int16
     uv, vw, uv_m, vw_m, uw_m = radd[u, v], radd[v, w], rmul[u, v], rmul[v, w], rmul[u, w]
     f, g, zero = 0, n * n, 2 * n * n
-    ident, neg, left, right, neg_right = 0, 1, 2 + u, 2 + n + w, 2 + 2 * n + w
+    ident, neg, left, right, minus = _map_codes(n)
     # Each table's terms (cochain, first argument, second argument, map),
     # in the order `_defect3` sums them; eta's grid is (u, v) alone.
     su, sv = u[..., 0], v[..., 0]
     conditions = (
         [(f, u, vw, ident), (f, v, w, ident), (f, u, v, neg), (f, uv, w, neg)],
         [(f, su, sv, ident), (f, sv, su, neg)],
-        [(g, v, w, left), (g, uv_m, w, neg), (g, u, vw_m, ident), (g, u, v, neg_right)],
-        [(g, u, vw, ident), (g, u, v, neg), (g, u, w, neg), (f, v, w, left),
+        [(g, v, w, left(u)), (g, uv_m, w, neg), (g, u, vw_m, ident),
+         (g, u, v, minus(right(w)))],
+        [(g, u, vw, ident), (g, u, v, neg), (g, u, w, neg), (f, v, w, left(u)),
          (f, uv_m, uw_m, neg)],
-        [(g, uv, w, ident), (g, u, w, neg), (g, v, w, neg), (f, u, v, right),
+        [(g, uv, w, ident), (g, u, w, neg), (g, v, w, neg), (f, u, v, right(w)),
          (f, uw_m, vw_m, neg)],
     )
     terms, maps = [], []
@@ -249,9 +269,7 @@ def _defect3(add, neg, left, right, ring: FiniteRing, f, g):
     out = np.empty((rows, 4 * cube + square), dtype=add.dtype)
     if rows:  # an empty stack needs no plan
         terms, maps = _defect3_plan(ring)
-        # The map table, flat: row r starts at r * |module|.
-        table = np.concatenate((np.arange(len(neg))[None], neg[None], left, right, neg[right]))
-        table = table.ravel()
+        table = _map_table(neg, left, right).ravel()  # row r starts at r * |module|
         offsets = maps.astype(np.intp) * len(neg)
         step = max(1, BLOCK_CELLS // terms.size)
         for lo in range(0, rows, step):

@@ -7,11 +7,15 @@ fails to be additive or multiplicative by base-valued defect tables, and
 those defects in turn fail five coherence comparisons by kernel-valued
 tables.  Together the five tables form a degree-three cochain whose class
 does not depend on any of the choices; `reduce_esystem` materialises it
-and `reduced_axiom_check` verifies the identities it must satisfy.
+and `reduced_axiom_check` verifies the 14 coherence laws it must satisfy.
+Each law is stated once, as data in the term format of `_defect3`'s plan,
+and checked one term at a time over its grid: a flat plan like
+`_defect3`'s would hold n^4 indices per term.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,8 @@ from .cohomology import (
     Cochain2,
     Cochain3,
     _defect3,
+    _map_codes,
+    _map_table,
     d2,
     pullback,
     pullback_module,
@@ -142,166 +148,116 @@ def reduce_esystem(es: ESystem, section: Section | None = None) -> ReducedAnnCat
     if not all((t >= 0).all() for t in tables):
         raise AssertionError("obstruction value escapes the kernel")
     k = Cochain3(km.module, *tables)
-    report = reduced_axiom_check(rq, km.module, k)
+    report = reduced_axiom_check(k)
     if not report.ok:
         raise AssertionError(f"reduced data breaks {report.failures()[0].law}")
     return ReducedAnnCat(rq, km.module, k, es, section)
 
 
-def reduced_axiom_check(ring: FiniteRing, module: Bimodule, k: Cochain3) -> CheckReport:
-    """All coherence identities a reduced obstruction cochain must satisfy.
+@functools.lru_cache(maxsize=32)
+def _coherence_laws(ring: FiniteRing):
+    """The 14 reduced coherence laws over `ring` as data, in check order:
+    (law, terms) pairs, each law saying that its terms sum to zero.
 
-    Each law compares two table expressions over full index grids; a
-    failing law reports the first witness in scan order.  Guarded by the
-    cells of one quartic grid.
+    A term is (table, args, map), as in `cohomology._defect3_plan`: table
+    0 to 4 of the cochain (xi, eta, alpha_x, lambda_l, rho_r) read at the
+    index arrays `args`, broadcast over the law's grid, and sent through
+    row `map` of `cohomology._map_table`.  Each law is written below as
+    lhs = rhs and stored as lhs - rhs: the rhs terms take negated maps.
+
+    Memoised per ring by identity for the 32 rings used last, as
+    `_defect3_plan` is.  An entry holds read-only intp arrays of at most
+    n^3 indices each, 2n^3 + about 30n^2 in all: 25 KB at n = 8, 0.8 MB
+    at n = 32, 3.6 MB at n = 56, the largest ring the cell guard admits.
+    So the memo's worst case is about 115 MB, and 4.1 MB while the rings
+    have at most 16 elements.
     """
     n = ring.order
-    _guard(n**4, "coherence grid cells", CELL_LIMIT)
-    if not (k.module is module and module.ring is ring):
-        raise AssertionError("the cochain lives over another module or ring")
-    xi, eta, ax, ll, rr = (tbl for tbl, _ in k.tables())
-    ma, mn, mlft, mrgt = module.add, module.neg, module.left, module.right
-    radd, rmul = ring.add, ring.mul
+    radd, rmul = ring.add.astype(np.intp), ring.mul.astype(np.intp)
+    ident, neg, left, right, minus = _map_codes(n)
+
+    def table(i):
+        return lambda *args, m=ident: (i, args, m)
+
+    xi, eta, ax, ll, rr = map(table, range(5))
     ar = np.arange(n)
-    x3, y3, z3 = ar[:, None, None], ar[None, :, None], ar[None, None, :]
-    x4 = ar[:, None, None, None]
-    y4 = ar[None, :, None, None]
-    z4 = ar[None, None, :, None]
-    t4 = ar[None, None, None, :]
+    x, y, z, t = np.ix_(ar, ar, ar, ar)
+    a, b, c = np.ix_(ar, ar, ar)
+    p, q = np.ix_(ar, ar)
+    # Products of x or y with z or t, which several laws read.
+    xz, yz, xt, yt = rmul[x, z], rmul[y, z], rmul[x, t], rmul[y, t]
+    laws = (
+        ("pentagon_add", [xi(x, y, radd[z, t]), xi(radd[x, y], z, t)],
+         [xi(y, z, t), xi(x, radd[y, z], t), xi(x, y, z)]),
+        ("unit_add", [xi(p, 0, q)], []),
+        ("symmetry_inverse", [eta(p, q), eta(q, p)], []),
+        ("symmetry_diagonal", [eta(ar, ar)], []),
+        ("hexagon_add", [xi(a, b, c), eta(radd[a, b], c), xi(c, a, b)],
+         [eta(b, c), xi(a, c, b), eta(a, c)]),
+        ("pentagon_mul", [ax(x, y, rmul[z, t]), ax(rmul[x, y], z, t)],
+         [ax(y, z, t, m=left(x)), ax(x, rmul[y, z], t), ax(x, y, z, m=right(t))]),
+        ("left_distrib_add_assoc", [ll(x, y, radd[z, t]), ll(x, z, t), xi(rmul[x, y], xz, xt)],
+         [xi(y, z, t, m=left(x)), ll(x, radd[y, z], t), ll(x, y, z)]),
+        ("left_distrib_add_comm", [ll(a, b, c), eta(rmul[a, b], rmul[a, c])],
+         [eta(b, c, m=left(a)), ll(a, c, b)]),
+        ("right_distrib_add_assoc", [rr(x, radd[y, z], t), rr(y, z, t), xi(xt, yt, rmul[z, t])],
+         [xi(x, y, z, m=right(t)), rr(radd[x, y], z, t), rr(x, y, t)]),
+        ("right_distrib_add_comm", [rr(a, b, c), eta(rmul[a, c], rmul[b, c])],
+         [eta(a, b, m=right(c)), rr(b, a, c)]),
+        ("mul_assoc_left_distrib", [ax(x, y, radd[z, t]), ll(rmul[x, y], z, t)],
+         [ll(y, z, t, m=left(x)), ll(x, yz, yt), ax(x, y, z), ax(x, y, t)]),
+        ("mul_assoc_right_distrib",
+         [ax(radd[x, y], z, t), rr(x, y, z, m=right(t)), rr(xz, yz, t)],
+         [rr(x, y, rmul[z, t]), ax(x, z, t), ax(y, z, t)]),
+        ("mul_assoc_mixed_distrib",
+         [ax(x, radd[y, z], t), ll(x, y, z, m=right(t)), rr(rmul[x, y], xz, t)],
+         [rr(y, z, t, m=left(x)), ll(x, yt, rmul[z, t]), ax(x, y, t), ax(x, z, t)]),
+        ("distrib_interchange",
+         [ll(radd[x, y], z, t), rr(x, y, z), rr(x, y, t), xi(xz, yz, radd[xt, yt], m=neg),
+          xi(yz, xt, yt), eta(yz, xt), xi(xt, yz, yt, m=neg), xi(xz, xt, radd[yz, yt])],
+         [rr(x, y, radd[z, t]), ll(x, z, t), ll(y, z, t)]),
+    )
+    data = tuple(
+        (law, tuple(lhs) + tuple((tbl, args, minus(m)) for tbl, args, m in rhs))
+        for law, lhs, rhs in laws
+    )
+    for _, terms in data:
+        for arr in (v for _, args, m in terms for v in (*args, m)):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+    return data
 
+
+def reduced_axiom_check(k: Cochain3) -> CheckReport:
+    """The coherence laws `_coherence_laws` of the reduced obstruction
+    cochain k, over k's module and ring.
+
+    A law holds where its terms sum to zero, and a failing law reports
+    the first witness in C order of its grid.  Each term is gathered over
+    the whole grid, sent through its row of the module's `_map_table` and
+    folded into a running sum with `module.add`, so about three grids of
+    values exist at once: a peak of 22 MB at n = 32.  The laws are not
+    compiled into one flat plan of gathered indices, as `_defect3`'s are:
+    that would hold n^4 indices for each of the 52 terms of the quartic
+    laws, 436 MB at n = 32.  Guarded by the cells of one quartic grid.
+    """
+    ring, module = k.ring, k.module
+    _guard(ring.order**4, "coherence grid cells", CELL_LIMIT)
+    tables = [tbl for tbl, _ in k.tables()]
+    maps, add = _map_table(module.neg, module.left, module.right), module.add
+    ident, neg, *_ = _map_codes(ring.order)
+    # Each table through id and through neg, gathered once per call, so
+    # the terms through either (60 of 70) take one gather each.
+    fixed = {(i, m): maps[m][tbl] for i, tbl in enumerate(tables) for m in (ident, neg)}
     results: list[LawResult] = []
-
-    def run(law, fn):
-        lhs, rhs = fn()
-        ok = lhs == rhs
+    for law, terms in _coherence_laws(ring):
+        acc = None
+        for tbl, args, m in terms:
+            v = fixed[tbl, m][args] if type(m) is int else maps[m, tables[tbl][args]]
+            acc = v if acc is None else add[acc, v]
+        ok = acc == 0
         wit = None if ok.all() else _first_bad(ok)
         results.append(LawResult(law, wit is None, wit, int(ok.size)))
-
-    run(
-        "pentagon_add",
-        lambda: (
-            _sum(ma, xi[x4, y4, radd[z4, t4]], xi[radd[x4, y4], z4, t4]),
-            _sum(ma, xi[y4, z4, t4], xi[x4, radd[y4, z4], t4], xi[x4, y4, z4]),
-        ),
-    )
-    run("unit_add", lambda: (xi[:, 0, :], np.zeros((n, n), dtype=np.int64)))
-    run("symmetry_inverse", lambda: (ma[eta, eta.T], np.zeros((n, n), dtype=np.int64)))
-    run("symmetry_diagonal", lambda: (eta[ar, ar], np.zeros(n, dtype=np.int64)))
-    run(
-        "hexagon_add",
-        lambda: (
-            _sum(ma, xi[x3, y3, z3], eta[radd[x3, y3], z3], xi[z3, x3, y3]),
-            _sum(ma, eta[y3, z3], xi[x3, z3, y3], eta[x3, z3]),
-        ),
-    )
-    run(
-        "pentagon_mul",
-        lambda: (
-            _sum(ma, ax[x4, y4, rmul[z4, t4]], ax[rmul[x4, y4], z4, t4]),
-            _sum(ma, mlft[x4, ax[y4, z4, t4]], ax[x4, rmul[y4, z4], t4], mrgt[t4, ax[x4, y4, z4]]),
-        ),
-    )
-    run(
-        "left_distrib_add_assoc",
-        lambda: (
-            _sum(
-                ma,
-                ll[x4, y4, radd[z4, t4]],
-                ll[x4, z4, t4],
-                xi[rmul[x4, y4], rmul[x4, z4], rmul[x4, t4]],
-            ),
-            _sum(ma, mlft[x4, xi[y4, z4, t4]], ll[x4, radd[y4, z4], t4], ll[x4, y4, z4]),
-        ),
-    )
-    run(
-        "left_distrib_add_comm",
-        lambda: (
-            _sum(ma, ll[x3, y3, z3], eta[rmul[x3, y3], rmul[x3, z3]]),
-            _sum(ma, mlft[x3, eta[y3, z3]], ll[x3, z3, y3]),
-        ),
-    )
-    run(
-        "right_distrib_add_assoc",
-        lambda: (
-            _sum(
-                ma,
-                rr[x4, radd[y4, z4], t4],
-                rr[y4, z4, t4],
-                xi[rmul[x4, t4], rmul[y4, t4], rmul[z4, t4]],
-            ),
-            _sum(ma, mrgt[t4, xi[x4, y4, z4]], rr[radd[x4, y4], z4, t4], rr[x4, y4, t4]),
-        ),
-    )
-    run(
-        "right_distrib_add_comm",
-        lambda: (
-            _sum(ma, rr[x3, y3, z3], eta[rmul[x3, z3], rmul[y3, z3]]),
-            _sum(ma, mrgt[z3, eta[x3, y3]], rr[y3, x3, z3]),
-        ),
-    )
-    run(
-        "mul_assoc_left_distrib",
-        lambda: (
-            _sum(ma, ax[x4, y4, radd[z4, t4]], ll[rmul[x4, y4], z4, t4]),
-            _sum(
-                ma,
-                mlft[x4, ll[y4, z4, t4]],
-                ll[x4, rmul[y4, z4], rmul[y4, t4]],
-                ax[x4, y4, z4],
-                ax[x4, y4, t4],
-            ),
-        ),
-    )
-    run(
-        "mul_assoc_right_distrib",
-        lambda: (
-            _sum(
-                ma,
-                ax[radd[x4, y4], z4, t4],
-                mrgt[t4, rr[x4, y4, z4]],
-                rr[rmul[x4, z4], rmul[y4, z4], t4],
-            ),
-            _sum(ma, rr[x4, y4, rmul[z4, t4]], ax[x4, z4, t4], ax[y4, z4, t4]),
-        ),
-    )
-    run(
-        "mul_assoc_mixed_distrib",
-        lambda: (
-            _sum(
-                ma,
-                ax[x4, radd[y4, z4], t4],
-                mrgt[t4, ll[x4, y4, z4]],
-                rr[rmul[x4, y4], rmul[x4, z4], t4],
-            ),
-            _sum(
-                ma,
-                mlft[x4, rr[y4, z4, t4]],
-                ll[x4, rmul[y4, t4], rmul[z4, t4]],
-                ax[x4, y4, t4],
-                ax[x4, z4, t4],
-            ),
-        ),
-    )
-
-    def interchange():
-        u, w, xx, yy = x4, y4, z4, t4
-        p = rmul[u, xx]
-        q = rmul[w, xx]
-        rp = rmul[u, yy]
-        sp = rmul[w, yy]
-        mix = _sum(
-            ma,
-            mn[xi[p, q, radd[rp, sp]]],
-            xi[q, rp, sp],
-            eta[q, rp],
-            mn[xi[rp, q, sp]],
-            xi[p, rp, radd[q, sp]],
-        )
-        lhs = _sum(ma, ll[radd[u, w], xx, yy], rr[u, w, xx], rr[u, w, yy], mix)
-        rhs = _sum(ma, rr[u, w, radd[xx, yy]], ll[u, xx, yy], ll[w, xx, yy])
-        return lhs, rhs
-
-    run("distrib_interchange", interchange)
     return CheckReport(f"reduced_{ring.name}", results, True)
 
 

@@ -417,7 +417,7 @@ def test_criterion_08_complex_properties(instances):
             g = rng.integers(0, m.order, size=(n, n))
             f[0, :] = f[:, 0] = g[0, :] = g[:, 0] = 0
             image = d2(Cochain2(m, f, g))
-            rep = reduced_axiom_check(m.ring, m, image)
+            rep = reduced_axiom_check(image)
             assert rep.ok, rep.failures()
     dt = time.monotonic() - t0
     assert dt < 30.0

@@ -387,8 +387,11 @@ def test_cli_cohom_obstruct(corpus_dir, capsys):
 def test_cli_psi_rejects_a_negative_or_repeated_source(corpus_dir, capsys):
     # -1 would wrap around to the last element, a repeated source would
     # keep its last pair, and a target past int64 does not fit the map.
+    # Targets outside the quotient's image ring name their pair too: 5 is
+    # past both Z/2 and the order-4 cokernel of mult_2z8, -1 before them.
     big = "1:99999999999999999999"
-    for psi, part in (("0:0,-1:1", "-1:1"), ("0:0,1:0,1:1", "1:1"), (f"0:0,{big}", big)):
+    for psi, part in (("0:0,-1:1", "-1:1"), ("0:0,1:0,1:1", "1:1"), (f"0:0,{big}", big),
+                      ("0:0,1:5", "1:5"), ("0:0,1:-1", "1:-1")):
         assert main(["cohom", "obstruct", str(corpus_dir / "mult_2z8.esys"),
                      "--q", str(corpus_dir / "flat_z2_D.ring"), "--psi", psi]) == 2
         assert f"<psi>:0:0: bad psi pair '{part}'" in capsys.readouterr().err

@@ -136,8 +136,8 @@ def search_target_lift(m):
 def reduced_check(m):
     rc = reduce_esystem(flat_z2())
     m.setattr(transport, "CELL_LIMIT", 15)
-    m.setattr(transport, "_sum", never("the coherence grids"))
-    call = partial(reduced_axiom_check, rc.ring, rc.module, rc.k)
+    m.setattr(transport, "_coherence_laws", never("the coherence laws"))
+    call = partial(reduced_axiom_check, rc.k)
     return call, "16 coherence grid cells, over the guard 15"
 
 
@@ -273,6 +273,27 @@ def test_h2_refuses_the_upper_triangular_block_before_building_it():
     mod = ring_as_module(upper_triangular_z2())
     message, peak = traced_peak(partial(h2, mod))
     assert message == "97305327 Smith normal form cells, over the guard 10000000"
+    assert peak < 64 * 2**20, peak
+
+
+def test_reduced_check_reaches_the_zero_system_into_z32():
+    # Z/32 acting by zero on the zero ring: the quotient has 32 elements,
+    # so each quartic law has 32^4 cells.  Folding one term at a time
+    # peaks at about 22 MB; a flat plan of every term's indices would
+    # hold 436 MB of them.
+    n = 32
+    zero = np.zeros((n, 1), dtype=np.int16)
+    es = validate_esystem(zmod(1), zmod(n), np.zeros(1, dtype=np.int16), zero, zero)
+    rc = reduce_esystem(es)
+    transport._coherence_laws.cache_clear()
+    tracemalloc.start()
+    try:
+        report = reduced_axiom_check(rc.k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.results) == 14
+    assert sum(r.checked for r in report.results) == 8 * n**4 + 3 * n**3 + 2 * n**2 + n
     assert peak < 64 * 2**20, peak
 
 
