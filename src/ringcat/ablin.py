@@ -618,12 +618,10 @@ class Quotient:
     ambient: FinAbGroup
     group: FinAbGroup
     _rows: np.ndarray
-    _moduli: tuple[int, ...]
     _lift_cols: np.ndarray
 
     def project(self, x) -> tuple[int, ...]:
-        vec = self._rows @ np.asarray(x, dtype=np.int64)
-        return tuple(int(a) % m for a, m in zip(vec, self._moduli, strict=True))
+        return self.group.reduce(self._rows @ np.asarray(x, dtype=np.int64))
 
     def lift(self, c) -> tuple[int, ...]:
         x = self.ambient.reduce(self._lift_cols @ np.asarray(c, dtype=np.int64))
@@ -647,7 +645,7 @@ def cokernel(lm: LinearMap) -> Quotient:
             lifts.append(res.uinv[:, i])
     rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, h), dtype=np.int64)
     lifts = np.array(lifts, dtype=np.int64).T if lifts else np.zeros((h, 0), dtype=np.int64)
-    return Quotient(lm.target, FinAbGroup(tuple(moduli)), rows, tuple(moduli), lifts)
+    return Quotient(lm.target, FinAbGroup(tuple(moduli)), rows, lifts)
 
 
 @dataclass

@@ -121,10 +121,6 @@ class AnnCategory:
         return (int(b), int(self.es.d_ring.mul[f[1], g[1]]))
 
 
-def build_anncat(es: ESystem) -> AnnCategory:
-    return AnnCategory(es)
-
-
 def anncat_to_esystem(ac: AnnCategory, name: str | None = None) -> ESystem:
     """Read the action system back off the categorical operations.
 

@@ -10,9 +10,11 @@ Every law an action table must satisfy is spelled out once, here, as an
 ok-grid over stacked tables left[x, a] and right[x, a]: row x is the
 bimultiplication through which x acts (a single row when the tables
 describe one bimultiplication).  The validators of bimultiplications,
-action systems, crossed bimodules, bimodules and factor systems (in
-`crossed` and `extensions`) are ordered lists of (condition, grid) pairs,
-walked by `_first_failure`.
+action systems, crossed bimodules and bimodules (the last three in
+`crossed`) are ordered lists of (condition, grid) pairs, walked by
+`_first_failure`.  A factor system's action stage
+(`extensions._action_stage`) stacks the grids of `_bimult_laws` over all
+rows and walks them itself, to report the first failing row.
 """
 
 from __future__ import annotations

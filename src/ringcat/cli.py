@@ -289,13 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite ring actions, their 2-rings, cohomology and extensions.",
     )
     ap.add_argument("--format", choices=("text", "tsv"), default="text")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized reports (current verbs are deterministic)")
     ap.add_argument("--guard", type=int, default=None,
                     help="size limit: coordinates per cochain group for cohom h2, "
                          "candidates for ext equiv (default: the library's limits)")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="reserved; the engine is single-threaded")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     v = sub.add_parser("validate", help="validate an object file")

@@ -12,7 +12,7 @@ alpha_x, lambda_l, rho_r) that the reduced structure checker evaluates.
 The two differentials exist twice over: once as table evaluations (cheap,
 used by property checks) and once as integer matrices over the invariant
 factor coordinates of the module (used for kernels, images, quotients and
-certificates).  The matrices are assembled once per module and cached.
+certificates), assembled by `complex_for` on each call.
 The degree-3 table formula is `_defect3`, which also computes the
 obstruction cochain in `transport.reduce_esystem` and the cocycle
 conditions in `extensions.validate_factor_system`.  Its five conditions
@@ -379,14 +379,8 @@ class CochainComplex:
         return self._encode(*_defect3(m.add, m.neg, m.left, m.right, r, f, g))
 
 
-# complex_for caches each complex on its module (as `_complex`), so it lives
-# exactly as long as the module; this set names the modules holding one.
-# The module and its complex refer to each other (`module._complex` and
-# `cx.module`), a reference cycle that only the cyclic collector frees.  So
-# the complex must hold no factorisation: the transforms of a Smith normal
-# form, several MB on the larger modules, would outlive every call that
-# used them.
-_complexes: weakref.WeakSet[Bimodule] = weakref.WeakSet()
+# The complexes complex_for has built that are still alive.
+_complexes: weakref.WeakSet[CochainComplex] = weakref.WeakSet()
 
 
 def complex_for(module: Bimodule, guard: int = COORD_LIMIT) -> CochainComplex:
@@ -396,9 +390,6 @@ def complex_for(module: Bimodule, guard: int = COORD_LIMIT) -> CochainComplex:
     slots = {"degree 1": k, "degree 2": 2 * k * k, "degree 3": 4 * k**3 + k * k}
     for nm, sl in slots.items():
         _guard(sl * rank, f"{nm} coordinates", guard)
-    cached = getattr(module, "_complex", None)
-    if cached is not None:
-        return cached
     c1, c2, c3 = (_tiled_group(module, sl) for sl in slots.values())
     cx = CochainComplex(module, c1, c2, c3, None, None)
     # Column j of each matrix is the image of the j-th unit coordinate vector.
@@ -411,8 +402,7 @@ def complex_for(module: Bimodule, guard: int = COORD_LIMIT) -> CochainComplex:
         fac = np.asarray(cx.c3_group.factors, dtype=np.int64).reshape(-1, 1)
         if np.any(comp % fac):
             raise AssertionError("d2 after d1 is nonzero")
-    module._complex = cx
-    _complexes.add(module)
+    _complexes.add(cx)
     return cx
 
 
@@ -470,58 +460,6 @@ class H2Data:
 def h2(module: Bimodule, guard: int = COORD_LIMIT) -> H2Data:
     cx = complex_for(module, guard)
     return H2Data(cx, homology(cx.d1_map, cx.d2_map))
-
-
-def annihilated_submodule(module: Bimodule) -> list[int]:
-    """Elements killed by every left and every right action."""
-    dead = (module.left == 0).all(axis=0) & (module.right == 0).all(axis=0)
-    return [int(x) for x in np.nonzero(dead)[0]]
-
-
-def h2_unit_normalised(module: Bimodule):
-    """H2 computed from cochains that also vanish at the ring unit.
-
-    Correction terms must then keep the unit slots clean, which pins their
-    unit value to the two-sided annihilator.  Returns (order, factors,
-    representatives); agreement with h2 is checked by tests, and any
-    mismatch is a finding to report rather than smooth over.
-    """
-    cx = complex_for(module)
-    m = module
-    n, one, rank = m.ring.order, m.ring.unit, m.group.rank
-    if one is None or n < 2:
-        raise AssertionError("unit normalisation needs a unital ring of order at least 2")
-
-    ann = annihilated_submodule(m)
-    ann_cols = _coords_of(m, np.array(ann, dtype=np.int64)).T
-    ann_sub = span_subgroup(m.group, ann_cols)
-
-    # Source: the module's generators at every nonzero slot, except the
-    # annihilator's generators at the unit slot.
-    fac = tuple(m.group.factors)
-    c1u = FinAbGroup(fac * (one - 1) + tuple(ann_sub.group.factors) + fac * (n - 1 - one))
-    at = (one - 1) * rank
-    na = len(ann_sub.gens)
-    unit_rows = np.zeros((na, cx.c1_group.rank), dtype=np.int64)
-    unit_rows[:, at : at + rank] = np.array(ann_sub.gens, dtype=np.int64).reshape(na, rank)
-    eye1 = np.eye(cx.c1_group.rank, dtype=np.int64)
-    rows1 = cx._d1_rows(np.concatenate([eye1[:at], unit_rows, eye1[at + rank :]]))
-
-    # Middle: the coordinates of all f slots and of the g slots off the unit.
-    cells = np.ones((2, n - 1, n - 1), dtype=bool)
-    cells[1, one - 1, :] = cells[1, :, one - 1] = False
-    keep = np.repeat(cells.ravel(), rank)
-    if rows1[:, ~keep].any():
-        raise AssertionError("not unit-normalised")
-    c2u = _tiled_group(m, int(cells.sum()))
-    d1u = LinearMap(c1u, c2u, rows1[:, keep].T)
-    rows2 = cx._d2_rows(np.eye(cx.c2_group.rank, dtype=np.int64)[keep])
-    d2u = LinearMap(c2u, cx.c3_group, rows2.T)
-
-    hdata = homology(d1u, d2u)
-    reps = np.zeros((hdata.order, cx.c2_group.rank), dtype=np.int64)
-    reps[:, keep] = np.array(hdata.representatives(), dtype=np.int64).reshape(hdata.order, c2u.rank)
-    return hdata.order, hdata.group.factors, [cx.decode2(r) for r in reps]
 
 
 # ---------------------------------------------------------------------------

@@ -258,14 +258,21 @@ def _morphism_maps(src, tgt, src_tables, tgt_tables, f1_map, f0_map):
         f0 = RingHom(src.d_ring, tgt.d_ring, f0_map)
     except HomError as e:
         raise ESystemError("morphism-hom", str(e)) from e
-    if not f0.unital:
-        raise ESystemError("morphism-target-unit", (src.d_ring.unit,))
-    _raise_first_failure([
-        ("morphism-square", np.equal, f0.map[src.d.map], tgt.d.map[f1.map]),
-        ("morphism-action-left", _intertwined, f1.map, f0.map, src_tables[0], tgt_tables[0]),
-        ("morphism-action-right", _intertwined, f1.map, f0.map, src_tables[1], tgt_tables[1]),
-    ])
+    _check_morphism(src.d, tgt.d, src_tables, tgt_tables, f1.map, f0)
     return f1, f0
+
+
+def _check_morphism(src_d, tgt_d, src_tables, tgt_tables, f1, f0: RingHom):
+    """The morphism conditions on ring maps already built: f0 (on targets)
+    is unital, f0 after src_d equals tgt_d after f1 (on bases, an index
+    array), and the two intertwine the stacked (left, right) actions."""
+    if not f0.unital:
+        raise ESystemError("morphism-target-unit", (f0.source.unit,))
+    _raise_first_failure([
+        ("morphism-square", np.equal, f0.map[src_d.map], tgt_d.map[f1]),
+        ("morphism-action-left", _intertwined, f1, f0.map, src_tables[0], tgt_tables[0]),
+        ("morphism-action-right", _intertwined, f1, f0.map, src_tables[1], tgt_tables[1]),
+    ])
 
 
 def validate_morphism(src: ESystem, tgt: ESystem, f1_map, f0_map) -> ESystemMorphism:

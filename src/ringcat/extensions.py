@@ -25,7 +25,7 @@ import numpy as np
 from .ablin import CANDIDATE_LIMIT, _guard
 from .bimult import _bimult_laws, _permutable, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, classify_functors
-from .crossed import ESystem, ESystemError, _require_regular, validate_morphism
+from .crossed import ESystem, ESystemError, _check_morphism, _require_regular
 from .rings import (
     BLOCK_CELLS,
     FiniteRing,
@@ -87,8 +87,10 @@ class Extension:
 def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps,
                        name: str = "ext") -> Extension:
     """Check exactness, the ideal property and that the action system
-    induced on (base, ring) maps to the given one.  That system needs no
-    law checked: j is injective and j(B) an ideal of a validated ring."""
+    induced on (base, ring) maps to the given one by the identity on B and
+    eps.  That system needs no law checked (j is injective and j(B) an
+    ideal of a validated ring), and the morphism conditions run on j and
+    eps as already built."""
     try:
         jh = RingHom(base.b, ring, j)
         ph = RingHom(ring, q, p)
@@ -109,9 +111,9 @@ def validate_extension(base: ESystem, ring: FiniteRing, q: FiniteRing, j, p, eps
         if (mapped < 0).any():
             x, bi = _first_bad(mapped >= 0)
             raise ExtensionError(f"ideal-{side}", (x, int(jh.map[bi])))
-    inner = ESystem(f"{name}_inner", base.b, ring, jh, lt, rt)
     try:
-        validate_morphism(inner, base, np.arange(base.b.order), eh.map)
+        _check_morphism(jh, base.d, (lt, rt), (base.theta_left, base.theta_right),
+                        np.arange(base.b.order), eh)
     except ESystemError as e:
         raise ExtensionError("target-compatibility", str(e)) from e
     return Extension(name, base, ring, jh, ph, eh)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ablin import CANDIDATE_LIMIT, ORDER_LIMIT, SearchGuardError, _guard
+from .ablin import CANDIDATE_LIMIT, SearchGuardError, _guard
 
 
 class WitnessError(ValueError):
@@ -54,13 +54,13 @@ def _sum(add: np.ndarray, *terms):
     return acc
 
 
-def _preimages(m, n: int, last: bool = False) -> np.ndarray:
-    """out[y] is the least x with m[x] == y, or the greatest when `last`;
-    -1 where y has no preimage.  For an injective m this is its inverse."""
+def _preimages(m, n: int) -> np.ndarray:
+    """out[y] is the least x with m[x] == y; -1 where y has no preimage.
+    For an injective m this is its inverse."""
     m = np.asarray(m, dtype=np.int64).ravel()
     out = np.full(n, -1, dtype=np.int64)
-    ys, first = np.unique(m[::-1] if last else m, return_index=True)
-    out[ys] = len(m) - 1 - first if last else first
+    ys, first = np.unique(m, return_index=True)
+    out[ys] = first
     return out
 
 
@@ -249,7 +249,7 @@ def _units(mul) -> np.ndarray:
     return np.where(ok.any(axis=-1), ok.argmax(axis=-1), -1)
 
 
-def find_unit(add, mul) -> int | None:
+def find_unit(mul) -> int | None:
     unit = int(_units(mul))
     return None if unit < 0 else unit
 
@@ -312,7 +312,7 @@ def subring(r: FiniteRing, subset, name: str | None = None):
     if not closed.all():
         i, j = _first_bad(closed)
         raise RingAxiomError("subring-closed", (subset[i], subset[j]), "subset not closed")
-    u = find_unit(add, mul)
+    u = find_unit(mul)
     ring = validate_ring(add, mul, u, name=name or f"{r.name}_sub{len(subset)}")
     return ring, emb
 
@@ -426,7 +426,7 @@ def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
         raise AssertionError("quotient addition depends on the representatives")
     if not np.array_equal(class_of[t.mul], qmul[class_of[:, None], class_of[None, :]]):
         raise AssertionError("quotient multiplication depends on the representatives")
-    unit = int(class_of[t.unit]) if t.unit is not None else find_unit(qadd, qmul)
+    unit = int(class_of[t.unit]) if t.unit is not None else find_unit(qmul)
     q = validate_ring(qadd, qmul, unit, name=name or f"{t.name}_mod_{h.source.name}")
     return IdealQuotient(q, RingHom(t, q, class_of), reps)
 
@@ -547,27 +547,3 @@ def _additive_maps(src_add: np.ndarray, tgt_add: np.ndarray) -> np.ndarray:
             block[:] = tgt_add[block, times[cs[:, i], pool[digits[:, i], None]]]
         lo += len(digits)
     return maps[np.lexsort(maps.T[::-1])]
-
-
-# ------------------------------------------------------------- isomorphism
-
-
-def find_ring_isomorphism(r1: FiniteRing, r2: FiniteRing):
-    """The least isomorphism between small rings, in lexicographic order of
-    its table; None if there is none.
-
-    Guarded to order `ORDER_LIMIT`; filters the additive maps for bijective,
-    unit-preserving and multiplicative ones.
-    """
-    n = r1.order
-    if n != r2.order:
-        return None
-    _guard(n, "ring elements for the isomorphism search", ORDER_LIMIT)
-    if (r1.unit is None) != (r2.unit is None):
-        return None
-    maps = _additive_maps(r1.add, r2.add)
-    maps = maps[(np.sort(maps, axis=1) == np.arange(n)).all(axis=1)]
-    if r1.unit is not None:
-        maps = maps[maps[:, r1.unit] == r2.unit]
-    ok = (maps[:, r1.mul] == r2.mul[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
-    return RingHom(r1, r2, maps[ok][0]) if ok.any() else None

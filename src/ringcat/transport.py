@@ -15,7 +15,6 @@ and checked one term at a time over its grid: a flat plan like
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,18 +93,15 @@ def validate_section(es: ESystem, sigma, fplus, ftimes) -> Section:
     return Section(es, sigma, fplus, ftimes)
 
 
-def choose_section(es: ESystem, flavor: str = "least") -> Section:
-    """Deterministic section: least (or greatest) class representatives and
-    defect preimages, except where normalisation forces the value."""
-    if flavor not in ("least", "greatest"):
-        raise ValueError(f"section flavor must be least or greatest, got {flavor!r}")
-    last = flavor == "greatest"
+def choose_section(es: ESystem) -> Section:
+    """Deterministic section: least class representatives and defect
+    preimages, except where normalisation forces the value."""
     rq, dd = es.cokernel.ring, es.d_ring
-    sigma = _preimages(es.cokernel.projection.map, rq.order, last)
+    sigma = _preimages(es.cokernel.projection.map, rq.order)
     sigma[rq.unit] = dd.unit
     sigma[0] = 0
 
-    pre = _preimages(es.d.map, dd.order, last)
+    pre = _preimages(es.d.map, dd.order)
     want_add, want_mul = _lift_defects(dd, sigma, rq)
     fplus, ftimes = pre[want_add], pre[want_mul]
     for tbl, edges in ((fplus, [0]), (ftimes, [0, rq.unit])):
@@ -154,7 +150,6 @@ def reduce_esystem(es: ESystem, section: Section | None = None) -> ReducedAnnCat
     return ReducedAnnCat(rq, km.module, k, es, section)
 
 
-@functools.lru_cache(maxsize=32)
 def _coherence_laws(ring: FiniteRing):
     """The 14 reduced coherence laws over `ring` as data, in check order:
     (law, terms) pairs, each law saying that its terms sum to zero.
@@ -164,13 +159,6 @@ def _coherence_laws(ring: FiniteRing):
     index arrays `args`, broadcast over the law's grid, and sent through
     row `map` of `cohomology._map_table`.  Each law is written below as
     lhs = rhs and stored as lhs - rhs: the rhs terms take negated maps.
-
-    Memoised per ring by identity for the 32 rings used last, as
-    `_defect3_plan` is.  An entry holds read-only intp arrays of at most
-    n^3 indices each, 2n^3 + about 30n^2 in all: 25 KB at n = 8, 0.8 MB
-    at n = 32, 3.6 MB at n = 56, the largest ring the cell guard admits.
-    So the memo's worst case is about 115 MB, and 4.1 MB while the rings
-    have at most 16 elements.
     """
     n = ring.order
     radd, rmul = ring.add.astype(np.intp), ring.mul.astype(np.intp)
@@ -217,15 +205,10 @@ def _coherence_laws(ring: FiniteRing):
           xi(yz, xt, yt), eta(yz, xt), xi(xt, yz, yt, m=neg), xi(xz, xt, radd[yz, yt])],
          [rr(x, y, radd[z, t]), ll(x, z, t), ll(y, z, t)]),
     )
-    data = tuple(
+    return tuple(
         (law, tuple(lhs) + tuple((tbl, args, minus(m)) for tbl, args, m in rhs))
         for law, lhs, rhs in laws
     )
-    for _, terms in data:
-        for arr in (v for _, args, m in terms for v in (*args, m)):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-    return data
 
 
 def reduced_axiom_check(k: Cochain3) -> CheckReport:

@@ -452,7 +452,7 @@ def kernel_gens(m):
 
 
 def section(m):
-    quot = Quotient(Z4, FinAbGroup((2,)), np.array([[1]]), (2,), np.array([[2]]))
+    quot = Quotient(Z4, FinAbGroup((2,)), np.array([[1]]), np.array([[2]]))
     return partial(quot.lift, (1,)), "section postcondition"
 
 

@@ -18,7 +18,7 @@ from ringcat.ablin import (
     smith_normal_form,
     solve_with_certificate,
 )
-from ringcat.anncat import anncat_axiom_check, anncat_to_esystem, build_anncat
+from ringcat.anncat import AnnCategory, anncat_axiom_check, anncat_to_esystem
 from ringcat.bimult import (
     Bimult,
     bicenter,
@@ -70,6 +70,7 @@ from ringcat.rings import (
 from ringcat.transport import choose_section, reduce_esystem, reduced_axiom_check
 from test_ablin import det_exact
 from test_cohomology import random_cochain1
+from test_transport import greatest_section
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +181,7 @@ def test_criterion_03_coherence_and_theta_mutations(instances):
     t0 = time.monotonic()
     failing = {}
     for es in instances:
-        cat = build_anncat(es)
+        cat = AnnCategory(es)
         assert cat.es is es
         rep = anncat_axiom_check(es)
         if is_regular(es):
@@ -296,8 +297,9 @@ def test_criterion_04_regularity_iff_associativity():
             left = np.array([r.left for r in rows], dtype=np.int16)
             right = np.array([r.right for r in rows], dtype=np.int16)
             mod = validate_bimodule(q, group, kl.add, neg, left, right, coord_arr)
-            for enc in kernel(complex_for(mod).d2_map).elements():
-                c = complex_for(mod).decode2(np.asarray(enc, dtype=np.int64))
+            cx = complex_for(mod)
+            for enc in kernel(cx.d2_map).elements():
+                c = cx.decode2(np.asarray(enc, dtype=np.int64))
                 fs = validate_factor_system(kl, q, left, right, c.f, c.g)
                 ring = crossed_ring(fs)
                 assert ring.unit is not None and ring.order == kl.order * q.order
@@ -380,8 +382,8 @@ def test_criterion_07_section_independence(instances):
             with pytest.raises(ESystemError, match="bimodule-mixed-associative"):
                 es.kernel_module
             continue
-        s1 = choose_section(es, "least")
-        s2 = choose_section(es, "greatest")
+        s1 = choose_section(es)
+        s2 = greatest_section(es)
         assert not (
             np.array_equal(s1.sigma, s2.sigma)
             and np.array_equal(s1.fplus, s2.fplus)
@@ -465,6 +467,6 @@ def test_criterion_09_snf_and_solver():
 def test_criterion_10_category_roundtrip(instances):
     t0 = time.monotonic()
     for es in instances:
-        back = anncat_to_esystem(build_anncat(es))
+        back = anncat_to_esystem(AnnCategory(es))
         assert _same_es(es, back), es.name
     _verdict(10, t0, f"{len(instances)} exact category round trips")

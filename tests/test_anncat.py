@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from ringcat import anncat
 from ringcat.anncat import (
+    AnnCategory,
     anncat_axiom_check,
     anncat_to_esystem,
-    build_anncat,
     functor_from_morphism,
     homotopy_between,
     morphism_from_functor,
@@ -90,7 +90,7 @@ def test_checker_fails_on_klein_multiplier():
     bad = report.failures()
     assert [r.law for r in bad] == ["tensor-associative"]
     x1, b1, b2, b3, x2, x3 = bad[0].witness
-    ac = build_anncat(es)
+    ac = AnnCategory(es)
     f1, f2, f3 = (b1, x1), (b2, x2), (b3, x3)
     assert ac.tensor(ac.tensor(f1, f2), f3) != ac.tensor(f1, ac.tensor(f2, f3))
 
@@ -127,7 +127,7 @@ def test_checker_mutation_sweep_identity_action():
 
 def test_round_trip_through_category():
     for es in (doubled_into_z4(), ideal_esystem(zmod(4), [0, 2]), multiplier_esystem(zero_mult(2))):
-        back = anncat_to_esystem(build_anncat(es))
+        back = anncat_to_esystem(AnnCategory(es))
         assert (back.theta_left == es.theta_left).all()
         assert (back.theta_right == es.theta_right).all()
         assert (back.d.map == es.d.map).all()
@@ -136,7 +136,7 @@ def test_round_trip_through_category():
 
 def test_category_operations():
     es = identity_esystem(zmod(4))
-    ac = build_anncat(es)
+    ac = AnnCategory(es)
     # structure map is the identity, so each hom set is a singleton
     for x in range(4):
         for y in range(4):

@@ -21,13 +21,13 @@ from ringcat.bimult import (
 from ringcat.rings import (
     SearchGuardError,
     dual_numbers,
-    find_ring_isomorphism,
     product_ring,
     validate_ring,
     zero_mult,
     zero_mult_klein,
     zmod,
 )
+from test_rings import find_ring_isomorphism
 
 
 # Tuple oracles for the ring of bimultiplications, one pair of image

@@ -647,7 +647,7 @@ def _reference_g_stage(base, q, psi, quo, f, left, right, guard, stop_at_first, 
     for ci in np.nonzero(ok)[0]:
         g = gs[ci]
         add, mul = crossed_tables(b, q, left, right, f, g)
-        unit = find_unit(add, mul)
+        unit = find_unit(mul)
         if unit is None:
             continue
         xc = []
@@ -1063,10 +1063,9 @@ def test_obstruction_factors_each_matrix_once(triple, calls, monkeypatch):
 
 
 def test_no_factorisation_outlives_classify_functors(monkeypatch):
-    # Each module and its cached complex refer to each other, so anything
-    # stored on the complex or its maps would live as long as the module
-    # the classification returns.  The collector is off, so a factorisation
-    # kept in such a cycle would show too.
+    # No Smith normal form may be kept past the call, on the complex, its
+    # maps or anywhere else.  The collector is off, so a factorisation
+    # kept in a reference cycle would show too.
     results = []
     snf = ablin.smith_normal_form
 

@@ -21,12 +21,13 @@ from ringcat.cohomology import complex_for, h2
 from ringcat.corpus import corpus
 from ringcat.crossed import multiplier_esystem, validate_esystem
 from ringcat.extensions import equivalent, exhaustive_extension_search
-from ringcat.rings import RingHom, _additive_maps, find_ring_isomorphism, ideal_cokernel
+from ringcat.rings import RingHom, _additive_maps, ideal_cokernel
 from ringcat.rings import zero_mult, zero_mult_klein, zmod
 from ringcat.transport import reduce_esystem, reduced_axiom_check
 from test_anncat import doubled_into_z4, with_entry, zero_action_es
 from test_cohomology import ring_as_module
 from test_extensions import flat_z2, z4_extension
+import test_rings
 from test_rings import upper_triangular_z2
 
 GUARD_MESSAGE = r"^\d+ [^,]+, over the guard \d+$"
@@ -74,10 +75,11 @@ def additive_maps(m):
 
 
 def isomorphism(m):
-    m.setattr(rings, "ORDER_LIMIT", 1)
-    m.setattr(rings, "_additive_maps", never("the map enumeration"))
+    # The isomorphism search is a test helper; it keeps the library's guard.
+    m.setattr(test_rings, "ORDER_LIMIT", 1)
+    m.setattr(test_rings, "_additive_maps", never("the map enumeration"))
     z2 = zmod(2)
-    call = partial(find_ring_isomorphism, z2, z2)
+    call = partial(test_rings.find_ring_isomorphism, z2, z2)
     return call, "2 ring elements for the isomorphism search, over the guard 1"
 
 
@@ -285,7 +287,6 @@ def test_reduced_check_reaches_the_zero_system_into_z32():
     zero = np.zeros((n, 1), dtype=np.int16)
     es = validate_esystem(zmod(1), zmod(n), np.zeros(1, dtype=np.int16), zero, zero)
     rc = reduce_esystem(es)
-    transport._coherence_laws.cache_clear()
     tracemalloc.start()
     try:
         report = reduced_axiom_check(rc.k)

@@ -42,7 +42,6 @@ VALIDATION_TESTS = [
     "tests/test_corpus.py::test_unital_homs_rejects_a_non_unital_ring",
     "tests/test_transport.py::test_validate_section_rejects_broken_tables",
     "tests/test_transport.py::test_validate_section_rejects_a_non_unital_quotient",
-    "tests/test_transport.py::test_choose_section_rejects_an_unknown_flavor",
     "tests/test_transport.py::test_reduce_rejects_a_section_over_another_quotient",
     "tests/test_transport.py::test_broken_checks_raise_without_assert",
     "tests/test_transport.py::test_reduce_requires_regular_base",

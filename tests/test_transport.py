@@ -27,7 +27,6 @@ from ringcat.rings import (
     _lift_defects,
     _sum,
     dual_numbers,
-    find_ring_isomorphism,
     ideal_cokernel,
     validate_ring,
     zero_mult,
@@ -42,6 +41,7 @@ from ringcat.transport import (
     validate_section,
 )
 from test_cohomology import classify_triples
+from test_rings import find_ring_isomorphism
 
 
 def two_z8():
@@ -69,11 +69,11 @@ def identity_action_z2():
 
 def test_choose_section_flavours_on_d2b():
     es = doubled_into_z4()
-    least = choose_section(es, "least")
+    least = choose_section(es)
     assert least.sigma.tolist() == [0, 1]
     assert least.fplus[1, 1] == 1
     assert not least.ftimes.any()
-    greatest = choose_section(es, "greatest")
+    greatest = greatest_section(es)
     assert greatest.sigma.tolist() == [0, 1]
     assert greatest.fplus[1, 1] == 3
 
@@ -106,17 +106,22 @@ def reference_section(es, flavor):
     return sigma.tolist(), fplus.tolist(), ftimes.tolist()
 
 
-@pytest.mark.parametrize("flavor", ["least", "greatest"])
-def test_choose_section_matches_the_class_walk(flavor):
+def greatest_section(es):
+    """The section of greatest representatives and preimages, by the class
+    walk, checked by validate_section."""
+    return validate_section(es, *reference_section(es, "greatest"))
+
+
+def test_choose_section_matches_the_class_walk():
     for es in corpus():
-        sec = choose_section(es, flavor)
+        sec = choose_section(es)
         got = sec.sigma.tolist(), sec.fplus.tolist(), sec.ftimes.tolist()
-        assert got == reference_section(es, flavor), es.name
+        assert got == reference_section(es, "least"), es.name
 
 
 def test_validate_section_rejects_broken_tables():
     es = doubled_into_z4()
-    sec = choose_section(es, "least")
+    sec = choose_section(es)
     bad = sec.fplus.copy()
     bad[1, 1] = 0
     with pytest.raises(ValueError, match="misses its class"):
@@ -143,7 +148,7 @@ def test_validate_section_rejects_broken_tables():
 
 def test_validate_section_rejects_a_non_unital_quotient(monkeypatch):
     es = doubled_into_z4()
-    sec = choose_section(es, "least")
+    sec = choose_section(es)
     # The system keeps its cokernel; give it a copy without a unit.
     quo = copy.copy(es.cokernel)
     quo.ring = copy.copy(quo.ring)
@@ -151,11 +156,6 @@ def test_validate_section_rejects_a_non_unital_quotient(monkeypatch):
     monkeypatch.setitem(vars(es), "cokernel", quo)
     with pytest.raises(ValueError, match="unital"):
         validate_section(es, sec.sigma, sec.fplus, sec.ftimes)
-
-
-def test_choose_section_rejects_an_unknown_flavor():
-    with pytest.raises(ValueError, match="flavor"):
-        choose_section(doubled_into_z4(), "middle")
 
 
 def test_reduce_rejects_a_section_over_another_quotient():
@@ -187,8 +187,8 @@ def test_a_system_keeps_one_cokernel_and_one_kernel_module(monkeypatch):
     monkeypatch.setattr(crossed, "decompose_abelian",
                         lambda *a: builds.append(a) or decompose(*a))
     es = multiplier_esystem(two_z8())
-    rc_l = reduce_esystem(es, section=choose_section(es, "least"))
-    rc_g = reduce_esystem(es, section=choose_section(es, "greatest"))
+    rc_l = reduce_esystem(es, section=choose_section(es))
+    rc_g = reduce_esystem(es, section=greatest_section(es))
     assert not hasattr(rc_l.section, "quotient") and not hasattr(es.kernel_module, "quotient")
     assert not hasattr(rc_l, "kernel_module")
     assert rc_l.ring is rc_g.ring is es.cokernel.ring
@@ -203,8 +203,8 @@ def test_a_system_keeps_one_cokernel_and_one_kernel_module(monkeypatch):
 
 def test_reduce_flat_system_is_trivial():
     es = identity_action_z2()
-    for flavor in ("least", "greatest"):
-        rc = reduce_esystem(es, section=choose_section(es, flavor))
+    for sec in (choose_section(es), greatest_section(es)):
+        rc = reduce_esystem(es, section=sec)
         assert rc.ring.order == 2
         assert rc.module.order == 2
         assert rc.k.is_zero()
@@ -219,8 +219,8 @@ def test_reduce_trivial_kernel():
 
 def test_reduce_d2b_both_flavours_vanish():
     es = doubled_into_z4()
-    for flavor in ("least", "greatest"):
-        rc = reduce_esystem(es, section=choose_section(es, flavor))
+    for sec in (choose_section(es), greatest_section(es)):
+        rc = reduce_esystem(es, section=sec)
         assert rc.ring.order == 2 and rc.module.order == 2
         assert rc.k.is_zero()
 
@@ -302,8 +302,8 @@ def test_reduce_multiplier_system_frozen_and_dual_route():
     assert hits == {(s, r, t) for s in (2, 3) for r in (2, 3) for t in (1, 3)}
     assert rc.k.rho_r[2, 2, 1] == 1
 
-    for flavor in ("least", "greatest"):
-        rcf = reduce_esystem(es, section=choose_section(es, flavor))
+    for sec in (choose_section(es), greatest_section(es)):
+        rcf = reduce_esystem(es, section=sec)
         slow = slow_obstruction(es, rcf.section, km)
         for got, want in zip([t for t, _ in rcf.k.tables()], slow, strict=True):
             assert np.array_equal(got, want)
@@ -313,7 +313,7 @@ def test_section_difference_is_a_coboundary():
     systems = [identity_action_z2(), doubled_into_z4(), multiplier_esystem(two_z8())]
     for es in systems:
         rc_l = reduce_esystem(es)
-        rc_g = reduce_esystem(es, section=choose_section(es, "greatest"))
+        rc_g = reduce_esystem(es, section=greatest_section(es))
         verdict = is_coboundary3(sub3(rc_l.k, rc_g.k))
         assert verdict.is_coboundary
 
@@ -356,7 +356,7 @@ def test_reduced_checker_flags_tampering():
 def test_reduce_functor_between_two_sections_of_one_system():
     es = doubled_into_z4()
     rc_l = reduce_esystem(es)
-    rc_g = reduce_esystem(es, section=choose_section(es, "greatest"))
+    rc_g = reduce_esystem(es, section=greatest_section(es))
     fun = functor_from_morphism(identity_morphism(es))
 
     same = reduce_functor(fun, rc_l, rc_l)
@@ -381,7 +381,7 @@ def test_reduce_functor_across_systems():
     assert rf.q.tolist() == [0, 0]
     assert rf.g.is_zero()
 
-    rc_tgt_g = reduce_esystem(tgt, section=choose_section(tgt, "greatest"))
+    rc_tgt_g = reduce_esystem(tgt, section=greatest_section(tgt))
     rf2 = reduce_functor(fun, rc_src, rc_tgt_g)
     assert rf2.g.f[1, 1] == 1
 
@@ -417,7 +417,7 @@ def identity_functor_data():
     along both sections, before any check is broken."""
     es = doubled_into_z4()
     fun = functor_from_morphism(identity_morphism(es))
-    return fun, reduce_esystem(es), reduce_esystem(es, section=choose_section(es, "greatest"))
+    return fun, reduce_esystem(es), reduce_esystem(es, section=greatest_section(es))
 
 
 def foreign_reduced_data(m):
@@ -451,7 +451,7 @@ def kernel_leaves_kernel(m):
 
 def section_leaves_image(m):
     fun, rc, rc_g = identity_functor_data()
-    m.setattr(transport, "_preimages", lambda mp, n, last=False: np.full(n, -1))
+    m.setattr(transport, "_preimages", lambda mp, n: np.full(n, -1))
     return functools.partial(reduce_functor, fun, rc, rc_g), (
         "section difference leaves the image of d")
 
