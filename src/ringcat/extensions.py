@@ -16,14 +16,13 @@ tiny orders.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ablin import CANDIDATE_LIMIT, _guard
-from .bimult import _bimult_laws, _permutable, enumerate_bimultiplications
+from .bimult import _bimult_laws, _permutable, _row_lookup, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, classify_functors
 from .crossed import ESystem, ESystemError, _check_morphism, _require_regular
 from .rings import (
@@ -476,6 +475,13 @@ def equivalent(e1: Extension, e2: Extension, guard: int = CANDIDATE_LIMIT) -> Ri
     Any such map sends j1(b) + t1(u) to j2(b + c(u)) + t2(u) for some
     correction c: Q -> B with c(0) = 0, so the space has |B|^(|Q|-1)
     candidates.  Returns the isomorphism, or None once it is exhausted.
+
+    The corrections are decoded in itertools.product order, a block at a
+    time (`rings._product_blocks`, about 3*|E|^2 cells per candidate for
+    the eps, addition and multiplication conditions on the ring E of e1),
+    and each condition drops the candidates of the block that fail it.
+    Dropping keeps the order, so the first candidate left in the first
+    block with one is the map a one-correction-at-a-time walk returns.
     """
     if e1.base is not e2.base:
         raise ExtensionError("common-base", (e1.base.name, e2.base.name))
@@ -498,19 +504,18 @@ def equivalent(e1: Extension, e2: Extension, guard: int = CANDIDATE_LIMIT) -> Ri
     j2m = np.asarray(e2.j.map, dtype=np.int64)
     eps1, eps2 = e1.eps.map, e2.eps.map
     add1, mul1, add2, mul2 = r1.add, r1.mul, r2.add, r2.mul
-    for tail in itertools.product(range(nb), repeat=nq - 1):
-        c = np.zeros(nq, dtype=np.int64)
-        c[1:] = tail
-        eta = add2[j2m[b.add[b_of, c[u_of]]], t2[u_of]]
+    for tails in _product_blocks([nb] * (nq - 1), 3 * r1.order**2):
+        c = np.zeros((len(tails), nq), dtype=np.int64)
+        c[:, 1:] = tails
+        eta = add2[j2m[b.add[b_of, c[:, u_of]]], t2[u_of]]
         # j- and p-compatibility hold by construction; check the cheap
-        # eps condition first, then the two homomorphism laws.
-        if not np.array_equal(eps2[eta], eps1):
-            continue
-        if not np.array_equal(eta[add1], add2[eta[:, None], eta[None, :]]):
-            continue
-        if not np.array_equal(eta[mul1], mul2[eta[:, None], eta[None, :]]):
-            continue
-        return RingHom(r1, r2, eta)
+        # eps condition first, then the two homomorphism laws, each on
+        # the candidates left.
+        eta = eta[(eps2[eta] == eps1).all(axis=1)]
+        for op1, op2 in ((add1, add2), (mul1, mul2)):
+            eta = eta[(eta[:, op1] == op2[eta[:, :, None], eta[:, None, :]]).all(axis=(1, 2))]
+        if len(eta):
+            return RingHom(r1, r2, eta[0])
     return None
 
 
@@ -609,7 +614,8 @@ def exhaustive_extension_search(
     |b|*|q| extending the data.  The stages:
 
     - symmetric associative additive defects f;
-    - per f, per-class actions drawn from the bimultiplication ring,
+    - per f, per-class actions drawn from the bimultiplication ring on
+      the additive generators of q and derived on every other class,
       kept if pairwise permutable and additive up to f;
     - per f and block of kept actions, one `_search_g_stage` call:
       multiplicative defects g pinned slotwise by the composite-action
@@ -623,9 +629,39 @@ def exhaustive_extension_search(
     Each stage filters its candidates a block at a time
     (`rings._product_blocks`) and passes the survivors on in
     itertools.product order, so the finds and their order are those of
-    a one-candidate-at-a-time walk over every slot.  Each guard counts
-    the candidates its stage generates.  The q-only index tables of the
-    g stage are built once per search (`_quotient_grid`).
+    a one-candidate-at-a-time walk over every slot.  Each guard but the
+    action guard counts the candidates its stage generates.  The q-only
+    index tables of the action and g stages are built once per search
+    (`_quotient_grid`).
+
+    The action stage walks only the generator classes.  An action
+    additive up to f has l_i(c) + l_j(c) = f(i, j)*c + l_x(c) and
+    (c)r_i + (c)r_j = c*f(i, j) + (c)r_x at x = i + j, so
+    l_x = l_i + l_j - f(i, j)*(-) and r_x = r_i + r_j - (-)*f(i, j).  Let
+    S be `grid.gens`; every other class x != 0 has one (x, i, j) in
+    `grid.sums`, with 0 < i, j < x.  The stage decodes pool choices on S
+    alone, npool^|S| per f, derives l_x and r_x in increasing x from the
+    rows of i and j, and finds the derived pair in the pool by its bytes
+    among the sorted keys of the pool's pairs (`bimult._row_lookup`,
+    built once per search).  The pair is always there: it is a sum of
+    bimultiplications and of the inner one of -f(i, j), so it is a
+    bimultiplication itself, and the pool holds every one.  The
+    permutability filter and the full additivity check then run,
+    unchanged, on every candidate.
+
+    The survivors are the tuples of pool rows over all classes != 0 that
+    pass both filters: no more, since both run, and no fewer, since such
+    a tuple is additive up to f and so is derived from its own rows on
+    S.  They come in that product's order.  A derived class reads only
+    classes before it, so two survivors first differ at a class in S,
+    and the decoding order over S is the order over all classes, as for
+    the S x S slots of `_search_g_stage`.
+
+    The action guard still counts npool^(|q|-1), the tuples of pool rows
+    over all classes != 0: the space the stage covers, though it decodes
+    only npool^|S| of it per f.  Counting the decoded candidates would
+    admit searches that it refuses: `flat_klein0` over its order-4
+    quotients, 256 bimultiplications and so 256^3 action tuples.
     """
     b = base.b
     nb, nq = b.order, q.order
@@ -657,14 +693,21 @@ def exhaustive_extension_search(
 
     around = _permutable(pl, pr).all(axis=2)
     perm_ok = around & around.T
+    pool_index = _row_lookup(pl, pr)
+    gens = grid.gens
     results: list[Extension] = []
     c3b = np.arange(nb)[None, None, :]
     for f in f_pool:
         fl3 = b.mul[f[:, :, None], c3b]
         fr3 = b.mul[c3b, f[:, :, None]]
-        for choice in _product_blocks([npool] * (nq - 1), nq * nq * nb):
+        for choice in _product_blocks([npool] * len(gens), nq * nq * nb):
             acts = np.zeros((len(choice), nq), dtype=np.int64)
-            acts[:, 1:] = choice
+            acts[:, gens] = choice
+            for x, i, j in grid.sums:
+                acts[:, x] = pool_index(
+                    b.add[b.add[pl[acts[:, i]], pl[acts[:, j]]], b.neg[b.mul[f[i, j]]]],
+                    b.add[b.add[pr[acts[:, i]], pr[acts[:, j]]], b.neg[b.mul[:, f[i, j]]]],
+                )
             acts = acts[perm_ok[acts[:, :, None], acts[:, None, :]].all(axis=(1, 2))]
             left, right = pl[acts], pr[acts]
             ok = (
@@ -683,7 +726,7 @@ def exhaustive_extension_search(
 
 @dataclass(frozen=True)
 class _QuotientGrid:
-    """The index tables of the g stage that depend on q alone.
+    """The index tables of the action and g stages that depend on q alone.
 
     `us`, `vs` list the slots (u, v), u, v != 0, in C order; `gens` is S,
     `rings._sum_generators(q.add)` without 0, and `free` marks the S x S

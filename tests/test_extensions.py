@@ -960,6 +960,183 @@ def test_g_guard_trips_at_the_first_action_with_candidates(stop, monkeypatch):
     assert search_record(got) == search_record(want) and want
 
 
+# ---------------------------------------------------------------------------
+# The action stage decodes pool rows on the additive generators of q and
+# derives the other classes; the product filter over every class != 0
+# below is the oracle for what it hands the g stage.
+
+
+def reference_action_stage(b, q, f, pl, pr):
+    """The (left, right) stacks of the actions additive up to f, a block
+    at a time: every tuple of pool rows over the classes != 0, decoded in
+    itertools.product order and kept if pairwise permutable and additive
+    up to f."""
+    nb, nq, qa = b.order, q.order, q.add
+    around = _permutable(pl, pr).all(axis=2)
+    perm_ok = around & around.T
+    c3b = np.arange(nb)[None, None, :]
+    fl3 = b.mul[f[:, :, None], c3b]
+    fr3 = b.mul[c3b, f[:, :, None]]
+    for choice in _product_blocks([len(pl)] * (nq - 1), nq * nq * nb):
+        acts = np.zeros((len(choice), nq), dtype=np.int64)
+        acts[:, 1:] = choice
+        acts = acts[perm_ok[acts[:, :, None], acts[:, None, :]].all(axis=(1, 2))]
+        left, right = pl[acts], pr[acts]
+        ok = (
+            b.add[left[:, :, None], left[:, None]] == b.add[fl3, left[:, qa]]
+        ).all(axis=(1, 2, 3))
+        ok &= (
+            b.add[right[:, :, None], right[:, None]] == b.add[fr3, right[:, qa]]
+        ).all(axis=(1, 2, 3))
+        yield left[ok], right[ok]
+
+
+def action_stage_output(es, q, psi, monkeypatch):
+    """What the action stage hands the g stage in a search run to
+    exhaustion, with each g stage stubbed out: the f of each call, in
+    order, and the (f, left, right) of every action, in order."""
+    fs, acts = [], []
+
+    def record(base, grid, psi, f, left, right, *rest):
+        if not fs or fs[-1] != f.tolist():
+            fs.append(f.tolist())
+        acts.extend((f.tolist(), lt.tolist(), rt.tolist()) for lt, rt in zip(left, right))
+        return False
+
+    with monkeypatch.context() as m:
+        m.setattr(extensions, "_search_g_stage", record)
+        exhaustive_extension_search(es, q, psi, stop_at_first=False)
+    return fs, acts
+
+
+def test_action_stage_matches_the_product_filter(monkeypatch):
+    # Every classify triple but the three that trip the action guard:
+    # the derived actions are the ones the filter over every class keeps,
+    # in its order, f by f.
+    tripped = []
+    for label, psi, rc in classify_triples():
+        es, q = rc.es, psi.source
+        try:
+            fs, got = action_stage_output(es, q, psi, monkeypatch)
+        except SearchGuardError as e:
+            tripped.append((label, str(e)))
+            continue
+        pl, pr = enumerate_bimultiplications(es.b)
+        want = [
+            (f, lt.tolist(), rt.tolist())
+            for f in fs
+            for left, right in reference_action_stage(es.b, q, np.array(f), pl, pr)
+            for lt, rt in zip(left, right)
+        ]
+        assert got == want, label
+    message = "16777216 action candidates, over the guard 1000000"
+    assert tripped == [("flat_klein0|z4|0,1,0,1", message), ("flat_klein0|z2xz2|0,0,1,1", message),
+                       ("flat_klein0|z2xz2|0,1,0,1", message)]
+
+
+@pytest.mark.parametrize(
+    "q, psi, gens",
+    [(zmod(4), [0, 1, 0, 1], 1), (klein(), [0, 1, 0, 1], 2)],
+    ids=["z4", "z2xz2"],
+)
+def test_action_stage_decodes_only_generator_candidates(q, psi, gens, monkeypatch):
+    # flat_z2 has 4 bimultiplications.  Z/4 is spanned by 1 and Z/2 x Z/2
+    # by 1 and 2, so per f the stage decodes 4 or 16 candidates where the
+    # product filter over the 3 classes != 0 decodes 64.
+    es, q, psi = corpus_triple("flat_z2", q, psi)
+    npool = len(enumerate_bimultiplications(es.b)[0])
+    radices = []
+    blocks = extensions._product_blocks
+
+    def recording_blocks(rad, width):
+        radices.append(list(rad))
+        return blocks(rad, width)
+
+    monkeypatch.setattr(extensions, "_product_blocks", recording_blocks)
+    fs = action_stage_output(es, q, psi, monkeypatch)[0]
+    # The first product is the additive defect pool; one per f follows.
+    assert radices[1:] == [[npool] * gens] * len(fs) and fs
+    assert npool**gens < npool ** (q.order - 1)
+
+
+# ---------------------------------------------------------------------------
+# `equivalent` tests its corrections a block at a time; the walk below,
+# one correction at a time, is the oracle for the map it returns.
+
+
+def reference_equivalent(e1, e2, guard=CANDIDATE_LIMIT):
+    """equivalent, testing one correction at a time."""
+    if e1.base is not e2.base:
+        raise ExtensionError("common-base", (e1.base.name, e2.base.name))
+    b = e1.base.b
+    q = e1.quotient
+    if q is not e2.quotient and not extensions._tables_equal(q, e2.quotient):
+        raise ExtensionError("quotient-presentation", (e2.quotient.name, q.name))
+    nb, nq = b.order, q.order
+    _guard(nb ** (nq - 1), "candidate corrections", guard)
+    r1, r2 = e1.ring, e2.ring
+    if r1.order != r2.order:
+        return None
+    t1 = [int(np.flatnonzero(e1.p.map == u)[0]) for u in range(nq)]
+    t2 = [int(np.flatnonzero(e2.p.map == u)[0]) for u in range(nq)]
+    jinv1 = {int(y): x for x, y in enumerate(e1.j.map)}
+    u_of = np.asarray(e1.p.map, dtype=np.int64)
+    b_of = np.array([jinv1[int(r1.add[x, r1.neg[t1[u_of[x]]]])] for x in range(r1.order)])
+    j2m = np.asarray(e2.j.map, dtype=np.int64)
+    for tail in itertools.product(range(nb), repeat=nq - 1):
+        c = np.zeros(nq, dtype=np.int64)
+        c[1:] = tail
+        eta = r2.add[j2m[b.add[b_of, c[u_of]]], np.asarray(t2)[u_of]]
+        if not np.array_equal(e2.eps.map[eta], e1.eps.map):
+            continue
+        if not np.array_equal(eta[r1.add], r2.add[eta[:, None], eta[None, :]]):
+            continue
+        if not np.array_equal(eta[r1.mul], r2.mul[eta[:, None], eta[None, :]]):
+            continue
+        return RingHom(r1, r2, eta)
+    return None
+
+
+def equivalence_record(hom):
+    return None if hom is None else (hom.map.tolist(), hom.map.dtype.str)
+
+
+def test_equivalent_matches_the_one_at_a_time_walk():
+    # Over each classify triple: every ordered pair among the enumerated
+    # classes (inequivalent but for each class with itself), each class
+    # and its crossed-product rebuild, and each class and the search's
+    # first three finds, both ways.  Their maps need nonzero corrections,
+    # and there a correction that passes the eps and addition conditions
+    # can fail the multiplication one.  Besides, flat_z2 over the dual
+    # numbers, e -> 0: there c(e) = c(1 + e) = 1 gives each extension a
+    # second self-equivalence, so an equivalent pair has two maps and the
+    # first must be returned.
+    triples = [(rc.es, psi.source, psi, rc) for _, psi, rc in classify_triples()]
+    es = corpus_system("flat_z2")
+    q = dual_numbers(2)
+    (psi,) = unital_homs(q, es.cokernel.ring)
+    triples.append((es, q, psi, reduce_esystem(es)))
+    pairs = nonidentity = 0
+    for es, q, psi, rc in triples:
+        exts = enumerate_extensions(es, q, psi, rc=rc)
+        try:
+            found = exhaustive_extension_search(es, q, psi, stop_at_first=False)[:3]
+        except SearchGuardError:  # the three flat_klein0 triples over order-4 quotients
+            found = []
+        rebuilt = []
+        if q.order > 1:
+            rebuilt = [crossed_product(factor_system_from_extension(e), es, psi, section=rc.section)
+                       for e in exts]
+        cases = [*itertools.product(exts, exts), *zip(exts, rebuilt),
+                 *itertools.product(exts, found), *itertools.product(found, exts)]
+        for e1, e2 in cases:
+            got = equivalence_record(equivalent(e1, e2))
+            assert got == equivalence_record(reference_equivalent(e1, e2))
+            pairs += 1
+            nonidentity += got is not None and got[0] != list(range(e1.ring.order))
+    assert pairs > 100 and nonidentity > 0
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_three_routes_agree_on_obstructed_instances(k):
     # The multiplier system of 2Z/2^k has a cokernel Q of order 4 with

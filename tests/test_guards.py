@@ -26,7 +26,7 @@ from ringcat.rings import zero_mult, zero_mult_klein, zmod
 from ringcat.transport import reduce_esystem, reduced_axiom_check
 from test_anncat import doubled_into_z4, with_entry, zero_action_es
 from test_cohomology import ring_as_module
-from test_extensions import flat_z2, z4_extension
+from test_extensions import corpus_triple, flat_z2, klein, z4_extension
 import test_rings
 from test_rings import upper_triangular_z2
 
@@ -247,6 +247,23 @@ def test_every_guard_site_refuses_before_it_allocates(site, monkeypatch):
     with pytest.raises(SearchGuardError, match=GUARD_MESSAGE) as e:
         call()
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "q, psi",
+    [(zmod(4), [0, 1, 0, 1]), (klein(), [0, 0, 1, 1]), (klein(), [0, 1, 0, 1])],
+    ids=["z4", "z2xz2-0011", "z2xz2-0101"],
+)
+def test_flat_klein0_searches_over_order_4_quotients_trip_the_action_guard(q, psi, monkeypatch):
+    # The action stage decodes only the generator classes, but its guard
+    # counts every tuple of the 256 bimultiplications of the Klein zero
+    # ring over the 3 classes != 0, so these searches are still refused,
+    # before the additive defect pool is built.
+    es, q, psi = corpus_triple("flat_klein0", q, psi)
+    monkeypatch.setattr(extensions, "_product_blocks", never("the additive defect pool"))
+    with pytest.raises(SearchGuardError) as e:
+        exhaustive_extension_search(es, q, psi)
+    assert str(e.value) == "16777216 action candidates, over the guard 1000000"
 
 
 def test_proved_chunks_are_not_guarded(monkeypatch):
