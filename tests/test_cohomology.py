@@ -567,11 +567,14 @@ def test_unit_normalised_h2_agrees():
 
 
 def test_coordinate_guard_refuses_large_complexes():
+    with pytest.raises(SearchGuardError):
+        complex_for(ring_as_module(zmod(4)), guard=10)
+
+
+def test_coordinate_guard_applies_to_cached_complexes():
     # No complex is kept on its module, so one built first changes
     # nothing the guard sees.
     mod = ring_as_module(zmod(4))
-    with pytest.raises(SearchGuardError):
-        complex_for(mod, guard=10)
     complex_for(mod)
     with pytest.raises(SearchGuardError):
         complex_for(mod, guard=10)

@@ -50,7 +50,7 @@ VALIDATION_TESTS = [
     "tests/test_cohomology.py::test_cochain_normalisation_enforced",
     "tests/test_cohomology.py::test_pullback2_rejects_a_foreign_pulled_module",
     "tests/test_cohomology.py::test_pullback3_rejects_a_foreign_cochain",
-    "tests/test_cohomology.py::test_coordinate_guard_refuses_large_complexes",
+    "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
     "tests/test_cohomology.py::test_z6_smith_normal_form_overflow_is_raised",
     "tests/test_cohomology.py::test_broken_checks_raise_without_assert",
     "tests/test_extensions.py::test_obstruction_requires_regular_base",
