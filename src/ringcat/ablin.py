@@ -602,7 +602,9 @@ def kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
     # together with the source moduli they span the kernel as a lattice.
     kz = res.v[:g, r:]
     sub = span_subgroup(lm.source, kz)
-    if any(lm.apply(x) != lm.target.zero() for x in sub.gens):
+    # Every generator at once: lm times the embedding, modulo the target.
+    tgt = np.asarray(lm.target.factors, dtype=np.int64)
+    if ((lm.matrix @ sub._embed.matrix) % tgt[:, None]).any():
         raise AssertionError("kernel generator sanity")
     return sub
 

@@ -14,12 +14,13 @@ used by property checks) and once as integer matrices over the invariant
 factor coordinates of the module (used for kernels, images, quotients and
 certificates), assembled by `complex_for` on each call.
 The degree-3 table formula is `_defect3`, which also computes the
-obstruction cochain in `transport.reduce_esystem` and the cocycle
-conditions in `extensions.validate_factor_system`.  Its five conditions
-are written once, as data: a plan per ring (`_defect3_plan`, memoised)
-names each term's cochain, arguments and map, so one evaluation is a
-fixed handful of numpy gathers and folds, and a stack of cochains runs
-through it in blocks of rows.  A map is a row of one table,
+obstruction cochain in `transport.reduce_esystem`; its core
+`_defect3_cells` checks the cocycle conditions in
+`extensions.validate_factor_system`.  Its five conditions are written
+once, as data: a plan per ring (`_defect3_plan`, memoised) names each
+term's cochain, arguments and map, so one evaluation is a fixed handful
+of numpy gathers and folds, and a stack of cochains runs through it in
+blocks of rows.  A map is a row of one table,
 `_map_table` (identity, l_u, r_w and their negatives), numbered by
 `_map_codes`.  The 14 reduced coherence laws of `transport` are terms of
 the same format through the same table.
@@ -242,14 +243,39 @@ def _defect3(add, neg, left, right, ring: FiniteRing, f, g):
     Values live in an abelian group given by `add` and `neg`, with 0 its
     zero; ring element u acts through rows `left[u]` and `right[u]`.
     Leading axes of f[..., a, b] and g[..., a, b] stack pairs, and lead
-    the returned tables, which carry add's dtype.
+    the returned tables, which carry add's dtype.  `_defect3_cells` does
+    the work.
+    """
+    n = ring.order
+    square = n * n
+    lead = f.shape[:-2]
+    rows = math.prod(lead)
+    fg = np.concatenate(
+        (f.reshape(rows, square), g.reshape(rows, square), np.zeros((rows, 1), f.dtype)),
+        axis=1,
+    )
+    out = _defect3_cells(add, _map_table(neg, left, right), ring, fg)
+    tables, at = [], 0
+    for shape in ((n, n, n), (n, n), (n, n, n), (n, n, n), (n, n, n)):
+        size = math.prod(shape)
+        tables.append(out[:, at : at + size].reshape(lead + shape))
+        at += size
+    return tuple(tables)
+
+
+def _defect3_cells(add, maps, ring: FiniteRing, fg) -> np.ndarray:
+    """The tables of `_defect3` laid end to end, one row per row of `fg`:
+    row r holds xi, eta, alpha_x, lambda_l and rho_r of the defect pair
+    fg[r] = [f | g | 0] (f and g in C order), each table in C order.
+    `maps` is the module's `_map_table`.
 
     The formulas are data, `_defect3_plan(ring)`: each term's cochain,
     arguments and map.  A block of pairs takes one gather of every term
-    from the rows [f | g | 0], one gather through the map table, and
-    four folds through `add`, summing each cell's terms left to right as
-    written above.  A stack runs in blocks of at most `BLOCK_CELLS`
-    gathered cells, five per table cell.
+    from its rows of fg, one gather through the map table, and four folds
+    through `add`, summing each cell's terms left to right as `_defect3`
+    writes them.  A stack runs in blocks of at most `BLOCK_CELLS`
+    gathered cells, five per table cell; a stack of one block is returned
+    as it is folded.
 
     The plan depends only on the ring, and is memoised on it by identity
     (a FiniteRing hashes by identity) for the 32 rings used last.  It
@@ -258,32 +284,23 @@ def _defect3(add, neg, left, right, ring: FiniteRing, f, g):
     So the memo's worst case is 32 times the largest plan, about 11 MB
     while the rings have at most 16 elements.
     """
-    n = ring.order
-    cube, square = n**3, n * n
-    lead = f.shape[:-2]
-    rows = math.prod(lead)
-    fg = np.concatenate(
-        (f.reshape(rows, square), g.reshape(rows, square), np.zeros((rows, 1), f.dtype)),
-        axis=1,
-    )
-    out = np.empty((rows, 4 * cube + square), dtype=add.dtype)
-    if rows:  # an empty stack needs no plan
-        terms, maps = _defect3_plan(ring)
-        table = _map_table(neg, left, right).ravel()  # row r starts at r * |module|
-        offsets = maps.astype(np.intp) * len(neg)
-        step = max(1, BLOCK_CELLS // terms.size)
-        for lo in range(0, rows, step):
-            vals = table.take(offsets + fg[lo : lo + step].take(terms, axis=1))
-            acc = add[vals[:, 0], vals[:, 1]]
-            for k in range(2, 5):
-                acc = add[acc, vals[:, k]]
-            out[lo : lo + step] = acc
-    tables, at = [], 0
-    for shape in ((n, n, n), (n, n), (n, n, n), (n, n, n), (n, n, n)):
-        size = math.prod(shape)
-        tables.append(out[:, at : at + size].reshape(lead + shape))
-        at += size
-    return tuple(tables)
+    rows = len(fg)
+    if not rows:  # an empty stack needs no plan
+        return np.empty((0, 4 * ring.order**3 + ring.order**2), dtype=add.dtype)
+    terms, codes = _defect3_plan(ring)
+    table = maps.ravel()  # row r starts at r * |module|
+    offsets = codes.astype(np.intp) * maps.shape[1]
+    step = max(1, BLOCK_CELLS // terms.size)
+    out = np.empty((rows, terms.shape[1]), dtype=add.dtype) if rows > step else None
+    for lo in range(0, rows, step):
+        vals = table.take(offsets + fg[lo : lo + step].take(terms, axis=1))
+        acc = add[vals[:, 0], vals[:, 1]]
+        for k in range(2, 5):
+            acc = add[acc, vals[:, k]]
+        if out is None:
+            return acc
+        out[lo : lo + step] = acc
+    return out
 
 
 def d2(c: Cochain2) -> Cochain3:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ablin import CANDIDATE_LIMIT, _guard
 from .bimult import _bimult_laws, _permutable, _row_lookup, enumerate_bimultiplications
-from .cohomology import FunctorClassification, _defect3, classify_functors
+from .cohomology import FunctorClassification, _defect3, _defect3_cells, _map_table, classify_functors
 from .crossed import ESystem, ESystemError, _check_morphism, _require_regular
 from .rings import (
     BLOCK_CELLS,
@@ -166,6 +166,12 @@ def _flat(b_elem: int, u: int, nb: int) -> int:
     return u * nb + b_elem
 
 
+# The zero that ends validate_factor_system's copy [act_left | act_right |
+# f | g | 0], and the (left, right) axis of its inner-bimultiplication gather.
+_ZERO16 = np.zeros(1, dtype=np.int16)
+_SIDES = np.arange(2)[None, :, None, None]
+
+
 def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g) -> FactorSystem:
     """Check a factor system on b x q in two stages; raise FactorSystemError
     with the first failing condition and its first witness in C order.
@@ -188,11 +194,20 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
       l_u(c) + l_v(c) - f(u, v)*c - l_{u+v}(c) = 0, and likewise for the
       other three, so each ok-grid is the one of the defect itself.
 
+    Each group of conditions costs one reduction when it holds: the four
+    tables' ranges (over one int16 copy [act_left | act_right | f | g | 0]
+    viewed unsigned, so a negative entry reads as too large), the
+    normalisation of f and g, the five degree-3 tables laid end to end
+    (`cohomology._defect3_cells`, fed the copy's tail [f | g | 0]) and
+    the four action conditions.  Only a group that fails is walked
+    condition by condition, in the order above, for its first witness.
+
     The action stage depends on (b, q, act_left, act_right) alone and is
     memoised on exactly that: b and q by identity (a FiniteRing hashes by
     identity, and its tables are not changed after validation), the
     actions by the bytes of their int16 tables.  It keeps the 32 actions
-    used last.  A raise is never stored, so a memo hit stands for an
+    used last (`_action_stage` says what an entry holds and the memo's
+    worst case).  A raise is never stored, so a memo hit stands for an
     action that passed, whose stage would pass again with the same
     tables, and a failing action is checked, and raises, on every call.
     So a hit changes no verdict and no witness.
@@ -204,45 +219,49 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
     ar_ = np.asarray(act_right, dtype=np.int16)
     f = np.asarray(f, dtype=np.int16)
     g = np.asarray(g, dtype=np.int16)
-    for tbl, shape, nm in (
-        (al, (n, m), "act_left"),
-        (ar_, (n, m), "act_right"),
-        (f, (n, n), "f"),
-        (g, (n, n), "g"),
-    ):
-        if tbl.shape != shape:
-            raise FactorSystemError(f"{nm}-shape", tbl.shape)
-        if tbl.size and (tbl.min() < 0 or tbl.max() >= m):
-            raise FactorSystemError(f"{nm}-range", ())
-    for tbl, nm in ((f, "f"), (g, "g")):
-        edge = np.zeros((n, n), dtype=bool)
-        edge[0, :] |= tbl[0, :] != 0
-        edge[:, 0] |= tbl[:, 0] != 0
-        if edge.any():
-            raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
-    pl, pr, ml, mr = _action_stage(b, q, al.tobytes(), ar_.tobytes())
+    tables = ((al, (n, m), "act_left"), (ar_, (n, m), "act_right"), (f, (n, n), "f"),
+              (g, (n, n), "g"))
+    flat = None
+    if all(tbl.shape == shape for tbl, shape, _ in tables):
+        flat = np.concatenate((al, ar_, f, g, _ZERO16), axis=None)
+    if flat is None or flat.view(np.uint16).max() >= m:
+        for tbl, shape, nm in tables:
+            if tbl.shape != shape:
+                raise FactorSystemError(f"{nm}-shape", tbl.shape)
+            if tbl.size and (tbl.min() < 0 or tbl.max() >= m):
+                raise FactorSystemError(f"{nm}-range", ())
+    fg = flat[2 * n * m :]
+    defects = fg[:-1].reshape(2, n, n)
+    if (defects[:, 0] | defects[:, :, 0]).any():
+        for tbl, nm in ((f, "f"), (g, "g")):
+            edge = np.zeros((n, n), dtype=bool)
+            edge[0, :] |= tbl[0, :] != 0
+            edge[:, 0] |= tbl[:, 0] != 0
+            if edge.any():
+                raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
+    halves, maps, inner = _action_stage(b, q, al.tobytes(), ar_.tobytes())
 
-    names = (
-        "additive-cocycle",
-        "additive-symmetry",
-        "multiplicative-cocycle",
-        "left-distributivity",
-        "right-distributivity",
-    )
-    for nm, diff in zip(names, _defect3(b.add, b.neg, al, ar_, q, f, g), strict=True):
-        if diff.any():
-            raise FactorSystemError(nm, _first_bad(diff == 0))
+    if _defect3_cells(b.add, maps, q, fg[None]).any():
+        names = (
+            "additive-cocycle",
+            "additive-symmetry",
+            "multiplicative-cocycle",
+            "left-distributivity",
+            "right-distributivity",
+        )
+        for nm, diff in zip(names, _defect3(b.add, b.neg, al, ar_, q, f, g), strict=True):
+            if diff.any():
+                raise FactorSystemError(nm, _first_bad(diff == 0))
     # The action must be additive and multiplicative up to the inner
-    # bimultiplications of the defect values.
-    for nm, half, inner in (
-        ("action-additive-left", pl, b.mul[f]),
-        ("action-additive-right", pr, b.mul.T[f]),
-        ("action-multiplicative-left", ml, b.mul[g]),
-        ("action-multiplicative-right", mr, b.mul.T[g]),
-    ):
-        ok = half == inner
-        if not ok.all():
-            raise FactorSystemError(nm, _first_bad(ok))
+    # bimultiplications of the defect values: row (kind, side) of the
+    # gather is b.mul[f], b.mul.T[f], b.mul[g], b.mul.T[g].
+    ok = halves == inner[_SIDES, defects[:, None]].reshape(halves.shape)
+    if not ok.all():
+        names = ("action-additive-left", "action-additive-right",
+                 "action-multiplicative-left", "action-multiplicative-right")
+        for nm, cond in zip(names, ok, strict=True):
+            if not cond.all():
+                raise FactorSystemError(nm, _first_bad(cond))
     return FactorSystem(b, q, al, ar_, f, g)
 
 
@@ -250,7 +269,19 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
 def _action_stage(b: FiniteRing, q: FiniteRing, left: bytes, right: bytes):
     """The action stage of `validate_factor_system` on the int16 action
     tables with bytes `left` and `right`: raises its first failure, or
-    returns the read-only tables (PL, PR, ML, MR)."""
+    returns the read-only (halves, maps, inner) that the cocycle stage
+    reads:
+
+    - halves, (4, n, n, m): PL, PR, ML and MR stacked;
+    - maps, (4n + 2, m): `cohomology._map_table(b.neg, left, right)`;
+    - inner, (2, m, m): b.mul and its transpose, row c of inner[0] being
+      the inner left bimultiplication of c and of inner[1] the right one.
+
+    With n = |q|, m = |b| and int16 ring tables, an entry holds
+    8n^2 m + 8(4n + 2)m + 4m^2 bytes (maps is intp): 1.2 KB at n = m = 4
+    and 42 KB at n = m = 16.  So the 32 entries of the memo hold at most
+    1.4 MB while both rings have at most 16 elements.
+    """
     n, m = q.order, b.order
     al = np.frombuffer(left, dtype=np.int16).reshape(n, m)
     ar_ = np.frombuffer(right, dtype=np.int16).reshape(n, m)
@@ -283,15 +314,51 @@ def _action_stage(b: FiniteRing, q: FiniteRing, left: bytes, right: bytes):
 
     badd, bneg, qa, qm = b.add, b.neg, q.add, q.mul
     arq = np.arange(n)
-    halves = (
+    halves = np.stack((
         _sum(badd, al[:, None, :], al[None, :, :], bneg[al[qa]]),
         _sum(badd, ar_[:, None, :], ar_[None, :, :], bneg[ar_[qa]]),
         badd[al[arq[:, None, None], al[None, :, :]], bneg[al[qm]]],
         badd[ar_[arq[None, :, None], ar_[arq[:, None, None], arm[None, None, :]]], bneg[ar_[qm]]],
-    )
-    for t in halves:
+    ))
+    stage = (halves, _map_table(bneg, al, ar_), np.stack((b.mul, b.mul.T)))
+    for t in stage:
         t.flags.writeable = False
-    return halves
+    return stage
+
+
+@dataclass(frozen=True)
+class _CarrierGrid:
+    """The index grids and gathers of `crossed_tables` that depend on (b, q)
+    alone, over the carrier e = u*|b| + a (`_flat`): `bp` and `qp` give
+    each element's a and u, and the (e, e') tables hold q's sum and
+    product scaled by |b| (`qadd`, `qmul`) and b's sum and product
+    (`badd`, `bmul`) of the two elements' coordinates.  All read-only."""
+
+    bp: np.ndarray
+    qp: np.ndarray
+    qadd: np.ndarray
+    badd: np.ndarray
+    bmul: np.ndarray
+    qmul: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _carrier_grid(b: FiniteRing, q: FiniteRing) -> _CarrierGrid:
+    """The carrier grid of b x q, memoised on the two rings by identity for
+    the 32 pairs used last.  With N = |b||q| and int16 ring tables an
+    entry holds 8N^2 + 16N bytes: 33 KB at N = 64, 530 KB at N = 256.
+    So the memo holds at most 17 MB while the carriers have at most 256
+    elements."""
+    nb, nq = b.order, q.order
+    e = np.arange(nb * nq)
+    bp, qp = e % nb, e // nb
+    bi, bj = bp[:, None], bp[None, :]
+    ui, uj = qp[:, None], qp[None, :]
+    grid = _CarrierGrid(bp, qp, q.add[ui, uj] * nb, b.add[bi, bj], b.mul[bi, bj],
+                        q.mul[ui, uj] * nb)
+    for t in vars(grid).values():
+        t.flags.writeable = False
+    return grid
 
 
 def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
@@ -302,20 +369,19 @@ def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
     triple.
     The inputs may carry leading axes, a stack of factor data; each table
     then carries those of the inputs it reads (f for addition; the
-    actions and g for multiplication).
+    actions and g for multiplication).  What depends on (b, q) alone comes
+    from `_carrier_grid`.
     """
-    nb, nq = b.order, q.order
-    e = np.arange(nb * nq)
-    bp, qp = e % nb, e // nb
-    bi, bj = bp[:, None], bp[None, :]
-    ui, uj = qp[:, None], qp[None, :]
+    grid = _carrier_grid(b, q)
+    bi, bj = grid.bp[:, None], grid.bp[None, :]
+    ui, uj = grid.qp[:, None], grid.qp[None, :]
     f = np.asarray(f)
     g = np.asarray(g)
     al = np.asarray(act_left)
     ar_ = np.asarray(act_right)
-    add = q.add[ui, uj] * nb + b.add[b.add[bi, bj], f[..., ui, uj]]
-    prod = b.add[b.add[b.mul[bi, bj], ar_[..., uj, bi]], b.add[al[..., ui, bj], g[..., ui, uj]]]
-    mul = q.mul[ui, uj] * nb + prod
+    add = grid.qadd + b.add[grid.badd, f[..., ui, uj]]
+    prod = b.add[b.add[grid.bmul, ar_[..., uj, bi]], b.add[al[..., ui, bj], g[..., ui, uj]]]
+    mul = grid.qmul + prod
     return add.astype(np.int16), mul.astype(np.int16)
 
 
@@ -356,16 +422,20 @@ def crossed_ring(fs: FactorSystem, name: str | None = None) -> FiniteRing:
       g(1, 1) annihilate b on both sides, and the multiplicative cocycle
       at (1, 1, v) and (v, 1, 1) gives g(1, v) = (g(1, 1))r_v and
       g(v, 1) = l_v(g(1, 1)), so it is a unit on both sides.  It is
-      still checked on the tables, as the element whose row and column
-      are the identity (`rings._units`); a failure is an internal fault
-      and raises AssertionError.
+      still checked on the tables, on its own row and column: a
+      two-sided identity is unique, so that is `rings._units(mul) == unit`
+      without scanning every row.  A failure is an internal fault and
+      raises AssertionError.
 
     Each entry is u*|b| + a with u in q and a in b, so the tables are in
-    range by construction.
+    range by construction.  The tables are new arrays; the grids they are
+    gathered from stay in `_carrier_grid`'s memo (at most 32 (b, q) pairs,
+    8N^2 + 16N bytes each on a carrier of N elements).
     """
     add, mul = crossed_tables(fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g)
     unit = _flat(int(fs.b.neg[fs.g[fs.q.unit, fs.q.unit]]), int(fs.q.unit), fs.b.order)
-    if _units(mul) != unit:
+    carrier = np.arange(len(mul))
+    if not ((mul[unit] == carrier).all() and (mul[:, unit] == carrier).all()):
         raise AssertionError(f"(-g(1, 1), 1) = {unit} is not the unit of the crossed product")
     return FiniteRing(name or f"{fs.b.name}_x_{fs.q.name}", add, mul, unit)
 

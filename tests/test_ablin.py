@@ -451,6 +451,21 @@ def kernel_gens(m):
     return partial(kernel, lm, smith_normal_form([[0, 4]])), "kernel generator sanity"
 
 
+def kernel_last_gen(m):
+    # A true kernel generator, then one outside the kernel: the check
+    # reads every generator, not only the first.
+    lm = LinearMap(FinAbGroup((4, 4)), Z4, [[1, 0]])
+    span = ablin.span_subgroup
+
+    def with_a_wrong_last(ambient, cols):
+        sub = span(ambient, cols)
+        return Subgroup(ambient, FinAbGroup((*sub.group.factors, 4)), [*sub.gens, (1, 0)])
+
+    assert kernel(lm).gens == [(0, 1)]
+    m.setattr(ablin, "span_subgroup", with_a_wrong_last)
+    return partial(kernel, lm), "kernel generator sanity"
+
+
 def section(m):
     quot = Quotient(Z4, FinAbGroup((2,)), np.array([[1]]), np.array([[2]]))
     return partial(quot.lift, (1,)), "section postcondition"
@@ -463,8 +478,8 @@ def cokernel_rank(m):
 
 
 POSTCONDITIONS = {f.__name__: f for f in (
-    solve_rank, solve_post, span_rank, span_moduli, span_order, kernel_gens, section,
-    cokernel_rank,
+    solve_rank, solve_post, span_rank, span_moduli, span_order, kernel_gens, kernel_last_gen,
+    section, cokernel_rank,
 )}
 
 

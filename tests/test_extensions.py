@@ -19,7 +19,7 @@ from ringcat.bimult import (
     enumerate_bimultiplications,
     permutability_witness,
 )
-from ringcat.cohomology import classify_functors, complex_for
+from ringcat.cohomology import _defect3, classify_functors, complex_for
 from ringcat.corpus import corpus, corpus_triples, unital_homs
 from ringcat.crossed import (
     ESystemError,
@@ -1270,7 +1270,7 @@ def test_no_factorisation_outlives_classify_functors(monkeypatch):
 # The factor-system validator against its one-stage form.
 
 
-def reference_validate_factor_system(b, q, act_left, act_right, f, g):
+def one_stage_validate_factor_system(b, q, act_left, act_right, f, g):
     """`validate_factor_system` checking every condition in one pass, the
     action's with the defects', on every call."""
     if q.unit is None:
@@ -1391,7 +1391,7 @@ def test_klein_census_factor_systems_pass_both_validators():
     for args in systems:
         got = outcome(validate_factor_system, *args)
         assert isinstance(got, list)
-        assert got == outcome(reference_validate_factor_system, *args)
+        assert got == outcome(one_stage_validate_factor_system, *args)
 
 
 def mutation_sources():
@@ -1482,7 +1482,7 @@ def test_factor_system_errors_match_the_one_stage_form():
     cases.append(("non-unital quotient", (zmod(2), zero_mult(2), z2, z2, z2, z2)))
     valid, reached = 0, set()
     for label, args in cases:
-        want = outcome(reference_validate_factor_system, *args)
+        want = outcome(one_stage_validate_factor_system, *args)
         assert outcome(validate_factor_system, *args) == want, label
         assert outcome(validate_factor_system, *args) == want, label
         if isinstance(want, tuple):
@@ -1491,6 +1491,120 @@ def test_factor_system_errors_match_the_one_stage_form():
             valid += 1
     assert reached == FACTOR_SYSTEM_CONDITIONS
     assert valid > len(sources)
+
+
+def reference_validate_factor_system(b, q, act_left, act_right, f, g):
+    """`validate_factor_system` as it was before each group of conditions
+    got one reduction: every table and condition checked on its own, the
+    degree-3 conditions through the five tables of `_defect3`, and the
+    action stage read from the same memo."""
+    if q.unit is None:
+        raise FactorSystemError("quotient-unit", ())
+    n, m = q.order, b.order
+    al = np.asarray(act_left, dtype=np.int16)
+    ar_ = np.asarray(act_right, dtype=np.int16)
+    f = np.asarray(f, dtype=np.int16)
+    g = np.asarray(g, dtype=np.int16)
+    for tbl, shape, nm in (
+        (al, (n, m), "act_left"),
+        (ar_, (n, m), "act_right"),
+        (f, (n, n), "f"),
+        (g, (n, n), "g"),
+    ):
+        if tbl.shape != shape:
+            raise FactorSystemError(f"{nm}-shape", tbl.shape)
+        if tbl.size and (tbl.min() < 0 or tbl.max() >= m):
+            raise FactorSystemError(f"{nm}-range", ())
+    for tbl, nm in ((f, "f"), (g, "g")):
+        edge = np.zeros((n, n), dtype=bool)
+        edge[0, :] |= tbl[0, :] != 0
+        edge[:, 0] |= tbl[:, 0] != 0
+        if edge.any():
+            raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
+    pl, pr, ml, mr = _action_stage(b, q, al.tobytes(), ar_.tobytes())[0]
+
+    names = (
+        "additive-cocycle",
+        "additive-symmetry",
+        "multiplicative-cocycle",
+        "left-distributivity",
+        "right-distributivity",
+    )
+    for nm, diff in zip(names, _defect3(b.add, b.neg, al, ar_, q, f, g), strict=True):
+        if diff.any():
+            raise FactorSystemError(nm, _first_bad(diff == 0))
+    for nm, half, inner in (
+        ("action-additive-left", pl, b.mul[f]),
+        ("action-additive-right", pr, b.mul.T[f]),
+        ("action-multiplicative-left", ml, b.mul[g]),
+        ("action-multiplicative-right", mr, b.mul.T[g]),
+    ):
+        ok = half == inner
+        if not ok.all():
+            raise FactorSystemError(nm, _first_bad(ok))
+    return FactorSystem(b, q, al, ar_, f, g)
+
+
+@functools.cache
+def classify_factor_systems():
+    """The factor systems of the extensions that enumeration builds over
+    the classify triples, as argument tuples.  The zero-quotient triples
+    give none: their factor systems fail f-normalisation at (0, 0)."""
+    out = []
+    for _, psi, rc in classify_triples():
+        for ext in enumerate_extensions(rc.es, psi.source, psi, rc=rc):
+            if psi.source.order > 1:
+                fs = factor_system_from_extension(ext)
+                out.append((fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g))
+    return out
+
+
+GROUPED_CONDITIONS = {
+    *(f"{nm}-range" for nm in ("act_left", "act_right", "f", "g")),
+    "f-normalisation", "g-normalisation",
+    "additive-cocycle", "additive-symmetry", "multiplicative-cocycle",
+    "left-distributivity", "right-distributivity",
+    *(f"action-{kind}-{side}" for kind in ("additive", "multiplicative")
+      for side in ("left", "right")),
+}
+
+
+def test_factor_system_errors_match_the_parent_checks():
+    # Every 97th census system, the classify systems and the mutation
+    # sources, as given and with eight seeded single-entry mutations per
+    # table (any other value in [-1, |b|]).  No single entry of these reaches additive-symmetry
+    # or action-multiplicative-right first, so the cocycle witness cases
+    # and g[1, 1] = 1 over the upper-triangular first row join them.  Each
+    # case runs twice, the second time with its action in the memo if the
+    # action passed.
+    rng = np.random.default_rng(29)
+    sources = [*klein_census_factor_systems()[::97], *classify_factor_systems(),
+               *mutation_sources()]
+    cases = []
+    for b, q, *tables in sources:
+        tables = [np.array(t, dtype=np.int64) for t in tables]
+        cases.append((b, q, *tables))
+        for k, t in enumerate(tables):
+            for _ in range(8):
+                new = t.copy()
+                cell = tuple(int(rng.integers(0, size)) for size in t.shape)
+                new[cell] = (new[cell] + rng.integers(1, b.order + 2)) % (b.order + 2) - 1
+                cases.append((b, q, *tables[:k], new, *tables[k + 1:]))
+    cases += [cocycle_case(t, cells) for t, cells, _, _ in COCYCLE_CASES]
+    for ext in enumerate_extensions(*corpus_triple("ut2_first_row")):
+        fs = factor_system_from_extension(ext)
+        g = fs.g.copy()
+        g[1, 1] = 1
+        cases.append((fs.b, fs.q, fs.act_left, fs.act_right, fs.f, g))
+    reached = Counter()
+    for args in cases:
+        want = outcome(reference_validate_factor_system, *args)
+        assert outcome(validate_factor_system, *args) == want
+        assert outcome(validate_factor_system, *args) == want
+        if isinstance(want, tuple):
+            reached[want[0]] += 1
+    assert GROUPED_CONDITIONS <= set(reached)
+    assert len(cases) - sum(reached.values()) > len(sources)
 
 
 def test_a_failing_action_is_checked_again_on_every_call():
@@ -1606,6 +1720,24 @@ def test_crossed_rings_are_built_without_validate_ring(monkeypatch):
     assert len(enumerate_extensions(*flat_z2_over_z4())) == 2
 
 
+def test_crossed_rings_gather_from_a_read_only_grid_memo():
+    # crossed_tables reads the (b, q) grids from `_carrier_grid`, built
+    # once per pair; they cannot be written, and no ring built from them
+    # shares their memory.
+    systems = klein_census_factor_systems()
+    extensions._carrier_grid.cache_clear()
+    rings_built = [crossed_ring(validate_factor_system(*args)) for args in systems[16:16 + 256:51]]
+    info = extensions._carrier_grid.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, len(rings_built) - 1, 32)
+    grid = extensions._carrier_grid(systems[16][0], systems[16][1])
+    for name, t in vars(grid).items():
+        with pytest.raises(ValueError, match="read-only"):
+            t[(0,) * t.ndim] = 1
+        for ring in rings_built:
+            for table in (ring.add, ring.mul, ring.neg):
+                assert not np.shares_memory(table, t), name
+
+
 def test_enumerated_extensions_induce_valid_action_systems():
     # validate_extension builds the action system induced on (B, E)
     # without validate_esystem; over the classify triples every one of
@@ -1672,8 +1804,24 @@ def broken_unit(m):
             "(-g(1, 1), 1) = 2 is not the unit of the crossed product")
 
 
+def broken_unit_column(m):
+    # The unit's column alone corrupted: its row is still the identity.
+    def tables(*args):
+        add, mul = crossed_tables(*args)
+        mul[1, 2] = 0
+        return add, mul
+
+    z2, zero2 = [[0, 0], [0, 1]], np.zeros((2, 2), dtype=int)
+    fs = validate_factor_system(zmod(2), zmod(2), z2, z2, zero2, zero2)
+    mul = tables(fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g)[1]
+    assert (mul[2] == np.arange(4)).all() and mul[1, 2] != 1
+    m.setattr(extensions, "crossed_tables", tables)
+    return (functools.partial(crossed_ring, fs),
+            "(-g(1, 1), 1) = 2 is not the unit of the crossed product")
+
+
 @pytest.mark.parametrize("check", [broken_ideal_action, missing_d_preimage, collapsing_classes,
-                                   broken_unit],
+                                   broken_unit, broken_unit_column],
                          ids=lambda f: f.__name__)
 def test_broken_checks_raise_without_assert(check, monkeypatch):
     # Each internal check raises AssertionError itself, so `python -O`

@@ -66,6 +66,8 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_g_guard_trips_at_the_first_action_with_candidates",
     "tests/test_extensions.py::test_broken_checks_raise_without_assert",
     "tests/test_extensions.py::test_factor_system_errors_match_the_one_stage_form",
+    "tests/test_extensions.py::test_factor_system_errors_match_the_parent_checks",
+    "tests/test_extensions.py::test_crossed_rings_gather_from_a_read_only_grid_memo",
     "tests/test_extensions.py::test_a_failing_action_is_checked_again_on_every_call",
     "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_guard_is_a_resource_error",
