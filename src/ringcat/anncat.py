@@ -11,7 +11,8 @@ for corrupted inputs.  The associativity of each addition table (laws
 add-associative and compose-associative) is proved by Light's test on
 additive generators and scanned only when that test fails, as in
 `rings.validate_ring`.  Once addition is known to be commutative and
-associative, add-interchange follows and is not scanned.  Laws
+associative, add-interchange follows and is not scanned; tensor-cod is
+scanned only when lower-arity identities fail (`_tensor_cod_proved`).  Laws
 quantified over three or more morphisms (tensor-interchange,
 tensor-associative and the two distributive laws) are split into chunks
 over the first object x1.  Identities of lower arity on the tables prove
@@ -32,6 +33,7 @@ from .ablin import CELL_LIMIT, _guard
 from .bimult import (
     _additive,
     _additive_in_source,
+    _equivariant,
     _left_multiplicative,
     _left_product,
     _mixed_product,
@@ -152,9 +154,38 @@ def anncat_to_esystem(ac: AnnCategory, name: str | None = None) -> ESystem:
 # The axiom checker.
 
 
-def _proved_chunks(es: ESystem) -> dict[str, np.ndarray]:
+def _distributive_rows(d) -> tuple[np.ndarray, ...]:
+    """Masks over x: y -> xy, then y -> yx, is additive; y runs over D's sum
+    generators, enough once D's addition is commutative and associative."""
+    da, gens = d.add, _sum_generators(d.add)
+    return tuple((t[:, da[gens]] == da[t[:, gens, None], t[:, None, :]]).reshape(len(t), -1).all(axis=1)
+                 for t in (d.mul, d.mul.T))
+
+
+def _tensor_cod_proved(es: ESystem, distributive) -> bool:
+    """Whether identities of lower arity prove tensor-cod,
+    d((b1b2 + rho_x2(b1)) + lam_x1(b2)) + x1x2 = (d(b1) + x1)(d(b2) + x2).
+
+    Needs addition in D commutative and associative, which the checker
+    establishes first.  If d is additive and multiplicative on B,
+    d(lam_x(b)) = x d(b) and d(rho_x(b)) = d(b) x, the left side is
+    ((d(b1)d(b2) + d(b1)x2) + x1d(b2)) + x1x2.  If D is left and right
+    distributive, the right side is (d(b1)d(b2) + x1d(b2)) + (d(b1)x2 + x1x2),
+    the same four terms, so every cell passes.  The conditions on d, nb^2 and
+    nb*nd cells, come first; only then does `distributive()` give D's masks
+    (`_distributive_rows`).
+    """
+    ba, bm, dm, da, dmul = es.b.add, es.b.mul, es.d.map, es.d_ring.add, es.d_ring.mul
+    d_ok = ((dm[ba] == da[dm[:, None], dm]).all() and (dm[bm] == dmul[dm[:, None], dm]).all()
+            and _equivariant(dmul, es.theta_left, dm).all()
+            and _equivariant(dmul.T, es.theta_right, dm).all())
+    return d_ok and all(mask.all() for mask in distributive())
+
+
+def _proved_chunks(es: ESystem, d_left: np.ndarray, d_right: np.ndarray) -> dict[str, np.ndarray]:
     """For each law scanned in chunks over the first object x1, a boolean
     mask over x1: True where the identities below prove chunk x1.
+    d_left and d_right are D's distributivity masks, `_distributive_rows`.
 
     Needs addition in B and D commutative and associative, which the
     checker establishes first.  Write lam_x = theta_left[x] and
@@ -239,12 +270,6 @@ def _proved_chunks(es: ESystem) -> dict[str, np.ndarray]:
     lam_add_dx = per_x(tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]])
     # D's identities, on generators of D's addition in the second place
     gens = _sum_generators(da)
-
-    def additive_rows(t):
-        # per x: y -> t[x, y] is additive
-        return per_x(t[:, da[gens]] == da[t[:, gens, None], t[:, None, :]])
-
-    d_left, d_right = additive_rows(dmul), additive_rows(dmul.T)
     d_assoc = d_left & per_x(dmul[dmul[:, gens, None], ad] == dmul[:, dmul[gens]])
 
     return {
@@ -285,7 +310,9 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     Returns a report with one entry per law; each failing law carries the
     first witness in scan order.  With stop_at_first, later laws are
     skipped once one fails.  Raises SearchGuardError before building a
-    grid of more than `CELL_LIMIT` cells; proved chunks build none.
+    grid of more than `CELL_LIMIT` cells; proved laws and chunks build none.
+    The tensor-cod grid is scanned only when `_tensor_cod_proved` fails; D's
+    distributivity masks are built once, for that proof and the chunked laws.
     """
     b, d = es.b, es.d_ring
     dm = es.d.map.astype(np.int64)
@@ -386,8 +413,19 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     run("tensor-unit", tensor_unit)
 
+    dist = None  # D's distributivity masks, shared by tensor-cod and the chunked laws
+
+    def distributive():
+        nonlocal dist
+        if dist is None:
+            dist = _distributive_rows(d)
+        return dist
+
     def tensor_cod():
-        # axes (b1, x1, b2, x2)
+        # The proof needs add-commutative and add-associative, the first two
+        # results; only when it fails is the grid, axes (b1, x1, b2, x2), built.
+        if results[0].ok and results[1].ok and _tensor_cod_proved(es, distributive):
+            return True, None, nb * nb * nd * nd
         _guard(nb * nb * nd * nd, "tensor-cod grid cells", CELL_LIMIT)
         b1, b2 = ab[:, None, None, None], ab[None, None, :, None]
         x1, x2 = ad[None, :, None, None], ad[None, None, None, :]
@@ -406,7 +444,7 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
         # results.
         nonlocal proved
         if proved is None:
-            proved = _proved_chunks(es) if results[0].ok and results[1].ok else {}
+            proved = _proved_chunks(es, *distributive()) if results[0].ok and results[1].ok else {}
         todo = ~proved.get(law, np.zeros(nd, dtype=bool))
         if todo.any():  # `_scan` builds one b1 row of a chunk at a time
             _guard(cells // nb, f"{law} row cells", CELL_LIMIT)

@@ -512,13 +512,16 @@ def factor_system_from_extension(ext: Extension, lifts=None) -> FactorSystem:
     """Read the defect tables off a set-lift of the quotient.
 
     Default lift: least preimage per class, except that 0 lifts to 0
-    (automatic for the least lift) and the quotient unit lifts to the
-    ring unit.
+    (automatic for the least lift) and a quotient unit other than 0 lifts
+    to the ring unit.  Over the zero quotient no factor system exists (see
+    `enumerate_extensions`): the unit's row, the zero class's, acts as 0,
+    so the check raises action-unit at (0,) on a nonzero base.
     """
     e, q, b = ext.ring, ext.quotient, ext.base.b
     if lifts is None:
         lifts = _preimages(ext.p.map, q.order)
-        lifts[q.unit] = e.unit
+        if q.unit != 0:
+            lifts[q.unit] = e.unit
     else:
         lifts = np.asarray(lifts, dtype=np.int64)
         if lifts.shape != (q.order,) or not (ext.p.map[lifts] == np.arange(q.order)).all():

@@ -227,7 +227,8 @@ def whole_chunks(grid, todo, nb):
 
 
 def full_scan(es, stop_at_first=False):
-    with mock.patch.object(anncat, "_proved_chunks", lambda es: {}), \
+    with mock.patch.object(anncat, "_proved_chunks", lambda es, *masks: {}), \
+            mock.patch.object(anncat, "_tensor_cod_proved", lambda es, distributive: False), \
             mock.patch.object(anncat, "_assoc_failure", whole_grid_assoc), \
             mock.patch.object(anncat, "_scan", whole_chunks):
         return anncat_axiom_check(es, stop_at_first=stop_at_first)
@@ -291,10 +292,14 @@ def test_add_interchange_matches_its_grid(es):
     assert (row.ok, row.witness, row.checked) == (ok.all(), first_false(ok), ok.size)
 
 
+def proved_chunks(es):
+    return anncat._proved_chunks(es, *anncat._distributive_rows(es.d_ring))
+
+
 def test_identities_prove_every_chunk_of_regular_systems():
     for es in small_sources():
         if is_regular(es):
-            proved = anncat._proved_chunks(es)
+            proved = proved_chunks(es)
             assert sorted(proved) == sorted(CHUNKED)
             for mask in proved.values():
                 assert mask.shape == (es.d_ring.order,) and mask.all()
@@ -307,7 +312,7 @@ def test_permutability_leaves_klein_multiplier_unproved_from_16():
     tl, tr, ad = es.theta_left, es.theta_right, np.arange(256)
     permutes = tr[ad[None, :, None], tl[:, None, :]] == tl[ad[:, None, None], tr[None, :, :]]
     not_permuting = np.flatnonzero(~permutes.reshape(256, -1).all(axis=1))
-    proved = anncat._proved_chunks(es)
+    proved = proved_chunks(es)
     assert sorted(proved) == sorted(CHUNKED)
     unproved = np.flatnonzero(~proved["tensor-associative"])
     assert unproved.tolist() == not_permuting.tolist()
@@ -323,7 +328,7 @@ def test_theta_left_mutation_leaves_one_interchange_chunk_unproved():
     # of theta_left[5] breaks that pair, and lam_5's additivity in b, for
     # x1 = 5 alone.
     es = with_entry(multiplier_esystem(zero_mult(6)), "theta_left", (5, 1), 3)
-    proved = anncat._proved_chunks(es)
+    proved = proved_chunks(es)
     assert np.flatnonzero(~proved["tensor-interchange"]).tolist() == [5]
     report = anncat_axiom_check(es, stop_at_first=True)
     assert report.failures()[0].law == "tensor-interchange"
@@ -332,8 +337,108 @@ def test_theta_left_mutation_leaves_one_interchange_chunk_unproved():
     assert report.results == full_scan(es, stop_at_first=True).results
 
 
+def tensor_cod_grid(es):
+    """target(f1 (x) f2) == target(f1) target(f2), one nb^2 nd^2 grid over
+    f1 = (b1, x1), f2 = (b2, x2), evaluated straight from the definitions."""
+    b, d, dm = es.b, es.d_ring, es.d.map
+    b1, x1, b2, x2 = np.ix_(*(np.arange(n) for n in (b.order, d.order, b.order, d.order)))
+    base = b.add[b.add[b.mul[b1, b2], es.theta_right[x2, b1]], es.theta_left[x1, b2]]
+    return d.add[dm[base], d.mul[x1, x2]] == d.mul[d.add[dm[b1], x1], d.add[dm[b2], x2]]
+
+
+def tensor_cod_row(es):
+    (row,) = [r for r in anncat_axiom_check(es).results if r.law == "tensor-cod"]
+    return row.ok, row.witness, row.checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(es=mutated_systems())
+def test_tensor_cod_matches_its_grid(es):
+    # The mutations reach d.map, D's tables, b.mul and theta, so each
+    # condition of the proof fails on some of them.
+    ok = tensor_cod_grid(es)
+    assert tensor_cod_row(es) == (ok.all(), first_false(ok), ok.size)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_sided_distributivity_leaves_tensor_cod_unproved(side):
+    # On the ideal system of 2Z/4 in Z/4, x * y = x c(y) with
+    # c = (0, 1, 2, 1) keeps every condition on d and is right but not left
+    # distributive (1 * (1 + 2) = 1, 1 * 1 + 1 * 2 = 3); its transpose is
+    # the mirror image.  Either way tensor-cod fails, so the proof must not
+    # hold.  Few random single-entry mutations break distributivity alone.
+    i = np.arange(4)
+    mul = i[:, None] * np.array([0, 1, 2, 1]) % 4
+    es = with_entry(ideal_esystem(zmod(4), [0, 2]), "d_ring.mul", ..., mul if side == "left" else mul.T)
+    ok = tensor_cod_grid(es)
+    assert not ok.all()
+    assert tensor_cod_row(es) == (False, first_false(ok), ok.size)
+
+
+def test_tensor_cod_is_scanned_when_addition_is_not_commutative():
+    # With 2 + 1 = 0 in D, the conditions on d and D's masks still hold,
+    # but the proof rests on add-commutative, which fails, and so does
+    # tensor-cod.
+    es = with_entry({es.name: es for es in corpus()}["double_2z8"], "d_ring.add", (2, 1), 0)
+    assert anncat._tensor_cod_proved(es, lambda: anncat._distributive_rows(es.d_ring))
+    ok = tensor_cod_grid(es)
+    assert not ok.all()
+    assert tensor_cod_row(es) == (False, first_false(ok), ok.size)
+
+
+def test_identities_prove_tensor_cod_on_regular_systems():
+    for es in small_sources():
+        if is_regular(es):
+            assert anncat._tensor_cod_proved(es, lambda es=es: anncat._distributive_rows(es.d_ring))
+
+
+def test_distributivity_masks_are_built_once_and_only_when_needed(monkeypatch):
+    calls, rows_of = [], anncat._distributive_rows
+    monkeypatch.setattr(anncat, "_distributive_rows", lambda d: calls.append(d) or rows_of(d))
+    assert anncat_axiom_check(doubled_into_z4()).ok
+    assert len(calls) == 1
+    # d(1) = 1 is not multiplicative on the zero ring, so the proof stops
+    # before D's masks, and tensor-cod fails first.
+    es = with_entry(multiplier_esystem(zero_mult(2)), "d.map", (1,), 1)
+    calls.clear()
+    report = anncat_axiom_check(es, stop_at_first=True)
+    assert [r.law for r in report.failures()] == ["tensor-cod"] and not calls
+
+
+def without_4_axis_tensors(monkeypatch):
+    tensor = anncat._tensor
+
+    def run(es, b1, *rest):
+        if np.ndim(b1) == 4:
+            raise AssertionError("the tensor-cod grid was built")
+        return tensor(es, b1, *rest)
+    monkeypatch.setattr(anncat, "_tensor", run)
+
+
+def test_identity_system_of_z64_passes_without_the_tensor_cod_grid(monkeypatch):
+    # 64^4 = 16777216 tensor-cod cells, over the 10^7 guard: proved, not built.
+    without_4_axis_tensors(monkeypatch)
+    report = anncat_axiom_check(identity_esystem(zmod(64)))
+    assert report.ok and report.complete
+    assert [r.law for r in report.results] == LAWS
+    assert rows(report)[LAWS.index("tensor-cod")] == ("tensor-cod", True, None, 16777216)
+
+
 def rows(report):
     return [(r.law, r.ok, r.witness, r.checked) for r in report.results]
+
+
+@pytest.mark.parametrize("n, cells", [
+    (32, [2048, 65536, 64, 64, 32768, 1048576, 2112, 1048576, *[1073741824] * 4]),
+    (48, [4608, 221184, 96, 96, 110592, 5308416, 4704, 5308416, *[12230590464] * 4]),
+])
+def test_identity_system_reports_are_unchanged(n, cells, monkeypatch):
+    # The reports a scan of the whole tensor-cod grid gave, pinned; the
+    # proof now gives them without building that grid.
+    without_4_axis_tensors(monkeypatch)
+    report = anncat_axiom_check(identity_esystem(zmod(n)))
+    assert report.complete
+    assert rows(report) == [(law, True, None, c) for law, c in zip(LAWS, cells, strict=True)]
 
 
 def test_klein_multiplier_full_report():

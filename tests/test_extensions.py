@@ -1549,7 +1549,8 @@ def reference_validate_factor_system(b, q, act_left, act_right, f, g):
 def classify_factor_systems():
     """The factor systems of the extensions that enumeration builds over
     the classify triples, as argument tuples.  The zero-quotient triples
-    give none: their factor systems fail f-normalisation at (0, 0)."""
+    give none: over the zero quotient no factor system exists
+    (`test_zero_quotient_extensions_have_no_factor_system`)."""
     out = []
     for _, psi, rc in classify_triples():
         for ext in enumerate_extensions(rc.es, psi.source, psi, rc=rc):
@@ -1557,6 +1558,22 @@ def classify_factor_systems():
                 fs = factor_system_from_extension(ext)
                 out.append((fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g))
     return out
+
+
+@pytest.mark.parametrize("name", ["id_z2", "id_z3", "id_z4", "id_klein", "mult_z2", "mult_z3"])
+def test_zero_quotient_extensions_have_no_factor_system(name):
+    # The one class over the zero quotient is the base ring itself.  The
+    # default lift sends 0 to 0, so f and g pass their normalisation,
+    # checked before the actions, and the factor system fails where 0 = 1
+    # makes every one fail: the zero class, the quotient's unit, acts as
+    # 0 on the nonzero base, not as the identity.
+    es, q, psi = corpus_triple(name)
+    rc = reduce_esystem(es)
+    (ext,) = enumerate_extensions(rc.es, q, psi, rc=rc)
+    assert q.order == 1 and ext.base.b.order > 1
+    with pytest.raises(FactorSystemError) as e:
+        factor_system_from_extension(ext)
+    assert (e.value.condition, e.value.witness) == ("action-unit", (0,))
 
 
 GROUPED_CONDITIONS = {

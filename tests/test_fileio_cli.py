@@ -11,9 +11,10 @@ import pytest
 
 from ringcat.ablin import FinAbGroup
 from ringcat import cli
+from ringcat.anncat import anncat_axiom_check
 from ringcat.cli import main
 from ringcat.corpus import corpus, unital_homs
-from ringcat.crossed import ESystemError, validate_bimodule
+from ringcat.crossed import ESystemError, identity_esystem, validate_bimodule
 from ringcat.extensions import enumerate_extensions
 from ringcat.fileio import (
     ParseError,
@@ -441,6 +442,18 @@ def test_cli_reduce_non_regular_is_invalid(corpus_dir, capsys):
     assert capsys.readouterr().out == (
         "status: invalid\nerror: not-regular fails at ('permutability', (16, 2, 2))\n"
     )
+
+
+def test_cli_anncat_check_proves_tensor_cod_on_the_identity_system_of_z64(tmp_path, capsys):
+    # Its 64^4 tensor-cod cells are over the 10^7 guard.  The law is proved
+    # from lower-arity identities, so the check no longer stops with
+    # "16777216 tensor-cod grid cells, over the guard 10000000".
+    path = write_esystem(identity_esystem(zmod(64)), tmp_path, stem="id_z64")
+    assert main(["anncat", "check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\ntensor-cod: ok\n" in out and out.endswith("\nstatus: pass\n")
+    report = anncat_axiom_check(load_esystem(path)).describe()
+    assert "  tensor-cod: ok (16777216 instances)\n" in report
 
 
 def test_cli_anncat_check_klein_multiplier(corpus_dir, capsys):

@@ -191,9 +191,15 @@ def anncat_add_interchange(m):
 
 def anncat_tensor_cod(m):
     # |B| = 2, |D| = 4: 16 cells for add-interchange, 64 for tensor-cod.
+    # The valid system proves tensor-cod and builds no grid.  Its d is
+    # zero, so no theta entry can break the proof's equivariance
+    # (d(lam_x(b)) = 0 = x d(b)); d(1) = 1, idempotent in D, breaks d's
+    # multiplicativity on the zero ring and its equivariance, so the grid
+    # is scanned.
     m.setattr(anncat, "CELL_LIMIT", 63)
     never_on_grids(m, 4)
-    call = partial(anncat_axiom_check, multiplier_esystem(rings.zero_mult(2)))
+    es = with_entry(multiplier_esystem(rings.zero_mult(2)), "d.map", (1,), 1)
+    call = partial(anncat_axiom_check, es)
     return call, "64 tensor-cod grid cells, over the guard 63"
 
 
