@@ -16,15 +16,19 @@ scanned only when lower-arity identities fail (`_tensor_cod_proved`).  Laws
 quantified over three or more morphisms (tensor-interchange,
 tensor-associative and the two distributive laws) are split into chunks
 over the first object x1.  Identities of lower arity on the tables prove
-chunks one by one (see `_proved_chunks`), and only the unproved chunks
-are scanned, in ascending x1, each row by row along the first
-morphism's base b1 up to the first row that holds a failure.  The report, first
-witness in scan order and cells checked included, is the one a scan of
-every chunk gives: proved cells count as checked.
+chunks one by one (see `_proved_chunks`), each law's identities evaluated
+only when the check reaches that law.  Only the unproved chunks are
+scanned, in ascending x1, each in C-order slabs of at most
+`rings.BLOCK_CELLS` cells (`_scan`) up to the first slab that holds a
+failure.  The report, first witness in scan order and cells checked
+included, is the one a scan of every chunk gives: proved cells count as
+checked.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,7 @@ from .bimult import (
     _through,
 )
 from .crossed import ESystem, ESystemMorphism, validate_esystem, validate_morphism
-from .rings import _assoc_failure, _first_bad, _sum_generators, validate_ring
+from .rings import BLOCK_CELLS, _assoc_failure, _first_bad, _sum_generators, validate_ring
 
 
 @dataclass
@@ -154,10 +158,11 @@ def anncat_to_esystem(ac: AnnCategory, name: str | None = None) -> ESystem:
 # The axiom checker.
 
 
-def _distributive_rows(d) -> tuple[np.ndarray, ...]:
+def _distributive_rows(d, gens: np.ndarray) -> tuple[np.ndarray, ...]:
     """Masks over x: y -> xy, then y -> yx, is additive; y runs over D's sum
-    generators, enough once D's addition is commutative and associative."""
-    da, gens = d.add, _sum_generators(d.add)
+    generators `gens`, enough once D's addition is commutative and
+    associative."""
+    da = d.add
     return tuple((t[:, da[gens]] == da[t[:, gens, None], t[:, None, :]]).reshape(len(t), -1).all(axis=1)
                  for t in (d.mul, d.mul.T))
 
@@ -182,10 +187,32 @@ def _tensor_cod_proved(es: ESystem, distributive) -> bool:
     return d_ok and all(mask.all() for mask in distributive())
 
 
-def _proved_chunks(es: ESystem, d_left: np.ndarray, d_right: np.ndarray) -> dict[str, np.ndarray]:
-    """For each law scanned in chunks over the first object x1, a boolean
-    mask over x1: True where the identities below prove chunk x1.
-    d_left and d_right are D's distributivity masks, `_distributive_rows`.
+# The identities that prove the chunks of each law scanned in chunks over
+# x1 (see `_proved_chunks`): first those needed by every chunk, then those
+# chunk x1 needs for itself, each in the order they are evaluated.
+_CHUNK_CONDITIONS = {
+    "tensor-interchange": (
+        ("b_left", "b_right", "rho_add_x", "rho_add_b", "peiffer"),
+        ("lam_add_b", "lam_add_dx"),
+    ),
+    "tensor-associative": (
+        ("b_left", "b_right", "b_assoc", "rho_add_b", "rho_mul", "rho_inner", "mixed", "d_right"),
+        ("lam_add_b", "lam_mul", "lam_inner", "permutable", "d_left", "d_assoc"),
+    ),
+    "tensor-distributive-left": (("b_left", "rho_add_x"), ("lam_add_b", "d_left")),
+    "tensor-distributive-right": (("b_right", "lam_add_x"), ("rho_add_b", "d_right")),
+}
+
+
+def _proved_chunks(es: ESystem, distributive, d_gens: np.ndarray):
+    """For the laws scanned in chunks over the first object x1, a function
+    law -> boolean mask over x1: True where the identities below prove
+    chunk x1.  `distributive()` gives D's distributivity masks
+    (`_distributive_rows`) and d_gens are D's sum generators.
+
+    Each law's identities (`_CHUNK_CONDITIONS`) are evaluated when its
+    mask is first asked for, each identity at most once for all four laws;
+    a law whose global identities fail evaluates none of its per-x1 ones.
 
     Needs addition in B and D commutative and associative, which the
     checker establishes first.  Write lam_x = theta_left[x] and
@@ -244,63 +271,82 @@ def _proved_chunks(es: ESystem, d_left: np.ndarray, d_right: np.ndarray) -> dict
     """
     tl, tr, dm = es.theta_left, es.theta_right, es.d.map
     ba, bm, da, dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
-    ad = np.arange(es.d_ring.order)
+    nd = es.d_ring.order
+    ad = np.arange(nd)
 
     def per_x(ok):
         # axis 0 is x
         return ok.reshape(len(ok), -1).all(axis=1)
 
-    # Each grid is a law of `bimult`; for B's own laws, B acts on itself by mul.
-    b_left = _additive(ba, bm).all()
-    b_right = _additive_in_source(ba, ba, bm).all()
-    b_assoc = _left_multiplicative(bm, bm).all()
-    lam_add_x = _additive_in_source(ba, da, tl).all()
-    rho_add_x = _additive_in_source(ba, da, tr).all()
-    peiffer = _through(tl, dm, bm).all() and _through(tr, dm, bm.T).all()
-    rho_mul = _right_multiplicative(dmul, tr).all()
-    rho_inner = _right_product(bm, tr).all()
-    mixed = _mixed_product(bm, tl, tr).all()
-    # per x, axes (x, ...)
-    lam_add_b = per_x(_additive(ba, tl))
-    rho_add_b = per_x(_additive(ba, tr))
-    lam_mul = per_x(_left_multiplicative(dmul, tl))
-    lam_inner = per_x(_left_product(bm, tl))
-    permutable = per_x(_permutable(tl, tr))
-    # axes (x, b, c): lam_d(b)+x(c) = lam_d(b)(c) + lam_x(c)
-    lam_add_dx = per_x(tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]])
-    # D's identities, on generators of D's addition in the second place
-    gens = _sum_generators(da)
-    d_assoc = d_left & per_x(dmul[dmul[:, gens, None], ad] == dmul[:, dmul[gens]])
-
-    return {
-        "tensor-interchange": (b_left and b_right and rho_add_x and rho_add_b.all() and peiffer)
-        & lam_add_b & lam_add_dx,
-        "tensor-associative": (
-            b_left and b_right and b_assoc and rho_add_b.all() and rho_mul and rho_inner and mixed
-            and d_right.all()
-        ) & lam_add_b & lam_mul & lam_inner & permutable & d_assoc,
-        "tensor-distributive-left": (b_left and rho_add_x) & lam_add_b & d_left,
-        "tensor-distributive-right": (b_right and lam_add_x) & rho_add_b & d_right,
+    # Each grid is a law of `bimult`; for B's own laws, B acts on itself by
+    # mul.  Global identities give one bool, per-x ones a mask over x.
+    identities = {
+        "b_left": lambda: _additive(ba, bm).all(),
+        "b_right": lambda: _additive_in_source(ba, ba, bm).all(),
+        "b_assoc": lambda: _left_multiplicative(bm, bm).all(),
+        "lam_add_x": lambda: _additive_in_source(ba, da, tl).all(),
+        "rho_add_x": lambda: _additive_in_source(ba, da, tr).all(),
+        "peiffer": lambda: _through(tl, dm, bm).all() and _through(tr, dm, bm.T).all(),
+        "rho_mul": lambda: _right_multiplicative(dmul, tr).all(),
+        "rho_inner": lambda: _right_product(bm, tr).all(),
+        "mixed": lambda: _mixed_product(bm, tl, tr).all(),
+        # per x, axes (x, ...)
+        "lam_add_b": lambda: per_x(_additive(ba, tl)),
+        "rho_add_b": lambda: per_x(_additive(ba, tr)),
+        "lam_mul": lambda: per_x(_left_multiplicative(dmul, tl)),
+        "lam_inner": lambda: per_x(_left_product(bm, tl)),
+        "permutable": lambda: per_x(_permutable(tl, tr)),
+        # axes (x, b, c): lam_d(b)+x(c) = lam_d(b)(c) + lam_x(c)
+        "lam_add_dx": lambda: per_x(tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]]),
+        # D's identities, on generators of D's addition in the second place
+        "d_left": lambda: distributive()[0],
+        "d_right": lambda: distributive()[1],
+        "d_assoc": lambda: per_x(dmul[dmul[:, d_gens, None], ad] == dmul[:, dmul[d_gens]]),
     }
+    known = {}
+
+    def holds(name):
+        if name not in known:
+            known[name] = identities[name]()
+        return known[name]
+
+    def proved(law: str) -> np.ndarray:
+        needed_by_all, needed_per_x1 = _CHUNK_CONDITIONS[law]
+        if not all(holds(name).all() for name in needed_by_all):
+            return np.zeros(nd, dtype=bool)
+        mask = np.ones(nd, dtype=bool)
+        for name in needed_per_x1:
+            mask &= holds(name)
+        return mask
+
+    return proved
 
 
-def _scan(grid, todo: np.ndarray, nb: int) -> tuple | None:
+def _scan(law, todo: np.ndarray, shape: tuple[int, ...]) -> tuple | None:
     """First failure of a law chunked over x1, scanning only the chunks
     where the mask `todo` is True, in ascending x1.
 
-    grid(x1, rows) is the law's ok-grid on chunk x1 with its first axis,
-    b1, restricted to `rows`.  Each chunk is evaluated one b1 row at a
-    time, b1 = 0 .. nb - 1, and the scan stops at the first row that holds
-    a failure, so the witness (x1, b1, ...) is the first of its chunk in
-    C order.  Returns None if every scanned chunk passes.  (Rows measured
-    faster than blocks of `rings.BLOCK_CELLS` cells: a failing small
-    chunk stops after fewer cells.)
+    law(x1, *axes) is the law's ok-grid on chunk x1, whose axes have the
+    sizes `shape`, b1 first; each of `axes` is an index array along its
+    own axis or, for a fixed axis, an int.  A chunk is evaluated in
+    contiguous C-order slabs of at most `rings.BLOCK_CELLS` cells: one b1
+    row at a time, and within a row larger than that, one value at a time
+    of as few leading axes as bring a slab under it.  The scan stops at
+    the first slab that holds a failure, so the witness (x1, b1, ...) is
+    the first of its chunk in C order.  Returns None if every scanned
+    chunk passes.  (Slabs let a failing chunk stop after few cells, while
+    rows below the budget are still built one call each.)
     """
+    fixed = 1
+    while fixed < len(shape) and math.prod(shape[fixed:]) > BLOCK_CELLS:
+        fixed += 1
+    free = [np.arange(shape[k]).reshape([-1 if i == k else 1 for i in range(len(shape))])
+            for k in range(fixed, len(shape))]
     for x1 in np.flatnonzero(todo):
-        for b1 in range(nb):
-            ok = grid(int(x1), np.array([b1]))
+        for lead in itertools.product(*(range(n) for n in shape[:fixed])):
+            ok = law(int(x1), *lead, *free)
             if not ok.all():
-                return (int(x1), b1, *_first_bad(ok)[1:])
+                return (int(x1), *lead, *_first_bad(ok)[fixed:])
     return None
 
 
@@ -311,14 +357,19 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     first witness in scan order.  With stop_at_first, later laws are
     skipped once one fails.  Raises SearchGuardError before building a
     grid of more than `CELL_LIMIT` cells; proved laws and chunks build none.
-    The tensor-cod grid is scanned only when `_tensor_cod_proved` fails; D's
-    distributivity masks are built once, for that proof and the chunked laws.
+    A chunked law with chunks left to scan is charged one whole b1 row,
+    though `_scan` builds at most one slab of it at a time.  The tensor-cod
+    grid is scanned only when `_tensor_cod_proved` fails.  B's and D's sum
+    generators are found once, and D's distributivity masks built at most
+    once, for every law that uses them; `_proved_chunks` evaluates each
+    chunked law's identities only when that law is reached.
     """
     b, d = es.b, es.d_ring
     dm = es.d.map.astype(np.int64)
     nb, nd = b.order, d.order
     ab = np.arange(nb)
     ad = np.arange(nd)
+    b_gens, d_gens = _sum_generators(b.add), _sum_generators(d.add)
     results: list[LawResult] = []
     complete = True
 
@@ -346,8 +397,8 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     run("add-commutative", add_comm)
 
     def add_assoc():
-        for t, tag in ((b.add, "base"), (d.add, "object")):
-            witness = _assoc_failure(t, _sum_generators(t))
+        for t, gens, tag in ((b.add, b_gens, "base"), (d.add, d_gens, "object")):
+            witness = _assoc_failure(t, gens)
             if witness:
                 return False, (tag, *witness), nb**3 + nd**3
         return True, None, nb**3 + nd**3
@@ -372,7 +423,7 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     run("compose-identity", compose_identity)
 
     def compose_assoc():
-        witness = _assoc_failure(b.add, _sum_generators(b.add))
+        witness = _assoc_failure(b.add, b_gens)
         return witness is None, witness, nb**3
 
     run("compose-associative", compose_assoc)
@@ -418,7 +469,7 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     def distributive():
         nonlocal dist
         if dist is None:
-            dist = _distributive_rows(d)
+            dist = _distributive_rows(d, d_gens)
         return dist
 
     def tensor_cod():
@@ -437,65 +488,61 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     proved = None
 
-    def chunked(law, grid, cells):
-        # grid(x1, rows) -> ok-grid of chunk x1 on those b1 rows.  Chunks
-        # the factored identities prove are counted, not scanned; the
-        # proof needs add-commutative and add-associative, the first two
-        # results.
+    def chunked(law, grid, shape):
+        # grid(x1, *axes) -> ok-grid of chunk x1, see `_scan`.  Chunks the
+        # factored identities prove are counted, not scanned; the proof
+        # needs add-commutative and add-associative, the first two results.
         nonlocal proved
-        if proved is None:
-            proved = _proved_chunks(es, *distributive()) if results[0].ok and results[1].ok else {}
-        todo = ~proved.get(law, np.zeros(nd, dtype=bool))
-        if todo.any():  # `_scan` builds one b1 row of a chunk at a time
+        cells = math.prod(shape)
+        if not (results[0].ok and results[1].ok):
+            todo = np.ones(nd, dtype=bool)
+        else:
+            if proved is None:
+                proved = _proved_chunks(es, distributive, d_gens)
+            todo = ~proved(law)
+        witness = None
+        if todo.any():  # the guard charges a whole b1 row, `_scan` builds at most one
             _guard(cells // nb, f"{law} row cells", CELL_LIMIT)
-        witness = _scan(grid, todo, nb)
+            witness = _scan(grid, todo, shape)
         if witness is None:
             return True, None, nd * cells
         return False, witness, (witness[0] + 1) * cells
 
-    def axes(*arrays):
-        # arrays laid along the five axes of a chunk grid
-        return tuple(a.reshape([-1 if i == k else 1 for i in range(5)]) for k, a in enumerate(arrays))
-
-    def tensor_interchange(x1, rows):
+    def tensor_interchange(x1, b1, c1, b2, c2, x2):
         # (f1 (x) f2) + (g1 (x) g2) vs (f1 + g1) (x) (f2 + g2),
         # axes (b1, c1, b2, c2, x2)
-        b1, c1, b2, c2, x2 = axes(rows, ab, ab, ab, ad)
         y1, y2 = d.add[dm[b1], x1], d.add[dm[b2], x2]
         lhs = b.add[_tensor(es, b1, x1, b2, x2), _tensor(es, c1, y1, c2, y2)]
         return lhs == _tensor(es, b.add[b1, c1], x1, b.add[b2, c2], x2)
 
     # the remaining triple laws share axes (b1, b2, b3, x2, x3)
-    def tensor_assoc(x1, rows):
-        b1, b2, b3, x2, x3 = axes(rows, ab, ab, ad, ad)
+    def tensor_assoc(x1, b1, b2, b3, x2, x3):
         x12, x23 = d.mul[x1, x2], d.mul[x2, x3]
         lhs = _tensor(es, _tensor(es, b1, x1, b2, x2), x12, b3, x3)
         rhs = _tensor(es, b1, x1, _tensor(es, b2, x2, b3, x3), x23)
         return (lhs == rhs) & (d.mul[x12, x3] == d.mul[x1, x23])
 
-    def distrib_left(x1, rows):
+    def distrib_left(x1, b1, b2, b3, x2, x3):
         # f (g + h)
-        b1, b2, b3, x2, x3 = axes(rows, ab, ab, ad, ad)
         sx = d.add[x2, x3]
         lhs = _tensor(es, b1, x1, b.add[b2, b3], sx)
         rhs = b.add[_tensor(es, b1, x1, b2, x2), _tensor(es, b1, x1, b3, x3)]
         return (lhs == rhs) & (d.mul[x1, sx] == d.add[d.mul[x1, x2], d.mul[x1, x3]])
 
-    def distrib_right(x1, rows):
+    def distrib_right(x1, b1, b2, b3, x2, x3):
         # (g + h) f; x1 is the source of f
-        b1, b2, b3, x2, x3 = axes(rows, ab, ab, ad, ad)
         sx = d.add[x2, x3]
         lhs = _tensor(es, b.add[b2, b3], sx, b1, x1)
         rhs = b.add[_tensor(es, b2, x2, b1, x1), _tensor(es, b3, x3, b1, x1)]
         return (lhs == rhs) & (d.mul[sx, x1] == d.add[d.mul[x2, x1], d.mul[x3, x1]])
 
-    for law, fn, cells in (
-        ("tensor-interchange", tensor_interchange, nb**4 * nd),
-        ("tensor-associative", tensor_assoc, nb**3 * nd**2),
-        ("tensor-distributive-left", distrib_left, nb**3 * nd**2),
-        ("tensor-distributive-right", distrib_right, nb**3 * nd**2),
+    for law, fn, shape in (
+        ("tensor-interchange", tensor_interchange, (nb, nb, nb, nb, nd)),
+        ("tensor-associative", tensor_assoc, (nb, nb, nb, nd, nd)),
+        ("tensor-distributive-left", distrib_left, (nb, nb, nb, nd, nd)),
+        ("tensor-distributive-right", distrib_right, (nb, nb, nb, nd, nd)),
     ):
-        run(law, lambda: chunked(law, fn, cells))
+        run(law, lambda: chunked(law, fn, shape))
 
     return CheckReport(es.name, results, complete)
 

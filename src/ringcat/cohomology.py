@@ -567,7 +567,8 @@ def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     # factored, so it is factored once here.  Its source and target are
     # both trivial or both not; when trivial, neither needs it.
     res = _factor(cx.d2_map) if cx.c2_group.rank else None
-    verdict = _coboundary_verdict(cx, neg3(kq), res)
+    target = neg3(kq)
+    verdict = _coboundary_verdict(cx, target, res)
     if not verdict.is_coboundary:
         return FunctorClassification(pulled, kq, False, verdict.certificate, [], ())
     g0 = verdict.witness
@@ -575,7 +576,7 @@ def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     del res  # free the transforms before homology factors anything else
     hd = H2Data(cx, _homology(cx.d1_map, cycles))
     classes = [add2(g0, rep) for rep in hd.representatives()]
-    if not all(d2(c).equals(neg3(kq)) for c in classes):
+    if not all(d2(c).equals(target) for c in classes):
         raise AssertionError("class representatives must differentiate to -psi*k")
     if len(classes) != hd.order:
         raise AssertionError("one class per element of H2")

@@ -1,6 +1,7 @@
 """The 2-ring view, its axiom checker, and functors with constraint
 constants."""
 
+import collections
 import copy
 import functools
 from unittest import mock
@@ -30,7 +31,18 @@ from ringcat.crossed import (
     is_regular,
     validate_morphism,
 )
-from ringcat.rings import validate_ring, zero_mult, zero_mult_klein, zmod
+from ringcat.bimult import (
+    _additive,
+    _additive_in_source,
+    _left_multiplicative,
+    _left_product,
+    _mixed_product,
+    _permutable,
+    _right_multiplicative,
+    _right_product,
+    _through,
+)
+from ringcat.rings import _sum_generators, validate_ring, zero_mult, zero_mult_klein, zmod
 
 LAWS = [
     "add-commutative",
@@ -217,17 +229,21 @@ def whole_grid_assoc(t, gens):
     return first_false(t[t[:, :, None], ar] == t[ar[:, None, None], t])
 
 
-def whole_chunks(grid, todo, nb):
+def whole_chunks(law, todo, shape):
     """Every chunk evaluated whole, from x1 = 0, whatever `todo` says."""
     for x1 in range(len(todo)):
-        bad = first_false(grid(x1, np.arange(nb)))
+        bad = first_false(law(x1, *np.ix_(*(np.arange(n) for n in shape))))
         if bad is not None:
             return (x1, *bad)
     return None
 
 
+def nothing_proved(es, *proof):
+    return lambda law: np.zeros(es.d_ring.order, dtype=bool)
+
+
 def full_scan(es, stop_at_first=False):
-    with mock.patch.object(anncat, "_proved_chunks", lambda es, *masks: {}), \
+    with mock.patch.object(anncat, "_proved_chunks", nothing_proved), \
             mock.patch.object(anncat, "_tensor_cod_proved", lambda es, distributive: False), \
             mock.patch.object(anncat, "_assoc_failure", whole_grid_assoc), \
             mock.patch.object(anncat, "_scan", whole_chunks):
@@ -292,8 +308,14 @@ def test_add_interchange_matches_its_grid(es):
     assert (row.ok, row.witness, row.checked) == (ok.all(), first_false(ok), ok.size)
 
 
+def distributive_rows(es):
+    return anncat._distributive_rows(es.d_ring, _sum_generators(es.d_ring.add))
+
+
 def proved_chunks(es):
-    return anncat._proved_chunks(es, *anncat._distributive_rows(es.d_ring))
+    """The per-law masks of `anncat._proved_chunks`, one for each chunked law."""
+    proved = anncat._proved_chunks(es, lambda: distributive_rows(es), _sum_generators(es.d_ring.add))
+    return {law: proved(law) for law in CHUNKED}
 
 
 def test_identities_prove_every_chunk_of_regular_systems():
@@ -337,6 +359,145 @@ def test_theta_left_mutation_leaves_one_interchange_chunk_unproved():
     assert report.results == full_scan(es, stop_at_first=True).results
 
 
+def eager_proved_chunks(es):
+    """The chunk masks with every identity of every chunked law evaluated
+    up front, one expression per law: the form `anncat._proved_chunks`
+    had before it proved each law only when the check reaches it, kept as
+    a reference for its per-law masks."""
+    tl, tr, dm = es.theta_left, es.theta_right, es.d.map
+    ba, bm, da, dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
+    ad = np.arange(es.d_ring.order)
+    d_left, d_right = distributive_rows(es)
+
+    def per_x(ok):
+        return ok.reshape(len(ok), -1).all(axis=1)
+
+    b_left = _additive(ba, bm).all()
+    b_right = _additive_in_source(ba, ba, bm).all()
+    b_assoc = _left_multiplicative(bm, bm).all()
+    lam_add_x = _additive_in_source(ba, da, tl).all()
+    rho_add_x = _additive_in_source(ba, da, tr).all()
+    peiffer = _through(tl, dm, bm).all() and _through(tr, dm, bm.T).all()
+    rho_mul = _right_multiplicative(dmul, tr).all()
+    rho_inner = _right_product(bm, tr).all()
+    mixed = _mixed_product(bm, tl, tr).all()
+    lam_add_b = per_x(_additive(ba, tl))
+    rho_add_b = per_x(_additive(ba, tr))
+    lam_mul = per_x(_left_multiplicative(dmul, tl))
+    lam_inner = per_x(_left_product(bm, tl))
+    permutable = per_x(_permutable(tl, tr))
+    lam_add_dx = per_x(tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]])
+    gens = _sum_generators(da)
+    d_assoc = d_left & per_x(dmul[dmul[:, gens, None], ad] == dmul[:, dmul[gens]])
+    return {
+        "tensor-interchange": (b_left and b_right and rho_add_x and rho_add_b.all() and peiffer)
+        & lam_add_b & lam_add_dx,
+        "tensor-associative": (
+            b_left and b_right and b_assoc and rho_add_b.all() and rho_mul and rho_inner and mixed
+            and d_right.all()
+        ) & lam_add_b & lam_mul & lam_inner & permutable & d_assoc,
+        "tensor-distributive-left": (b_left and rho_add_x) & lam_add_b & d_left,
+        "tensor-distributive-right": (b_right and lam_add_x) & rho_add_b & d_right,
+    }
+
+
+def assert_masks_match_the_eager_proof(es):
+    eager, lazy = eager_proved_chunks(es), proved_chunks(es)
+    for law in CHUNKED:
+        assert lazy[law].dtype == bool and lazy[law].tolist() == eager[law].tolist(), law
+
+
+@settings(max_examples=300, deadline=None)
+@given(es=mutated_systems())
+def test_per_law_masks_match_the_eager_proof_on_mutations(es):
+    assert_masks_match_the_eager_proof(es)
+
+
+def test_per_law_masks_match_the_eager_proof():
+    # Every small source, the multiplier systems of zero_mult(4/6/8) and
+    # mult_klein0, whose tensor-associative mask is first False at x1 = 16, and
+    # systems that each break one identity where the others of its law
+    # hold: on the left one-sided near-ring, x1 = 1 and 3 fail only
+    # x1(y + z) = x1y + x1z among tensor-associative's identities; the
+    # mutated id_z2 breaks only the right half of Peiffer among
+    # tensor-interchange's global identities; on the mutated double_2z8,
+    # lam_3 is additive in b but lam_d(b)+3 = lam_d(b) + lam_3 fails.
+    multipliers = [multiplier_esystem(r) for r in (zero_mult(4), zero_mult(6), zero_mult(8), zero_mult_klein())]
+    named = {es.name: es for es in corpus()}
+    one_identity_broken = [
+        *(one_sided_distributive(side) for side in ("left", "right")),
+        with_entry(named["id_z2"], "theta_right", (1, 1), 0),
+        with_entry(named["double_2z8"], "theta_left", (1, 0), 1),
+    ]
+    for es in small_sources() + multipliers + one_identity_broken:
+        assert_masks_match_the_eager_proof(es)
+
+
+IDENTITY_GRIDS = ("_additive", "_additive_in_source", "_left_multiplicative", "_right_multiplicative",
+                  "_left_product", "_right_product", "_mixed_product", "_permutable", "_through")
+
+
+def count_identity_grids(monkeypatch):
+    """Counts of the `bimult` law grids `_proved_chunks` builds, keyed by
+    law and argument tables."""
+    calls = collections.Counter()
+    for name in IDENTITY_GRIDS:
+        def counted(*args, fn=getattr(anncat, name), name=name):
+            calls[(name, *map(id, args))] += 1
+            return fn(*args)
+        monkeypatch.setattr(anncat, name, counted)
+    return calls
+
+
+def test_each_identity_is_built_once_and_only_when_its_law_is_reached(monkeypatch):
+    # A regular system needs all 15 grids, which the four laws share.
+    calls = count_identity_grids(monkeypatch)
+    assert anncat_axiom_check(multiplier_esystem(zero_mult(6))).ok
+    assert len(calls) == 15 and set(calls.values()) == {1}
+    # Stopped at tensor-interchange, the check builds its 7 grids alone:
+    # B's distributivity, rho additive in x and in b, the two halves of
+    # Peiffer and lam_x1 additive in b.
+    calls.clear()
+    es = with_entry(multiplier_esystem(zero_mult(6)), "theta_left", (5, 1), 3)
+    report = anncat_axiom_check(es, stop_at_first=True)
+    assert report.failures()[0].law == "tensor-interchange" and not report.complete
+    assert len(calls) == 7 and set(calls.values()) == {1}
+    assert {key[0] for key in calls} == {"_additive", "_additive_in_source", "_through"}
+
+
+@pytest.mark.parametrize("budget", [1, 64])
+@settings(max_examples=300, deadline=None)
+@given(es=mutated_systems(), stop_at_first=st.booleans())
+def test_slab_scan_matches_full_scan(budget, es, stop_at_first):
+    # With slabs of at most `budget` cells every row splits, at budget 1
+    # down to single cells.
+    with mock.patch.object(anncat, "BLOCK_CELLS", budget):
+        fast = anncat_axiom_check(es, stop_at_first=stop_at_first)
+    full = full_scan(es, stop_at_first)
+    assert fast.results == full.results
+    assert fast.complete == full.complete
+
+
+def test_klein_multiplier_stops_at_the_fifth_slab_of_chunk_16(monkeypatch):
+    # A tensor-associative row of mult_klein0 has 4 * 4 * 256 * 256 = 2^20
+    # cells, so the scan fixes b2 and b3 as well as b1: slabs of 256 * 256
+    # = 65536 cells.  The first unproved chunk, 16, fails at
+    # (b1, b2, b3, x2, x3) = (0, 1, 0, 0, 8), in its fifth slab.
+    assert anncat.BLOCK_CELLS == 65536
+    slabs, scan = [], anncat._scan
+
+    def counted(law, todo, shape):
+        def slab(x1, *axes):
+            ok = law(x1, *axes)
+            slabs.append((x1, tuple(a for a in axes if isinstance(a, int)), ok.size))
+            return ok
+        return scan(slab, todo, shape)
+    monkeypatch.setattr(anncat, "_scan", counted)
+    report = anncat_axiom_check(multiplier_esystem(zero_mult_klein()), stop_at_first=True)
+    assert report.failures()[0].witness == (16, 0, 1, 0, 0, 8)
+    assert slabs == [(16, (0, 0, b3), 65536) for b3 in range(4)] + [(16, (0, 1, 0), 65536)]
+
+
 def tensor_cod_grid(es):
     """target(f1 (x) f2) == target(f1) target(f2), one nb^2 nd^2 grid over
     f1 = (b1, x1), f2 = (b2, x2), evaluated straight from the definitions."""
@@ -360,16 +521,21 @@ def test_tensor_cod_matches_its_grid(es):
     assert tensor_cod_row(es) == (ok.all(), first_false(ok), ok.size)
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_one_sided_distributivity_leaves_tensor_cod_unproved(side):
-    # On the ideal system of 2Z/4 in Z/4, x * y = x c(y) with
-    # c = (0, 1, 2, 1) keeps every condition on d and is right but not left
-    # distributive (1 * (1 + 2) = 1, 1 * 1 + 1 * 2 = 3); its transpose is
-    # the mirror image.  Either way tensor-cod fails, so the proof must not
-    # hold.  Few random single-entry mutations break distributivity alone.
+def one_sided_distributive(side):
+    """The ideal system of 2Z/4 in Z/4 with D's product x * y = x c(y),
+    c = (0, 1, 2, 1), which keeps every condition on d and is right but
+    not left distributive (1 * (1 + 2) = 1, 1 * 1 + 1 * 2 = 3), or with
+    its transpose, the mirror image, for side "right"."""
     i = np.arange(4)
     mul = i[:, None] * np.array([0, 1, 2, 1]) % 4
-    es = with_entry(ideal_esystem(zmod(4), [0, 2]), "d_ring.mul", ..., mul if side == "left" else mul.T)
+    return with_entry(ideal_esystem(zmod(4), [0, 2]), "d_ring.mul", ..., mul if side == "left" else mul.T)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_sided_distributivity_leaves_tensor_cod_unproved(side):
+    # Either way tensor-cod fails, so the proof must not hold.  Few random
+    # single-entry mutations break distributivity alone.
+    es = one_sided_distributive(side)
     ok = tensor_cod_grid(es)
     assert not ok.all()
     assert tensor_cod_row(es) == (False, first_false(ok), ok.size)
@@ -380,7 +546,7 @@ def test_tensor_cod_is_scanned_when_addition_is_not_commutative():
     # but the proof rests on add-commutative, which fails, and so does
     # tensor-cod.
     es = with_entry({es.name: es for es in corpus()}["double_2z8"], "d_ring.add", (2, 1), 0)
-    assert anncat._tensor_cod_proved(es, lambda: anncat._distributive_rows(es.d_ring))
+    assert anncat._tensor_cod_proved(es, lambda: distributive_rows(es))
     ok = tensor_cod_grid(es)
     assert not ok.all()
     assert tensor_cod_row(es) == (False, first_false(ok), ok.size)
@@ -389,12 +555,12 @@ def test_tensor_cod_is_scanned_when_addition_is_not_commutative():
 def test_identities_prove_tensor_cod_on_regular_systems():
     for es in small_sources():
         if is_regular(es):
-            assert anncat._tensor_cod_proved(es, lambda es=es: anncat._distributive_rows(es.d_ring))
+            assert anncat._tensor_cod_proved(es, lambda es=es: distributive_rows(es))
 
 
 def test_distributivity_masks_are_built_once_and_only_when_needed(monkeypatch):
     calls, rows_of = [], anncat._distributive_rows
-    monkeypatch.setattr(anncat, "_distributive_rows", lambda d: calls.append(d) or rows_of(d))
+    monkeypatch.setattr(anncat, "_distributive_rows", lambda d, gens: calls.append(d) or rows_of(d, gens))
     assert anncat_axiom_check(doubled_into_z4()).ok
     assert len(calls) == 1
     # d(1) = 1 is not multiplicative on the zero ring, so the proof stops

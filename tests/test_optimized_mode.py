@@ -6,8 +6,10 @@ search guards, the typed errors of `ablin`, `rings`, `crossed`, `corpus`,
 of a section's tables and the context check that a crossed product gets
 from `validate_extension`), the internal checks of
 `ablin`, `rings`, `bimult`, `anncat`, `transport`, `cohomology` and
-`extensions`, and the CLI's exit codes for bad input, tripped guards and
-internal errors.  Here they run again in a `python -O` subprocess.
+`extensions`, the CLI's exit codes for bad input, tripped guards and
+internal errors, and the 2-ring checker's per-law proof masks and slab
+scan against their references.  Here they run again in a `python -O`
+subprocess.
 """
 
 import ast
@@ -25,6 +27,11 @@ VALIDATION_TESTS = [
     "tests/test_bimult.py",
     "tests/test_bimult.py::test_broken_checks_raise_without_assert",
     "tests/test_anncat.py::test_broken_checks_raise_without_assert",
+    "tests/test_anncat.py::test_per_law_masks_match_the_eager_proof",
+    "tests/test_anncat.py::test_per_law_masks_match_the_eager_proof_on_mutations",
+    "tests/test_anncat.py::test_each_identity_is_built_once_and_only_when_its_law_is_reached",
+    "tests/test_anncat.py::test_slab_scan_matches_full_scan",
+    "tests/test_anncat.py::test_klein_multiplier_stops_at_the_fifth_slab_of_chunk_16",
     "tests/test_ablin.py::test_linear_map_rejects_ill_defined",
     "tests/test_ablin.py::test_snf_raises_instead_of_wrapping_past_int64",
     "tests/test_ablin.py::test_broken_postconditions_raise_without_assert",
