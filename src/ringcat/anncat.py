@@ -10,15 +10,15 @@ without assuming the action system validates, so it doubles as a detector
 for corrupted inputs.  The associativity of each addition table (laws
 add-associative and compose-associative) is proved by Light's test on
 additive generators and scanned only when that test fails, as in
-`rings.validate_ring`.  Once addition is known to be commutative and
-associative, add-interchange follows and is not scanned; tensor-cod is
-scanned only when lower-arity identities fail (`_tensor_cod_proved`).  Laws
-quantified over three or more morphisms (tensor-interchange,
+`rings.validate_ring`.  Every other law the checker can prove is listed
+in `_PROOFS` with the named conditions of lower arity that prove it
+(`_conditions`, the action-system laws among them), each evaluated at
+most once per check and only when a law reached names it.  Add-interchange
+and tensor-cod are scanned, as one grid each, only when their proof
+fails.  Laws quantified over three or more morphisms (tensor-interchange,
 tensor-associative and the two distributive laws) are split into chunks
-over the first object x1.  Identities of lower arity on the tables prove
-chunks one by one (see `_proved_chunks`), each law's identities evaluated
-only when the check reaches that law.  Only the unproved chunks are
-scanned, in ascending x1, each in C-order slabs of at most
+over the first object x1, proved chunk by chunk.  Only the unproved
+chunks are scanned, in ascending x1, each in C-order slabs of at most
 `rings.BLOCK_CELLS` cells (`_scan`) up to the first slab that holds a
 failure.  The report, first witness in scan order and cells checked
 included, is the one a scan of every chunk gives: proved cells count as
@@ -34,19 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ablin import CELL_LIMIT, _guard
-from .bimult import (
-    _additive,
-    _additive_in_source,
-    _equivariant,
-    _left_multiplicative,
-    _left_product,
-    _mixed_product,
-    _permutable,
-    _right_multiplicative,
-    _right_product,
-    _through,
-)
-from .crossed import ESystem, ESystemMorphism, validate_esystem, validate_morphism
+from .bimult import _additive, _additive_in_source, _left_multiplicative, _permutable
+from .crossed import ESystem, ESystemMorphism, _esystem_laws, validate_esystem, validate_morphism
 from .rings import BLOCK_CELLS, _assoc_failure, _first_bad, _sum_generators, validate_ring
 
 
@@ -158,165 +147,164 @@ def anncat_to_esystem(ac: AnnCategory, name: str | None = None) -> ESystem:
 # The axiom checker.
 
 
-def _distributive_rows(d, gens: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Masks over x: y -> xy, then y -> yx, is additive; y runs over D's sum
-    generators `gens`, enough once D's addition is commutative and
-    associative."""
-    da = d.add
-    return tuple((t[:, da[gens]] == da[t[:, gens, None], t[:, None, :]]).reshape(len(t), -1).all(axis=1)
-                 for t in (d.mul, d.mul.T))
-
-
-def _tensor_cod_proved(es: ESystem, distributive) -> bool:
-    """Whether identities of lower arity prove tensor-cod,
-    d((b1b2 + rho_x2(b1)) + lam_x1(b2)) + x1x2 = (d(b1) + x1)(d(b2) + x2).
-
-    Needs addition in D commutative and associative, which the checker
-    establishes first.  If d is additive and multiplicative on B,
-    d(lam_x(b)) = x d(b) and d(rho_x(b)) = d(b) x, the left side is
-    ((d(b1)d(b2) + d(b1)x2) + x1d(b2)) + x1x2.  If D is left and right
-    distributive, the right side is (d(b1)d(b2) + x1d(b2)) + (d(b1)x2 + x1x2),
-    the same four terms, so every cell passes.  The conditions on d, nb^2 and
-    nb*nd cells, come first; only then does `distributive()` give D's masks
-    (`_distributive_rows`).
-    """
-    ba, bm, dm, da, dmul = es.b.add, es.b.mul, es.d.map, es.d_ring.add, es.d_ring.mul
-    d_ok = ((dm[ba] == da[dm[:, None], dm]).all() and (dm[bm] == dmul[dm[:, None], dm]).all()
-            and _equivariant(dmul, es.theta_left, dm).all()
-            and _equivariant(dmul.T, es.theta_right, dm).all())
-    return d_ok and all(mask.all() for mask in distributive())
-
-
-# The identities that prove the chunks of each law scanned in chunks over
-# x1 (see `_proved_chunks`): first those needed by every chunk, then those
-# chunk x1 needs for itself, each in the order they are evaluated.
-_CHUNK_CONDITIONS = {
+_PROOFS = {
+    "add-interchange": ((), ()),
+    "tensor-cod": (("d-additive", "d-multiplicative", "equivariance-left", "equivariance-right",
+                    "d-distributive-left", "d-distributive-right"), ()),
     "tensor-interchange": (
-        ("b_left", "b_right", "rho_add_x", "rho_add_b", "peiffer"),
-        ("lam_add_b", "lam_add_dx"),
+        ("b-distributive-left", "b-distributive-right", "action-right-additive-in-source",
+         "action-right-additive", "inner-action-left", "inner-action-right"),
+        ("action-left-additive", "action-left-additive-at-d"),
     ),
     "tensor-associative": (
-        ("b_left", "b_right", "b_assoc", "rho_add_b", "rho_mul", "rho_inner", "mixed", "d_right"),
-        ("lam_add_b", "lam_mul", "lam_inner", "permutable", "d_left", "d_assoc"),
+        ("b-distributive-left", "b-distributive-right", "b-associative", "action-right-additive",
+         "action-right-multiplicative", "action-right-product", "action-mixed-product",
+         "d-distributive-right"),
+        ("action-left-additive", "action-left-multiplicative", "action-left-product",
+         "permutability", "d-distributive-left", "d-associative"),
     ),
-    "tensor-distributive-left": (("b_left", "rho_add_x"), ("lam_add_b", "d_left")),
-    "tensor-distributive-right": (("b_right", "lam_add_x"), ("rho_add_b", "d_right")),
+    "tensor-distributive-left": (
+        ("b-distributive-left", "action-right-additive-in-source"),
+        ("action-left-additive", "d-distributive-left"),
+    ),
+    "tensor-distributive-right": (
+        ("b-distributive-right", "action-left-additive-in-source"),
+        ("action-right-additive", "d-distributive-right"),
+    ),
 }
+"""For each law the checker proves instead of scanning, the conditions of
+`_conditions` that prove it, in the order they are evaluated: first those
+the whole law needs, then those chunk x1 of a law scanned in chunks over
+the first object x1 needs for itself.
+
+Every proof also needs addition in B and D commutative and associative
+(laws add-commutative and add-associative), which the checker
+establishes first.  Write lam_x = theta_left[x] and rho_x =
+theta_right[x], so (b, x) (x) (c, y) has base part
+bc + rho_y(b) + lam_x(c), biadditive.  Expanding both sides of a law by
+the conditions listed for it turns each side into a sum of the same
+terms, matched one for one; with commutative and associative addition
+any two bracketings of one family of terms have the same sum.  Where the
+conditions hold, every cell of the law, or of its chunk x1, therefore
+passes, so a scan of the unproved chunks alone finds the same first
+failure as a scan of every chunk.  Morphisms are f_i = (b_i, x_i).
+
+add-interchange, (g o f) + (g' o f') = (g + g') o (f + f') on base parts,
+that is (a + b) + (c + d) = (a + c) + (b + d): both sides equal
+a + (b + (c + d)) = a + ((b + c) + d) = a + ((c + b) + d)
+= a + (c + (b + d)).  It needs nothing more.
+tensor-cod, d((b1b2 + rho_x2(b1)) + lam_x1(b2)) + x1x2
+= (d(b1) + x1)(d(b2) + x2).  If d is additive and multiplicative on B,
+d(lam_x(b)) = x d(b) and d(rho_x(b)) = d(b) x, the left side is
+((d(b1)d(b2) + d(b1)x2) + x1d(b2)) + x1x2.  If D is left and right
+distributive, the right side is (d(b1)d(b2) + x1d(b2)) + (d(b1)x2 + x1x2),
+the same four terms.  The conditions on d, nb^2 and nb*nd cells, come
+before D's distributivity.
+tensor-interchange, (f1 (x) f2) + (g1 (x) g2) = (f1 + g1) (x) (f2 + g2)
+with g_i = (c_i, y_i), y_i = d(b_i) + x_i; terms b1b2, b1c2, c1b2, c1c2,
+rho_x2(b1), rho_x2(c1), lam_x1(b2), lam_x1(c2).  The left side's
+second summand is c1c2 + rho_y2(c1) + lam_y1(c2).  Additivity in x at
+the pair (d(b1), x1) and Peiffer give
+lam_y1(c2) = lam_d(b1)(c2) + lam_x1(c2) = b1c2 + lam_x1(c2), and
+likewise rho_y2(c1) = c1b2 + rho_x2(c1); x2 runs over all of D in
+every chunk, but x1 is fixed, so lam is needed additive in x only at
+the pairs (d(b), x1).
+  whole law: B left and right distributive; rho additive in x;
+    rho_x additive in b; Peiffer lam_d(b)(c) = bc = rho_d(c)(b).
+  per x1: lam_x1 additive in b; lam_d(b)+x1 = lam_d(b) + lam_x1 for
+    every b.
+tensor-associative, (f1 (x) f2) (x) f3 = f1 (x) (f2 (x) f3); terms
+(b1b2)b3 = b1(b2b3), rho_x2(b1)b3 = b1 lam_x2(b3),
+lam_x1(b2)b3 = lam_x1(b2b3), rho_x3(b1b2) = b1 rho_x3(b2),
+rho_x3(rho_x2(b1)) = rho_x2x3(b1), rho_x3(lam_x1(b2)) = lam_x1(rho_x3(b2)),
+lam_x1x2(b3) = lam_x1(lam_x2(b3)); objects (x1x2)x3 = x1(x2x3).
+  whole law: B distributive and associative; rho_x additive in b;
+    rho_xy = rho_y rho_x; rho_x(bc) = b rho_x(c); rho_x(b)c = b lam_x(c).
+  per x1: lam_x1 additive in b; lam_x1y = lam_x1 lam_y;
+    lam_x1(b)c = lam_x1(bc); rho_y lam_x1 = lam_x1 rho_y
+    (permutability); (x1y)z = x1(yz).
+tensor-distributive-left, f1 (x) (f2 + f3) = f1 (x) f2 + f1 (x) f3;
+terms b1b2, b1b3, rho_x2(b1), rho_x3(b1), lam_x1(b2), lam_x1(b3).
+  whole law: B left distributive; rho additive in x.
+  per x1: lam_x1 additive in b; x1(y + z) = x1y + x1z.
+tensor-distributive-right, (f2 + f3) (x) f1 = f2 (x) f1 + f3 (x) f1;
+terms b2b1, b3b1, rho_x1(b2), rho_x1(b3), lam_x2(b1), lam_x3(b1).
+  whole law: B right distributive; lam additive in x.
+  per x1: rho_x1 additive in b; (y + z)x1 = yx1 + zx1.
+
+D's identities are evaluated with y restricted to a set S of which
+every element of D is a nonempty sum (`_sum_generators`).  A map f
+with f(s + z) = f(s) + f(z) for all s in S and z in D is additive, by
+induction on the length of its argument as a sum; that checks
+x1(y + z) = x1y + x1z and (y + z)x1 = yx1 + zx1.  If moreover D is
+right distributive and x1(y + z) = x1y + x1z, then y -> (x1y)z and
+y -> x1(yz) are additive, so (x1y)z = x1(yz) holds once it holds for
+y in S; tensor-associative takes those two as further conditions of the
+whole law and of chunk x1.
+"""
+_PER_X1 = {name for _, per_x1 in _PROOFS.values() for name in per_x1}
 
 
-def _proved_chunks(es: ESystem, distributive, d_gens: np.ndarray):
-    """For the laws scanned in chunks over the first object x1, a function
-    law -> boolean mask over x1: True where the identities below prove
-    chunk x1.  `distributive()` gives D's distributivity masks
-    (`_distributive_rows`) and d_gens are D's sum generators.
-
-    Each law's identities (`_CHUNK_CONDITIONS`) are evaluated when its
-    mask is first asked for, each identity at most once for all four laws;
-    a law whose global identities fail evaluates none of its per-x1 ones.
-
-    Needs addition in B and D commutative and associative, which the
-    checker establishes first.  Write lam_x = theta_left[x] and
-    rho_x = theta_right[x], so (b, x) (x) (c, y) has base part
-    bc + rho_y(b) + lam_x(c), biadditive.  Expanding both sides of a law
-    by the identities listed for it turns each side into a sum of the
-    same terms, matched one for one; with commutative and associative
-    addition any two bracketings of one family of terms have the same
-    sum.  Where the identities hold, every cell of the chunk therefore
-    passes, so a scan of the unproved chunks alone finds the same first
-    failure as a scan of every chunk.  "Global" identities are needed by
-    every chunk; "per x1" identities concern chunk x1 only.  Morphisms
-    are f_i = (b_i, x_i).
-
-    tensor-interchange, (f1 (x) f2) + (g1 (x) g2) = (f1 + g1) (x) (f2 + g2)
-    with g_i = (c_i, y_i), y_i = d(b_i) + x_i; terms b1b2, b1c2, c1b2, c1c2,
-    rho_x2(b1), rho_x2(c1), lam_x1(b2), lam_x1(c2).  The left side's
-    second summand is c1c2 + rho_y2(c1) + lam_y1(c2).  Additivity in x at
-    the pair (d(b1), x1) and Peiffer give
-    lam_y1(c2) = lam_d(b1)(c2) + lam_x1(c2) = b1c2 + lam_x1(c2), and
-    likewise rho_y2(c1) = c1b2 + rho_x2(c1); x2 runs over all of D in
-    every chunk, but x1 is fixed, so lam is needed additive in x only at
-    the pairs (d(b), x1).
-      global: B left and right distributive; rho additive in x;
-        rho_x additive in b; Peiffer lam_d(b)(c) = bc = rho_d(c)(b).
-      per x1: lam_x1 additive in b; lam_d(b)+x1 = lam_d(b) + lam_x1 for
-        every b.
-    tensor-associative, (f1 (x) f2) (x) f3 = f1 (x) (f2 (x) f3); terms
-    (b1b2)b3 = b1(b2b3), rho_x2(b1)b3 = b1 lam_x2(b3),
-    lam_x1(b2)b3 = lam_x1(b2b3), rho_x3(b1b2) = b1 rho_x3(b2),
-    rho_x3(rho_x2(b1)) = rho_x2x3(b1), rho_x3(lam_x1(b2)) = lam_x1(rho_x3(b2)),
-    lam_x1x2(b3) = lam_x1(lam_x2(b3)); objects (x1x2)x3 = x1(x2x3).
-      global: B distributive and associative; rho_x additive in b;
-        rho_xy = rho_y rho_x; rho_x(bc) = b rho_x(c); rho_x(b)c = b lam_x(c).
-      per x1: lam_x1 additive in b; lam_x1y = lam_x1 lam_y;
-        lam_x1(b)c = lam_x1(bc); rho_y lam_x1 = lam_x1 rho_y
-        (permutability); (x1y)z = x1(yz).
-    tensor-distributive-left, f1 (x) (f2 + f3) = f1 (x) f2 + f1 (x) f3;
-    terms b1b2, b1b3, rho_x2(b1), rho_x3(b1), lam_x1(b2), lam_x1(b3).
-      global: B left distributive; rho additive in x.
-      per x1: lam_x1 additive in b; x1(y + z) = x1y + x1z.
-    tensor-distributive-right, (f2 + f3) (x) f1 = f2 (x) f1 + f3 (x) f1;
-    terms b2b1, b3b1, rho_x1(b2), rho_x1(b3), lam_x2(b1), lam_x3(b1).
-      global: B right distributive; lam additive in x.
-      per x1: rho_x1 additive in b; (y + z)x1 = yx1 + zx1.
-
-    D's identities are evaluated with y restricted to a set S of which
-    every element of D is a nonempty sum (`_sum_generators`).  A map f
-    with f(s + z) = f(s) + f(z) for all s in S and z in D is additive, by
-    induction on the length of its argument as a sum; that checks
-    x1(y + z) = x1y + x1z and (y + z)x1 = yx1 + zx1.  If moreover D is
-    right distributive and x1(y + z) = x1y + x1z, then y -> (x1y)z and
-    y -> x1(yz) are additive, so (x1y)z = x1(yz) holds once it holds for
-    y in S; tensor-associative takes those two as further global and
-    per-x1 conditions.
-    """
+def _conditions(es: ESystem, d_gens: np.ndarray) -> list:
+    """The conditions `_PROOFS` names, as (condition, grid, *tables) entries
+    whose ok-grid is grid(*tables), x on axis 0 where a proof needs one per
+    x1: the action-system laws, then identities of B (acting on itself by
+    mul), of d and of D, the last on D's sum generators d_gens."""
     tl, tr, dm = es.theta_left, es.theta_right, es.d.map
     ba, bm, da, dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
-    nd = es.d_ring.order
-    ad = np.arange(nd)
+    ad = np.arange(es.d_ring.order)
 
-    def per_x(ok):
-        # axis 0 is x
-        return ok.reshape(len(ok), -1).all(axis=1)
+    def additive_on_gens(t):
+        # ok[x, s, z]: t_x(s + z) == t_x(s) + t_x(z), s a generator
+        return t[:, da[d_gens]] == da[t[:, d_gens, None], t[:, None, :]]
 
-    # Each grid is a law of `bimult`; for B's own laws, B acts on itself by
-    # mul.  Global identities give one bool, per-x ones a mask over x.
-    identities = {
-        "b_left": lambda: _additive(ba, bm).all(),
-        "b_right": lambda: _additive_in_source(ba, ba, bm).all(),
-        "b_assoc": lambda: _left_multiplicative(bm, bm).all(),
-        "lam_add_x": lambda: _additive_in_source(ba, da, tl).all(),
-        "rho_add_x": lambda: _additive_in_source(ba, da, tr).all(),
-        "peiffer": lambda: _through(tl, dm, bm).all() and _through(tr, dm, bm.T).all(),
-        "rho_mul": lambda: _right_multiplicative(dmul, tr).all(),
-        "rho_inner": lambda: _right_product(bm, tr).all(),
-        "mixed": lambda: _mixed_product(bm, tl, tr).all(),
-        # per x, axes (x, ...)
-        "lam_add_b": lambda: per_x(_additive(ba, tl)),
-        "rho_add_b": lambda: per_x(_additive(ba, tr)),
-        "lam_mul": lambda: per_x(_left_multiplicative(dmul, tl)),
-        "lam_inner": lambda: per_x(_left_product(bm, tl)),
-        "permutable": lambda: per_x(_permutable(tl, tr)),
-        # axes (x, b, c): lam_d(b)+x(c) = lam_d(b)(c) + lam_x(c)
-        "lam_add_dx": lambda: per_x(tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]]),
-        # D's identities, on generators of D's addition in the second place
-        "d_left": lambda: distributive()[0],
-        "d_right": lambda: distributive()[1],
-        "d_assoc": lambda: per_x(dmul[dmul[:, d_gens, None], ad] == dmul[:, dmul[d_gens]]),
-    }
-    known = {}
+    return [
+        *_esystem_laws(es.b, es.d_ring, dm, tl, tr),
+        ("b-distributive-left", _additive, ba, bm),
+        ("b-distributive-right", _additive_in_source, ba, ba, bm),
+        ("b-associative", _left_multiplicative, bm, bm),
+        ("d-additive", lambda: dm[ba] == da[dm[:, None], dm]),
+        ("d-multiplicative", lambda: dm[bm] == dmul[dm[:, None], dm]),
+        # axes (x, b, c): lam_d(b)+x(c) == lam_d(b)(c) + lam_x(c)
+        ("action-left-additive-at-d",
+         lambda: tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]]),
+        ("permutability", _permutable, tl, tr),
+        ("d-distributive-left", additive_on_gens, dmul),
+        ("d-distributive-right", additive_on_gens, dmul.T),
+        # axes (x, s, z): (xs)z == x(sz), s a generator
+        ("d-associative", lambda: dmul[dmul[:, d_gens, None], ad] == dmul[:, dmul[d_gens]]),
+    ]
+
+
+def _prover(es: ESystem, d_gens: np.ndarray):
+    """A function law -> boolean mask over x1, True where the conditions
+    `_PROOFS[law]` prove chunk x1 (all True where they prove a law not
+    chunked), given addition in B and D commutative and associative.
+
+    Each condition is evaluated when a law first names it, at most once
+    for all laws, and kept as whether it holds and, if some law needs it
+    per x1 (`_PER_X1`), its mask over axis 0 of its grid; a law whose
+    whole-law conditions fail evaluates none of its per-x1 ones.
+    """
+    conditions, known = None, {}  # gathered when a proof first names a condition
 
     def holds(name):
+        nonlocal conditions
         if name not in known:
-            known[name] = identities[name]()
+            conditions = conditions or {entry[0]: entry for entry in _conditions(es, d_gens)}
+            _, grid, *tables = conditions[name]
+            ok = grid(*tables)
+            rows = ok.reshape(len(ok), -1).all(axis=1) if name in _PER_X1 else None
+            known[name] = bool((ok if rows is None else rows).all()), rows
         return known[name]
 
     def proved(law: str) -> np.ndarray:
-        needed_by_all, needed_per_x1 = _CHUNK_CONDITIONS[law]
-        if not all(holds(name).all() for name in needed_by_all):
-            return np.zeros(nd, dtype=bool)
-        mask = np.ones(nd, dtype=bool)
+        needed_by_all, needed_per_x1 = _PROOFS[law]
+        if not all(holds(name)[0] for name in needed_by_all):
+            return np.zeros(es.d_ring.order, dtype=bool)
+        mask = np.ones(es.d_ring.order, dtype=bool)
         for name in needed_per_x1:
-            mask &= holds(name)
+            mask &= holds(name)[1]
         return mask
 
     return proved
@@ -358,11 +346,9 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     skipped once one fails.  Raises SearchGuardError before building a
     grid of more than `CELL_LIMIT` cells; proved laws and chunks build none.
     A chunked law with chunks left to scan is charged one whole b1 row,
-    though `_scan` builds at most one slab of it at a time.  The tensor-cod
-    grid is scanned only when `_tensor_cod_proved` fails.  B's and D's sum
-    generators are found once, and D's distributivity masks built at most
-    once, for every law that uses them; `_proved_chunks` evaluates each
-    chunked law's identities only when that law is reached.
+    though `_scan` builds at most one slab of it at a time.  B's and D's
+    sum generators are found once for every law that uses them; `_prover`
+    evaluates each condition of `_PROOFS` only when a law reached names it.
     """
     b, d = es.b, es.d_ring
     dm = es.d.map.astype(np.int64)
@@ -375,17 +361,11 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     def run(law, fn):
         nonlocal complete
-        if stop_at_first and any(not r.ok for r in results):
+        if stop_at_first and results and not results[-1].ok:  # nothing runs after a failure
             complete = False
             return
         ok, witness, checked = fn()
         results.append(LawResult(law, ok, witness, checked))
-
-    def grid_law(lhs, rhs):
-        ok = lhs == rhs
-        if ok.all():
-            return True, None, int(ok.size)
-        return False, _first_bad(ok), int(ok.size)
 
     def add_comm():
         for t, tag in ((b.add, "base"), (d.add, "object")):
@@ -396,11 +376,13 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     run("add-commutative", add_comm)
 
+    assoc = []  # B's witness, then D's, as add-associative finds them
+
     def add_assoc():
         for t, gens, tag in ((b.add, b_gens, "base"), (d.add, d_gens, "object")):
-            witness = _assoc_failure(t, gens)
-            if witness:
-                return False, (tag, *witness), nb**3 + nd**3
+            assoc.append(_assoc_failure(t, gens))
+            if assoc[-1]:
+                return False, (tag, *assoc[-1]), nb**3 + nd**3
         return True, None, nb**3 + nd**3
 
     run("add-associative", add_assoc)
@@ -423,26 +405,34 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     run("compose-identity", compose_identity)
 
     def compose_assoc():
-        witness = _assoc_failure(b.add, b_gens)
-        return witness is None, witness, nb**3
+        return assoc[0] is None, assoc[0], nb**3
 
     run("compose-associative", compose_assoc)
 
+    prover = _prover(es, d_gens)
+
+    def proved(law):
+        # Every proof needs add-commutative and add-associative, the first two results.
+        return prover(law) if results[0].ok and results[1].ok else np.zeros(nd, dtype=bool)
+
+    def whole(law, grid, cells):
+        # A law proved whole is counted; otherwise grid() is its ok-grid.
+        if not proved(law).all():
+            _guard(cells, f"{law} grid cells", CELL_LIMIT)
+            ok = grid()
+            if not ok.all():
+                return False, _first_bad(ok), cells
+        return True, None, cells
+
     def add_interchange():
-        # (g o f) + (g' o f') vs (g + g') o (f + f'), base parts, that is
-        # (a + b) + (c + d) = (a + c) + (b + d).  Given add-commutative and
-        # add-associative, the first two results, both sides equal
-        # a + (b + (c + d)) = a + ((b + c) + d) = a + ((c + b) + d)
-        # = a + (c + (b + d)), so the grid is built only when one fails.
-        if results[0].ok and results[1].ok:
-            return True, None, nb**4
-        _guard(nb**4, "add-interchange grid cells", CELL_LIMIT)
+        # base parts of (g o f) + (g' o f') and (g + g') o (f + f'), that is
+        # (a + b) + (c + d) and (a + c) + (b + d)
         lhs = b.add[b.add[:, :, None, None], b.add[None, None, :, :]]
         rhs = b.add[b.add[ab[:, None, None, None], ab[None, None, :, None]],
                     b.add[ab[None, :, None, None], ab[None, None, None, :]]]
-        return grid_law(lhs, rhs)
+        return lhs == rhs
 
-    run("add-interchange", add_interchange)
+    run("add-interchange", lambda: whole("add-interchange", add_interchange, nb**4))
 
     def tensor_unit():
         one = d.unit
@@ -464,42 +454,20 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     run("tensor-unit", tensor_unit)
 
-    dist = None  # D's distributivity masks, shared by tensor-cod and the chunked laws
-
-    def distributive():
-        nonlocal dist
-        if dist is None:
-            dist = _distributive_rows(d, d_gens)
-        return dist
-
     def tensor_cod():
-        # The proof needs add-commutative and add-associative, the first two
-        # results; only when it fails is the grid, axes (b1, x1, b2, x2), built.
-        if results[0].ok and results[1].ok and _tensor_cod_proved(es, distributive):
-            return True, None, nb * nb * nd * nd
-        _guard(nb * nb * nd * nd, "tensor-cod grid cells", CELL_LIMIT)
+        # axes (b1, x1, b2, x2)
         b1, b2 = ab[:, None, None, None], ab[None, None, :, None]
         x1, x2 = ad[None, :, None, None], ad[None, None, None, :]
         lhs = d.add[dm[_tensor(es, b1, x1, b2, x2)], d.mul[x1, x2]]
-        rhs = d.mul[d.add[dm[b1], x1], d.add[dm[b2], x2]]
-        return grid_law(lhs, rhs)
+        return lhs == d.mul[d.add[dm[b1], x1], d.add[dm[b2], x2]]
 
-    run("tensor-cod", tensor_cod)
-
-    proved = None
+    run("tensor-cod", lambda: whole("tensor-cod", tensor_cod, nb * nb * nd * nd))
 
     def chunked(law, grid, shape):
-        # grid(x1, *axes) -> ok-grid of chunk x1, see `_scan`.  Chunks the
-        # factored identities prove are counted, not scanned; the proof
-        # needs add-commutative and add-associative, the first two results.
-        nonlocal proved
+        # grid(x1, *axes) -> ok-grid of chunk x1, see `_scan`.  Proved
+        # chunks are counted, not scanned.
         cells = math.prod(shape)
-        if not (results[0].ok and results[1].ok):
-            todo = np.ones(nd, dtype=bool)
-        else:
-            if proved is None:
-                proved = _proved_chunks(es, distributive, d_gens)
-            todo = ~proved(law)
+        todo = ~proved(law)
         witness = None
         if todo.any():  # the guard charges a whole b1 row, `_scan` builds at most one
             _guard(cells // nb, f"{law} row cells", CELL_LIMIT)

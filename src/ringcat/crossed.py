@@ -139,10 +139,10 @@ def _raise_first_failure(checks):
         raise ESystemError(*fail)
 
 
-def validate_esystem(b, d_ring, d_map, theta_left, theta_right, name="es") -> ESystem:
-    """Check every axiom; raise ESystemError naming the first violated one."""
-    d, tl, tr = _structure(b, d_ring, d_map, theta_left, theta_right)
-    _raise_first_failure([
+def _esystem_laws(b, d_ring, d_map, tl, tr):
+    """The action-system conditions on stacked action tables, in check
+    order.  `anncat` proves 2-ring laws from them by name."""
+    return [
         # Each theta(x) is a bimultiplication of B.
         ("action-left-additive", _additive, b.add, tl),
         ("action-right-additive", _additive, b.add, tr),
@@ -155,12 +155,18 @@ def validate_esystem(b, d_ring, d_map, theta_left, theta_right, name="es") -> ES
         ("action-left-multiplicative", _left_multiplicative, d_ring.mul, tl),
         ("action-right-multiplicative", _right_multiplicative, d_ring.mul, tr),
         # Acting through d is inner multiplication.
-        ("inner-action-left", _through, tl, d.map, b.mul),
-        ("inner-action-right", _through, tr, d.map, b.mul.T),
+        ("inner-action-left", _through, tl, d_map, b.mul),
+        ("inner-action-right", _through, tr, d_map, b.mul.T),
         # d intertwines the action with multiplication in D.
-        ("equivariance-left", _equivariant, d_ring.mul, tl, d.map),
-        ("equivariance-right", _equivariant, d_ring.mul.T, tr, d.map),
-    ])
+        ("equivariance-left", _equivariant, d_ring.mul, tl, d_map),
+        ("equivariance-right", _equivariant, d_ring.mul.T, tr, d_map),
+    ]
+
+
+def validate_esystem(b, d_ring, d_map, theta_left, theta_right, name="es") -> ESystem:
+    """Check every axiom; raise ESystemError naming the first violated one."""
+    d, tl, tr = _structure(b, d_ring, d_map, theta_left, theta_right)
+    _raise_first_failure(_esystem_laws(b, d_ring, d.map, tl, tr))
     return ESystem(name, b, d_ring, d, tl, tr)
 
 

@@ -983,10 +983,7 @@ def _search_g_stage(base, grid, psi, f, left, right, guard, stop_at_first, resul
                 xrow = _target_lift(base, psi, left[a], right[a], f, g, unit, guard)
                 if xrow is None:
                     continue
-                # Copies, so that a found ring holds no view of the stack.
-                ring = validate_ring(
-                    add.copy(), m.copy(), unit, name=f"{base.name}_search_{len(results)}"
-                )
+                ring = validate_ring(add, m, unit, name=f"{base.name}_search_{len(results)}")
                 results.append(_carrier_extension(base, ring, q, xrow, ring.name))
                 found = True
                 if stop_at_first:

@@ -33,7 +33,7 @@ class RingAxiomError(WitnessError):
 
 
 def _table(t, n: int, what: str) -> np.ndarray:
-    a = np.asarray(t, dtype=np.int16)
+    a = np.array(t, dtype=np.int16)
     if a.shape != (n, n):
         raise ValueError(f"{what} table must be {n}x{n}, got {a.shape}")
     if a.size and (a.min() < 0 or a.max() >= n):
@@ -124,7 +124,8 @@ class FiniteRing:
 
 def validate_ring(add, mul, unit=None, name: str = "ring") -> FiniteRing:
     """Check every ring axiom on the tables; raise RingAxiomError with the
-    first witness (lexicographic) of the first axiom that fails.
+    first witness (lexicographic) of the first axiom that fails.  The ring
+    keeps read-only copies of the tables.
 
     The four laws over three elements are proved from identities on a set
     S of additive generators (`_sum_generators`) instead of scanned over
@@ -196,6 +197,7 @@ def validate_ring(add, mul, unit=None, name: str = "ring") -> FiniteRing:
         if not np.array_equal(mul[:, unit], idx):
             raise RingAxiomError("unit", (_first_bad(mul[:, unit] == idx)[0], unit))
 
+    add.flags.writeable = mul.flags.writeable = False
     return FiniteRing(name, add, mul, unit)
 
 

@@ -34,6 +34,7 @@ from ringcat.crossed import (
 from ringcat.bimult import (
     _additive,
     _additive_in_source,
+    _equivariant,
     _left_multiplicative,
     _left_product,
     _mixed_product,
@@ -238,13 +239,14 @@ def whole_chunks(law, todo, shape):
     return None
 
 
-def nothing_proved(es, *proof):
-    return lambda law: np.zeros(es.d_ring.order, dtype=bool)
+def nothing_holds(es, d_gens):
+    """The registry of `anncat._conditions` with every condition failing."""
+    fail = functools.partial(np.zeros, es.d_ring.order, dtype=bool)
+    return [(name, fail) for proof in anncat._PROOFS.values() for names in proof for name in names]
 
 
 def full_scan(es, stop_at_first=False):
-    with mock.patch.object(anncat, "_proved_chunks", nothing_proved), \
-            mock.patch.object(anncat, "_tensor_cod_proved", lambda es, distributive: False), \
+    with mock.patch.object(anncat, "_conditions", nothing_holds), \
             mock.patch.object(anncat, "_assoc_failure", whole_grid_assoc), \
             mock.patch.object(anncat, "_scan", whole_chunks):
         return anncat_axiom_check(es, stop_at_first=stop_at_first)
@@ -308,13 +310,27 @@ def test_add_interchange_matches_its_grid(es):
     assert (row.ok, row.witness, row.checked) == (ok.all(), first_false(ok), ok.size)
 
 
+def conditions(es):
+    return anncat._conditions(es, _sum_generators(es.d_ring.add))
+
+
+def prover(es):
+    return anncat._prover(es, _sum_generators(es.d_ring.add))
+
+
 def distributive_rows(es):
-    return anncat._distributive_rows(es.d_ring, _sum_generators(es.d_ring.add))
+    """Masks over x: y -> xy, then y -> yx, is additive, with y on D's sum
+    generators; the form D's distributivity had before it was two
+    conditions of `anncat._conditions`, kept as their reference."""
+    d, gens = es.d_ring, _sum_generators(es.d_ring.add)
+    da = d.add
+    return tuple((t[:, da[gens]] == da[t[:, gens, None], t[:, None, :]]).reshape(len(t), -1).all(axis=1)
+                 for t in (d.mul, d.mul.T))
 
 
 def proved_chunks(es):
-    """The per-law masks of `anncat._proved_chunks`, one for each chunked law."""
-    proved = anncat._proved_chunks(es, lambda: distributive_rows(es), _sum_generators(es.d_ring.add))
+    """The per-law masks of `anncat._prover`, one for each chunked law."""
+    proved = prover(es)
     return {law: proved(law) for law in CHUNKED}
 
 
@@ -344,6 +360,24 @@ def test_permutability_leaves_klein_multiplier_unproved_from_16():
             assert proved[law].all(), law
 
 
+@pytest.mark.parametrize("source, table, cell, value, stop_at_first", [
+    # D is not right distributive at 0, so tensor-associative is unproved
+    # everywhere; without that condition only chunks 2, 6, 10 and 14 would
+    # be scanned, past the first failure, in chunk 1.
+    ("mult_z4_zero", "d_ring.mul", (2, 0), 4, True),
+    # lam_d(b)+x = lam_d(b) + lam_x fails at x = 1 and 3, lam_3 alone is
+    # not additive: tensor-interchange first fails in chunk 1.
+    ("double_2z8", "theta_left", (3, 1), 1, True),
+    # Of tensor-interchange's conditions only the right half of Peiffer
+    # fails, and the law fails; earlier laws fail too.
+    ("id_z2", "theta_right", (1, 1), 0, False),
+], ids=["d-distributive-right", "action-left-additive-at-d", "inner-action-right"])
+def test_reports_match_the_full_scan_where_one_condition_decides(source, table, cell, value, stop_at_first):
+    es = with_entry({es.name: es for es in small_sources()}[source], table, cell, value)
+    report = anncat_axiom_check(es, stop_at_first=stop_at_first)
+    assert report.results == full_scan(es, stop_at_first).results
+
+
 def test_theta_left_mutation_leaves_one_interchange_chunk_unproved():
     # d is zero on the multiplier system of zero_mult(6), so chunk x1 needs
     # theta_left additive in x only at the pair (0, x1).  A changed entry
@@ -360,10 +394,11 @@ def test_theta_left_mutation_leaves_one_interchange_chunk_unproved():
 
 
 def eager_proved_chunks(es):
-    """The chunk masks with every identity of every chunked law evaluated
-    up front, one expression per law: the form `anncat._proved_chunks`
-    had before it proved each law only when the check reaches it, kept as
-    a reference for its per-law masks."""
+    """The masks of tensor-cod and the chunked laws with every identity
+    evaluated up front, one expression per law: the form the proofs had
+    before each law was proved only when the check reaches it, and
+    before the proofs shared one table of named conditions, kept as a
+    reference for the masks of `anncat._prover`."""
     tl, tr, dm = es.theta_left, es.theta_right, es.d.map
     ba, bm, da, dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
     ad = np.arange(es.d_ring.order)
@@ -389,7 +424,10 @@ def eager_proved_chunks(es):
     lam_add_dx = per_x(tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]])
     gens = _sum_generators(da)
     d_assoc = d_left & per_x(dmul[dmul[:, gens, None], ad] == dmul[:, dmul[gens]])
+    d_ok = ((dm[ba] == da[dm[:, None], dm]).all() and (dm[bm] == dmul[dm[:, None], dm]).all()
+            and _equivariant(dmul, tl, dm).all() and _equivariant(dmul.T, tr, dm).all())
     return {
+        "tensor-cod": np.full(len(ad), d_ok and d_left.all() and d_right.all()),
         "tensor-interchange": (b_left and b_right and rho_add_x and rho_add_b.all() and peiffer)
         & lam_add_b & lam_add_dx,
         "tensor-associative": (
@@ -402,9 +440,10 @@ def eager_proved_chunks(es):
 
 
 def assert_masks_match_the_eager_proof(es):
-    eager, lazy = eager_proved_chunks(es), proved_chunks(es)
-    for law in CHUNKED:
-        assert lazy[law].dtype == bool and lazy[law].tolist() == eager[law].tolist(), law
+    eager, proved = eager_proved_chunks(es), prover(es)
+    for law in ["tensor-cod", *CHUNKED]:
+        mask = proved(law)
+        assert mask.dtype == bool and mask.tolist() == eager[law].tolist(), law
 
 
 @settings(max_examples=300, deadline=None)
@@ -433,36 +472,48 @@ def test_per_law_masks_match_the_eager_proof():
         assert_masks_match_the_eager_proof(es)
 
 
-IDENTITY_GRIDS = ("_additive", "_additive_in_source", "_left_multiplicative", "_right_multiplicative",
-                  "_left_product", "_right_product", "_mixed_product", "_permutable", "_through")
+def test_every_condition_in_the_table_is_registered_and_used():
+    registered = [name for name, *_ in conditions(multiplier_esystem(zero_mult(4)))]
+    named = {name for proof in anncat._PROOFS.values() for names in proof for name in names}
+    assert len(set(registered)) == len(registered) == 23
+    assert named == set(registered)
 
 
-def count_identity_grids(monkeypatch):
-    """Counts of the `bimult` law grids `_proved_chunks` builds, keyed by
-    law and argument tables."""
-    calls = collections.Counter()
-    for name in IDENTITY_GRIDS:
-        def counted(*args, fn=getattr(anncat, name), name=name):
-            calls[(name, *map(id, args))] += 1
-            return fn(*args)
-        monkeypatch.setattr(anncat, name, counted)
+def count_conditions(monkeypatch):
+    """Counts of the conditions of `anncat._conditions` a check evaluates,
+    keyed by name."""
+    calls, registry = collections.Counter(), anncat._conditions
+
+    def counted(es, d_gens):
+        def count(name, grid):
+            def run(*tables):
+                calls[name] += 1
+                return grid(*tables)
+            return run
+        return [(name, count(name, grid), *tables) for name, grid, *tables in registry(es, d_gens)]
+    monkeypatch.setattr(anncat, "_conditions", counted)
     return calls
 
 
 def test_each_identity_is_built_once_and_only_when_its_law_is_reached(monkeypatch):
-    # A regular system needs all 15 grids, which the four laws share.
-    calls = count_identity_grids(monkeypatch)
+    # A regular system needs all 23 conditions, which the six proved laws share.
+    calls = count_conditions(monkeypatch)
     assert anncat_axiom_check(multiplier_esystem(zero_mult(6))).ok
-    assert len(calls) == 15 and set(calls.values()) == {1}
-    # Stopped at tensor-interchange, the check builds its 7 grids alone:
-    # B's distributivity, rho additive in x and in b, the two halves of
-    # Peiffer and lam_x1 additive in b.
+    assert len(calls) == 23 and set(calls.values()) == {1}
+    # Stopped at tensor-interchange, the check evaluates tensor-cod's six
+    # conditions and tensor-interchange's eight alone.
     calls.clear()
     es = with_entry(multiplier_esystem(zero_mult(6)), "theta_left", (5, 1), 3)
     report = anncat_axiom_check(es, stop_at_first=True)
     assert report.failures()[0].law == "tensor-interchange" and not report.complete
-    assert len(calls) == 7 and set(calls.values()) == {1}
-    assert {key[0] for key in calls} == {"_additive", "_additive_in_source", "_through"}
+    assert set(calls.values()) == {1}
+    assert sorted(calls) == sorted([
+        "d-additive", "d-multiplicative", "equivariance-left", "equivariance-right",
+        "d-distributive-left", "d-distributive-right",
+        "b-distributive-left", "b-distributive-right", "action-right-additive-in-source",
+        "action-right-additive", "inner-action-left", "inner-action-right",
+        "action-left-additive", "action-left-additive-at-d",
+    ])
 
 
 @pytest.mark.parametrize("budget", [1, 64])
@@ -546,7 +597,7 @@ def test_tensor_cod_is_scanned_when_addition_is_not_commutative():
     # but the proof rests on add-commutative, which fails, and so does
     # tensor-cod.
     es = with_entry({es.name: es for es in corpus()}["double_2z8"], "d_ring.add", (2, 1), 0)
-    assert anncat._tensor_cod_proved(es, lambda: distributive_rows(es))
+    assert prover(es)("tensor-cod").all()
     ok = tensor_cod_grid(es)
     assert not ok.all()
     assert tensor_cod_row(es) == (False, first_false(ok), ok.size)
@@ -555,20 +606,22 @@ def test_tensor_cod_is_scanned_when_addition_is_not_commutative():
 def test_identities_prove_tensor_cod_on_regular_systems():
     for es in small_sources():
         if is_regular(es):
-            assert anncat._tensor_cod_proved(es, lambda es=es: distributive_rows(es))
+            assert prover(es)("tensor-cod").all()
 
 
 def test_distributivity_masks_are_built_once_and_only_when_needed(monkeypatch):
-    calls, rows_of = [], anncat._distributive_rows
-    monkeypatch.setattr(anncat, "_distributive_rows", lambda d, gens: calls.append(d) or rows_of(d, gens))
+    # tensor-cod and three chunked laws share D's two distributivity masks.
+    calls = count_conditions(monkeypatch)
     assert anncat_axiom_check(doubled_into_z4()).ok
-    assert len(calls) == 1
+    assert calls["d-distributive-left"] == calls["d-distributive-right"] == 1
     # d(1) = 1 is not multiplicative on the zero ring, so the proof stops
     # before D's masks, and tensor-cod fails first.
     es = with_entry(multiplier_esystem(zero_mult(2)), "d.map", (1,), 1)
     calls.clear()
     report = anncat_axiom_check(es, stop_at_first=True)
-    assert [r.law for r in report.failures()] == ["tensor-cod"] and not calls
+    assert [r.law for r in report.failures()] == ["tensor-cod"]
+    assert calls["d-multiplicative"] == 1
+    assert "d-distributive-left" not in calls and "d-distributive-right" not in calls
 
 
 def without_4_axis_tensors(monkeypatch):

@@ -30,6 +30,8 @@ VALIDATION_TESTS = [
     "tests/test_anncat.py::test_per_law_masks_match_the_eager_proof",
     "tests/test_anncat.py::test_per_law_masks_match_the_eager_proof_on_mutations",
     "tests/test_anncat.py::test_each_identity_is_built_once_and_only_when_its_law_is_reached",
+    "tests/test_anncat.py::test_every_condition_in_the_table_is_registered_and_used",
+    "tests/test_anncat.py::test_reports_match_the_full_scan_where_one_condition_decides",
     "tests/test_anncat.py::test_slab_scan_matches_full_scan",
     "tests/test_anncat.py::test_klein_multiplier_stops_at_the_fifth_slab_of_chunk_16",
     "tests/test_ablin.py::test_linear_map_rejects_ill_defined",
@@ -46,6 +48,7 @@ VALIDATION_TESTS = [
     "tests/test_rings.py::test_ideal_cokernel_witness_names_the_side",
     "tests/test_rings.py::test_decompose_abelian_rejects_a_table_that_is_no_group",
     "tests/test_rings.py::test_broken_checks_raise_without_assert",
+    "tests/test_rings.py::test_validated_tables_are_private_and_read_only",
     "tests/test_corpus.py::test_unital_homs_rejects_a_non_unital_ring",
     "tests/test_transport.py::test_validate_section_rejects_broken_tables",
     "tests/test_transport.py::test_validate_section_rejects_a_non_unital_quotient",

@@ -104,6 +104,18 @@ def test_validate_catches_broken_unit_and_range():
     assert err.value.condition == "table-range"
 
 
+def test_validated_tables_are_private_and_read_only():
+    # Memos keyed on a ring by identity rely on its tables never changing.
+    i = np.arange(4, dtype=np.int16)
+    add, mul = (i[:, None] + i) % 4, (i[:, None] * i) % 4
+    r = validate_ring(add, mul, 1)
+    add[1, 1], mul[1, 1] = 3, 3
+    assert r.add[1, 1] == 2 and r.mul[1, 1] == 1
+    for t in (r.add, r.mul):
+        with pytest.raises(ValueError, match="read-only"):
+            t[1, 1] = 0
+
+
 def test_validate_mutation_sweep_z6():
     # Any single-entry corruption of the Z/6 tables must trip some axiom.
     z = zmod(6)
