@@ -12,8 +12,12 @@ add-associative and compose-associative) is proved by Light's test on
 additive generators and scanned only when that test fails, as in
 `rings.validate_ring`.  Every other law the checker can prove is listed
 in `_PROOFS` with the named conditions of lower arity that prove it
-(`_conditions`, the action-system laws among them), each evaluated at
-most once per check and only when a law reached names it.  Add-interchange
+(`_CONDITIONS`, the action-system laws among them), each evaluated at
+most once per check and only when a law reached names it.  A condition
+quantified over two elements of D is evaluated with one of them on D's
+additive generators, and D's left distributivity and associativity are
+first tested with both there; the `_PROOFS` docstring derives each
+reduction and names the conditions it rests on.  Add-interchange
 and tensor-cod are scanned, as one grid each, only when their proof
 fails.  Laws quantified over three or more morphisms (tensor-interchange,
 tensor-associative and the two distributive laws) are split into chunks
@@ -34,8 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ablin import CELL_LIMIT, _guard
-from .bimult import _additive, _additive_in_source, _left_multiplicative, _permutable
-from .crossed import ESystem, ESystemMorphism, _esystem_laws, validate_esystem, validate_morphism
+from .bimult import (
+    _additive,
+    _additive_in_source,
+    _equivariant,
+    _left_multiplicative,
+    _left_product,
+    _mixed_product,
+    _permutable,
+    _right_product,
+    _through,
+)
+from .crossed import ESystem, ESystemMorphism, validate_esystem, validate_morphism
 from .rings import BLOCK_CELLS, _assoc_failure, _first_bad, _sum_generators, validate_ring
 
 
@@ -158,13 +172,14 @@ _PROOFS = {
     ),
     "tensor-associative": (
         ("b-distributive-left", "b-distributive-right", "b-associative", "action-right-additive",
+         "action-left-additive-in-source", "action-right-additive-in-source",
          "action-right-multiplicative", "action-right-product", "action-mixed-product",
          "d-distributive-right"),
         ("action-left-additive", "action-left-multiplicative", "action-left-product",
          "permutability", "d-distributive-left", "d-associative"),
     ),
     "tensor-distributive-left": (
-        ("b-distributive-left", "action-right-additive-in-source"),
+        ("b-distributive-left", "action-right-additive-in-source", "d-distributive-right"),
         ("action-left-additive", "d-distributive-left"),
     ),
     "tensor-distributive-right": (
@@ -173,7 +188,7 @@ _PROOFS = {
     ),
 }
 """For each law the checker proves instead of scanning, the conditions of
-`_conditions` that prove it, in the order they are evaluated: first those
+`_CONDITIONS` that prove it, in the order they are evaluated: first those
 the whole law needs, then those chunk x1 of a law scanned in chunks over
 the first object x1 needs for itself.
 
@@ -219,95 +234,166 @@ lam_x1(b2)b3 = lam_x1(b2b3), rho_x3(b1b2) = b1 rho_x3(b2),
 rho_x3(rho_x2(b1)) = rho_x2x3(b1), rho_x3(lam_x1(b2)) = lam_x1(rho_x3(b2)),
 lam_x1x2(b3) = lam_x1(lam_x2(b3)); objects (x1x2)x3 = x1(x2x3).
   whole law: B distributive and associative; rho_x additive in b;
-    rho_xy = rho_y rho_x; rho_x(bc) = b rho_x(c); rho_x(b)c = b lam_x(c).
+    rho_xy = rho_y rho_x; rho_x(bc) = b rho_x(c); rho_x(b)c = b lam_x(c);
+    and, for the identities on D's generators below, lam and rho
+    additive in x.
   per x1: lam_x1 additive in b; lam_x1y = lam_x1 lam_y;
     lam_x1(b)c = lam_x1(bc); rho_y lam_x1 = lam_x1 rho_y
-    (permutability); (x1y)z = x1(yz).
+    (permutability); x1(y + z) = x1y + x1z; (x1y)z = x1(yz).
 tensor-distributive-left, f1 (x) (f2 + f3) = f1 (x) f2 + f1 (x) f3;
 terms b1b2, b1b3, rho_x2(b1), rho_x3(b1), lam_x1(b2), lam_x1(b3).
-  whole law: B left distributive; rho additive in x.
+  whole law: B left distributive; rho additive in x; and, for D's
+    identities below, D right distributive.
   per x1: lam_x1 additive in b; x1(y + z) = x1y + x1z.
 tensor-distributive-right, (f2 + f3) (x) f1 = f2 (x) f1 + f3 (x) f1;
 terms b2b1, b3b1, rho_x1(b2), rho_x1(b3), lam_x2(b1), lam_x3(b1).
   whole law: B right distributive; lam additive in x.
   per x1: rho_x1 additive in b; (y + z)x1 = yx1 + zx1.
 
-D's identities are evaluated with y restricted to a set S of which
-every element of D is a nonempty sum (`_sum_generators`).  A map f
-with f(s + z) = f(s) + f(z) for all s in S and z in D is additive, by
-induction on the length of its argument as a sum; that checks
-x1(y + z) = x1y + x1z and (y + z)x1 = yx1 + zx1.  If moreover D is
-right distributive and x1(y + z) = x1y + x1z, then y -> (x1y)z and
-y -> x1(yz) are additive, so (x1y)z = x1(yz) holds once it holds for
-y in S; tensor-associative takes those two as further conditions of the
-whole law and of chunk x1.
+Identities on D's generators.  Each condition quantified over two
+elements of D is evaluated with one of them, y below, on a set S of
+which every element of D is a nonempty sum (`_sum_generators`).  A set
+of elements of D that holds S and is closed under + is all of D, so
+each such condition is exact wherever the conditions named beside it
+hold, and every law above that names it names those too.  Sums of maps
+are pointwise.
+- lam additive in x, lam_x+s = lam_x + lam_s for s in S: the y with
+  lam_x+y = lam_x + lam_y for every x are closed under +, as
+  lam_x+(y+y') = lam_(x+y)+y' = (lam_x + lam_y) + lam_y'
+  = lam_x + (lam_y + lam_y') = lam_x + lam_y+y'.  Likewise rho.  Exact.
+- rho_sy = rho_y rho_s for s in S, with D right distributive, rho
+  additive in x and every rho_y additive in b: the y' with
+  rho_y'y = rho_y rho_y' for every y are closed under +, as
+  rho_(y'+y'')y = rho_y'y+y''y = rho_y'y + rho_y''y
+  = rho_y rho_y' + rho_y rho_y'' = rho_y (rho_y' + rho_y'').
+- Chunk x1: lam_x1s = lam_x1 lam_s for s in S, with x1(y + y')
+  = x1y + x1y', lam additive in x and lam_x1 in b: likewise
+  lam_x1(y+y') = lam_x1y + lam_x1y' = lam_x1 lam_y + lam_x1 lam_y'
+  = lam_x1 (lam_y + lam_y').
+- Chunk x1: lam_x1 rho_s = rho_s lam_x1 for s in S, with rho additive
+  in x and lam_x1 in b: lam_x1 rho_y+y' = lam_x1 rho_y + lam_x1 rho_y'
+  and rho_y+y' lam_x1 = rho_y lam_x1 + rho_y' lam_x1.
+- D's distributivity at x, x(s + z) = xs + xz and (s + z)x = sx + zx
+  for s in S and every z: the y with x(y + z) = xy + xz for every z are
+  closed under +, as x((y + y') + z) = x(y + (y' + z))
+  = xy + (xy' + xz) = (xy + xy') + xz = x(y + y') + xz.  Exact.
+- Chunk x1: (x1s)z = x1(sz) for s in S and every z, with D right
+  distributive and x1(y + z) = x1y + x1z: y -> (x1y)z and y -> x1(yz)
+  are then additive, so the y where they agree are closed under +.
+- The x with x(s + z) = xs + xz for every s in S and z, and the x
+  with (xs)z = x(sz) for every s in S and z, are each closed under +
+  if D is right distributive:
+  (x + x')(s + z) = x(s + z) + x'(s + z) = (xs + xz) + (x's + x'z)
+  = (xs + x's) + (xz + x'z) = (x + x')s + (x + x')z, and
+  ((x + x')s)z = (xs + x's)z = (xs)z + (x's)z = x(sz) + x'(sz)
+  = (x + x')(sz).  Neither needs D left distributive.  So each of the
+  two identities is first tested with x in S as well, on |S|^2 nd
+  cells.  If that test passes, its mask over x is all True, exact
+  wherever D is right distributive, and every law that names the
+  identity names D's right distributivity too; only when the test
+  fails is the grid over every x built.
 """
 _PER_X1 = {name for _, per_x1 in _PROOFS.values() for name in per_x1}
 
 
-def _conditions(es: ESystem, d_gens: np.ndarray) -> list:
-    """The conditions `_PROOFS` names, as (condition, grid, *tables) entries
-    whose ok-grid is grid(*tables), x on axis 0 where a proof needs one per
-    x1: the action-system laws, then identities of B (acting on itself by
-    mul), of d and of D, the last on D's sum generators d_gens."""
-    tl, tr, dm = es.theta_left, es.theta_right, es.d.map
-    ba, bm, da, dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
-    ad = np.arange(es.d_ring.order)
-
-    def additive_on_gens(t):
-        # ok[x, s, z]: t_x(s + z) == t_x(s) + t_x(z), s a generator
-        return t[:, da[d_gens]] == da[t[:, d_gens, None], t[:, None, :]]
-
-    return [
-        *_esystem_laws(es.b, es.d_ring, dm, tl, tr),
-        ("b-distributive-left", _additive, ba, bm),
-        ("b-distributive-right", _additive_in_source, ba, ba, bm),
-        ("b-associative", _left_multiplicative, bm, bm),
-        ("d-additive", lambda: dm[ba] == da[dm[:, None], dm]),
-        ("d-multiplicative", lambda: dm[bm] == dmul[dm[:, None], dm]),
-        # axes (x, b, c): lam_d(b)+x(c) == lam_d(b)(c) + lam_x(c)
-        ("action-left-additive-at-d",
-         lambda: tl[da[dm[None, :], ad[:, None]]] == ba[tl[dm][None, :, :], tl[:, None, :]]),
-        ("permutability", _permutable, tl, tr),
-        ("d-distributive-left", additive_on_gens, dmul),
-        ("d-distributive-right", additive_on_gens, dmul.T),
-        # axes (x, s, z): (xs)z == x(sz), s a generator
-        ("d-associative", lambda: dmul[dmul[:, d_gens, None], ad] == dmul[:, dmul[d_gens]]),
-    ]
+def _additive_on(add, t, gens):
+    """ok[x, s, z]: t_x(s + z) == t_x(s) + t_x(z), s in gens."""
+    return t[:, add[gens]] == add[t[:, gens, None], t[:, None, :]]
 
 
-def _prover(es: ESystem, d_gens: np.ndarray):
-    """A function law -> boolean mask over x1, True where the conditions
-    `_PROOFS[law]` prove chunk x1 (all True where they prove a law not
-    chunked), given addition in B and D commutative and associative.
+_CONDITIONS = {
+    # The action-system laws of `crossed._esystem_laws`; those quantified
+    # over two elements of D have one of them on D's sum generators: axes
+    # (x, s, a), lam_x+s(a) == lam_x(a) + lam_s(a), lam_xs(a) ==
+    # lam_x(lam_s(a)) and lam_x((a)rho_s) == (lam_x(a))rho_s, and axes
+    # (s, y, a), (a)rho_sy == ((a)rho_s)rho_y.
+    "action-left-additive": lambda p: _additive(p.ba, p.tl),
+    "action-right-additive": lambda p: _additive(p.ba, p.tr),
+    "action-left-product": lambda p: _left_product(p.bm, p.tl),
+    "action-right-product": lambda p: _right_product(p.bm, p.tr),
+    "action-mixed-product": lambda p: _mixed_product(p.bm, p.tl, p.tr),
+    "action-left-additive-in-source":
+        lambda p: p.tl[p.da[:, p.gens]] == p.ba[p.tl[:, None, :], p.tl[p.gens]],
+    "action-right-additive-in-source":
+        lambda p: p.tr[p.da[:, p.gens]] == p.ba[p.tr[:, None, :], p.tr[p.gens]],
+    "action-left-multiplicative":
+        lambda p: p.tl[p.dmul[:, p.gens]] == p.tl[p.ad[:, None, None], p.tl[p.gens]],
+    "action-right-multiplicative":
+        lambda p: p.tr[p.dmul[p.gens]] == p.tr[p.ad[:, None], p.tr[p.gens][:, None, :]],
+    "inner-action-left": lambda p: _through(p.tl, p.dm, p.bm),
+    "inner-action-right": lambda p: _through(p.tr, p.dm, p.bm.T),
+    "equivariance-left": lambda p: _equivariant(p.dmul, p.tl, p.dm),
+    "equivariance-right": lambda p: _equivariant(p.dmul.T, p.tr, p.dm),
+    "permutability": lambda p: _permutable(p.tl, p.tr[p.gens]),
+    # Identities of B (acting on itself by mul), of d and of D, the last on
+    # D's sum generators: axes (x, s, z), x(s + z) == xs + xz, then
+    # (s + z)x == sx + zx and (xs)z == x(sz).
+    "b-distributive-left": lambda p: _additive(p.ba, p.bm),
+    "b-distributive-right": lambda p: _additive_in_source(p.ba, p.ba, p.bm),
+    "b-associative": lambda p: _left_multiplicative(p.bm, p.bm),
+    "d-additive": lambda p: p.dm[p.ba] == p.da[p.dm[:, None], p.dm],
+    "d-multiplicative": lambda p: p.dm[p.bm] == p.dmul[p.dm[:, None], p.dm],
+    # axes (x, b, c): lam_d(b)+x(c) == lam_d(b)(c) + lam_x(c)
+    "action-left-additive-at-d":
+        lambda p: p.tl[p.da[p.dm[None, :], p.ad[:, None]]] == p.ba[p.tl[p.dm][None], p.tl[:, None]],
+    "d-distributive-left": lambda p: p.first_on_generators(
+        lambda xs: _additive_on(p.da, p.dmul[xs], p.gens)),
+    "d-distributive-right": lambda p: _additive_on(p.da, p.dmul.T, p.gens),
+    "d-associative": lambda p: p.first_on_generators(
+        lambda xs: p.dmul[p.dmul[xs][:, p.gens]] == p.dmul[xs][:, p.dmul[p.gens]]),
+}
+"""Every condition `_PROOFS` names, as a function of a `_Prover` p to its
+ok-grid, x on axis 0 where a proof needs one per x1."""
 
-    Each condition is evaluated when a law first names it, at most once
-    for all laws, and kept as whether it holds and, if some law needs it
-    per x1 (`_PER_X1`), its mask over axis 0 of its grid; a law whose
-    whole-law conditions fail evaluates none of its per-x1 ones.
+
+class _Prover:
+    """The conditions of `_PROOFS` on one system, given addition in B and D
+    commutative and associative.
+
+    `_CONDITIONS` reads the tables by the names given here: lam = tl and
+    rho = tr, d = dm, B's addition and product ba and bm, D's da and dmul,
+    D's elements ad and its sum generators gens.  Each condition is evaluated when a law first
+    names it, at most once for all laws, and kept as whether it holds and,
+    if some law needs it per x1 (`_PER_X1`), its mask over axis 0 of its
+    grid; a law whose whole-law conditions fail evaluates none of its per-x1
+    ones.
     """
-    conditions, known = None, {}  # gathered when a proof first names a condition
 
-    def holds(name):
-        nonlocal conditions
-        if name not in known:
-            conditions = conditions or {entry[0]: entry for entry in _conditions(es, d_gens)}
-            _, grid, *tables = conditions[name]
-            ok = grid(*tables)
+    def __init__(self, es: ESystem, gens: np.ndarray):
+        self.tl, self.tr, self.dm = es.theta_left, es.theta_right, es.d.map
+        self.ba, self.bm, self.da, self.dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
+        self.ad, self.gens, self.known = np.arange(es.d_ring.order), gens, {}
+
+    def holds(self, name: str) -> tuple[bool, np.ndarray | None]:
+        if name not in self.known:
+            ok = _CONDITIONS[name](self)
             rows = ok.reshape(len(ok), -1).all(axis=1) if name in _PER_X1 else None
-            known[name] = bool((ok if rows is None else rows).all()), rows
-        return known[name]
+            self.known[name] = bool((ok if rows is None else rows).all()), rows
+        return self.known[name]
 
-    def proved(law: str) -> np.ndarray:
-        needed_by_all, needed_per_x1 = _PROOFS[law]
-        if not all(holds(name)[0] for name in needed_by_all):
-            return np.zeros(es.d_ring.order, dtype=bool)
-        mask = np.ones(es.d_ring.order, dtype=bool)
-        for name in needed_per_x1:
-            mask &= holds(name)[1]
+    def proves(self, law: str) -> bool:
+        """Whether the whole-law conditions of `_PROOFS[law]` hold; for a
+        law not chunked, whether they prove it."""
+        return all(self.holds(name)[0] for name in _PROOFS[law][0])
+
+    def chunks(self, law: str) -> np.ndarray:
+        """Boolean mask over x1, True where the conditions `_PROOFS[law]`
+        prove chunk x1 (all True where they prove a law not chunked)."""
+        if not self.proves(law):
+            return np.zeros(len(self.ad), dtype=bool)
+        mask = np.ones(len(self.ad), dtype=bool)
+        for name in _PROOFS[law][1]:
+            mask &= self.holds(name)[1]
         return mask
 
-    return proved
+    def first_on_generators(self, grid) -> np.ndarray:
+        """The ok-grid of an identity of D at x, s in gens and z, given its
+        grid over x in xs as grid(xs): an all-True mask over x if the
+        identity holds for x in gens, exact where D is right distributive
+        (see `_PROOFS`), else the grid over every x."""
+        if grid(self.gens).all():
+            return np.ones(len(self.ad), dtype=bool)
+        return grid(slice(None))
 
 
 def _scan(law, todo: np.ndarray, shape: tuple[int, ...]) -> tuple | None:
@@ -347,7 +433,7 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
     grid of more than `CELL_LIMIT` cells; proved laws and chunks build none.
     A chunked law with chunks left to scan is charged one whole b1 row,
     though `_scan` builds at most one slab of it at a time.  B's and D's
-    sum generators are found once for every law that uses them; `_prover`
+    sum generators are found once for every law that uses them; `_Prover`
     evaluates each condition of `_PROOFS` only when a law reached names it.
     """
     b, d = es.b, es.d_ring
@@ -409,15 +495,15 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
 
     run("compose-associative", compose_assoc)
 
-    prover = _prover(es, d_gens)
+    prover = _Prover(es, d_gens)
 
-    def proved(law):
+    def provable():
         # Every proof needs add-commutative and add-associative, the first two results.
-        return prover(law) if results[0].ok and results[1].ok else np.zeros(nd, dtype=bool)
+        return results[0].ok and results[1].ok
 
     def whole(law, grid, cells):
         # A law proved whole is counted; otherwise grid() is its ok-grid.
-        if not proved(law).all():
+        if not (provable() and prover.proves(law)):
             _guard(cells, f"{law} grid cells", CELL_LIMIT)
             ok = grid()
             if not ok.all():
@@ -467,7 +553,7 @@ def anncat_axiom_check(es: ESystem, stop_at_first: bool = False) -> CheckReport:
         # grid(x1, *axes) -> ok-grid of chunk x1, see `_scan`.  Proved
         # chunks are counted, not scanned.
         cells = math.prod(shape)
-        todo = ~proved(law)
+        todo = ~prover.chunks(law) if provable() else np.ones(nd, dtype=bool)
         witness = None
         if todo.any():  # the guard charges a whole b1 row, `_scan` builds at most one
             _guard(cells // nb, f"{law} row cells", CELL_LIMIT)

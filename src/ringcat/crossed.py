@@ -64,9 +64,9 @@ class ESystemError(WitnessError):
 
 @dataclass(eq=False)
 class ESystem:
-    """An action system.  Its tables are not changed after validation, so
-    the cokernel of d and the kernel module are built on first read and
-    kept."""
+    """An action system.  `validate_esystem` keeps read-only copies of the
+    action tables and of d's map, so the cokernel of d and the kernel
+    module are built on first read and kept."""
 
     name: str
     b: FiniteRing
@@ -110,13 +110,14 @@ class ESystem:
 
 
 def _action_tables(left, right, nx: int, n: int):
-    """The two stacked action tables as int16 arrays, checked to be
-    nx x n with entries below n."""
+    """The two stacked action tables as read-only int16 copies, checked to
+    be nx x n with entries below n."""
     out = []
     for t, nm in ((left, "left"), (right, "right")):
-        t = np.asarray(t, dtype=np.int16)
+        t = np.array(t, dtype=np.int16)
         if t.shape != (nx, n) or (t.size and (t.min() < 0 or t.max() >= n)):
             raise ESystemError(f"action-{nm}-shape", (nx, n))
+        t.flags.writeable = False
         out.append(t)
     return out
 
@@ -141,7 +142,8 @@ def _raise_first_failure(checks):
 
 def _esystem_laws(b, d_ring, d_map, tl, tr):
     """The action-system conditions on stacked action tables, in check
-    order.  `anncat` proves 2-ring laws from them by name."""
+    order.  `anncat._CONDITIONS` states them under the same names, some
+    on the target's additive generators only."""
     return [
         # Each theta(x) is a bimultiplication of B.
         ("action-left-additive", _additive, b.add, tl),

@@ -428,15 +428,17 @@ def crossed_ring(fs: FactorSystem, name: str | None = None) -> FiniteRing:
       raises AssertionError.
 
     Each entry is u*|b| + a with u in q and a in b, so the tables are in
-    range by construction.  The tables are new arrays; the grids they are
-    gathered from stay in `_carrier_grid`'s memo (at most 32 (b, q) pairs,
-    8N^2 + 16N bytes each on a carrier of N elements).
+    range by construction.  The tables are new arrays, made read-only as
+    `validate_ring` makes its copies; the grids they are gathered from stay
+    in `_carrier_grid`'s memo (at most 32 (b, q) pairs, 8N^2 + 16N bytes
+    each on a carrier of N elements).
     """
     add, mul = crossed_tables(fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g)
     unit = _flat(int(fs.b.neg[fs.g[fs.q.unit, fs.q.unit]]), int(fs.q.unit), fs.b.order)
     carrier = np.arange(len(mul))
     if not ((mul[unit] == carrier).all() and (mul[:, unit] == carrier).all()):
         raise AssertionError(f"(-g(1, 1), 1) = {unit} is not the unit of the crossed product")
+    add.flags.writeable = mul.flags.writeable = False
     return FiniteRing(name or f"{fs.b.name}_x_{fs.q.name}", add, mul, unit)
 
 

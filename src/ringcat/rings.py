@@ -328,14 +328,15 @@ class HomError(ValueError):
 
 @dataclass(eq=False)
 class RingHom:
-    """Map between rings given elementwise; validated on construction."""
+    """Map between rings given elementwise; validated on construction,
+    which keeps a read-only copy of the map."""
 
     source: FiniteRing
     target: FiniteRing
     map: np.ndarray
 
     def __post_init__(self):
-        self.map = np.asarray(self.map, dtype=np.int16)
+        self.map = np.array(self.map, dtype=np.int16)
         if self.map.shape != (self.source.order,):
             raise HomError(
                 f"map must list {self.source.order} images, got {self.map.shape}"
@@ -349,6 +350,7 @@ class RingHom:
         ok = f[s.mul] == t.mul[f[:, None], f[None, :]]
         if not ok.all():
             raise HomError(f"not multiplicative at {_first_bad(ok)}")
+        f.flags.writeable = False
 
     @property
     def unital(self) -> bool:

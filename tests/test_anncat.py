@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringcat import anncat
@@ -239,14 +239,13 @@ def whole_chunks(law, todo, shape):
     return None
 
 
-def nothing_holds(es, d_gens):
-    """The registry of `anncat._conditions` with every condition failing."""
-    fail = functools.partial(np.zeros, es.d_ring.order, dtype=bool)
-    return [(name, fail) for proof in anncat._PROOFS.values() for names in proof for name in names]
+def nothing_holds():
+    """The registry `anncat._CONDITIONS` with every condition failing."""
+    return {name: lambda p: np.zeros(len(p.ad), dtype=bool) for name in anncat._CONDITIONS}
 
 
 def full_scan(es, stop_at_first=False):
-    with mock.patch.object(anncat, "_conditions", nothing_holds), \
+    with mock.patch.object(anncat, "_CONDITIONS", nothing_holds()), \
             mock.patch.object(anncat, "_assoc_failure", whole_grid_assoc), \
             mock.patch.object(anncat, "_scan", whole_chunks):
         return anncat_axiom_check(es, stop_at_first=stop_at_first)
@@ -310,18 +309,14 @@ def test_add_interchange_matches_its_grid(es):
     assert (row.ok, row.witness, row.checked) == (ok.all(), first_false(ok), ok.size)
 
 
-def conditions(es):
-    return anncat._conditions(es, _sum_generators(es.d_ring.add))
-
-
 def prover(es):
-    return anncat._prover(es, _sum_generators(es.d_ring.add))
+    return anncat._Prover(es, _sum_generators(es.d_ring.add))
 
 
 def distributive_rows(es):
     """Masks over x: y -> xy, then y -> yx, is additive, with y on D's sum
     generators; the form D's distributivity had before it was two
-    conditions of `anncat._conditions`, kept as their reference."""
+    conditions of `anncat._CONDITIONS`, kept as their reference."""
     d, gens = es.d_ring, _sum_generators(es.d_ring.add)
     da = d.add
     return tuple((t[:, da[gens]] == da[t[:, gens, None], t[:, None, :]]).reshape(len(t), -1).all(axis=1)
@@ -329,9 +324,9 @@ def distributive_rows(es):
 
 
 def proved_chunks(es):
-    """The per-law masks of `anncat._prover`, one for each chunked law."""
-    proved = prover(es)
-    return {law: proved(law) for law in CHUNKED}
+    """The per-law masks of `anncat._Prover`, one for each chunked law."""
+    p = prover(es)
+    return {law: p.chunks(law) for law in CHUNKED}
 
 
 def test_identities_prove_every_chunk_of_regular_systems():
@@ -360,6 +355,13 @@ def test_permutability_leaves_klein_multiplier_unproved_from_16():
             assert proved[law].all(), law
 
 
+# A product on Z/2 x Z/2, elements as bits, x * y = x AND c(y) with
+# c = (0, 1, 2, 2): right distributive and associative on S x S x D for
+# D's sum generators S = {0, 1, 2}, but x(y + z) = xy + xz fails at x = 1
+# and 3, and (1 * 3) * 1 = 0 differs from 1 * (3 * 1) = 1.
+MASKED_KLEIN_PRODUCT = np.arange(4)[:, None] & np.array([0, 1, 2, 2])
+
+
 @pytest.mark.parametrize("source, table, cell, value, stop_at_first", [
     # D is not right distributive at 0, so tensor-associative is unproved
     # everywhere; without that condition only chunks 2, 6, 10 and 14 would
@@ -371,7 +373,24 @@ def test_permutability_leaves_klein_multiplier_unproved_from_16():
     # Of tensor-interchange's conditions only the right half of Peiffer
     # fails, and the law fails; earlier laws fail too.
     ("id_z2", "theta_right", (1, 1), 0, False),
-], ids=["d-distributive-right", "action-left-additive-at-d", "inner-action-right"])
+    # lam_2 becomes the identity, so lam is not additive in x, and
+    # lam_2y = lam_2 lam_y holds for y in S = {0, 1} but not at y = 2:
+    # tensor-associative first fails in chunk 2.  Likewise rho, in chunk 0.
+    ("flat_z2_in_z4", "theta_left", (2, 1), 1, True),
+    ("flat_z2_in_z4", "theta_right", (2, 1), 1, True),
+    # lam_1 is no longer additive in b; tensor-associative fails in chunk 1.
+    ("flat_klein0", "theta_left", (1, 1), 0, False),
+    # D is not right distributive at 0, and x = 2 is not left distributive
+    # while 0 and 1 are: only the first keeps D's left distributivity,
+    # tested on S x S x D, from proving tensor-distributive-left, which
+    # therefore names D's right distributivity.
+    ("id_z3", "d_ring.mul", (2, 0), 1, False),
+    # Tensor-associative fails in chunk 1, where among its conditions only
+    # D's left distributivity at 1 fails.
+    ("ideal_in_klein", "d_ring.mul", ..., MASKED_KLEIN_PRODUCT, False),
+], ids=["d-distributive-right", "action-left-additive-at-d", "inner-action-right",
+        "action-left-additive-in-source", "action-right-additive-in-source", "action-left-additive",
+        "d-distributive-right-before-the-generator-test", "d-distributive-left"])
 def test_reports_match_the_full_scan_where_one_condition_decides(source, table, cell, value, stop_at_first):
     es = with_entry({es.name: es for es in small_sources()}[source], table, cell, value)
     report = anncat_axiom_check(es, stop_at_first=stop_at_first)
@@ -398,7 +417,11 @@ def eager_proved_chunks(es):
     evaluated up front, one expression per law: the form the proofs had
     before each law was proved only when the check reaches it, and
     before the proofs shared one table of named conditions, kept as a
-    reference for the masks of `anncat._prover`."""
+    reference for the masks of `anncat._Prover`.  Its identities are
+    evaluated on every element, except D's, as `distributive_rows`
+    does.  For the identities `anncat._CONDITIONS` evaluates on D's
+    generators, tensor-associative also needs lam and rho additive in x,
+    and tensor-distributive-left needs D right distributive."""
     tl, tr, dm = es.theta_left, es.theta_right, es.d.map
     ba, bm, da, dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
     ad = np.arange(es.d_ring.order)
@@ -432,23 +455,34 @@ def eager_proved_chunks(es):
         & lam_add_b & lam_add_dx,
         "tensor-associative": (
             b_left and b_right and b_assoc and rho_add_b.all() and rho_mul and rho_inner and mixed
-            and d_right.all()
+            and d_right.all() and lam_add_x and rho_add_x
         ) & lam_add_b & lam_mul & lam_inner & permutable & d_assoc,
-        "tensor-distributive-left": (b_left and rho_add_x) & lam_add_b & d_left,
+        "tensor-distributive-left": (b_left and rho_add_x and d_right.all()) & lam_add_b & d_left,
         "tensor-distributive-right": (b_right and lam_add_x) & rho_add_b & d_right,
     }
 
 
 def assert_masks_match_the_eager_proof(es):
-    eager, proved = eager_proved_chunks(es), prover(es)
+    eager, p = eager_proved_chunks(es), prover(es)
     for law in ["tensor-cod", *CHUNKED]:
-        mask = proved(law)
+        mask = p.chunks(law)
         assert mask.dtype == bool and mask.tolist() == eager[law].tolist(), law
+
+
+def additions_commute_and_associate(es):
+    """The premise every proof of `anncat._PROOFS` takes from the laws
+    add-commutative and add-associative; the checker reads no mask
+    without it."""
+    return all((t == t.T).all() and whole_grid_assoc(t, None) is None
+               for t in (es.b.add, es.d_ring.add))
 
 
 @settings(max_examples=300, deadline=None)
 @given(es=mutated_systems())
 def test_per_law_masks_match_the_eager_proof_on_mutations(es):
+    # Without the premise, a condition evaluated on D's generators need not
+    # match its full grid.
+    assume(additions_commute_and_associate(es))
     assert_masks_match_the_eager_proof(es)
 
 
@@ -472,42 +506,151 @@ def test_per_law_masks_match_the_eager_proof():
         assert_masks_match_the_eager_proof(es)
 
 
+# The conditions `anncat._CONDITIONS` evaluates with one element of D on
+# D's sum generators, with the conditions, whole-law and per x1, under
+# which the derivations in the `anncat._PROOFS` docstring make each exact.
+GENERATOR_FORMS = {
+    "action-left-additive-in-source": ((), ()),
+    "action-right-additive-in-source": ((), ()),
+    "action-right-multiplicative": (
+        ("d-distributive-right", "action-right-additive-in-source", "action-right-additive"), ()),
+    "action-left-multiplicative": (
+        ("action-left-additive-in-source",), ("d-distributive-left", "action-left-additive")),
+    "permutability": (("action-right-additive-in-source",), ("action-left-additive",)),
+    "d-distributive-left": (("d-distributive-right",), ()),
+    "d-distributive-right": ((), ()),
+    "d-associative": (("d-distributive-right",), ("d-distributive-left",)),
+}
+
+
+def full_rows(es):
+    """Masks over x of the conditions `GENERATOR_FORMS` names, each from
+    its grid over every element: the action laws as the `bimult` grids,
+    D's identities one x at a time."""
+    tl, tr, ba, da, dmul = es.theta_left, es.theta_right, es.b.add, es.d_ring.add, es.d_ring.mul
+    grids = {
+        "action-left-additive": _additive(ba, tl),
+        "action-right-additive": _additive(ba, tr),
+        "action-left-additive-in-source": _additive_in_source(ba, da, tl),
+        "action-right-additive-in-source": _additive_in_source(ba, da, tr),
+        "action-left-multiplicative": _left_multiplicative(dmul, tl),
+        "action-right-multiplicative": _right_multiplicative(dmul, tr),
+        "permutability": _permutable(tl, tr),
+    }
+    rows = {name: ok.reshape(len(ok), -1).all(axis=1) for name, ok in grids.items()}
+    for name, row_ok in (
+        ("d-distributive-left", lambda x: dmul[x, da] == da[dmul[x, :, None], dmul[x]]),
+        ("d-distributive-right", lambda x: dmul[da, x] == da[dmul[:, x, None], dmul[:, x]]),
+        ("d-associative", lambda x: dmul[dmul[x]] == dmul[x][dmul]),
+    ):
+        rows[name] = np.array([row_ok(x).all() for x in range(len(dmul))])
+    return rows
+
+
+def assert_generator_forms_match_the_full_grids(es):
+    full, p = full_rows(es), prover(es)
+    for name, (needed_by_all, needed_per_x1) in GENERATOR_FORMS.items():
+        verdict, rows = p.holds(name)
+        if not all(full[needed].all() for needed in needed_by_all):
+            continue
+        where = np.ones(es.d_ring.order, dtype=bool)
+        for needed in needed_per_x1:
+            where &= full[needed]
+        if rows is None:
+            assert where.all() and verdict == full[name].all(), name
+        else:
+            assert rows[where].tolist() == full[name][where].tolist(), name
+
+
+def test_generator_forms_match_the_full_grids():
+    # Every small source, the multiplier systems of zero_mult(4/6/8) and
+    # mult_klein0, whose permutability mask is first False at x = 16, and
+    # the near-ring targets, whose D breaks one distributivity.
+    multipliers = [multiplier_esystem(r) for r in (zero_mult(4), zero_mult(6), zero_mult(8), zero_mult_klein())]
+    named = {es.name: es for es in corpus()}
+    near_rings = [*(one_sided_distributive(side) for side in ("left", "right")),
+                  with_entry(named["ideal_in_klein"], "d_ring.mul", ..., MASKED_KLEIN_PRODUCT)]
+    for es in small_sources() + multipliers + near_rings:
+        assert_generator_forms_match_the_full_grids(es)
+
+
+@settings(max_examples=300, deadline=None)
+@given(es=mutated_systems())
+def test_generator_forms_match_the_full_grids_on_mutations(es):
+    assume(additions_commute_and_associate(es))
+    assert_generator_forms_match_the_full_grids(es)
+
+
+def test_every_law_names_what_its_generator_forms_need():
+    # A law that reads a condition evaluated on D's generators also reads
+    # the conditions that make it exact: those the condition needs whole
+    # among the law's whole-law conditions, and those it needs per x1 among
+    # the law's conditions of the same chunk.
+    for law, (needed_by_all, needed_per_x1) in anncat._PROOFS.items():
+        for name in (*needed_by_all, *needed_per_x1):
+            whole, per_x1 = GENERATOR_FORMS.get(name, ((), ()))
+            assert set(whole) <= set(needed_by_all), (law, name)
+            chunk = needed_by_all if name in needed_by_all else (*needed_by_all, *needed_per_x1)
+            assert set(per_x1) <= set(chunk), (law, name)
+
+
+def test_klein_multiplier_builds_no_condition_grid_over_two_whole_copies_of_d(monkeypatch):
+    # With |S| = 9 sum generators of D's 256 elements, every condition grid
+    # has at most nd |S| max(nd, nb) cells.  Of those over two elements of
+    # D, only D's right distributivity is built on S x D x D; the five
+    # action conditions are built on nd |S| nb cells, and D's left
+    # distributivity and associativity, which hold on S x S x D, come as
+    # masks over x without a grid.
+    es = multiplier_esystem(zero_mult_klein())
+    nd, nb, ns = es.d_ring.order, es.b.order, len(_sum_generators(es.d_ring.add))
+    assert (nd, nb, ns) == (256, 4, 9)
+    grids = record_conditions(monkeypatch)
+    anncat_axiom_check(es)
+    assert len(grids) == 23 and {len(sizes) for sizes in grids.values()} == {1}
+    cells = {name: size for name, (size,) in grids.items()}
+    assert max(cells.values()) <= nd * ns * max(nd, nb)
+    assert [name for name, size in cells.items() if size > nd * ns * nb] == ["d-distributive-right"]
+    for name in ("action-left-additive-in-source", "action-right-additive-in-source",
+                 "action-left-multiplicative", "action-right-multiplicative", "permutability"):
+        assert cells[name] == nd * ns * nb, name
+    assert cells["d-distributive-left"] == cells["d-associative"] == nd
+
+
 def test_every_condition_in_the_table_is_registered_and_used():
-    registered = [name for name, *_ in conditions(multiplier_esystem(zero_mult(4)))]
     named = {name for proof in anncat._PROOFS.values() for names in proof for name in names}
-    assert len(set(registered)) == len(registered) == 23
-    assert named == set(registered)
+    assert len(anncat._CONDITIONS) == 23
+    assert named == set(anncat._CONDITIONS)
 
 
-def count_conditions(monkeypatch):
-    """Counts of the conditions of `anncat._conditions` a check evaluates,
-    keyed by name."""
-    calls, registry = collections.Counter(), anncat._conditions
+def record_conditions(monkeypatch):
+    """The cells of each grid a check evaluates through
+    `anncat._CONDITIONS`, listed by condition name."""
+    grids = collections.defaultdict(list)
 
-    def counted(es, d_gens):
-        def count(name, grid):
-            def run(*tables):
-                calls[name] += 1
-                return grid(*tables)
-            return run
-        return [(name, count(name, grid), *tables) for name, grid, *tables in registry(es, d_gens)]
-    monkeypatch.setattr(anncat, "_conditions", counted)
-    return calls
+    def recorded(name, condition):
+        def run(p):
+            ok = condition(p)
+            grids[name].append(ok.size)
+            return ok
+        return run
+    monkeypatch.setattr(anncat, "_CONDITIONS", {
+        name: recorded(name, condition) for name, condition in anncat._CONDITIONS.items()})
+    return grids
 
 
 def test_each_identity_is_built_once_and_only_when_its_law_is_reached(monkeypatch):
     # A regular system needs all 23 conditions, which the six proved laws share.
-    calls = count_conditions(monkeypatch)
+    grids = record_conditions(monkeypatch)
     assert anncat_axiom_check(multiplier_esystem(zero_mult(6))).ok
-    assert len(calls) == 23 and set(calls.values()) == {1}
+    assert len(grids) == 23 and {len(sizes) for sizes in grids.values()} == {1}
     # Stopped at tensor-interchange, the check evaluates tensor-cod's six
     # conditions and tensor-interchange's eight alone.
-    calls.clear()
+    grids.clear()
     es = with_entry(multiplier_esystem(zero_mult(6)), "theta_left", (5, 1), 3)
     report = anncat_axiom_check(es, stop_at_first=True)
     assert report.failures()[0].law == "tensor-interchange" and not report.complete
-    assert set(calls.values()) == {1}
-    assert sorted(calls) == sorted([
+    assert {len(sizes) for sizes in grids.values()} == {1}
+    assert sorted(grids) == sorted([
         "d-additive", "d-multiplicative", "equivariance-left", "equivariance-right",
         "d-distributive-left", "d-distributive-right",
         "b-distributive-left", "b-distributive-right", "action-right-additive-in-source",
@@ -597,7 +740,7 @@ def test_tensor_cod_is_scanned_when_addition_is_not_commutative():
     # but the proof rests on add-commutative, which fails, and so does
     # tensor-cod.
     es = with_entry({es.name: es for es in corpus()}["double_2z8"], "d_ring.add", (2, 1), 0)
-    assert prover(es)("tensor-cod").all()
+    assert prover(es).proves("tensor-cod")
     ok = tensor_cod_grid(es)
     assert not ok.all()
     assert tensor_cod_row(es) == (False, first_false(ok), ok.size)
@@ -606,22 +749,26 @@ def test_tensor_cod_is_scanned_when_addition_is_not_commutative():
 def test_identities_prove_tensor_cod_on_regular_systems():
     for es in small_sources():
         if is_regular(es):
-            assert prover(es)("tensor-cod").all()
+            assert prover(es).proves("tensor-cod")
 
 
 def test_distributivity_masks_are_built_once_and_only_when_needed(monkeypatch):
     # tensor-cod and three chunked laws share D's two distributivity masks.
-    calls = count_conditions(monkeypatch)
+    # D = Z/4 is right distributive, and its identities of the left factor
+    # hold on S x S x D, S = {0, 1}: their masks come without a grid over
+    # every x, as 4 cells each.
+    grids = record_conditions(monkeypatch)
     assert anncat_axiom_check(doubled_into_z4()).ok
-    assert calls["d-distributive-left"] == calls["d-distributive-right"] == 1
+    assert grids["d-distributive-right"] == [4 * 2 * 4]
+    assert grids["d-distributive-left"] == grids["d-associative"] == [4]
     # d(1) = 1 is not multiplicative on the zero ring, so the proof stops
     # before D's masks, and tensor-cod fails first.
     es = with_entry(multiplier_esystem(zero_mult(2)), "d.map", (1,), 1)
-    calls.clear()
+    grids.clear()
     report = anncat_axiom_check(es, stop_at_first=True)
     assert [r.law for r in report.failures()] == ["tensor-cod"]
-    assert calls["d-multiplicative"] == 1
-    assert "d-distributive-left" not in calls and "d-distributive-right" not in calls
+    assert grids["d-multiplicative"] == [2 * 2]
+    assert "d-distributive-left" not in grids and "d-distributive-right" not in grids
 
 
 def without_4_axis_tensors(monkeypatch):

@@ -52,6 +52,25 @@ def scalar_action_d0(n_b, d_ring, reduce_mod):
     return validate_esystem(b, d_ring, np.zeros(n_b, dtype=np.int16), tl, tl)
 
 
+def test_validated_tables_are_private_and_read_only():
+    # The cokernel and kernel module an action system keeps, and memos
+    # keyed on a system by identity, rely on its tables never changing.
+    # The inputs are int16 already, so keeping them would share memory.
+    i = np.arange(4, dtype=np.int16)
+    b = validate_ring((i[:, None] + i) % 4, (2 * i[:, None] * i) % 4, name="2z8")
+    d_map, scal = (2 * i) % 4, (i[:, None] * i) % 4
+    tl, tr = scal.copy(), scal.copy()
+    es = validate_esystem(b, zmod(4), d_map, tl, tr)
+    xb = validate_crossed_bimodule(b, zmod(4), d_map, tl, tr)
+    for given, kept in ((tl, es.theta_left), (tr, es.theta_right), (d_map, es.d.map),
+                        (tl, xb.left), (tr, xb.right), (d_map, xb.d.map)):
+        assert not np.shares_memory(given, kept)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[1] = 0
+    tl[1, 1], tr[1, 1], d_map[1] = 0, 0, 0
+    assert es.theta_left[1, 1] == es.theta_right[1, 1] == 1 and es.d.map[1] == 2
+
+
 def test_ideal_esystem_two_in_z4():
     es = ideal_esystem(zmod(4), [0, 2])
     assert es.b.order == 2 and es.b.unit is None

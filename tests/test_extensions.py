@@ -1755,6 +1755,16 @@ def test_crossed_rings_gather_from_a_read_only_grid_memo():
                 assert not np.shares_memory(table, t), name
 
 
+def test_crossed_rings_are_read_only():
+    # A crossed product skips `validate_ring`, which makes its own copies
+    # read-only; its new tables are made read-only in place.
+    for args in klein_census_factor_systems()[::97]:
+        ring = crossed_ring(validate_factor_system(*args))
+        for table in (ring.add, ring.mul):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+
+
 def test_enumerated_extensions_induce_valid_action_systems():
     # validate_extension builds the action system induced on (B, E)
     # without validate_esystem; over the classify triples every one of

@@ -7,8 +7,9 @@ of a section's tables and the context check that a crossed product gets
 from `validate_extension`), the internal checks of
 `ablin`, `rings`, `bimult`, `anncat`, `transport`, `cohomology` and
 `extensions`, the CLI's exit codes for bad input, tripped guards and
-internal errors, and the 2-ring checker's per-law proof masks and slab
-scan against their references.  Here they run again in a `python -O`
+internal errors, and the 2-ring checker's per-law proof masks, its
+conditions on the target's additive generators and its slab scan against
+their references.  Here they run again in a `python -O`
 subprocess.
 """
 
@@ -31,6 +32,10 @@ VALIDATION_TESTS = [
     "tests/test_anncat.py::test_per_law_masks_match_the_eager_proof_on_mutations",
     "tests/test_anncat.py::test_each_identity_is_built_once_and_only_when_its_law_is_reached",
     "tests/test_anncat.py::test_every_condition_in_the_table_is_registered_and_used",
+    "tests/test_anncat.py::test_generator_forms_match_the_full_grids",
+    "tests/test_anncat.py::test_generator_forms_match_the_full_grids_on_mutations",
+    "tests/test_anncat.py::test_every_law_names_what_its_generator_forms_need",
+    "tests/test_anncat.py::test_klein_multiplier_builds_no_condition_grid_over_two_whole_copies_of_d",
     "tests/test_anncat.py::test_reports_match_the_full_scan_where_one_condition_decides",
     "tests/test_anncat.py::test_slab_scan_matches_full_scan",
     "tests/test_anncat.py::test_klein_multiplier_stops_at_the_fifth_slab_of_chunk_16",
@@ -78,6 +83,7 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_factor_system_errors_match_the_one_stage_form",
     "tests/test_extensions.py::test_factor_system_errors_match_the_parent_checks",
     "tests/test_extensions.py::test_crossed_rings_gather_from_a_read_only_grid_memo",
+    "tests/test_extensions.py::test_crossed_rings_are_read_only",
     "tests/test_extensions.py::test_a_failing_action_is_checked_again_on_every_call",
     "tests/test_fileio_cli.py::test_cli_bimult_guard_is_a_resource_error",
     "tests/test_fileio_cli.py::test_cli_cohom_h2_guard_is_a_resource_error",
