@@ -41,15 +41,17 @@ from .ablin import CELL_LIMIT, _guard
 from .bimult import (
     _additive,
     _additive_in_source,
-    _equivariant,
     _left_multiplicative,
-    _left_product,
-    _mixed_product,
     _permutable,
-    _right_product,
-    _through,
 )
-from .crossed import ESystem, ESystemMorphism, validate_esystem, validate_morphism
+from .crossed import (
+    _ESYSTEM_LAWS,
+    ESystem,
+    ESystemMorphism,
+    _esystem_tables,
+    validate_esystem,
+    validate_morphism,
+)
 from .rings import BLOCK_CELLS, _assoc_failure, _first_bad, _sum_generators, validate_ring
 
 
@@ -301,17 +303,18 @@ def _additive_on(add, t, gens):
     return t[:, add[gens]] == add[t[:, gens, None], t[:, None, :]]
 
 
+def _on_tables(grid, names):
+    """A condition of `crossed._ESYSTEM_LAWS` as a function of a `_Prover`."""
+    return lambda p: grid(*(getattr(p, name) for name in names))
+
+
 _CONDITIONS = {
-    # The action-system laws of `crossed._esystem_laws`; those quantified
-    # over two elements of D have one of them on D's sum generators: axes
-    # (x, s, a), lam_x+s(a) == lam_x(a) + lam_s(a), lam_xs(a) ==
-    # lam_x(lam_s(a)) and lam_x((a)rho_s) == (lam_x(a))rho_s, and axes
-    # (s, y, a), (a)rho_sy == ((a)rho_s)rho_y.
-    "action-left-additive": lambda p: _additive(p.ba, p.tl),
-    "action-right-additive": lambda p: _additive(p.ba, p.tr),
-    "action-left-product": lambda p: _left_product(p.bm, p.tl),
-    "action-right-product": lambda p: _right_product(p.bm, p.tr),
-    "action-mixed-product": lambda p: _mixed_product(p.bm, p.tl, p.tr),
+    # The action-system laws of `crossed._ESYSTEM_LAWS`, except that those
+    # quantified over two elements of D have one of them on D's sum
+    # generators: axes (x, s, a), lam_x+s(a) == lam_x(a) + lam_s(a),
+    # lam_xs(a) == lam_x(lam_s(a)) and lam_x((a)rho_s) == (lam_x(a))rho_s,
+    # and axes (s, y, a), (a)rho_sy == ((a)rho_s)rho_y.
+    **{name: _on_tables(grid, names) for name, grid, *names in _ESYSTEM_LAWS},
     "action-left-additive-in-source":
         lambda p: p.tl[p.da[:, p.gens]] == p.ba[p.tl[:, None, :], p.tl[p.gens]],
     "action-right-additive-in-source":
@@ -320,10 +323,6 @@ _CONDITIONS = {
         lambda p: p.tl[p.dmul[:, p.gens]] == p.tl[p.ad[:, None, None], p.tl[p.gens]],
     "action-right-multiplicative":
         lambda p: p.tr[p.dmul[p.gens]] == p.tr[p.ad[:, None], p.tr[p.gens][:, None, :]],
-    "inner-action-left": lambda p: _through(p.tl, p.dm, p.bm),
-    "inner-action-right": lambda p: _through(p.tr, p.dm, p.bm.T),
-    "equivariance-left": lambda p: _equivariant(p.dmul, p.tl, p.dm),
-    "equivariance-right": lambda p: _equivariant(p.dmul.T, p.tr, p.dm),
     "permutability": lambda p: _permutable(p.tl, p.tr[p.gens]),
     # Identities of B (acting on itself by mul), of d and of D, the last on
     # D's sum generators: axes (x, s, z), x(s + z) == xs + xz, then
@@ -350,18 +349,17 @@ class _Prover:
     """The conditions of `_PROOFS` on one system, given addition in B and D
     commutative and associative.
 
-    `_CONDITIONS` reads the tables by the names given here: lam = tl and
-    rho = tr, d = dm, B's addition and product ba and bm, D's da and dmul,
-    D's elements ad and its sum generators gens.  Each condition is evaluated when a law first
-    names it, at most once for all laws, and kept as whether it holds and,
-    if some law needs it per x1 (`_PER_X1`), its mask over axis 0 of its
-    grid; a law whose whole-law conditions fail evaluates none of its per-x1
-    ones.
+    `_CONDITIONS` reads the tables by the names of `crossed._esystem_tables`
+    (lam = tl and rho = tr, d = dm, B's addition and product ba and bm,
+    D's da and dmul), D's elements as ad and its sum generators as gens.
+    Each condition is evaluated when a law first names it, at most once for
+    all laws, and kept as whether it holds and, if some law needs it per
+    x1 (`_PER_X1`), its mask over axis 0 of its grid; a law whose whole-law
+    conditions fail evaluates none of its per-x1 ones.
     """
 
     def __init__(self, es: ESystem, gens: np.ndarray):
-        self.tl, self.tr, self.dm = es.theta_left, es.theta_right, es.d.map
-        self.ba, self.bm, self.da, self.dmul = es.b.add, es.b.mul, es.d_ring.add, es.d_ring.mul
+        vars(self).update(_esystem_tables(es.b, es.d_ring, es.d.map, es.theta_left, es.theta_right))
         self.ad, self.gens, self.known = np.arange(es.d_ring.order), gens, {}
 
     def holds(self, name: str) -> tuple[bool, np.ndarray | None]:

@@ -140,35 +140,44 @@ def _raise_first_failure(checks):
         raise ESystemError(*fail)
 
 
-def _esystem_laws(b, d_ring, d_map, tl, tr):
-    """The action-system conditions on stacked action tables, in check
-    order.  `anncat._CONDITIONS` states them under the same names, some
-    on the target's additive generators only."""
-    return [
-        # Each theta(x) is a bimultiplication of B.
-        ("action-left-additive", _additive, b.add, tl),
-        ("action-right-additive", _additive, b.add, tr),
-        ("action-left-product", _left_product, b.mul, tl),
-        ("action-right-product", _right_product, b.mul, tr),
-        ("action-mixed-product", _mixed_product, b.mul, tl, tr),
-        # theta is a ring map into the bimultiplication ring.
-        ("action-left-additive-in-source", _additive_in_source, b.add, d_ring.add, tl),
-        ("action-right-additive-in-source", _additive_in_source, b.add, d_ring.add, tr),
-        ("action-left-multiplicative", _left_multiplicative, d_ring.mul, tl),
-        ("action-right-multiplicative", _right_multiplicative, d_ring.mul, tr),
-        # Acting through d is inner multiplication.
-        ("inner-action-left", _through, tl, d_map, b.mul),
-        ("inner-action-right", _through, tr, d_map, b.mul.T),
-        # d intertwines the action with multiplication in D.
-        ("equivariance-left", _equivariant, d_ring.mul, tl, d_map),
-        ("equivariance-right", _equivariant, d_ring.mul.T, tr, d_map),
-    ]
+_ESYSTEM_LAWS = (
+    # Each theta(x) is a bimultiplication of B.
+    ("action-left-additive", _additive, "ba", "tl"),
+    ("action-right-additive", _additive, "ba", "tr"),
+    ("action-left-product", _left_product, "bm", "tl"),
+    ("action-right-product", _right_product, "bm", "tr"),
+    ("action-mixed-product", _mixed_product, "bm", "tl", "tr"),
+    # theta is a ring map into the bimultiplication ring.
+    ("action-left-additive-in-source", _additive_in_source, "ba", "da", "tl"),
+    ("action-right-additive-in-source", _additive_in_source, "ba", "da", "tr"),
+    ("action-left-multiplicative", _left_multiplicative, "dmul", "tl"),
+    ("action-right-multiplicative", _right_multiplicative, "dmul", "tr"),
+    # Acting through d is inner multiplication.
+    ("inner-action-left", _through, "tl", "dm", "bm"),
+    ("inner-action-right", _through, "tr", "dm", "bm_t"),
+    # d intertwines the action with multiplication in D.
+    ("equivariance-left", _equivariant, "dmul", "tl", "dm"),
+    ("equivariance-right", _equivariant, "dmul_t", "tr", "dm"),
+)
+"""The action-system conditions in check order, each (name, grid,
+*tables) with ok-grid grid(*tables), the tables named as in
+`_esystem_tables`.  `anncat._CONDITIONS` reads the same entries, except
+that it states the four quantified over two elements of D on D's sum
+generators."""
+
+
+def _esystem_tables(b, d_ring, d_map, tl, tr) -> dict:
+    """The tables of an action system by the names `_ESYSTEM_LAWS` uses:
+    B's addition and product, D's, d's map and the two actions."""
+    return {"ba": b.add, "bm": b.mul, "bm_t": b.mul.T, "da": d_ring.add, "dmul": d_ring.mul,
+            "dmul_t": d_ring.mul.T, "dm": d_map, "tl": tl, "tr": tr}
 
 
 def validate_esystem(b, d_ring, d_map, theta_left, theta_right, name="es") -> ESystem:
     """Check every axiom; raise ESystemError naming the first violated one."""
     d, tl, tr = _structure(b, d_ring, d_map, theta_left, theta_right)
-    _raise_first_failure(_esystem_laws(b, d_ring, d.map, tl, tr))
+    tables = _esystem_tables(b, d_ring, d.map, tl, tr)
+    _raise_first_failure([(law, grid, *(tables[t] for t in names)) for law, grid, *names in _ESYSTEM_LAWS])
     return ESystem(name, b, d_ring, d, tl, tr)
 
 

@@ -8,10 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringcat import anncat
+from ringcat import anncat, crossed
 from ringcat.anncat import (
     AnnCategory,
     anncat_axiom_check,
@@ -477,13 +477,28 @@ def additions_commute_and_associate(es):
                for t in (es.b.add, es.d_ring.add))
 
 
+def assert_checker_reads_no_condition(es):
+    """Without the premise the checker evaluates no condition of
+    `anncat._CONDITIONS` and reports as the full scan does."""
+    grids = collections.defaultdict(list)
+    for stop_at_first in (False, True):
+        with mock.patch.object(anncat, "_CONDITIONS", recorded_conditions(grids)):
+            report = anncat_axiom_check(es, stop_at_first=stop_at_first)
+        full = full_scan(es, stop_at_first)
+        assert (report.results, report.complete) == (full.results, full.complete)
+    assert not grids
+
+
 @settings(max_examples=300, deadline=None)
 @given(es=mutated_systems())
 def test_per_law_masks_match_the_eager_proof_on_mutations(es):
     # Without the premise, a condition evaluated on D's generators need not
-    # match its full grid.
-    assume(additions_commute_and_associate(es))
-    assert_masks_match_the_eager_proof(es)
+    # match its full grid (id_z3 with D's 0 + 2 = 0 has lam additive in x on
+    # S but not everywhere), and the checker reads none of them.
+    if additions_commute_and_associate(es):
+        assert_masks_match_the_eager_proof(es)
+    else:
+        assert_checker_reads_no_condition(es)
 
 
 def test_per_law_masks_match_the_eager_proof():
@@ -577,8 +592,10 @@ def test_generator_forms_match_the_full_grids():
 @settings(max_examples=300, deadline=None)
 @given(es=mutated_systems())
 def test_generator_forms_match_the_full_grids_on_mutations(es):
-    assume(additions_commute_and_associate(es))
-    assert_generator_forms_match_the_full_grids(es)
+    if additions_commute_and_associate(es):
+        assert_generator_forms_match_the_full_grids(es)
+    else:
+        assert_checker_reads_no_condition(es)
 
 
 def test_every_law_names_what_its_generator_forms_need():
@@ -622,19 +639,40 @@ def test_every_condition_in_the_table_is_registered_and_used():
     assert named == set(anncat._CONDITIONS)
 
 
-def record_conditions(monkeypatch):
-    """The cells of each grid a check evaluates through
-    `anncat._CONDITIONS`, listed by condition name."""
-    grids = collections.defaultdict(list)
+def test_the_checker_restates_only_the_generator_forms_of_the_action_laws():
+    # The checker reads the action-system laws from `crossed._ESYSTEM_LAWS`,
+    # the table `validate_esystem` walks, and states again only the four
+    # quantified over two elements of D, with one of them on D's sum
+    # generators (2 of 4 here).
+    es = multiplier_esystem(zero_mult(4))
+    p = prover(es)
+    tables = crossed._esystem_tables(es.b, es.d_ring, es.d.map, es.theta_left, es.theta_right)
+    restated = set()
+    for law, grid, *names in crossed._ESYSTEM_LAWS:
+        ok, full = anncat._CONDITIONS[law](p), grid(*(tables[t] for t in names))
+        if ok.shape != full.shape or (ok != full).any():
+            restated.add(law)
+    assert restated == {"action-left-additive-in-source", "action-right-additive-in-source",
+                        "action-left-multiplicative", "action-right-multiplicative"}
 
+
+def recorded_conditions(grids):
+    """`anncat._CONDITIONS` with each condition appending the cells of the
+    grid it evaluates to grids[name]."""
     def recorded(name, condition):
         def run(p):
             ok = condition(p)
             grids[name].append(ok.size)
             return ok
         return run
-    monkeypatch.setattr(anncat, "_CONDITIONS", {
-        name: recorded(name, condition) for name, condition in anncat._CONDITIONS.items()})
+    return {name: recorded(name, condition) for name, condition in anncat._CONDITIONS.items()}
+
+
+def record_conditions(monkeypatch):
+    """The cells of each grid a check evaluates through
+    `anncat._CONDITIONS`, listed by condition name."""
+    grids = collections.defaultdict(list)
+    monkeypatch.setattr(anncat, "_CONDITIONS", recorded_conditions(grids))
     return grids
 
 

@@ -32,6 +32,7 @@ VALIDATION_TESTS = [
     "tests/test_anncat.py::test_per_law_masks_match_the_eager_proof_on_mutations",
     "tests/test_anncat.py::test_each_identity_is_built_once_and_only_when_its_law_is_reached",
     "tests/test_anncat.py::test_every_condition_in_the_table_is_registered_and_used",
+    "tests/test_anncat.py::test_the_checker_restates_only_the_generator_forms_of_the_action_laws",
     "tests/test_anncat.py::test_generator_forms_match_the_full_grids",
     "tests/test_anncat.py::test_generator_forms_match_the_full_grids_on_mutations",
     "tests/test_anncat.py::test_every_law_names_what_its_generator_forms_need",
