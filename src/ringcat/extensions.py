@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablin import CANDIDATE_LIMIT, _guard
+from .ablin import CANDIDATE_LIMIT, CELL_LIMIT, _guard
 from .bimult import _bimult_laws, _permutable, _row_lookup, enumerate_bimultiplications
 from .cohomology import FunctorClassification, _defect3, _defect3_cells, _map_table, classify_functors
 from .crossed import ESystem, ESystemError, _check_morphism, _require_regular
@@ -704,10 +704,21 @@ def exhaustive_extension_search(
     Each stage filters its candidates a block at a time
     (`rings._product_blocks`) and passes the survivors on in
     itertools.product order, so the finds and their order are those of
-    a one-candidate-at-a-time walk over every slot.  Each guard but the
-    action guard counts the candidates its stage generates.  The q-only
-    index tables of the action and g stages are built once per search
-    (`_quotient_grid`).
+    a one-candidate-at-a-time walk over every slot.  The f stage is
+    built on demand: it filters a block only once the search has read
+    every f of the block before (`_additive_defects`), so a search that
+    finds in the first block filters no other.  That changes no guard:
+    the f guard counts the whole product, nb^(|q|(|q|-1)/2), before any
+    block is built; the action guard counts as described below; the g
+    and target-lift guards count the candidates their stage generates.
+
+    The per-ring tables are memoised by identity: the bimultiplication
+    pool on b (`_bimult_pool`), its permutability mask and row lookup on
+    b (`_pool_tables`), and the index tables of the action and g stages
+    on q (`_quotient_grid`).  Each is built only after the guards before
+    it: the pool after the f guard, the mask and lookup after the action
+    guard and a guard on the npool^2 |b| cells of `bimult._permutable`
+    that the mask reduces.
 
     The action stage walks only the generator classes.  An action
     additive up to f has l_i(c) + l_j(c) = f(i, j)*c + l_x(c) and
@@ -718,7 +729,7 @@ def exhaustive_extension_search(
     alone, npool^|S| per f, derives l_x and r_x in increasing x from the
     rows of i and j, and finds the derived pair in the pool by its bytes
     among the sorted keys of the pool's pairs (`bimult._row_lookup`,
-    built once per search).  The pair is always there: it is a sum of
+    memoised on b).  The pair is always there: it is a sum of
     bimultiplications and of the inner one of -f(i, j), so it is a
     bimultiplication itself, and the pool holds every one.  The
     permutability filter and the full additivity check then run,
@@ -746,33 +757,20 @@ def exhaustive_extension_search(
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
     grid = _quotient_grid(q)
-    u3, v3, w3 = grid.u3, grid.v3, grid.w3
     qa = q.add
 
-    free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
-    _guard(nb ** len(free_f), "additive defect candidates", guard)
+    _guard(nb ** (nq * (nq - 1) // 2), "additive defect candidates", guard)
     # Pool row 0 is the zero bimultiplication, the action of the zero class.
-    pl, pr = enumerate_bimultiplications(b)
+    pl, pr = _bimult_pool(b)
     npool = len(pl)
     _guard(npool ** (nq - 1), "action candidates", guard)
+    _guard(npool * npool * nb, "permutability grid cells", CELL_LIMIT)
+    perm_ok, pool_index = _pool_tables(b)
 
-    fu, fv = np.array(free_f, dtype=np.int64).reshape(-1, 2).T
-    f_pool = []
-    for vals in _product_blocks([nb] * len(free_f), nq**3):
-        fs = np.zeros((len(vals), nq, nq), dtype=np.int16)
-        fs[:, fu, fv] = vals
-        fs[:, fv, fu] = vals
-        lhs = b.add[fs[:, v3, w3], fs[:, u3, qa[v3, w3]]]
-        rhs = b.add[fs[:, u3, v3], fs[:, qa[u3, v3], w3]]
-        f_pool.extend(fs[(lhs == rhs).all(axis=(1, 2, 3))])
-
-    around = _permutable(pl, pr).all(axis=2)
-    perm_ok = around & around.T
-    pool_index = _row_lookup(pl, pr)
     gens = grid.gens
     results: list[Extension] = []
     c3b = np.arange(nb)[None, None, :]
-    for f in f_pool:
+    for f in _additive_defects(b, grid):
         fl3 = b.mul[f[:, :, None], c3b]
         fr3 = b.mul[c3b, f[:, :, None]]
         for choice in _product_blocks([npool] * len(gens), nq * nq * nb):
@@ -806,7 +804,8 @@ class _QuotientGrid:
     `us`, `vs` list the slots (u, v), u, v != 0, in C order; `gens` is S,
     `rings._sum_generators(q.add)` without 0, and `free` marks the S x S
     slots; `sums` holds one (x, i, j) with x = i + j, 0 < i, j < x, for
-    each x != 0 outside S, in increasing x.
+    each x != 0 outside S, in increasing x; `u3`, `v3`, `w3` index
+    q x q x q.  Built once per quotient ring (`_quotient_grid`).
     """
 
     q: FiniteRing
@@ -814,22 +813,85 @@ class _QuotientGrid:
     vs: np.ndarray
     gens: np.ndarray
     free: np.ndarray
-    sums: list
+    sums: tuple
     u3: np.ndarray
     v3: np.ndarray
     w3: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
 def _quotient_grid(q: FiniteRing) -> _QuotientGrid:
+    """The read-only quotient grid of q, memoised on q by identity for the
+    16 rings used last.  With n = |q| an entry holds about
+    17(n - 1)^2 + 170n bytes: 6 KB at n = 16, 1.15 MB at n = 256.  So
+    the memo holds at most 18 MB while quotients have at most 256
+    elements."""
     arq = np.arange(q.order)
     us, vs = (a.ravel() for a in np.meshgrid(arq[1:], arq[1:], indexing="ij"))
     gens = _sum_generators(q.add)
     gens = gens[gens != 0]
-    sums = [(x, *np.argwhere(q.add[:x, :x] == x)[0]) for x in arq[1:] if x not in gens]
-    return _QuotientGrid(
+    sums = tuple((x, *np.argwhere(q.add[:x, :x] == x)[0]) for x in arq[1:] if x not in gens)
+    grid = _QuotientGrid(
         q, us, vs, gens, np.isin(us, gens) & np.isin(vs, gens), sums,
         arq[:, None, None], arq[None, :, None], arq[None, None, :],
     )
+    for t in (us, vs, gens, grid.free, grid.u3, grid.v3, grid.w3):
+        t.flags.writeable = False
+    return grid
+
+
+def _additive_defects(b: FiniteRing, grid: _QuotientGrid):
+    """The symmetric associative additive defects f over q = grid.q, in
+    itertools.product order over the slots (u, v), 0 < u <= v: each
+    `rings._product_blocks` block is filtered only once the one before
+    it has been read."""
+    q = grid.q
+    nq = q.order
+    u3, v3, w3, qa = grid.u3, grid.v3, grid.w3, q.add
+    free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
+    fu, fv = np.array(free_f, dtype=np.int64).reshape(-1, 2).T
+    for vals in _product_blocks([b.order] * len(free_f), nq**3):
+        fs = np.zeros((len(vals), nq, nq), dtype=np.int16)
+        fs[:, fu, fv] = vals
+        fs[:, fv, fu] = vals
+        lhs = b.add[fs[:, v3, w3], fs[:, u3, qa[v3, w3]]]
+        rhs = b.add[fs[:, u3, v3], fs[:, qa[u3, v3], w3]]
+        yield from fs[(lhs == rhs).all(axis=(1, 2, 3))]
+
+
+@functools.lru_cache(maxsize=1)
+def _bimult_pool(b: FiniteRing):
+    """`enumerate_bimultiplications(b)`, read-only, memoised on b by
+    identity for the last ring.  An entry holds 4|b| bytes per
+    bimultiplication: 4 KB for the 256 of the Klein zero ring, 8 MB for
+    the 262144 of the zero ring on (Z/2)^3, and at most 64 MB, the 10^6
+    pairs that the pair guard of `enumerate_bimultiplications` admits at
+    |b| = 16.  So the memo keeps one ring: the searches over one base
+    and its quotients usually run in a row."""
+    pool = enumerate_bimultiplications(b)
+    for t in pool:
+        t.flags.writeable = False
+    return pool
+
+
+@functools.lru_cache(maxsize=1)
+def _pool_tables(b: FiniteRing):
+    """Over the pool `_bimult_pool(b)`: the read-only mask perm_ok[s, t],
+    rows s and t permute both ways, and the row lookup
+    (`bimult._row_lookup`, a function that exposes no array).  Memoised
+    on b by identity for the last ring, as the pool is.
+
+    An entry holds npool^2 bytes of mask and npool(4|b| + 8) bytes of
+    sorted keys and their order.  The search builds it only once its
+    permutability guard has admitted npool^2 |b| <= 10^7 cells, so an
+    entry holds at most 1.3 MB (at |b| = 8); a ring of order below 8 has
+    at most 256 bimultiplications, as its additive group has at most 16
+    endomorphisms, and an entry of at most 75 KB."""
+    pl, pr = _bimult_pool(b)
+    around = _permutable(pl, pr).all(axis=2)
+    perm_ok = around & around.T
+    perm_ok.flags.writeable = False
+    return perm_ok, _row_lookup(pl, pr)
 
 
 def _search_g_stage(base, grid, psi, f, left, right, guard, stop_at_first, results):

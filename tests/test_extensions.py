@@ -439,6 +439,9 @@ def test_search_guards(monkeypatch):
         equivalent(e4, e4, guard=1)
     rc = reduce_esystem(es)
     psi = RingHom(rc.ring, rc.ring, np.arange(2))
+    # From empty memos, so that a warm entry cannot hide a table built
+    # before its guard.
+    clear_search_memos()
     with pytest.raises(SearchGuardError, match=r"^2 additive defect candidates, over the guard 1$"):
         exhaustive_extension_search(es, rc.ring, psi, guard=1)
 
@@ -1057,6 +1060,124 @@ def test_action_stage_decodes_only_generator_candidates(q, psi, gens, monkeypatc
     # The first product is the additive defect pool; one per f follows.
     assert radices[1:] == [[npool] * gens] * len(fs) and fs
     assert npool**gens < npool ** (q.order - 1)
+
+
+# ---------------------------------------------------------------------------
+# The f stage filters a block of additive defects only once the search has
+# read the block before; the eager filter below, which filters every block
+# before the first f is read, is the oracle for the defects and the finds.
+# The search's per-ring tables are memoised.
+
+SEARCH_MEMOS = (extensions._quotient_grid, extensions._bimult_pool, extensions._pool_tables)
+
+
+def clear_search_memos():
+    for memo in SEARCH_MEMOS:
+        memo.cache_clear()
+
+
+def eager_additive_defects(b, grid):
+    """Every symmetric associative additive defect over grid.q, filtered
+    block by block before any is returned."""
+    q = grid.q
+    nq, qa = q.order, q.add
+    u3, v3, w3 = grid.u3, grid.v3, grid.w3
+    free_f = [(u, v) for u in range(1, nq) for v in range(u, nq)]
+    fu, fv = np.array(free_f, dtype=np.int64).reshape(-1, 2).T
+    f_pool = []
+    for vals in _product_blocks([b.order] * len(free_f), nq**3):
+        fs = np.zeros((len(vals), nq, nq), dtype=np.int16)
+        fs[:, fu, fv] = vals
+        fs[:, fv, fu] = vals
+        lhs = b.add[fs[:, v3, w3], fs[:, u3, qa[v3, w3]]]
+        rhs = b.add[fs[:, u3, v3], fs[:, qa[u3, v3], w3]]
+        f_pool.extend(fs[(lhs == rhs).all(axis=(1, 2, 3))])
+    return f_pool
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ("mult_2z8",),  # obstructed: the search reads every f
+        ("double_2z8", klein(), [0, 1, 0, 1]),
+        ("mult_2z8", klein(), [0, 2, 0, 2]),
+    ],
+    ids=["mult_2z8-own", "double_2z8-z2xz2", "mult_2z8-z2xz2"],
+)
+@pytest.mark.parametrize("stop", [True, False])
+def test_the_f_stage_on_demand_matches_the_eager_pool(triple, stop, monkeypatch):
+    es, q, psi = corpus_triple(*triple)
+    grid = extensions._quotient_grid(q)
+    lazy = [f.tolist() for f in extensions._additive_defects(es.b, grid)]
+    assert lazy == [f.tolist() for f in eager_additive_defects(es.b, grid)]
+    got = search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop))
+    monkeypatch.setattr(extensions, "_additive_defects", eager_additive_defects)
+    want = search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop))
+    assert got == want
+    assert bool(want) == (triple != ("mult_2z8",))
+
+
+@pytest.mark.parametrize("stop, read", [(True, 1), (False, 4)])
+def test_a_search_filters_f_blocks_only_as_it_reads_them(stop, read, monkeypatch):
+    # double_2z8 has a base of order 4, so over Z/2 x Z/2 (6 free f slots)
+    # the f product has 4^6 candidates, in 4 blocks of 1024.  Over this
+    # psi the second f of the first block has a find.
+    es, q, psi = corpus_triple("double_2z8", klein(), [0, 0, 1, 1])
+    products = []
+    blocks = extensions._product_blocks
+
+    def recording_blocks(rad, width):
+        products.append(sizes := [])
+        for block in blocks(rad, width):
+            sizes.append(len(block))
+            yield block
+
+    monkeypatch.setattr(extensions, "_product_blocks", recording_blocks)
+    assert exhaustive_extension_search(es, q, psi, stop_at_first=stop)
+    # The first product is the additive defect pool.
+    assert len(list(blocks([es.b.order] * 6, q.order**3))) == 4
+    assert products[0] == [1024] * read
+
+
+def test_a_second_search_over_the_same_rings_builds_no_table(monkeypatch):
+    es, q, psi = corpus_triple("double_2z8", klein(), [0, 1, 0, 1])
+    clear_search_memos()
+    calls = Counter()
+
+    def counting(name):
+        build = getattr(extensions, name)
+
+        def run(*args):
+            calls[name] += 1
+            return build(*args)
+        return run
+
+    for name in ("enumerate_bimultiplications", "_permutable", "_row_lookup"):
+        monkeypatch.setattr(extensions, name, counting(name))
+    first = search_record(exhaustive_extension_search(es, q, psi, stop_at_first=False))
+    built = Counter(enumerate_bimultiplications=1, _permutable=1, _row_lookup=1)
+    assert calls == built and extensions._quotient_grid.cache_info().misses == 1
+    assert search_record(exhaustive_extension_search(es, q, psi, stop_at_first=False)) == first
+    assert calls == built and extensions._quotient_grid.cache_info().misses == 1
+
+
+def test_the_search_reads_its_tables_from_bounded_read_only_memos():
+    es, q, psi = corpus_triple("double_2z8", klein(), [0, 1, 0, 1])
+    exhaustive_extension_search(es, q, psi)
+    grid = extensions._quotient_grid(q)
+    perm_ok, _ = extensions._pool_tables(es.b)
+    tables = [*extensions._bimult_pool(es.b), perm_ok,
+              grid.us, grid.vs, grid.gens, grid.free, grid.u3, grid.v3, grid.w3]
+    for t in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            t[(0,) * t.ndim] = 1
+    assert isinstance(grid.sums, tuple)
+    assert [memo.cache_info().maxsize for memo in SEARCH_MEMOS] == [16, 1, 1]
+    # The public enumeration stays unmemoised: each call builds new tables.
+    again = enumerate_bimultiplications(es.b)
+    for t, memo in zip(again, extensions._bimult_pool(es.b), strict=True):
+        assert t.flags.writeable and not np.shares_memory(t, memo)
+        assert np.array_equal(t, memo)
 
 
 # ---------------------------------------------------------------------------

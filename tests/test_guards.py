@@ -3,7 +3,9 @@ guards allocates anything, and reported in one format.
 
 Each case below trips one site with a small limit, passed as `guard=` or
 monkeypatched where the check reads it, and replaces the first thing the
-site would run past its check by a function that fails the test.
+site would run past its check by a function that fails the test.  The
+search sites first empty the search's per-ring memos, so that a warm
+entry cannot hide a table built before its guard.
 """
 
 import re
@@ -13,7 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ringcat import ablin, anncat, bimult, cohomology, extensions, rings, transport
+from ringcat import ablin, anncat, bimult, cohomology, crossed, extensions, rings, transport
 from ringcat.ablin import FinAbGroup, LinearMap, SearchGuardError, smith_normal_form, span_subgroup
 from ringcat.anncat import anncat_axiom_check
 from ringcat.bimult import bimult_ring, enumerate_bimultiplications
@@ -26,7 +28,7 @@ from ringcat.rings import zero_mult, zero_mult_klein, zmod
 from ringcat.transport import reduce_esystem, reduced_axiom_check
 from test_anncat import doubled_into_z4, with_entry, zero_action_es
 from test_cohomology import ring_as_module
-from test_extensions import corpus_triple, flat_z2, klein, z4_extension
+from test_extensions import clear_search_memos, corpus_triple, flat_z2, klein, z4_extension
 import test_rings
 from test_rings import upper_triangular_z2
 
@@ -102,6 +104,7 @@ def equivalence(m):
 
 def search_f(m):
     es, q, psi = flat_z2_search()
+    clear_search_memos()
     m.setattr(extensions, "enumerate_bimultiplications", never("the action pool"))
     m.setattr(extensions, "_product_blocks", never("the additive defect pool"))
     call = partial(exhaustive_extension_search, es, q, psi, guard=1)
@@ -110,9 +113,22 @@ def search_f(m):
 
 def search_actions(m):
     es, q, psi = flat_z2_search()
+    clear_search_memos()
     m.setattr(extensions, "_product_blocks", never("the additive defect pool"))
+    m.setattr(extensions, "_permutable", never("the permutability table"))
     call = partial(exhaustive_extension_search, es, q, psi, guard=3)
     return call, "4 action candidates, over the guard 3"
+
+
+def search_permutability(m):
+    # 4 bimultiplications of the zero ring on Z/2: 4 * 4 * 2 cells.
+    es, q, psi = flat_z2_search()
+    clear_search_memos()
+    m.setattr(extensions, "CELL_LIMIT", 31)
+    m.setattr(extensions, "_permutable", never("the permutability table"))
+    m.setattr(extensions, "_product_blocks", never("the additive defect pool"))
+    call = partial(exhaustive_extension_search, es, q, psi)
+    return call, "32 permutability grid cells, over the guard 31"
 
 
 def search_g(m):
@@ -234,6 +250,7 @@ SITES = {
     "equivalent": equivalence,
     "search-f": search_f,
     "search-actions": search_actions,
+    "search-permutability": search_permutability,
     "search-g": search_g,
     "search-target-lift": search_target_lift,
     "reduced-axiom-check": reduced_check,
@@ -270,6 +287,30 @@ def test_flat_klein0_searches_over_order_4_quotients_trip_the_action_guard(q, ps
     with pytest.raises(SearchGuardError) as e:
         exhaustive_extension_search(es, q, psi)
     assert str(e.value) == "16777216 action candidates, over the guard 1000000"
+
+
+def square_zero_z2xyz():
+    """Z/2[x, y, z]/(x, y, z)^2: element a*8 + v is a + v with v in the
+    span of x = 1, y = 2, z = 4; addition is XOR and the unit is 8."""
+    i = np.arange(16)
+    a, v = i >> 3, i & 7
+    mul = 8 * (a[:, None] & a) + ((a[:, None] * v) ^ (v[:, None] * a))
+    return rings.validate_ring(i[:, None] ^ i, mul, 8, name="z2xyz_square_zero")
+
+
+def test_a_pool_past_the_action_guard_trips_the_permutability_guard():
+    # The ideal (x, y, z) has zero products, so each of its 2^9 additive
+    # endomaps is a left and a right multiplier: 262144 bimultiplications,
+    # within the action guard over the cokernel Z/2 (262144^1 <= 10^6).
+    # Their permutability table would have 262144^2 * 8 cells (1 TiB).
+    es = crossed.ideal_esystem(square_zero_z2xyz(), range(8))
+    q = es.cokernel.ring
+    try:
+        with pytest.raises(SearchGuardError) as e:
+            exhaustive_extension_search(es, q, RingHom(q, q, np.arange(q.order)))
+    finally:
+        extensions._bimult_pool.cache_clear()
+    assert str(e.value) == "549755813888 permutability grid cells, over the guard 10000000"
 
 
 def test_proved_chunks_are_not_guarded(monkeypatch):

@@ -118,3 +118,34 @@ def test_no_check_rests_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not asserts, f"assert statements in the library: {', '.join(asserts)}"
+
+
+def unbounded_memos(tree):
+    """The lines of `functools.cache`, of `lru_cache` without an integer
+    maxsize (as its first argument or keyword), and of any
+    `maxsize=None` in a parsed module."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) == ("functools", "cache"):
+                yield node.lineno
+        elif isinstance(node, ast.keyword) and node.arg == "maxsize":
+            if isinstance(node.value, ast.Constant) and node.value.value is None:
+                yield node.value.lineno
+        if getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1] if call else []
+            if not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+                yield node.lineno
+
+
+def test_every_memo_is_bounded():
+    unbounded = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src" / "ringcat").glob("*.py"))
+        for line in sorted(set(unbounded_memos(ast.parse(path.read_text(), str(path)))))
+    ]
+    assert not unbounded, f"memos without an integer bound: {', '.join(unbounded)}"
