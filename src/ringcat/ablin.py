@@ -69,10 +69,29 @@ class SNFResult:
     `smith_normal_form` computes s alone and logs its steps: `row_log`
     holds those that act on u and uinv, `col_log` those that act on v and
     vinv.  Each transform is built on its first read, by replaying its
-    side's log onto an identity, and is then kept; a transform no caller
-    reads is never built.  A transform with an entry that would leave
-    int64 raises OverflowError naming it on that read, so whatever is
-    returned is exact.
+    side's log onto an identity (`_replay`), and is then kept; a
+    transform no caller reads is never built.  A transform with an entry
+    that would leave int64 raises OverflowError naming it on that read,
+    so whatever is returned is exact.
+
+    The library's solves and kernels read only products and slices of u
+    and v, and take them from the logs without building either.  Each
+    logged step is a row operation E on the transform its side builds:
+    the row log E_1 .. E_k gives u = E_k .. E_1, and the column log
+    F_1 .. F_m gives v transposed, F_m .. F_1, so v = F_1^T .. F_m^T.
+    Hence:
+    - u @ x is the row log run forward on x;
+    - v @ w is the column log run backwards on w with each step
+      transposed.  An update ("add", t, idx, q) adds q_i times row t to
+      row idx[i], so its transpose adds q @ w[idx] to w[t]; a swap and a
+      sign flip are their own transposes;
+    - row i of u is u^T e_i, the row log run the same way on e_i;
+    - v's first g rows, transposed, are the column log run forward on the
+      identity's first g columns, since a row operation acts on each
+      column alone.
+    These are the integers the products of the built transforms hold,
+    each step through `_grow`, so whatever is returned is exact.  The
+    logs and the diagonal alone, without s, are `logs()`.
     """
 
     s: np.ndarray
@@ -81,30 +100,55 @@ class SNFResult:
 
     @property
     def diagonal(self) -> list[int]:
-        k = min(self.s.shape)
-        return [int(self.s[i, i]) for i in range(k)]
+        return np.diagonal(self.s).tolist()
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    def logs(self) -> "SmithLogs":
+        """The diagonal and both logs, with every array in the logs made
+        read-only: all that `_solve` and `kernel` read."""
+        for _, *args in (*self.row_log, *self.col_log):
+            for x in args:
+                if isinstance(x, np.ndarray):
+                    x.flags.writeable = False
+        return SmithLogs(tuple(self.diagonal), tuple(self.row_log), tuple(self.col_log))
+
     # uinv and v are built transposed, so that their column operations run
     # on contiguous rows.
     @cached_property
     def u(self) -> np.ndarray:
-        return _replay(self.s.shape[0], self.row_log, False, "u")
+        return _replay(self.row_log, np.eye(self.s.shape[0], dtype=np.int64), "u")
 
     @cached_property
     def uinv(self) -> np.ndarray:
-        return np.ascontiguousarray(_replay(self.s.shape[0], self.row_log, True, "uinv").T)
+        a = np.eye(self.s.shape[0], dtype=np.int64)
+        return np.ascontiguousarray(_replay(self.row_log, a, "uinv", inverse=True).T)
 
     @cached_property
     def v(self) -> np.ndarray:
-        return np.ascontiguousarray(_replay(self.s.shape[1], self.col_log, False, "v").T)
+        a = np.eye(self.s.shape[1], dtype=np.int64)
+        return np.ascontiguousarray(_replay(self.col_log, a, "v").T)
 
     @cached_property
     def vinv(self) -> np.ndarray:
-        return _replay(self.s.shape[1], self.col_log, True, "vinv")
+        return _replay(self.col_log, np.eye(self.s.shape[1], dtype=np.int64), "vinv", inverse=True)
+
+
+@dataclass(frozen=True, eq=False)
+class SmithLogs:
+    """The diagonal and the step logs of an `SNFResult`, without s or any
+    transform: what `_solve` and `kernel` read, and so what a factorisation
+    kept past its call needs to hold.  Its log arrays are read-only."""
+
+    diagonal: tuple[int, ...]
+    row_log: tuple = field(repr=False)
+    col_log: tuple = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal if d != 0)
 
 
 def _grow(a: np.ndarray, bound: int, factor: int, step, name: str) -> int:
@@ -130,19 +174,27 @@ def _grow(a: np.ndarray, bound: int, factor: int, step, name: str) -> int:
 _ONE = np.ones(1, dtype=np.int64)
 
 
-def _replay(n: int, log: list, inverse: bool, name: str) -> np.ndarray:
-    """The transform `name` of one side: `log` run on the n x n identity.
+def _replay(log, a: np.ndarray, name: str, inverse: bool = False,
+            transposed: bool = False) -> np.ndarray:
+    """Run one side's `log` on the rows of the int64 array a, in place,
+    and return a; `name` names the result in an OverflowError.
 
     A step is a swap ("swap", i, j), a sign flip ("neg", t), an update
     ("add", t, idx, q, g) with g = max |q|, or a fold ("fold", t, i), the
-    update that adds row i to row t.  On u and on v transposed an update
-    adds q_k times row t to row idx[k]; on uinv transposed and on vinv,
-    the inverses, it subtracts the sum of q_k times row idx[k] from row t.
-    Each update runs through `_grow`, with the growth bounds 1 + g and
-    1 + len(q) g."""
-    a = np.eye(n, dtype=np.int64)
-    bound = 1
-    for op, *args in log:
+    update that adds row i to row t.  With the log E_1 .. E_k of row
+    operations (`SNFResult` derives what each mode gives):
+    - forward, an update adds q_i times row t to row idx[i], giving
+      E_k .. E_1 @ a: u or v transposed from the identity, u @ a;
+    - with `inverse`, it subtracts q @ a[idx] from row t, in the same
+      order: each E inverted and transposed, giving uinv transposed and
+      vinv from the identity;
+    - with `transposed`, it adds q @ a[idx] to row t, in reverse: each E
+      transposed, giving E_1^T .. E_k^T @ a, so v @ a or u^T @ a.
+    A swap and a sign flip are their own transposes and inverses.  Each
+    update runs through `_grow`, with the growth bounds 1 + g forward and
+    1 + len(q) g otherwise."""
+    bound = int(np.abs(a).max(initial=0))
+    for op, *args in (reversed(log) if transposed else log):
         if op == "swap":
             i, j = args
             a[[i, j]] = a[[j, i]]
@@ -156,13 +208,17 @@ def _replay(n: int, log: list, inverse: bool, name: str) -> np.ndarray:
             def step(x):
                 x[t] -= q @ x[idx]
 
-            bound = _grow(a, bound, 1 + len(q) * g, step, name)
+        elif transposed:
+
+            def step(x):
+                x[t] += q @ x[idx]
+
         else:
 
             def step(x):
                 x[idx] += np.multiply.outer(q, x[t])
 
-            bound = _grow(a, bound, 1 + g, step, name)
+        bound = _grow(a, bound, 1 + (len(q) * g if inverse or transposed else g), step, name)
     return a
 
 
@@ -442,22 +498,29 @@ class UnsolvableWitness:
 def _factor(lm: LinearMap) -> SNFResult:
     """The Smith normal form of lm's augmented block.  Callers that need it
     twice compute it once and hand it to `_solve` and `kernel`.  Only a
-    `Subgroup` keeps one, of its embedding; no other factorisation
-    outlives the call that made it.  Guarded before the block is built."""
+    `Subgroup` keeps one, of its embedding; `cohomology.classify_functors`
+    keeps the logs of its d2 blocks (`SNFResult.logs`), and no other
+    factorisation outlives the call that made it.  Guarded before the
+    block is built."""
     _guard_snf(lm.target.rank, lm.source.rank + lm.target.rank)
     return smith_normal_form(_augmented(lm))
 
 
-def _solve(lm: LinearMap, rhs, res: SNFResult | None = None):
+def _solve(lm: LinearMap, rhs, res: SNFResult | SmithLogs | None = None):
     """Solve lm(x) = b for every column b of `rhs` against one
-    factorisation `res` of lm's augmented block, made here when not given
-    and there is something to solve.
+    factorisation `res` of lm's augmented block, an `SNFResult` or its
+    `SmithLogs`, made here when not given and there is something to solve.
 
     Returns (x, None, None) with column j of x solving column j of rhs, or
-    (None, j, witness) for the first column j that has no solution.  The
-    column-stacked products u @ rhs and v @ w do the integer arithmetic of
-    one column at a time, so each column's answer and certificate are those
-    of a solve of that column alone."""
+    (None, j, witness) for the first column j that has no solution.  It
+    reads u @ rhs, (v @ w)[:g] and, for a certificate, row i of u, each
+    from the logs (`_replay`) and not from a built transform: u @ rhs runs
+    the row log forward on rhs, v @ w runs the column log backwards on w
+    with each step transposed, and row i of u runs the row log the same
+    way on e_i, only once a column has failed.  Every step acts on each
+    column alone, so each column's answer and certificate are those of a
+    solve of that column alone, and the same integers as the products of
+    the built transforms."""
     h, g = lm.target.rank, lm.source.rank
     rhs = np.asarray(rhs, dtype=np.int64)
     if rhs.ndim == 1:
@@ -467,20 +530,22 @@ def _solve(lm: LinearMap, rhs, res: SNFResult | None = None):
         return np.zeros((g, k), dtype=np.int64), None, None
     if res is None:
         res = _factor(lm)
-    c = res.u @ rhs
     # The diagonal block has full row rank, so every diagonal entry is nonzero.
-    d = np.diagonal(res.s)[:h, None]
+    d = np.array(res.diagonal[:h], dtype=np.int64)[:, None]
     if not (d > 0).all():
         raise AssertionError("target moduli must make the system full row rank")
+    c = _replay(res.row_log, rhs.copy(), "u @ rhs")
     rem = c % d
     bad = np.flatnonzero(rem.any(axis=0))
     if bad.size:
         j = int(bad[0])
         i = int(np.flatnonzero(rem[:, j])[0])
-        return None, j, UnsolvableWitness(res.u[i].copy(), int(d[i, 0]), int(rem[i, j]))
+        row = _replay(res.row_log, np.eye(h, 1, -i, dtype=np.int64), "u", transposed=True)
+        return None, j, UnsolvableWitness(row[:, 0], int(d[i, 0]), int(rem[i, j]))
     w = np.zeros((g + h, k), dtype=np.int64)
     w[:h] = c // d
-    x = (res.v @ w)[:g] % np.asarray(lm.source.factors, dtype=np.int64)[:, None]
+    x = _replay(res.col_log, w, "v @ w", transposed=True)[:g]
+    x %= np.asarray(lm.source.factors, dtype=np.int64)[:, None]
     tgt = np.asarray(lm.target.factors, dtype=np.int64)[:, None]
     if ((lm.matrix @ x - rhs) % tgt).any():
         raise AssertionError("solver postcondition")
@@ -589,9 +654,14 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
     return sub
 
 
-def kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
+def kernel(lm: LinearMap, res: SNFResult | SmithLogs | None = None) -> Subgroup:
     """Kernel of lm as a presented subgroup of the source, from a
-    factorisation `res` of lm's augmented block, made here when not given."""
+    factorisation `res` of lm's augmented block, an `SNFResult` or its
+    `SmithLogs`, made here when not given.
+
+    It reads v[:g, r:], the x-parts of the last columns of v, without
+    building v: the column log run forward on the first g columns of the
+    identity gives v's first g rows transposed (`_replay`)."""
     g = lm.source.rank
     if g == 0:
         return Subgroup(lm.source, FinAbGroup(()), [])
@@ -600,7 +670,8 @@ def kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
     r = res.rank
     # x-parts of an integer basis of the kernel lattice of the augmented block;
     # together with the source moduli they span the kernel as a lattice.
-    kz = res.v[:g, r:]
+    head = np.eye(g + lm.target.rank, g, dtype=np.int64)
+    kz = _replay(res.col_log, head, "v")[r:].T
     sub = span_subgroup(lm.source, kz)
     # Every generator at once: lm times the embedding, modulo the target.
     tgt = np.asarray(lm.target.factors, dtype=np.int64)

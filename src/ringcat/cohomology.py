@@ -12,7 +12,9 @@ alpha_x, lambda_l, rho_r) that the reduced structure checker evaluates.
 The two differentials exist twice over: once as table evaluations (cheap,
 used by property checks) and once as integer matrices over the invariant
 factor coordinates of the module (used for kernels, images, quotients and
-certificates), assembled by `complex_for` on each call.
+certificates), assembled by `complex_for` on each call;
+`classify_functors` keeps them, with the logs of their d2 blocks, in a
+bounded memo of pulled modules.
 The degree-3 table formula is `_defect3`, which also computes the
 obstruction cochain in `transport.reduce_esystem`; its core
 `_defect3_cells` checks the cocycle conditions in
@@ -41,6 +43,7 @@ from .ablin import (
     FinAbGroup,
     HomologyData,
     LinearMap,
+    SmithLogs,
     Subgroup,
     UnsolvableWitness,
     _factor,
@@ -559,25 +562,164 @@ def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     `k` (its obstruction cochain).  A class exists iff the pulled-back
     obstruction bounds; then the solutions of d2(c) = -psi*k form a coset
     of Z2 and are listed one per cohomology class.
+
+    Everything but the obstruction depends on the pulled module alone: its
+    complex, the factorisation of its augmented d2 block, and H^2 with its
+    representatives.  Those come from a bounded memo on the module's
+    content (`_pulled_cohomology`), which keeps the factorisation as its
+    logs (`SmithLogs`) and H^2 once a first obstruction over the module
+    has bounded.  Each call pulls k back, solves d2(c) = -psi*k against
+    the logs, and checks the witness, every class and their count again,
+    so an obstructed triple factors only the d2 block.  The result's
+    `pulled_module` and cochains live over the memo's copy of the pulled
+    module, whose tables are read-only.
     """
-    pulled = pullback_module(psi, rc.module)
+    entry = _pulled_cohomology(pullback_module(psi, rc.module))
+    pulled, cx = entry.module, entry.complex
     kq = pullback(psi, rc.k, pulled)
-    cx = complex_for(pulled)
-    # The bounding test and the cocycles both need the augmented d2 block
-    # factored, so it is factored once here.  Its source and target are
-    # both trivial or both not; when trivial, neither needs it.
-    res = _factor(cx.d2_map) if cx.c2_group.rank else None
     target = neg3(kq)
-    verdict = _coboundary_verdict(cx, target, res)
+    verdict = _coboundary_verdict(cx, target, entry.d2)
     if not verdict.is_coboundary:
         return FunctorClassification(pulled, kq, False, verdict.certificate, [], ())
     g0 = verdict.witness
-    cycles = kernel(cx.d2_map, res)
-    del res  # free the transforms before homology factors anything else
-    hd = H2Data(cx, _homology(cx.d1_map, cycles))
-    classes = [add2(g0, rep) for rep in hd.representatives()]
+    reps, factors, order = entry.h2()
+    classes = [add2(g0, rep) for rep in reps]
     if not all(d2(c).equals(target) for c in classes):
         raise AssertionError("class representatives must differentiate to -psi*k")
-    if len(classes) != hd.order:
+    if len(classes) != order:
         raise AssertionError("one class per element of H2")
-    return FunctorClassification(pulled, kq, True, None, classes, hd.factors)
+    return FunctorClassification(pulled, kq, True, None, classes, factors)
+
+
+# The tables that make up a module's content, beside its ring and factors.
+_MODULE_TABLES = ("add", "neg", "left", "right", "coords", "by_code", "strides")
+# What `_PulledCohomology.nbytes` charges beyond array data: each log step
+# (its tuple, its index and quotient array headers) and each
+# representative (its two table headers and the cochain).
+_STEP_BYTES = 512
+_REP_BYTES = 512
+# The most bytes one entry of `_pulled_memo` may hold.
+_ENTRY_BYTES = 2**20
+
+
+def _frozen_copy(a: np.ndarray) -> np.ndarray:
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+class _ModuleKey:
+    """A pulled module as a key of `_pulled_memo`: `module` is a copy with
+    read-only tables, equal to another key's when both lie over the same
+    ring object, with the same factors and tables (dtype and bytes)."""
+
+    __slots__ = ("module", "_hash")
+
+    def __init__(self, module: Bimodule):
+        tables = {name: _frozen_copy(getattr(module, name)) for name in _MODULE_TABLES}
+        self.module = replace(module, **tables)
+        self._hash = hash((id(module.ring), module.group.factors,
+                           *((t.dtype.str, t.tobytes()) for t in tables.values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        a, b = self.module, other.module
+        return a.ring is b.ring and a.group.factors == b.group.factors and all(
+            x.dtype == y.dtype and np.array_equal(x, y)
+            for x, y in zip(*([getattr(m, name) for name in _MODULE_TABLES] for m in (a, b)))
+        )
+
+
+@dataclass(eq=False)
+class _PulledCohomology:
+    """What `classify_functors` reads of one pulled module: the module, its
+    complex, the logs of its augmented d2 block (None when the block is
+    empty) and, once `h2` has run, H^2 as (representatives, factors,
+    order), the representatives read-only cochains over `module`."""
+
+    module: Bimodule
+    complex: CochainComplex
+    d2: SmithLogs | None
+    _h2: tuple | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the entry holds, counted as its arrays' data plus
+        `_STEP_BYTES` a log step and `_REP_BYTES` a representative."""
+        cx = self.complex
+        n = sum(getattr(self.module, name).nbytes for name in _MODULE_TABLES)
+        n += cx.d1_map.matrix.nbytes + cx.d2_map.matrix.nbytes
+        n += 8 * (cx.c1_group.rank + cx.c2_group.rank + cx.c3_group.rank)
+        if self.d2 is not None:
+            for _, *args in (*self.d2.row_log, *self.d2.col_log):
+                n += _STEP_BYTES + sum(x.nbytes for x in args if isinstance(x, np.ndarray))
+        if self._h2 is not None:
+            n += _reps_nbytes(self._h2[0])
+        return n
+
+    def h2(self) -> tuple:
+        """(representatives, factors, order) of H^2, kept on the entry if
+        it then holds at most `_ENTRY_BYTES`.  The cycles are the kernel of
+        d2 read from the kept logs; homology factors their embedding and
+        the boundaries' cokernel, and neither factorisation is kept."""
+        if self._h2 is not None:
+            return self._h2
+        cx = self.complex
+        hd = H2Data(cx, _homology(cx.d1_map, kernel(cx.d2_map, self.d2)))
+        reps = hd.representatives()
+        for r in reps:
+            r.f.flags.writeable = r.g.flags.writeable = False
+        h2 = reps, hd.factors, hd.order
+        if self.nbytes + _reps_nbytes(reps) <= _ENTRY_BYTES:
+            self._h2 = h2
+        return h2
+
+
+def _reps_nbytes(reps) -> int:
+    return sum(_REP_BYTES + r.f.nbytes + r.g.nbytes for r in reps)
+
+
+class _Unkept(Exception):
+    """An entry over `_ENTRY_BYTES`, raised so that `_pulled_memo` keeps
+    nothing of the call that built it."""
+
+    def __init__(self, entry: _PulledCohomology):
+        super().__init__()
+        self.entry = entry
+
+
+@functools.lru_cache(maxsize=32)
+def _pulled_memo(key: _ModuleKey) -> _PulledCohomology:
+    cx = complex_for(key.module)
+    cx.d1_map.matrix.flags.writeable = cx.d2_map.matrix.flags.writeable = False
+    # The block's source and target are both trivial or both not; when
+    # trivial, neither the solve nor the kernel needs it factored.
+    d2 = _factor(cx.d2_map).logs() if cx.c2_group.rank else None
+    entry = _PulledCohomology(key.module, cx, d2)
+    if entry.nbytes > _ENTRY_BYTES:
+        raise _Unkept(entry)
+    return entry
+
+
+def _pulled_cohomology(pulled: Bimodule) -> _PulledCohomology:
+    """The entry of `pulled` in a memo keyed on its content: its ring by
+    identity, and the bytes of its factors and tables (`_ModuleKey`).
+    The key holds the module and so its ring, whose id therefore cannot
+    be reused while the entry is alive.
+
+    The memo is an `lru_cache` of 32 entries, and keeps an
+    entry only while it holds at most `_ENTRY_BYTES` = 1 MiB; a larger one
+    serves the call that built it and is dropped.  So the memo holds at
+    most 32 MiB; the key's module copy is the entry's module, counted
+    there.  `nbytes` charges 512 bytes a log step beyond its arrays, where
+    tracemalloc reads about 250.  The classify benchmark's 26 distinct
+    pulled modules count 2.7 MB in all and trace 1.7 MB; the largest,
+    `flat_klein0` over its order-4 quotients, count 0.49 MB each.  The
+    logs hold what elimination wrote, a step's indices and quotients, and
+    no s and no transform: s, u and v of the same 26 blocks take 6.6 MB."""
+    try:
+        return _pulled_memo(_ModuleKey(pulled))
+    except _Unkept as e:
+        return e.entry

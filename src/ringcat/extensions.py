@@ -718,7 +718,9 @@ def exhaustive_extension_search(
     on q (`_quotient_grid`).  Each is built only after the guards before
     it: the pool after the f guard, the mask and lookup after the action
     guard and a guard on the npool^2 |b| cells of `bimult._permutable`
-    that the mask reduces.
+    that the mask reduces.  When that last guard refuses, the pool memo
+    drops its entry: a pool that large fails the same guard on every
+    search over b.
 
     The action stage walks only the generator classes.  An action
     additive up to f has l_i(c) + l_j(c) = f(i, j)*c + l_x(c) and
@@ -764,7 +766,13 @@ def exhaustive_extension_search(
     pl, pr = _bimult_pool(b)
     npool = len(pl)
     _guard(npool ** (nq - 1), "action candidates", guard)
-    _guard(npool * npool * nb, "permutability grid cells", CELL_LIMIT)
+    try:
+        _guard(npool * npool * nb, "permutability grid cells", CELL_LIMIT)
+    except SearchGuardError:
+        # A pool this large (8 MB over the square-zero ideal of
+        # Z/2[x,y,z]/(x,y,z)^2) serves no later search over b either.
+        _bimult_pool.cache_clear()
+        raise
     perm_ok, pool_index = _pool_tables(b)
 
     gens = grid.gens

@@ -16,6 +16,7 @@ from ringcat.ablin import (
     HomologyData,
     Subgroup,
     _augmented,
+    _replay,
     _solve,
     as_int_matrix,
     cokernel,
@@ -360,14 +361,16 @@ def test_each_caller_builds_only_the_transforms_it_reads(monkeypatch):
     results = recorded_snfs(monkeypatch)
     ker = kernel(d2_map)
     # The augmented d2 block, then span_subgroup's lattice and relations.
+    # kernel reads v's first rows from the column log, and solve its
+    # products from both logs, so neither builds a transform.
     assert [r.s.shape for r in results] == [(234, 270), (36, 72), (36, 36)]
-    assert [built(r) for r in results] == [{"v"}, {"u", "uinv"}, {"uinv"}]
+    assert [built(r) for r in results] == [set(), {"u", "uinv"}, {"uinv"}]
     results.clear()
     cokernel(d2_map)
     assert [built(r) for r in results] == [{"u", "uinv"}]
     results.clear()
     assert solve(d2_map, d2_map.apply(ker.gens[0])) is not None
-    assert [built(r) for r in results] == [{"u", "v"}]
+    assert [built(r) for r in results] == [set()]
 
 
 def test_class_of_factors_the_cycles_embedding_once(monkeypatch):
@@ -383,7 +386,7 @@ def test_class_of_factors_the_cycles_embedding_once(monkeypatch):
     classes = [h.class_of(x) for x in h.cycles.gens]
     embed = _augmented(h.cycles._embed)
     assert sum(a.shape == embed.shape and (a == embed).all() for a in blocks) == 1
-    assert len(blocks) == 5 and built(h.cycles._snf) == {"u", "v"}
+    assert len(blocks) == 5 and built(h.cycles._snf) == set()
     monkeypatch.undo()
     assert classes == [reference_class_of(h, x) for x in h.cycles.gens]
     assert len(set(classes)) > 1
@@ -861,6 +864,95 @@ def test_solve_matches_column_by_column():
             else:
                 assert (one_cert.row.tolist(), one_cert.modulus, one_cert.residue) == wcert
     assert unsolvable >= 20
+
+
+# ---------------------------------------------------------------------------
+# Solves and kernels read the transforms through the logs.
+
+
+@settings(max_examples=300, deadline=None)
+@given(snf_inputs(), st.data())
+def test_the_logs_give_the_products_of_the_built_transforms(a, data):
+    # u @ x runs the row log forward, v @ w and row i of u run a log
+    # backwards with each step transposed, and v's first g rows run the
+    # column log forward on the identity's first g columns; each equals
+    # the product with the built transform, in exact integers.
+    res = snf_or_overflow(a)
+    if res is None:
+        return
+    nr, nc = a.shape
+    k = data.draw(st.integers(0, 3))
+    entries = st.lists(st.integers(-9, 9), min_size=k, max_size=k)
+    x = np.array([data.draw(entries) for _ in range(nr)], dtype=np.int64).reshape(nr, k)
+    w = np.array([data.draw(entries) for _ in range(nc)], dtype=np.int64).reshape(nc, k)
+    u, v = res.u.astype(object), res.v.astype(object)
+    assert np.array_equal(_replay(res.row_log, x.copy(), "u @ x"), u @ x.astype(object))
+    assert np.array_equal(_replay(res.col_log, w.copy(), "v @ w", transposed=True),
+                          v @ w.astype(object))
+    for i in range(nr):
+        row = _replay(res.row_log, np.eye(nr, 1, -i, dtype=np.int64), "u", transposed=True)
+        assert np.array_equal(row[:, 0], res.u[i])
+    g = data.draw(st.integers(0, nc))
+    assert np.array_equal(_replay(res.col_log, np.eye(nc, g, dtype=np.int64), "v").T, res.v[:g])
+
+
+def solve_from_transforms(lm, rhs, res):
+    """`_solve` as it was before it read the logs: u @ rhs, row i of u for
+    a certificate, and (v @ w)[:g], all from the built transforms."""
+    h, g = lm.target.rank, lm.source.rank
+    c = res.u @ rhs
+    d = np.diagonal(res.s)[:h, None]
+    rem = c % d
+    bad = np.flatnonzero(rem.any(axis=0))
+    if bad.size:
+        j = int(bad[0])
+        i = int(np.flatnonzero(rem[:, j])[0])
+        return None, j, (res.u[i].tolist(), int(d[i, 0]), int(rem[i, j]))
+    w = np.zeros((g + h, rhs.shape[1]), dtype=np.int64)
+    w[:h] = c // d
+    return (res.v @ w)[:g] % np.asarray(lm.source.factors, dtype=np.int64)[:, None], None, None
+
+
+def test_solve_and_kernel_read_the_logs_as_the_transforms(monkeypatch):
+    # On the 41 census d2 blocks of shape 234 x 270 and on random maps,
+    # `_solve` against the logs alone gives what the built transforms
+    # give, certificates included, and the kernel's x-parts are v[:g, r:].
+    from test_cohomology import klein_census_modules  # it imports this module
+
+    census = [complex_for(m).d2_map for m in klein_census_modules()]
+    census = [lm for lm in census if _augmented(lm).shape == (234, 270)]
+    assert len(census) == 41
+    rng = np.random.default_rng(37)
+    maps = census + [_random_map(rng, _random_group(rng), _random_group(rng, 64))
+                     for _ in range(200)]
+    spans = []
+    span = ablin.span_subgroup
+    monkeypatch.setattr(ablin, "span_subgroup",
+                        lambda ambient, cols: spans.append(np.array(cols)) or span(ambient, cols))
+    solved = failed = 0
+    for lm in maps:
+        h, g = lm.target.rank, lm.source.rank
+        if not h or not g:
+            continue
+        res = ablin._factor(lm)
+        logs = res.logs()
+        for flip in ([0, 0, 0], [0, 1, 1], [1, 0, 1]):
+            cols = [lm.target.random_element(rng) if bad else lm.apply(lm.source.random_element(rng))
+                    for bad in flip]
+            rhs = np.array(cols, dtype=np.int64).T
+            x, j, cert = _solve(lm, rhs, logs)
+            want_x, want_j, want_cert = solve_from_transforms(lm, rhs, res)
+            if want_x is None:
+                failed += 1
+                assert x is None and j == want_j
+                assert (cert.row.tolist(), cert.modulus, cert.residue) == want_cert
+            else:
+                solved += 1
+                assert np.array_equal(x, want_x) and j is None and cert is None
+        spans.clear()
+        assert kernel(lm, logs).gens == kernel(lm, res).gens
+        assert np.array_equal(spans[0], res.v[:g, res.rank:])
+    assert solved >= 150 and failed >= 150
 
 
 def random_complex(rng):

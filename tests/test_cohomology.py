@@ -5,13 +5,14 @@ import gc
 import itertools
 import tracemalloc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ringcat import cohomology
-from ringcat.ablin import FinAbGroup, LinearMap, homology, span_subgroup
+from ringcat import ablin, cohomology
+from ringcat.ablin import FinAbGroup, LinearMap, SmithLogs, homology, span_subgroup
 from ringcat.bimult import bimult_ring, permutable
 from ringcat.cohomology import (
     Cochain1,
@@ -960,17 +961,21 @@ def reference_classify(psi, rc):
     return True, None, [(c.f.tolist(), c.g.tolist()) for c in classes], hd.group.factors
 
 
+def classified(out):
+    """A classification in `reference_classify`'s terms: (vanishes,
+    certificate, class tables, H2 factors)."""
+    cert = out.certificate and (out.certificate.row.tolist(), out.certificate.modulus,
+                                out.certificate.residue)
+    return out.vanishes, cert, [(c.f.tolist(), c.g.tolist()) for c in out.classes], out.h2_factors
+
+
 def test_classify_triples_match_the_per_column_solves():
     triples = classify_triples()
     assert len(triples) == 59
     obstructed = []
     for label, psi, rc in triples:
         out = classify_functors(psi, rc)
-        cert = out.certificate and (out.certificate.row.tolist(), out.certificate.modulus,
-                                    out.certificate.residue)
-        got = (out.vanishes, cert, [(c.f.tolist(), c.g.tolist()) for c in out.classes],
-               out.h2_factors)
-        assert got == reference_classify(psi, rc), label
+        assert classified(out) == reference_classify(psi, rc), label
         if not out.vanishes:
             obstructed.append(label)
         cx = complex_for(out.pulled_module)
@@ -978,6 +983,134 @@ def test_classify_triples_match_the_per_column_solves():
                              reference_homology(cx.d1_map, cx.d2_map),
                              z2(out.pulled_module).subgroup.gens)
     assert obstructed == ["mult_2z8|coker_mult_2z8|0,1,2,3"]
+
+
+# ---------------------------------------------------------------------------
+# classify_functors reads each pulled module's complex, d2 logs and H2 from
+# a bounded memo keyed on the module's content.
+
+
+def memo_entry(psi, rc):
+    """The memo's entry for the module that rc's module pulls back to."""
+    return cohomology._pulled_cohomology(pullback_module(psi, rc.module))
+
+
+def test_the_memo_matches_the_reference_in_any_order():
+    # The 59 triples pull back 26 distinct modules; each order runs from
+    # an empty memo, then again on the full one.
+    triples = classify_triples()
+    want = {label: reference_classify(psi, rc) for label, psi, rc in triples}
+    for seed in (3, 5, 11):
+        cohomology._pulled_memo.cache_clear()
+        order = np.random.default_rng(seed).permutation(len(triples))
+        for state in ("cold", "warm"):
+            for i in order:
+                label, psi, rc = triples[i]
+                assert classified(classify_functors(psi, rc)) == want[label], (seed, state, label)
+        info = cohomology._pulled_memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (26, 2 * 59 - 26, 26)
+
+
+@pytest.mark.parametrize("label", ["flat_z2|z4|0,1,0,1", "mult_2z8|coker_mult_2z8|0,1,2,3"],
+                         ids=["vanishing", "obstructed"])
+def test_a_second_call_on_equal_content_builds_nothing(label, monkeypatch):
+    # The second call pulls back a module whose tables are all fresh
+    # copies: equal content, other objects.  It builds no complex and
+    # factors nothing, and returns the first call's pulled module.
+    psi, rc = next((psi, rc) for lab, psi, rc in classify_triples() if lab == label)
+    cohomology._pulled_memo.cache_clear()
+    first = classify_functors(psi, rc)
+    m = rc.module
+    copy = replace(m, **{name: np.array(getattr(m, name)) for name in cohomology._MODULE_TABLES})
+    calls = []
+    monkeypatch.setattr(cohomology, "complex_for", lambda *a: calls.append("complex_for"))
+    monkeypatch.setattr(ablin, "smith_normal_form", lambda a: calls.append("smith_normal_form"))
+    again = classify_functors(psi, SimpleNamespace(module=copy, k=rc.k))
+    assert calls == []
+    assert again.pulled_module is first.pulled_module
+    assert classified(again) == classified(first)
+
+
+def test_the_memo_keeps_read_only_arrays_and_no_factorisation():
+    triples = classify_triples()
+    for _, psi, rc in triples:
+        classify_functors(psi, rc)
+    entries = {id(e): e for e in (memo_entry(psi, rc) for _, psi, rc in triples)}.values()
+    assert len(entries) == 26
+    kept_h2 = 0
+    for e in entries:
+        arrays = [getattr(e.module, name) for name in cohomology._MODULE_TABLES]
+        arrays += [e.complex.d1_map.matrix, e.complex.d2_map.matrix]
+        if e.d2 is not None:
+            assert type(e.d2) is SmithLogs
+            arrays += [x for _, *args in (*e.d2.row_log, *e.d2.col_log)
+                       for x in args if isinstance(x, np.ndarray)]
+        if e._h2 is not None:
+            kept_h2 += 1
+            arrays += [t for rep in e._h2[0] for t in (rep.f, rep.g)]
+            assert all(rep.module is e.module for rep in e._h2[0])
+        assert not any(a.flags.writeable for a in arrays)
+        assert e.nbytes <= cohomology._ENTRY_BYTES
+    assert kept_h2 == 25  # all but the obstructed mult_2z8 over its cokernel
+    with pytest.raises(ValueError, match="read-only"):
+        classify_functors(psi, rc).pulled_module.add[0, 0] = 1
+
+
+def test_the_memo_holds_no_more_than_it_counts():
+    # With every other memo that classify reads filled, refilling this
+    # one from empty grows the traced heap by less than the entries'
+    # `nbytes`, which is what the byte bound charges.
+    triples = classify_triples()
+    for _, psi, rc in triples:
+        classify_functors(psi, rc)
+    cohomology._pulled_memo.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _, psi, rc in triples:
+            classify_functors(psi, rc)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = {id(e): e for e in (memo_entry(psi, rc) for _, psi, rc in triples)}.values()
+    assert 0 < grown < sum(e.nbytes for e in entries)
+    info = cohomology._pulled_memo.cache_info()
+    assert (info.maxsize, cohomology._ENTRY_BYTES) == (32, 2**20)
+
+
+def test_an_entry_over_the_byte_bound_is_not_kept(monkeypatch):
+    psi, rc = next((psi, rc) for lab, psi, rc in classify_triples()
+                   if lab == "flat_z2|z4|0,1,0,1")
+    cohomology._pulled_memo.cache_clear()
+    want = classified(classify_functors(psi, rc))
+    entry = memo_entry(psi, rc)
+    with_h2 = entry.nbytes
+    entry._h2 = None
+    without_h2 = entry.nbytes
+    assert without_h2 < with_h2 <= cohomology._ENTRY_BYTES
+    shapes = []
+    snf = ablin.smith_normal_form
+    monkeypatch.setattr(ablin, "smith_normal_form",
+                        lambda a: shapes.append(np.shape(a)) or snf(a))
+    d2_block = (117, 135)
+    # Below the entry: each call builds its entry and drops it.
+    monkeypatch.setattr(cohomology, "_ENTRY_BYTES", without_h2 - 1)
+    cohomology._pulled_memo.cache_clear()
+    for _ in range(2):
+        shapes.clear()
+        assert classified(classify_functors(psi, rc)) == want
+        assert shapes[0] == d2_block and len(shapes) == 5
+    assert cohomology._pulled_memo.cache_info().currsize == 0
+    # Between: the entry is kept, H2 is not, and only H2 is built again.
+    monkeypatch.setattr(cohomology, "_ENTRY_BYTES", with_h2 - 1)
+    cohomology._pulled_memo.cache_clear()
+    classify_functors(psi, rc)
+    shapes.clear()
+    assert classified(classify_functors(psi, rc)) == want
+    assert len(shapes) == 4 and d2_block not in shapes
+    assert memo_entry(psi, rc)._h2 is None
 
 
 def test_pullback_module_matches_validate_bimodule():

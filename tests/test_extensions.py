@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ringcat import ablin, crossed, extensions
+from ringcat import ablin, cohomology, crossed, extensions
 from ringcat.ablin import CANDIDATE_LIMIT, _guard
 from ringcat.bimult import (
     Bimult,
@@ -1343,7 +1343,9 @@ def test_product_blocks_follow_product_order(radices, width):
 def test_obstruction_factors_each_matrix_once(triple, calls, monkeypatch):
     # The bounding test and the kernel of d2 share one factorisation of
     # the augmented d2 block, and homology solves every boundary against
-    # one factorisation of the cycles' embedding.
+    # one factorisation of the cycles' embedding.  The memo of pulled
+    # modules starts empty, so that a warm entry cannot hide a block.
+    cohomology._pulled_memo.cache_clear()
     inputs = []
     snf = ablin.smith_normal_form
 
@@ -1362,8 +1364,11 @@ def test_obstruction_factors_each_matrix_once(triple, calls, monkeypatch):
 
 def test_no_factorisation_outlives_classify_functors(monkeypatch):
     # No Smith normal form may be kept past the call, on the complex, its
-    # maps or anywhere else.  The collector is off, so a factorisation
-    # kept in a reference cycle would show too.
+    # maps or anywhere else: the bounded memo of pulled modules keeps the
+    # d2 block's logs (`SmithLogs`), not its `SNFResult`.  It starts
+    # empty, so that the call factors every block.  The collector is
+    # off, so a factorisation kept in a reference cycle would show too.
+    cohomology._pulled_memo.cache_clear()
     results = []
     snf = ablin.smith_normal_form
 

@@ -287,6 +287,8 @@ def test_flat_klein0_searches_over_order_4_quotients_trip_the_action_guard(q, ps
     with pytest.raises(SearchGuardError) as e:
         exhaustive_extension_search(es, q, psi)
     assert str(e.value) == "16777216 action candidates, over the guard 1000000"
+    # Only a permutability refusal drops the pool; this one keeps its 4 KB.
+    assert extensions._bimult_pool.cache_info().currsize == 1
 
 
 def square_zero_z2xyz():
@@ -305,9 +307,11 @@ def test_a_pool_past_the_action_guard_trips_the_permutability_guard():
     # Their permutability table would have 262144^2 * 8 cells (1 TiB).
     es = crossed.ideal_esystem(square_zero_z2xyz(), range(8))
     q = es.cokernel.ring
+    # The refusal drops the 8 MB pool from its memo.
     try:
         with pytest.raises(SearchGuardError) as e:
             exhaustive_extension_search(es, q, RingHom(q, q, np.arange(q.order)))
+        assert extensions._bimult_pool.cache_info().currsize == 0
     finally:
         extensions._bimult_pool.cache_clear()
     assert str(e.value) == "549755813888 permutability grid cells, over the guard 10000000"

@@ -7,10 +7,11 @@ of a section's tables and the context check that a crossed product gets
 from `validate_extension`), the internal checks of
 `ablin`, `rings`, `bimult`, `anncat`, `transport`, `cohomology` and
 `extensions`, the CLI's exit codes for bad input, tripped guards and
-internal errors, and the 2-ring checker's per-law proof masks, its
+internal errors, the 2-ring checker's per-law proof masks, its
 conditions on the target's additive generators and its slab scan against
-their references.  Here they run again in a `python -O`
-subprocess.
+their references, and the memo of pulled modules behind
+`classify_functors` with the Smith log products it solves by.  Here they
+run again in a `python -O` subprocess.
 """
 
 import ast
@@ -69,6 +70,13 @@ VALIDATION_TESTS = [
     "tests/test_cohomology.py::test_coordinate_guard_applies_to_cached_complexes",
     "tests/test_cohomology.py::test_z6_smith_normal_form_overflow_is_raised",
     "tests/test_cohomology.py::test_broken_checks_raise_without_assert",
+    "tests/test_cohomology.py::test_the_memo_matches_the_reference_in_any_order",
+    "tests/test_cohomology.py::test_a_second_call_on_equal_content_builds_nothing",
+    "tests/test_cohomology.py::test_the_memo_keeps_read_only_arrays_and_no_factorisation",
+    "tests/test_cohomology.py::test_the_memo_holds_no_more_than_it_counts",
+    "tests/test_cohomology.py::test_an_entry_over_the_byte_bound_is_not_kept",
+    "tests/test_ablin.py::test_the_logs_give_the_products_of_the_built_transforms",
+    "tests/test_ablin.py::test_solve_and_kernel_read_the_logs_as_the_transforms",
     "tests/test_extensions.py::test_obstruction_requires_regular_base",
     "tests/test_extensions.py::test_factor_system_action_condition_witnesses",
     "tests/test_extensions.py::test_factor_system_cocycle_condition_witnesses",
@@ -142,10 +150,27 @@ def unbounded_memos(tree):
                 yield node.lineno
 
 
+def memo_names(tree):
+    """The functions of a parsed module decorated with `lru_cache`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(func, "id", getattr(func, "attr", None)) == "lru_cache":
+                    yield node.name
+
+
 def test_every_memo_is_bounded():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "ringcat").glob("*.py"))}
     unbounded = [
         f"{path.relative_to(ROOT)}:{line}"
-        for path in sorted((ROOT / "src" / "ringcat").glob("*.py"))
-        for line in sorted(set(unbounded_memos(ast.parse(path.read_text(), str(path)))))
+        for path, tree in trees.items()
+        for line in sorted(set(unbounded_memos(tree)))
     ]
     assert not unbounded, f"memos without an integer bound: {', '.join(unbounded)}"
+    # The walk reaches the memos of each layer, among them the memo of
+    # pulled modules that classify_functors reads.
+    memos = {f"{path.stem}.{name}" for path, tree in trees.items() for name in memo_names(tree)}
+    assert {"cohomology._pulled_memo", "cohomology._defect3_plan",
+            "extensions._bimult_pool", "extensions._quotient_grid"} <= memos
