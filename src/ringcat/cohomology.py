@@ -626,10 +626,9 @@ class _ModuleKey:
 
     def __eq__(self, other) -> bool:
         a, b = self.module, other.module
+        pairs = ((getattr(a, name), getattr(b, name)) for name in _MODULE_TABLES)
         return a.ring is b.ring and a.group.factors == b.group.factors and all(
-            x.dtype == y.dtype and np.array_equal(x, y)
-            for x, y in zip(*([getattr(m, name) for name in _MODULE_TABLES] for m in (a, b)))
-        )
+            x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
 
 
 @dataclass(eq=False)
