@@ -71,8 +71,8 @@ class SNFResult:
     vinv.  Each transform is built on its first read, by replaying its
     side's log onto an identity (`_replay`), and is then kept; a
     transform no caller reads is never built.  A transform with an entry
-    that would leave int64 raises OverflowError naming it on that read,
-    so whatever is returned is exact.
+    that leaves int64 raises OverflowError naming it on that read, so
+    whatever is returned is exact.
 
     The library's solves and kernels read only products and slices of u
     and v, and take them from the logs without building either.  Each
@@ -90,8 +90,8 @@ class SNFResult:
       identity's first g columns, since a row operation acts on each
       column alone.
     These are the integers the products of the built transforms hold,
-    each step through `_grow`, so whatever is returned is exact.  The
-    logs and the diagonal alone, without s, are `logs()`.
+    exact past int64 on the way (`_replay`), so whatever is returned is
+    exact.  The logs and the diagonal alone, without s, are `logs()`.
     """
 
     s: np.ndarray
@@ -190,35 +190,49 @@ def _replay(log, a: np.ndarray, name: str, inverse: bool = False,
       vinv from the identity;
     - with `transposed`, it adds q @ a[idx] to row t, in reverse: each E
       transposed, giving E_1^T .. E_k^T @ a, so v @ a or u^T @ a.
-    A swap and a sign flip are their own transposes and inverses.  Each
-    update runs through `_grow`, with the growth bounds 1 + g forward and
-    1 + len(q) g otherwise."""
+    A swap and a sign flip are their own transposes and inverses.
+
+    Swaps move no data: row i of the result is held in row perm[i] of the
+    work array, a swap exchanges two entries of perm, and perm is applied
+    once at the end.  An update runs directly on int64 while a bound on
+    every |entry| times its growth, 1 + g forward and 1 + len(q) g
+    otherwise, stays in int64.  Past that the bound is read from the
+    array again; if it is still past, the rest of the log runs on exact
+    Python integers, and an entry of the result that leaves int64 raises
+    OverflowError.  So whatever is returned is exact, and an entry that
+    leaves int64 only on the way is no error."""
+    perm = np.arange(len(a))
+    work = a
     bound = int(np.abs(a).max(initial=0))
     for op, *args in (reversed(log) if transposed else log):
         if op == "swap":
             i, j = args
-            a[[i, j]] = a[[j, i]]
+            perm[i], perm[j] = perm[j], perm[i]
             continue
         if op == "neg":
-            a[args[0]] *= -1
+            work[perm[args[0]]] *= -1
             continue
         t, idx, q, g = (args[1], [args[0]], _ONE, 1) if op == "fold" else args
+        if work is a:
+            factor = 1 + (len(q) * g if inverse or transposed else g)
+            if bound * factor > _INT64_MAX:
+                bound = int(np.abs(a).max(initial=0))
+            bound *= factor
+            if bound > _INT64_MAX:
+                work = a.astype(object)
+        rows = perm[idx]
         if inverse:
-
-            def step(x):
-                x[t] -= q @ x[idx]
-
+            work[perm[t]] -= q @ work[rows]
         elif transposed:
-
-            def step(x):
-                x[t] += q @ x[idx]
-
+            work[perm[t]] += q @ work[rows]
         else:
-
-            def step(x):
-                x[idx] += np.multiply.outer(q, x[t])
-
-        bound = _grow(a, bound, 1 + (len(q) * g if inverse or transposed else g), step, name)
+            work[rows] += np.multiply.outer(q, work[perm[t]])
+    if work is not a:
+        top = int(np.abs(work).max(initial=0))
+        if top > _INT64_MAX:
+            raise OverflowError(f"Smith normal form: entry {top} of {name} leaves int64")
+        a[...] = work
+    a[...] = a[perm]
     return a
 
 
@@ -258,8 +272,9 @@ def smith_normal_form(a) -> SNFResult:
     The elimination runs on s alone and logs each step; the returned
     `SNFResult` builds u, uinv, v and vinv from that log when a caller
     first reads them.  Raises OverflowError, before making the update,
-    when an entry of s would leave the int64 range; a transform that would
-    leave it raises on its first read.  Whatever is returned is exact.
+    when an entry of s would leave the int64 range; a transform with an
+    entry that leaves it raises on its first read.  Whatever is returned
+    is exact.
 
     The steps are those of the classic elimination one entry at a time:
     take the first least nonzero entry in row-major order as the pivot;

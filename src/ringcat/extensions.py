@@ -239,7 +239,7 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
             edge[:, 0] |= tbl[:, 0] != 0
             if edge.any():
                 raise FactorSystemError(f"{nm}-normalisation", _first_bad(~edge))
-    halves, maps, inner = _action_stage(b, q, al.tobytes(), ar_.tobytes())
+    halves, maps, inner, _ = _action_stage(b, q, al.tobytes(), ar_.tobytes())
 
     if _defect3_cells(b.add, maps, q, fg[None]).any():
         names = (
@@ -269,18 +269,21 @@ def validate_factor_system(b: FiniteRing, q: FiniteRing, act_left, act_right, f,
 def _action_stage(b: FiniteRing, q: FiniteRing, left: bytes, right: bytes):
     """The action stage of `validate_factor_system` on the int16 action
     tables with bytes `left` and `right`: raises its first failure, or
-    returns the read-only (halves, maps, inner) that the cocycle stage
-    reads:
+    returns the read-only (halves, maps, inner, part): the first three
+    are what the cocycle stage reads, the last what `crossed_ring` reads.
 
     - halves, (4, n, n, m): PL, PR, ML and MR stacked;
     - maps, (4n + 2, m): `cohomology._map_table(b.neg, left, right)`;
     - inner, (2, m, m): b.mul and its transpose, row c of inner[0] being
-      the inner left bimultiplication of c and of inner[1] the right one.
+      the inner left bimultiplication of c and of inner[1] the right one;
+    - part, (N, N) with N = nm: the f,g-free part of the product on the
+      carrier (`_carrier_product`), to which each cocycle adds its g.
 
     With n = |q|, m = |b| and int16 ring tables, an entry holds
-    8n^2 m + 8(4n + 2)m + 4m^2 bytes (maps is intp): 1.2 KB at n = m = 4
-    and 42 KB at n = m = 16.  So the 32 entries of the memo hold at most
-    1.4 MB while both rings have at most 16 elements.
+    8n^2 m + 8(4n + 2)m + 4m^2 + 2N^2 bytes (maps is intp): 1.7 KB at
+    n = m = 4 (part 512 B at N = 16) and 170 KB at n = m = 16 (part
+    128 KB at N = 256).  So the 32 entries of the memo hold at most
+    5.5 MB while both rings have at most 16 elements.
     """
     n, m = q.order, b.order
     al = np.frombuffer(left, dtype=np.int16).reshape(n, m)
@@ -320,7 +323,8 @@ def _action_stage(b: FiniteRing, q: FiniteRing, left: bytes, right: bytes):
         badd[al[arq[:, None, None], al[None, :, :]], bneg[al[qm]]],
         badd[ar_[arq[None, :, None], ar_[arq[:, None, None], arm[None, None, :]]], bneg[ar_[qm]]],
     ))
-    stage = (halves, _map_table(bneg, al, ar_), np.stack((b.mul, b.mul.T)))
+    stage = (halves, _map_table(bneg, al, ar_), np.stack((b.mul, b.mul.T)),
+             _carrier_product(b, q, al, ar_))
     for t in stage:
         t.flags.writeable = False
     return stage
@@ -361,7 +365,17 @@ def _carrier_grid(b: FiniteRing, q: FiniteRing) -> _CarrierGrid:
     return grid
 
 
-def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
+def _carrier_product(b: FiniteRing, q: FiniteRing, al, ar_) -> np.ndarray:
+    """The f,g-free part of the product on b x q: at carrier elements
+    (a, u) and (c, v) (`_flat`), ac + (a)r_v + l_u(c), an element of b.
+    Leading axes of the actions stack them and lead the result."""
+    grid = _carrier_grid(b, q)
+    bi, bj = grid.bp[:, None], grid.bp[None, :]
+    ui, uj = grid.qp[:, None], grid.qp[None, :]
+    return b.add[b.add[grid.bmul, ar_[..., uj, bi]], al[..., ui, bj]]
+
+
+def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g, part=None):
     """Addition and multiplication tables on b x q, with no validity checks.
 
     Feeding tables that break the factor-system conditions is allowed;
@@ -370,19 +384,18 @@ def crossed_tables(b: FiniteRing, q: FiniteRing, act_left, act_right, f, g):
     The inputs may carry leading axes, a stack of factor data; each table
     then carries those of the inputs it reads (f for addition; the
     actions and g for multiplication).  What depends on (b, q) alone comes
-    from `_carrier_grid`.
+    from `_carrier_grid`.  The product is g(u, v) added to its f,g-free
+    part (`_carrier_product`), which `part` gives when it is already
+    built, as `_action_stage` keeps it for one action.
     """
     grid = _carrier_grid(b, q)
-    bi, bj = grid.bp[:, None], grid.bp[None, :]
-    ui, uj = grid.qp[:, None], grid.qp[None, :]
-    f = np.asarray(f)
-    g = np.asarray(g)
-    al = np.asarray(act_left)
-    ar_ = np.asarray(act_right)
-    add = grid.qadd + b.add[grid.badd, f[..., ui, uj]]
-    prod = b.add[b.add[grid.bmul, ar_[..., uj, bi]], b.add[al[..., ui, bj], g[..., ui, uj]]]
-    mul = grid.qmul + prod
-    return add.astype(np.int16), mul.astype(np.int16)
+    if part is None:
+        part = _carrier_product(b, q, np.asarray(act_left), np.asarray(act_right))
+    qp = grid.qp
+    f, g = np.asarray(f), np.asarray(g)
+    add = grid.qadd + b.add[grid.badd, f.take(qp, axis=-2).take(qp, axis=-1)]
+    mul = grid.qmul + b.add[part, g.take(qp, axis=-2).take(qp, axis=-1)]
+    return add.astype(np.int16, copy=False), mul.astype(np.int16, copy=False)
 
 
 def crossed_ring(fs: FactorSystem, name: str | None = None) -> FiniteRing:
@@ -431,9 +444,13 @@ def crossed_ring(fs: FactorSystem, name: str | None = None) -> FiniteRing:
     range by construction.  The tables are new arrays, made read-only as
     `validate_ring` makes its copies; the grids they are gathered from stay
     in `_carrier_grid`'s memo (at most 32 (b, q) pairs, 8N^2 + 16N bytes
-    each on a carrier of N elements).
+    each on a carrier of N elements).  The product's f,g-free part is the
+    action's, kept by the `_action_stage` memo that validated fs (built
+    again, and passing again, if the action has left it since), so each
+    cocycle only adds its g.
     """
-    add, mul = crossed_tables(fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g)
+    part = _action_stage(fs.b, fs.q, fs.act_left.tobytes(), fs.act_right.tobytes())[3]
+    add, mul = crossed_tables(fs.b, fs.q, fs.act_left, fs.act_right, fs.f, fs.g, part)
     unit = _flat(int(fs.b.neg[fs.g[fs.q.unit, fs.q.unit]]), int(fs.q.unit), fs.b.order)
     carrier = np.arange(len(mul))
     if not ((mul[unit] == carrier).all() and (mul[:, unit] == carrier).all()):

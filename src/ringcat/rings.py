@@ -54,6 +54,17 @@ def _sum(add: np.ndarray, *terms):
     return acc
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of a, flattened: what np.unique(a)
+    returns, without the import of numpy.ma that np.unique makes when it
+    returns no indices."""
+    s = np.sort(a, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _preimages(m, n: int) -> np.ndarray:
     """out[y] is the least x with m[x] == y; -1 where y has no preimage.
     For an injective m this is its inverse."""
@@ -409,7 +420,7 @@ def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
     whose product leaves the image.
     """
     t = h.target
-    image = np.unique(h.map)
+    image = _distinct(h.map)
     # ok[r, i, side]: r * image[i] (side 0) and image[i] * r (side 1) stay inside.
     ok = np.stack(_ideal_actions(t, image), axis=2) >= 0
     if not ok.all():
@@ -418,7 +429,7 @@ def ideal_cokernel(h: RingHom, name: str | None = None) -> IdealQuotient:
         raise HomError(f"image not an ideal: witness {(b, r) if side else (r, b)}")
     # Additive cosets x + image; each class is represented by its least member.
     rep = t.add[:, image].min(axis=1)
-    reps = np.unique(rep)
+    reps = _distinct(rep)
     class_of = np.searchsorted(reps, rep)
     if reps[0] != 0:
         raise AssertionError("the zero class is not represented by 0")
@@ -486,7 +497,7 @@ def decompose_abelian(add: np.ndarray, elements=None):
     span = {0}
     while True:
         # Each coset x + span is represented by its least member.
-        reps = np.unique(add[np.ix_(elems, sorted(span))].min(axis=1))
+        reps = _distinct(add[np.ix_(elems, sorted(span))].min(axis=1))
         if len(reps) == 1:
             break
         # order of x in the quotient = least k > 0 with k*x in span

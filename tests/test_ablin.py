@@ -987,3 +987,72 @@ def test_homology_names_the_first_boundary_that_is_not_a_cycle():
     incoming = LinearMap(FinAbGroup((4, 4, 4, 4)), z4, [[2, 1, 3, 0]])
     with pytest.raises(ValueError, match=r"^boundary 1 is not a cycle"):
         homology(incoming, LinearMap(z4, z2, [[1]]))
+
+
+def reference_replay(log, a, inverse=False, transposed=False):
+    """`_replay` in exact integers, one row operation at a time."""
+    a = np.array(a, dtype=object)
+    for op, *args in (reversed(log) if transposed else log):
+        if op == "swap":
+            i, j = args
+            a[[i, j]] = a[[j, i]]
+        elif op == "neg":
+            a[args[0]] *= -1
+        else:
+            t, idx, q = (args[1], [args[0]], [1]) if op == "fold" else args[:3]
+            for i, qi in zip(idx, q, strict=True):
+                if inverse:
+                    a[t] -= int(qi) * a[i]
+                elif transposed:
+                    a[t] += int(qi) * a[i]
+                else:
+                    a[i] += int(qi) * a[t]
+    return a
+
+
+BIG = 2**62
+# Row 1 passes int64 on the way (3 * 2**62) and comes back to 2**62; a
+# swap and a sign flip ride along.
+THROUGH_LOG = [("add", 0, np.array([1]), np.array([BIG]), BIG), ("swap", 0, 2),
+               ("add", 2, np.array([1]), np.array([2 * BIG - 1]), 2 * BIG - 1),
+               ("neg", 1), ("add", 2, np.array([1]), np.array([2 * BIG - 1]), 2 * BIG - 1),
+               ("fold", 2, 0)]
+# Growth without the way back: in every mode a row ends at 2**124 or more.
+OUT_LOG = [("add", 0, np.array([1]), np.array([BIG]), BIG),
+           ("add", 1, np.array([2]), np.array([BIG]), BIG),
+           ("add", 2, np.array([0]), np.array([BIG]), BIG)]
+
+
+@pytest.mark.parametrize("mode", [{}, {"inverse": True}, {"transposed": True}])
+def test_a_replay_that_passes_int64_only_on_the_way_is_exact(mode):
+    for log in (THROUGH_LOG, OUT_LOG[:1]):
+        a = np.eye(3, dtype=np.int64)
+        want = reference_replay(log, a, **mode)
+        assert max(abs(int(x)) for x in want.ravel()) <= INT64_MAX
+        got = _replay(log, a, "u", **mode)
+        assert got is a and got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", [{}, {"inverse": True}, {"transposed": True}])
+def test_a_replay_whose_result_leaves_int64_names_its_transform(mode):
+    a = np.eye(3, dtype=np.int64)
+    want = reference_replay(OUT_LOG, a, **mode)
+    top = max(abs(int(x)) for x in want.ravel())
+    assert top > INT64_MAX
+    with pytest.raises(OverflowError, match=f"^Smith normal form: entry {top} of vinv leaves int64$"):
+        _replay(OUT_LOG, a, "vinv", **mode)
+
+
+def test_the_replay_matches_the_one_step_walk_on_census_logs():
+    # The logs of every seventh census d2 block in all three modes.
+    from test_cohomology import klein_census_modules  # it imports this module
+
+    for mod in klein_census_modules()[::7]:
+        res = smith_normal_form(_augmented(complex_for(mod).d2_map))
+        for log in (res.row_log, res.col_log):
+            size = len(res.s) if log is res.row_log else res.s.shape[1]
+            for mode in ({}, {"inverse": True}, {"transposed": True}):
+                eye = np.eye(size, dtype=np.int64)
+                assert np.array_equal(_replay(log, eye.copy(), "x", **mode),
+                                      reference_replay(log, eye, **mode))

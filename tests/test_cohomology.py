@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcat import ablin, cohomology
 from ringcat.ablin import FinAbGroup, LinearMap, SmithLogs, homology, span_subgroup
@@ -1150,3 +1152,121 @@ def test_unit_normalised_h2_matches_the_per_column_loop():
         assert [(c.f.tolist(), c.g.tolist()) for c in reps] == [
             (c.f.tolist(), c.g.tolist()) for c in want_reps
         ]
+
+
+# ---------------------------------------------------------------------------
+# The cochain checks in one reduction a group, and the decode in one gather.
+
+
+def reference_cochain_checks(cls, module, tables):
+    """`_Cochain.__post_init__` as it was before it fused its checks: each
+    table's shape and range in order, then each table's normalisation
+    axis by axis."""
+    n, order = module.ring.order, module.order
+    checked = []
+    for (name, arity), t in zip(cls.ARITIES, tables, strict=True):
+        t = np.asarray(t, dtype=np.int64)
+        if t.shape != (n,) * arity:
+            raise ValueError(f"{name} has shape {t.shape}, expected {(n,) * arity}")
+        if t.size and (t.min() < 0 or t.max() >= order):
+            raise ValueError(f"{name} holds an out-of-range module element")
+        checked.append((t, name))
+    for t, name in checked:
+        for axis in range(t.ndim):
+            if t[(slice(None),) * axis + (0,)].any():
+                raise ValueError(f"{name} must vanish when an argument is zero")
+
+
+@functools.cache
+def cochain_modules():
+    return (ring_as_module(zmod(2)), ring_as_module(zmod(4)), ring_as_module(dual_numbers(2)),
+            klein_census_modules()[-1])
+
+
+@st.composite
+def cochain_tables(draw):
+    """(type, module, tables): a normalised cochain's tables with at most
+    a few defects, each a bad shape, an out-of-range entry or a nonzero
+    entry at a zero argument, in any table."""
+    module = draw(st.sampled_from(cochain_modules()))
+    cls = draw(st.sampled_from((Cochain1, Cochain2, Cochain3)))
+    n, order = module.ring.order, module.order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for _, arity in cls.ARITIES:
+        t = rng.integers(0, order, size=(n,) * arity)
+        for axis in range(arity):
+            t[(slice(None),) * axis + (0,)] = 0
+        tables.append(t)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tables) - 1))
+        t = tables[i]
+        kind = draw(st.sampled_from(("shape", "range", "zero")))
+        if not t.size:
+            continue
+        cell = tuple(draw(st.integers(0, d - 1)) for d in t.shape)
+        if kind == "shape":
+            tables[i] = t[..., :-1] if draw(st.booleans()) else t[None]
+        elif kind == "range":
+            t[cell] = draw(st.sampled_from((-1, order, order + 7, -(2**40))))
+        else:
+            axis = draw(st.integers(0, t.ndim - 1))
+            t[cell[:axis] + (0,) + cell[axis + 1:]] = draw(st.integers(1, max(1, order - 1)))
+    return cls, module, tables
+
+
+def raised(build):
+    try:
+        build()
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(cochain_tables())
+def test_the_fused_cochain_checks_raise_what_the_table_walk_raises(case):
+    cls, module, tables = case
+    got = raised(lambda: cls(module, *(np.copy(t) for t in tables)))
+    want = raised(lambda: reference_cochain_checks(cls, module, tables))
+    assert got == want
+    if got is None:
+        c = cls(module, *tables)
+        for (t, _), ref in zip(c.tables(), tables, strict=True):
+            assert t.dtype == np.int64 and np.array_equal(t, ref)
+
+
+def test_a_table_numpy_cannot_convert_raises_after_an_earlier_failure():
+    # The walk reaches the ragged g only after f, so f's range error wins,
+    # and a ragged table of a cochain with nothing else wrong still raises
+    # numpy's own error.
+    m = ring_as_module(zmod(2))
+    bad_f = np.array([[0, 0], [0, 5]])
+    with pytest.raises(ValueError, match="f holds an out-of-range module element"):
+        Cochain2(m, bad_f, [[0, 0], [0]])
+    with pytest.raises(ValueError) as e:
+        Cochain2(m, np.zeros((2, 2), dtype=np.int64), [[0, 0], [0]])
+    assert "out-of-range" not in str(e.value)
+
+
+def reference_fill2(cx, coords):
+    """`CochainComplex._fill2` as two gathers, one per table."""
+    half = coords.shape[-1] // 2
+    return cx._fill(coords[..., :half], 2), cx._fill(coords[..., half:], 2)
+
+
+def test_decode2_on_a_stack_matches_row_by_row_decoding():
+    rng = np.random.default_rng(36)
+    mods = klein_census_modules()
+    for mod in (mods[0], mods[1], mods[-1], ring_as_module(zmod(3)), ring_as_module(zmod(1))):
+        cx = complex_for(mod)
+        width = cx.c2_group.rank
+        stack = rng.integers(-5, 9, size=(2, 3, width))
+        f, g = cx._fill2(stack)
+        want_f, want_g = reference_fill2(cx, stack)
+        assert np.array_equal(f, want_f) and np.array_equal(g, want_g)
+        for i, j in itertools.product(range(2), range(3)):
+            c = cx.decode2(stack[i, j])
+            row_f, row_g = reference_fill2(cx, stack[i, j])
+            assert np.array_equal(c.f, row_f) and np.array_equal(c.g, row_g)
+            assert np.array_equal(c.f, f[i, j]) and np.array_equal(c.g, g[i, j])

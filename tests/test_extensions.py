@@ -1867,11 +1867,14 @@ def test_crossed_rings_gather_from_a_read_only_grid_memo():
     # crossed_tables reads the (b, q) grids from `_carrier_grid`, built
     # once per pair; they cannot be written, and no ring built from them
     # shares their memory.
+    # The one action's stage builds its share of the product from the
+    # grid (the miss), and each ring reads the grid once more.
     systems = klein_census_factor_systems()
     extensions._carrier_grid.cache_clear()
+    _action_stage.cache_clear()
     rings_built = [crossed_ring(validate_factor_system(*args)) for args in systems[16:16 + 256:51]]
     info = extensions._carrier_grid.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, len(rings_built) - 1, 32)
+    assert (info.misses, info.hits, info.maxsize) == (1, len(rings_built), 32)
     grid = extensions._carrier_grid(systems[16][0], systems[16][1])
     for name, t in vars(grid).items():
         with pytest.raises(ValueError, match="read-only"):
@@ -1983,3 +1986,69 @@ def test_broken_checks_raise_without_assert(check, monkeypatch):
     with pytest.raises(AssertionError) as e:
         call()
     assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Each action's share of the crossed product, built once.
+
+
+def reference_crossed_tables(b, q, act_left, act_right, f, g):
+    """`crossed_tables` as it was before the product's f,g-free part had
+    its own helper: every term gathered through 2-D indices over the
+    carrier grid, summed as (ac + (a)r_v) + (l_u(c) + g(u, v))."""
+    e = np.arange(b.order * q.order)
+    bp, qp = e % b.order, e // b.order
+    bi, bj, ui, uj = bp[:, None], bp[None, :], qp[:, None], qp[None, :]
+    f, g, al, ar_ = (np.asarray(x) for x in (f, g, act_left, act_right))
+    add = q.add[ui, uj] * b.order + b.add[b.add[bi, bj], f[..., ui, uj]]
+    prod = b.add[b.add[b.mul[bi, bj], ar_[..., uj, bi]], b.add[al[..., ui, bj], g[..., ui, uj]]]
+    return add.astype(np.int16), (q.mul[ui, uj] * b.order + prod).astype(np.int16)
+
+
+def test_crossed_rings_match_the_tables_on_every_cocycle_of_an_action():
+    # The 256 cocycles of the Z/4 action and the 32 of one Z/2 x Z/2
+    # action: the ring reads its action's part from the stage memo and
+    # adds g; crossed_tables and the old formula build it whole.
+    systems = klein_census_factor_systems()
+    for chunk in (systems[16:16 + 256], systems[-32:]):
+        assert len({(a[2].tobytes(), a[3].tobytes()) for a in chunk}) == 1
+        for args in chunk:
+            ring = crossed_ring(validate_factor_system(*args))
+            for got, want in zip((ring.add, ring.mul), crossed_tables(*args), strict=True):
+                assert got.dtype == want.dtype == np.int16 and np.array_equal(got, want)
+            for got, want in zip((ring.add, ring.mul), reference_crossed_tables(*args), strict=True):
+                assert np.array_equal(got, want)
+
+
+def test_the_action_stage_keeps_the_carrier_product_of_its_action():
+    b, q, al, ar_, f, g = klein_census_factor_systems()[-1]
+    _action_stage.cache_clear()
+    part = _action_stage(b, q, al.tobytes(), ar_.tobytes())[3]
+    zero = np.zeros_like(g)
+    assert part.dtype == b.add.dtype and part.shape == (b.order * q.order,) * 2
+    assert not part.flags.writeable
+    # With g = 0 the product is the part plus q's product.
+    mul = reference_crossed_tables(b, q, al, ar_, f, zero)[1]
+    nb = b.order
+    assert np.array_equal(mul % nb, part)
+
+
+def test_stacked_crossed_tables_match_the_old_formula_row_by_row(monkeypatch):
+    # The blocks of survivors a search hands crossed_tables: stacked
+    # actions and g over one f.
+    stacks = []
+
+    def recording(b, q, left, right, f, g, build=crossed_tables):
+        out = build(b, q, left, right, f, g)
+        stacks.append(((b, q, np.array(left), np.array(right), np.array(f), np.array(g)), out))
+        return out
+
+    monkeypatch.setattr(extensions, "crossed_tables", recording)
+    for triple in (("flat_z2", klein(), [0, 1, 0, 1]), ("flat_z2_in_z4",), ("ideal_3z9",)):
+        exhaustive_extension_search(*corpus_triple(*triple), stop_at_first=False)
+    assert stacks and any(len(args[5]) > 1 for args, _ in stacks)
+    for (b, q, left, right, f, g), (add, mul) in stacks:
+        assert left.ndim == g.ndim == 3 and add.shape == (b.order * q.order,) * 2
+        for k in range(len(g)):
+            want_add, want_mul = reference_crossed_tables(b, q, left[k], right[k], f, g[k])
+            assert np.array_equal(add, want_add) and np.array_equal(mul[k], want_mul)

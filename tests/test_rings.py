@@ -1,7 +1,10 @@
 import functools
 import itertools
+import os
 import re
 import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,6 +26,7 @@ from ringcat.rings import (
     WitnessError,
     _additive_maps,
     _additive_orders,
+    _distinct,
     _multiples,
     _preimages,
     _sum_generators,
@@ -827,3 +831,27 @@ def test_broken_checks_raise_without_assert(check, monkeypatch):
     with pytest.raises(AssertionError) as e:
         call()
     assert str(e.value) == message
+
+
+def test_distinct_is_np_unique():
+    rng = np.random.default_rng(36)
+    for a in (np.zeros(0, dtype=np.int16), np.array([5]), rng.integers(-4, 9, size=(7, 5)),
+              rng.integers(0, 3, size=40).astype(np.int16)):
+        got, want = _distinct(a), np.unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_the_set_up_of_every_workload_imports_no_numpy_ma():
+    # np.unique without index outputs imports numpy.ma (numpy 2.4), a
+    # cost each process paid in set-up.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from ringcat import corpus, rings\n"
+            "corpus.corpus()\n"
+            "rings.decompose_abelian(rings.zero_mult_klein().add)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
