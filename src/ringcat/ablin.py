@@ -1,8 +1,9 @@
 """Exact integer linear algebra over finite abelian groups.
 
-Smith normal form with its unimodular transforms, and solve / kernel /
+Smith normal form as its diagonal and step logs, and solve / kernel /
 image / cokernel for additive maps between groups presented by invariant
-factors.  Everything is integer arithmetic; no floats appear anywhere.
+factors, each product of a transform a replay of a log.  Everything is
+integer arithmetic; no floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ def _guard(size: int, what: str, limit: int) -> None:
 
 
 def _guard_snf(nr: int, nc: int) -> None:
-    """Refuse the Smith normal form of an nr x nc matrix by the cells of s,
-    u, v and both inverses; callers that build the matrix check first."""
+    """Refuse the Smith normal form of an nr x nc matrix by nr·nc + 2nr² +
+    2nc² cells, those of s, u, v and both inverses, though no transform is
+    built; charging only what callers replay is ROADMAP item 2's reach
+    work.  Callers that build the matrix check first."""
     _guard(nr * nc + 2 * nr * nr + 2 * nc * nc, "Smith normal form cells", CELL_LIMIT)
 
 
@@ -59,88 +62,35 @@ def as_int_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SNFResult:
-    """A Smith normal form s = u @ a @ v with u, v unimodular.
+    """A Smith normal form s = u @ a @ v with u, v unimodular, held as the
+    diagonal of s and the logs of the steps that made it.
 
-    The diagonal of s is nonnegative and each entry divides the next.
-    uinv and vinv are the exact integer inverses of u and v.
-
-    `smith_normal_form` computes s alone and logs its steps: `row_log`
-    holds those that act on u and uinv, `col_log` those that act on v and
-    vinv.  Each transform is built on its first read, by replaying its
-    side's log onto an identity (`_replay`), and is then kept; a
-    transform no caller reads is never built.  A transform with an entry
-    that leaves int64 raises OverflowError naming it on that read, so
-    whatever is returned is exact.
-
-    The library's solves and kernels read only products and slices of u
-    and v, and take them from the logs without building either.  Each
-    logged step is a row operation E on the transform its side builds:
-    the row log E_1 .. E_k gives u = E_k .. E_1, and the column log
-    F_1 .. F_m gives v transposed, F_m .. F_1, so v = F_1^T .. F_m^T.
-    Hence:
+    The diagonal is nonnegative, each entry divides the next, and s is
+    zero off it.  `row_log` holds the steps that act on u and uinv,
+    `col_log` those that act on v and vinv.  Each logged step is a row
+    operation E on the transform its side builds: the row log E_1 .. E_k
+    gives u = E_k .. E_1, and the column log F_1 .. F_m gives v
+    transposed, F_m .. F_1, so v = F_1^T .. F_m^T.  No transform is held
+    or built; each product a caller reads is one replay of one log
+    (`_replay`):
     - u @ x is the row log run forward on x;
     - v @ w is the column log run backwards on w with each step
       transposed.  An update ("add", t, idx, q) adds q_i times row t to
       row idx[i], so its transpose adds q @ w[idx] to w[t]; a swap and a
       sign flip are their own transposes;
-    - row i of u is u^T e_i, the row log run the same way on e_i;
+    - rows of u, transposed, are u^T on columns of the identity, the row
+      log run the same way;
     - v's first g rows, transposed, are the column log run forward on the
       identity's first g columns, since a row operation acts on each
-      column alone.
-    These are the integers the products of the built transforms hold,
-    exact past int64 on the way (`_replay`), so whatever is returned is
-    exact.  The logs and the diagonal alone, without s, are `logs()`.
+      column alone;
+    - uinv^T @ x is the row log run forward on x with each step inverted
+      and transposed, so uinv's columns are the rows of that run on the
+      identity.
+    These are the integers the products of the transforms hold,
+    exact past int64 on the way, so whatever is returned is exact.
     """
-
-    s: np.ndarray
-    row_log: list = field(repr=False)
-    col_log: list = field(repr=False)
-
-    @property
-    def diagonal(self) -> list[int]:
-        return np.diagonal(self.s).tolist()
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-    def logs(self) -> "SmithLogs":
-        """The diagonal and both logs, with every array in the logs made
-        read-only: all that `_solve` and `kernel` read."""
-        for _, *args in (*self.row_log, *self.col_log):
-            for x in args:
-                if isinstance(x, np.ndarray):
-                    x.flags.writeable = False
-        return SmithLogs(tuple(self.diagonal), tuple(self.row_log), tuple(self.col_log))
-
-    # uinv and v are built transposed, so that their column operations run
-    # on contiguous rows.
-    @cached_property
-    def u(self) -> np.ndarray:
-        return _replay(self.row_log, np.eye(self.s.shape[0], dtype=np.int64), "u")
-
-    @cached_property
-    def uinv(self) -> np.ndarray:
-        a = np.eye(self.s.shape[0], dtype=np.int64)
-        return np.ascontiguousarray(_replay(self.row_log, a, "uinv", inverse=True).T)
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        a = np.eye(self.s.shape[1], dtype=np.int64)
-        return np.ascontiguousarray(_replay(self.col_log, a, "v").T)
-
-    @cached_property
-    def vinv(self) -> np.ndarray:
-        return _replay(self.col_log, np.eye(self.s.shape[1], dtype=np.int64), "vinv", inverse=True)
-
-
-@dataclass(frozen=True, eq=False)
-class SmithLogs:
-    """The diagonal and the step logs of an `SNFResult`, without s or any
-    transform: what `_solve` and `kernel` read, and so what a factorisation
-    kept past its call needs to hold.  Its log arrays are read-only."""
 
     diagonal: tuple[int, ...]
     row_log: tuple = field(repr=False)
@@ -186,8 +136,8 @@ def _replay(log, a: np.ndarray, name: str, inverse: bool = False,
     - forward, an update adds q_i times row t to row idx[i], giving
       E_k .. E_1 @ a: u or v transposed from the identity, u @ a;
     - with `inverse`, it subtracts q @ a[idx] from row t, in the same
-      order: each E inverted and transposed, giving uinv transposed and
-      vinv from the identity;
+      order: each E inverted and transposed, giving uinv^T @ a, so uinv
+      transposed and vinv from the identity;
     - with `transposed`, it adds q @ a[idx] to row t, in reverse: each E
       transposed, giving E_1^T .. E_k^T @ a, so v @ a or u^T @ a.
     A swap and a sign flip are their own transposes and inverses.
@@ -270,11 +220,11 @@ def smith_normal_form(a) -> SNFResult:
 
     Defined on any integer matrix, including empty and rank-deficient ones.
     The elimination runs on s alone and logs each step; the returned
-    `SNFResult` builds u, uinv, v and vinv from that log when a caller
-    first reads them.  Raises OverflowError, before making the update,
-    when an entry of s would leave the int64 range; a transform with an
-    entry that leaves it raises on its first read.  Whatever is returned
-    is exact.
+    `SNFResult` holds the diagonal and the two logs, and a caller replays
+    a log for each product of a transform it reads (`_replay`).  Raises
+    OverflowError, before making the update, when an entry of s would
+    leave the int64 range; a replayed product with an entry that leaves
+    it raises too.  Whatever is returned is exact.
 
     The steps are those of the classic elimination one entry at a time:
     take the first least nonzero entry in row-major order as the pivot;
@@ -286,8 +236,8 @@ def smith_normal_form(a) -> SNFResult:
     rank-one update: the pivot row (column) does not change until that
     swap, the inverse transform sums the same integer terms in another
     order, and rows and columns of earlier pivots hold zeros outside the
-    active block.  So s, u, v and their inverses are those of the
-    one-at-a-time loop, entry for entry.
+    active block.  So s and the transforms the logs replay to, u, v and
+    their inverses, are those of the one-at-a-time loop, entry for entry.
 
     Only a swap needs a fresh scan.  A row update that swapped nothing
     cleared every nonzero entry below the pivot, so the scan of column t
@@ -394,7 +344,7 @@ def smith_normal_form(a) -> SNFResult:
             row_log.append(("neg", t))
         t += 1
 
-    return SNFResult(s, row_log, col_log)
+    return SNFResult(tuple(np.diagonal(s).tolist()), tuple(row_log), tuple(col_log))
 
 
 @dataclass(frozen=True)
@@ -513,29 +463,29 @@ class UnsolvableWitness:
 def _factor(lm: LinearMap) -> SNFResult:
     """The Smith normal form of lm's augmented block.  Callers that need it
     twice compute it once and hand it to `_solve` and `kernel`.  Only a
-    `Subgroup` keeps one, of its embedding; `cohomology.classify_functors`
-    keeps the logs of its d2 blocks (`SNFResult.logs`), and no other
-    factorisation outlives the call that made it.  Guarded before the
-    block is built."""
+    `Subgroup` keeps one, of its embedding, and the memo behind
+    `cohomology.classify_functors` one of each d2 block, with its log
+    arrays made read-only; no other factorisation outlives the call that
+    made it.  Guarded before the block is built."""
     _guard_snf(lm.target.rank, lm.source.rank + lm.target.rank)
     return smith_normal_form(_augmented(lm))
 
 
-def _solve(lm: LinearMap, rhs, res: SNFResult | SmithLogs | None = None):
+def _solve(lm: LinearMap, rhs, res: SNFResult | None = None):
     """Solve lm(x) = b for every column b of `rhs` against one
-    factorisation `res` of lm's augmented block, an `SNFResult` or its
-    `SmithLogs`, made here when not given and there is something to solve.
+    factorisation `res` of lm's augmented block, made here when not given
+    and there is something to solve.
 
     Returns (x, None, None) with column j of x solving column j of rhs, or
     (None, j, witness) for the first column j that has no solution.  It
-    reads u @ rhs, (v @ w)[:g] and, for a certificate, row i of u, each
-    from the logs (`_replay`) and not from a built transform: u @ rhs runs
-    the row log forward on rhs, v @ w runs the column log backwards on w
-    with each step transposed, and row i of u runs the row log the same
-    way on e_i, only once a column has failed.  Every step acts on each
-    column alone, so each column's answer and certificate are those of a
-    solve of that column alone, and the same integers as the products of
-    the built transforms."""
+    reads u @ rhs, (v @ w)[:g] and, for a certificate, row i of u, each a
+    replay of one log (`_replay`): u @ rhs runs the row log forward on
+    rhs, v @ w runs the column log backwards on w with each step
+    transposed, and row i of u runs the row log the same way on e_i, only
+    once a column has failed.  Every step acts on each column alone, so
+    each column's answer and certificate are those of a solve of that
+    column alone, and the same integers as the products of the
+    transforms."""
     h, g = lm.target.rank, lm.source.rank
     rhs = np.asarray(rhs, dtype=np.int64)
     if rhs.ndim == 1:
@@ -636,6 +586,7 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
 
     The presentation comes from the lattice spanned by the columns together
     with the ambient moduli; its index in Z^rank gives the subgroup order.
+    Each product of a transform is one replay of a row log (`_replay`).
     """
     g = ambient.rank
     if g == 0:
@@ -646,37 +597,36 @@ def span_subgroup(ambient: FinAbGroup, cols) -> Subgroup:
     span = smith_normal_form(np.hstack([cols, mdiag]))
     if span.rank != g:
         raise AssertionError("the moduli force a full-rank lattice")
-    d1 = np.asarray(span.diagonal[:g], dtype=np.int64)
-    basis = span.uinv * d1  # column i is d1[i] * uinv[:, i]
+    d1 = np.asarray(span.diagonal[:g], dtype=np.int64)[:, None]
+    # Row i is d1[i] * uinv[:, i], column i of the lattice's basis.
+    basis = _replay(span.row_log, np.eye(g, dtype=np.int64), "uinv", inverse=True) * d1
     # Relations of the moduli lattice in that basis present the quotient.
-    rel = span.u @ mdiag
-    if np.any(rel % d1[:, None]):
+    rel = _replay(span.row_log, mdiag, "u @ mdiag")
+    if np.any(rel % d1):
         raise AssertionError("moduli must lie in the lattice")
-    rel = rel // d1[:, None]
-    rel_res = smith_normal_form(rel)
-    newbasis = basis @ rel_res.uinv
+    rel_res = smith_normal_form(rel // d1)
+    # Row i is column i of the basis times the relations' uinv.
+    newbasis = _replay(rel_res.row_log, basis, "basis @ uinv", inverse=True)
     gens, factors = [], []
-    for i in range(g):
-        d = int(rel_res.s[i, i])
+    for i, d in enumerate(rel_res.diagonal):
         if d > 1:
             factors.append(d)
-            gens.append(ambient.reduce(newbasis[:, i]))
+            gens.append(ambient.reduce(newbasis[i]))
     sub = Subgroup(ambient, FinAbGroup(tuple(factors)), gens)
     # Python ints: the lattice index can pass 2**63 although the order does not
-    expected = ambient.order // math.prod(int(x) for x in d1)
+    expected = ambient.order // math.prod(span.diagonal[:g])
     if sub.order != expected:
         raise AssertionError("subgroup order must match the lattice index")
     return sub
 
 
-def kernel(lm: LinearMap, res: SNFResult | SmithLogs | None = None) -> Subgroup:
+def kernel(lm: LinearMap, res: SNFResult | None = None) -> Subgroup:
     """Kernel of lm as a presented subgroup of the source, from a
-    factorisation `res` of lm's augmented block, an `SNFResult` or its
-    `SmithLogs`, made here when not given.
+    factorisation `res` of lm's augmented block, made here when not given.
 
-    It reads v[:g, r:], the x-parts of the last columns of v, without
-    building v: the column log run forward on the first g columns of the
-    identity gives v's first g rows transposed (`_replay`)."""
+    It reads v[:g, r:], the x-parts of the last columns of v: the column
+    log run forward on the first g columns of the identity gives v's
+    first g rows transposed (`_replay`)."""
     g = lm.source.rank
     if g == 0:
         return Subgroup(lm.source, FinAbGroup(()), [])
@@ -719,21 +669,19 @@ class Quotient:
 
 
 def cokernel(lm: LinearMap) -> Quotient:
-    """target / image(lm), presented by invariant factors."""
+    """target / image(lm), presented by invariant factors.  With keep the
+    rows whose diagonal entry is over 1, it projects by rows keep of u and
+    lifts by columns keep of uinv, each one replay of the row log."""
     h = lm.target.rank
     res = _factor(lm)
-    rows, moduli, lifts = [], [], []
-    for i in range(h):
-        d = int(res.s[i, i])
-        if d <= 0:
-            raise AssertionError("target moduli must make the system full row rank")
-        if d > 1:
-            rows.append(res.u[i])
-            moduli.append(d)
-            lifts.append(res.uinv[:, i])
-    rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, h), dtype=np.int64)
-    lifts = np.array(lifts, dtype=np.int64).T if lifts else np.zeros((h, 0), dtype=np.int64)
-    return Quotient(lm.target, FinAbGroup(tuple(moduli)), rows, lifts)
+    d = np.array(res.diagonal[:h], dtype=np.int64)
+    if not (d > 0).all():
+        raise AssertionError("target moduli must make the system full row rank")
+    keep = np.flatnonzero(d > 1)
+    eye = np.eye(h, dtype=np.int64)
+    rows = _replay(res.row_log, eye[:, keep], "u", transposed=True).T
+    lifts = _replay(res.row_log, eye, "uinv", inverse=True)[keep].T
+    return Quotient(lm.target, FinAbGroup(tuple(d[keep].tolist())), rows, lifts)
 
 
 @dataclass

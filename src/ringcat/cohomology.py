@@ -43,7 +43,7 @@ from .ablin import (
     FinAbGroup,
     HomologyData,
     LinearMap,
-    SmithLogs,
+    SNFResult,
     Subgroup,
     UnsolvableWitness,
     _factor,
@@ -613,8 +613,8 @@ def classify_functors(psi: RingHom, rc) -> FunctorClassification:
     Everything but the obstruction depends on the pulled module alone: its
     complex, the factorisation of its augmented d2 block, and H^2 with its
     representatives.  Those come from a bounded memo on the module's
-    content (`_pulled_cohomology`), which keeps the factorisation as its
-    logs (`SmithLogs`) and H^2 once a first obstruction over the module
+    content (`_pulled_cohomology`), which keeps the factorisation, its
+    diagonal and logs, and H^2 once a first obstruction over the module
     has bounded.  Each call pulls k back, solves d2(c) = -psi*k against
     the logs, and checks the witness, every class and their count again,
     so an obstructed triple factors only the d2 block.  The result's
@@ -681,13 +681,13 @@ class _ModuleKey:
 @dataclass(eq=False)
 class _PulledCohomology:
     """What `classify_functors` reads of one pulled module: the module, its
-    complex, the logs of its augmented d2 block (None when the block is
-    empty) and, once `h2` has run, H^2 as (representatives, factors,
-    order), the representatives read-only cochains over `module`."""
+    complex, the factorisation of its augmented d2 block with read-only
+    logs (None when the block is empty) and, once `h2` has run, H^2 as
+    (representatives, factors, order), read-only cochains over `module`."""
 
     module: Bimodule
     complex: CochainComplex
-    d2: SmithLogs | None
+    d2: SNFResult | None
     _h2: tuple | None = None
 
     @property
@@ -742,7 +742,11 @@ def _pulled_memo(key: _ModuleKey) -> _PulledCohomology:
     cx.d1_map.matrix.flags.writeable = cx.d2_map.matrix.flags.writeable = False
     # The block's source and target are both trivial or both not; when
     # trivial, neither the solve nor the kernel needs it factored.
-    d2 = _factor(cx.d2_map).logs() if cx.c2_group.rank else None
+    d2 = _factor(cx.d2_map) if cx.c2_group.rank else None
+    for _, *args in (*d2.row_log, *d2.col_log) if d2 else ():
+        for x in args:
+            if isinstance(x, np.ndarray):
+                x.flags.writeable = False
     entry = _PulledCohomology(key.module, cx, d2)
     if entry.nbytes > _ENTRY_BYTES:
         raise _Unkept(entry)
@@ -762,9 +766,10 @@ def _pulled_cohomology(pulled: Bimodule) -> _PulledCohomology:
     there.  `nbytes` charges 512 bytes a log step beyond its arrays, where
     tracemalloc reads about 250.  The classify benchmark's 26 distinct
     pulled modules count 2.7 MB in all and trace 1.7 MB; the largest,
-    `flat_klein0` over its order-4 quotients, count 0.49 MB each.  The
-    logs hold what elimination wrote, a step's indices and quotients, and
-    no s and no transform: s, u and v of the same 26 blocks take 6.6 MB."""
+    `flat_klein0` over its order-4 quotients, count 0.49 MB each.  An
+    entry's factorisation is the d2 block's diagonal and logs, what
+    elimination wrote, a step's indices and quotients: s, u and v of the
+    same 26 blocks would take 6.6 MB."""
     try:
         return _pulled_memo(_ModuleKey(pulled))
     except _Unkept as e:

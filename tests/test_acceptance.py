@@ -68,7 +68,7 @@ from ringcat.rings import (
     zmod,
 )
 from ringcat.transport import choose_section, reduce_esystem, reduced_axiom_check
-from test_ablin import det_exact
+from test_ablin import det_exact, snf_array
 from test_cohomology import random_cochain1
 from test_transport import greatest_section
 
@@ -430,9 +430,10 @@ def test_criterion_09_snf_and_solver():
     t0 = time.monotonic()
     a = np.array([[2, 4], [6, 8]])
     res = smith_normal_form(a)
-    assert np.array_equal(res.s, np.diag([2, 4]))
-    assert np.array_equal(res.u @ a @ res.v, res.s)
-    assert abs(det_exact(res.u)) == 1 and abs(det_exact(res.v)) == 1
+    s, u, v = (snf_array(res, a.shape, name) for name in ("s", "u", "v"))
+    assert res.diagonal == (2, 4) and np.array_equal(s, np.diag([2, 4]))
+    assert np.array_equal(u @ a @ v, s)
+    assert abs(det_exact(u)) == 1 and abs(det_exact(v)) == 1
 
     rng = np.random.default_rng(7)
     unsolvable = 0

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcat import ablin, cohomology
-from ringcat.ablin import FinAbGroup, LinearMap, SmithLogs, homology, span_subgroup
+from ringcat.ablin import FinAbGroup, LinearMap, SNFResult, homology, span_subgroup
 from ringcat.bimult import bimult_ring, permutable
 from ringcat.cohomology import (
     Cochain1,
@@ -569,14 +569,10 @@ def test_unit_normalised_h2_agrees():
         assert len({hd.class_of(r) for r in reps}) == order
 
 
-def test_coordinate_guard_refuses_large_complexes():
-    with pytest.raises(SearchGuardError):
-        complex_for(ring_as_module(zmod(4)), guard=10)
-
-
 def test_coordinate_guard_applies_to_cached_complexes():
-    # No complex is kept on its module, so one built first changes
-    # nothing the guard sees.
+    # complex_for refuses a complex over its coordinate guard, also when
+    # one was built for the module first: no complex is kept on its
+    # module, so that build changes nothing the guard sees.
     mod = ring_as_module(zmod(4))
     complex_for(mod)
     with pytest.raises(SearchGuardError):
@@ -1044,7 +1040,7 @@ def test_the_memo_keeps_read_only_arrays_and_no_factorisation():
         arrays = [getattr(e.module, name) for name in cohomology._MODULE_TABLES]
         arrays += [e.complex.d1_map.matrix, e.complex.d2_map.matrix]
         if e.d2 is not None:
-            assert type(e.d2) is SmithLogs
+            assert type(e.d2) is SNFResult
             arrays += [x for _, *args in (*e.d2.row_log, *e.d2.col_log)
                        for x in args if isinstance(x, np.ndarray)]
         if e._h2 is not None:
