@@ -728,12 +728,22 @@ def _reps_nbytes(reps) -> int:
 
 
 class _Unkept(Exception):
-    """An entry over `_ENTRY_BYTES`, raised so that `_pulled_memo` keeps
-    nothing of the call that built it."""
+    """An entry over `_ENTRY_BYTES`, raised by a memo's function
+    (`_pulled_memo`, `extensions._bimult_pool` and `_pool_tables`) so that
+    its `lru_cache` keeps nothing of the call that built it; `_kept` hands
+    the entry to the caller."""
 
-    def __init__(self, entry: _PulledCohomology):
+    def __init__(self, entry):
         super().__init__()
         self.entry = entry
+
+
+def _kept(memo, key):
+    """memo(key): the memo's entry, or the one it built and did not keep."""
+    try:
+        return memo(key)
+    except _Unkept as e:
+        return e.entry
 
 
 @functools.lru_cache(maxsize=32)
@@ -770,7 +780,4 @@ def _pulled_cohomology(pulled: Bimodule) -> _PulledCohomology:
     entry's factorisation is the d2 block's diagonal and logs, what
     elimination wrote, a step's indices and quotients: s, u and v of the
     same 26 blocks would take 6.6 MB."""
-    try:
-        return _pulled_memo(_ModuleKey(pulled))
-    except _Unkept as e:
-        return e.entry
+    return _kept(_pulled_memo, _ModuleKey(pulled))

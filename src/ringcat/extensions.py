@@ -23,14 +23,22 @@ import numpy as np
 
 from .ablin import CANDIDATE_LIMIT, CELL_LIMIT, _guard
 from .bimult import _bimult_laws, _permutable, _row_lookup, enumerate_bimultiplications
-from .cohomology import FunctorClassification, _defect3, _defect3_cells, _map_table, classify_functors
+from .cohomology import (
+    _ENTRY_BYTES,
+    FunctorClassification,
+    _defect3,
+    _defect3_cells,
+    _kept,
+    _map_table,
+    _Unkept,
+    classify_functors,
+)
 from .crossed import ESystem, ESystemError, _check_morphism, _require_regular
 from .rings import (
     BLOCK_CELLS,
     FiniteRing,
     HomError,
     RingHom,
-    SearchGuardError,
     WitnessError,
     _first_bad,
     _ideal_actions,
@@ -705,14 +713,18 @@ def exhaustive_extension_search(
     projection, so the stages below cover all ring tables of order
     |b|*|q| extending the data.  The stages:
 
-    - symmetric associative additive defects f;
-    - per f, per-class actions drawn from the bimultiplication ring on
-      the additive generators of q and derived on every other class,
-      kept if pairwise permutable and additive up to f;
-    - per f and block of kept actions, one `_search_g_stage` call:
+    - symmetric associative additive defects f, taken from each block
+      of `_additive_defects` in batches of 1, 2, 4, ... f, the last one
+      cut at the block's end;
+    - per batch, one action stage (`_search_actions`): per-class
+      actions drawn from the bimultiplication ring on the additive
+      generators of q and derived on every other class, kept if
+      pairwise permutable and additive up to their f, as (f, action)
+      contexts;
+    - per batch, one `_search_g_stage` call on all its contexts:
       multiplicative defects g pinned slotwise by the composite-action
       rows, enumerated on pairs of additive generators of q for all the
-      block's actions together and solved on every other slot by the
+      contexts together and solved on every other slot by the
       distributivity conditions;
     - a unit scan of the crossed tables of the surviving g together;
     - survivor by survivor, the search for a compatible map into the
@@ -729,15 +741,30 @@ def exhaustive_extension_search(
     block is built; the action guard counts as described below; the g
     and target-lift guards count the candidates their stage generates.
 
+    A batch never spans two f blocks, so f is still read on demand.  Its
+    contexts come f-major, then in the action stage's product order,
+    and the g stage decodes with the context as its leading digit: the
+    walk of one action stage and one g stage per f, so the finds and
+    their order are unchanged.  So is the g guard's trip.  Every live
+    context, whatever its f, has |Ann(b)|^(|S|^2) candidates
+    (`_search_g_stage`), so a guard below that trips at the search's
+    first live context, before any table is built, as one stage per f
+    did; every f before it in its batch had no live context, and so no
+    find.  A block of F defects takes ceil(log2(F + 1)) calls of each
+    stage instead of F, and a search that finds at its first f still
+    hands each stage that f alone.  On the obstructed `mult_2z8` over
+    its own cokernel, 64 f in 4 blocks of 16, that is 20 calls each.
+
     The per-ring tables are memoised by identity: the bimultiplication
     pool on b (`_bimult_pool`), its permutability mask and row lookup on
     b (`_pool_tables`), and the index tables of the action and g stages
     on q (`_quotient_grid`).  Each is built only after the guards before
     it: the pool after the f guard, the mask and lookup after the action
     guard and a guard on the npool^2 |b| cells of `bimult._permutable`
-    that the mask reduces.  When that last guard refuses, the pool memo
-    drops its entry: a pool that large fails the same guard on every
-    search over b.
+    that the mask reduces.  The two b memos keep 16 bases, and only an
+    entry of at most 1 MiB, so the 8 MB pool that this last guard
+    refuses over the square-zero ideal of Z/2[x,y,z]/(x,y,z)^2 is never
+    kept.
 
     The action stage walks only the generator classes.  An action
     additive up to f has l_i(c) + l_j(c) = f(i, j)*c + l_x(c) and
@@ -751,8 +778,8 @@ def exhaustive_extension_search(
     memoised on b).  The pair is always there: it is a sum of
     bimultiplications and of the inner one of -f(i, j), so it is a
     bimultiplication itself, and the pool holds every one.  The
-    permutability filter and the full additivity check then run,
-    unchanged, on every candidate.
+    permutability filter and the full additivity check then run on every
+    candidate, additivity on the right on those additive on the left.
 
     The survivors are the tuples of pool rows over all classes != 0 that
     pass both filters: no more, since both run, and no fewer, since such
@@ -776,50 +803,66 @@ def exhaustive_extension_search(
     if not psi.unital:
         raise ExtensionError("psi-unital", (int(psi.map[q.unit]),))
     grid = _quotient_grid(q)
-    qa = q.add
 
     _guard(nb ** (nq * (nq - 1) // 2), "additive defect candidates", guard)
     # Pool row 0 is the zero bimultiplication, the action of the zero class.
-    pl, pr = _bimult_pool(b)
+    pl, pr = _kept(_bimult_pool, b)
     npool = len(pl)
     _guard(npool ** (nq - 1), "action candidates", guard)
-    try:
-        _guard(npool * npool * nb, "permutability grid cells", CELL_LIMIT)
-    except SearchGuardError:
-        # A pool this large (8 MB over the square-zero ideal of
-        # Z/2[x,y,z]/(x,y,z)^2) serves no later search over b either.
-        _bimult_pool.cache_clear()
-        raise
-    perm_ok, pool_index = _pool_tables(b)
+    _guard(npool * npool * nb, "permutability grid cells", CELL_LIMIT)
+    perm_ok, pool_index = _kept(_pool_tables, b)
 
-    gens = grid.gens
     results: list[Extension] = []
-    c3b = np.arange(nb)[None, None, :]
-    for f in _additive_defects(b, grid):
-        fl3 = b.mul[f[:, :, None], c3b]
-        fr3 = b.mul[c3b, f[:, :, None]]
-        for choice in _product_blocks([npool] * len(gens), nq * nq * nb):
-            acts = np.zeros((len(choice), nq), dtype=np.int64)
-            acts[:, gens] = choice
-            for x, i, j in grid.sums:
-                acts[:, x] = pool_index(
-                    b.add[b.add[pl[acts[:, i]], pl[acts[:, j]]], b.neg[b.mul[f[i, j]]]],
-                    b.add[b.add[pr[acts[:, i]], pr[acts[:, j]]], b.neg[b.mul[:, f[i, j]]]],
-                )
-            acts = acts[perm_ok[acts[:, :, None], acts[:, None, :]].all(axis=(1, 2))]
-            left, right = pl[acts], pr[acts]
-            ok = (
-                b.add[left[:, :, None], left[:, None]] == b.add[fl3, left[:, qa]]
-            ).all(axis=(1, 2, 3))
-            ok &= (
-                b.add[right[:, :, None], right[:, None]] == b.add[fr3, right[:, qa]]
-            ).all(axis=(1, 2, 3))
+    for block in _additive_defects(b, grid):
+        lo, size = 0, 1
+        while lo < len(block):
+            fs = block[lo:lo + size]
+            lo, size = lo + size, 2 * size
+            at, left, right = _search_actions(b, grid, fs, pl, pr, perm_ok, pool_index)
             found = _search_g_stage(
-                base, grid, psi, f, left[ok], right[ok], guard, stop_at_first, results
+                base, grid, psi, fs[at], left, right, guard, stop_at_first, results
             )
             if found and stop_at_first:
                 return results
     return results
+
+
+def _search_actions(b, grid, fs, pl, pr, perm_ok, pool_index):
+    """The action stage of `exhaustive_extension_search` on a batch fs of
+    additive defects, (F, |q|, |q|): the (f, action) contexts whose
+    actions are pairwise permutable and additive up to their f, as
+    (at, left, right), f = fs[at[k]] and the rows of left[k], right[k]
+    the action of context k.  The pool choices on S are decoded with the
+    index of f as the leading digit, so the contexts come f-major, each
+    f's in the product order of its own stage."""
+    nb, nq, qa = b.order, grid.q.order, grid.q.add
+    gens = grid.gens
+    fl3 = b.mul[fs[..., None], np.arange(nb)]
+    fr3 = b.mul[np.arange(nb), fs[..., None]]
+    kept = []
+    for digits in _product_blocks([len(fs), *[len(pl)] * len(gens)], nq * nq * nb):
+        at = digits[:, 0]
+        acts = np.zeros((len(digits), nq), dtype=np.int64)
+        acts[:, gens] = digits[:, 1:]
+        for x, i, j in grid.sums:
+            fij = fs[at, i, j]
+            acts[:, x] = pool_index(
+                b.add[b.add[pl[acts[:, i]], pl[acts[:, j]]], b.neg[b.mul[fij]]],
+                b.add[b.add[pr[acts[:, i]], pr[acts[:, j]]], b.neg[b.mul.T[fij]]],
+            )
+        keep = perm_ok[acts[:, :, None], acts[:, None, :]].all(axis=(1, 2))
+        at, acts = at[keep], acts[keep]
+        left, right = pl[acts], pr[acts]
+        # Additive up to f on the left, then, of those left, on the right.
+        ok = (
+            b.add[left[:, :, None], left[:, None]] == b.add[fl3[at], left[:, qa]]
+        ).all(axis=(1, 2, 3))
+        at, left, right = at[ok], left[ok], right[ok]
+        ok = (
+            b.add[right[:, :, None], right[:, None]] == b.add[fr3[at], right[:, qa]]
+        ).all(axis=(1, 2, 3))
+        kept.append((at[ok], left[ok], right[ok]))
+    return tuple(np.concatenate(t) for t in zip(*kept, strict=True))
 
 
 @dataclass(frozen=True)
@@ -867,9 +910,9 @@ def _quotient_grid(q: FiniteRing) -> _QuotientGrid:
 
 def _additive_defects(b: FiniteRing, grid: _QuotientGrid):
     """The symmetric associative additive defects f over q = grid.q, in
-    itertools.product order over the slots (u, v), 0 < u <= v: each
-    `rings._product_blocks` block is filtered only once the one before
-    it has been read."""
+    itertools.product order over the slots (u, v), 0 < u <= v, as one
+    (F, |q|, |q|) array per `rings._product_blocks` block (F may be 0):
+    each block is filtered only once the one before it has been read."""
     q = grid.q
     nq = q.order
     u3, v3, w3, qa = grid.u3, grid.v3, grid.w3, q.add
@@ -881,49 +924,57 @@ def _additive_defects(b: FiniteRing, grid: _QuotientGrid):
         fs[:, fv, fu] = vals
         lhs = b.add[fs[:, v3, w3], fs[:, u3, qa[v3, w3]]]
         rhs = b.add[fs[:, u3, v3], fs[:, qa[u3, v3], w3]]
-        yield from fs[(lhs == rhs).all(axis=(1, 2, 3))]
+        yield fs[(lhs == rhs).all(axis=(1, 2, 3))]
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=16)
 def _bimult_pool(b: FiniteRing):
     """`enumerate_bimultiplications(b)`, read-only, memoised on b by
-    identity for the last ring.  An entry holds 4|b| bytes per
-    bimultiplication: 4 KB for the 256 of the Klein zero ring, 8 MB for
-    the 262144 of the zero ring on (Z/2)^3, and at most 64 MB, the 10^6
-    pairs that the pair guard of `enumerate_bimultiplications` admits at
-    |b| = 16.  So the memo keeps one ring: the searches over one base
-    and its quotients usually run in a row."""
+    identity for the 16 rings used last, read through
+    `cohomology._kept`.  An entry holds 4|b| bytes per bimultiplication:
+    4 KB for the 256 of the Klein zero ring.  One over `_ENTRY_BYTES` =
+    1 MiB serves its search and is not kept (`_Unkept`), as the 8 MB pool
+    of the 262144 bimultiplications of the zero ring on (Z/2)^3, so the
+    memo holds at most 16 MiB."""
     pool = enumerate_bimultiplications(b)
     for t in pool:
         t.flags.writeable = False
+    if sum(t.nbytes for t in pool) > _ENTRY_BYTES:
+        raise _Unkept(pool)
     return pool
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=16)
 def _pool_tables(b: FiniteRing):
-    """Over the pool `_bimult_pool(b)`: the read-only mask perm_ok[s, t],
+    """Over the pool of `_bimult_pool(b)`: the read-only mask perm_ok[s, t],
     rows s and t permute both ways, and the row lookup
     (`bimult._row_lookup`, a function that exposes no array).  Memoised
-    on b by identity for the last ring, as the pool is.
+    on b by identity for the 16 rings used last, and read through
+    `cohomology._kept`, as the pool is.
 
     An entry holds npool^2 bytes of mask and npool(4|b| + 8) bytes of
     sorted keys and their order.  The search builds it only once its
     permutability guard has admitted npool^2 |b| <= 10^7 cells, so an
-    entry holds at most 1.3 MB (at |b| = 8); a ring of order below 8 has
-    at most 256 bimultiplications, as its additive group has at most 16
-    endomorphisms, and an entry of at most 75 KB."""
-    pl, pr = _bimult_pool(b)
+    entry holds at most 1.3 MB (at |b| = 8); one over `_ENTRY_BYTES` =
+    1 MiB is not kept, so the memo holds at most 16 MiB.  A ring of order
+    below 8 has at most 256 bimultiplications, as its additive group has
+    at most 16 endomorphisms, and an entry of at most 75 KB."""
+    pl, pr = _kept(_bimult_pool, b)
     around = _permutable(pl, pr).all(axis=2)
     perm_ok = around & around.T
     perm_ok.flags.writeable = False
-    return perm_ok, _row_lookup(pl, pr)
+    tables = perm_ok, _row_lookup(pl, pr)
+    if perm_ok.nbytes + len(pl) * (4 * b.order + 8) > _ENTRY_BYTES:
+        raise _Unkept(tables)
+    return tables
 
 
 def _search_g_stage(base, grid, psi, f, left, right, guard, stop_at_first, results):
-    """Inner stages of the exhaustive search for one f and a block of
-    actions, row k of `left`/`right` being action k: multiplicative
-    defects, unit scan, target map.  Appends finds to `results`, returns
-    whether anything was appended.
+    """Inner stages of the exhaustive search for a batch of (f, action)
+    contexts, row k of `f`, `left` and `right` being context k (`f` may
+    also be one table, the f of every context): multiplicative defects,
+    unit scan, target map.  Appends finds to `results`, returns whether
+    anything was appended.
 
     The composite-action rows pin each slot g(u, v), u, v != 0, to a set
     of options: the x with x*c = l_u(l_v(c)) - l_uv(c) and
@@ -980,57 +1031,69 @@ def _search_g_stage(base, grid, psi, f, left, right, guard, stop_at_first, resul
     first differ at an S x S slot.  Options are ascending there, so the
     enumeration order over the S x S digits is the order over all slots.
 
-    The whole block goes through each step at once.  The option masks
-    of every action come first; an action with an empty slot has no
+    The whole batch goes through each step at once.  The option masks
+    of every context come first; a context with an empty slot has no
     candidate.  A nonempty slot's options are one coset of the two-sided
     annihilator Ann(b): x and x' are both options iff x - x' kills b on
-    both sides.  So every action left has |Ann(b)| options in every
-    slot, and the candidates of the block are decoded together with the
-    action as the leading digit, so they come action by action, as one
-    stage per action would give them.  The guard counts each action's
-    S x S products; as these are equal, one over the guard is the first
-    action left, and the stage raises before searching any.  The
-    survivors of each decoded block then get their crossed tables and
-    unit scan (`rings._units`) together, and the target lift in order.
+    both sides.  So every context left has |Ann(b)| options in every
+    slot, whatever its f, and the candidates of the batch are decoded
+    together with the context as the leading digit, so they come
+    context by context, as one stage per action and f would give them.
+    The guard counts each context's S x S products; as these are equal,
+    one over the guard is the first context left, and the stage raises
+    before searching any.  The three conditions run in turn, each on the
+    candidates the one before kept, mixed associativity first (about a
+    quarter of classify's candidates pass it); the survivors are those
+    that pass all three, as before.  The survivors of each decoded block
+    then get their crossed tables and unit scan (`rings._units`)
+    together, and the target lift in order.
     """
     b, q = base.b, grid.q
     nb, nq = b.order, q.order
     qa, qm = q.add, q.mul
     us, vs, gens, free = grid.us, grid.vs, grid.gens, grid.free
+    f = np.broadcast_to(f, (len(left), nq, nq))
 
     # The composite-action rows pin each g(u, v) to the elements whose
     # inner bimultiplication matches the defect of the action product:
-    # opts[k, s, x] for action k, slot s.
+    # opts[k, s, x] for context k, slot s.
     step = max(1, BLOCK_CELLS // max(1, len(us) * nb * nb))
     opts = np.zeros((len(left), len(us), nb), dtype=bool)
+    uv = qm[us, vs]
     for lo in range(0, len(left), step):
         lt, rt = left[lo:lo + step], right[lo:lo + step]
-        lrows = b.add[np.take_along_axis(lt[:, us], lt[:, vs], axis=2), b.neg[lt[:, qm[us, vs]]]]
-        rrows = b.add[np.take_along_axis(rt[:, vs], rt[:, us], axis=2), b.neg[rt[:, qm[us, vs]]]]
+        k3 = np.arange(len(lt))[:, None, None]
+        lrows = b.add[lt[k3, us[:, None], lt[:, vs]], b.neg[lt[:, uv]]]
+        rrows = b.add[rt[k3, vs[:, None], rt[:, us]], b.neg[rt[:, uv]]]
         opts[lo:lo + step] = (b.mul == lrows[:, :, None, :]).all(axis=3) & (
             b.mul.T == rrows[:, :, None, :]
         ).all(axis=3)
     live = opts.any(axis=2).all(axis=1)
     if not live.any():
         return False
-    opts, left, right = opts[live][:, free], left[live], right[live]
+    opts, f, left, right = opts[live][:, free], f[live], left[live], right[live]
     counts = opts[0].sum(axis=1).tolist()
     # The guard counts the candidates generated: the S x S products, the
-    # same for every action left.
+    # same for every context left.
     _guard(math.prod(counts), "multiplicative defect candidates", guard)
-    # Column d of pick[k, s] is the d-th option of action k's free slot s,
-    # options ascending.
+    # Column d of pick[k, s] is the d-th option of context k's free slot
+    # s, options ascending.
     pick = np.argsort(~opts, axis=2, kind="stable")
-    # The constant terms of both solved conditions, per action: rows on
+    # The constant terms of both solved conditions, per context: rows on
     # the generator columns, then whole columns.
+    ks = np.arange(len(left))[:, None]
     row_terms = [
-        b.add[f[qm[i, gens], qm[j, gens]], b.neg[right[:, gens, f[i, j]]]] for x, i, j in grid.sums
+        b.add[f[:, qm[i, gens], qm[j, gens]], b.neg[right[ks, gens, f[:, i, j, None]]]]
+        for x, i, j in grid.sums
     ]
-    col_terms = [b.add[f[qm[:, i], qm[:, j]], b.neg[left[:, :, f[i, j]]]] for x, i, j in grid.sums]
+    col_terms = [
+        b.add[f[:, qm[:, i], qm[:, j]], b.neg[left[ks, np.arange(nq), f[:, i, j, None]]]]
+        for x, i, j in grid.sums
+    ]
 
     u3, v3, w3 = grid.u3, grid.v3, grid.w3
-    f_uw_vw = f[qm[u3, w3], qm[v3, w3]]
-    f_uv_uw = f[qm[u3, v3], qm[u3, w3]]
+    f_uw_vw = f[:, qm[u3, w3], qm[v3, w3]]
+    f_uv_uw = f[:, qm[u3, v3], qm[u3, w3]]
     slot = np.arange(len(counts))
     table_rows = max(1, BLOCK_CELLS // (nb * nq) ** 2)
     found = False
@@ -1042,37 +1105,37 @@ def _search_g_stage(base, grid, psi, f, left, right, guard, stop_at_first, resul
             gs[:, x, gens] = b.add[b.add[gs[:, i, gens], gs[:, j, gens]], term[k]]
         for (x, i, j), term in zip(grid.sums, col_terms, strict=True):
             gs[:, :, x] = b.add[b.add[gs[:, :, i], gs[:, :, j]], term[k]]
-        # Row k4 of `left`/`right` is the action of candidate k4.
-        k4 = k[:, None, None, None]
-        G_uvm_w = gs[:, qm[:, :, None], w3]
-        G_uva_w = gs[:, qa[:, :, None], w3]
-        G_u_vwm = gs[:, u3, qm[None, :, :]]
-        G_u_vwa = gs[:, u3, qa[None, :, :]]
-        G_vw = gs[:, None, :, :]
+        # Row k4 of `left`/`right` is the action of candidate k4, fk its
+        # f.  Each condition drops the candidates that fail it, so the
+        # next one reads only those left.
         # mixed associativity: r_w(g(u,v)) + g(uv,w) == l_u(g(v,w)) + g(u,vw)
-        lhs = b.add[right[k4, w3[None], gs[:, :, :, None]], G_uvm_w]
-        rhs = b.add[left[k4, u3[None], G_vw], G_u_vwm]
+        k4 = k[:, None, None, None]
+        lhs = b.add[right[k4, w3[None], gs[:, :, :, None]], gs[:, qm[:, :, None], w3]]
+        rhs = b.add[left[k4, u3[None], gs[:, None, :, :]], gs[:, u3, qm[None, :, :]]]
         ok = (lhs == rhs).all(axis=(1, 2, 3))
+        gs, k = gs[ok], k[ok]
         # distributivity across the quotient: both defect kinds interact.
-        lhs = b.add[right[k4, w3[None], f[None, :, :, None]], G_uva_w]
-        rhs = b.add[b.add[gs[:, :, None, :], G_vw], f_uw_vw[None]]
-        ok &= (lhs == rhs).all(axis=(1, 2, 3))
-        lhs = b.add[left[k4, u3[None], f[None, None, :, :]], G_u_vwa]
-        rhs = b.add[b.add[gs[:, :, :, None], gs[:, :, None, :]], f_uv_uw[None]]
-        ok &= (lhs == rhs).all(axis=(1, 2, 3))
+        k4, fk = k[:, None, None, None], f[k]
+        lhs = b.add[right[k4, w3[None], fk[:, :, :, None]], gs[:, qa[:, :, None], w3]]
+        rhs = b.add[b.add[gs[:, :, None, :], gs[:, None, :, :]], f_uw_vw[k]]
+        ok = (lhs == rhs).all(axis=(1, 2, 3))
+        gs, k, k4, fk = gs[ok], k[ok], k4[ok], fk[ok]
+        lhs = b.add[left[k4, u3[None], fk[:, None, :, :]], gs[:, u3, qa[None, :, :]]]
+        rhs = b.add[b.add[gs[:, :, :, None], gs[:, :, None, :]], f_uv_uw[k]]
+        ok = (lhs == rhs).all(axis=(1, 2, 3))
         # The unit scan and the crossed tables it reads, for the
         # survivors at once; then the target lift in survivor order.
         gs, ks = gs[ok], k[ok]
         for lo in range(0, len(gs), table_rows):
             g_blk, k_blk = gs[lo:lo + table_rows], ks[lo:lo + table_rows]
-            add, mul = crossed_tables(b, q, left[k_blk], right[k_blk], f, g_blk)
-            for g, a, m, unit in zip(g_blk, k_blk, mul, _units(mul).tolist(), strict=True):
+            add, mul = crossed_tables(b, q, left[k_blk], right[k_blk], f[k_blk], g_blk)
+            for g, a, ad, m, unit in zip(g_blk, k_blk, add, mul, _units(mul).tolist(), strict=True):
                 if unit < 0:
                     continue
-                xrow = _target_lift(base, psi, left[a], right[a], f, g, unit, guard)
+                xrow = _target_lift(base, psi, left[a], right[a], f[a], g, unit, guard)
                 if xrow is None:
                     continue
-                ring = validate_ring(add, m, unit, name=f"{base.name}_search_{len(results)}")
+                ring = validate_ring(ad, m, unit, name=f"{base.name}_search_{len(results)}")
                 results.append(_carrier_extension(base, ring, q, xrow, ring.name))
                 found = True
                 if stop_at_first:

@@ -32,7 +32,6 @@ from ringcat.extensions import (
     ExtensionError,
     FactorSystem,
     FactorSystemError,
-    SearchGuardError,
     _action_stage,
     _align_psi,
     _flat,
@@ -53,6 +52,7 @@ from ringcat.rings import (
     BLOCK_CELLS,
     RingAxiomError,
     RingHom,
+    SearchGuardError,
     _additive_maps,
     _first_bad,
     _ideal_actions,
@@ -754,11 +754,16 @@ def recorded_search(search, es, q, psi, stop, monkeypatch):
     calls, tables = [], []
 
     def recording(stage, at):
-        # f, left and right are the stage's arguments at, at + 1, at + 2.
+        # f, left and right are the stage's arguments at, at + 1, at + 2:
+        # one context for the walk, a stack of them for the batched route,
+        # whose f is a stack too (or one table for every context).
         def run(*args):
             f, left, right = args[at:at + 3]
-            acts = zip(left, right, strict=True) if left.ndim == 3 else [(left, right)]
-            calls.append([(f.tolist(), lt.tolist(), rt.tolist()) for lt, rt in acts])
+            if left.ndim == 2:
+                f, left, right = f[None], left[None], right[None]
+            f = np.broadcast_to(f, (len(left), *f.shape[-2:]))
+            calls.append([(fk.tolist(), lt.tolist(), rt.tolist())
+                          for fk, lt, rt in zip(f, left, right, strict=True)])
             return stage(*args)
         return run
 
@@ -795,24 +800,26 @@ def assert_walks_to_the_end_of_its_call(calls, walked, exhausted):
     [
         ("mult_2z8",),  # obstructed: the search runs to exhaustion
         ("double_2z8", klein(), [0, 0, 1, 1]),
+        ("mult_2z8", klein(), [0, 2, 0, 2]),  # finds at its 17th f, in its second f block
         ("flat_z2", klein(), [0, 1, 0, 1]),
         ("flat_klein0", zmod(2), [0, 1]),
         ("ut2_first_row",),  # noncommutative base: gives the right-hand masks teeth
         ("flat_z2_in_z4",),  # Z/4: 2 = 1 + 1 is solved before 3 = 1 + 2
         ("ideal_3z9",),  # the target lift reads defects that are not 2-torsion
     ],
-    ids=["mult_2z8-own", "double_2z8-z2xz2", "flat_z2-z2xz2", "flat_klein0-z2",
-         "ut2_first_row-own", "flat_z2_in_z4-own", "ideal_3z9-own"],
+    ids=["mult_2z8-own", "double_2z8-z2xz2", "mult_2z8-z2xz2", "flat_z2-z2xz2",
+         "flat_klein0-z2", "ut2_first_row-own", "flat_z2_in_z4-own", "ideal_3z9-own"],
 )
 @pytest.mark.parametrize("stop", [True, False])
 def test_search_matches_the_one_at_a_time_walk(triple, stop, monkeypatch):
     # Besides the finds, the (f, action) candidates that reach the g stage
     # and the g tables that pass its defect conditions must be the same and
     # come in the same order: the filters only prune, so dropping one would
-    # not change the finds.  The batched route hands its g stage a block of
-    # actions and crossed_tables a block of survivors, so when it stops at
-    # the first find it has seen the rest of that block too; up to there
-    # it must have seen what the walk run to exhaustion sees.
+    # not change the finds.  The batched route hands its g stage a batch
+    # of (f, action) contexts, several f at a time, and crossed_tables a
+    # block of survivors, so when it stops at the first find it has seen
+    # the rest of that batch too; up to there it must have seen what the
+    # walk run to exhaustion sees.
     es, q, psi = corpus_triple(*triple)
     want, *walk = recorded_search(reference_search, es, q, psi, stop, monkeypatch)
     exhausted = walk
@@ -843,12 +850,12 @@ def g_stage_calls(es, q, psi, monkeypatch, **search):
 
 
 def single_actions(args):
-    """The batched and the walk's g-stage arguments of each action in the
-    block of a batched g-stage call."""
+    """The batched and the walk's g-stage arguments of each (f, action)
+    context of a batched g-stage call."""
     base, grid, psi, f, left, right = args
     for i in range(len(left)):
-        yield ((base, grid, psi, f, left[i:i + 1], right[i:i + 1]),
-               (base, grid.q, psi, base.cokernel, f, left[i], right[i]))
+        yield ((base, grid, psi, f[i:i + 1], left[i:i + 1], right[i:i + 1]),
+               (base, grid.q, psi, base.cokernel, f[i], left[i], right[i]))
 
 
 @pytest.mark.parametrize(
@@ -930,6 +937,9 @@ def test_g_guard_trips_at_the_first_action_with_candidates(stop, monkeypatch):
     # table is built, with the walk's message, whether or not the search
     # stops at its first find; at the count, the block finds what the
     # walk, which counts every slot, finds running its actions in order.
+    # A block is a batch of (f, action) contexts over several f, so the
+    # second case is a batch whose first f has no action with
+    # candidates: its first live context lies in a later f.
     es, q, psi = corpus_triple("double_2z8", klein(), [0, 0, 1, 1])
     b = es.b
     ann = int(((b.mul == 0).all(axis=0) & (b.mul == 0).all(axis=1)).sum())
@@ -938,29 +948,44 @@ def test_g_guard_trips_at_the_first_action_with_candidates(stop, monkeypatch):
                for args, _ in stages for _, walk in single_actions(args)]
     assert {len(opts) for cands in options for opts in cands} == {0, ann}
     count = ann**4  # S = {1, 2}
-    # A block with a find that also holds actions with an empty slot.
-    args = next(args for args, found in stages if found)
-    walks = [walk for _, walk in single_actions(args)]
-    assert not all(all(reference_slot_options(b, q, *walk[5:7])[1]) for walk in walks)
+
+    def walks_of(args):
+        return [walk for _, walk in single_actions(args)]
+
+    def live(walk):
+        return all(reference_slot_options(b, q, *walk[5:7])[1])
+
+    def first_live_in_a_later_f(args):
+        walks = walks_of(args)
+        return not np.array_equal(next(filter(live, walks))[4], walks[0][4])
+
+    # A batch with a find that also holds actions with an empty slot; and,
+    # over the same base with psi 0,1,0,1, a batch with a find whose
+    # first live context lies in a later f than its first.
+    later = g_stage_calls(*corpus_triple("double_2z8", klein(), [0, 1, 0, 1]), monkeypatch)[1]
+    cases = [next(args for args, found in stages if found and not all(map(live, walks_of(args)))),
+             next(args for args, found in later if found and first_live_in_a_later_f(args))]
 
     def no_tables(*args):
         raise AssertionError("a g table was built")
 
-    with monkeypatch.context() as m:
-        m.setattr(extensions, "crossed_tables", no_tables)
-        m.setitem(globals(), "crossed_tables", no_tables)
-        message = rf"^{count} multiplicative defect candidates, over the guard {count - 1}$"
-        with pytest.raises(SearchGuardError, match=message):
-            extensions._search_g_stage(*args, count - 1, stop, [])
-        with pytest.raises(SearchGuardError, match=message):
-            for walk in walks:
-                _reference_g_stage(*walk, count - 1, stop, [])
-    got, want = [], []
-    extensions._search_g_stage(*args, count, stop, got)
-    for walk in walks:
-        if _reference_g_stage(*walk, CANDIDATE_LIMIT, stop, want) and stop:
-            break
-    assert search_record(got) == search_record(want) and want
+    for args in cases:
+        walks = walks_of(args)
+        with monkeypatch.context() as m:
+            m.setattr(extensions, "crossed_tables", no_tables)
+            m.setitem(globals(), "crossed_tables", no_tables)
+            message = rf"^{count} multiplicative defect candidates, over the guard {count - 1}$"
+            with pytest.raises(SearchGuardError, match=message):
+                extensions._search_g_stage(*args, count - 1, stop, [])
+            with pytest.raises(SearchGuardError, match=message):
+                for walk in walks:
+                    _reference_g_stage(*walk, count - 1, stop, [])
+        got, want = [], []
+        extensions._search_g_stage(*args, count, stop, got)
+        for walk in walks:
+            if _reference_g_stage(*walk, CANDIDATE_LIMIT, stop, want) and stop:
+                break
+        assert search_record(got) == search_record(want) and want
 
 
 # ---------------------------------------------------------------------------
@@ -995,18 +1020,22 @@ def reference_action_stage(b, q, f, pl, pr):
 
 
 def action_stage_output(es, q, psi, monkeypatch):
-    """What the action stage hands the g stage in a search run to
-    exhaustion, with each g stage stubbed out: the f of each call, in
-    order, and the (f, left, right) of every action, in order."""
+    """What the action stage reads and hands the g stage in a search run
+    to exhaustion, with each g stage stubbed out: every f it reads, in
+    order, and the (f, left, right) of every context, in order."""
     fs, acts = [], []
+    stage = extensions._search_actions
+
+    def read(b, grid, batch, *rest):
+        fs.extend(batch.tolist())
+        return stage(b, grid, batch, *rest)
 
     def record(base, grid, psi, f, left, right, *rest):
-        if not fs or fs[-1] != f.tolist():
-            fs.append(f.tolist())
-        acts.extend((f.tolist(), lt.tolist(), rt.tolist()) for lt, rt in zip(left, right))
+        acts.extend((fk.tolist(), lt.tolist(), rt.tolist()) for fk, lt, rt in zip(f, left, right))
         return False
 
     with monkeypatch.context() as m:
+        m.setattr(extensions, "_search_actions", read)
         m.setattr(extensions, "_search_g_stage", record)
         exhaustive_extension_search(es, q, psi, stop_at_first=False)
     return fs, acts
@@ -1045,7 +1074,8 @@ def test_action_stage_matches_the_product_filter(monkeypatch):
 def test_action_stage_decodes_only_generator_candidates(q, psi, gens, monkeypatch):
     # flat_z2 has 4 bimultiplications.  Z/4 is spanned by 1 and Z/2 x Z/2
     # by 1 and 2, so per f the stage decodes 4 or 16 candidates where the
-    # product filter over the 3 classes != 0 decodes 64.
+    # product filter over the 3 classes != 0 decodes 64.  It decodes a
+    # batch of f at a time, the index of f leading.
     es, q, psi = corpus_triple("flat_z2", q, psi)
     npool = len(enumerate_bimultiplications(es.b)[0])
     radices = []
@@ -1057,8 +1087,9 @@ def test_action_stage_decodes_only_generator_candidates(q, psi, gens, monkeypatc
 
     monkeypatch.setattr(extensions, "_product_blocks", recording_blocks)
     fs = action_stage_output(es, q, psi, monkeypatch)[0]
-    # The first product is the additive defect pool; one per f follows.
-    assert radices[1:] == [[npool] * gens] * len(fs) and fs
+    # The first product is the additive defect pool; one per batch follows.
+    assert [rad[1:] for rad in radices[1:]] == [[npool] * gens] * (len(radices) - 1)
+    assert sum(rad[0] for rad in radices[1:]) == len(fs) and fs
     assert npool**gens < npool ** (q.order - 1)
 
 
@@ -1077,8 +1108,8 @@ def clear_search_memos():
 
 
 def eager_additive_defects(b, grid):
-    """Every symmetric associative additive defect over grid.q, filtered
-    block by block before any is returned."""
+    """Every symmetric associative additive defect over grid.q, one array
+    per block, each block filtered before any is returned."""
     q = grid.q
     nq, qa = q.order, q.add
     u3, v3, w3 = grid.u3, grid.v3, grid.w3
@@ -1091,7 +1122,7 @@ def eager_additive_defects(b, grid):
         fs[:, fv, fu] = vals
         lhs = b.add[fs[:, v3, w3], fs[:, u3, qa[v3, w3]]]
         rhs = b.add[fs[:, u3, v3], fs[:, qa[u3, v3], w3]]
-        f_pool.extend(fs[(lhs == rhs).all(axis=(1, 2, 3))])
+        f_pool.append(fs[(lhs == rhs).all(axis=(1, 2, 3))])
     return f_pool
 
 
@@ -1108,8 +1139,8 @@ def eager_additive_defects(b, grid):
 def test_the_f_stage_on_demand_matches_the_eager_pool(triple, stop, monkeypatch):
     es, q, psi = corpus_triple(*triple)
     grid = extensions._quotient_grid(q)
-    lazy = [f.tolist() for f in extensions._additive_defects(es.b, grid)]
-    assert lazy == [f.tolist() for f in eager_additive_defects(es.b, grid)]
+    lazy = [block.tolist() for block in extensions._additive_defects(es.b, grid)]
+    assert lazy == [block.tolist() for block in eager_additive_defects(es.b, grid)]
     got = search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop))
     monkeypatch.setattr(extensions, "_additive_defects", eager_additive_defects)
     want = search_record(exhaustive_extension_search(es, q, psi, stop_at_first=stop))
@@ -1137,6 +1168,53 @@ def test_a_search_filters_f_blocks_only_as_it_reads_them(stop, read, monkeypatch
     # The first product is the additive defect pool.
     assert len(list(blocks([es.b.order] * 6, q.order**3))) == 4
     assert products[0] == [1024] * read
+
+
+def staged_batches(es, q, psi, stop, monkeypatch):
+    """The f blocks a search reads and the f batches it hands each stage,
+    in order: the action stage's batch per call, and the f of each g-stage
+    call's contexts, each f once."""
+    blocks, actions, g_stages = [], [], []
+    read, stage, g_stage = (extensions._additive_defects, extensions._search_actions,
+                            extensions._search_g_stage)
+
+    def reading(b, grid):
+        for block in read(b, grid):
+            blocks.append(block.tolist())
+            yield block
+
+    def acting(b, grid, fs, *rest):
+        actions.append(fs.tolist())
+        return stage(b, grid, fs, *rest)
+
+    def staging(base, grid, psi, f, *rest):
+        g_stages.append([fk for i, fk in enumerate(f.tolist()) if i == 0 or fk != f[i - 1].tolist()])
+        return g_stage(base, grid, psi, f, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(extensions, "_additive_defects", reading)
+        m.setattr(extensions, "_search_actions", acting)
+        m.setattr(extensions, "_search_g_stage", staging)
+        exts = exhaustive_extension_search(es, q, psi, stop_at_first=stop)
+    return exts, blocks, actions, g_stages
+
+
+def test_the_search_stages_f_in_growing_batches_within_each_block(monkeypatch):
+    # A search that finds at its first f hands each stage that f alone.
+    es, q, psi = corpus_triple("flat_z2", klein(), [0, 1, 0, 1])
+    exts, blocks, actions, g_stages = staged_batches(es, q, psi, True, monkeypatch)
+    assert exts and actions == g_stages == [[blocks[0][0]]]
+    # The obstructed mult_2z8 over its own cokernel reads all 64 f, 16 in
+    # each of its 4 blocks.  Each block goes in batches of 1, 2, 4, ...
+    # f, the last cut at the block's end: 1, 2, 4, 8, 1.  Each of its f
+    # has actions, so the g stage gets the same batches.
+    es, q, psi = corpus_triple("mult_2z8")
+    exts, blocks, actions, g_stages = staged_batches(es, q, psi, True, monkeypatch)
+    assert not exts and [len(block) for block in blocks] == [16] * 4
+    assert g_stages == actions
+    assert [f for batch in actions for f in batch] == [f for block in blocks for f in block]
+    # So no batch spans two blocks, and each block takes 5 batches.
+    assert [len(batch) for batch in actions] == [1, 2, 4, 8, 1] * 4
 
 
 def test_a_second_search_over_the_same_rings_builds_no_table(monkeypatch):
@@ -1172,7 +1250,7 @@ def test_the_search_reads_its_tables_from_bounded_read_only_memos():
         with pytest.raises(ValueError, match="read-only"):
             t[(0,) * t.ndim] = 1
     assert isinstance(grid.sums, tuple)
-    assert [memo.cache_info().maxsize for memo in SEARCH_MEMOS] == [16, 1, 1]
+    assert [memo.cache_info().maxsize for memo in SEARCH_MEMOS] == [16, 16, 16]
     # The public enumeration stays unmemoised: each call builds new tables.
     again = enumerate_bimultiplications(es.b)
     for t, memo in zip(again, extensions._bimult_pool(es.b), strict=True):
@@ -2036,8 +2114,8 @@ def test_the_action_stage_keeps_the_carrier_product_of_its_action():
 
 
 def test_stacked_crossed_tables_match_the_old_formula_row_by_row(monkeypatch):
-    # The blocks of survivors a search hands crossed_tables: stacked
-    # actions and g over one f.
+    # The blocks of survivors a search hands crossed_tables: stacked f,
+    # actions and g.
     stacks = []
 
     def recording(b, q, left, right, f, g, build=crossed_tables):
@@ -2050,7 +2128,7 @@ def test_stacked_crossed_tables_match_the_old_formula_row_by_row(monkeypatch):
         exhaustive_extension_search(*corpus_triple(*triple), stop_at_first=False)
     assert stacks and any(len(args[5]) > 1 for args, _ in stacks)
     for (b, q, left, right, f, g), (add, mul) in stacks:
-        assert left.ndim == g.ndim == 3 and add.shape == (b.order * q.order,) * 2
+        assert left.ndim == f.ndim == g.ndim == 3 and add.shape == mul.shape
         for k in range(len(g)):
-            want_add, want_mul = reference_crossed_tables(b, q, left[k], right[k], f, g[k])
-            assert np.array_equal(add, want_add) and np.array_equal(mul[k], want_mul)
+            want_add, want_mul = reference_crossed_tables(b, q, left[k], right[k], f[k], g[k])
+            assert np.array_equal(add[k], want_add) and np.array_equal(mul[k], want_mul)

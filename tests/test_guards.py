@@ -287,8 +287,13 @@ def test_flat_klein0_searches_over_order_4_quotients_trip_the_action_guard(q, ps
     with pytest.raises(SearchGuardError) as e:
         exhaustive_extension_search(es, q, psi)
     assert str(e.value) == "16777216 action candidates, over the guard 1000000"
-    # Only a permutability refusal drops the pool; this one keeps its 4 KB.
-    assert extensions._bimult_pool.cache_info().currsize == 1
+    # The refused search keeps its 4 KB pool, one of the memo's 16 bases:
+    # reading it again is a hit.
+    memo = extensions._bimult_pool
+    assert memo.cache_info().maxsize == 16 and 1 <= memo.cache_info().currsize <= 16
+    hits = memo.cache_info().hits
+    memo(es.b)
+    assert memo.cache_info().hits == hits + 1
 
 
 def square_zero_z2xyz():
@@ -307,13 +312,13 @@ def test_a_pool_past_the_action_guard_trips_the_permutability_guard():
     # Their permutability table would have 262144^2 * 8 cells (1 TiB).
     es = crossed.ideal_esystem(square_zero_z2xyz(), range(8))
     q = es.cokernel.ring
-    # The refusal drops the 8 MB pool from its memo.
-    try:
-        with pytest.raises(SearchGuardError) as e:
-            exhaustive_extension_search(es, q, RingHom(q, q, np.arange(q.order)))
-        assert extensions._bimult_pool.cache_info().currsize == 0
-    finally:
-        extensions._bimult_pool.cache_clear()
+    # The 8 MB pool is over the memo's 1 MiB entry bound, so the memo
+    # never keeps it: the search builds it and the memo stays empty.
+    clear_search_memos()
+    with pytest.raises(SearchGuardError) as e:
+        exhaustive_extension_search(es, q, RingHom(q, q, np.arange(q.order)))
+    info = extensions._bimult_pool.cache_info()
+    assert (info.maxsize, info.misses, info.currsize) == (16, 1, 0)
     assert str(e.value) == "549755813888 permutability grid cells, over the guard 10000000"
 
 

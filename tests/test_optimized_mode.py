@@ -9,9 +9,11 @@ from `validate_extension`), the internal checks of
 `extensions`, the CLI's exit codes for bad input, tripped guards and
 internal errors, the 2-ring checker's per-law proof masks, its
 conditions on the target's additive generators and its slab scan against
-their references, and the memo of pulled modules behind
-`classify_functors` with the Smith log products it solves by.  Here they
-run again in a `python -O` subprocess.
+their references, the memo of pulled modules behind
+`classify_functors` with the Smith log products it solves by, and the
+brute-force search's batched stages against the one-at-a-time walk,
+their schedule and its memos.  Here they run again in a `python -O`
+subprocess.
 """
 
 import ast
@@ -91,6 +93,9 @@ VALIDATION_TESTS = [
     "tests/test_extensions.py::test_equivalent_rejects_extensions_over_different_bases",
     "tests/test_extensions.py::test_g_stage_guard_counts_generator_pair_candidates",
     "tests/test_extensions.py::test_g_guard_trips_at_the_first_action_with_candidates",
+    "tests/test_extensions.py::test_search_matches_the_one_at_a_time_walk",
+    "tests/test_extensions.py::test_the_search_stages_f_in_growing_batches_within_each_block",
+    "tests/test_extensions.py::test_the_search_reads_its_tables_from_bounded_read_only_memos",
     "tests/test_extensions.py::test_broken_checks_raise_without_assert",
     "tests/test_extensions.py::test_factor_system_errors_match_the_one_stage_form",
     "tests/test_extensions.py::test_factor_system_errors_match_the_parent_checks",
@@ -173,7 +178,8 @@ def test_every_memo_is_bounded():
     ]
     assert not unbounded, f"memos without an integer bound: {', '.join(unbounded)}"
     # The walk reaches the memos of each layer, among them the memo of
-    # pulled modules that classify_functors reads.
+    # pulled modules that classify_functors reads and the search's two
+    # pool memos.
     memos = {f"{path.stem}.{name}" for path, tree in trees.items() for name in memo_names(tree)}
-    assert {"cohomology._pulled_memo", "cohomology._defect3_plan",
-            "extensions._bimult_pool", "extensions._quotient_grid"} <= memos
+    assert {"cohomology._pulled_memo", "cohomology._defect3_plan", "extensions._bimult_pool",
+            "extensions._pool_tables", "extensions._quotient_grid"} <= memos
